@@ -10,9 +10,14 @@ from .radial import integrate_radial
 __version__ = "0.1.0"
 
 
-def simulate(scenario) -> Trajectory:
-    """Integrate a validated scenario in its own geometry."""
+def simulate(scenario, keep_states: bool = False) -> Trajectory:
+    """Integrate a validated scenario in its own geometry.
+
+    The trajectory holds per-step columns for every accepted step; full
+    marker states only for the first and last step, or for every step with
+    keep_states=True.
+    """
     vs = validate_scenario(scenario)
     if vs.geometry is Geometry.SLAB1D:
-        return integrate_slab(vs)
-    return integrate_radial(vs)
+        return integrate_slab(vs, keep_states=keep_states)
+    return integrate_radial(vs, keep_states=keep_states)

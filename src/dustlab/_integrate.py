@@ -1,8 +1,12 @@
 """Shared adaptive Runge-Kutta driver for both geometries.
 
-Steps an embedded RK4(5) pair, records every accepted state, scans each
-accepted step for detector triggers, and localizes the first trigger by
-bisection on re-integrated sub-steps. Deterministic for fixed settings.
+Steps an embedded RK4(5) pair, reduces every accepted state once to its row
+of per-step scalars (functional.step_row), scans each accepted step's row
+for detector triggers, and localizes the first trigger by bisection on
+re-integrated sub-steps. Deterministic for fixed settings.
+
+Full marker states are kept for the first and the last row only, unless
+keep_states=True asks for every one.
 """
 
 from __future__ import annotations
@@ -10,12 +14,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
-from . import detector
+from . import detector, functional
 from .core import Trajectory, ValidatedScenario
 from .errors import MaxStepsExceeded, StepUnderflow
 
 
-def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack) -> Trajectory:
+def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack, div_rate,
+                        keep_states: bool = False) -> Trajectory:
+    """Integrate to t_end or the first detector event.
+
+    rhs(t, y) is the characteristic system, unpack(t, y, copy=True) builds a
+    field state from the solver vector, and div_rate(f) takes D(div u)/Dt
+    per marker from an RHS value f.
+    """
     settings = vs.settings
     t_end = vs.t_end
 
@@ -29,39 +40,58 @@ def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack) -> Trajectory:
             raise StepUnderflow(f"re-integration failed on [{t0:g}, {t1:g}]: {sol.message}")
         return sol.y[:, -1]
 
+    def reduce(t, y, f):
+        return functional.step_row(unpack(t, y, copy=False), div_rate(f))
+
     stepper = RK45(rhs, 0.0, np.asarray(y0, dtype=float), t_bound=t_end,
                    rtol=settings.rel_tol, atol=settings.abs_tol,
                    max_step=settings.max_step)
+    # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
+    # column costs no extra RHS evaluation
+    rows = [reduce(0.0, stepper.y, stepper.f)]
     states = [unpack(0.0, stepper.y)]
+    t_last, y_last = 0.0, stepper.y
     event = None
+    edge = False
     steps = 0
     while stepper.status == "running":
         steps += 1
         if steps > settings.max_steps:
             raise MaxStepsExceeded(f"exceeded {settings.max_steps} accepted steps")
-        t_prev = stepper.t
-        y_prev = stepper.y.copy()
+        # RK45 replaces stepper.y with a new array on every step and never
+        # writes into the old one, so no copy is needed
+        t_prev, y_prev = stepper.t, stepper.y
         stepper.step()
         if stepper.status == "failed":
             raise StepUnderflow(f"step size collapsed at t={t_prev:g}")
-        state = unpack(stepper.t, stepper.y)
-        trigger = detector.scan_step(states[-1], state, settings)
+        row = reduce(stepper.t, stepper.y, stepper.f)
+        trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
-            event = detector.bracket_event(reintegrate, unpack, t_prev, y_prev,
-                                           stepper.t, trigger, settings)
-            if event.t_lo > states[-1].time:
-                states.append(event.values_at_t_lo)
+            event, y_lo = detector.bracket_event(reintegrate, unpack, t_prev, y_prev,
+                                                 stepper.t, trigger, settings)
+            edge = event.t_lo > rows[-1].time
+            if edge:
+                # the one state the stepper has no RHS value for
+                rows.append(reduce(event.t_lo, y_lo, rhs(event.t_lo, y_lo)))
             break
-        states.append(state)
+        rows.append(row)
+        t_last, y_last = stepper.t, stepper.y
+        if keep_states:
+            states.append(unpack(t_last, y_last))
 
+    if edge:
+        states.append(event.values_at_t_lo)
+    elif not keep_states and len(rows) > 1:
+        states.append(unpack(t_last, y_last))
     termination = "event" if event is not None else "t_end"
-    return Trajectory(validated=vs, states=states, event=event, termination=termination)
+    return Trajectory.from_rows(vs, rows, states, event=event, termination=termination)
 
 
-def sample_states(vs: ValidatedScenario, rhs, y0, unpack, times) -> Trajectory:
+def sample_states(vs: ValidatedScenario, rhs, y0, unpack, div_rate, times) -> Trajectory:
     """States interpolated at the requested times (dense output), for
-    fixed-step diagnostics such as convergence studies. No event scanning;
-    the caller is responsible for staying inside the smooth interval."""
+    fixed-step diagnostics such as convergence studies. Every sampled state
+    is kept. No event scanning; the caller is responsible for staying inside
+    the smooth interval."""
     times = np.asarray(times, dtype=float)
     settings = vs.settings
     sol = solve_ivp(rhs, (0.0, float(times[-1])), np.asarray(y0, dtype=float),
@@ -70,4 +100,6 @@ def sample_states(vs: ValidatedScenario, rhs, y0, unpack, times) -> Trajectory:
     if not sol.success:
         raise StepUnderflow(f"sampling integration failed: {sol.message}")
     states = [unpack(t, sol.y[:, k]) for k, t in enumerate(sol.t)]
-    return Trajectory(validated=vs, states=states, event=None, termination="t_end")
+    rows = [functional.step_row(st, div_rate(rhs(st.time, sol.y[:, k])))
+            for k, st in enumerate(states)]
+    return Trajectory.from_rows(vs, rows, states)

@@ -23,8 +23,8 @@ import numpy as np
 import yaml
 
 from . import __version__, functional, riccati, simulate
-from .core import (Geometry, initial_vorticity_satisfied, load_scenario,
-                   validate_scenario)
+from .core import (Geometry, LagrangianMarker, initial_vorticity_satisfied,
+                   load_scenario, validate_scenario)
 from .detector import EscapeStatus, escape_report
 from .errors import (DustLabError, MaxStepsExceeded, NoPoleInHorizon,
                      StepUnderflow, ValidationError)
@@ -64,19 +64,15 @@ def _load(scenario_path):
 
 
 def _write_trajectory_csv(out: Path, traj):
-    cols = ["time", "h_value", "total_mass", "support_volume",
-            "cs_divergence_margin", "cs_density_margin", "riccati_residual",
-            "min_density", "max_density", "max_abs_div"]
     with open(out / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(traj)):
-            rec = functional.diagnostics_record(traj, i)
-            writer.writerow([_fmt(getattr(rec, c)) for c in cols])
+        writer.writerow(functional.DIAGNOSTIC_COLUMNS)
+        writer.writerows([_fmt(v) for v in row] for row in functional.diagnostics_rows(traj))
 
 
 def _write_marker_dump(out: Path, traj, times):
-    """Per-marker dump at the accepted step nearest each requested time."""
+    """Per-marker dump at the accepted step nearest each requested time;
+    needs a trajectory run with keep_states=True."""
     traj_times = traj.times
     radialnd = traj.validated.geometry is Geometry.RADIALND
     for t_req in times:
@@ -137,13 +133,16 @@ def _certificate_doc(vs):
             doc["oracle_cross_check"] = {"pole_bracket": None, "agrees": False}
     if vs.lam == 0.0:
         bounds = []
-        n_markers = vs.masses.size
-        for j in range(n_markers):
-            div0 = vs.eig_radial[j]
-            if vs.eig_tangential is not None:
-                div0 += (vs.dimension - 1) * vs.eig_tangential[j]
-            if vs.densities[j] > 0 and div0 < 0:
-                bounds.append(-vs.dimension / float(div0))
+        for j in range(vs.masses.size):
+            marker = LagrangianMarker(
+                position=float(vs.positions[j]), velocity=float(vs.velocities[j]),
+                density=float(vs.densities[j]), eig_radial=float(vs.eig_radial[j]),
+                mass_weight=float(vs.masses[j]),
+                eig_tangential=(None if vs.eig_tangential is None
+                                else float(vs.eig_tangential[j])))
+            bound = riccati.chae_tadmor_pointwise_bound(marker, vs.dimension)
+            if bound is not None:
+                bounds.append(bound)
         doc["chae_tadmor"] = {
             "applicable_markers": len(bounds),
             "min_bound": min(bounds) if bounds else None,
@@ -151,9 +150,9 @@ def _certificate_doc(vs):
     return cert, doc
 
 
-def _run_or_exit(vs):
+def _run_or_exit(vs, keep_states=False):
     try:
-        return simulate(vs)
+        return simulate(vs, keep_states=keep_states)
     except (StepUnderflow, MaxStepsExceeded) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -188,7 +187,8 @@ def simulate_cmd(scenario_path, out_dir, snapshot_times):
     out = Path(out_dir)
     _write_manifest(out, "simulate", scenario_path)
     vs = _load(scenario_path)
-    traj = _run_or_exit(vs)
+    # marker snapshots need every state; all else reads the per-step columns
+    traj = _run_or_exit(vs, keep_states=bool(snapshot_times))
     _write_trajectory_csv(out, traj)
     if snapshot_times:
         _write_marker_dump(out, traj, [float(s) for s in snapshot_times.split(",")])
@@ -289,10 +289,10 @@ def sweep(scenario_path, out_dir, lambda_grid, h0_grid):
                                                    vs.dimension, vs.h0)
             traj = simulate(vs)
             rep = escape_report(traj, vs.v_sup, cert)
-            volumes = [st.support_volume() for st in traj.states]
             row.update(case=cert.case.value, t_bound=cert.t_bound,
                        event_time=(traj.event.t_hi if traj.event else None),
-                       support_volume_max=max(volumes), status=rep.status.value)
+                       support_volume_max=float(traj.columns.volume.max()),
+                       status=rep.status.value)
             any_contradiction |= rep.status is EscapeStatus.CONTRADICTION
         except DustLabError as exc:
             row.update(case="", t_bound=None, event_time=None,

@@ -11,9 +11,10 @@ initial cell, so the total mass is conserved by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -143,6 +144,17 @@ class TabulatedVelocity:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _whole(value) -> bool:
+    """An integer, or a float with an integer value (YAML may give 16.0)."""
+    if isinstance(value, bool) or not _finite(value):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class NumericalSettings:
     rel_tol: float = 1e-10
@@ -159,9 +171,13 @@ class NumericalSettings:
         bad = []
         for name in ("rel_tol", "abs_tol", "div_blowup_threshold",
                      "rho_blowup_threshold", "crossing_gap_threshold", "max_step"):
-            if getattr(self, name) <= 0:
+            if not _finite(getattr(self, name)):
+                bad.append(("NotFinite", name, "must be a finite number"))
+            elif getattr(self, name) <= 0:
                 bad.append(("BadSettings", name, "must be strictly positive"))
-        if self.max_steps <= 0:
+        if not _whole(self.max_steps):
+            bad.append(("BadSettings", "max_steps", "must be a whole number"))
+        elif self.max_steps <= 0:
             bad.append(("BadSettings", "max_steps", "must be strictly positive"))
         return bad
 
@@ -258,14 +274,23 @@ def validate_scenario(raw) -> ValidatedScenario:
     s = raw
     if s.geometry is Geometry.SLAB1D and s.dimension != 1:
         s = replace(s, dimension=1)  # forced to 1 for the slab
-    if s.geometry is Geometry.RADIALND and s.dimension < 2:
+    if not _whole(s.dimension):
+        violations.append(("BadDimension", "dimension",
+                           f"must be a whole number, got {s.dimension!r}"))
+    elif s.geometry is Geometry.RADIALND and s.dimension < 2:
         violations.append(("BadDimension", "dimension",
                            f"radial geometry needs dimension >= 2, got {s.dimension}"))
-    if s.marker_count < 2:
+    if not _whole(s.marker_count):
+        violations.append(("BadMarkerCount", "marker_count",
+                           f"must be a whole number, got {s.marker_count!r}"))
+    elif s.marker_count < 2:
         violations.append(("BadMarkerCount", "marker_count", "need at least 2 markers"))
-    if s.v_sup <= 0:
+    for name, value in (("v_sup", s.v_sup), ("t_end", s.t_end), ("lambda", s.lam)):
+        if not _finite(value):
+            violations.append(("NotFinite", name, f"must be a finite number, got {value!r}"))
+    if _finite(s.v_sup) and s.v_sup <= 0:
         violations.append(("BadVolumeBound", "v_sup", "must be strictly positive"))
-    if s.t_end <= 0:
+    if _finite(s.t_end) and s.t_end <= 0:
         violations.append(("BadHorizon", "t_end", "must be strictly positive"))
     violations.extend(s.settings.check())
 
@@ -277,11 +302,14 @@ def validate_scenario(raw) -> ValidatedScenario:
 
     if violations:
         raise ValidationError(violations)
+    s = replace(s, dimension=int(s.dimension), marker_count=int(s.marker_count))
 
     # Density non-negativity on a fine sample of the support.
     grid = np.linspace(lo, hi, max(4 * s.marker_count + 1, 101))
     rho_grid = np.asarray(s.density(grid), dtype=float)
-    if np.any(rho_grid < 0):
+    if not np.all(np.isfinite(rho_grid)):
+        violations.append(("NotFinite", "density", "density samples are not all finite"))
+    elif np.any(rho_grid < 0):
         bad = grid[np.argmin(rho_grid)]
         violations.append(("NegativeDensity", "density",
                            f"density sample {rho_grid.min():g} < 0 near x={bad:g}"))
@@ -318,12 +346,17 @@ def validate_scenario(raw) -> ValidatedScenario:
 
     vel = np.asarray(s.velocity(pos), dtype=float)
     eig1 = np.asarray(s.velocity.gradient(pos), dtype=float)
+    if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(eig1))):
+        raise ValidationError([("NotFinite", "velocity",
+                                "velocity or its gradient is not finite at the markers")])
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
         div0 = eig1 + (s.dimension - 1) * eig2
     else:
         eig2 = None
         div0 = eig1
+
+    _check_triggers_at_start(s, pos, rho, div0)
 
     total_mass = float(masses.sum())
     h0 = float(np.sum(masses * div0))
@@ -339,6 +372,33 @@ def validate_scenario(raw) -> ValidatedScenario:
         total_mass=total_mass,
         h0=h0,
     )
+
+
+def _check_triggers_at_start(s: Scenario, pos, rho, div0):
+    """Reject initial data on which a blowup trigger already holds.
+
+    The detector fires when a trigger goes from not holding to holding, so a
+    run that starts with one held could never report it. The conditions are
+    the detector's: smallest marker gap (origin included for radial),
+    largest |div u| and largest density against their thresholds.
+    """
+    settings = s.settings
+    gaps = np.diff(np.concatenate(([0.0], pos)) if s.geometry is Geometry.RADIALND else pos)
+    violations = []
+    if np.min(gaps) < settings.crossing_gap_threshold:
+        violations.append(("TriggerAtStart", "marker_count",
+                           f"initial marker gap {np.min(gaps):g} is below "
+                           f"crossing_gap_threshold {settings.crossing_gap_threshold:g}"))
+    if np.max(np.abs(div0)) > settings.div_blowup_threshold:
+        violations.append(("TriggerAtStart", "velocity",
+                           f"initial |div u| {np.max(np.abs(div0)):g} exceeds "
+                           f"div_blowup_threshold {settings.div_blowup_threshold:g}"))
+    if np.max(rho) > settings.rho_blowup_threshold:
+        violations.append(("TriggerAtStart", "density",
+                           f"initial density {np.max(rho):g} exceeds "
+                           f"rho_blowup_threshold {settings.rho_blowup_threshold:g}"))
+    if violations:
+        raise ValidationError(violations)
 
 
 def initial_vorticity_satisfied(vs: ValidatedScenario):
@@ -360,28 +420,46 @@ def initial_vorticity_satisfied(vs: ValidatedScenario):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class StepRow(NamedTuple):
+    """Per-step scalars of one state, reduced once when the step is accepted.
+
+    Trajectory.columns is a StepRow whose fields are arrays over the
+    accepted steps. Sums run over markers with the fixed mass weights m_j.
+    """
+
     time: float
-    h_value: float
-    total_mass: float
-    support_volume: float
-    cs_divergence_margin: float
-    cs_density_margin: float
-    riccati_residual: float
-    min_density: float
-    max_density: float
+    h: float  # H = sum m div(u)
+    m_div2: float  # sum m div(u)^2
+    m_rho: float  # sum m rho
+    volume: float  # support volume of the marker extent
+    volume_upper: float  # upper support estimate (adds the boundary half-cells)
+    m_div_rate: float  # sum m D(div u)/Dt; NaN where no RHS was evaluated
+    min_gap: float  # smallest gap between neighbours (origin included for radial)
     max_abs_div: float
+    max_density: float
+    min_density: float
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered accepted states of one run plus its termination record."""
+    """One run: a column of per-step scalars for every accepted step, the
+    full marker states that were kept, and the termination record.
+
+    ``states`` holds the first and the last state, unless the run was made
+    with ``keep_states=True``; then it holds every state and ``states[i]``
+    belongs to row i of ``columns``.
+    """
 
     validated: ValidatedScenario
+    columns: StepRow
     states: list
     event: object = None  # detector.BlowupEvent when one fired
     termination: str = "t_end"
+
+    @classmethod
+    def from_rows(cls, validated, rows, states, event=None, termination="t_end"):
+        return cls(validated, StepRow(*map(np.array, zip(*rows))), states, event,
+                   termination)
 
     @property
     def masses(self):
@@ -389,10 +467,10 @@ class Trajectory:
 
     @property
     def times(self):
-        return np.array([st.time for st in self.states])
+        return self.columns.time
 
     def __len__(self):
-        return len(self.states)
+        return len(self.columns.time)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +519,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         settings = NumericalSettings(**doc.get("tolerances", {}))
         return Scenario(
             geometry=geometry,
-            dimension=int(doc.get("dimension", 1)),
+            dimension=doc.get("dimension", 1),
             lam=float(doc.get("lambda", 0.0)),
             v_sup=float(doc["v_sup"]),
             density=_build_density(doc["initial_profile"]["density"]),
             velocity=_build_velocity(doc["initial_profile"]["velocity"]),
-            marker_count=int(doc["marker_count"]),
+            marker_count=doc["marker_count"],
             t_end=float(doc["t_end"]),
             settings=settings,
         )

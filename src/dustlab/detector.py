@@ -11,7 +11,8 @@ deterministic when several fire within one step:
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
 crossing, so the triggers guard each other. Integration stops at the event;
-there is no continuation past the singularity.
+there is no continuation past the singularity. The scan reads each
+accepted step's row of per-step scalars (core.StepRow), not its markers.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .core import NumericalSettings, StepRow, Trajectory
 from .errors import BracketStall, DustLabError
-from .core import NumericalSettings, Trajectory
+from .functional import marker_gaps, step_row
 
 BRACKET_REL_WIDTH = 1e-8
 
@@ -50,23 +52,16 @@ class BlowupEvent:
         return self.time_bracket[1]
 
 
-def _gaps(state):
-    pos = state.positions
-    if getattr(state, "include_origin_gap", False):
-        pos = np.concatenate(([0.0], pos))
-    return np.diff(pos)
+def _crossing_holds(row: StepRow, settings):
+    return row.min_gap < settings.crossing_gap_threshold
 
 
-def _crossing_holds(state, settings):
-    return bool(np.min(_gaps(state)) < settings.crossing_gap_threshold)
+def _divergence_holds(row: StepRow, settings):
+    return row.max_abs_div > settings.div_blowup_threshold
 
 
-def _divergence_holds(state, settings):
-    return bool(np.max(np.abs(state.div_u())) > settings.div_blowup_threshold)
-
-
-def _density_holds(state, settings):
-    return bool(np.max(state.densities) > settings.rho_blowup_threshold)
+def _density_holds(row: StepRow, settings):
+    return row.max_density > settings.rho_blowup_threshold
 
 
 _CONDITIONS = (
@@ -82,31 +77,36 @@ def trigger_condition(trigger: Trigger) -> Callable:
 
 def trigger_marker_index(state, trigger: Trigger) -> int:
     if trigger is Trigger.SHELL_CROSSING:
-        return int(np.argmin(_gaps(state)))
+        return int(np.argmin(marker_gaps(state)))
     if trigger is Trigger.DIVERGENCE_THRESHOLD:
         return int(np.argmax(np.abs(state.div_u())))
     return int(np.argmax(state.densities))
 
 
-def scan_step(prev_state, next_state, settings: NumericalSettings) -> Optional[Trigger]:
-    """First trigger (in priority order) holding at next_state but not prev_state."""
+def scan_step(prev_row: StepRow, next_row: StepRow,
+              settings: NumericalSettings) -> Optional[Trigger]:
+    """First trigger (in priority order) holding at next_row but not prev_row."""
     for trig, holds in _CONDITIONS:
-        if holds(next_state, settings) and not holds(prev_state, settings):
+        if holds(next_row, settings) and not holds(prev_row, settings):
             return trig
     return None
 
 
 def bracket_event(reintegrate, unpack, t_prev, y_prev, t_next, trigger: Trigger,
-                  settings: NumericalSettings, max_iter: int = 200) -> BlowupEvent:
+                  settings: NumericalSettings, max_iter: int = 200):
     """Bisect the trigger time within one accepted step.
 
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
-    unpack(t, y) -> field state. Precondition: the trigger holds at t_next
-    and not at t_prev.
+    unpack(t, y, copy=True) -> field state. Precondition: the trigger holds
+    at t_next and not at t_prev. Returns the event and the solver vector at
+    its lower edge.
     """
-    holds = trigger_condition(trigger)
-    state_prev = unpack(t_prev, y_prev)
-    if holds(state_prev, settings):
+    condition = trigger_condition(trigger)
+
+    def holds(t, y):
+        return condition(step_row(unpack(t, y, copy=False)), settings)
+
+    if holds(t_prev, y_prev):
         raise DustLabError("bracket_event precondition: trigger already holds at t_prev")
     lo, hi = t_prev, t_next
     y_lo = y_prev
@@ -120,15 +120,16 @@ def bracket_event(reintegrate, unpack, t_prev, y_prev, t_next, trigger: Trigger,
         if mid <= lo or mid >= hi:
             break  # floating-point exhaustion; bracket is as tight as possible
         y_mid = reintegrate(lo, y_lo, mid)
-        if holds(unpack(mid, y_mid), settings):
+        if holds(mid, y_mid):
             hi = mid
         else:
             lo, y_lo = mid, y_mid
     state_lo = unpack(lo, y_lo)
     y_hi = reintegrate(lo, y_lo, hi)
-    idx = trigger_marker_index(unpack(hi, y_hi), trigger)
-    return BlowupEvent(time_bracket=(lo, hi), trigger=trigger,
-                       marker_index=idx, values_at_t_lo=state_lo)
+    idx = trigger_marker_index(unpack(hi, y_hi, copy=False), trigger)
+    event = BlowupEvent(time_bracket=(lo, hi), trigger=trigger,
+                        marker_index=idx, values_at_t_lo=state_lo)
+    return event, y_lo
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     neither blew up nor escaped is a contradiction and must never occur.
     """
     event = trajectory.event
-    volumes = np.array([st.support_volume() for st in trajectory.states])
+    volumes = trajectory.columns.volume
     times = trajectory.times
     escaped = volumes > v_sup * (1 + 1e-12)
     t_escape = float(times[escaped][0]) if np.any(escaped) else None

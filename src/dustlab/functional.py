@@ -5,6 +5,10 @@ mass-measure-weighted total divergence, because the fixed weights m_j are
 the conserved mass measure. Likewise sum_j m_j rho_j quadratures the
 density square integral (m_j = rho_j dV_j) without any remeshing.
 
+Each accepted state is reduced once, when its step is accepted, to the
+per-step scalars of core.StepRow (step_row). The inequality checks below
+are expressions over those columns; they never revisit per-marker states.
+
 All inequality margins are oriented (large side minus small side), so
 nonnegative means "holds". Checks are reported, never enforced: a
 violation is a flagged report line or a test failure, not a runtime abort.
@@ -18,11 +22,93 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import DiagnosticsRecord, Geometry, Trajectory
+from .core import StepRow, Trajectory
 from .errors import HypothesisViolated
 
 RESIDUAL_FLOOR = 1e-6
 NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
+
+
+# ---------------------------------------------------------------------------
+# Per-step reduction
+# ---------------------------------------------------------------------------
+
+
+def marker_gaps(state):
+    """Gaps between neighbouring markers; radial states include the gap to
+    the origin. A swap shows up as a negative gap."""
+    pos = state.positions
+    if state.include_origin_gap:
+        pos = np.concatenate(([0.0], pos))
+    return pos[1:] - pos[:-1]  # np.diff's arithmetic without its call overhead
+
+
+def step_row(state, div_rate=None) -> StepRow:
+    """The per-step scalars of one state.
+
+    div_rate is D(div u)/Dt per marker, taken from the RHS already evaluated
+    at this state; without it the rate column is NaN. Plain ufunc
+    reductions keep each sum in the same order as np.sum and np.max would.
+    """
+    m = state.masses
+    d = state.div_u()
+    md = m * d
+    rho = state.densities
+    return StepRow(
+        time=state.time,
+        h=float(np.add.reduce(md)),
+        m_div2=float(np.add.reduce(md * d)),  # m * d * d, evaluated left to right
+        m_rho=float(np.add.reduce(m * rho)),
+        volume=state.support_volume(),
+        volume_upper=state.support_volume_upper(),
+        m_div_rate=math.nan if div_rate is None else float(np.add.reduce(m * div_rate)),
+        min_gap=float(np.minimum.reduce(marker_gaps(state))),
+        max_abs_div=float(np.maximum.reduce(np.abs(d))),
+        max_density=float(np.maximum.reduce(rho)),
+        min_density=float(np.minimum.reduce(rho)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The inequality terms, on per-step scalars
+# ---------------------------------------------------------------------------
+
+
+def _inside(volume_upper: float, v_sup: float) -> bool:
+    """Whether the support-volume hypothesis holds.
+
+    The gate uses the upper support estimate (marker extent plus boundary
+    half-cells): asserting an inequality needs the whole continuum support
+    inside v_sup, and the bare marker extent lags it by the half-cells.
+    """
+    return not volume_upper > v_sup * (1 + 1e-12)
+
+
+def _cs_divergence(mass, h, m_div2):
+    return mass * m_div2 - h**2
+
+
+def _cs_density(v_sup, mass, m_rho):
+    return v_sup * m_rho - mass * mass
+
+
+def _tolerance(mass, h):
+    return RESIDUAL_FLOOR * max(1.0, h * h, mass * mass)
+
+
+def _transport(t_a, t_b, h_a, h_b, rate_a, rate_b):
+    dh = (h_b - h_a) / (t_b - t_a)
+    return abs(dh - 0.5 * (rate_a + rate_b))
+
+
+def _riccati(t_a, t_b, h_a, h_b, mass, n, lam, v_sup):
+    h_mid = 0.5 * (h_a + h_b)
+    return (h_b - h_a) / (t_b - t_a) + h_mid**2 / (mass * n) + mass**2 / v_sup - lam * mass
+
+
+# ---------------------------------------------------------------------------
+# Single states
+# ---------------------------------------------------------------------------
 
 
 def total_mass(state) -> float:
@@ -31,7 +117,7 @@ def total_mass(state) -> float:
 
 def weighted_divergence_functional(state) -> float:
     """H = sum_j m_j div(u)_j."""
-    return float(np.sum(state.masses * state.div_u()))
+    return step_row(state).h
 
 
 def support_volume(state) -> float:
@@ -40,52 +126,39 @@ def support_volume(state) -> float:
 
 def cauchy_schwarz_check_divergence(state) -> float:
     """M * integral of (div u)^2 dmu  minus  (integral of div u dmu)^2."""
-    m = state.masses
-    d = state.div_u()
-    big = total_mass(state) * float(np.sum(m * d * d))
-    small = float(np.sum(m * d)) ** 2
-    return big - small
+    row = step_row(state)
+    return _cs_divergence(total_mass(state), row.h, row.m_div2)
 
 
 def cauchy_schwarz_check_density(state, v_sup: float) -> float:
     """v_sup * integral of rho^2 dx  minus  M^2, valid while the support
-    volume stays within v_sup.
-
-    The gate uses the upper support estimate (marker extent plus boundary
-    half-cells): asserting the inequality needs the whole continuum support
-    inside v_sup, and the bare marker extent lags it by the half-cells.
-    """
-    vol = state.support_volume_upper()
-    if vol > v_sup * (1 + 1e-12):
+    volume stays within v_sup (see _inside); raises HypothesisViolated
+    otherwise."""
+    row = step_row(state)
+    if not _inside(row.volume_upper, v_sup):
         raise HypothesisViolated(
-            f"support volume {vol:g} exceeds v_sup {v_sup:g}")
-    mass = total_mass(state)
-    rho_sq_integral = float(np.sum(state.masses * state.densities))
-    return v_sup * rho_sq_integral - mass * mass
+            f"support volume {row.volume_upper:g} exceeds v_sup {v_sup:g}")
+    return _cs_density(v_sup, total_mass(state), row.m_rho)
 
 
-def _div_rate(state):
-    """Material derivative of div u per marker, from the exact
-    characteristic ODEs."""
-    from . import geometry1d, radial
+def residual_tolerance(state) -> float:
+    """Reporting tolerance, scaled to stay meaningful near blowup."""
+    return _tolerance(total_mass(state), step_row(state).h)
 
-    if state.eig_tangential is None:
-        _, _, _, dw = geometry1d.slab_rhs(state)
-        return dw
-    _, _, _, dl1, dl2 = radial.radial_rhs(state)
-    return dl1 + (state.dimension - 1) * dl2
+
+# ---------------------------------------------------------------------------
+# Steps of a trajectory
+# ---------------------------------------------------------------------------
 
 
 def transport_theorem_residual(trajectory: Trajectory, step: int) -> float:
     """|dH/dt - sum_j m_j D(div u)/Dt| over the step (step, step+1),
     both sides taken at the step midpoint (finite difference vs trapezoid);
     expected O(dt^2) on smooth intervals."""
-    a, b = trajectory.states[step], trajectory.states[step + 1]
-    dt = b.time - a.time
-    dh = (weighted_divergence_functional(b) - weighted_divergence_functional(a)) / dt
-    rate = 0.5 * (float(np.sum(a.masses * _div_rate(a)))
-                  + float(np.sum(b.masses * _div_rate(b))))
-    return abs(dh - rate)
+    c = trajectory.columns
+    a, b = step, step + 1
+    return _transport(float(c.time[a]), float(c.time[b]), float(c.h[a]), float(c.h[b]),
+                      float(c.m_div_rate[a]), float(c.m_div_rate[b]))
 
 
 def riccati_inequality_residual(trajectory: Trajectory, step: int,
@@ -96,64 +169,68 @@ def riccati_inequality_residual(trajectory: Trajectory, step: int,
     negative values are slack. Raises HypothesisViolated when the support
     bound fails at either end of the step.
     """
+    vs = trajectory.validated
     if v_sup is None:
-        v_sup = trajectory.validated.v_sup
-    a, b = trajectory.states[step], trajectory.states[step + 1]
-    for st in (a, b):
-        vol = st.support_volume_upper()
-        if vol > v_sup * (1 + 1e-12):
+        v_sup = vs.v_sup
+    c = trajectory.columns
+    a, b = step, step + 1
+    for i in (a, b):
+        if not _inside(float(c.volume_upper[i]), v_sup):
             raise HypothesisViolated(
-                f"support volume {vol:g} exceeds v_sup {v_sup:g} at t={st.time:g}")
-    mass = total_mass(a)
-    n = trajectory.validated.dimension
-    lam = trajectory.validated.lam
-    dt = b.time - a.time
-    h_a = weighted_divergence_functional(a)
-    h_b = weighted_divergence_functional(b)
-    h_mid = 0.5 * (h_a + h_b)
-    return (h_b - h_a) / dt + h_mid**2 / (mass * n) + mass**2 / v_sup - lam * mass
+                f"support volume {c.volume_upper[i]:g} exceeds v_sup {v_sup:g} "
+                f"at t={c.time[i]:g}")
+    return _riccati(float(c.time[a]), float(c.time[b]), float(c.h[a]), float(c.h[b]),
+                    vs.total_mass, vs.dimension, vs.lam, v_sup)
 
 
-def residual_tolerance(state) -> float:
-    """Reporting tolerance, scaled to stay meaningful near blowup."""
-    h = weighted_divergence_functional(state)
-    mass = total_mass(state)
-    return RESIDUAL_FLOOR * max(1.0, h * h, mass * mass)
+class _Chain:
+    """Every inequality term of a trajectory, as lists of Python floats:
+    per row (margins, hypothesis flag) and per step i -> i+1 (residuals).
+
+    The terms are computed on Python floats, not NumPy arrays, because
+    float ** 2 (libm pow) and NumPy's square (x * x) can round differently.
+    """
+
+    def __init__(self, trajectory: Trajectory, v_sup: float):
+        vs = trajectory.validated
+        c = trajectory.columns
+        self.mass = mass = vs.total_mass
+        self.time = t = c.time.tolist()
+        self.h = h = c.h.tolist()
+        rate = c.m_div_rate.tolist()
+        self.inside = [_inside(u, v_sup) for u in c.volume_upper.tolist()]
+        self.cs_div = [_cs_divergence(mass, hi, s2) for hi, s2 in zip(h, c.m_div2.tolist())]
+        self.cs_rho = [_cs_density(v_sup, mass, r) if ok else math.nan
+                       for r, ok in zip(c.m_rho.tolist(), self.inside)]
+        self.transport = []
+        self.riccati = []
+        for a in range(len(t) - 1):
+            b = a + 1
+            self.transport.append(_transport(t[a], t[b], h[a], h[b], rate[a], rate[b]))
+            self.riccati.append(
+                _riccati(t[a], t[b], h[a], h[b], mass, vs.dimension, vs.lam, v_sup)
+                if self.inside[a] and self.inside[b] else math.nan)
 
 
 # ---------------------------------------------------------------------------
 # Per-step diagnostics and the proof-chain report
 # ---------------------------------------------------------------------------
 
+DIAGNOSTIC_COLUMNS = ("time", "h_value", "total_mass", "support_volume",
+                      "cs_divergence_margin", "cs_density_margin", "riccati_residual",
+                      "min_density", "max_density", "max_abs_div")
 
-def diagnostics_record(trajectory: Trajectory, i: int) -> DiagnosticsRecord:
-    """Diagnostics at accepted step i; the step residuals pair i with i-1
-    and are NaN on the first record."""
-    st = trajectory.states[i]
-    v_sup = trajectory.validated.v_sup
-    try:
-        cs_rho = cauchy_schwarz_check_density(st, v_sup)
-    except HypothesisViolated:
-        cs_rho = math.nan
-    if i == 0:
-        riccati = math.nan
-    else:
-        try:
-            riccati = riccati_inequality_residual(trajectory, i - 1, v_sup)
-        except HypothesisViolated:
-            riccati = math.nan
-    return DiagnosticsRecord(
-        time=st.time,
-        h_value=weighted_divergence_functional(st),
-        total_mass=total_mass(st),
-        support_volume=support_volume(st),
-        cs_divergence_margin=cauchy_schwarz_check_divergence(st),
-        cs_density_margin=cs_rho,
-        riccati_residual=riccati,
-        min_density=float(np.min(st.densities)),
-        max_density=float(np.max(st.densities)),
-        max_abs_div=float(np.max(np.abs(st.div_u()))),
-    )
+
+def diagnostics_rows(trajectory: Trajectory) -> list:
+    """One tuple per accepted step, in DIAGNOSTIC_COLUMNS order. The
+    Riccati residual of row i pairs it with row i-1 and is NaN on the first
+    row; margins that need the support hypothesis are NaN where it fails."""
+    chain = _Chain(trajectory, trajectory.validated.v_sup)
+    c = trajectory.columns
+    return list(zip(chain.time, chain.h, [chain.mass] * len(chain.time),
+                    c.volume.tolist(), chain.cs_div, chain.cs_rho,
+                    [math.nan] + chain.riccati, c.min_density.tolist(),
+                    c.max_density.tolist(), c.max_abs_div.tolist()))
 
 
 @dataclass(frozen=True)
@@ -208,25 +285,21 @@ def proof_chain_report(trajectory: Trajectory,
     if trajectory.event is not None:
         cutoff = (1.0 - NEAR_SINGULAR_FRACTION) * trajectory.event.t_lo
 
+    chain = _Chain(trajectory, v_sup)
     steps: List[ProofChainStep] = []
     worst_div = math.inf
     worst_rho = math.inf
     worst_ric = -math.inf
     first_violation = None
-    for i in range(len(trajectory) - 1):
-        a, b = trajectory.states[i], trajectory.states[i + 1]
-        info = b.time > cutoff
-        hypothesis_ok = True
-        cs_div = cauchy_schwarz_check_divergence(b)
-        try:
-            cs_rho = cauchy_schwarz_check_density(b, v_sup)
-            ric = riccati_inequality_residual(trajectory, i, v_sup)
-        except HypothesisViolated:
-            hypothesis_ok = False
-            cs_rho = math.nan
-            ric = math.nan
-        transport = transport_theorem_residual(trajectory, i)
-        steps.append(ProofChainStep(time=b.time, transport_residual=transport,
+    for a in range(len(chain.time) - 1):
+        b = a + 1
+        time = chain.time[b]
+        info = time > cutoff
+        hypothesis_ok = chain.inside[a] and chain.inside[b]
+        cs_div = chain.cs_div[b]
+        cs_rho = chain.cs_rho[b] if hypothesis_ok else math.nan
+        ric = chain.riccati[a]
+        steps.append(ProofChainStep(time=time, transport_residual=chain.transport[a],
                                     cs_divergence_margin=cs_div,
                                     cs_density_margin=cs_rho,
                                     riccati_residual=ric,
@@ -234,7 +307,7 @@ def proof_chain_report(trajectory: Trajectory,
                                     informational=info))
         if info:
             continue
-        tol = residual_tolerance(b)
+        tol = _tolerance(chain.mass, chain.h[b])
         worst_div = min(worst_div, cs_div)
         violated = cs_div < -tol
         if hypothesis_ok:
@@ -242,7 +315,7 @@ def proof_chain_report(trajectory: Trajectory,
             worst_ric = max(worst_ric, ric)
             violated = violated or cs_rho < -tol or ric > tol
         if violated and first_violation is None:
-            first_violation = b.time
+            first_violation = time
     return ProofChainReport(steps=steps,
                             worst_cs_divergence=worst_div,
                             worst_cs_density=worst_rho,

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrate
-from .core import (Geometry, LagrangianMarker, Trajectory, ValidatedScenario,
-                   validate_scenario)
+from .core import Geometry, Trajectory, ValidatedScenario, validate_scenario
 from .errors import CrossedMarkers, EmptyState, ValidationError
 
 
@@ -62,13 +61,6 @@ class SlabFieldState:
     @property
     def center_of_mass(self):
         return float(np.sum(self.masses * self.positions) / np.sum(self.masses))
-
-    def marker(self, j: int) -> LagrangianMarker:
-        return LagrangianMarker(position=float(self.positions[j]),
-                                velocity=float(self.velocities[j]),
-                                density=float(self.densities[j]),
-                                eig_radial=float(self.eig_radial[j]),
-                                mass_weight=float(self.masses[j]))
 
 
 def _forces(masses, positions, lam):
@@ -114,29 +106,31 @@ def _make_model(vs: ValidatedScenario):
         du = _forces(masses, x, lam)
         return np.concatenate((u, du, -rho * w, -w * w - rho + lam))
 
-    def unpack(t, y):
-        return SlabFieldState(time=float(t), positions=y[:n].copy(),
-                              velocities=y[n:2 * n].copy(),
-                              densities=y[2 * n:3 * n].copy(),
-                              eig_radial=y[3 * n:].copy(), masses=masses,
-                              lam=lam)
+    def unpack(t, y, copy=True):
+        if copy:
+            y = y.copy()
+        return SlabFieldState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
+                              densities=y[2 * n:3 * n], eig_radial=y[3 * n:],
+                              masses=masses, lam=lam)
+
+    def div_rate(f):
+        return f[3 * n:]
 
     y0 = np.concatenate((vs.positions, vs.velocities, vs.densities, vs.eig_radial))
-    return rhs, y0, unpack
+    return rhs, y0, unpack, div_rate
 
 
-def integrate_slab(scenario) -> Trajectory:
-    """Adaptive RK4(5) integration to t_end or the first detector event."""
+def integrate_slab(scenario, keep_states: bool = False) -> Trajectory:
+    """Adaptive RK4(5) integration to t_end or the first detector event.
+    keep_states=True keeps every accepted state, not just the first and last."""
     vs = validate_scenario(scenario)
     if vs.geometry is not Geometry.SLAB1D:
         raise ValidationError([("BadGeometry", "geometry",
                                 "integrate_slab needs a Slab1D scenario")])
-    rhs, y0, unpack = _make_model(vs)
-    return _integrate.run_characteristics(vs, rhs, y0, unpack)
+    return _integrate.run_characteristics(vs, *_make_model(vs), keep_states=keep_states)
 
 
 def sample_slab(scenario, times) -> Trajectory:
     """States at the requested times via dense sampling (no event scan)."""
     vs = validate_scenario(scenario)
-    rhs, y0, unpack = _make_model(vs)
-    return _integrate.sample_states(vs, rhs, y0, unpack, times)
+    return _integrate.sample_states(vs, *_make_model(vs), times)

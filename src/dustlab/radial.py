@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrate
-from .core import (Geometry, LagrangianMarker, Trajectory, ValidatedScenario,
-                   unit_sphere_area, validate_scenario)
+from .core import (Geometry, Trajectory, ValidatedScenario, unit_sphere_area,
+                   validate_scenario)
 from .errors import CrossedShells, EmptyState, ValidationError, ZeroRadius
 
 _R_FLOOR = 1e-300  # keeps trial RK stages finite if a radius touches zero
@@ -63,14 +63,6 @@ class ShellState:
         if rho <= 0.0:
             return self.support_volume()
         return float(self.support_volume() + 0.5 * self.masses[-1] / rho)
-
-    def marker(self, j: int) -> LagrangianMarker:
-        return LagrangianMarker(position=float(self.positions[j]),
-                                velocity=float(self.velocities[j]),
-                                density=float(self.densities[j]),
-                                eig_radial=float(self.eig_radial[j]),
-                                eig_tangential=float(self.eig_tangential[j]),
-                                mass_weight=float(self.masses[j]))
 
 
 def _check_state(state: ShellState):
@@ -149,31 +141,27 @@ def _make_model(vs: ValidatedScenario):
         phi_r = _phi_r(masses, r, lam, n_dim, sigma)
         return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim))
 
-    def unpack(t, y):
-        return ShellState(time=float(t), positions=y[:n].copy(),
-                          velocities=y[n:2 * n].copy(),
-                          densities=y[2 * n:3 * n].copy(),
-                          eig_radial=y[3 * n:4 * n].copy(),
-                          eig_tangential=y[4 * n:].copy(),
-                          masses=masses, dimension=n_dim, lam=lam)
+    def unpack(t, y, copy=True):
+        if copy:
+            y = y.copy()
+        return ShellState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
+                          densities=y[2 * n:3 * n], eig_radial=y[3 * n:4 * n],
+                          eig_tangential=y[4 * n:], masses=masses, dimension=n_dim,
+                          lam=lam)
+
+    def div_rate(f):
+        return f[3 * n:4 * n] + (n_dim - 1) * f[4 * n:]
 
     y0 = np.concatenate((vs.positions, vs.velocities, vs.densities,
                          vs.eig_radial, vs.eig_tangential))
-    return rhs, y0, unpack
+    return rhs, y0, unpack, div_rate
 
 
-def integrate_radial(scenario) -> Trajectory:
-    """Adaptive RK4(5) integration to t_end or the first detector event."""
+def integrate_radial(scenario, keep_states: bool = False) -> Trajectory:
+    """Adaptive RK4(5) integration to t_end or the first detector event.
+    keep_states=True keeps every accepted state, not just the first and last."""
     vs = validate_scenario(scenario)
     if vs.geometry is not Geometry.RADIALND:
         raise ValidationError([("BadGeometry", "geometry",
                                 "integrate_radial needs a RadialND scenario")])
-    rhs, y0, unpack = _make_model(vs)
-    return _integrate.run_characteristics(vs, rhs, y0, unpack)
-
-
-def sample_radial(scenario, times) -> Trajectory:
-    """States at the requested times via dense sampling (no event scan)."""
-    vs = validate_scenario(scenario)
-    rhs, y0, unpack = _make_model(vs)
-    return _integrate.sample_states(vs, rhs, y0, unpack, times)
+    return _integrate.run_characteristics(vs, *_make_model(vs), keep_states=keep_states)

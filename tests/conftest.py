@@ -58,24 +58,32 @@ def collapse_scenarios_radial():
     return out
 
 
+def simulate_all_states(sc):
+    """simulate with every accepted state kept, for checks that iterate them."""
+    traj = simulate(sc, keep_states=True)
+    assert len(traj.states) == len(traj)
+    return traj
+
+
 @pytest.fixture(scope="session")
 def uniform_collapse_traj():
     """Canonical uniform 1-D collapse at default (tight) tolerances."""
     sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=NumericalSettings())
-    return simulate(sc)
+    return simulate_all_states(sc)
 
 
 @pytest.fixture(scope="session")
 def ball_collapse_traj():
     sc = make_ball(n=3, rho0=0.5, t_end=10.0, settings=NumericalSettings())
-    return simulate(sc)
+    return simulate_all_states(sc)
 
 
 @pytest.fixture(scope="session")
 def acceptance_runs_1d():
-    return [(validate_scenario(sc), simulate(sc)) for sc in collapse_scenarios_1d()]
+    return [(validate_scenario(sc), simulate_all_states(sc)) for sc in collapse_scenarios_1d()]
 
 
 @pytest.fixture(scope="session")
 def acceptance_runs_radial():
-    return [(validate_scenario(sc), simulate(sc)) for sc in collapse_scenarios_radial()]
+    return [(validate_scenario(sc), simulate_all_states(sc))
+            for sc in collapse_scenarios_radial()]

@@ -212,7 +212,7 @@ class TestCriterion7EquilibriumFixture:
         worst_h = worst_force = worst_ric = 0.0
         ok = True
         for sc in fixtures:
-            traj = simulate(sc)
+            traj = simulate(sc, keep_states=True)
             ok = ok and traj.termination == "t_end"
             force = slab_force if sc.geometry.value == "slab1d" else radial_force
             for st in traj.states:

@@ -143,3 +143,92 @@ class TestScenarioFiles:
     def test_tabulated_velocity_gradient(self):
         vel = TabulatedVelocity(xs=(-1.0, 0.0, 1.0), values=(1.0, 0.0, 2.0))
         np.testing.assert_allclose(vel.gradient([-0.5, 0.5]), [-1.0, 2.0])
+
+
+def slab_doc(**overrides):
+    doc = {
+        "geometry": "slab1d", "lambda": 0.0, "v_sup": 2.0, "marker_count": 16,
+        "t_end": 1.0,
+        "initial_profile": {
+            "density": {"kind": "uniform", "value": 0.5, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"},
+        },
+    }
+    doc.update(overrides)
+    return doc
+
+
+def rejected_fields(doc):
+    """The fields a ValidationError names for a scenario document."""
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(scenario_from_dict(doc))
+    return {v[1] for v in exc.value.violations}
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("key,value", [
+        ("v_sup", float("nan")), ("v_sup", float("inf")),
+        ("t_end", float("nan")), ("t_end", float("inf")),
+        ("lambda", float("nan")), ("lambda", float("-inf")),
+    ])
+    def test_non_finite_scalar_rejected(self, key, value):
+        assert key in rejected_fields(slab_doc(**{key: value}))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_hubble_rate_rejected(self, rate):
+        doc = slab_doc(v_sup=100.0)
+        doc["initial_profile"]["velocity"] = {"kind": "hubble", "rate": rate}
+        assert "velocity" in rejected_fields(doc)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step",
+                                      "div_blowup_threshold", "rho_blowup_threshold",
+                                      "crossing_gap_threshold", "max_steps"])
+    def test_non_finite_tolerance_rejected(self, name):
+        assert name in rejected_fields(slab_doc(tolerances={name: float("nan")}))
+
+    def test_fractional_marker_count_rejected(self):
+        assert "marker_count" in rejected_fields(slab_doc(marker_count=2.7))
+
+    def test_whole_float_marker_count_accepted(self):
+        vs = validate_scenario(scenario_from_dict(slab_doc(marker_count=16.0)))
+        assert vs.scenario.marker_count == 16 and vs.masses.size == 16
+
+    @pytest.mark.parametrize("tolerances,profile,field", [
+        ({"crossing_gap_threshold": 0.5}, None, "marker_count"),
+        ({"div_blowup_threshold": 1.0}, {"kind": "hubble", "rate": -2.0}, "velocity"),
+        ({"rho_blowup_threshold": 0.1}, None, "density"),
+    ])
+    def test_trigger_holding_at_start_rejected(self, tolerances, profile, field):
+        doc = slab_doc(tolerances=tolerances)
+        if profile is not None:
+            doc["initial_profile"]["velocity"] = profile
+        with pytest.raises(ValidationError) as exc:
+            validate_scenario(scenario_from_dict(doc))
+        assert ("TriggerAtStart", field) in {v[:2] for v in exc.value.violations}
+
+    def test_origin_gap_counts_at_start(self):
+        # 8 shells: origin gap 0.0992, smallest gap between shells 0.107
+        sc = make_ball(n=3, markers=8,
+                       settings=NumericalSettings(crossing_gap_threshold=0.103))
+        with pytest.raises(ValidationError) as exc:
+            validate_scenario(sc)
+        assert ("TriggerAtStart", "marker_count") in {v[:2] for v in exc.value.violations}
+
+    def test_table_profiles_load_from_yaml_and_run(self, tmp_path):
+        from dustlab import simulate
+        path = tmp_path / "table.yaml"
+        path.write_text(
+            "geometry: slab1d\n"
+            "v_sup: 2.0\n"
+            "marker_count: 16\n"
+            "t_end: 0.5\n"
+            "initial_profile:\n"
+            "  density: {kind: table, x: [-1.0, 0.0, 1.0], values: [0.4, 0.6, 0.4]}\n"
+            "  velocity: {kind: table, x: [-1.0, 1.0], values: [0.2, -0.2]}\n")
+        sc = load_scenario(path)
+        assert isinstance(sc.density, TabulatedDensity)
+        assert isinstance(sc.velocity, TabulatedVelocity)
+        traj = simulate(sc)
+        assert traj.termination == "t_end"
+        assert traj.validated.total_mass == pytest.approx(1.0, rel=1e-2)
+        np.testing.assert_allclose(traj.validated.eig_radial, -0.2)

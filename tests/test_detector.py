@@ -5,6 +5,7 @@ from dustlab import simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings)
 from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger,
                               escape_report, scan_step, trigger_marker_index)
+from dustlab.functional import step_row
 from dustlab.geometry1d import SlabFieldState, integrate_slab
 from dustlab.riccati import check_blowup_conditions
 
@@ -23,38 +24,42 @@ def state(x, w=None, rho=None, t=0.0):
                           masses=np.full(k, 1.0 / k))
 
 
+def scan(prev, nxt):
+    """scan_step on the per-step rows of two states."""
+    return scan_step(step_row(prev), step_row(nxt), SETTINGS)
+
+
 class TestScanStep:
     def test_quiescent_step_no_trigger(self):
-        assert scan_step(state([-0.5, 0.5]), state([-0.4, 0.4], t=0.1),
-                         SETTINGS) is None
+        assert scan(state([-0.5, 0.5]), state([-0.4, 0.4], t=0.1)) is None
 
     def test_crossing_trigger_and_index(self):
         nxt = state([-0.5, -0.5 + 1e-14, 0.5], t=0.1)
-        trig = scan_step(state([-0.5, 0.0, 0.5]), nxt, SETTINGS)
+        trig = scan(state([-0.5, 0.0, 0.5]), nxt)
         assert trig is Trigger.SHELL_CROSSING
         assert trigger_marker_index(nxt, trig) == 0
 
     def test_divergence_trigger(self):
         nxt = state([-0.5, 0.5], w=[0.0, -2e8], t=0.1)
-        trig = scan_step(state([-0.5, 0.5]), nxt, SETTINGS)
+        trig = scan(state([-0.5, 0.5]), nxt)
         assert trig is Trigger.DIVERGENCE_THRESHOLD
         assert trigger_marker_index(nxt, trig) == 1
 
     def test_density_trigger(self):
         nxt = state([-0.5, 0.5], rho=[2e12, 0.5], t=0.1)
-        trig = scan_step(state([-0.5, 0.5]), nxt, SETTINGS)
+        trig = scan(state([-0.5, 0.5]), nxt)
         assert trig is Trigger.DENSITY_THRESHOLD
         assert trigger_marker_index(nxt, trig) == 0
 
     def test_priority_order(self):
         # all three conditions newly hold: crossing wins
         nxt = state([-0.5, -0.5 + 1e-14], w=[-2e8, 0.0], rho=[2e12, 0.5], t=0.1)
-        assert scan_step(state([-0.5, 0.5]), nxt, SETTINGS) is Trigger.SHELL_CROSSING
+        assert scan(state([-0.5, 0.5]), nxt) is Trigger.SHELL_CROSSING
 
     def test_already_holding_not_rescanned(self):
         prev = state([-0.5, 0.5], w=[0.0, -2e8])
         nxt = state([-0.5, 0.5], w=[0.0, -3e8], t=0.1)
-        assert scan_step(prev, nxt, SETTINGS) is None
+        assert scan(prev, nxt) is None
 
     def test_radial_origin_gap_counts(self):
         from dustlab.radial import ShellState
@@ -66,7 +71,7 @@ class TestScanStep:
                               eig_radial=np.zeros(k), eig_tangential=np.zeros(k),
                               masses=np.full(k, 0.5), dimension=3)
 
-        assert scan_step(shell(0.2), shell(1e-14), SETTINGS) is Trigger.SHELL_CROSSING
+        assert scan(shell(0.2), shell(1e-14)) is Trigger.SHELL_CROSSING
 
 
 class TestBracketing:
@@ -81,7 +86,7 @@ class TestBracketing:
         assert ev.values_at_t_lo.time == ev.t_lo
         # trigger not yet holding at the edge state
         from dustlab.detector import trigger_condition
-        assert not trigger_condition(ev.trigger)(ev.values_at_t_lo, FAST)
+        assert not trigger_condition(ev.trigger)(step_row(ev.values_at_t_lo), FAST)
 
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by

@@ -111,8 +111,9 @@ class TestIntegrateSlab:
     def test_hubble_expansion_no_event_density_decays(self):
         sc = make_slab(rho0=0.5, v_sup=100.0, velocity=HubbleVelocity(2.0),
                        t_end=1.0)
-        traj = integrate_slab(sc)
+        traj = integrate_slab(sc, keep_states=True)
         assert traj.event is None
+        assert len(traj.states) == len(traj)
         rho_max = np.array([st.densities.max() for st in traj.states])
         assert np.all(np.diff(rho_max) < 0)
 
