@@ -261,6 +261,28 @@ def _volume_median_radii(edges: np.ndarray, n: int) -> np.ndarray:
     return (0.5 * (lo + hi)) ** (1.0 / n)
 
 
+def _profile_violations(name: str, profile) -> list:
+    """Shape checks on a profile's own parameters, made before it is sampled.
+
+    A Gaussian needs a finite width > 0 (width 0 divides by zero); a table
+    needs at least two strictly increasing x, which np.interp assumes, and
+    one value per x.
+    """
+    if isinstance(profile, GaussianDensity):
+        if not (_finite(profile.width) and profile.width > 0):
+            return [("BadProfile", f"{name}.width",
+                     f"must be a finite number > 0, got {profile.width!r}")]
+    elif isinstance(profile, (TabulatedDensity, TabulatedVelocity)):
+        xs = np.asarray(profile.xs, dtype=float)
+        if xs.size < 2 or not np.all(np.diff(xs) > 0):
+            return [("BadTable", f"{name}.x",
+                     "must be strictly increasing, with at least 2 entries")]
+        if len(profile.values) != xs.size:
+            return [("BadTable", f"{name}.values",
+                     f"needs one value per x: {len(profile.values)} values, {xs.size} x")]
+    return []
+
+
 def validate_scenario(raw) -> ValidatedScenario:
     """Check all scenario invariants and build the marker discretization.
 
@@ -293,12 +315,18 @@ def validate_scenario(raw) -> ValidatedScenario:
     if _finite(s.t_end) and s.t_end <= 0:
         violations.append(("BadHorizon", "t_end", "must be strictly positive"))
     violations.extend(s.settings.check())
+    density_bad = _profile_violations("density", s.density)
+    violations += density_bad + _profile_violations("velocity", s.velocity)
 
-    lo, hi = s.density.support
-    if s.geometry is Geometry.RADIALND and lo < 0:
-        violations.append(("BadSupport", "density", "radial support must have lo >= 0"))
-    if hi <= lo:
-        violations.append(("BadSupport", "density", "empty support"))
+    if not density_bad:  # a malformed profile has no meaningful support
+        lo, hi = s.density.support
+        if not (_finite(lo) and _finite(hi)):
+            violations.append(("NotFinite", "density", f"support [{lo:g}, {hi:g}] is not finite"))
+        else:
+            if s.geometry is Geometry.RADIALND and lo < 0:
+                violations.append(("BadSupport", "density", "radial support must have lo >= 0"))
+            if hi <= lo:
+                violations.append(("BadSupport", "density", "empty support"))
 
     if violations:
         raise ValidationError(violations)

@@ -171,29 +171,43 @@ def comparison_solution(params: RiccatiParams, t):
 # ---------------------------------------------------------------------------
 
 # Cash-Karp embedded 5(4) tableau
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 3 / 10, -9 / 10, 6 / 5
+_A51, _A52, _A53, _A54 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
+_A61, _A62, _A63, _A64, _A65 = (1631 / 55296, 175 / 512, 575 / 13824,
+                                44275 / 110592, 253 / 4096)
+_B51, _B52, _B53, _B54, _B55, _B56 = (37 / 378, 0.0, 250 / 621, 125 / 594,
+                                      0.0, 512 / 1771)
+_B41, _B42, _B43, _B44, _B45, _B46 = (2825 / 27648, 0.0, 18575 / 48384,
+                                      13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def _ck_step(f, t, y, h):
-    """One Cash-Karp step: returns (y5, error_estimate)."""
-    k = [f(t, y)]
-    for i in range(1, 6):
-        yi = y
-        for aij, kj in zip(_CK_A[i], k):
-            yi += h * aij * kj
-        k.append(f(t + _CK_C[i] * h, yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
+def _ck_step(a, b, y, h):
+    """One Cash-Karp step of y' = -a y^2 - b: returns (y5, error_estimate).
+
+    The tableau is unrolled with a fixed operation order: every stage adds
+    the terms (h*a_ij)*k_j left to right, and both weighted sums run in
+    tableau order with the zero weights kept (0*inf is NaN, which rejects
+    the step). tests/test_riccati.py checks the results bit for bit against
+    a tableau-loop reference.
+    """
+    k1 = -a * y * y - b
+    yi = y + h * _A21 * k1
+    k2 = -a * yi * yi - b
+    yi = y + h * _A31 * k1 + h * _A32 * k2
+    k3 = -a * yi * yi - b
+    yi = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
+    k4 = -a * yi * yi - b
+    yi = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
+    k5 = -a * yi * yi - b
+    yi = (y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4
+          + h * _A65 * k5)
+    k6 = -a * yi * yi - b
+    y5 = y + h * (_B51 * k1 + _B52 * k2 + _B53 * k3 + _B54 * k4 + _B55 * k5
+                  + _B56 * k6)
+    y4 = y + h * (_B41 * k1 + _B42 * k2 + _B43 * k3 + _B44 * k4 + _B45 * k5
+                  + _B46 * k6)
     return y5, abs(y5 - y4)
 
 
@@ -220,8 +234,7 @@ def _tail_bounds(a, b, y_mag):
     return lo, hi
 
 
-def integrate_comparison_ode(params: RiccatiParams, until: float,
-                             dt_init: Optional[float] = None) -> ComparisonPath:
+def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonPath:
     """Adaptive integration of y' = -a y^2 - b with pole bracketing.
 
     Steps an embedded Cash-Karp 4(5) pair; once y falls below the pole
@@ -234,16 +247,13 @@ def integrate_comparison_ode(params: RiccatiParams, until: float,
     # threshold large enough that the analytic tail is far below the bracket goal
     y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
 
-    def f(t, y):
-        return -a * y * y - b
-
     t, y = 0.0, h0
-    h = dt_init if dt_init else 0.01 / (1.0 + a * h0 * h0 + abs(b))
+    h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
     times = [t]
     values = [y]
     while t < until:
         h = min(h, until - t)
-        y_new, err = _ck_step(f, t, y, h)
+        y_new, err = _ck_step(a, b, y, h)
         tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(y), abs(y_new))
         if not math.isfinite(y_new) or err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(y_new) else 0.2
@@ -256,12 +266,12 @@ def integrate_comparison_ode(params: RiccatiParams, until: float,
             lo_h, hi_h = 0.0, h
             while hi_h - lo_h > 1e-13 * max(1.0, t + h):
                 mid = 0.5 * (lo_h + hi_h)
-                y_mid, _ = _ck_step(f, t, y, mid)
+                y_mid, _ = _ck_step(a, b, y, mid)
                 if y_mid < -y_stop:
                     hi_h = mid
                 else:
                     lo_h = mid
-            y_cross, _ = _ck_step(f, t, y, lo_h)
+            y_cross, _ = _ck_step(a, b, y, lo_h)
             tail_lo, tail_hi = _tail_bounds(a, b, abs(y_cross))
             bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
             times.append(t + lo_h)

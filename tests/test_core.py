@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,45 @@ class TestInputHardening:
         with pytest.raises(ValidationError) as exc:
             validate_scenario(sc)
         assert ("TriggerAtStart", "marker_count") in {v[:2] for v in exc.value.violations}
+
+    @pytest.mark.parametrize("width", [0.0, -0.5, float("nan"), float("inf")])
+    def test_bad_gaussian_width_rejected_without_warning(self, width):
+        doc = slab_doc()
+        doc["initial_profile"]["density"] = {"kind": "gaussian", "amplitude": 1.0,
+                                             "width": width, "support": [-1.0, 1.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rejected_fields(doc) == {"density.width"}
+
+    @pytest.mark.parametrize("density", [
+        {"kind": "uniform", "value": 0.5, "support": [float("nan"), 1.0]},
+        {"kind": "uniform", "value": 0.5, "support": [-1.0, float("inf")]},
+        {"kind": "table", "x": [-1.0, float("inf")], "values": [0.5, 0.5]},
+    ], ids=["nan-support", "inf-support", "inf-table-x"])
+    def test_non_finite_support_rejected_without_warning(self, density):
+        doc = slab_doc()
+        doc["initial_profile"]["density"] = density
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                validate_scenario(scenario_from_dict(doc))
+        assert [v[:2] for v in exc.value.violations] == [("NotFinite", "density")]
+
+    @pytest.mark.parametrize("profile", ["density", "velocity"])
+    @pytest.mark.parametrize("x", [[1.0, -1.0, 0.0], [-1.0, -1.0, 1.0], [0.0]],
+                             ids=["unsorted", "repeated", "single"])
+    def test_table_x_must_be_strictly_increasing(self, profile, x):
+        doc = slab_doc()
+        doc["initial_profile"][profile] = {"kind": "table", "x": x,
+                                           "values": [0.5] * len(x)}
+        assert rejected_fields(doc) == {f"{profile}.x"}
+
+    @pytest.mark.parametrize("profile", ["density", "velocity"])
+    def test_table_needs_one_value_per_x(self, profile):
+        doc = slab_doc()
+        doc["initial_profile"][profile] = {"kind": "table", "x": [-1.0, 0.0, 1.0],
+                                           "values": [0.5, 0.5]}
+        assert rejected_fields(doc) == {f"{profile}.values"}
 
     def test_table_profiles_load_from_yaml_and_run(self, tmp_path):
         from dustlab import simulate

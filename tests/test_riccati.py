@@ -7,11 +7,103 @@ from hypothesis import strategies as st
 
 from dustlab.core import LagrangianMarker
 from dustlab.errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
-from dustlab.riccati import (BlowupCertificate, Case, ComparisonPath,
+from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
+                             BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
                              case2_threshold, chae_tadmor_pointwise_bound,
                              check_blowup_conditions, comparison_solution,
                              integrate_comparison_ode)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the oracle with a tableau-loop Cash-Karp step
+# ---------------------------------------------------------------------------
+#
+# integrate_comparison_ode unrolls the tableau. This is the loop form it
+# replaced: the right-hand side through a closure, the stages and weighted
+# sums through zip over the tableau. The unrolled step keeps every operation
+# in the same order, so brackets, times and values must be equal (==).
+
+LOOP_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+LOOP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+LOOP_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+LOOP_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+
+def loop_ck_step(f, t, y, h):
+    """One Cash-Karp step through the right-hand side f: (y5, error_estimate)."""
+    k = [f(t, y)]
+    for i in range(1, 6):
+        yi = y
+        for aij, kj in zip(LOOP_A[i], k):
+            yi += h * aij * kj
+        k.append(f(t + LOOP_C[i] * h, yi))
+    y5 = y + h * sum(b * ki for b, ki in zip(LOOP_B5, k))
+    y4 = y + h * sum(b * ki for b, ki in zip(LOOP_B4, k))
+    return y5, abs(y5 - y4)
+
+
+def loop_tail_bounds(a, b, y_mag):
+    lo = 1.0 / ((a + max(b, 0.0) / y_mag**2) * y_mag)
+    hi = 1.0 / ((a - max(-b, 0.0) / y_mag**2) * y_mag)
+    return lo, hi
+
+
+def loop_comparison_ode(params, until, rejected):
+    """The oracle's step control and pole bracketing around loop_ck_step.
+
+    Appends the time of every rejected step to ``rejected``.
+    """
+    a, b, h0 = params.a, params.b, params.h0
+    y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
+
+    def f(t, y):
+        return -a * y * y - b
+
+    t, y = 0.0, h0
+    h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
+    times = [t]
+    values = [y]
+    while t < until:
+        h = min(h, until - t)
+        y_new, err = loop_ck_step(f, t, y, h)
+        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(y), abs(y_new))
+        if not math.isfinite(y_new) or err > tol:
+            rejected.append(t)
+            h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(y_new) else 0.2
+            if h < 1e-15 * max(1.0, t):
+                raise NoPoleInHorizon("step underflow before pole threshold",
+                                      np.array(times), np.array(values))
+            continue
+        if y_new < -y_stop:
+            lo_h, hi_h = 0.0, h
+            while hi_h - lo_h > 1e-13 * max(1.0, t + h):
+                mid = 0.5 * (lo_h + hi_h)
+                y_mid, _ = loop_ck_step(f, t, y, mid)
+                if y_mid < -y_stop:
+                    hi_h = mid
+                else:
+                    lo_h = mid
+            y_cross, _ = loop_ck_step(f, t, y, lo_h)
+            tail_lo, tail_hi = loop_tail_bounds(a, b, abs(y_cross))
+            bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
+            times.append(t + lo_h)
+            values.append(y_cross)
+            return ComparisonPath(np.array(times), np.array(values), bracket)
+        t += h
+        y = y_new
+        times.append(t)
+        values.append(y)
+        h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+    raise NoPoleInHorizon(f"no pole before t={until:g}",
+                          np.array(times), np.array(values))
 
 
 def marker(density=1.0, w=0.0, l2=None):
@@ -171,6 +263,59 @@ class TestOracle:
         assert np.all(np.diff(path.values) < 0)
         assert path.pole_time == pytest.approx(
             0.5 * sum(path.pole_bracket))
+
+
+def oracle_outcome(oracle, params, until):
+    """(pole_bracket, times, values), or ("no pole", times, values) when the
+    oracle raises NoPoleInHorizon."""
+    try:
+        path = oracle(params, until)
+    except NoPoleInHorizon as exc:
+        return "no pole", exc.times.tolist(), exc.values.tolist()
+    return path.pole_bracket, path.times.tolist(), path.values.tolist()
+
+
+def assert_matches_loop(params, until):
+    """Asserts bit-equal outcomes; returns the outcome and the reference's
+    rejected-step times."""
+    rejected = []
+    expected = oracle_outcome(lambda p, u: loop_comparison_ode(p, u, rejected),
+                              params, until)
+    assert oracle_outcome(integrate_comparison_ode, params, until) == expected
+    return expected, rejected
+
+
+class TestOracleMatchesTableauLoop:
+    @pytest.mark.parametrize("regime", ["b>0", "b=0", "b<0"])
+    def test_seeded_draws(self, regime):
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            a = 1.0 / rng.uniform(0.5, 4.8)
+            if regime == "b>0":
+                b, h0 = rng.uniform(0.2, 2.0), rng.uniform(-3.0, 3.0)
+            elif regime == "b=0":
+                b, h0 = 0.0, rng.uniform(-3.0, -0.1)
+            else:  # certified: h0 below the unstable equilibrium
+                b = -rng.uniform(0.2, 2.0)
+                h0 = -math.sqrt(-b / a) * (1.0 + rng.uniform(0.05, 2.0))
+            p = RiccatiParams(a=a, b=b, h0=h0)
+            assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
+
+    def test_rejected_steps(self):
+        _, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=0.0), 5.0)
+        assert rejected
+
+    def test_non_finite_step_underflow(self):
+        # y^2 overflows: the step is non-finite and shrinks below the floor
+        outcome, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=-1e200),
+                                                5.0)
+        assert outcome[0] == "no pole" and rejected == [0.0]
+
+    @pytest.mark.parametrize("a,b,h0,until", [(1.0, -1.0, 0.5, 10.0),  # bounded branch
+                                              (1.0, 0.5, 0.0, 1.0)])  # horizon too short
+    def test_no_pole_in_horizon(self, a, b, h0, until):
+        outcome, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
+        assert outcome[0] == "no pole"
 
 
 class TestPointwiseBound:
