@@ -63,16 +63,24 @@ class SlabFieldState:
         return float(np.sum(self.masses * self.positions) / np.sum(self.masses))
 
 
-def _forces(masses, positions, lam):
-    """-Phi_x at every marker, markers taken in index (= sorted) order."""
+def _force_constants(masses):
+    """Run constants of the slab force law, which depend on the masses alone:
+    the total mass, the self-gravity part of Phi_x and its negation (the
+    force when lambda = 0). State functions and the model RHS both take them
+    from here."""
     total = masses.sum()
-    cum = np.cumsum(masses)
     # (M_left - M_right)/2 with the half-self convention: cum - m/2 - (total - cum + m/2)
-    phi_x = cum - 0.5 * masses - 0.5 * total
-    if lam != 0.0:
-        x_cm = np.sum(masses * positions) / total
-        phi_x = phi_x - lam * (positions - x_cm)
-    return -phi_x
+    phi_x = np.cumsum(masses) - 0.5 * masses - 0.5 * total
+    return total, phi_x, -phi_x
+
+
+def _forces(masses, constants, positions, lam):
+    """-Phi_x at every marker, markers taken in index (= sorted) order."""
+    total, phi_x, force = constants
+    if lam == 0.0:
+        return force
+    x_cm = (masses * positions).sum() / total
+    return -(phi_x - lam * (positions - x_cm))
 
 
 def _check_state(state: SlabFieldState):
@@ -84,13 +92,15 @@ def _check_state(state: SlabFieldState):
 
 def slab_force(state: SlabFieldState, at_marker: int) -> float:
     _check_state(state)
-    return float(_forces(state.masses, state.positions, state.lam)[at_marker])
+    return float(_forces(state.masses, _force_constants(state.masses),
+                         state.positions, state.lam)[at_marker])
 
 
 def slab_rhs(state: SlabFieldState):
     """Time derivatives (dx, du, drho, dw) of all marker fields."""
     _check_state(state)
-    du = _forces(state.masses, state.positions, state.lam)
+    du = _forces(state.masses, _force_constants(state.masses), state.positions,
+                 state.lam)
     w = state.eig_radial
     rho = state.densities
     return state.velocities, du, -rho * w, -w * w - rho + state.lam
@@ -100,11 +110,18 @@ def _make_model(vs: ValidatedScenario):
     masses = vs.masses
     lam = vs.lam
     n = masses.size
+    constants = _force_constants(masses)
 
     def rhs(t, y):
+        # a new vector on every call: RK45 keeps the last one as its
+        # derivative at the current state and retries rejected steps from it
         x, u, rho, w = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
-        du = _forces(masses, x, lam)
-        return np.concatenate((u, du, -rho * w, -w * w - rho + lam))
+        f = np.empty(4 * n)
+        f[:n] = u
+        f[n:2 * n] = _forces(masses, constants, x, lam)
+        f[2 * n:3 * n] = -rho * w
+        f[3 * n:] = -w * w - rho + lam
+        return f
 
     def unpack(t, y, copy=True):
         if copy:

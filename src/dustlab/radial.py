@@ -31,7 +31,9 @@ from .core import (Geometry, Trajectory, ValidatedScenario, unit_sphere_area,
                    validate_scenario)
 from .errors import CrossedShells, EmptyState, ValidationError, ZeroRadius
 
-_R_FLOOR = 1e-300  # keeps trial RK stages finite if a radius touches zero
+# floor of r^(N-1), and the |r| up to which a shell counts as at the center;
+# keeps trial RK stages finite if a radius touches zero
+_R_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,28 @@ def enclosed_mass(state: ShellState, r: float) -> float:
     return float(inside + at)
 
 
-def _phi_r(masses, radii, lam, n, sigma):
+def _shell_constants(masses, n):
+    """Run constants of the shell force law, which depend on the masses and
+    N alone: the enclosed mass of every shell (half-self convention), sigma,
+    and the radius above which no floor or mask of _phi_r and _derivatives
+    acts. State functions and the model RHS both take them from here."""
+    m_enc = np.cumsum(masses) - 0.5 * masses
+    # twice the (N-1)-th root of the floor, so that no rounding of r^(N-1)
+    # for a larger radius can reach the floor
+    r_unmasked = 2.0 * _R_FLOOR ** (1.0 / (n - 1))
+    return m_enc, unit_sphere_area(n), r_unmasked
+
+
+def _phi_r(constants, radii, lam, n):
     """Radial potential gradient at every shell, half-self-mass convention.
 
     Odd in r (field of the enclosed mass mirrored through the origin) so
-    trial integrator stages that momentarily cross r=0 stay finite-valued.
+    trial integrator stages that momentarily cross r=0 stay finite-valued;
+    zero at r=0 in every dimension, where r^(N-1) is floored.
     """
-    m_enc = np.cumsum(masses) - 0.5 * masses
-    r_abs = np.maximum(np.abs(radii), _R_FLOOR)
-    grad = np.sign(radii) * m_enc / (sigma * r_abs ** (n - 1))
+    m_enc, sigma, _ = constants
+    r_pow = np.maximum(np.abs(radii) ** (n - 1), _R_FLOOR)
+    grad = np.sign(radii) * m_enc / (sigma * r_pow)
     return grad - lam * radii / n
 
 
@@ -98,32 +113,32 @@ def radial_force(state: ShellState, at_shell: int) -> float:
     _check_state(state)
     if state.positions[at_shell] == 0.0:
         return 0.0
-    sigma = unit_sphere_area(state.dimension)
-    return float(-_phi_r(state.masses, state.positions, state.lam,
-                         state.dimension, sigma)[at_shell])
+    constants = _shell_constants(state.masses, state.dimension)
+    return float(-_phi_r(constants, state.positions, state.lam,
+                         state.dimension)[at_shell])
 
 
 def radial_rhs(state: ShellState):
     """Time derivatives (dr, du, drho, dl1, dl2) of all shell fields."""
     _check_state(state)
     n = state.dimension
-    sigma = unit_sphere_area(n)
-    phi_r = _phi_r(state.masses, state.positions, state.lam, n, sigma)
+    phi_r = _phi_r(_shell_constants(state.masses, n), state.positions,
+                   state.lam, n)
     return _derivatives(state.positions, state.velocities, state.densities,
                         state.eig_radial, state.eig_tangential, phi_r,
                         state.lam, n)
 
 
 def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
-    r_abs = np.maximum(np.abs(r), _R_FLOOR)
+    center = np.abs(r) <= _R_FLOOR
     phi_r_over_r = phi_r / np.where(r == 0.0, _R_FLOOR, r)
     # at the exact center the tangential direction degenerates into the
     # radial one (removable singularity); continue l2 by l1 there
     phi_rr = (rho - lam) - (n - 1) * phi_r_over_r
-    du = np.where(r_abs <= _R_FLOOR, 0.0, -phi_r)
+    du = np.where(center, 0.0, -phi_r)
     dl1 = -l1 * l1 - phi_rr
     dl2 = -l2 * l2 - phi_r_over_r
-    dl2 = np.where(r_abs <= _R_FLOOR, dl1, dl2)
+    dl2 = np.where(center, dl1, dl2)
     drho = -rho * (l1 + (n - 1) * l2)
     return u, du, drho, dl1, dl2
 
@@ -132,14 +147,33 @@ def _make_model(vs: ValidatedScenario):
     masses = vs.masses
     lam = vs.lam
     n_dim = vs.dimension
-    sigma = unit_sphere_area(n_dim)
     n = masses.size
+    constants = _shell_constants(masses, n_dim)
+    m_enc, sigma, r_unmasked = constants
+    nm1 = n_dim - 1
 
     def rhs(t, y):
         r, u, rho, l1, l2 = (y[:n], y[n:2 * n], y[2 * n:3 * n],
                              y[3 * n:4 * n], y[4 * n:])
-        phi_r = _phi_r(masses, r, lam, n_dim, sigma)
-        return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim))
+        # the smallest radius, or the first NaN; r[argmin] costs less than
+        # r.min() on a few dozen shells
+        if not r[r.argmin()] > r_unmasked:
+            # a shell at or near the center: the masked arithmetic of radial_rhs
+            phi_r = _phi_r(constants, r, lam, n_dim)
+            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim))
+        # _phi_r and _derivatives with their floors and masks dropped, which
+        # change no value here. A new vector on every call: RK45 keeps the
+        # last one as its derivative at the current state and retries
+        # rejected steps from it.
+        phi_r = m_enc / (sigma * r ** nm1) - lam * r / n_dim
+        phi_r_over_r = phi_r / r
+        f = np.empty(5 * n)
+        f[:n] = u
+        f[n:2 * n] = -phi_r
+        f[2 * n:3 * n] = -rho * (l1 + nm1 * l2)
+        f[3 * n:4 * n] = -l1 * l1 - ((rho - lam) - nm1 * phi_r_over_r)
+        f[4 * n:] = -l2 * l2 - phi_r_over_r
+        return f
 
     def unpack(t, y, copy=True):
         if copy:

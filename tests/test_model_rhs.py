@@ -1,0 +1,87 @@
+"""The model RHS each geometry hands the integrator (the ``rhs`` closure of
+``_make_model``) against the state functions ``slab_rhs`` and ``radial_rhs``,
+compared bit for bit on seeded random states.
+
+The closures compute their run constants once and write one new vector per
+call; the shell closure drops the centre masks when every radius is clear of
+the floor. None of that may change a bit, and RK45 keeps each returned vector
+as its derivative at the current state, so no call may reuse or overwrite an
+earlier result.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dustlab import geometry1d, radial
+from dustlab.core import validate_scenario
+
+from conftest import make_ball, make_slab
+
+MARKERS = 24
+LAMBDAS = (0.0, 0.37)
+
+
+def model(vs, rng):
+    """_make_model of the scenario's geometry, with seeded unequal masses."""
+    vs = replace(vs, masses=rng.uniform(0.2, 1.0, vs.masses.size))
+    module = geometry1d if vs.dimension == 1 else radial
+    rhs, _, unpack, _ = module._make_model(vs)
+    return rhs, unpack
+
+
+def slab_vector(rng):
+    x = np.sort(rng.uniform(-1.5, 1.5, MARKERS))
+    return np.concatenate((x, rng.normal(size=MARKERS),
+                           rng.uniform(0.1, 2.0, MARKERS), rng.normal(size=MARKERS)))
+
+
+def shell_vector(rng, inner=None):
+    r = np.sort(rng.uniform(0.05, 1.5, MARKERS))
+    if inner is not None:
+        r[0] = inner
+    return np.concatenate((r, rng.normal(size=MARKERS),
+                           rng.uniform(0.1, 2.0, MARKERS), rng.normal(size=MARKERS),
+                           rng.normal(size=MARKERS)))
+
+
+def centred_shell_vector(rng):
+    # a shell at the centre sends the shell closure down its masked path
+    return shell_vector(rng, inner=0.0)
+
+
+def cases():
+    for lam in LAMBDAS:
+        yield pytest.param(make_slab(lam=lam, markers=MARKERS), slab_vector,
+                           geometry1d.slab_rhs, id=f"slab-lam{lam}")
+        for n in (2, 3, 4):
+            ball = make_ball(n=n, lam=lam, markers=MARKERS)
+            yield pytest.param(ball, shell_vector, radial.radial_rhs,
+                               id=f"ball{n}-lam{lam}")
+            yield pytest.param(ball, centred_shell_vector, radial.radial_rhs,
+                               id=f"ball{n}-lam{lam}-centre")
+
+
+@pytest.mark.parametrize("scenario, vector, state_rhs", cases())
+def test_closure_matches_state_function_bit_for_bit(scenario, vector, state_rhs):
+    rng = np.random.default_rng(20261018)
+    rhs, unpack = model(validate_scenario(scenario), rng)
+    with np.errstate(all="raise"):
+        for _ in range(5):
+            y = vector(rng)
+            expected = np.concatenate(state_rhs(unpack(0.0, y)))
+            assert rhs(0.0, y).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scenario, vector, state_rhs", cases())
+def test_each_call_returns_a_new_vector(scenario, vector, state_rhs):
+    rng = np.random.default_rng(7)
+    rhs, _ = model(validate_scenario(scenario), rng)
+    y1, y2 = vector(rng), vector(rng)
+    f1 = rhs(0.0, y1)
+    kept = f1.copy()
+    f2 = rhs(0.0, y2)
+    assert not np.shares_memory(f1, f2)
+    assert not np.shares_memory(f1, y1) and not np.shares_memory(f2, y2)
+    assert f1.tobytes() == kept.tobytes()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -81,6 +83,23 @@ class TestRadialRhs:
         np.testing.assert_allclose(drho, 0.0, atol=1e-14)
         np.testing.assert_allclose(dl1, 0.0, atol=1e-14)
         np.testing.assert_allclose(dl2, 0.0, atol=1e-14)
+
+
+class TestCenterShell:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shell_at_origin_takes_the_center_limit(self, n):
+        # Phi_r/r -> 0 and dl2 = dl1 = -l1^2 - (rho - lambda) at r = 0, in
+        # every dimension and without a floating-point warning
+        lam = 0.2
+        st = replace(shell_state([0.0, 0.5, 0.9], [1.0, 1.0, 1.0], n=n, lam=lam),
+                     eig_radial=np.array([-0.3, -0.2, -0.1]),
+                     eig_tangential=np.array([-0.3, -0.2, -0.1]))
+        with np.errstate(all="raise"):
+            _, du, _, dl1, dl2 = radial_rhs(st)
+        assert du[0] == 0.0
+        assert dl1[0] == -0.3 * 0.3 - (0.5 - lam)
+        assert dl2[0] == dl1[0]
+        assert np.all(np.isfinite(dl1)) and np.all(np.isfinite(dl2))
 
 
 class TestIntegrateRadial:
