@@ -1,23 +1,32 @@
 """Lagrangian simulation and analytic blowup certification for
 pressureless self-gravitating dust with a background constant."""
 
-from .core import (Geometry, LagrangianMarker, NumericalSettings, Scenario,
-                   Trajectory, ValidatedScenario, initial_vorticity_satisfied,
-                   load_scenario, validate_scenario)
-from .geometry1d import integrate_slab
-from .radial import integrate_radial
+from . import _integrate, geometry1d, radial
+from .core import (FieldState, Geometry, LagrangianMarker, NumericalSettings,
+                   Scenario, Trajectory, ValidatedScenario,
+                   initial_vorticity_satisfied, load_scenario, validate_scenario)
 
 __version__ = "0.1.0"
 
 
+def _model_rhs(vs):
+    """The characteristic system of the scenario's geometry on its solver vector."""
+    return (geometry1d if vs.dimension == 1 else radial).model_rhs(vs)
+
+
 def simulate(scenario, keep_states: bool = False) -> Trajectory:
-    """Integrate a validated scenario in its own geometry.
+    """Integrate a scenario in its own geometry to t_end or the first event.
 
     The trajectory holds per-step columns for every accepted step; full
     marker states only for the first and last step, or for every step with
     keep_states=True.
     """
     vs = validate_scenario(scenario)
-    if vs.geometry is Geometry.SLAB1D:
-        return integrate_slab(vs, keep_states=keep_states)
-    return integrate_radial(vs, keep_states=keep_states)
+    return _integrate.run_characteristics(vs, _model_rhs(vs), keep_states=keep_states)
+
+
+def sample(scenario, times) -> Trajectory:
+    """States at the requested times by dense sampling, every one kept; no
+    event scan, so the times must stay inside the smooth interval."""
+    vs = validate_scenario(scenario)
+    return _integrate.sample_states(vs, _model_rhs(vs), times)

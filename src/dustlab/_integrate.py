@@ -1,5 +1,10 @@
 """Shared adaptive Runge-Kutta driver for both geometries.
 
+The solver vector of a run holds the marker fields one after another,
+[positions, velocities, densities, eig_radial (, eig_tangential)], the last
+only for shells (layout). The geometry modules supply the force law as
+rhs(t, y) on that vector; everything else is common.
+
 Steps an embedded RK4(5) pair, reduces every accepted state once to its row
 of per-step scalars (functional.step_row), scans each accepted step's row
 for detector triggers, and localizes the first trigger by bisection on
@@ -15,20 +20,41 @@ import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
 from . import detector, functional
-from .core import Trajectory, ValidatedScenario
+from .core import FieldState, Trajectory, ValidatedScenario, divergence
 from .errors import MaxStepsExceeded, StepUnderflow
 
 
-def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack, div_rate,
-                        keep_states: bool = False) -> Trajectory:
-    """Integrate to t_end or the first detector event.
+def layout(vs: ValidatedScenario):
+    """The solver vector of the initial markers, y0, and the two maps a run
+    needs: unpack(t, y, copy=True) builds the FieldState of a solver vector,
+    and div_rate(f) takes D(div u)/Dt per marker from an RHS value f."""
+    masses, lam, dim = vs.masses, vs.lam, vs.dimension
+    n = masses.size
+    fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
+    if dim > 1:
+        fields.append(vs.eig_tangential)
 
-    rhs(t, y) is the characteristic system, unpack(t, y, copy=True) builds a
-    field state from the solver vector, and div_rate(f) takes D(div u)/Dt
-    per marker from an RHS value f.
-    """
+    def unpack(t, y, copy=True):
+        if copy:
+            y = y.copy()
+        return FieldState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
+                          densities=y[2 * n:3 * n], eig_radial=y[3 * n:4 * n],
+                          eig_tangential=y[4 * n:] if dim > 1 else None,
+                          masses=masses, dimension=dim, lam=lam)
+
+    def div_rate(f):
+        return divergence(f[3 * n:4 * n], f[4 * n:], dim)
+
+    return np.concatenate(fields), unpack, div_rate
+
+
+def run_characteristics(vs: ValidatedScenario, rhs,
+                        keep_states: bool = False) -> Trajectory:
+    """Integrate rhs(t, y), the characteristic system on the solver vector,
+    to t_end or the first detector event."""
     settings = vs.settings
     t_end = vs.t_end
+    y0, unpack, div_rate = layout(vs)
 
     def reintegrate(t0, y0_, t1):
         if t1 <= t0:
@@ -43,7 +69,7 @@ def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack, div_rate,
     def reduce(t, y, f):
         return functional.step_row(unpack(t, y, copy=False), div_rate(f))
 
-    stepper = RK45(rhs, 0.0, np.asarray(y0, dtype=float), t_bound=t_end,
+    stepper = RK45(rhs, 0.0, y0, t_bound=t_end,
                    rtol=settings.rel_tol, atol=settings.abs_tol,
                    max_step=settings.max_step)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
@@ -87,14 +113,15 @@ def run_characteristics(vs: ValidatedScenario, rhs, y0, unpack, div_rate,
     return Trajectory.from_rows(vs, rows, states, event=event, termination=termination)
 
 
-def sample_states(vs: ValidatedScenario, rhs, y0, unpack, div_rate, times) -> Trajectory:
+def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     """States interpolated at the requested times (dense output), for
     fixed-step diagnostics such as convergence studies. Every sampled state
     is kept. No event scanning; the caller is responsible for staying inside
     the smooth interval."""
     times = np.asarray(times, dtype=float)
     settings = vs.settings
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), np.asarray(y0, dtype=float),
+    y0, unpack, div_rate = layout(vs)
+    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0,
                     method="RK45", rtol=settings.rel_tol, atol=settings.abs_tol,
                     max_step=settings.max_step, t_eval=times, dense_output=False)
     if not sol.success:

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__, functional, riccati, simulate
-from .core import (Geometry, LagrangianMarker, initial_vorticity_satisfied,
+from .core import (LagrangianMarker, initial_vorticity_satisfied,
                    load_scenario, validate_scenario)
 from .detector import EscapeStatus, escape_report
 from .errors import (DustLabError, MaxStepsExceeded, NoPoleInHorizon,
@@ -74,23 +74,18 @@ def _write_marker_dump(out: Path, traj, times):
     """Per-marker dump at the accepted step nearest each requested time;
     needs a trajectory run with keep_states=True."""
     traj_times = traj.times
-    radialnd = traj.validated.geometry is Geometry.RADIALND
     for t_req in times:
         i = int(np.argmin(np.abs(traj_times - t_req)))
         st = traj.states[i]
-        name = f"markers_t{st.time:.6f}.csv"
-        with open(out / name, "w", newline="") as fh:
+        header = ["position", "velocity", "density", "eig_radial", "mass_weight"]
+        columns = [st.positions, st.velocities, st.densities, st.eig_radial, st.masses]
+        if st.eig_tangential is not None:
+            header.insert(4, "eig_tangential")
+            columns.insert(4, st.eig_tangential)
+        with open(out / f"markers_t{st.time:.6f}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["position", "velocity", "density", "eig_radial", "mass_weight"]
-            if radialnd:
-                header.insert(4, "eig_tangential")
             writer.writerow(header)
-            for j in range(st.positions.size):
-                row = [st.positions[j], st.velocities[j], st.densities[j],
-                       st.eig_radial[j], st.masses[j]]
-                if radialnd:
-                    row.insert(4, st.eig_tangential[j])
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
 
 
 def _write_event(out: Path, event):

@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import (CrossedMarkers, CrossedShells, EmptyState, ValidationError,
+                     ZeroRadius)
 
 
 class Geometry(Enum):
@@ -34,6 +35,30 @@ def unit_sphere_area(n: int) -> float:
 
 def ball_volume(n: int, radius: float) -> float:
     return unit_sphere_area(n) * radius**n / n
+
+
+def support_volume(lo, hi, dimension: int):
+    """Volume of the support [lo, hi]: its length for the slab (dimension 1),
+    the ball of radius hi for shells (N >= 2)."""
+    if dimension == 1:
+        return hi - lo
+    return ball_volume(dimension, hi)
+
+
+def divergence(eig_radial, eig_tangential, dimension: int):
+    """div u per marker from the velocity-gradient eigenvalues: u_x for the
+    slab, du/dr + (N-1) u/r for shells."""
+    if dimension == 1:
+        return eig_radial
+    return eig_radial + (dimension - 1) * eig_tangential
+
+
+def neighbour_gaps(positions, dimension: int):
+    """Gaps between neighbouring markers; shells include the gap to the
+    origin. A swap shows up as a negative gap."""
+    if dimension > 1:
+        positions = np.concatenate(([0.0], positions))
+    return positions[1:] - positions[:-1]  # np.diff's arithmetic without its call overhead
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +221,57 @@ class LagrangianMarker:
 
 
 @dataclass(frozen=True)
+class FieldState:
+    """All marker fields at one time. dimension 1 is the slab (positions x,
+    eig_radial w = u_x); N >= 2 are radial shells (positions r, eig_radial
+    du/dr, eig_tangential u/r with multiplicity N-1)."""
+
+    time: float
+    positions: np.ndarray  # strictly increasing
+    velocities: np.ndarray
+    densities: np.ndarray
+    eig_radial: np.ndarray
+    masses: np.ndarray
+    eig_tangential: Optional[np.ndarray] = None
+    dimension: int = 1
+    lam: float = 0.0
+
+    def div_u(self):
+        return divergence(self.eig_radial, self.eig_tangential, self.dimension)
+
+    def gaps(self):
+        return neighbour_gaps(self.positions, self.dimension)
+
+    def support_volume(self):
+        return float(support_volume(self.positions[0], self.positions[-1], self.dimension))
+
+    def support_volume_upper(self):
+        """The support volume plus half the cell volume (m/rho) of each
+        boundary marker: both ends of the slab, the outer shell of a ball.
+        Exact for uniform density (shells sit at their volume medians), an
+        upper support estimate otherwise."""
+        volume = self.support_volume()
+        rho, m = self.densities, self.masses
+        slab = self.dimension == 1
+        if rho[-1] <= 0.0 or (slab and rho[0] <= 0.0):
+            return volume
+        if slab:
+            volume += 0.5 * m[0] / rho[0]
+        return float(volume + 0.5 * m[-1] / rho[-1])
+
+    def check(self):
+        """Raise unless the markers can carry a force law: at least one, no
+        negative radius, positions strictly increasing."""
+        if self.positions.size == 0:
+            raise EmptyState("state has no markers")
+        if self.dimension > 1 and np.any(self.positions < 0):
+            raise ZeroRadius("negative shell radius")
+        if np.any(np.diff(self.positions) <= 0):
+            raise (CrossedMarkers if self.dimension == 1 else CrossedShells)(
+                "marker positions are not strictly increasing")
+
+
+@dataclass(frozen=True)
 class Scenario:
     geometry: Geometry
     dimension: int
@@ -342,10 +418,7 @@ def validate_scenario(raw) -> ValidatedScenario:
         violations.append(("NegativeDensity", "density",
                            f"density sample {rho_grid.min():g} < 0 near x={bad:g}"))
 
-    if s.geometry is Geometry.SLAB1D:
-        initial_volume = hi - lo
-    else:
-        initial_volume = ball_volume(s.dimension, hi)
+    initial_volume = support_volume(lo, hi, s.dimension)
     if initial_volume > s.v_sup * (1 + 1e-12):
         violations.append(("VolumeExceedsBound", "v_sup",
                            f"initial support volume {initial_volume:g} exceeds v_sup {s.v_sup:g}"))
@@ -377,12 +450,10 @@ def validate_scenario(raw) -> ValidatedScenario:
     if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(eig1))):
         raise ValidationError([("NotFinite", "velocity",
                                 "velocity or its gradient is not finite at the markers")])
+    eig2 = None
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
-        div0 = eig1 + (s.dimension - 1) * eig2
-    else:
-        eig2 = None
-        div0 = eig1
+    div0 = divergence(eig1, eig2, s.dimension)
 
     _check_triggers_at_start(s, pos, rho, div0)
 
@@ -411,7 +482,7 @@ def _check_triggers_at_start(s: Scenario, pos, rho, div0):
     largest |div u| and largest density against their thresholds.
     """
     settings = s.settings
-    gaps = np.diff(np.concatenate(([0.0], pos)) if s.geometry is Geometry.RADIALND else pos)
+    gaps = neighbour_gaps(pos, s.dimension)
     violations = []
     if np.min(gaps) < settings.crossing_gap_threshold:
         violations.append(("TriggerAtStart", "marker_count",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import NumericalSettings, StepRow, Trajectory
 from .errors import BracketStall, DustLabError
-from .functional import marker_gaps, step_row
+from .functional import step_row
 
 BRACKET_REL_WIDTH = 1e-8
 
@@ -77,7 +77,7 @@ def trigger_condition(trigger: Trigger) -> Callable:
 
 def trigger_marker_index(state, trigger: Trigger) -> int:
     if trigger is Trigger.SHELL_CROSSING:
-        return int(np.argmin(marker_gaps(state)))
+        return int(np.argmin(state.gaps()))
     if trigger is Trigger.DIVERGENCE_THRESHOLD:
         return int(np.argmax(np.abs(state.div_u())))
     return int(np.argmax(state.densities))

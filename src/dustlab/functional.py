@@ -34,15 +34,6 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 # ---------------------------------------------------------------------------
 
 
-def marker_gaps(state):
-    """Gaps between neighbouring markers; radial states include the gap to
-    the origin. A swap shows up as a negative gap."""
-    pos = state.positions
-    if state.include_origin_gap:
-        pos = np.concatenate(([0.0], pos))
-    return pos[1:] - pos[:-1]  # np.diff's arithmetic without its call overhead
-
-
 def step_row(state, div_rate=None) -> StepRow:
     """The per-step scalars of one state.
 
@@ -62,7 +53,7 @@ def step_row(state, div_rate=None) -> StepRow:
         volume=state.support_volume(),
         volume_upper=state.support_volume_upper(),
         m_div_rate=math.nan if div_rate is None else float(np.add.reduce(m * div_rate)),
-        min_gap=float(np.minimum.reduce(marker_gaps(state))),
+        min_gap=float(np.minimum.reduce(state.gaps())),
         max_abs_div=float(np.maximum.reduce(np.abs(d))),
         max_density=float(np.maximum.reduce(rho)),
         min_density=float(np.minimum.reduce(rho)),

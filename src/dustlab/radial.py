@@ -18,65 +18,24 @@ Delta Phi = rho - lambda, sigma the unit-sphere surface measure)
 
 The background decomposition Phi = Phi_rho - lambda |x|^2 / (2N) is the
 unique radially symmetric particular solution for the -lambda source.
+
+This module holds the force law only: radial_force, radial_rhs and
+enclosed_mass on a core.FieldState, and model_rhs, the same derivatives on
+the solver vector [r, u, rho, l1, l2] that _integrate runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _integrate
-from .core import (Geometry, Trajectory, ValidatedScenario, unit_sphere_area,
-                   validate_scenario)
-from .errors import CrossedShells, EmptyState, ValidationError, ZeroRadius
+from .core import FieldState, ValidatedScenario, unit_sphere_area
 
 # floor of r^(N-1), and the |r| up to which a shell counts as at the center;
 # keeps trial RK stages finite if a radius touches zero
 _R_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ShellState:
-    time: float
-    positions: np.ndarray  # radii, strictly increasing
-    velocities: np.ndarray
-    densities: np.ndarray
-    eig_radial: np.ndarray  # l1 = du/dr
-    eig_tangential: np.ndarray  # l2 = u/r
-    masses: np.ndarray
-    dimension: int
-    lam: float = 0.0
-
-    include_origin_gap = True
-
-    def div_u(self):
-        return self.eig_radial + (self.dimension - 1) * self.eig_tangential
-
-    def support_volume(self):
-        n = self.dimension
-        return float(unit_sphere_area(n) * self.positions[-1] ** n / n)
-
-    def support_volume_upper(self):
-        """Ball volume through the outer shell plus half that shell's cell
-        volume (m/rho); exact for uniform density thanks to volume-median
-        shell placement, an upper support estimate otherwise."""
-        rho = self.densities[-1]
-        if rho <= 0.0:
-            return self.support_volume()
-        return float(self.support_volume() + 0.5 * self.masses[-1] / rho)
-
-
-def _check_state(state: ShellState):
-    if state.positions.size == 0:
-        raise EmptyState("shell state has no shells")
-    if np.any(state.positions < 0):
-        raise ZeroRadius("negative shell radius")
-    if np.any(np.diff(state.positions) <= 0):
-        raise CrossedShells("shell radii are not strictly increasing")
-
-
-def enclosed_mass(state: ShellState, r: float) -> float:
+def enclosed_mass(state: FieldState, r: float) -> float:
     """Mass strictly inside radius r, plus half of any shell at exactly r."""
     inside = state.masses[state.positions < r].sum()
     at = 0.5 * state.masses[state.positions == r].sum()
@@ -89,10 +48,13 @@ def _shell_constants(masses, n):
     and the radius above which no floor or mask of _phi_r and _derivatives
     acts. State functions and the model RHS both take them from here."""
     m_enc = np.cumsum(masses) - 0.5 * masses
-    # twice the (N-1)-th root of the floor, so that no rounding of r^(N-1)
-    # for a larger radius can reach the floor
-    r_unmasked = 2.0 * _R_FLOOR ** (1.0 / (n - 1))
-    return m_enc, unit_sphere_area(n), r_unmasked
+    sigma = unit_sphere_area(n)
+    # twice the larger of two radii, so that no rounding above it reaches a
+    # limit: the (N-1)-th root of the floor of r^(N-1), and the radius where
+    # the largest m_enc/(sigma r^N), the size of Phi_r/r, reaches 1e300
+    r_unmasked = 2.0 * max(_R_FLOOR ** (1.0 / (n - 1)),
+                           (float(m_enc[-1]) * _R_FLOOR / sigma) ** (1.0 / n))
+    return m_enc, sigma, r_unmasked
 
 
 def _phi_r(constants, radii, lam, n):
@@ -108,19 +70,14 @@ def _phi_r(constants, radii, lam, n):
     return grad - lam * radii / n
 
 
-def radial_force(state: ShellState, at_shell: int) -> float:
-    """-Phi_r at the shell; a shell at r=0 feels zero force by symmetry."""
-    _check_state(state)
-    if state.positions[at_shell] == 0.0:
-        return 0.0
-    constants = _shell_constants(state.masses, state.dimension)
-    return float(-_phi_r(constants, state.positions, state.lam,
-                         state.dimension)[at_shell])
+def radial_force(state: FieldState, at_shell: int) -> float:
+    """-Phi_r at the shell; a shell at the center feels zero force by symmetry."""
+    return float(radial_rhs(state)[1][at_shell])
 
 
-def radial_rhs(state: ShellState):
+def radial_rhs(state: FieldState):
     """Time derivatives (dr, du, drho, dl1, dl2) of all shell fields."""
-    _check_state(state)
+    state.check()
     n = state.dimension
     phi_r = _phi_r(_shell_constants(state.masses, n), state.positions,
                    state.lam, n)
@@ -131,19 +88,26 @@ def radial_rhs(state: ShellState):
 
 def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
     center = np.abs(r) <= _R_FLOOR
-    phi_r_over_r = phi_r / np.where(r == 0.0, _R_FLOOR, r)
-    # at the exact center the tangential direction degenerates into the
-    # radial one (removable singularity); continue l2 by l1 there
-    phi_rr = (rho - lam) - (n - 1) * phi_r_over_r
     du = np.where(center, 0.0, -phi_r)
-    dl1 = -l1 * l1 - phi_rr
+    with np.errstate(over="ignore"):
+        phi_r_over_r = phi_r / np.where(r == 0.0, _R_FLOOR, r)
+        tangential = (n - 1) * phi_r_over_r
+    # a radius so small that (N-1) Phi_r/r overflows is taken at the center,
+    # as r=0 is: Phi_r/r -> 0 and, since the tangential direction degenerates
+    # into the radial one there (removable singularity), l2 continued by l1
+    tiny = np.isinf(tangential)
+    phi_r_over_r[tiny] = tangential[tiny] = 0.0
+    center |= tiny
+    dl1 = -l1 * l1 - ((rho - lam) - tangential)
     dl2 = -l2 * l2 - phi_r_over_r
     dl2 = np.where(center, dl1, dl2)
     drho = -rho * (l1 + (n - 1) * l2)
     return u, du, drho, dl1, dl2
 
 
-def _make_model(vs: ValidatedScenario):
+def model_rhs(vs: ValidatedScenario):
+    """rhs(t, y) of radial_rhs on the solver vector [r, u, rho, l1, l2],
+    with the run constants computed once."""
     masses = vs.masses
     lam = vs.lam
     n_dim = vs.dimension
@@ -175,27 +139,4 @@ def _make_model(vs: ValidatedScenario):
         f[4 * n:] = -l2 * l2 - phi_r_over_r
         return f
 
-    def unpack(t, y, copy=True):
-        if copy:
-            y = y.copy()
-        return ShellState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
-                          densities=y[2 * n:3 * n], eig_radial=y[3 * n:4 * n],
-                          eig_tangential=y[4 * n:], masses=masses, dimension=n_dim,
-                          lam=lam)
-
-    def div_rate(f):
-        return f[3 * n:4 * n] + (n_dim - 1) * f[4 * n:]
-
-    y0 = np.concatenate((vs.positions, vs.velocities, vs.densities,
-                         vs.eig_radial, vs.eig_tangential))
-    return rhs, y0, unpack, div_rate
-
-
-def integrate_radial(scenario, keep_states: bool = False) -> Trajectory:
-    """Adaptive RK4(5) integration to t_end or the first detector event.
-    keep_states=True keeps every accepted state, not just the first and last."""
-    vs = validate_scenario(scenario)
-    if vs.geometry is not Geometry.RADIALND:
-        raise ValidationError([("BadGeometry", "geometry",
-                                "integrate_radial needs a RadialND scenario")])
-    return _integrate.run_characteristics(vs, *_make_model(vs), keep_states=keep_states)
+    return rhs

@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LagrangianMarker
+from .core import LagrangianMarker, divergence
 from .errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
 
 ORACLE_REL_TOL = 1e-10
@@ -297,9 +297,7 @@ def chae_tadmor_pointwise_bound(marker0: LagrangianMarker, n: int) -> Optional[f
     Applies when the characteristic starts at a non-vacuum state with
     negative divergence; returns None otherwise.
     """
-    div0 = marker0.eig_radial
-    if marker0.eig_tangential is not None:
-        div0 = div0 + (n - 1) * marker0.eig_tangential
+    div0 = divergence(marker0.eig_radial, marker0.eig_tangential, n)
     if marker0.density > 0 and div0 < 0:
         return -n / div0
     return None

@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from dustlab import simulate
+from dustlab import sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, ball_volume,
                           validate_scenario)
 from dustlab.functional import (proof_chain_report,
                                 weighted_divergence_functional)
-from dustlab.geometry1d import sample_slab, slab_force
+from dustlab.geometry1d import slab_force
 from dustlab.radial import radial_force
 from dustlab.riccati import (Case, RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_pointwise_bound,
@@ -139,8 +139,8 @@ class TestCriterion3ProofChain:
 class TestCriterion4TransportConvergence:
     def test_criterion_4(self, capsys):
         sc = make_slab(rho0=0.5, t_end=1.0)
-        coarse = sample_slab(sc, np.arange(0.2, 1.0001, 0.05))
-        fine = sample_slab(sc, np.arange(0.2, 1.0001, 0.025))
+        coarse = sample(sc, np.arange(0.2, 1.0001, 0.05))
+        fine = sample(sc, np.arange(0.2, 1.0001, 0.025))
         rc = max(transport_theorem_residual(coarse, i)
                  for i in range(len(coarse.states) - 1))
         rf = max(transport_theorem_residual(fine, i)

@@ -65,7 +65,7 @@ def loop_div_rate(state):
 
 def loop_gaps(state):
     pos = state.positions
-    if state.include_origin_gap:
+    if state.dimension > 1:
         pos = np.concatenate(([0.0], pos))
     return np.diff(pos)
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dustlab import simulate
-from dustlab.core import (HubbleVelocity, NumericalSettings)
+from dustlab.core import FieldState, HubbleVelocity, NumericalSettings
 from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger,
                               escape_report, scan_step, trigger_marker_index)
 from dustlab.functional import step_row
-from dustlab.geometry1d import SlabFieldState, integrate_slab
 from dustlab.riccati import check_blowup_conditions
 
 from conftest import FAST, make_ball, make_slab
@@ -17,11 +16,11 @@ SETTINGS = NumericalSettings()
 def state(x, w=None, rho=None, t=0.0):
     x = np.asarray(x, dtype=float)
     k = x.size
-    return SlabFieldState(time=t, positions=x,
-                          velocities=np.zeros(k),
-                          densities=np.full(k, 0.5) if rho is None else np.asarray(rho, float),
-                          eig_radial=np.zeros(k) if w is None else np.asarray(w, float),
-                          masses=np.full(k, 1.0 / k))
+    return FieldState(time=t, positions=x,
+                      velocities=np.zeros(k),
+                      densities=np.full(k, 0.5) if rho is None else np.asarray(rho, float),
+                      eig_radial=np.zeros(k) if w is None else np.asarray(w, float),
+                      masses=np.full(k, 1.0 / k))
 
 
 def scan(prev, nxt):
@@ -62,11 +61,10 @@ class TestScanStep:
         assert scan(prev, nxt) is None
 
     def test_radial_origin_gap_counts(self):
-        from dustlab.radial import ShellState
         k = 2
 
         def shell(r0):
-            return ShellState(time=0.0, positions=np.array([r0, 0.5]),
+            return FieldState(time=0.0, positions=np.array([r0, 0.5]),
                               velocities=np.zeros(k), densities=np.full(k, 0.5),
                               eig_radial=np.zeros(k), eig_tangential=np.zeros(k),
                               masses=np.full(k, 0.5), dimension=3)
@@ -77,7 +75,7 @@ class TestScanStep:
 class TestBracketing:
     def test_collapse_bracket_width_and_consistency(self):
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=FAST)
-        traj = integrate_slab(sc)
+        traj = simulate(sc)
         ev = traj.event
         assert ev is not None
         assert ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * max(1.0, ev.t_hi) * 1.01
@@ -96,7 +94,7 @@ class TestBracketing:
         for thr in (1e6, 1e8):
             settings = dataclasses.replace(FAST, div_blowup_threshold=thr)
             sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=settings)
-            t_his.append(integrate_slab(sc).event.t_hi)
+            t_his.append(simulate(sc).event.t_hi)
         assert abs(t_his[1] - t_his[0]) < 1e-4
         assert t_his[0] <= t_his[1]  # lower threshold fires no later
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from dustlab.core import HubbleVelocity, validate_scenario
+from dustlab import sample
+from dustlab.core import FieldState, HubbleVelocity, validate_scenario
 from dustlab.errors import HypothesisViolated
 from dustlab.functional import (cauchy_schwarz_check_density,
                                 cauchy_schwarz_check_divergence,
@@ -13,15 +14,13 @@ from dustlab.functional import (cauchy_schwarz_check_density,
                                 riccati_inequality_residual, support_volume,
                                 total_mass, transport_theorem_residual,
                                 weighted_divergence_functional)
-from dustlab.geometry1d import SlabFieldState, sample_slab
-
 from conftest import make_ball, make_slab
 
 
 def slab_state(x, u=None, w=None, m=None, rho=None):
     x = np.asarray(x, dtype=float)
     k = x.size
-    return SlabFieldState(
+    return FieldState(
         time=0.0, positions=x,
         velocities=np.zeros(k) if u is None else np.asarray(u, float),
         densities=np.full(k, 0.5) if rho is None else np.asarray(rho, float),
@@ -45,8 +44,7 @@ class TestFunctionalValues:
     def test_h_hubble_ball_is_n_rate_times_mass(self):
         vs = validate_scenario(make_ball(n=3, velocity=HubbleVelocity(0.7),
                                          v_sup=100.0))
-        from dustlab.radial import ShellState
-        st = ShellState(time=0.0, positions=vs.positions,
+        st = FieldState(time=0.0, positions=vs.positions,
                         velocities=vs.velocities, densities=vs.densities,
                         eig_radial=vs.eig_radial,
                         eig_tangential=vs.eig_tangential, masses=vs.masses,
@@ -113,7 +111,7 @@ class TestCauchySchwarz:
 @pytest.fixture(scope="module")
 def sampled():
     sc = make_slab(rho0=0.5, t_end=1.0)
-    return sample_slab(sc, np.arange(0.0, 1.0001, 0.05))
+    return sample(sc, np.arange(0.0, 1.0001, 0.05))
 
 
 class TestStepResiduals:
@@ -123,8 +121,8 @@ class TestStepResiduals:
 
     def test_transport_residual_second_order(self):
         sc = make_slab(rho0=0.5, t_end=1.0)
-        coarse = sample_slab(sc, np.arange(0.2, 1.0001, 0.05))
-        fine = sample_slab(sc, np.arange(0.2, 1.0001, 0.025))
+        coarse = sample(sc, np.arange(0.2, 1.0001, 0.05))
+        fine = sample(sc, np.arange(0.2, 1.0001, 0.025))
         rc = max(transport_theorem_residual(coarse, i)
                  for i in range(len(coarse.states) - 1))
         rf = max(transport_theorem_residual(fine, i)
@@ -141,7 +139,7 @@ class TestStepResiduals:
                        t_end=0.5)
         import dataclasses
         sc = dataclasses.replace(sc, v_sup=2.0)
-        traj = sample_slab(sc, [0.0, 0.2, 0.4])
+        traj = sample(sc, [0.0, 0.2, 0.4])
         with pytest.raises(HypothesisViolated):
             riccati_inequality_residual(traj, 1)
 
@@ -170,7 +168,7 @@ class TestProofChainReport:
     def test_equilibrium_residuals_identically_zero(self):
         lam = 0.5
         sc = make_slab(rho0=lam, lam=lam, v_sup=2.0, t_end=1.0)
-        traj = sample_slab(sc, np.linspace(0.0, 1.0, 9))
+        traj = sample(sc, np.linspace(0.0, 1.0, 9))
         report = proof_chain_report(traj)
         assert report.holds
         for s in report.steps:
@@ -181,7 +179,7 @@ class TestProofChainReport:
     def test_escape_run_flags_hypothesis(self):
         sc = make_slab(rho0=0.5, v_sup=2.0, velocity=HubbleVelocity(2.0),
                        t_end=1.0)
-        traj = sample_slab(sc, np.linspace(0.0, 1.0, 11))
+        traj = sample(sc, np.linspace(0.0, 1.0, 11))
         report = proof_chain_report(traj)
         assert any(not s.hypothesis_ok for s in report.steps)
         assert all(math.isnan(s.riccati_residual)

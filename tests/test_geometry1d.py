@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dustlab.core import HubbleVelocity, NumericalSettings, validate_scenario
+from dustlab import sample, simulate
+from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
+                          validate_scenario)
 from dustlab.errors import CrossedMarkers, EmptyState
-from dustlab.geometry1d import (SlabFieldState, integrate_slab, slab_force,
-                                slab_rhs)
+from dustlab.geometry1d import slab_force, slab_rhs
 
 from conftest import make_slab
 
@@ -13,9 +14,9 @@ from conftest import make_slab
 def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5), lam=0.0):
     x = np.array(x, dtype=float)
     n = x.size
-    return SlabFieldState(time=0.0, positions=x, velocities=np.zeros(n),
-                          densities=np.full(n, 0.5), eig_radial=np.zeros(n),
-                          masses=np.array(m, dtype=float), lam=lam)
+    return FieldState(time=0.0, positions=x, velocities=np.zeros(n),
+                      densities=np.full(n, 0.5), eig_radial=np.zeros(n),
+                      masses=np.array(m, dtype=float), lam=lam)
 
 
 class TestSlabForce:
@@ -26,25 +27,25 @@ class TestSlabForce:
         assert f0 > 0  # left marker pulled right
 
     def test_single_marker_no_self_force(self):
-        st = SlabFieldState(time=0.0, positions=np.array([0.3]),
-                            velocities=np.zeros(1), densities=np.ones(1),
-                            eig_radial=np.zeros(1), masses=np.ones(1))
+        st = FieldState(time=0.0, positions=np.array([0.3]),
+                        velocities=np.zeros(1), densities=np.ones(1),
+                        eig_radial=np.zeros(1), masses=np.ones(1))
         assert slab_force(st, 0) == 0.0
 
     def test_uniform_slab_continuum_limit(self):
         # continuum force for uniform rho0 on [-1,1] is -rho0 * x
         vs = validate_scenario(make_slab(rho0=0.5, markers=1000))
-        st = SlabFieldState(time=0.0, positions=vs.positions,
-                            velocities=vs.velocities, densities=vs.densities,
-                            eig_radial=vs.eig_radial, masses=vs.masses)
+        st = FieldState(time=0.0, positions=vs.positions,
+                        velocities=vs.velocities, densities=vs.densities,
+                        eig_radial=vs.eig_radial, masses=vs.masses)
         for j in (10, 500, 990):
             expected = -0.5 * vs.positions[j]
             assert slab_force(st, j) == pytest.approx(expected, rel=1e-2)
 
     def test_empty_state(self):
-        st = SlabFieldState(time=0.0, positions=np.array([]),
-                            velocities=np.array([]), densities=np.array([]),
-                            eig_radial=np.array([]), masses=np.array([]))
+        st = FieldState(time=0.0, positions=np.array([]),
+                        velocities=np.array([]), densities=np.array([]),
+                        eig_radial=np.array([]), masses=np.array([]))
         with pytest.raises(EmptyState):
             slab_force(st, 0)
 
@@ -58,26 +59,26 @@ class TestSlabRhs:
     def test_equilibrium_marker(self):
         lam = 0.7
         st = two_marker_state(lam=lam)
-        st = SlabFieldState(time=0.0, positions=st.positions,
-                            velocities=st.velocities,
-                            densities=np.full(2, lam),
-                            eig_radial=np.zeros(2), masses=st.masses, lam=lam)
+        st = FieldState(time=0.0, positions=st.positions,
+                        velocities=st.velocities,
+                        densities=np.full(2, lam),
+                        eig_radial=np.zeros(2), masses=st.masses, lam=lam)
         _, _, drho, dw = slab_rhs(st)
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
         np.testing.assert_allclose(drho, 0.0, atol=1e-15)
 
     def test_vacuum_characteristic_burgers_decay(self):
-        st = SlabFieldState(time=0.0, positions=np.array([-0.5, 0.5]),
-                            velocities=np.zeros(2), densities=np.zeros(2),
-                            eig_radial=np.array([2.0, -3.0]),
-                            masses=np.array([0.0, 0.0]))
+        st = FieldState(time=0.0, positions=np.array([-0.5, 0.5]),
+                        velocities=np.zeros(2), densities=np.zeros(2),
+                        eig_radial=np.array([2.0, -3.0]),
+                        masses=np.array([0.0, 0.0]))
         _, _, _, dw = slab_rhs(st)
         np.testing.assert_allclose(dw, [-4.0, -9.0])
 
     def test_uniform_collapse_matches_pointwise_oracle(self):
         # uniform state: every marker follows rho' = -rho w, w' = -w^2 - rho
         sc = make_slab(rho0=0.5, t_end=1.0, settings=NumericalSettings())
-        traj = integrate_slab(sc)
+        traj = simulate(sc)
         assert traj.termination == "t_end"
         sol = solve_ivp(lambda t, y: [-y[0] * y[1], -y[1] ** 2 - y[0]],
                         (0.0, 1.0), [0.5, 0.0], method="DOP853",
@@ -92,7 +93,7 @@ class TestIntegrateSlab:
     def test_static_equilibrium_constant(self):
         lam = 0.5
         sc = make_slab(rho0=lam, lam=lam, v_sup=2.0, t_end=2.0)
-        traj = integrate_slab(sc)
+        traj = simulate(sc)
         assert traj.termination == "t_end"
         st = traj.states[-1]
         vs = traj.validated
@@ -103,7 +104,7 @@ class TestIntegrateSlab:
     def test_uniform_collapse_blows_up_before_bound(self):
         # homologous collapse at t=2; certified bound pi/2/sqrt(1/2) = 2.2214
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0)
-        traj = integrate_slab(sc)
+        traj = simulate(sc)
         assert traj.termination == "event"
         assert traj.event.t_hi == pytest.approx(2.0, abs=1e-4)
         assert traj.event.t_hi < 2.2215
@@ -111,7 +112,7 @@ class TestIntegrateSlab:
     def test_hubble_expansion_no_event_density_decays(self):
         sc = make_slab(rho0=0.5, v_sup=100.0, velocity=HubbleVelocity(2.0),
                        t_end=1.0)
-        traj = integrate_slab(sc, keep_states=True)
+        traj = simulate(sc, keep_states=True)
         assert traj.event is None
         assert len(traj.states) == len(traj)
         rho_max = np.array([st.densities.max() for st in traj.states])
@@ -147,9 +148,8 @@ class TestSlabInvariants:
         sc_shift = make_slab(rho0=0.5, v_sup=50.0, t_end=1.0,
                              velocity=UniformVelocity(3.0))
         times = np.linspace(0.0, 1.0, 11)
-        from dustlab.geometry1d import sample_slab
-        a = sample_slab(sc, times)
-        b = sample_slab(sc_shift, times)
+        a = sample(sc, times)
+        b = sample(sc_shift, times)
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_allclose(sb.densities, sa.densities, rtol=1e-8)
             np.testing.assert_allclose(sb.eig_radial, sa.eig_radial,

@@ -1,10 +1,10 @@
 """The model RHS each geometry hands the integrator (the ``rhs`` closure of
-``_make_model``) against the state functions ``slab_rhs`` and ``radial_rhs``,
+``model_rhs``) against the state functions ``slab_rhs`` and ``radial_rhs``,
 compared bit for bit on seeded random states.
 
 The closures compute their run constants once and write one new vector per
 call; the shell closure drops the centre masks when every radius is clear of
-the floor. None of that may change a bit, and RK45 keeps each returned vector
+the floor and of overflow. None of that may change a bit, and RK45 keeps each returned vector
 as its derivative at the current state, so no call may reuse or overwrite an
 earlier result.
 """
@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import geometry1d, radial
+from dustlab import _integrate, geometry1d, radial
 from dustlab.core import validate_scenario
 
 from conftest import make_ball, make_slab
@@ -24,11 +24,12 @@ LAMBDAS = (0.0, 0.37)
 
 
 def model(vs, rng):
-    """_make_model of the scenario's geometry, with seeded unequal masses."""
+    """model_rhs of the scenario's geometry and the solver-vector unpack,
+    with seeded unequal masses."""
     vs = replace(vs, masses=rng.uniform(0.2, 1.0, vs.masses.size))
     module = geometry1d if vs.dimension == 1 else radial
-    rhs, _, unpack, _ = module._make_model(vs)
-    return rhs, unpack
+    _, unpack, _ = _integrate.layout(vs)
+    return module.model_rhs(vs), unpack
 
 
 def slab_vector(rng):
