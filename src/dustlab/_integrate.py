@@ -5,10 +5,11 @@ The solver vector of a run holds the marker fields one after another,
 only for shells (layout). The geometry modules supply the force law as
 rhs(t, y) on that vector; everything else is common.
 
-Steps an embedded RK4(5) pair, reduces every accepted state once to its row
-of per-step scalars (functional.step_row), scans each accepted step's row
-for detector triggers, and localizes the first trigger by bisection on
-re-integrated sub-steps. Deterministic for fixed settings.
+One loop (steps) steps an embedded RK4(5) pair for the run, for the
+bracket's re-integration and for sample. The run reduces every accepted
+state once to its row of per-step scalars (functional.step_row), scans each
+accepted step's row for detector triggers, and localizes the first trigger
+by bisection on re-integrated sub-steps. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one.
@@ -16,8 +17,10 @@ keep_states=True asks for every one.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
 
 from . import detector, functional
 from .core import FieldState, Trajectory, ValidatedScenario, divergence
@@ -48,30 +51,49 @@ def layout(vs: ValidatedScenario):
     return np.concatenate(fields), unpack, div_rate
 
 
+def steps(rhs, t0, y0, t_bound, settings):
+    """scipy's RK45 on rhs(t, y) from (t0, y0) to t_bound under the
+    settings: yields the stepper as built, then after every accepted step.
+    Raises MaxStepsExceeded past settings.max_steps steps and StepUnderflow
+    when the step size collapses. RK45 replaces stepper.y with a new array on
+    every step and never writes into the old one, so stepper.y may be kept
+    without a copy."""
+    stepper = RK45(rhs, t0, y0, t_bound=t_bound, rtol=settings.rel_tol,
+                   atol=settings.abs_tol, max_step=settings.max_step)
+    yield stepper
+    for _ in range(int(settings.max_steps)):
+        if stepper.status != "running":
+            return
+        t_prev = stepper.t
+        stepper.step()
+        if stepper.status == "failed":
+            raise StepUnderflow(f"step size collapsed at t={t_prev:g}")
+        yield stepper
+    if stepper.status == "running":
+        raise MaxStepsExceeded(f"exceeded {settings.max_steps} accepted steps")
+
+
+def reintegrate(rhs, settings, t0, y0, t1):
+    """The solver vector at t1, stepped from (t0, y0) by a fresh loop."""
+    if t1 <= t0:
+        return np.array(y0, copy=True)
+    for stepper in steps(rhs, t0, y0, t1, settings):
+        pass
+    return stepper.y
+
+
 def run_characteristics(vs: ValidatedScenario, rhs,
                         keep_states: bool = False) -> Trajectory:
     """Integrate rhs(t, y), the characteristic system on the solver vector,
     to t_end or the first detector event."""
     settings = vs.settings
-    t_end = vs.t_end
     y0, unpack, div_rate = layout(vs)
-
-    def reintegrate(t0, y0_, t1):
-        if t1 <= t0:
-            return np.array(y0_, copy=True)
-        sol = solve_ivp(rhs, (t0, t1), y0_, method="RK45",
-                        rtol=settings.rel_tol, atol=settings.abs_tol,
-                        max_step=settings.max_step, dense_output=False)
-        if not sol.success:
-            raise StepUnderflow(f"re-integration failed on [{t0:g}, {t1:g}]: {sol.message}")
-        return sol.y[:, -1]
 
     def reduce(t, y, f):
         return functional.step_row(unpack(t, y, copy=False), div_rate(f))
 
-    stepper = RK45(rhs, 0.0, y0, t_bound=t_end,
-                   rtol=settings.rel_tol, atol=settings.abs_tol,
-                   max_step=settings.max_step)
+    loop = steps(rhs, 0.0, y0, vs.t_end, settings)
+    stepper = next(loop)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
     rows = [reduce(0.0, stepper.y, stepper.f)]
@@ -79,22 +101,13 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     t_last, y_last = 0.0, stepper.y
     event = None
     edge = False
-    steps = 0
-    while stepper.status == "running":
-        steps += 1
-        if steps > settings.max_steps:
-            raise MaxStepsExceeded(f"exceeded {settings.max_steps} accepted steps")
-        # RK45 replaces stepper.y with a new array on every step and never
-        # writes into the old one, so no copy is needed
-        t_prev, y_prev = stepper.t, stepper.y
-        stepper.step()
-        if stepper.status == "failed":
-            raise StepUnderflow(f"step size collapsed at t={t_prev:g}")
+    for stepper in loop:
         row = reduce(stepper.t, stepper.y, stepper.f)
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
-            event, y_lo = detector.bracket_event(reintegrate, unpack, t_prev, y_prev,
-                                                 stepper.t, trigger, settings)
+            event, y_lo = detector.bracket_event(partial(reintegrate, rhs, settings),
+                                                 unpack, t_last, y_last, stepper.t,
+                                                 trigger, settings)
             edge = event.t_lo > rows[-1].time
             if edge:
                 # the one state the stepper has no RHS value for
@@ -114,19 +127,28 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
-    """States interpolated at the requested times (dense output), for
+    """States at the requested times from the steps' dense output, for
     fixed-step diagnostics such as convergence studies. Every sampled state
     is kept. No event scanning; the caller is responsible for staying inside
     the smooth interval."""
     times = np.asarray(times, dtype=float)
-    settings = vs.settings
+    if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise ValueError("sample times must be increasing and >= 0")
     y0, unpack, div_rate = layout(vs)
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0,
-                    method="RK45", rtol=settings.rel_tol, atol=settings.abs_tol,
-                    max_step=settings.max_step, t_eval=times, dense_output=False)
-    if not sol.success:
-        raise StepUnderflow(f"sampling integration failed: {sol.message}")
-    states = [unpack(t, sol.y[:, k]) for k, t in enumerate(sol.t)]
-    rows = [functional.step_row(st, div_rate(rhs(st.time, sol.y[:, k])))
-            for k, st in enumerate(states)]
+    states, rows = [], []
+    loop = steps(rhs, 0.0, y0, float(times[-1]), vs.settings)
+    next(loop)
+    done = 0
+    for stepper in loop:
+        # all times in (t_old, t] in one call, as scipy's t_eval sampling
+        # does: a 2-D np.dot can round differently from a 1-D one
+        upto = np.searchsorted(times, stepper.t, side="right")
+        if upto == done:
+            continue
+        ys = stepper.dense_output()(times[done:upto])
+        for t, y in zip(times[done:upto], ys.T):
+            st = unpack(t, y)
+            states.append(st)
+            rows.append(functional.step_row(st, div_rate(rhs(st.time, y))))
+        done = upto
     return Trajectory.from_rows(vs, rows, states)

@@ -23,8 +23,8 @@ import numpy as np
 import yaml
 
 from . import __version__, functional, riccati, simulate
-from .core import (LagrangianMarker, initial_vorticity_satisfied,
-                   load_scenario, validate_scenario)
+from .core import (divergence, initial_vorticity_satisfied, load_scenario,
+                   validate_scenario)
 from .detector import EscapeStatus, escape_report
 from .errors import (DustLabError, MaxStepsExceeded, NoPoleInHorizon,
                      StepUnderflow, ValidationError)
@@ -127,22 +127,40 @@ def _certificate_doc(vs):
         except NoPoleInHorizon:
             doc["oracle_cross_check"] = {"pole_bracket": None, "agrees": False}
     if vs.lam == 0.0:
-        bounds = []
-        for j in range(vs.masses.size):
-            marker = LagrangianMarker(
-                position=float(vs.positions[j]), velocity=float(vs.velocities[j]),
-                density=float(vs.densities[j]), eig_radial=float(vs.eig_radial[j]),
-                mass_weight=float(vs.masses[j]),
-                eig_tangential=(None if vs.eig_tangential is None
-                                else float(vs.eig_tangential[j])))
-            bound = riccati.chae_tadmor_pointwise_bound(marker, vs.dimension)
-            if bound is not None:
-                bounds.append(bound)
+        bounds = riccati.chae_tadmor_bounds(
+            vs.densities, divergence(vs.eig_radial, vs.eig_tangential, vs.dimension),
+            vs.dimension)
         doc["chae_tadmor"] = {
-            "applicable_markers": len(bounds),
-            "min_bound": min(bounds) if bounds else None,
+            "applicable_markers": int(bounds.size),
+            "min_bound": float(bounds.min()) if bounds.size else None,
         }
     return cert, doc
+
+
+def _parse_option(option, parse, text):
+    """parse(text); on a ValueError, exit 1 naming the option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        click.echo(f"invalid {option} {text!r}: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+
+
+def _parse_times(spec: str):
+    times = [float(s) for s in spec.split(",")] if spec else []
+    if not all(map(math.isfinite, times)):
+        raise ValueError("times must be finite")
+    return times
+
+
+def _parse_grid(spec: str):
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected a:b:n")
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+        raise ValueError("a and b must be finite and n at least 1")
+    return np.linspace(lo, hi, n)
 
 
 def _run_or_exit(vs, keep_states=False):
@@ -179,14 +197,15 @@ _out_opt = click.option("--out", "out_dir", required=True, type=click.Path(file_
 @click.option("--snapshot-times", default="", help="comma-separated times for per-marker dumps")
 def simulate_cmd(scenario_path, out_dir, snapshot_times):
     """Run one scenario and write trajectory, diagnostics, and any event."""
+    times = _parse_option("--snapshot-times", _parse_times, snapshot_times)
     out = Path(out_dir)
     _write_manifest(out, "simulate", scenario_path)
     vs = _load(scenario_path)
     # marker snapshots need every state; all else reads the per-step columns
-    traj = _run_or_exit(vs, keep_states=bool(snapshot_times))
+    traj = _run_or_exit(vs, keep_states=bool(times))
     _write_trajectory_csv(out, traj)
-    if snapshot_times:
-        _write_marker_dump(out, traj, [float(s) for s in snapshot_times.split(",")])
+    if times:
+        _write_marker_dump(out, traj, times)
     if traj.event is not None:
         _write_event(out, traj.event)
         click.echo(f"event: {traj.event.trigger.value} at "
@@ -242,11 +261,6 @@ def verify(scenario_path, out_dir):
     sys.exit(EXIT_OK if report.holds else EXIT_NUMERIC)
 
 
-def _parse_grid(spec: str):
-    lo, hi, n = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
-
-
 @main.command()
 @_scenario_opt
 @_out_opt
@@ -261,11 +275,13 @@ def sweep(scenario_path, out_dir, lambda_grid, h0_grid):
     if (lambda_grid is None) == (h0_grid is None):
         click.echo("provide exactly one of --lambda-grid / --h0-grid", err=True)
         sys.exit(EXIT_VALIDATION)
+    if lambda_grid is not None:
+        axis, grid = "lambda", _parse_option("--lambda-grid", _parse_grid, lambda_grid)
+    else:
+        axis, grid = "h0", _parse_option("--h0-grid", _parse_grid, h0_grid)
     out = Path(out_dir)
     _write_manifest(out, "sweep", scenario_path)
     base = _load(scenario_path)
-    axis = "lambda" if lambda_grid is not None else "h0"
-    grid = _parse_grid(lambda_grid if lambda_grid is not None else h0_grid)
 
     rows = []
     any_contradiction = False

@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -205,19 +205,6 @@ class NumericalSettings:
         elif self.max_steps <= 0:
             bad.append(("BadSettings", "max_steps", "must be strictly positive"))
         return bad
-
-
-@dataclass(frozen=True)
-class LagrangianMarker:
-    """One characteristic: position, velocity, density, velocity-gradient
-    eigenvalues, and a mass weight that is fixed at t=0."""
-
-    position: float
-    velocity: float
-    density: float
-    eig_radial: float
-    mass_weight: float
-    eig_tangential: Optional[float] = None
 
 
 @dataclass(frozen=True)

@@ -102,23 +102,10 @@ def _riccati(t_a, t_b, h_a, h_b, mass, n, lam, v_sup):
 # ---------------------------------------------------------------------------
 
 
-def total_mass(state) -> float:
-    return float(np.sum(state.masses))
-
-
-def weighted_divergence_functional(state) -> float:
-    """H = sum_j m_j div(u)_j."""
-    return step_row(state).h
-
-
-def support_volume(state) -> float:
-    return state.support_volume()
-
-
 def cauchy_schwarz_check_divergence(state) -> float:
     """M * integral of (div u)^2 dmu  minus  (integral of div u dmu)^2."""
     row = step_row(state)
-    return _cs_divergence(total_mass(state), row.h, row.m_div2)
+    return _cs_divergence(float(np.sum(state.masses)), row.h, row.m_div2)
 
 
 def cauchy_schwarz_check_density(state, v_sup: float) -> float:
@@ -129,49 +116,7 @@ def cauchy_schwarz_check_density(state, v_sup: float) -> float:
     if not _inside(row.volume_upper, v_sup):
         raise HypothesisViolated(
             f"support volume {row.volume_upper:g} exceeds v_sup {v_sup:g}")
-    return _cs_density(v_sup, total_mass(state), row.m_rho)
-
-
-def residual_tolerance(state) -> float:
-    """Reporting tolerance, scaled to stay meaningful near blowup."""
-    return _tolerance(total_mass(state), step_row(state).h)
-
-
-# ---------------------------------------------------------------------------
-# Steps of a trajectory
-# ---------------------------------------------------------------------------
-
-
-def transport_theorem_residual(trajectory: Trajectory, step: int) -> float:
-    """|dH/dt - sum_j m_j D(div u)/Dt| over the step (step, step+1),
-    both sides taken at the step midpoint (finite difference vs trapezoid);
-    expected O(dt^2) on smooth intervals."""
-    c = trajectory.columns
-    a, b = step, step + 1
-    return _transport(float(c.time[a]), float(c.time[b]), float(c.h[a]), float(c.h[b]),
-                      float(c.m_div_rate[a]), float(c.m_div_rate[b]))
-
-
-def riccati_inequality_residual(trajectory: Trajectory, step: int,
-                                v_sup: Optional[float] = None) -> float:
-    """dH/dt + H^2/(MN) + M^2/v_sup - lambda M at the step midpoint.
-
-    Nonpositive (within tolerance) while the support stays within v_sup;
-    negative values are slack. Raises HypothesisViolated when the support
-    bound fails at either end of the step.
-    """
-    vs = trajectory.validated
-    if v_sup is None:
-        v_sup = vs.v_sup
-    c = trajectory.columns
-    a, b = step, step + 1
-    for i in (a, b):
-        if not _inside(float(c.volume_upper[i]), v_sup):
-            raise HypothesisViolated(
-                f"support volume {c.volume_upper[i]:g} exceeds v_sup {v_sup:g} "
-                f"at t={c.time[i]:g}")
-    return _riccati(float(c.time[a]), float(c.time[b]), float(c.h[a]), float(c.h[b]),
-                    vs.total_mass, vs.dimension, vs.lam, v_sup)
+    return _cs_density(v_sup, float(np.sum(state.masses)), row.m_rho)
 
 
 class _Chain:

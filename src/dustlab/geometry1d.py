@@ -13,9 +13,9 @@ center of mass, so Phi_x = (M_left - M_right)/2 - lambda (x - x_cm). A
 marker's own mass splits half-left/half-right (zero self-force), the
 continuum limit of the sgn kernel.
 
-This module holds the force law only: slab_force and slab_rhs on a
-core.FieldState, and model_rhs, the same derivatives on the solver vector
-[x, u, rho, w] that _integrate runs. In 1-D the zero-initial-vorticity
+This module holds the force law only: slab_rhs on a core.FieldState (du
+is the force per marker), and model_rhs, the same derivatives on the solver
+vector [x, u, rho, w] that _integrate runs. In 1-D the zero-initial-vorticity
 hypothesis is automatic: the velocity gradient is a scalar and has no
 antisymmetric part.
 """
@@ -45,10 +45,6 @@ def _forces(masses, constants, positions, lam):
         return force
     x_cm = (masses * positions).sum() / total
     return -(phi_x - lam * (positions - x_cm))
-
-
-def slab_force(state: FieldState, at_marker: int) -> float:
-    return float(slab_rhs(state)[1][at_marker])
 
 
 def slab_rhs(state: FieldState):

@@ -19,9 +19,9 @@ Delta Phi = rho - lambda, sigma the unit-sphere surface measure)
 The background decomposition Phi = Phi_rho - lambda |x|^2 / (2N) is the
 unique radially symmetric particular solution for the -lambda source.
 
-This module holds the force law only: radial_force, radial_rhs and
-enclosed_mass on a core.FieldState, and model_rhs, the same derivatives on
-the solver vector [r, u, rho, l1, l2] that _integrate runs.
+This module holds the force law only: radial_rhs on a core.FieldState (du
+is -Phi_r per shell, 0 at the center), and model_rhs, the same derivatives
+on the solver vector [r, u, rho, l1, l2] that _integrate runs.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from .core import FieldState, ValidatedScenario, unit_sphere_area
 # floor of r^(N-1), and the |r| up to which a shell counts as at the center;
 # keeps trial RK stages finite if a radius touches zero
 _R_FLOOR = 1e-300
-
-
-def enclosed_mass(state: FieldState, r: float) -> float:
-    """Mass strictly inside radius r, plus half of any shell at exactly r."""
-    inside = state.masses[state.positions < r].sum()
-    at = 0.5 * state.masses[state.positions == r].sum()
-    return float(inside + at)
 
 
 def _shell_constants(masses, n):
@@ -68,11 +61,6 @@ def _phi_r(constants, radii, lam, n):
     r_pow = np.maximum(np.abs(radii) ** (n - 1), _R_FLOOR)
     grad = np.sign(radii) * m_enc / (sigma * r_pow)
     return grad - lam * radii / n
-
-
-def radial_force(state: FieldState, at_shell: int) -> float:
-    """-Phi_r at the shell; a shell at the center feels zero force by symmetry."""
-    return float(radial_rhs(state)[1][at_shell])
 
 
 def radial_rhs(state: FieldState):

@@ -26,13 +26,12 @@ comparison ODE still blows up there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LagrangianMarker, divergence
 from .errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
 
 ORACLE_REL_TOL = 1e-10
@@ -291,16 +290,10 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
 # ---------------------------------------------------------------------------
 
 
-def chae_tadmor_pointwise_bound(marker0: LagrangianMarker, n: int) -> Optional[float]:
-    """Per-characteristic blowup bound -N/div(u0) for lambda = 0 flows.
-
-    Applies when the characteristic starts at a non-vacuum state with
-    negative divergence; returns None otherwise.
-    """
-    div0 = divergence(marker0.eig_radial, marker0.eig_tangential, n)
-    if marker0.density > 0 and div0 < 0:
-        return -n / div0
-    return None
+def chae_tadmor_bounds(densities, div0, n: int):
+    """Per-characteristic blowup bounds -N/div(u0) for lambda = 0 flows, in
+    marker order, of the markers that start non-vacuum with div(u0) < 0."""
+    return -n / div0[(densities > 0) & (div0 < 0)]
 
 
 def comparison_exceedance(trajectory, params: RiccatiParams) -> float:

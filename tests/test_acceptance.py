@@ -14,15 +14,12 @@ import pytest
 from dustlab import sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, ball_volume,
                           validate_scenario)
-from dustlab.functional import (proof_chain_report,
-                                weighted_divergence_functional)
-from dustlab.geometry1d import slab_force
-from dustlab.radial import radial_force
+from dustlab.functional import proof_chain_report, step_row
+from dustlab.geometry1d import slab_rhs
+from dustlab.radial import radial_rhs
 from dustlab.riccati import (Case, RiccatiParams, blowup_time_upper_bound,
-                             chae_tadmor_pointwise_bound,
-                             check_blowup_conditions, comparison_exceedance,
-                             integrate_comparison_ode)
-from dustlab.functional import transport_theorem_residual
+                             chae_tadmor_bounds, check_blowup_conditions,
+                             comparison_exceedance, integrate_comparison_ode)
 
 from conftest import make_ball, make_slab
 
@@ -141,10 +138,8 @@ class TestCriterion4TransportConvergence:
         sc = make_slab(rho0=0.5, t_end=1.0)
         coarse = sample(sc, np.arange(0.2, 1.0001, 0.05))
         fine = sample(sc, np.arange(0.2, 1.0001, 0.025))
-        rc = max(transport_theorem_residual(coarse, i)
-                 for i in range(len(coarse.states) - 1))
-        rf = max(transport_theorem_residual(fine, i)
-                 for i in range(len(fine.states) - 1))
+        rc = max(s.transport_residual for s in proof_chain_report(coarse).steps)
+        rf = max(s.transport_residual for s in proof_chain_report(fine).steps)
         ratio = rc / rf
         ok = 3.5 <= ratio <= 4.5
         report(4, ok,
@@ -214,12 +209,10 @@ class TestCriterion7EquilibriumFixture:
         for sc in fixtures:
             traj = simulate(sc, keep_states=True)
             ok = ok and traj.termination == "t_end"
-            force = slab_force if sc.geometry.value == "slab1d" else radial_force
+            rhs = slab_rhs if sc.geometry.value == "slab1d" else radial_rhs
             for st in traj.states:
-                worst_h = max(worst_h, abs(weighted_divergence_functional(st)))
-                worst_force = max(worst_force,
-                                  max(abs(force(st, j))
-                                      for j in range(st.positions.size)))
+                worst_h = max(worst_h, abs(step_row(st).h))
+                worst_force = max(worst_force, float(np.max(np.abs(rhs(st)[1]))))
             rep = proof_chain_report(traj)
             worst_ric = max(worst_ric,
                             max(abs(s.riccati_residual) for s in rep.steps))
@@ -254,16 +247,10 @@ class TestCriterion9PointwiseBound:
         sc = make_slab(rho0=0.5, velocity=HubbleVelocity(-1.0), t_end=2.0,
                        settings=NumericalSettings())
         vs = validate_scenario(sc)
-        from dustlab.core import LagrangianMarker
-        bounds = [chae_tadmor_pointwise_bound(
-            LagrangianMarker(position=float(vs.positions[j]),
-                             velocity=float(vs.velocities[j]),
-                             density=float(vs.densities[j]),
-                             eig_radial=float(vs.eig_radial[j]),
-                             mass_weight=float(vs.masses[j])), 1)
-            for j in range(vs.masses.size)]
+        bounds = chae_tadmor_bounds(vs.densities, vs.eig_radial, 1)
         traj = simulate(vs)
-        ok = (all(b == pytest.approx(1.0) for b in bounds)
+        ok = (bounds.size == vs.masses.size
+              and all(b == pytest.approx(1.0) for b in bounds)
               and traj.event is not None
               and traj.event.t_hi <= 1.0 + 1e-6)
         report(9, ok,

@@ -84,6 +84,22 @@ class TestSimulate:
         assert result.exit_code == EXIT_HYPOTHESIS
         assert "escaped" in result.output
 
+    def test_step_limit_exit_3(self, runner, tmp_path):
+        path = fast_scenario(tmp_path, tolerances={"max_steps": 5})
+        result = runner.invoke(main, ["simulate", "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_NUMERIC
+        assert "exceeded 5 accepted steps" in result.output
+
+    @pytest.mark.parametrize("times", ["0.1,abc", "0.1,,0.5", "nan"])
+    def test_malformed_snapshot_times_exit_1(self, runner, tmp_path, times):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--scenario", fast_scenario(tmp_path),
+                                      "--out", str(out), "--snapshot-times", times])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "--snapshot-times" in result.output
+        assert not out.exists()  # parsed before the run and any file write
+
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)
         outs = []
@@ -197,6 +213,17 @@ class TestSweep:
         assert cases[2] == "NoCertificate"  # h0 = -1 exactly (strict)
         assert cases[3] == "NoCertificate"
         assert cases[4] == "NoCertificate"
+
+    @pytest.mark.parametrize("option, grid", [("--lambda-grid", "0:1"),
+                                              ("--lambda-grid", "0:1:-2"),
+                                              ("--h0-grid", "0:1:x")])
+    def test_malformed_grid_exit_1(self, runner, tmp_path, option, grid):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--scenario", fast_scenario(tmp_path),
+                                      "--out", str(out), option, grid])
+        assert result.exit_code == EXIT_VALIDATION
+        assert option in result.output
+        assert not out.exists()  # parsed before the run and any file write
 
     def test_requires_exactly_one_grid(self, runner, tmp_path):
         path = fast_scenario(tmp_path)

@@ -6,7 +6,7 @@ from dustlab import sample, simulate
 from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
                           validate_scenario)
 from dustlab.errors import CrossedMarkers, EmptyState
-from dustlab.geometry1d import slab_force, slab_rhs
+from dustlab.geometry1d import slab_rhs
 
 from conftest import make_slab
 
@@ -22,7 +22,7 @@ def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5), lam=0.0):
 class TestSlabForce:
     def test_symmetric_pair_equal_and_opposite(self):
         st = two_marker_state()
-        f0, f1 = slab_force(st, 0), slab_force(st, 1)
+        f0, f1 = slab_rhs(st)[1]
         assert f0 == pytest.approx(-f1)
         assert f0 > 0  # left marker pulled right
 
@@ -30,7 +30,7 @@ class TestSlabForce:
         st = FieldState(time=0.0, positions=np.array([0.3]),
                         velocities=np.zeros(1), densities=np.ones(1),
                         eig_radial=np.zeros(1), masses=np.ones(1))
-        assert slab_force(st, 0) == 0.0
+        assert slab_rhs(st)[1][0] == 0.0
 
     def test_uniform_slab_continuum_limit(self):
         # continuum force for uniform rho0 on [-1,1] is -rho0 * x
@@ -38,16 +38,17 @@ class TestSlabForce:
         st = FieldState(time=0.0, positions=vs.positions,
                         velocities=vs.velocities, densities=vs.densities,
                         eig_radial=vs.eig_radial, masses=vs.masses)
+        force = slab_rhs(st)[1]
         for j in (10, 500, 990):
             expected = -0.5 * vs.positions[j]
-            assert slab_force(st, j) == pytest.approx(expected, rel=1e-2)
+            assert force[j] == pytest.approx(expected, rel=1e-2)
 
     def test_empty_state(self):
         st = FieldState(time=0.0, positions=np.array([]),
                         velocities=np.array([]), densities=np.array([]),
                         eig_radial=np.array([]), masses=np.array([]))
         with pytest.raises(EmptyState):
-            slab_force(st, 0)
+            slab_rhs(st)
 
     def test_crossed_markers_rejected(self):
         st = two_marker_state(x=(0.5, -0.5))

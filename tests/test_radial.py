@@ -8,7 +8,7 @@ from dustlab import _integrate, radial, simulate
 from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
                           ball_volume, unit_sphere_area, validate_scenario)
 from dustlab.errors import CrossedShells, EmptyState, ZeroRadius
-from dustlab.radial import enclosed_mass, radial_force, radial_rhs
+from dustlab.radial import radial_rhs
 
 from conftest import make_ball
 
@@ -24,25 +24,35 @@ def shell_state(r, m, n=3, lam=0.0, u=None, rho=None):
 
 
 class TestEnclosedMass:
+    """The mass a shell's force sees, read off -Phi_r = -m_enc/(sigma r^(N-1))
+    at lambda = 0."""
+
+    @staticmethod
+    def enclosed(st):
+        return -radial_rhs(st)[1] * unit_sphere_area(3) * st.positions**2
+
     def test_strictly_inside(self):
-        st = shell_state([0.2, 0.5, 0.9], [1.0, 2.0, 4.0])
-        assert enclosed_mass(st, 0.7) == 3.0
-        assert enclosed_mass(st, 0.1) == 0.0
-        assert enclosed_mass(st, 1.0) == 7.0
+        # where the inner shells sit does not matter, only that they are inside
+        a = self.enclosed(shell_state([0.2, 0.5, 0.9], [1.0, 2.0, 4.0]))
+        b = self.enclosed(shell_state([0.1, 0.3, 0.9], [1.0, 2.0, 4.0]))
+        assert a[2] == pytest.approx(1.0 + 2.0 + 2.0, rel=1e-14)
+        assert b[2] == pytest.approx(a[2], rel=1e-14)
 
     def test_half_weight_at_exact_radius(self):
         st = shell_state([0.2, 0.5, 0.9], [1.0, 2.0, 4.0])
-        assert enclosed_mass(st, 0.5) == 1.0 + 1.0  # inside + half of 2.0
+        # inside + half of the shell's own mass
+        np.testing.assert_allclose(self.enclosed(st), [0.5, 1.0 + 1.0, 3.0 + 2.0],
+                                   rtol=1e-14)
 
 
 class TestRadialForce:
     def test_uniform_ball_continuum_limit(self):
         # uniform rho0 in N=3: Phi_r = rho0 r / 3, force = -rho0 r / 3
         vs = validate_scenario(make_ball(n=3, rho0=0.6, markers=2000))
-        st = shell_state(vs.positions, vs.masses, n=3)
+        force = radial_rhs(shell_state(vs.positions, vs.masses, n=3))[1]
         for j in (50, 1000, 1990):
             expected = -0.6 * vs.positions[j] / 3.0
-            assert radial_force(st, j) == pytest.approx(expected, rel=1e-3)
+            assert force[j] == pytest.approx(expected, rel=1e-3)
 
     def test_uniform_equilibrium_force_exactly_zero(self):
         # lambda == rho0: the background term cancels self-gravity shell by
@@ -50,16 +60,15 @@ class TestRadialForce:
         lam = 0.5
         vs = validate_scenario(make_ball(n=3, rho0=lam, lam=lam))
         st = shell_state(vs.positions, vs.masses, n=3, lam=lam)
-        for j in range(vs.positions.size):
-            assert abs(radial_force(st, j)) < 1e-14
+        assert np.max(np.abs(radial_rhs(st)[1])) < 1e-14
 
     def test_center_shell_zero_force(self):
         st = shell_state([0.0, 0.5], [0.1, 0.9])
-        assert radial_force(st, 0) == 0.0
+        assert radial_rhs(st)[1][0] == 0.0
 
     def test_empty_and_crossed_rejected(self):
         with pytest.raises(EmptyState):
-            radial_force(shell_state([], []), 0)
+            radial_rhs(shell_state([], []))
         with pytest.raises(CrossedShells):
             radial_rhs(shell_state([0.5, 0.2], [1.0, 1.0]))
         with pytest.raises(ZeroRadius):

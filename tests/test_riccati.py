@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from dustlab.core import LagrangianMarker
+from dustlab.core import divergence
 from dustlab.errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
 from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
                              BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
-                             case2_threshold, chae_tadmor_pointwise_bound,
+                             case2_threshold, chae_tadmor_bounds,
                              check_blowup_conditions, comparison_solution,
                              integrate_comparison_ode)
 
@@ -104,11 +104,6 @@ def loop_comparison_ode(params, until, rejected):
         h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
     raise NoPoleInHorizon(f"no pole before t={until:g}",
                           np.array(times), np.array(values))
-
-
-def marker(density=1.0, w=0.0, l2=None):
-    return LagrangianMarker(position=0.0, velocity=0.0, density=density,
-                            eig_radial=w, eig_tangential=l2, mass_weight=1.0)
 
 
 class TestConditions:
@@ -318,17 +313,24 @@ class TestOracleMatchesTableauLoop:
         assert outcome[0] == "no pole"
 
 
+def bounds(density, div0, n=1):
+    return chae_tadmor_bounds(np.array(density, float), np.array(div0, float), n).tolist()
+
+
 class TestPointwiseBound:
     def test_contracting_characteristic(self):
-        assert chae_tadmor_pointwise_bound(marker(w=-2.0), n=1) == pytest.approx(0.5)
+        assert bounds([1.0], [-2.0]) == pytest.approx([0.5])
 
     def test_expanding_characteristic_none(self):
-        assert chae_tadmor_pointwise_bound(marker(w=1.0), n=1) is None
+        assert bounds([1.0], [1.0]) == []
 
     def test_vacuum_none(self):
-        assert chae_tadmor_pointwise_bound(marker(density=0.0, w=-2.0), n=1) is None
+        assert bounds([0.0], [-2.0]) == []
 
     def test_radial_divergence(self):
         # div u0 = l1 + (n-1) l2 = -1/3 - 2/3 = -1 -> bound = 3
-        m = marker(w=-1.0 / 3.0, l2=-1.0 / 3.0)
-        assert chae_tadmor_pointwise_bound(m, n=3) == pytest.approx(3.0)
+        div0 = divergence(np.array([-1.0 / 3.0]), np.array([-1.0 / 3.0]), 3)
+        assert bounds([1.0], div0, n=3) == pytest.approx([3.0])
+
+    def test_applicable_markers_in_marker_order(self):
+        assert bounds([1.0, 0.0, 1.0, 1.0, 1.0], [-2.0, -2.0, 0.0, -4.0, 3.0]) == [0.5, 0.25]
