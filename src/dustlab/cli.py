@@ -71,11 +71,18 @@ def _write_trajectory_csv(out: Path, traj):
 
 
 def _write_marker_dump(out: Path, traj, times):
-    """Per-marker dump at the accepted step nearest each requested time;
-    needs a trajectory run with keep_states=True."""
+    """Per-marker dump at the accepted step nearest each requested time,
+    each step at most once; needs a trajectory run with keep_states=True.
+    Times past the last accepted step get that step and are named on stderr.
+    """
     traj_times = traj.times
-    for t_req in times:
-        i = int(np.argmin(np.abs(traj_times - t_req)))
+    t_last = traj_times[-1]
+    late = [t for t in times if t > t_last]
+    if late:
+        click.echo(f"snapshot times past the last accepted step t={t_last:.9g}, "
+                   f"dumped at that step: {', '.join(f'{t:g}' for t in late)}", err=True)
+    steps = dict.fromkeys(int(np.argmin(np.abs(traj_times - t))) for t in times)
+    for i in steps:
         st = traj.states[i]
         header = ["position", "velocity", "density", "eig_radial", "mass_weight"]
         columns = [st.positions, st.velocities, st.densities, st.eig_radial, st.masses]
@@ -148,8 +155,8 @@ def _parse_option(option, parse, text):
 
 def _parse_times(spec: str):
     times = [float(s) for s in spec.split(",")] if spec else []
-    if not all(map(math.isfinite, times)):
-        raise ValueError("times must be finite")
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise ValueError("times must be finite and non-negative")
     return times
 
 
@@ -212,7 +219,8 @@ def simulate_cmd(scenario_path, out_dir, snapshot_times):
                    f"t in [{traj.event.t_lo:.9g}, {traj.event.t_hi:.9g}]")
     else:
         click.echo(f"no event; reached t={traj.times[-1]:.9g}")
-    cert, _ = _certificate_doc(vs)
+    cert = riccati.check_blowup_conditions(vs.total_mass, vs.v_sup, vs.lam,
+                                           vs.dimension, vs.h0)
     report = escape_report(traj, vs.v_sup, cert)
     click.echo(f"{report.status.value}: {report.message}")
     sys.exit(_ESCAPE_EXIT[report.status])

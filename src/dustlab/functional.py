@@ -23,7 +23,6 @@ from typing import List, Optional
 import numpy as np
 
 from .core import StepRow, Trajectory
-from .errors import HypothesisViolated
 
 RESIDUAL_FLOOR = 1e-6
 NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
@@ -95,28 +94,6 @@ def _transport(t_a, t_b, h_a, h_b, rate_a, rate_b):
 def _riccati(t_a, t_b, h_a, h_b, mass, n, lam, v_sup):
     h_mid = 0.5 * (h_a + h_b)
     return (h_b - h_a) / (t_b - t_a) + h_mid**2 / (mass * n) + mass**2 / v_sup - lam * mass
-
-
-# ---------------------------------------------------------------------------
-# Single states
-# ---------------------------------------------------------------------------
-
-
-def cauchy_schwarz_check_divergence(state) -> float:
-    """M * integral of (div u)^2 dmu  minus  (integral of div u dmu)^2."""
-    row = step_row(state)
-    return _cs_divergence(float(np.sum(state.masses)), row.h, row.m_div2)
-
-
-def cauchy_schwarz_check_density(state, v_sup: float) -> float:
-    """v_sup * integral of rho^2 dx  minus  M^2, valid while the support
-    volume stays within v_sup (see _inside); raises HypothesisViolated
-    otherwise."""
-    row = step_row(state)
-    if not _inside(row.volume_upper, v_sup):
-        raise HypothesisViolated(
-            f"support volume {row.volume_upper:g} exceeds v_sup {v_sup:g}")
-    return _cs_density(v_sup, float(np.sum(state.masses)), row.m_rho)
 
 
 class _Chain:

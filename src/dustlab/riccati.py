@@ -241,46 +241,67 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     step and the pole is bracketed with the analytic tail bounds, giving a
     bracket of width <= 1e-8. Raises NoPoleInHorizon if y stays above the
     threshold up to `until`.
+
+    The step control does the floating-point operations of the plain
+    tableau-loop form in the same order: each `x if x > y else y` picks the
+    operand that max(y, x) picks, NaN included, so brackets, times and
+    values stay bit-identical to that reference (tests/test_riccati.py).
     """
     a, b, h0 = params.a, params.b, params.h0
     # threshold large enough that the analytic tail is far below the bracket goal
     y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
+    neg_stop = -y_stop
+    isfinite = math.isfinite
+    ck_step = _ck_step
 
     t, y = 0.0, h0
     h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
     times = [t]
     values = [y]
+    add_time = times.append
+    add_value = values.append
+    ay = abs(y)
     while t < until:
-        h = min(h, until - t)
-        y_new, err = _ck_step(a, b, y, h)
-        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(y), abs(y_new))
-        if not math.isfinite(y_new) or err > tol:
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(y_new) else 0.2
-            if h < 1e-15 * max(1.0, t):
+        rest = until - t
+        if rest < h:
+            h = rest
+        y_new, err = ck_step(a, b, y, h)
+        an = abs(y_new)
+        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * (an if an > ay else ay)
+        # err > tol only for a finite y_new: an infinite one makes tol
+        # infinite and a NaN one makes err NaN
+        if err > tol or not isfinite(y_new):
+            g = 0.9 * (tol / err) ** 0.2 if err > tol else 0.2
+            h *= g if g > 0.2 else 0.2
+            if h < 1e-15 * (t if t > 1.0 else 1.0):
                 raise NoPoleInHorizon("step underflow before pole threshold",
                                       np.array(times), np.array(values))
             continue
-        if y_new < -y_stop:
+        if y_new < neg_stop:
             # bisect the crossing time inside this step
             lo_h, hi_h = 0.0, h
-            while hi_h - lo_h > 1e-13 * max(1.0, t + h):
+            t_h = t + h
+            width = 1e-13 * (t_h if t_h > 1.0 else 1.0)
+            while hi_h - lo_h > width:
                 mid = 0.5 * (lo_h + hi_h)
-                y_mid, _ = _ck_step(a, b, y, mid)
-                if y_mid < -y_stop:
+                y_mid, _ = ck_step(a, b, y, mid)
+                if y_mid < neg_stop:
                     hi_h = mid
                 else:
                     lo_h = mid
-            y_cross, _ = _ck_step(a, b, y, lo_h)
+            y_cross, _ = ck_step(a, b, y, lo_h)
             tail_lo, tail_hi = _tail_bounds(a, b, abs(y_cross))
             bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
-            times.append(t + lo_h)
-            values.append(y_cross)
+            add_time(t + lo_h)
+            add_value(y_cross)
             return ComparisonPath(np.array(times), np.array(values), bracket)
         t += h
         y = y_new
-        times.append(t)
-        values.append(y)
-        h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+        ay = an
+        add_time(t)
+        add_value(y)
+        g = 0.9 * (tol / (1e-300 if err < 1e-300 else err)) ** 0.2
+        h *= 5.0 if g > 5.0 else (g if g > 0.2 else 0.2)
     raise NoPoleInHorizon(f"no pole before t={until:g}",
                           np.array(times), np.array(values))
 

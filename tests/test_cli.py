@@ -100,6 +100,22 @@ class TestSimulate:
         assert "--snapshot-times" in result.output
         assert not out.exists()  # parsed before the run and any file write
 
+    def test_snapshot_times_outside_the_run(self, runner, tmp_path):
+        path = fast_scenario(tmp_path)  # event near t = 2
+        out = tmp_path / "out"
+        args = ["simulate", "--scenario", path, "--out", str(out), "--snapshot-times"]
+        result = runner.invoke(main, args + ["1.0,5.0,7.0,-3"])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "non-negative" in result.output
+        assert not out.exists()
+        result = runner.invoke(main, args + ["1.0,5.0,7.0"])
+        assert result.exit_code == EXIT_OK, result.output
+        # 5 and 7 both get the last accepted step, written once
+        assert len(list(out.glob("markers_t*.csv"))) == 2
+        assert "past the last accepted step" in result.stderr
+        assert result.stderr.rstrip().endswith(": 5, 7")
+        assert "past the last" not in result.stdout
+
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)
         outs = []

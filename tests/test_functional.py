@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from dustlab import sample
 from dustlab.core import FieldState, HubbleVelocity, validate_scenario
-from dustlab.errors import HypothesisViolated
-from dustlab.functional import (RESIDUAL_FLOOR, cauchy_schwarz_check_density,
-                                cauchy_schwarz_check_divergence,
-                                proof_chain_report, step_row)
+from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
+                                _inside, proof_chain_report, step_row)
 from conftest import make_ball, make_slab
 
 
@@ -23,6 +21,17 @@ def slab_state(x, u=None, w=None, m=None, rho=None):
         densities=np.full(k, 0.5) if rho is None else np.asarray(rho, float),
         eig_radial=np.zeros(k) if w is None else np.asarray(w, float),
         masses=np.full(k, 1.0 / k) if m is None else np.asarray(m, float))
+
+
+def cs_divergence(state):
+    """M * integral of (div u)^2 dmu  minus  (integral of div u dmu)^2."""
+    row = step_row(state)
+    return _cs_divergence(float(np.sum(state.masses)), row.h, row.m_div2)
+
+
+def cs_density(state, v_sup):
+    """v_sup * integral of rho^2 dx  minus  M^2."""
+    return _cs_density(v_sup, float(np.sum(state.masses)), step_row(state).m_rho)
 
 
 class TestFunctionalValues:
@@ -56,29 +65,29 @@ class TestCauchySchwarz:
         # two markers, m = 1/2 each, div = +/-1:
         # M * sum(m d^2) - (sum m d)^2 = 1*1 - 0 = 1
         st = slab_state([-0.5, 0.5], w=[1.0, -1.0])
-        assert cauchy_schwarz_check_divergence(st) == pytest.approx(1.0)
+        assert cs_divergence(st) == pytest.approx(1.0)
 
     def test_divergence_equality_for_constant_div(self):
         st = slab_state([-0.5, 0.0, 0.5], w=[0.3, 0.3, 0.3],
                         m=[0.2, 0.5, 0.3])
-        assert cauchy_schwarz_check_divergence(st) == pytest.approx(0.0, abs=1e-15)
+        assert cs_divergence(st) == pytest.approx(0.0, abs=1e-15)
 
     def test_density_margin_uniform_saturates(self):
         # uniform rho on full support with v_sup = volume: equality
         vs = validate_scenario(make_slab(rho0=0.5, v_sup=2.0))
         st = slab_state(vs.positions, m=vs.masses, rho=vs.densities)
-        assert cauchy_schwarz_check_density(st, 2.0) == pytest.approx(0.0, abs=1e-14)
+        assert cs_density(st, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_density_margin_slack_for_larger_bound(self):
         vs = validate_scenario(make_slab(rho0=0.5, v_sup=4.0))
         st = slab_state(vs.positions, m=vs.masses, rho=vs.densities)
         # v_sup * int rho^2 - M^2 = 4*0.5 - 1 = 1
-        assert cauchy_schwarz_check_density(st, 4.0) == pytest.approx(1.0)
+        assert cs_density(st, 4.0) == pytest.approx(1.0)
 
     def test_density_check_raises_when_support_escapes(self):
         st = slab_state([-1.0, 1.0])
-        with pytest.raises(HypothesisViolated):
-            cauchy_schwarz_check_density(st, 1.5)
+        # the density margin is asserted only while the support fits in v_sup
+        assert not _inside(step_row(st).volume_upper, 1.5)
 
     @given(w=st.lists(st.floats(-5, 5), min_size=2, max_size=8),
            m=st.lists(st.floats(0.01, 2.0), min_size=8, max_size=8))
@@ -87,7 +96,7 @@ class TestCauchySchwarz:
         k = len(w)
         x = np.linspace(-1.0, 1.0, k)
         state = slab_state(x, w=w, m=m[:k])
-        margin = cauchy_schwarz_check_divergence(state)
+        margin = cs_divergence(state)
         assert margin >= -1e-12 * max(1.0, abs(margin))
 
     @given(rho=st.lists(st.floats(0.01, 3.0), min_size=4, max_size=4))
@@ -99,7 +108,7 @@ class TestCauchySchwarz:
         dv = v_sup / k
         x = np.linspace(-1.0 + dv / 2, 1.0 - dv / 2, k)
         state = slab_state(x, rho=rho, m=np.asarray(rho) * dv)
-        margin = cauchy_schwarz_check_density(state, v_sup)
+        margin = cs_density(state, v_sup)
         assert margin >= -1e-12 * max(1.0, abs(margin))
 
 

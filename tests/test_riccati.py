@@ -21,8 +21,10 @@ from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
 #
 # integrate_comparison_ode unrolls the tableau. This is the loop form it
 # replaced: the right-hand side through a closure, the stages and weighted
-# sums through zip over the tableau. The unrolled step keeps every operation
-# in the same order, so brackets, times and values must be equal (==).
+# sums through zip over the tableau, and the step control through min/max.
+# The unrolled step and the comparisons that replace min/max keep every
+# operation in the same order, so brackets, times and values must be equal
+# (==).
 
 LOOP_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 LOOP_A = (
@@ -296,6 +298,38 @@ class TestOracleMatchesTableauLoop:
             p = RiccatiParams(a=a, b=b, h0=h0)
             assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
 
+    @pytest.mark.parametrize("case", [Case.CASE_ONE, Case.BOUNDARY, Case.CASE_TWO])
+    def test_seeded_atlas_range_draws(self, case):
+        # the benchmark atlas's ranges; the first draw takes its corner M = 4,
+        # N = 3, where a = 1/(MN) = 1/12
+        rng = np.random.default_rng(20261019)
+        for i in range(20):
+            n = 3 if i == 0 else int(rng.integers(1, 4))
+            mass = 4.0 if i == 0 else rng.uniform(0.5, 4.0)
+            v_sup = rng.uniform(0.5, 8.0)
+            ratio = mass / v_sup
+            if case is Case.CASE_ONE:
+                lam, h0 = ratio * rng.uniform(0.0, 0.95), mass * rng.uniform(-3.0, 3.0)
+            elif case is Case.BOUNDARY:
+                lam, h0 = ratio, -mass * rng.uniform(0.05, 3.0)
+            else:
+                lam = ratio * rng.uniform(1.05, 3.0)
+                h0 = -case2_threshold(mass, v_sup, lam, n) * rng.uniform(1.05, 4.0)
+            cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
+            assert cert.case is case
+            assert_matches_loop(RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
+                                10.0 * cert.t_bound + 1.0)
+
+    @pytest.mark.parametrize("a,b,h0", [(1.0, 0.0, 0.0),    # y = 0 throughout
+                                        (0.25, -1.0, 2.0)])  # h0 = +sqrt(|b|/a)
+    def test_zero_error_growth_cap(self, a, b, h0):
+        # every stage is exactly 0, so err = 0 and each step grows h by the cap
+        outcome, rejected = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), 100.0)
+        assert outcome[0] == "no pole" and not rejected
+        assert set(outcome[2]) == {h0}
+        steps = np.diff(outcome[1])[:-1]  # the last step is clipped to the horizon
+        assert steps.tolist() == pytest.approx((steps[0] * 5.0 ** np.arange(steps.size)).tolist())
+
     def test_rejected_steps(self):
         _, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=0.0), 5.0)
         assert rejected
@@ -307,7 +341,12 @@ class TestOracleMatchesTableauLoop:
         assert outcome[0] == "no pole" and rejected == [0.0]
 
     @pytest.mark.parametrize("a,b,h0,until", [(1.0, -1.0, 0.5, 10.0),  # bounded branch
-                                              (1.0, 0.5, 0.0, 1.0)])  # horizon too short
+                                              (1.0, 0.5, 0.0, 1.0),  # horizon too short
+                                              # bounded branch from a large start: near
+                                              # t = 0.55 a rejected step's factor
+                                              # 0.9 (tol/err)^0.2 is below the 0.2 floor
+                                              (0.556597980540163, -0.45662029844296415,
+                                               69519.43552157843, 10.0)])
     def test_no_pole_in_horizon(self, a, b, h0, until):
         outcome, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
         assert outcome[0] == "no pole"
