@@ -71,10 +71,10 @@ def _write_trajectory_csv(out: Path, traj):
 
 
 def _write_marker_dump(out: Path, traj, times):
-    """Per-marker dump at the accepted step nearest each requested time,
-    each step at most once; needs a trajectory run with keep_states=True.
-    Times past the last accepted step get that step and are named on stderr.
-    """
+    """Per-marker dump markers_t<step time, 17 significant digits>.csv of the
+    accepted step nearest each requested time, each step at most once; needs
+    keep_states=True. Times past the last accepted step get that step and
+    are named on stderr."""
     traj_times = traj.times
     t_last = traj_times[-1]
     late = [t for t in times if t > t_last]
@@ -89,7 +89,7 @@ def _write_marker_dump(out: Path, traj, times):
         if st.eig_tangential is not None:
             header.insert(4, "eig_tangential")
             columns.insert(4, st.eig_tangential)
-        with open(out / f"markers_t{st.time:.6f}.csv", "w", newline="") as fh:
+        with open(out / f"markers_t{_fmt(st.time)}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in row] for row in zip(*columns))

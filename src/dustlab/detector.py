@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import NumericalSettings, StepRow, Trajectory
 from .errors import BracketStall, DustLabError
-from .functional import step_row
+from .functional import _inside, step_row
 
 BRACKET_REL_WIDTH = 1e-8
 
@@ -160,10 +160,10 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     neither blew up nor escaped is a contradiction and must never occur.
     """
     event = trajectory.event
-    volumes = trajectory.columns.volume
     times = trajectory.times
-    escaped = volumes > v_sup * (1 + 1e-12)
-    t_escape = float(times[escaped][0]) if np.any(escaped) else None
+    # the proof chain's support-volume rule, on the upper support estimate
+    upper = trajectory.columns.volume_upper.tolist()
+    t_escape = next((t for t, u in zip(times.tolist(), upper) if not _inside(u, v_sup)), None)
 
     certified = certificate is not None and certificate.t_bound is not None
     if not certified:

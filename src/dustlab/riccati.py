@@ -5,16 +5,17 @@ The aggregate divergence functional obeys dH/dt <= -H^2/(MN) - M^2/V_sup
 + lambda M while the support volume stays within V_sup. Writing the
 majorizing ODE as y' = -a y^2 - b with
 
-    a = 1/(MN) > 0,       b = M^2/V_sup - lambda M,
+    a = 1/(MN) > 0,       b = M(M/V_sup - lambda),
 
-the sign of b classifies the regime: b > 0 iff lambda < M/V_sup (blowup
-for any y(0)); b < 0 iff lambda > M/V_sup (blowup iff y(0) below the
-unstable equilibrium -sqrt(|b|/a)); b = 0 is the boundary. Closed forms:
+RiccatiParams decides the regime once, from the sign of b, which in IEEE
+arithmetic is exactly the comparison of lambda with M/V_sup: b > 0 blows up
+for any y(0) (CaseOne); b < 0 iff y(0) < -c, c = sqrt(|b|/a) (CaseTwo);
+b = 0 is the boundary, c = 0. Closed forms:
 
     b > 0:  y = sqrt(b/a) tan(theta0 - sqrt(ab) t),  theta0 = atan(h0 sqrt(a/b))
             pole at T = (theta0 + pi/2)/sqrt(ab)
     b = 0:  y = h0/(1 + a h0 t), pole at -1/(a h0) for h0 < 0
-    b < 0:  Moebius form z = (y-c)/(y+c), c = sqrt(|b|/a): z(t) = z0 e^{-2act},
+    b < 0:  Moebius form z = (y-c)/(y+c): z(t) = z0 e^{-2act},
             pole where z = 1, i.e. T = ln(z0)/(2ac) = arcoth(-h0/c)/sqrt(a|b|)
 
 all validated against the brute-force oracle integrate_comparison_ode.
@@ -43,23 +44,29 @@ POLE_BRACKET_WIDTH = 1e-8
 @dataclass(frozen=True)
 class RiccatiParams:
     a: float  # 1/(MN)
-    b: float  # M^2/V_sup - lambda M
+    b: float  # M(M/V_sup - lambda)
     h0: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.h0))):
+            raise ValueError("a, b and h0 must be finite")
         if self.a <= 0:
             raise ValueError("quadratic coefficient a must be positive")
 
     @classmethod
     def from_macroscopic(cls, mass, v_sup, lam, n, h0) -> "RiccatiParams":
-        return cls(a=1.0 / (mass * n), b=mass**2 / v_sup - lam * mass, h0=h0)
+        return cls(a=1.0 / (mass * n), b=mass * (mass / v_sup - lam), h0=h0)
+
+    def equilibrium(self) -> Optional[float]:
+        """c = sqrt(|b|/a), the unstable equilibrium's magnitude, for b <= 0;
+        None for b > 0. (0.0 - b/a keeps b = 0 from giving -0.0.)"""
+        if self.b > 0:
+            return None
+        return math.sqrt(0.0 - self.b / self.a)
 
     def blows_up(self) -> bool:
-        if self.b > 0:
-            return True
-        if self.b == 0:
-            return self.h0 < 0
-        return self.h0 < -math.sqrt(-self.b / self.a)
+        c = self.equilibrium()
+        return c is None or self.h0 < -c
 
 
 class Case(Enum):
@@ -78,56 +85,41 @@ class BlowupCertificate:
     note: str = ""
 
 
-def case2_threshold(mass, v_sup, lam, n) -> Optional[float]:
-    """sqrt(-M^3 N / V_sup + lambda M^2 N), defined when lambda >= M/V_sup."""
-    arg = lam * mass**2 * n - mass**3 * n / v_sup
-    if arg < 0:
-        return None
-    return math.sqrt(arg)
-
-
 def check_blowup_conditions(mass, v_sup, lam, n, h0) -> BlowupCertificate:
-    """Classify the certificate case and attach the analytic time bound.
+    """Classify the certificate case from the sign of b = M(M/V_sup - lambda)
+    and attach the analytic time bound.
 
-    CaseOne: lambda < M/V_sup, no condition on h0.
-    CaseTwo: lambda > M/V_sup and h0 strictly below -threshold.
-    Boundary: lambda = M/V_sup and h0 < 0 (threshold degenerates to 0);
-    flagged as a boundary extension of the strict theorem.
+    CaseOne: b > 0 (lambda < M/V_sup), no condition on h0.
+    CaseTwo: b < 0 and h0 strictly below -threshold, threshold = sqrt(|b|/a).
+    Boundary: b = 0 and h0 < 0 (threshold 0); flagged as a boundary
+    extension of the strict theorem. Otherwise NoCertificate.
     """
     if mass <= 0 or v_sup <= 0 or n < 1:
         raise ValueError("need M > 0, V_sup > 0, N >= 1")
     inputs = {"M": mass, "v_sup": v_sup, "lambda": lam, "N": n, "h0": h0}
-    threshold = case2_threshold(mass, v_sup, lam, n)
     params = RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0)
-    ratio = mass / v_sup
-    if lam < ratio:
-        return BlowupCertificate(Case.CASE_ONE, blowup_time_upper_bound(params),
-                                 inputs, threshold)
-    if lam > ratio:
-        if h0 < -threshold:
-            return BlowupCertificate(Case.CASE_TWO, blowup_time_upper_bound(params),
-                                     inputs, threshold)
+    threshold = params.equilibrium()
+    if not params.blows_up():
         return BlowupCertificate(Case.NO_CERTIFICATE, None, inputs, threshold)
-    if h0 < 0:
-        return BlowupCertificate(Case.BOUNDARY, blowup_time_upper_bound(params),
-                                 inputs, threshold,
+    t_bound = blowup_time_upper_bound(params)
+    if params.b == 0:
+        return BlowupCertificate(Case.BOUNDARY, t_bound, inputs, threshold,
                                  note="boundary extension, not literally the strict condition")
-    return BlowupCertificate(Case.NO_CERTIFICATE, None, inputs, threshold)
+    case = Case.CASE_ONE if params.b > 0 else Case.CASE_TWO
+    return BlowupCertificate(case, t_bound, inputs, threshold)
 
 
 def blowup_time_upper_bound(params: RiccatiParams) -> float:
     """Pole time of y' = -a y^2 - b from y(0) = h0."""
+    if not params.blows_up():
+        raise NoCertificateError("y' = -a y^2 - b does not blow up from h0")
     a, b, h0 = params.a, params.b, params.h0
-    if b > 0:
+    c = params.equilibrium()
+    if c is None:
         k = math.sqrt(a * b)
         return (math.atan(h0 * math.sqrt(a / b)) + 0.5 * math.pi) / k
-    if b == 0:
-        if h0 >= 0:
-            raise NoCertificateError("b = 0 needs h0 < 0 for blowup")
+    if c == 0:
         return -1.0 / (a * h0)
-    c = math.sqrt(-b / a)
-    if h0 >= -c:
-        raise NoCertificateError("b < 0 needs h0 < -sqrt(|b|/a) for blowup")
     z = -h0 / c  # > 1 by the strict threshold
     return 0.5 * math.log((z + 1.0) / (z - 1.0)) / math.sqrt(-a * b)
 
@@ -135,10 +127,10 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
 def comparison_solution(params: RiccatiParams, t):
     """Closed-form y(t); raises BeyondBlowup at or past the pole.
 
-    For b < 0 with h0 above the unstable equilibrium -sqrt(|b|/a) the
-    solution is global and converges monotonically to the stable
-    equilibrium +sqrt(|b|/a); that bounded branch is returned for
-    completeness (the certificates only ever use the blowing branch).
+    For b < 0 with h0 above the unstable equilibrium -c the solution is
+    global and converges monotonically to the stable equilibrium +c; that
+    bounded branch is returned for completeness (the certificates only
+    ever use the blowing branch).
     """
     a, b, h0 = params.a, params.b, params.h0
     t = np.asarray(t, dtype=float)
@@ -146,20 +138,19 @@ def comparison_solution(params: RiccatiParams, t):
         t_pole = blowup_time_upper_bound(params)
         if np.any(t >= t_pole):
             raise BeyondBlowup(f"t >= pole time {t_pole:g}")
-    if b > 0:
+    c = params.equilibrium()
+    if c is None:
         k = math.sqrt(a * b)
         theta0 = math.atan(h0 * math.sqrt(a / b))
         out = math.sqrt(b / a) * np.tan(theta0 - k * t)
-    elif b == 0:
+    elif c == 0:
         out = h0 / (1.0 + a * h0 * t)
+    elif h0 == -c:
+        out = np.full_like(t, -c)
     else:
-        c = math.sqrt(-b / a)
-        if h0 == -c:
-            out = np.full_like(t, -c)
-        else:
-            z0 = (h0 - c) / (h0 + c)
-            z = z0 * np.exp(-2.0 * a * c * t)
-            out = c * (1.0 + z) / (1.0 - z)
+        z0 = (h0 - c) / (h0 + c)
+        z = z0 * np.exp(-2.0 * a * c * t)
+        out = c * (1.0 + z) / (1.0 - z)
     if out.ndim == 0:
         return float(out)
     return out
@@ -248,8 +239,10 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     values stay bit-identical to that reference (tests/test_riccati.py).
     """
     a, b, h0 = params.a, params.b, params.h0
-    # threshold large enough that the analytic tail is far below the bracket goal
-    y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
+    c = params.equilibrium()
+    # threshold large enough that the analytic tail is far below the bracket
+    # goal, past ten times the scale sqrt(|b|/a) of y (c when b <= 0)
+    y_stop = max(POLE_THRESHOLD, 10.0 * (math.sqrt(b / a) if c is None else c))
     neg_stop = -y_stop
     isfinite = math.isfinite
     ck_step = _ck_step

@@ -116,6 +116,22 @@ class TestSimulate:
         assert result.stderr.rstrip().endswith(": 5, 7")
         assert "past the last" not in result.stdout
 
+    def test_snapshot_steps_a_microsecond_apart_get_two_files(self, runner, tmp_path):
+        # both steps once rounded to markers_t2.000000.csv, and one dump was lost
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "simulate", "--scenario", str(SCENARIOS / "uniform_collapse_1d.yaml"),
+            "--out", str(out), "--snapshot-times", "1.9999996,1.9999999"])
+        assert result.exit_code == EXIT_OK, result.output
+        names = sorted(p.name for p in out.glob("markers_t*.csv"))
+        assert len(names) == 2
+        # each name holds its step's time to 17 significant digits, as the
+        # trajectory's time column does
+        with open(out / "trajectory.csv") as fh:
+            step_times = {row["time"] for row in csv.DictReader(fh)}
+        for name in names:
+            assert name.removeprefix("markers_t").removesuffix(".csv") in step_times
+
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)
         outs = []
@@ -126,6 +142,39 @@ class TestSimulate:
             assert result.exit_code == EXIT_OK
             outs.append((out / "trajectory.csv").read_text())
         assert outs[0] == outs[1]
+
+
+# lambda within rounding of M/v_sup: the slab's lambda compares below M/v_sup,
+# the ball's above it; both once ended certify and simulate in a traceback
+LAMBDA_AT_RATIO = {
+    "slab": ("CaseOne", {
+        "geometry": "slab1d", "dimension": 1, "lambda": 0.4532365679503687,
+        "v_sup": 8.543, "marker_count": 16, "t_end": 5.0,
+        "initial_profile": {
+            "density": {"kind": "uniform", "value": 1.936, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}}}),
+    "ball": ("CaseTwo", {
+        "geometry": "radialnd", "dimension": 3, "lambda": 0.5246803880924926,
+        "v_sup": 5.325, "marker_count": 16, "t_end": 5.0,
+        "initial_profile": {
+            "density": {"kind": "uniform", "value": 0.667, "support": [0.0, 1.0]},
+            "velocity": {"kind": "hubble", "rate": -0.3}}}),
+}
+
+
+class TestLambdaAtRatio:
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    @pytest.mark.parametrize("name", sorted(LAMBDA_AT_RATIO))
+    def test_exits_0(self, runner, tmp_path, name, command):
+        case, doc = LAMBDA_AT_RATIO[name]
+        path = write_yaml(tmp_path / f"{name}.yaml", doc)
+        result = runner.invoke(main, [command, "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_OK, result.output
+        if command == "certify":
+            assert result.output.startswith(f"case: {case}; t_bound: ")
+        else:
+            assert "certificate honored" in result.output
 
 
 class TestCertify:

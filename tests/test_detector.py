@@ -5,7 +5,7 @@ from dustlab import simulate
 from dustlab.core import FieldState, HubbleVelocity, NumericalSettings
 from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger,
                               escape_report, scan_step, trigger_marker_index)
-from dustlab.functional import step_row
+from dustlab.functional import proof_chain_report, step_row
 from dustlab.riccati import check_blowup_conditions
 
 from conftest import FAST, make_ball, make_slab
@@ -123,6 +123,9 @@ class TestEscapeReport:
         traj = simulate(sc)
         rep = escape_report(traj, 2.0, self.certificate_for(traj))
         assert rep.status is EscapeStatus.HYPOTHESIS_VIOLATED
+        # the escape is the first step the proof chain leaves unasserted
+        t_out = next(s.time for s in proof_chain_report(traj).steps if not s.hypothesis_ok)
+        assert f"escaped V_sup at t={t_out:.6g} " in rep.message
 
     def test_no_prediction_without_certificate(self):
         sc = make_ball(n=3, rho0=0.5, lam=2.0, t_end=0.5)

@@ -10,7 +10,7 @@ from dustlab.errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
 from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
                              BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
-                             case2_threshold, chae_tadmor_bounds,
+                             chae_tadmor_bounds,
                              check_blowup_conditions, comparison_solution,
                              integrate_comparison_ode)
 
@@ -116,7 +116,7 @@ class TestConditions:
 
     def test_case_two_requires_strong_contraction(self):
         # M=1, v_sup=1, lambda=2, N=1: threshold = sqrt(2*1 - 1) = 1
-        assert case2_threshold(1.0, 1.0, 2.0, 1) == pytest.approx(1.0)
+        assert RiccatiParams.from_macroscopic(1.0, 1.0, 2.0, 1, 0.0).equilibrium() == 1.0
         cert = check_blowup_conditions(1.0, 1.0, 2.0, 1, h0=-1.0)
         assert cert.case is Case.NO_CERTIFICATE
         assert cert.t_bound is None
@@ -138,13 +138,60 @@ class TestConditions:
         assert cert.case is Case.NO_CERTIFICATE
 
     def test_threshold_undefined_below_ratio(self):
-        assert case2_threshold(1.0, 1.0, 0.5, 3) is None
+        assert RiccatiParams.from_macroscopic(1.0, 1.0, 0.5, 3, 0.0).equilibrium() is None
+
+    def test_boundary_equilibrium_is_positive_zero(self):
+        # -b/a would give -0.0 at b = 0, and the certificate would print it
+        c = RiccatiParams(a=0.5, b=0.0, h0=0.0).equilibrium()
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0
+        cert = check_blowup_conditions(1.0, 1.0, 1.0, 2, h0=-0.5)
+        assert cert.case is Case.BOUNDARY
+        assert math.copysign(1.0, cert.threshold_case2) == 1.0
+
+    def test_seeded_lambda_at_ratio_follows_sign_of_b(self):
+        # lambda at M/v_sup and one ulp either side, h0 near 0 and near +-c:
+        # nothing raises, the case follows sign(b), and exactly the certified
+        # draws carry a bound, finite and positive
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            mass, v_sup = rng.uniform(0.5, 4.0), rng.uniform(0.5, 8.0)
+            ratio = mass / v_sup
+            c = RiccatiParams.from_macroscopic(
+                mass, v_sup, math.nextafter(ratio, math.inf), n, 0.0).equilibrium()
+            h0s = (0.0, 1e-12, -1e-12, c, -c, math.nextafter(-c, math.inf),
+                   math.nextafter(-c, -math.inf), -c * (1 + 1e-9), -c * (1 - 1e-9),
+                   -c * rng.uniform(0.5, 2.0))
+            for lam in (math.nextafter(ratio, -math.inf), ratio,
+                        math.nextafter(ratio, math.inf)):
+                for h0 in h0s:
+                    cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
+                    b = RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0).b
+                    assert (cert.threshold_case2 is None) == (b > 0)
+                    if b > 0:
+                        expected = Case.CASE_ONE
+                    elif h0 < -cert.threshold_case2:
+                        expected = Case.BOUNDARY if b == 0 else Case.CASE_TWO
+                    else:
+                        expected = Case.NO_CERTIFICATE
+                    assert cert.case is expected
+                    assert (cert.t_bound is None) == (cert.case is Case.NO_CERTIFICATE)
+                    if cert.t_bound is not None:
+                        assert math.isfinite(cert.t_bound) and cert.t_bound > 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             check_blowup_conditions(0.0, 1.0, 0.0, 1, 0.0)
         with pytest.raises(ValueError):
             RiccatiParams(a=-1.0, b=0.0, h0=0.0)
+
+    @pytest.mark.parametrize("a,b,h0", [(1.0, 0.5, math.nan), (1.0, 0.5, math.inf),
+                                        (1.0, -0.5, -math.inf), (math.nan, 0.5, 0.0),
+                                        (math.inf, 0.5, 0.0), (1.0, math.nan, -1.0)])
+    def test_non_finite_params_rejected(self, a, b, h0):
+        # a NaN h0 would make the oracle reject every step forever
+        with pytest.raises(ValueError, match="finite"):
+            RiccatiParams(a=a, b=b, h0=h0)
 
 
 class TestTimeBound:
@@ -314,7 +361,8 @@ class TestOracleMatchesTableauLoop:
                 lam, h0 = ratio, -mass * rng.uniform(0.05, 3.0)
             else:
                 lam = ratio * rng.uniform(1.05, 3.0)
-                h0 = -case2_threshold(mass, v_sup, lam, n) * rng.uniform(1.05, 4.0)
+                c = RiccatiParams.from_macroscopic(mass, v_sup, lam, n, 0.0).equilibrium()
+                h0 = -c * rng.uniform(1.05, 4.0)
             cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
             assert cert.case is case
             assert_matches_loop(RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
