@@ -5,11 +5,12 @@ The solver vector of a run holds the marker fields one after another,
 only for shells (layout). The geometry modules supply the force law as
 rhs(t, y) on that vector; everything else is common.
 
-One loop (steps) steps an embedded RK4(5) pair for the run, for the
-bracket's re-integration and for sample. The run reduces every accepted
-state once to its row of per-step scalars (functional.step_row), scans each
-accepted step's row for detector triggers, and localizes the first trigger
-by bisection on re-integrated sub-steps. Deterministic for fixed settings.
+One loop (steps) steps the Dormand-Prince 5(4) pair (DormandPrince) for the
+run, for the bracket's re-integration and for sample. The run reduces every
+accepted state once to its row of per-step scalars (layout's reduce), scans
+each accepted step's row for detector triggers, and localizes the first
+trigger by bisection on re-integrated sub-steps. Deterministic for fixed
+settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one.
@@ -17,20 +18,202 @@ keep_states=True asks for every one.
 
 from __future__ import annotations
 
+import math
+import warnings
 from functools import partial
 
 import numpy as np
-from scipy.integrate import RK45
 
 from . import detector, functional
 from .core import FieldState, Trajectory, ValidatedScenario, divergence
 from .errors import MaxStepsExceeded, StepUnderflow
 
+# The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26,
+# with the quartic dense output of Shampine (1986), Math. Comp. 46:135-150:
+# nodes C, stage coefficients A, fifth-order weights B, error weights E
+# (fifth minus fourth order, over all seven stages) and interpolation
+# coefficients P, in the double-precision values of the common RK45 tables.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+               1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_ERROR_EXPONENT = -1 / 5  # -1/(q+1) for the fourth-order error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_MIN_RTOL = 100 * np.finfo(float).eps
+
+
+def _rms(x, sqrt_n):
+    """sqrt(x.x)/sqrt(n), as np.linalg.norm(x) / n ** 0.5 evaluates it."""
+    return np.sqrt(x.dot(x)) / sqrt_n
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n):
+    """First step size for an error estimate of order 4: Hairer, Norsett &
+    Wanner, Solving ODEs I, Sec. II.4 (one extra RHS evaluation)."""
+    interval = abs(t_bound - t0)
+    if interval == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale, sqrt_n)
+    d1 = _rms(f0 / scale, sqrt_n)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale, sqrt_n) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return float(min(100 * h0, h1, interval, max_step))
+
+
+class DormandPrince:
+    """Explicit Runge-Kutta 5(4) stepper of rhs(t, y) from (t0, y0) forward
+    to t_bound, with local extrapolation, the error measured by the RMS norm
+    of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled by
+    0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
+
+    Every accepted time and state, the RHS value and the dense output equal
+    those of the reference RK45 implementation that tests/test_integrate.py
+    compares against, bit for bit, under the same rtol, atol and max_step:
+    the stage sums are the same np.dot calls on views of one (7 x n) stage
+    block, and the step control does the same floating-point operations in
+    the same order. An rtol below 100 machine epsilons is raised to that,
+    with a warning, as there.
+    step() leaves t, y (a new array on every step, never written to again),
+    f (the RHS at y), status ("running"; "finished" at t_bound; "failed"
+    when the step falls below 10 ulp of t) and the dense output of the last
+    step.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
+        if t_bound < t0:
+            raise ValueError("the stepper only integrates forward in time")
+        self.fun = fun
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.t_old = self.y_old = None
+        self.status = "running"
+        if rtol < _MIN_RTOL:
+            warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
+                          f"using {_MIN_RTOL:g}", stacklevel=2)
+            rtol = _MIN_RTOL
+        self.rtol, self.atol, self.max_step = rtol, atol, max_step
+        self._sqrt_n = y0.size ** 0.5
+        self.f = fun(t0, y0)
+        self.h_abs = _initial_step(fun, t0, y0, self.f, t_bound, max_step,
+                                   self.rtol, atol, self._sqrt_n)
+        self._abs_y = np.abs(y0)  # |y| of the current state, from the last step
+        self._K = K = np.empty((7, y0.size))
+        # each stage's row of K and the transposed views of its sum, built once
+        self._stages = tuple((K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6))
+        self._K_step = K[:6].T
+        self._K_all = K.T
+
+    def step(self):
+        """One accepted step, retrying rejected ones; sets status."""
+        t, t_bound = self.t, self.t_bound
+        if t == t_bound:  # an empty interval: finished without a step
+            self.t_old = t
+            self.status = "finished"
+            return
+        y, fun, K = self.y, self.fun, self._K
+        rtol, atol, abs_y, sqrt_n = self.rtol, self.atol, self._abs_y, self._sqrt_n
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = self.h_abs
+        if h_abs > self.max_step:
+            h_abs = self.max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        K[0] = self.f
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for stage, k, a, c in self._stages:
+                # y + (K[:s].T a) h, in place
+                dy = k.dot(a)
+                dy *= h
+                dy += y
+                stage[:] = fun(t + c * h, dy)
+            y_new = self._K_step.dot(_B)
+            y_new *= h
+            y_new += y
+            f_new = fun(t + h, y_new)
+            K[6] = f_new
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rtol
+            scale += atol
+            err = self._K_all.dot(_E)
+            err *= h
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / sqrt_n
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h_abs, self._abs_y = h_abs, abs_new
+        if t_new >= t_bound:
+            self.status = "finished"
+
+    def dense_output(self):
+        """The interpolant of the last step: a function of a 1-D array of
+        times in [t_old, t] that returns the states as columns."""
+        t_old, h = self.t_old, self.t - self.t_old
+        if h == 0.0:  # an empty interval: the one state
+            y = self.y
+            return lambda times: np.repeat(y[:, None], len(times), axis=1)
+        Q = self._K_all.dot(_P)
+        y_old = self.y_old
+
+        def interpolate(times):
+            x = (np.asarray(times) - t_old) / h
+            y = h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
+            y += y_old[:, None]
+            return y
+        return interpolate
+
 
 def layout(vs: ValidatedScenario):
     """The solver vector of the initial markers, y0, and the two maps a run
     needs: unpack(t, y, copy=True) builds the FieldState of a solver vector,
-    and div_rate(f) takes D(div u)/Dt per marker from an RHS value f."""
+    and reduce(t, y, f=None) its functional.StepRow, with the rate column
+    from f, the RHS at y (NaN without it), and no FieldState built."""
     masses, lam, dim = vs.masses, vs.lam, vs.dimension
     n = masses.size
     fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
@@ -45,21 +228,24 @@ def layout(vs: ValidatedScenario):
                           eig_tangential=y[4 * n:] if dim > 1 else None,
                           masses=masses, dimension=dim, lam=lam)
 
-    def div_rate(f):
-        return divergence(f[3 * n:4 * n], f[4 * n:], dim)
+    def div(v):
+        return divergence(v[3 * n:4 * n], v[4 * n:], dim)
 
-    return np.concatenate(fields), unpack, div_rate
+    def reduce(t, y, f=None):
+        return functional.row(float(t), y[:n], y[2 * n:3 * n], div(y), masses, dim,
+                              None if f is None else div(f))
+
+    return np.concatenate(fields), unpack, reduce
 
 
 def steps(rhs, t0, y0, t_bound, settings):
-    """scipy's RK45 on rhs(t, y) from (t0, y0) to t_bound under the
-    settings: yields the stepper as built, then after every accepted step.
+    """The DormandPrince stepper on rhs(t, y) from (t0, y0) to t_bound under
+    the settings: yields it as built, then after every accepted step.
     Raises MaxStepsExceeded past settings.max_steps steps and StepUnderflow
-    when the step size collapses. RK45 replaces stepper.y with a new array on
-    every step and never writes into the old one, so stepper.y may be kept
-    without a copy."""
-    stepper = RK45(rhs, t0, y0, t_bound=t_bound, rtol=settings.rel_tol,
-                   atol=settings.abs_tol, max_step=settings.max_step)
+    when the step size collapses. stepper.y is a new array on every step and
+    is never written to again, so it may be kept without a copy."""
+    stepper = DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol,
+                            settings.abs_tol, settings.max_step)
     yield stepper
     for _ in range(int(settings.max_steps)):
         if stepper.status != "running":
@@ -87,10 +273,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     """Integrate rhs(t, y), the characteristic system on the solver vector,
     to t_end or the first detector event."""
     settings = vs.settings
-    y0, unpack, div_rate = layout(vs)
-
-    def reduce(t, y, f):
-        return functional.step_row(unpack(t, y, copy=False), div_rate(f))
+    y0, unpack, reduce = layout(vs)
 
     loop = steps(rhs, 0.0, y0, vs.t_end, settings)
     stepper = next(loop)
@@ -106,8 +289,8 @@ def run_characteristics(vs: ValidatedScenario, rhs,
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
             event, y_lo = detector.bracket_event(partial(reintegrate, rhs, settings),
-                                                 unpack, t_last, y_last, stepper.t,
-                                                 trigger, settings)
+                                                 reduce, unpack, t_last, y_last,
+                                                 stepper.t, trigger, settings)
             edge = event.t_lo > rows[-1].time
             if edge:
                 # the one state the stepper has no RHS value for
@@ -134,21 +317,20 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")
-    y0, unpack, div_rate = layout(vs)
+    y0, unpack, reduce = layout(vs)
     states, rows = [], []
     loop = steps(rhs, 0.0, y0, float(times[-1]), vs.settings)
     next(loop)
     done = 0
     for stepper in loop:
-        # all times in (t_old, t] in one call, as scipy's t_eval sampling
-        # does: a 2-D np.dot can round differently from a 1-D one
+        # all times in (t_old, t] in one call, as the reference's t_eval
+        # sampling does: a 2-D np.dot can round differently from a 1-D one
         upto = np.searchsorted(times, stepper.t, side="right")
         if upto == done:
             continue
         ys = stepper.dense_output()(times[done:upto])
         for t, y in zip(times[done:upto], ys.T):
-            st = unpack(t, y)
-            states.append(st)
-            rows.append(functional.step_row(st, div_rate(rhs(st.time, y))))
+            states.append(unpack(t, y))
+            rows.append(reduce(t, y, rhs(float(t), y)))
         done = upto
     return Trajectory.from_rows(vs, rows, states)

@@ -45,6 +45,20 @@ def support_volume(lo, hi, dimension: int):
     return ball_volume(dimension, hi)
 
 
+def support_volume_upper(volume, densities, masses, dimension: int):
+    """The support volume plus half the cell volume (m/rho) of each boundary
+    marker: both ends of the slab, the outer shell of a ball. Exact for
+    uniform density (shells sit at their volume medians), an upper support
+    estimate otherwise."""
+    rho, m = densities, masses
+    slab = dimension == 1
+    if rho[-1] <= 0.0 or (slab and rho[0] <= 0.0):
+        return volume
+    if slab:
+        volume += 0.5 * m[0] / rho[0]
+    return float(volume + 0.5 * m[-1] / rho[-1])
+
+
 def divergence(eig_radial, eig_tangential, dimension: int):
     """div u per marker from the velocity-gradient eigenvalues: u_x for the
     slab, du/dr + (N-1) u/r for shells."""
@@ -53,11 +67,14 @@ def divergence(eig_radial, eig_tangential, dimension: int):
     return eig_radial + (dimension - 1) * eig_tangential
 
 
+_ORIGIN = np.zeros(1)
+
+
 def neighbour_gaps(positions, dimension: int):
     """Gaps between neighbouring markers; shells include the gap to the
     origin. A swap shows up as a negative gap."""
     if dimension > 1:
-        positions = np.concatenate(([0.0], positions))
+        positions = np.concatenate((_ORIGIN, positions))
     return positions[1:] - positions[:-1]  # np.diff's arithmetic without its call overhead
 
 
@@ -233,18 +250,8 @@ class FieldState:
         return float(support_volume(self.positions[0], self.positions[-1], self.dimension))
 
     def support_volume_upper(self):
-        """The support volume plus half the cell volume (m/rho) of each
-        boundary marker: both ends of the slab, the outer shell of a ball.
-        Exact for uniform density (shells sit at their volume medians), an
-        upper support estimate otherwise."""
-        volume = self.support_volume()
-        rho, m = self.densities, self.masses
-        slab = self.dimension == 1
-        if rho[-1] <= 0.0 or (slab and rho[0] <= 0.0):
-            return volume
-        if slab:
-            volume += 0.5 * m[0] / rho[0]
-        return float(volume + 0.5 * m[-1] / rho[-1])
+        return support_volume_upper(self.support_volume(), self.densities,
+                                    self.masses, self.dimension)
 
     def check(self):
         """Raise unless the markers can carry a force law: at least one, no

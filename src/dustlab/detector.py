@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import NumericalSettings, StepRow, Trajectory
 from .errors import BracketStall, DustLabError
-from .functional import _inside, step_row
+from .functional import _inside
 
 BRACKET_REL_WIDTH = 1e-8
 
@@ -92,19 +92,19 @@ def scan_step(prev_row: StepRow, next_row: StepRow,
     return None
 
 
-def bracket_event(reintegrate, unpack, t_prev, y_prev, t_next, trigger: Trigger,
-                  settings: NumericalSettings, max_iter: int = 200):
+def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
+                  trigger: Trigger, settings: NumericalSettings, max_iter: int = 200):
     """Bisect the trigger time within one accepted step.
 
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
-    unpack(t, y, copy=True) -> field state. Precondition: the trigger holds
-    at t_next and not at t_prev. Returns the event and the solver vector at
-    its lower edge.
+    reduce(t, y) -> the StepRow the trigger conditions read; unpack(t, y,
+    copy=True) -> field state. Precondition: the trigger holds at t_next and
+    not at t_prev. Returns the event and the solver vector at its lower edge.
     """
     condition = trigger_condition(trigger)
 
     def holds(t, y):
-        return condition(step_row(unpack(t, y, copy=False)), settings)
+        return condition(reduce(t, y), settings)
 
     if holds(t_prev, y_prev):
         raise DustLabError("bracket_event precondition: trigger already holds at t_prev")

@@ -6,8 +6,9 @@ the conserved mass measure. Likewise sum_j m_j rho_j quadratures the
 density square integral (m_j = rho_j dV_j) without any remeshing.
 
 Each accepted state is reduced once, when its step is accepted, to the
-per-step scalars of core.StepRow (step_row). The inequality checks below
-are expressions over those columns; they never revisit per-marker states.
+per-step scalars of core.StepRow (row; step_row on a FieldState). The
+inequality checks below are expressions over those columns; they never
+revisit per-marker states.
 
 All inequality margins are oriented (large side minus small side), so
 nonnegative means "holds". Checks are reported, never enforced: a
@@ -22,7 +23,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import StepRow, Trajectory
+from .core import (StepRow, Trajectory, neighbour_gaps, support_volume,
+                   support_volume_upper)
 
 RESIDUAL_FLOOR = 1e-6
 NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
@@ -34,28 +36,36 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 
 
 def step_row(state, div_rate=None) -> StepRow:
-    """The per-step scalars of one state.
+    """The per-step scalars of one state (row).
 
     div_rate is D(div u)/Dt per marker, taken from the RHS already evaluated
-    at this state; without it the rate column is NaN. Plain ufunc
-    reductions keep each sum in the same order as np.sum and np.max would.
+    at this state; without it the rate column is NaN.
     """
-    m = state.masses
-    d = state.div_u()
-    md = m * d
-    rho = state.densities
+    return row(state.time, state.positions, state.densities, state.div_u(),
+               state.masses, state.dimension, div_rate)
+
+
+def row(time, positions, densities, div, masses, dimension, div_rate=None) -> StepRow:
+    """The per-step scalars of the marker fields of one state: positions,
+    densities and div u per marker. The run reduces solver vectors with it
+    directly, without a FieldState. Plain ufunc reductions keep each sum in
+    the same order as np.sum and np.max would.
+    """
+    md = masses * div
+    volume = float(support_volume(positions[0], positions[-1], dimension))
     return StepRow(
-        time=state.time,
+        time=time,
         h=float(np.add.reduce(md)),
-        m_div2=float(np.add.reduce(md * d)),  # m * d * d, evaluated left to right
-        m_rho=float(np.add.reduce(m * rho)),
-        volume=state.support_volume(),
-        volume_upper=state.support_volume_upper(),
-        m_div_rate=math.nan if div_rate is None else float(np.add.reduce(m * div_rate)),
-        min_gap=float(np.minimum.reduce(state.gaps())),
-        max_abs_div=float(np.maximum.reduce(np.abs(d))),
-        max_density=float(np.maximum.reduce(rho)),
-        min_density=float(np.minimum.reduce(rho)),
+        m_div2=float(np.add.reduce(md * div)),  # m * d * d, evaluated left to right
+        m_rho=float(np.add.reduce(masses * densities)),
+        volume=volume,
+        volume_upper=support_volume_upper(volume, densities, masses, dimension),
+        m_div_rate=(math.nan if div_rate is None
+                    else float(np.add.reduce(masses * div_rate))),
+        min_gap=float(np.minimum.reduce(neighbour_gaps(positions, dimension))),
+        max_abs_div=float(np.maximum.reduce(np.abs(div))),
+        max_density=float(np.maximum.reduce(densities)),
+        min_density=float(np.minimum.reduce(densities)),
     )
 
 

@@ -66,7 +66,7 @@ def model_rhs(vs: ValidatedScenario):
     constants = _force_constants(masses)
 
     def rhs(t, y):
-        # a new vector on every call: RK45 keeps the last one as its
+        # a new vector on every call: the stepper keeps the last one as its
         # derivative at the current state and retries rejected steps from it
         x, u, rho, w = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
         f = np.empty(4 * n)

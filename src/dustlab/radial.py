@@ -114,17 +114,27 @@ def model_rhs(vs: ValidatedScenario):
             phi_r = _phi_r(constants, r, lam, n_dim)
             return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim))
         # _phi_r and _derivatives with their floors and masks dropped, which
-        # change no value here. A new vector on every call: RK45 keeps the
-        # last one as its derivative at the current state and retries
-        # rejected steps from it.
-        phi_r = m_enc / (sigma * r ** nm1) - lam * r / n_dim
+        # change no value here, and with the lambda terms dropped at lambda =
+        # 0, where they are exact no-ops (x - 0.0 = x, and 0.0 r = 0 for the
+        # finite r > 0 of a step that can be accepted). A new
+        # vector on every call: the stepper keeps the last one as its
+        # derivative at the current state and retries rejected steps from it.
+        phi_r = m_enc / (sigma * r ** nm1)
+        if lam:
+            phi_r -= lam * r / n_dim
         phi_r_over_r = phi_r / r
         f = np.empty(5 * n)
         f[:n] = u
-        f[n:2 * n] = -phi_r
-        f[2 * n:3 * n] = -rho * (l1 + nm1 * l2)
-        f[3 * n:4 * n] = -l1 * l1 - ((rho - lam) - nm1 * phi_r_over_r)
-        f[4 * n:] = -l2 * l2 - phi_r_over_r
+        np.negative(phi_r, out=f[n:2 * n])
+        # -(a * b) is (-a) * b, bit for bit: negate in place
+        drho = np.multiply(rho, l1 + nm1 * l2, out=f[2 * n:3 * n])
+        np.negative(drho, out=drho)
+        dl1 = np.multiply(l1, l1, out=f[3 * n:4 * n])
+        np.negative(dl1, out=dl1)
+        np.subtract(dl1, ((rho - lam) if lam else rho) - nm1 * phi_r_over_r, out=dl1)
+        dl2 = np.multiply(l2, l2, out=f[4 * n:])
+        np.negative(dl2, out=dl2)
+        np.subtract(dl2, phi_r_over_r, out=dl2)
         return f
 
     return rhs

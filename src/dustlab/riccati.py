@@ -231,13 +231,16 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     threshold the crossing is localized by bisection inside the offending
     step and the pole is bracketed with the analytic tail bounds, giving a
     bracket of width <= 1e-8. Raises NoPoleInHorizon if y stays above the
-    threshold up to `until`.
+    threshold up to `until`, and ValueError if `until` is not finite: the
+    loop would then never end.
 
     The step control does the floating-point operations of the plain
     tableau-loop form in the same order: each `x if x > y else y` picks the
     operand that max(y, x) picks, NaN included, so brackets, times and
     values stay bit-identical to that reference (tests/test_riccati.py).
     """
+    if not math.isfinite(until):
+        raise ValueError(f"until must be finite, got {until!r}")
     a, b, h0 = params.a, params.b, params.h0
     c = params.equilibrium()
     # threshold large enough that the analytic tail is far below the bracket

@@ -1,21 +1,32 @@
-"""The one stepping loop of ``_integrate`` against scipy's ``solve_ivp``,
-compared with ``==``, and the step limit it owns.
+"""The one stepping loop of ``_integrate`` against scipy's ``RK45`` and
+``solve_ivp``, compared with ``==``, and the step limit it owns.
 
-``dustlab.sample`` must equal ``solve_ivp(..., t_eval=times)`` and the
-bracket's re-integration must equal ``solve_ivp(...).y[:, -1]``, bit for bit:
-a last-bit change moves event brackets and marker indices. A stepper of
-dustlab's own is to be held to the same reference.
+The Dormand-Prince stepper must equal ``scipy.integrate.RK45`` after every
+accepted step (time, state, RHS value and dense output), ``dustlab.sample``
+must equal ``solve_ivp(..., t_eval=times)`` and the bracket's
+re-integration must equal ``solve_ivp(...).y[:, -1]``, bit for bit: a
+last-bit change moves event brackets and marker indices. scipy is a test
+dependency only; the program does not import it.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from dustlab import _integrate, _model_rhs, sample, simulate
-from dustlab.core import HubbleVelocity, NumericalSettings, validate_scenario
+from dustlab.core import (HubbleVelocity, NumericalSettings, load_scenario,
+                          validate_scenario)
 from dustlab.errors import MaxStepsExceeded
 
 from conftest import make_ball, make_slab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CRITERION_4_GRIDS = (np.arange(0.2, 1.0001, 0.05), np.arange(0.2, 1.0001, 0.025))
 
@@ -97,3 +108,94 @@ class TestStepLimit:
         assert len(simulate(self.limited(steps))) == steps + 1
         with pytest.raises(MaxStepsExceeded):
             simulate(self.limited(steps - 1))
+
+
+def counting(rhs):
+    """rhs and a one-element list that counts its calls."""
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+    return counted, calls
+
+
+def accepted_steps(stepper):
+    """Time, state, RHS value and the dense output at three interior points
+    of every accepted step, until the stepper stops."""
+    out = []
+    while stepper.status == "running":
+        stepper.step()
+        assert stepper.status != "failed"
+        t_old, t = stepper.t_old, stepper.t
+        inner = t_old + (t - t_old) * np.array([0.25, 0.5, 0.75])
+        out.append((float(t), stepper.y.tobytes(), stepper.f.tobytes(),
+                    stepper.dense_output()(inner).tobytes()))
+    return out
+
+
+def assert_matches_rk45(sc, t_bound):
+    """Asserts bit-equal steps and equal RHS call counts; returns the number
+    of accepted steps and of RHS calls."""
+    vs = validate_scenario(sc)
+    rhs = _model_rhs(vs)
+    y0, _, _ = _integrate.layout(vs)
+    s = vs.settings
+    ref_rhs, ref_calls = counting(rhs)
+    own_rhs, own_calls = counting(rhs)
+    expected = accepted_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
+                                   atol=s.abs_tol, max_step=s.max_step))
+    got = accepted_steps(_integrate.DormandPrince(own_rhs, 0.0, y0, t_bound, s.rel_tol,
+                                                  s.abs_tol, s.max_step))
+    assert len(got) == len(expected)
+    for k, (mine, ref) in enumerate(zip(got, expected)):
+        assert mine == ref, f"step {k} differs"
+    assert own_calls == ref_calls
+    return len(expected), ref_calls[0]
+
+
+def shipped(name, **changes):
+    return replace(load_scenario(ROOT / "scenarios" / f"{name}.yaml"), **changes)
+
+
+class TestStepperMatchesRK45:
+    @pytest.mark.parametrize("name, lam, t_bound", [
+        ("uniform_collapse_1d", 0.0, 1.9),
+        ("uniform_collapse_1d", 0.37, 1.9),
+        ("uniform_ball_n3", 0.0, 2.0),
+        ("uniform_ball_n3", 0.2, 2.0),
+    ])
+    def test_shipped_runs(self, name, lam, t_bound):
+        steps, _ = assert_matches_rk45(shipped(name, lam=lam), t_bound)
+        assert steps > 400
+
+    def test_rejected_step(self):
+        # without the 4e-3 step cap the first steps grow until one is rejected
+        sc = shipped("uniform_collapse_1d")
+        sc = replace(sc, settings=replace(sc.settings, max_step=1e3))
+        steps, calls = assert_matches_rk45(sc, 1.9)
+        # two calls to start (f0 and the initial-step probe), six per attempt
+        rejected = (calls - 2) // 6 - steps
+        assert (steps, calls, rejected) == (118, 716, 1)
+
+    def test_tiny_rel_tol_is_raised_with_a_warning(self):
+        y0 = np.ones(3)
+        with pytest.warns(UserWarning) as ref:
+            RK45(lambda t, y: -y, 0.0, y0, t_bound=1.0, rtol=1e-16, atol=1e-12)
+        with pytest.warns(UserWarning, match="rel_tol 1e-16 is below 100 machine epsilons"):
+            stepper = _integrate.DormandPrince(lambda t, y: -y, 0.0, y0, 1.0, 1e-16,
+                                               1e-12, np.inf)
+        assert len(ref) == 1
+        assert stepper.rtol == 100 * np.finfo(float).eps
+
+    def test_empty_interval(self):
+        steps, calls = assert_matches_rk45(shipped("uniform_ball_n3"), 0.0)
+        assert (steps, calls) == (1, 1)
+
+
+def test_runtime_does_not_import_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import dustlab.cli, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -301,6 +301,12 @@ class TestOracle:
         with pytest.raises(NoPoleInHorizon):
             integrate_comparison_ode(p, until=1.0)
 
+    @pytest.mark.parametrize("until", [math.inf, math.nan])
+    def test_non_finite_horizon_raises(self, until):
+        # an infinite horizon would never end the loop
+        with pytest.raises(ValueError, match="until must be finite"):
+            integrate_comparison_ode(RiccatiParams(a=1.0, b=0.0, h0=-1e-320), until)
+
     def test_path_is_monotone_decreasing_from_cold_start(self):
         p = RiccatiParams(a=1.0, b=0.5, h0=0.0)
         path = integrate_comparison_ode(p, until=5.0)
