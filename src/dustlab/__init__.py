@@ -26,7 +26,8 @@ def simulate(scenario, keep_states: bool = False) -> Trajectory:
 
 
 def sample(scenario, times) -> Trajectory:
-    """States at the requested times by dense sampling, every one kept; no
-    event scan, so the times must stay inside the smooth interval."""
+    """States at the requested times, each stepped from the one before,
+    every one kept; no event scan, so the times must stay inside the smooth
+    interval."""
     vs = validate_scenario(scenario)
     return _integrate.sample_states(vs, _model_rhs(vs), times)

@@ -5,11 +5,13 @@ The solver vector of a run holds the marker fields one after another,
 only for shells (layout). The geometry modules supply the force law as
 rhs(t, y) on that vector; everything else is common.
 
-One loop (steps) steps the Dormand-Prince 5(4) pair (DormandPrince) for the
-run, for the bracket's re-integration and for sample. The run reduces every
-accepted state once to its row of per-step scalars (layout's reduce), scans
-each accepted step's row for detector triggers, and localizes the first
-trigger by bisection on re-integrated sub-steps. Deterministic for fixed
+One loop (steps) steps the Dormand-Prince 5(4) pair (DormandPrince), both
+for the run and for reintegrate, which carries a state from one time to a
+later one by a fresh loop. The run reduces every accepted state once to its
+row of per-step scalars (layout's reduce), scans each accepted step's row
+for detector triggers, and localizes the first trigger by bisection on
+re-integrated sub-steps. sample steps from each requested time to the next
+through reintegrate; nothing is interpolated. Deterministic for fixed
 settings.
 
 Full marker states are kept for the first and the last row only, unless
@@ -28,11 +30,10 @@ from . import detector, functional
 from .core import FieldState, Trajectory, ValidatedScenario, divergence
 from .errors import MaxStepsExceeded, StepUnderflow
 
-# The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26,
-# with the quartic dense output of Shampine (1986), Math. Comp. 46:135-150:
-# nodes C, stage coefficients A, fifth-order weights B, error weights E
-# (fifth minus fourth order, over all seven stages) and interpolation
-# coefficients P, in the double-precision values of the common RK45 tables.
+# The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26:
+# nodes C, stage coefficients A, fifth-order weights B and error weights E
+# (fifth minus fourth order, over all seven stages), in the double-precision
+# values of the common RK45 tables.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = np.array([
     [0, 0, 0, 0, 0],
@@ -45,18 +46,6 @@ _A = np.array([
 _B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
                1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _ERROR_EXPONENT = -1 / 5  # -1/(q+1) for the fourth-order error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _MIN_RTOL = 100 * np.finfo(float).eps
@@ -93,17 +82,17 @@ class DormandPrince:
     of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled by
     0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
 
-    Every accepted time and state, the RHS value and the dense output equal
-    those of the reference RK45 implementation that tests/test_integrate.py
-    compares against, bit for bit, under the same rtol, atol and max_step:
+    Every accepted time and state and the RHS value equal those of the
+    reference RK45 implementation that tests/test_integrate.py compares
+    against, bit for bit, under the same rtol, atol and max_step:
     the stage sums are the same np.dot calls on views of one (7 x n) stage
     block, and the step control does the same floating-point operations in
     the same order. An rtol below 100 machine epsilons is raised to that,
     with a warning, as there.
-    step() leaves t, y (a new array on every step, never written to again),
-    f (the RHS at y), status ("running"; "finished" at t_bound; "failed"
-    when the step falls below 10 ulp of t) and the dense output of the last
-    step.
+    step() advances t by one accepted step, which ends exactly at t_bound
+    when it would pass it, and leaves y (a new array on every step, never
+    written to again) and f (the RHS at y). It needs t < t_bound and raises
+    StepUnderflow when the step size falls below 10 ulp of t.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
@@ -111,8 +100,6 @@ class DormandPrince:
             raise ValueError("the stepper only integrates forward in time")
         self.fun = fun
         self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.t_old = self.y_old = None
-        self.status = "running"
         if rtol < _MIN_RTOL:
             warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
                           f"using {_MIN_RTOL:g}", stacklevel=2)
@@ -130,12 +117,8 @@ class DormandPrince:
         self._K_all = K.T
 
     def step(self):
-        """One accepted step, retrying rejected ones; sets status."""
+        """One accepted step, retrying rejected ones."""
         t, t_bound = self.t, self.t_bound
-        if t == t_bound:  # an empty interval: finished without a step
-            self.t_old = t
-            self.status = "finished"
-            return
         y, fun, K = self.y, self.fun, self._K
         rtol, atol, abs_y, sqrt_n = self.rtol, self.atol, self._abs_y, self._sqrt_n
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -148,8 +131,7 @@ class DormandPrince:
         rejected = False
         while True:
             if h_abs < min_step:
-                self.status = "failed"
-                return
+                raise StepUnderflow(f"step size collapsed at t={t:g}")
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound
@@ -185,28 +167,8 @@ class DormandPrince:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        self.t_old, self.y_old = t, y
         self.t, self.y, self.f = t_new, y_new, f_new
         self.h_abs, self._abs_y = h_abs, abs_new
-        if t_new >= t_bound:
-            self.status = "finished"
-
-    def dense_output(self):
-        """The interpolant of the last step: a function of a 1-D array of
-        times in [t_old, t] that returns the states as columns."""
-        t_old, h = self.t_old, self.t - self.t_old
-        if h == 0.0:  # an empty interval: the one state
-            y = self.y
-            return lambda times: np.repeat(y[:, None], len(times), axis=1)
-        Q = self._K_all.dot(_P)
-        y_old = self.y_old
-
-        def interpolate(times):
-            x = (np.asarray(times) - t_old) / h
-            y = h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
-            y += y_old[:, None]
-            return y
-        return interpolate
 
 
 def layout(vs: ValidatedScenario):
@@ -240,22 +202,21 @@ def layout(vs: ValidatedScenario):
 
 def steps(rhs, t0, y0, t_bound, settings):
     """The DormandPrince stepper on rhs(t, y) from (t0, y0) to t_bound under
-    the settings: yields it as built, then after every accepted step.
-    Raises MaxStepsExceeded past settings.max_steps steps and StepUnderflow
-    when the step size collapses. stepper.y is a new array on every step and
-    is never written to again, so it may be kept without a copy."""
+    the settings: yields it as built, then after every accepted step, and
+    stops once stepper.t == t_bound (exact, as the last step is clipped to
+    end there; an empty interval takes no step). Raises MaxStepsExceeded
+    past settings.max_steps steps and StepUnderflow when the step size
+    collapses. stepper.y is a new array on every step and is never written
+    to again, so it may be kept without a copy."""
     stepper = DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol,
                             settings.abs_tol, settings.max_step)
     yield stepper
     for _ in range(int(settings.max_steps)):
-        if stepper.status != "running":
+        if stepper.t == t_bound:
             return
-        t_prev = stepper.t
         stepper.step()
-        if stepper.status == "failed":
-            raise StepUnderflow(f"step size collapsed at t={t_prev:g}")
         yield stepper
-    if stepper.status == "running":
+    if stepper.t != t_bound:
         raise MaxStepsExceeded(f"exceeded {settings.max_steps} accepted steps")
 
 
@@ -310,27 +271,20 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
-    """States at the requested times from the steps' dense output, for
-    fixed-step diagnostics such as convergence studies. Every sampled state
-    is kept. No event scanning; the caller is responsible for staying inside
-    the smooth interval."""
+    """States at the requested times, each stepped from the one before by
+    reintegrate (time 0 is the initial state), for fixed-step diagnostics
+    such as convergence studies. Every sampled state is kept. No event
+    scanning; the caller is responsible for staying inside the smooth
+    interval."""
     times = np.asarray(times, dtype=float)
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")
-    y0, unpack, reduce = layout(vs)
+    y, unpack, reduce = layout(vs)
     states, rows = [], []
-    loop = steps(rhs, 0.0, y0, float(times[-1]), vs.settings)
-    next(loop)
-    done = 0
-    for stepper in loop:
-        # all times in (t_old, t] in one call, as the reference's t_eval
-        # sampling does: a 2-D np.dot can round differently from a 1-D one
-        upto = np.searchsorted(times, stepper.t, side="right")
-        if upto == done:
-            continue
-        ys = stepper.dense_output()(times[done:upto])
-        for t, y in zip(times[done:upto], ys.T):
-            states.append(unpack(t, y))
-            rows.append(reduce(t, y, rhs(float(t), y)))
-        done = upto
+    t_prev = 0.0
+    for t in times.tolist():
+        y = reintegrate(rhs, vs.settings, t_prev, y, t)
+        states.append(unpack(t, y))
+        rows.append(reduce(t, y, rhs(t, y)))
+        t_prev = t
     return Trajectory.from_rows(vs, rows, states)

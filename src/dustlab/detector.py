@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import NumericalSettings, StepRow, Trajectory
-from .errors import BracketStall, DustLabError
+from .errors import DustLabError
 from .functional import _inside
 
 BRACKET_REL_WIDTH = 1e-8
@@ -93,7 +93,7 @@ def scan_step(prev_row: StepRow, next_row: StepRow,
 
 
 def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
-                  trigger: Trigger, settings: NumericalSettings, max_iter: int = 200):
+                  trigger: Trigger, settings: NumericalSettings):
     """Bisect the trigger time within one accepted step.
 
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
@@ -111,11 +111,8 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     lo, hi = t_prev, t_next
     y_lo = y_prev
     width_goal = BRACKET_REL_WIDTH * max(1.0, abs(t_next))
-    it = 0
+    # the bracket starts at most t_next wide, so 27 halvings reach the goal
     while hi - lo > width_goal:
-        it += 1
-        if it > max_iter:
-            raise BracketStall(f"bracket did not shrink below {width_goal:g} in {max_iter} bisections")
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # floating-point exhaustion; bracket is as tight as possible

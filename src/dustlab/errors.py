@@ -38,10 +38,6 @@ class MaxStepsExceeded(DustLabError):
     pass
 
 
-class BracketStall(DustLabError):
-    pass
-
-
 class HypothesisViolated(DustLabError):
     """Support volume exceeded the assumed bound; the inequality is not asserted."""
 

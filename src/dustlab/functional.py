@@ -194,21 +194,18 @@ class ProofChainReport:
         return "\n".join(lines)
 
 
-def proof_chain_report(trajectory: Trajectory,
-                       v_sup: Optional[float] = None) -> ProofChainReport:
+def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
     """Verify the full inequality chain on every accepted step of a run.
 
     The last 1% of the time horizon before an event is marked informational:
     the finite-difference dH/dt degrades near the singularity and is not
     asserted there.
     """
-    if v_sup is None:
-        v_sup = trajectory.validated.v_sup
     cutoff = math.inf
     if trajectory.event is not None:
         cutoff = (1.0 - NEAR_SINGULAR_FRACTION) * trajectory.event.t_lo
 
-    chain = _Chain(trajectory, v_sup)
+    chain = _Chain(trajectory, trajectory.validated.v_sup)
     steps: List[ProofChainStep] = []
     worst_div = math.inf
     worst_rho = math.inf

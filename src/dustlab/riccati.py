@@ -92,16 +92,27 @@ def check_blowup_conditions(mass, v_sup, lam, n, h0) -> BlowupCertificate:
     CaseOne: b > 0 (lambda < M/V_sup), no condition on h0.
     CaseTwo: b < 0 and h0 strictly below -threshold, threshold = sqrt(|b|/a).
     Boundary: b = 0 and h0 < 0 (threshold 0); flagged as a boundary
-    extension of the strict theorem. Otherwise NoCertificate.
+    extension of the strict theorem. Otherwise NoCertificate, and also when
+    no finite positive bound can be computed: a or b over- or underflows,
+    or the bound does.
     """
-    if mass <= 0 or v_sup <= 0 or n < 1:
-        raise ValueError("need M > 0, V_sup > 0, N >= 1")
+    if not (mass > 0 and v_sup > 0 and n >= 1 and math.isfinite(lam)
+            and math.isfinite(h0)):
+        raise ValueError("need M > 0, V_sup > 0, N >= 1 and finite lambda and h0")
     inputs = {"M": mass, "v_sup": v_sup, "lambda": lam, "N": n, "h0": h0}
-    params = RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0)
+    try:
+        params = RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0)
+    except ValueError:  # a or b over- or underflows
+        return BlowupCertificate(Case.NO_CERTIFICATE, None, inputs, None)
     threshold = params.equilibrium()
     if not params.blows_up():
         return BlowupCertificate(Case.NO_CERTIFICATE, None, inputs, threshold)
-    t_bound = blowup_time_upper_bound(params)
+    try:
+        t_bound = blowup_time_upper_bound(params)
+    except ZeroDivisionError:  # a divisor underflows, or -h0/c rounds to 1
+        t_bound = math.inf
+    if not 0 < t_bound < math.inf:  # an infinite, zero or NaN bound promises nothing
+        return BlowupCertificate(Case.NO_CERTIFICATE, None, inputs, threshold)
     if params.b == 0:
         return BlowupCertificate(Case.BOUNDARY, t_bound, inputs, threshold,
                                  note="boundary extension, not literally the strict condition")
@@ -117,11 +128,14 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
     c = params.equilibrium()
     if c is None:
         k = math.sqrt(a * b)
-        return (math.atan(h0 * math.sqrt(a / b)) + 0.5 * math.pi) / k
+        x = h0 * math.sqrt(a / b)
+        # atan(x) + pi/2 without the cancellation that gives 0 for x << -1
+        return (math.atan(-1.0 / x) if x < 0 else math.atan(x) + 0.5 * math.pi) / k
     if c == 0:
         return -1.0 / (a * h0)
     z = -h0 / c  # > 1 by the strict threshold
-    return 0.5 * math.log((z + 1.0) / (z - 1.0)) / math.sqrt(-a * b)
+    # arcoth z, without (z + 1)/(z - 1) rounding to 1 for z >> 1
+    return 0.5 * math.log1p(2.0 / (z - 1.0)) / math.sqrt(-a * b)
 
 
 def comparison_solution(params: RiccatiParams, t):

@@ -209,8 +209,8 @@ class TestCertify:
         assert doc["chae_tadmor"]["min_bound"] == pytest.approx(0.5)
 
     def test_infinite_bound_skips_oracle(self, runner, tmp_path):
-        # Boundary case (lambda = M/v_sup) with a Hubble rate so small that
-        # the bound -1/(a h0) overflows to inf: no oracle horizon, exit 0
+        # lambda = M/v_sup with a Hubble rate so small that the Boundary
+        # bound -1/(a h0) overflows to inf: no bound, so no certificate
         path = fast_scenario(tmp_path, **{"lambda": 0.5, "initial_profile": {
             "density": {"kind": "uniform", "value": 0.5, "support": [-1.0, 1.0]},
             "velocity": {"kind": "hubble", "rate": -1e-320}}})
@@ -218,9 +218,21 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
         assert result.exit_code == EXIT_OK, result.output
         doc = yaml.safe_load((out / "certificate.yaml").read_text())
-        assert doc["case"] == "Boundary"
-        assert doc["t_bound"] == float("inf")
-        assert doc["oracle_cross_check"] == {"pole_bracket": None, "agrees": False}
+        assert doc["case"] == "NoCertificate"
+        assert doc["t_bound"] is None
+        assert "oracle_cross_check" not in doc
+
+    def test_overflowing_coefficient_certifies_nothing(self, runner, tmp_path):
+        # M = 2e200 makes b = M(M/v_sup - lambda) overflow to inf
+        path = fast_scenario(tmp_path, initial_profile={
+            "density": {"kind": "uniform", "value": 1e200, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}}, tolerances={"rho_blowup_threshold": 1e300})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
+        assert result.exit_code == EXIT_OK, result.output
+        doc = yaml.safe_load((out / "certificate.yaml").read_text())
+        assert (doc["case"], doc["t_bound"]) == ("NoCertificate", None)
+        assert "t_bound: none" in result.output
 
     def test_no_certificate_case(self, runner, tmp_path):
         path = fast_scenario(tmp_path, **{"lambda": 2.0, "v_sup": 4.0})

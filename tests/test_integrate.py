@@ -2,11 +2,11 @@
 ``solve_ivp``, compared with ``==``, and the step limit it owns.
 
 The Dormand-Prince stepper must equal ``scipy.integrate.RK45`` after every
-accepted step (time, state, RHS value and dense output), ``dustlab.sample``
-must equal ``solve_ivp(..., t_eval=times)`` and the bracket's
+accepted step (time, state and RHS value), and the bracket's
 re-integration must equal ``solve_ivp(...).y[:, -1]``, bit for bit: a
-last-bit change moves event brackets and marker indices. scipy is a test
-dependency only; the program does not import it.
+last-bit change moves event brackets and marker indices. ``dustlab.sample``
+must equal ``solve_ivp`` run from each requested time to the next. scipy is
+a test dependency only; the program does not import it.
 """
 
 import os
@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from scipy.integrate import RK45, solve_ivp
 from dustlab import _integrate, _model_rhs, sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, load_scenario,
                           validate_scenario)
-from dustlab.errors import MaxStepsExceeded
+from dustlab.errors import MaxStepsExceeded, StepUnderflow
 
 from conftest import make_ball, make_slab
 
@@ -53,17 +54,22 @@ def solver_vector(state):
     (make_slab(rho0=0.5, t_end=1.0), CRITERION_4_GRIDS[0]),
     (make_slab(rho0=0.5, t_end=1.0), CRITERION_4_GRIDS[1]),
     (make_ball(n=3, rho0=0.5, velocity=HubbleVelocity(-0.3)), np.linspace(0.0, 1.5, 13)),
-    # several times per step, interpolated in one call
+    # times closer together than one step of the run
     (make_ball(n=3, rho0=0.5, velocity=HubbleVelocity(-0.3)), np.linspace(0.0, 0.2, 201)),
 ], ids=["slab-coarse", "slab-fine", "ball", "ball-dense"])
 def test_sample_equals_solve_ivp_t_eval(sc, times):
+    """The state at each sample time is solve_ivp's from the state at the
+    time before (the initial state at time 0)."""
     vs, rhs = model(sc)
-    y0, _, _ = _integrate.layout(vs)
-    ref = reference(vs, rhs, 0.0, y0, float(times[-1]), t_eval=times)
+    y, _, _ = _integrate.layout(vs)
     traj = sample(sc, times)
-    assert traj.times.tolist() == ref.t.tolist()
-    for k, state in enumerate(traj.states):
-        assert solver_vector(state).tobytes() == ref.y[:, k].tobytes()
+    assert traj.times.tolist() == times.tolist()
+    t_prev = 0.0
+    for t, state in zip(times.tolist(), traj.states):
+        if t > t_prev:
+            y = reference(vs, rhs, t_prev, y, t).y[:, -1]
+        assert solver_vector(state).tobytes() == y.tobytes()
+        t_prev = t
 
 
 @pytest.mark.parametrize("times", [[0.3, 0.1], [0.1, 0.1], [-0.1, 0.2], []])
@@ -120,17 +126,18 @@ def counting(rhs):
     return counted, calls
 
 
-def accepted_steps(stepper):
-    """Time, state, RHS value and the dense output at three interior points
-    of every accepted step, until the stepper stops."""
+def accepted(stepper):
+    """Time, state and RHS value of a stepper's last accepted step."""
+    return float(stepper.t), stepper.y.tobytes(), stepper.f.tobytes()
+
+
+def rk45_steps(stepper):
+    """accepted() after every step of scipy's RK45 until it reaches t_bound."""
     out = []
-    while stepper.status == "running":
+    while stepper.t < stepper.t_bound:
         stepper.step()
         assert stepper.status != "failed"
-        t_old, t = stepper.t_old, stepper.t
-        inner = t_old + (t - t_old) * np.array([0.25, 0.5, 0.75])
-        out.append((float(t), stepper.y.tobytes(), stepper.f.tobytes(),
-                    stepper.dense_output()(inner).tobytes()))
+        out.append(accepted(stepper))
     return out
 
 
@@ -143,10 +150,11 @@ def assert_matches_rk45(sc, t_bound):
     s = vs.settings
     ref_rhs, ref_calls = counting(rhs)
     own_rhs, own_calls = counting(rhs)
-    expected = accepted_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
-                                   atol=s.abs_tol, max_step=s.max_step))
-    got = accepted_steps(_integrate.DormandPrince(own_rhs, 0.0, y0, t_bound, s.rel_tol,
-                                                  s.abs_tol, s.max_step))
+    expected = rk45_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
+                               atol=s.abs_tol, max_step=s.max_step))
+    # the loop first yields the stepper as built, before any step
+    loop = _integrate.steps(own_rhs, 0.0, y0, t_bound, s)
+    got = [accepted(stepper) for stepper in islice(loop, 1, None)]
     assert len(got) == len(expected)
     for k, (mine, ref) in enumerate(zip(got, expected)):
         assert mine == ref, f"step {k} differs"
@@ -189,8 +197,20 @@ class TestStepperMatchesRK45:
         assert stepper.rtol == 100 * np.finfo(float).eps
 
     def test_empty_interval(self):
+        # no step, and one RHS call for the initial state's f
         steps, calls = assert_matches_rk45(shipped("uniform_ball_n3"), 0.0)
-        assert (steps, calls) == (1, 1)
+        assert (steps, calls) == (0, 1)
+
+
+def test_step_underflow():
+    """An RHS that turns NaN past t = 0.5 rejects every step that reaches
+    past it, so the step size collapses there."""
+    def rhs(t, y):
+        return -y if t <= 0.5 else np.full_like(y, np.nan)
+
+    with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
+        for _ in _integrate.steps(rhs, 0.0, np.ones(3), 1.0, NumericalSettings()):
+            pass
 
 
 def test_runtime_does_not_import_scipy():

@@ -194,6 +194,9 @@ class TestConditions:
             RiccatiParams(a=a, b=b, h0=h0)
 
 
+SIGNS = st.sampled_from((-1.0, 0.0, 1.0))
+
+
 class TestTimeBound:
     def test_cold_uniform_spot_value(self):
         # a=1, b=1/2, h0=0: T = (pi/2)/sqrt(1/2) = pi/sqrt(2)
@@ -208,6 +211,28 @@ class TestTimeBound:
         # a=1, b=-1, c=1, h0=-2: T = arcoth(2) = 0.5 ln 3
         p = RiccatiParams(a=1.0, b=-1.0, h0=-2.0)
         assert blowup_time_upper_bound(p) == pytest.approx(0.5 * math.log(3.0))
+
+    @pytest.mark.parametrize("v_sup, lam, case", [(2.0, 0.0, Case.CASE_ONE),
+                                                  (1.0, 2.0, Case.CASE_TWO)])
+    def test_very_negative_h0_keeps_the_bound(self, v_sup, lam, case):
+        # T ~ 1/(a |h0|) = 1e-17; atan(x) + pi/2 and log((z+1)/(z-1))
+        # rounded it to 0
+        cert = check_blowup_conditions(1.0, v_sup, lam, 1, -1e17)
+        assert cert.case is case
+        assert cert.t_bound == pytest.approx(1e-17, rel=1e-12, abs=0.0)
+
+    @given(mass=st.floats(-300, 300), v_sup=st.floats(-300, 300),
+           lam=st.floats(-300, 300), h0=st.floats(-300, 300),
+           signs=st.tuples(SIGNS, SIGNS), n=st.integers(1, 3))
+    @hyp_settings(max_examples=200, deadline=None, derandomize=True)
+    def test_certificate_is_finite_or_absent(self, mass, v_sup, lam, h0, signs, n):
+        """Over magnitudes 1e-300 to 1e300 nothing raises, and a certificate
+        carries a finite positive bound or none at all."""
+        cert = check_blowup_conditions(10.0 ** mass, 10.0 ** v_sup, signs[0] * 10.0 ** lam,
+                                       n, signs[1] * 10.0 ** h0)
+        assert (cert.t_bound is None) == (cert.case is Case.NO_CERTIFICATE)
+        if cert.t_bound is not None:
+            assert 0 < cert.t_bound < math.inf
 
     def test_no_bound_without_blowup(self):
         with pytest.raises(NoCertificateError):
