@@ -3,7 +3,8 @@
 The solver vector of a run holds the marker fields one after another,
 [positions, velocities, densities, eig_radial (, eig_tangential)], the last
 only for shells (layout). The geometry modules supply the force law as
-rhs(t, y) on that vector; everything else is common.
+rhs(t, y, out=None) on that vector, which writes the derivative into out
+when given one and into a new vector otherwise; everything else is common.
 
 One loop (steps) steps the Dormand-Prince 5(4) pair (DormandPrince), both
 for the run and for reintegrate, which carries a state from one time to a
@@ -77,10 +78,11 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n):
 
 
 class DormandPrince:
-    """Explicit Runge-Kutta 5(4) stepper of rhs(t, y) from (t0, y0) forward
-    to t_bound, with local extrapolation, the error measured by the RMS norm
-    of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled by
-    0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
+    """Explicit Runge-Kutta 5(4) stepper of rhs(t, y, out) from (t0, y0)
+    forward to t_bound, with local extrapolation, the error measured by the
+    RMS norm of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled
+    by 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a
+    rejection).
 
     Every accepted time and state and the RHS value equal those of the
     reference RK45 implementation that tests/test_integrate.py compares
@@ -89,10 +91,16 @@ class DormandPrince:
     block, and the step control does the same floating-point operations in
     the same order. An rtol below 100 machine epsilons is raised to that,
     with a warning, as there.
+    Row s of the block holds stage s's derivative: row 0 the derivative at
+    the step's start, rows 1-5 the inner stages and row 6 the derivative at
+    the new state (first same as last), each written there by fun(t, y,
+    out=row). The one copy per step is row 6 into row 0.
     step() advances t by one accepted step, which ends exactly at t_bound
     when it would pass it, and leaves y (a new array on every step, never
-    written to again) and f (the RHS at y). It needs t < t_bound and raises
-    StepUnderflow when the step size falls below 10 ulp of t.
+    written to again) and f (the RHS at y). f is row 6 of the block, valid
+    until the next step() writes the block again; a caller that keeps it
+    longer copies it. step() needs t < t_bound and raises StepUnderflow when
+    the step size falls below 10 ulp of t.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
@@ -115,6 +123,7 @@ class DormandPrince:
         self._stages = tuple((K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6))
         self._K_step = K[:6].T
         self._K_all = K.T
+        self._K_last = K[6]
 
     def step(self):
         """One accepted step, retrying rejected ones."""
@@ -142,12 +151,11 @@ class DormandPrince:
                 dy = k.dot(a)
                 dy *= h
                 dy += y
-                stage[:] = fun(t + c * h, dy)
+                fun(t + c * h, dy, stage)
             y_new = self._K_step.dot(_B)
             y_new *= h
             y_new += y
-            f_new = fun(t + h, y_new)
-            K[6] = f_new
+            fun(t + h, y_new, self._K_last)
             abs_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_new)
             scale *= rtol
@@ -167,7 +175,7 @@ class DormandPrince:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f = t_new, y_new, self._K_last
         self.h_abs, self._abs_y = h_abs, abs_new
 
 
@@ -207,7 +215,8 @@ def steps(rhs, t0, y0, t_bound, settings):
     end there; an empty interval takes no step). Raises MaxStepsExceeded
     past settings.max_steps steps and StepUnderflow when the step size
     collapses. stepper.y is a new array on every step and is never written
-    to again, so it may be kept without a copy."""
+    to again, so it may be kept without a copy; stepper.f is overwritten by
+    the next step."""
     stepper = DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol,
                             settings.abs_tol, settings.max_step)
     yield stepper

@@ -186,6 +186,14 @@ class TabulatedVelocity:
 # ---------------------------------------------------------------------------
 
 
+# Upper limits of the discretization. sigma = 2 pi^(N/2)/Gamma(N/2) overflows
+# past N = 343 (Gamma(172) > 1e308). Validation samples the density at
+# 4 marker_count + 1 points, and the stepper's stage block holds 7 x 4 (slab)
+# or 7 x 5 (shell) doubles per marker: up to 280 MB at the limit.
+MAX_DIMENSION = 100
+MAX_MARKERS = 1_000_000
+
+
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
@@ -372,11 +380,17 @@ def validate_scenario(raw) -> ValidatedScenario:
     elif s.geometry is Geometry.RADIALND and s.dimension < 2:
         violations.append(("BadDimension", "dimension",
                            f"radial geometry needs dimension >= 2, got {s.dimension}"))
+    elif s.dimension > MAX_DIMENSION:
+        violations.append(("BadDimension", "dimension",
+                           f"at most {MAX_DIMENSION}, got {s.dimension!r}"))
     if not _whole(s.marker_count):
         violations.append(("BadMarkerCount", "marker_count",
                            f"must be a whole number, got {s.marker_count!r}"))
     elif s.marker_count < 2:
         violations.append(("BadMarkerCount", "marker_count", "need at least 2 markers"))
+    elif s.marker_count > MAX_MARKERS:
+        violations.append(("BadMarkerCount", "marker_count",
+                           f"at most {MAX_MARKERS} markers, got {s.marker_count!r}"))
     for name, value in (("v_sup", s.v_sup), ("t_end", s.t_end), ("lambda", s.lam)):
         if not _finite(value):
             violations.append(("NotFinite", name, f"must be a finite number, got {value!r}"))
@@ -574,8 +588,16 @@ _DENSITY_KINDS = {"uniform", "gaussian", "table"}
 _VELOCITY_KINDS = {"zero", "uniform", "hubble", "table"}
 
 
+def _profile_kind(name: str, spec):
+    """The kind of a profile mapping; any other value names the profile."""
+    if not isinstance(spec, dict):
+        raise ValidationError([("BadProfile", name,
+                                f"must be a mapping with a kind, got {spec!r}")])
+    return spec.get("kind")
+
+
 def _build_density(spec: dict):
-    kind = spec.get("kind")
+    kind = _profile_kind("density", spec)
     if kind == "uniform":
         lo, hi = spec["support"]
         return UniformDensity(value=float(spec["value"]), lo=float(lo), hi=float(hi))
@@ -592,7 +614,7 @@ def _build_density(spec: dict):
 
 
 def _build_velocity(spec: dict):
-    kind = spec.get("kind")
+    kind = _profile_kind("velocity", spec)
     if kind == "zero":
         return ZeroVelocity()
     if kind == "uniform":

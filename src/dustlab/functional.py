@@ -49,19 +49,26 @@ def row(time, positions, densities, div, masses, dimension, div_rate=None) -> St
     """The per-step scalars of the marker fields of one state: positions,
     densities and div u per marker. The run reduces solver vectors with it
     directly, without a FieldState. Plain ufunc reductions keep each sum in
-    the same order as np.sum and np.max would.
+    the same order as np.sum and np.max would; the weighted sums are the
+    rows of one C-contiguous block, reduced along axis 1 in one call, which
+    sums each row as the 1-D reduction of that row does.
     """
-    md = masses * div
+    block = np.empty((3 if div_rate is None else 4, masses.size))
+    md = np.multiply(masses, div, out=block[0])
+    np.multiply(md, div, out=block[1])  # m * d * d, evaluated left to right
+    np.multiply(masses, densities, out=block[2])
+    if div_rate is not None:
+        np.multiply(masses, div_rate, out=block[3])
+    h, m_div2, m_rho, *rate = np.add.reduce(block, axis=1).tolist()
     volume = float(support_volume(positions[0], positions[-1], dimension))
     return StepRow(
         time=time,
-        h=float(np.add.reduce(md)),
-        m_div2=float(np.add.reduce(md * div)),  # m * d * d, evaluated left to right
-        m_rho=float(np.add.reduce(masses * densities)),
+        h=h,
+        m_div2=m_div2,
+        m_rho=m_rho,
         volume=volume,
         volume_upper=support_volume_upper(volume, densities, masses, dimension),
-        m_div_rate=(math.nan if div_rate is None
-                    else float(np.add.reduce(masses * div_rate))),
+        m_div_rate=rate[0] if rate else math.nan,
         min_gap=float(np.minimum.reduce(neighbour_gaps(positions, dimension))),
         max_abs_div=float(np.maximum.reduce(np.abs(div))),
         max_density=float(np.maximum.reduce(densities)),

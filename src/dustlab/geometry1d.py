@@ -38,13 +38,22 @@ def _force_constants(masses):
     return total, phi_x, -phi_x
 
 
-def _forces(masses, constants, positions, lam):
-    """-Phi_x at every marker, markers taken in index (= sorted) order."""
+def _forces(masses, constants, positions, lam, out=None):
+    """-Phi_x at every marker, markers taken in index (= sorted) order,
+    written into out (a new array without it), which is returned."""
     total, phi_x, force = constants
+    if out is None:
+        out = np.empty_like(positions)
     if lam == 0.0:
-        return force
-    x_cm = (masses * positions).sum() / total
-    return -(phi_x - lam * (positions - x_cm))
+        out[:] = force
+        return out
+    # -(phi_x - lam (x - x_cm)) is lam (x - x_cm) - phi_x, bit for bit; out
+    # holds m x while x_cm is summed from it
+    x_cm = np.add.reduce(np.multiply(masses, positions, out=out)) / total
+    np.subtract(positions, x_cm, out=out)
+    out *= lam
+    out -= phi_x
+    return out
 
 
 def slab_rhs(state: FieldState):
@@ -58,22 +67,26 @@ def slab_rhs(state: FieldState):
 
 
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, y) of slab_rhs on the solver vector [x, u, rho, w], with the
-    run constants computed once."""
+    """rhs(t, y, out=None) of slab_rhs on the solver vector [x, u, rho, w],
+    with the run constants computed once. With out, the derivative is
+    written into out, which is returned; without it, into a new vector."""
     masses = vs.masses
     lam = vs.lam
     n = masses.size
     constants = _force_constants(masses)
 
-    def rhs(t, y):
-        # a new vector on every call: the stepper keeps the last one as its
-        # derivative at the current state and retries rejected steps from it
+    def rhs(t, y, out=None):
         x, u, rho, w = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
-        f = np.empty(4 * n)
+        f = np.empty(4 * n) if out is None else out
         f[:n] = u
-        f[n:2 * n] = _forces(masses, constants, x, lam)
-        f[2 * n:3 * n] = -rho * w
-        f[3 * n:] = -w * w - rho + lam
+        _forces(masses, constants, x, lam, f[n:2 * n])
+        # -(a * b) is (-a) * b, bit for bit: negate in place
+        drho = np.multiply(rho, w, out=f[2 * n:3 * n])
+        np.negative(drho, out=drho)
+        dw = np.multiply(w, w, out=f[3 * n:])
+        np.negative(dw, out=dw)
+        dw -= rho
+        dw += lam  # kept at lam = 0: -0.0 + 0.0 is +0.0
         return f
 
     return rhs

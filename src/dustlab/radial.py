@@ -94,8 +94,9 @@ def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
 
 
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, y) of radial_rhs on the solver vector [r, u, rho, l1, l2],
-    with the run constants computed once."""
+    """rhs(t, y, out=None) of radial_rhs on the solver vector [r, u, rho,
+    l1, l2], with the run constants computed once. With out, the derivative
+    is written into out, which is returned; without it, into a new vector."""
     masses = vs.masses
     lam = vs.lam
     n_dim = vs.dimension
@@ -104,7 +105,7 @@ def model_rhs(vs: ValidatedScenario):
     m_enc, sigma, r_unmasked = constants
     nm1 = n_dim - 1
 
-    def rhs(t, y):
+    def rhs(t, y, out=None):
         r, u, rho, l1, l2 = (y[:n], y[n:2 * n], y[2 * n:3 * n],
                              y[3 * n:4 * n], y[4 * n:])
         # the smallest radius, or the first NaN; r[argmin] costs less than
@@ -112,18 +113,17 @@ def model_rhs(vs: ValidatedScenario):
         if not r[r.argmin()] > r_unmasked:
             # a shell at or near the center: the masked arithmetic of radial_rhs
             phi_r = _phi_r(constants, r, lam, n_dim)
-            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim))
+            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim),
+                                  out=out)
         # _phi_r and _derivatives with their floors and masks dropped, which
         # change no value here, and with the lambda terms dropped at lambda =
         # 0, where they are exact no-ops (x - 0.0 = x, and 0.0 r = 0 for the
-        # finite r > 0 of a step that can be accepted). A new
-        # vector on every call: the stepper keeps the last one as its
-        # derivative at the current state and retries rejected steps from it.
+        # finite r > 0 of a step that can be accepted)
         phi_r = m_enc / (sigma * r ** nm1)
         if lam:
             phi_r -= lam * r / n_dim
         phi_r_over_r = phi_r / r
-        f = np.empty(5 * n)
+        f = np.empty(5 * n) if out is None else out
         f[:n] = u
         np.negative(phi_r, out=f[n:2 * n])
         # -(a * b) is (-a) * b, bit for bit: negate in place

@@ -59,10 +59,12 @@ class RiccatiParams:
 
     def equilibrium(self) -> Optional[float]:
         """c = sqrt(|b|/a), the unstable equilibrium's magnitude, for b <= 0;
-        None for b > 0. (0.0 - b/a keeps b = 0 from giving -0.0.)"""
+        None for b > 0. Computed as sqrt(|b|)/sqrt(a), as b/a can under- or
+        overflow where neither root does; 0.0 - b keeps b = 0 from giving
+        -0.0."""
         if self.b > 0:
             return None
-        return math.sqrt(0.0 - self.b / self.a)
+        return math.sqrt(0.0 - self.b) / math.sqrt(self.a)
 
     def blows_up(self) -> bool:
         c = self.equilibrium()

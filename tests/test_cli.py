@@ -77,6 +77,24 @@ class TestSimulate:
         assert result.exit_code == EXIT_VALIDATION
         assert "invalid" in result.output
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"initial_profile": {"density": "uniform", "velocity": {"kind": "zero"}}},
+         "density"),
+        ({"marker_count": 1e300}, "marker_count"),
+        ({"geometry": "radialnd", "dimension": 400, "initial_profile": {
+            "density": {"kind": "uniform", "value": 0.5, "support": [0.0, 1.0]},
+            "velocity": {"kind": "zero"}}}, "dimension"),
+    ], ids=["density-not-a-mapping", "marker-count-1e300", "dimension-400"])
+    def test_out_of_range_input_exit_1_naming_the_field(self, runner, tmp_path,
+                                                         overrides, field):
+        # each of these once ended in a traceback from deep inside validation
+        path = fast_scenario(tmp_path, **overrides)
+        result = runner.invoke(main, ["simulate", "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == EXIT_VALIDATION
+        assert f"[{field}]" in result.output
+
     def test_escape_scenario_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--scenario", str(SCENARIOS / "hubble_escape_1d.yaml"),

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
-                          NumericalSettings, Scenario, TabulatedDensity,
-                          TabulatedVelocity, UniformDensity, ZeroVelocity,
-                          ball_volume, initial_vorticity_satisfied,
+from dustlab.core import (MAX_DIMENSION, GaussianDensity, Geometry,
+                          HubbleVelocity, NumericalSettings, Scenario,
+                          TabulatedDensity, TabulatedVelocity, UniformDensity,
+                          ZeroVelocity, ball_volume, initial_vorticity_satisfied,
                           load_scenario, scenario_from_dict, unit_sphere_area,
                           validate_scenario)
 from dustlab.errors import ValidationError
@@ -189,6 +189,13 @@ class TestInputHardening:
 
     def test_fractional_marker_count_rejected(self):
         assert "marker_count" in rejected_fields(slab_doc(marker_count=2.7))
+
+    def test_dimension_limit_is_accepted(self):
+        doc = slab_doc(geometry="radialnd", dimension=MAX_DIMENSION)
+        doc["initial_profile"]["density"]["support"] = [0.0, 1.0]
+        vs = validate_scenario(scenario_from_dict(doc))
+        assert vs.dimension == MAX_DIMENSION
+        assert "dimension" in rejected_fields(dict(doc, dimension=MAX_DIMENSION + 1))
 
     def test_whole_float_marker_count_accepted(self):
         vs = validate_scenario(scenario_from_dict(slab_doc(marker_count=16.0)))

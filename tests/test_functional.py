@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dustlab import sample
 from dustlab.core import FieldState, HubbleVelocity, validate_scenario
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
-                                _inside, proof_chain_report, step_row)
+                                _inside, proof_chain_report, row, step_row)
 from conftest import make_ball, make_slab
 
 
@@ -58,6 +58,30 @@ class TestFunctionalValues:
 
     def test_support_volume_slab(self):
         assert slab_state([-1.0, 1.0]).support_volume() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])
+def test_row_sums_equal_one_dimensional_reductions(with_rate):
+    """row reduces its weighted products as the rows of one block; each sum
+    must equal np.add.reduce of that product alone, bit for bit, across the
+    sizes where the pairwise summation changes shape (8-way unrolling,
+    blocks of 128, buffers of 8192)."""
+    rng = np.random.default_rng(20261018)
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 16384, 40_000]
+    sizes += rng.integers(1, 40_001, 6).tolist()
+    for n in sizes:
+        masses = rng.uniform(0.1, 2.0, n)
+        positions = np.sort(rng.uniform(0.1, 2.0, n))
+        densities = rng.uniform(0.1, 2.0, n)
+        div = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        rate = rng.normal(size=n) if with_rate else None
+        got = row(0.0, positions, densities, div, masses, 3, rate)
+        md = masses * div
+        expected = [np.add.reduce(md), np.add.reduce(md * div),
+                    np.add.reduce(masses * densities),
+                    np.add.reduce(masses * rate) if with_rate else math.nan]
+        assert (np.array([got.h, got.m_div2, got.m_rho, got.m_div_rate]).tobytes()
+                == np.array(expected).tobytes()), n
 
 
 class TestCauchySchwarz:

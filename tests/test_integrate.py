@@ -117,12 +117,13 @@ class TestStepLimit:
 
 
 def counting(rhs):
-    """rhs and a one-element list that counts its calls."""
+    """rhs and a one-element list that counts its calls. out is passed on:
+    the stepper writes stage derivatives into its stage block, RK45 does not."""
     calls = [0]
 
-    def counted(t, y):
+    def counted(t, y, out=None):
         calls[0] += 1
-        return rhs(t, y)
+        return rhs(t, y, out)
     return counted, calls
 
 
@@ -205,8 +206,11 @@ class TestStepperMatchesRK45:
 def test_step_underflow():
     """An RHS that turns NaN past t = 0.5 rejects every step that reaches
     past it, so the step size collapses there."""
-    def rhs(t, y):
-        return -y if t <= 0.5 else np.full_like(y, np.nan)
+    def rhs(t, y, out=None):
+        f = np.negative(y, out=out)
+        if t > 0.5:
+            f[:] = np.nan
+        return f
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
         for _ in _integrate.steps(rhs, 0.0, np.ones(3), 1.0, NumericalSettings()):

@@ -2,11 +2,12 @@
 ``model_rhs``) against the state functions ``slab_rhs`` and ``radial_rhs``,
 compared bit for bit on seeded random states.
 
-The closures compute their run constants once and write one new vector per
-call; the shell closure drops the centre masks when every radius is clear of
-the floor and of overflow. None of that may change a bit, and RK45 keeps each returned vector
-as its derivative at the current state, so no call may reuse or overwrite an
-earlier result.
+The closures compute their run constants once. Called as rhs(t, y, out),
+they write the derivative into out, a row of the stepper's stage block, and
+return it; called as rhs(t, y), as scipy's RK45 and the edge row call them,
+they return a new vector, which the caller may keep. The shell closure drops
+the centre masks when every radius is clear of the floor and of overflow.
+None of that may change a bit.
 """
 
 from dataclasses import replace
@@ -86,3 +87,33 @@ def test_each_call_returns_a_new_vector(scenario, vector, state_rhs):
     assert not np.shares_memory(f1, f2)
     assert not np.shares_memory(f1, y1) and not np.shares_memory(f2, y2)
     assert f1.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("scenario, vector, state_rhs", cases())
+def test_out_receives_the_same_bytes(scenario, vector, state_rhs):
+    rng = np.random.default_rng(11)
+    rhs, _ = model(validate_scenario(scenario), rng)
+    with np.errstate(all="raise"):
+        for _ in range(5):
+            y = vector(rng)
+            kept = y.copy()
+            expected = rhs(0.0, y)
+            # a row of a block, as the stepper passes it, holding stale values
+            out = np.full((2, y.size), np.nan)[1]
+            assert rhs(0.0, y, out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert y.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.37, -1.3])
+def test_slab_force_equals_its_formula(lam):
+    """_forces builds -Phi_x in place; it must equal -(Phi_x - lam (x - x_cm))
+    evaluated with temporaries, bit for bit."""
+    rng = np.random.default_rng(5)
+    masses = rng.uniform(0.2, 1.0, MARKERS)
+    constants = geometry1d._force_constants(masses)
+    total, phi_x, _ = constants
+    for _ in range(5):
+        x = np.sort(rng.uniform(-1.5, 1.5, MARKERS))
+        expected = -(phi_x - lam * (x - (masses * x).sum() / total))
+        assert geometry1d._forces(masses, constants, x, lam).tobytes() == expected.tobytes()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +179,28 @@ class TestConditions:
                     assert (cert.t_bound is None) == (cert.case is Case.NO_CERTIFICATE)
                     if cert.t_bound is not None:
                         assert math.isfinite(cert.t_bound) and cert.t_bound > 0
+
+    def test_blows_up_is_the_exact_decision(self):
+        """blows_up() against the decision in exact rational arithmetic, on
+        seeded log-uniform magnitudes of a, b and h0 from 1e-300 to 1e300,
+        where b/a under- or overflows for a quarter of the draws. A draw
+        lands within rounding of the boundary a h0^2 = -b with probability
+        near 1e-15, so the two must agree on every one."""
+        rng = np.random.default_rng(20261018)
+        exponents = rng.uniform(-300.0, 300.0, (20_000, 3)).tolist()
+        signs = rng.choice((-1.0, 0.0, 1.0), (20_000, 2)).tolist()
+        for (ea, eb, eh), (sb, sh) in zip(exponents, signs):
+            p = RiccatiParams(a=10.0 ** ea, b=sb * 10.0 ** eb, h0=sh * 10.0 ** eh)
+            exact = p.b > 0 or (p.h0 < 0 and
+                                Fraction(p.a) * Fraction(p.h0) ** 2 > -Fraction(p.b))
+            assert p.blows_up() == exact, p
+
+    def test_underflowing_b_over_a_certifies_nothing(self):
+        # b/a = -1e-240 underflowed to 0 and gave c = 0, so h0 = -1e-200 was
+        # certified (CaseTwo, t_bound 1e80); c is sqrt(1e-240)/sqrt(1e120) = 1e-180
+        cert = check_blowup_conditions(1e-120, 1.0, 2e-120, 1, -1e-200)
+        assert cert.case is Case.NO_CERTIFICATE and cert.t_bound is None
+        assert cert.threshold_case2 == pytest.approx(1e-180, rel=1e-15)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
