@@ -3,8 +3,7 @@ pressureless self-gravitating dust with a background constant."""
 
 from . import _integrate, geometry1d, radial
 from .core import (FieldState, Geometry, NumericalSettings, Scenario,
-                   Trajectory, ValidatedScenario, initial_vorticity_satisfied,
-                   load_scenario, validate_scenario)
+                   Trajectory, ValidatedScenario, load_scenario, validate_scenario)
 
 __version__ = "0.1.0"
 

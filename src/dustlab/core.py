@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -19,8 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import yaml
 
-from .errors import (CrossedMarkers, CrossedShells, EmptyState, ValidationError,
-                     ZeroRadius)
+from .errors import ValidationError
 
 
 class Geometry(Enum):
@@ -132,15 +132,6 @@ class TabulatedDensity:
 
 
 @dataclass(frozen=True)
-class ZeroVelocity:
-    def __call__(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def gradient(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class UniformVelocity:
     value: float
 
@@ -195,7 +186,16 @@ MAX_MARKERS = 1_000_000
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    # compared, not converted: an integer too large for a double is not finite
+    return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+
+
+def _float(value) -> float:
+    """float(value), except that an integer too large for a double becomes
+    +-inf, as a literal such as 1e400 does, and fails validation by name."""
+    if isinstance(value, numbers.Integral) and not _finite(value):
+        return math.inf if value > 0 else -math.inf
+    return float(value)
 
 
 def _whole(value) -> bool:
@@ -226,7 +226,7 @@ class NumericalSettings:
             elif getattr(self, name) <= 0:
                 bad.append(("BadSettings", name, "must be strictly positive"))
         if not _whole(self.max_steps):
-            bad.append(("BadSettings", "max_steps", "must be a whole number"))
+            bad.append(("BadSettings", "max_steps", "must be a whole number that fits a double"))
         elif self.max_steps <= 0:
             bad.append(("BadSettings", "max_steps", "must be strictly positive"))
         return bad
@@ -253,24 +253,6 @@ class FieldState:
 
     def gaps(self):
         return neighbour_gaps(self.positions, self.dimension)
-
-    def support_volume(self):
-        return float(support_volume(self.positions[0], self.positions[-1], self.dimension))
-
-    def support_volume_upper(self):
-        return support_volume_upper(self.support_volume(), self.densities,
-                                    self.masses, self.dimension)
-
-    def check(self):
-        """Raise unless the markers can carry a force law: at least one, no
-        negative radius, positions strictly increasing."""
-        if self.positions.size == 0:
-            raise EmptyState("state has no markers")
-        if self.dimension > 1 and np.any(self.positions < 0):
-            raise ZeroRadius("negative shell radius")
-        if np.any(np.diff(self.positions) <= 0):
-            raise (CrossedMarkers if self.dimension == 1 else CrossedShells)(
-                "marker positions are not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -376,7 +358,7 @@ def validate_scenario(raw) -> ValidatedScenario:
         s = replace(s, dimension=1)  # forced to 1 for the slab
     if not _whole(s.dimension):
         violations.append(("BadDimension", "dimension",
-                           f"must be a whole number, got {s.dimension!r}"))
+                           f"must be a whole number that fits a double, got {s.dimension!r}"))
     elif s.geometry is Geometry.RADIALND and s.dimension < 2:
         violations.append(("BadDimension", "dimension",
                            f"radial geometry needs dimension >= 2, got {s.dimension}"))
@@ -385,7 +367,7 @@ def validate_scenario(raw) -> ValidatedScenario:
                            f"at most {MAX_DIMENSION}, got {s.dimension!r}"))
     if not _whole(s.marker_count):
         violations.append(("BadMarkerCount", "marker_count",
-                           f"must be a whole number, got {s.marker_count!r}"))
+                           f"must be a whole number that fits a double, got {s.marker_count!r}"))
     elif s.marker_count < 2:
         violations.append(("BadMarkerCount", "marker_count", "need at least 2 markers"))
     elif s.marker_count > MAX_MARKERS:
@@ -508,20 +490,6 @@ def _check_triggers_at_start(s: Scenario, pos, rho, div0):
         raise ValidationError(violations)
 
 
-def initial_vorticity_satisfied(vs: ValidatedScenario):
-    """Confirm the zero-initial-vorticity hypothesis, with the reason.
-
-    In 1-D the antisymmetric part of the 1x1 velocity gradient vanishes
-    identically; a radial field u(r) x/r has a symmetric gradient. Both
-    supported geometries therefore satisfy the hypothesis by construction;
-    this exists so certificates can record that fact.
-    """
-    vs = validate_scenario(vs)
-    if vs.geometry is Geometry.SLAB1D:
-        return True, "1-D: condition automatic"
-    return True, "radial gradient is symmetric"
-
-
 # ---------------------------------------------------------------------------
 # Diagnostics and trajectory containers
 # ---------------------------------------------------------------------------
@@ -600,15 +568,15 @@ def _build_density(spec: dict):
     kind = _profile_kind("density", spec)
     if kind == "uniform":
         lo, hi = spec["support"]
-        return UniformDensity(value=float(spec["value"]), lo=float(lo), hi=float(hi))
+        return UniformDensity(value=_float(spec["value"]), lo=_float(lo), hi=_float(hi))
     if kind == "gaussian":
         lo, hi = spec["support"]
-        return GaussianDensity(amplitude=float(spec["amplitude"]),
-                               center=float(spec.get("center", 0.0)),
-                               width=float(spec["width"]), lo=float(lo), hi=float(hi))
+        return GaussianDensity(amplitude=_float(spec["amplitude"]),
+                               center=_float(spec.get("center", 0.0)),
+                               width=_float(spec["width"]), lo=_float(lo), hi=_float(hi))
     if kind == "table":
-        return TabulatedDensity(xs=tuple(float(v) for v in spec["x"]),
-                                values=tuple(float(v) for v in spec["values"]))
+        return TabulatedDensity(xs=tuple(_float(v) for v in spec["x"]),
+                                values=tuple(_float(v) for v in spec["values"]))
     raise ValidationError([("BadProfile", "density",
                             f"unknown density kind {kind!r}, expected one of {sorted(_DENSITY_KINDS)}")])
 
@@ -616,14 +584,14 @@ def _build_density(spec: dict):
 def _build_velocity(spec: dict):
     kind = _profile_kind("velocity", spec)
     if kind == "zero":
-        return ZeroVelocity()
+        return UniformVelocity(0.0)
     if kind == "uniform":
-        return UniformVelocity(value=float(spec["value"]))
+        return UniformVelocity(value=_float(spec["value"]))
     if kind == "hubble":
-        return HubbleVelocity(rate=float(spec["rate"]))
+        return HubbleVelocity(rate=_float(spec["rate"]))
     if kind == "table":
-        return TabulatedVelocity(xs=tuple(float(v) for v in spec["x"]),
-                                 values=tuple(float(v) for v in spec["values"]))
+        return TabulatedVelocity(xs=tuple(_float(v) for v in spec["x"]),
+                                 values=tuple(_float(v) for v in spec["values"]))
     raise ValidationError([("BadProfile", "velocity",
                             f"unknown velocity kind {kind!r}, expected one of {sorted(_VELOCITY_KINDS)}")])
 
@@ -635,15 +603,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return Scenario(
             geometry=geometry,
             dimension=doc.get("dimension", 1),
-            lam=float(doc.get("lambda", 0.0)),
-            v_sup=float(doc["v_sup"]),
+            lam=_float(doc.get("lambda", 0.0)),
+            v_sup=_float(doc["v_sup"]),
             density=_build_density(doc["initial_profile"]["density"]),
             velocity=_build_velocity(doc["initial_profile"]["velocity"]),
             marker_count=doc["marker_count"],
-            t_end=float(doc["t_end"]),
+            t_end=_float(doc["t_end"]),
             settings=settings,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError([("BadScenarioFile", "scenario", str(exc))]) from exc
 
 

@@ -14,32 +14,12 @@ class ValidationError(DustLabError):
         super().__init__(lines or "invalid scenario")
 
 
-class EmptyState(DustLabError):
-    pass
-
-
-class CrossedMarkers(DustLabError):
-    pass
-
-
-class CrossedShells(CrossedMarkers):
-    pass
-
-
-class ZeroRadius(DustLabError):
-    pass
-
-
 class StepUnderflow(DustLabError):
     pass
 
 
 class MaxStepsExceeded(DustLabError):
     pass
-
-
-class HypothesisViolated(DustLabError):
-    """Support volume exceeded the assumed bound; the inequality is not asserted."""
 
 
 class NoCertificateError(DustLabError):

@@ -121,8 +121,9 @@ class _Chain:
     float ** 2 (libm pow) and NumPy's square (x * x) can round differently.
     """
 
-    def __init__(self, trajectory: Trajectory, v_sup: float):
+    def __init__(self, trajectory: Trajectory):
         vs = trajectory.validated
+        v_sup = vs.v_sup
         c = trajectory.columns
         self.mass = mass = vs.total_mass
         self.time = t = c.time.tolist()
@@ -155,7 +156,7 @@ def diagnostics_rows(trajectory: Trajectory) -> list:
     """One tuple per accepted step, in DIAGNOSTIC_COLUMNS order. The
     Riccati residual of row i pairs it with row i-1 and is NaN on the first
     row; margins that need the support hypothesis are NaN where it fails."""
-    chain = _Chain(trajectory, trajectory.validated.v_sup)
+    chain = _Chain(trajectory)
     c = trajectory.columns
     return list(zip(chain.time, chain.h, [chain.mass] * len(chain.time),
                     c.volume.tolist(), chain.cs_div, chain.cs_rho,
@@ -212,7 +213,7 @@ def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
     if trajectory.event is not None:
         cutoff = (1.0 - NEAR_SINGULAR_FRACTION) * trajectory.event.t_lo
 
-    chain = _Chain(trajectory, trajectory.validated.v_sup)
+    chain = _Chain(trajectory)
     steps: List[ProofChainStep] = []
     worst_div = math.inf
     worst_rho = math.inf

@@ -13,37 +13,33 @@ center of mass, so Phi_x = (M_left - M_right)/2 - lambda (x - x_cm). A
 marker's own mass splits half-left/half-right (zero self-force), the
 continuum limit of the sgn kernel.
 
-This module holds the force law only: slab_rhs on a core.FieldState (du
-is the force per marker), and model_rhs, the same derivatives on the solver
-vector [x, u, rho, w] that _integrate runs. In 1-D the zero-initial-vorticity
-hypothesis is automatic: the velocity gradient is a scalar and has no
-antisymmetric part.
+This module holds the force law only: model_rhs, these derivatives on the
+solver vector [x, u, rho, w] that _integrate runs, is its one form. In 1-D
+the zero-initial-vorticity hypothesis is automatic: the velocity gradient is
+a scalar and has no antisymmetric part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FieldState, ValidatedScenario
+from .core import ValidatedScenario
 
 
 def _force_constants(masses):
     """Run constants of the slab force law, which depend on the masses alone:
     the total mass, the self-gravity part of Phi_x and its negation (the
-    force when lambda = 0). State functions and the model RHS both take them
-    from here."""
+    force when lambda = 0)."""
     total = masses.sum()
     # (M_left - M_right)/2 with the half-self convention: cum - m/2 - (total - cum + m/2)
     phi_x = np.cumsum(masses) - 0.5 * masses - 0.5 * total
     return total, phi_x, -phi_x
 
 
-def _forces(masses, constants, positions, lam, out=None):
+def _forces(masses, constants, positions, lam, out):
     """-Phi_x at every marker, markers taken in index (= sorted) order,
-    written into out (a new array without it), which is returned."""
+    written into out, which is returned."""
     total, phi_x, force = constants
-    if out is None:
-        out = np.empty_like(positions)
     if lam == 0.0:
         out[:] = force
         return out
@@ -56,20 +52,11 @@ def _forces(masses, constants, positions, lam, out=None):
     return out
 
 
-def slab_rhs(state: FieldState):
-    """Time derivatives (dx, du, drho, dw) of all marker fields."""
-    state.check()
-    du = _forces(state.masses, _force_constants(state.masses), state.positions,
-                 state.lam)
-    w = state.eig_radial
-    rho = state.densities
-    return state.velocities, du, -rho * w, -w * w - rho + state.lam
-
-
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, y, out=None) of slab_rhs on the solver vector [x, u, rho, w],
-    with the run constants computed once. With out, the derivative is
-    written into out, which is returned; without it, into a new vector."""
+    """rhs(t, y, out=None): the time derivatives (dx, du, drho, dw) on the
+    solver vector [x, u, rho, w], with the run constants computed once. With
+    out, the derivative is written into out, which is returned; without it,
+    into a new vector."""
     masses = vs.masses
     lam = vs.lam
     n = masses.size

@@ -19,16 +19,16 @@ Delta Phi = rho - lambda, sigma the unit-sphere surface measure)
 The background decomposition Phi = Phi_rho - lambda |x|^2 / (2N) is the
 unique radially symmetric particular solution for the -lambda source.
 
-This module holds the force law only: radial_rhs on a core.FieldState (du
-is -Phi_r per shell, 0 at the center), and model_rhs, the same derivatives
-on the solver vector [r, u, rho, l1, l2] that _integrate runs.
+This module holds the force law only: model_rhs, these derivatives on the
+solver vector [r, u, rho, l1, l2] that _integrate runs, is its one form (du
+is -Phi_r per shell, 0 at the center).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FieldState, ValidatedScenario, unit_sphere_area
+from .core import ValidatedScenario, unit_sphere_area
 
 # floor of r^(N-1), and the |r| up to which a shell counts as at the center;
 # keeps trial RK stages finite if a radius touches zero
@@ -39,7 +39,7 @@ def _shell_constants(masses, n):
     """Run constants of the shell force law, which depend on the masses and
     N alone: the enclosed mass of every shell (half-self convention), sigma,
     and the radius above which no floor or mask of _phi_r and _derivatives
-    acts. State functions and the model RHS both take them from here."""
+    acts."""
     m_enc = np.cumsum(masses) - 0.5 * masses
     sigma = unit_sphere_area(n)
     # twice the larger of two radii, so that no rounding above it reaches a
@@ -63,17 +63,6 @@ def _phi_r(constants, radii, lam, n):
     return grad - lam * radii / n
 
 
-def radial_rhs(state: FieldState):
-    """Time derivatives (dr, du, drho, dl1, dl2) of all shell fields."""
-    state.check()
-    n = state.dimension
-    phi_r = _phi_r(_shell_constants(state.masses, n), state.positions,
-                   state.lam, n)
-    return _derivatives(state.positions, state.velocities, state.densities,
-                        state.eig_radial, state.eig_tangential, phi_r,
-                        state.lam, n)
-
-
 def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
     center = np.abs(r) <= _R_FLOOR
     du = np.where(center, 0.0, -phi_r)
@@ -94,9 +83,10 @@ def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
 
 
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, y, out=None) of radial_rhs on the solver vector [r, u, rho,
-    l1, l2], with the run constants computed once. With out, the derivative
-    is written into out, which is returned; without it, into a new vector."""
+    """rhs(t, y, out=None): the time derivatives (dr, du, drho, dl1, dl2) on
+    the solver vector [r, u, rho, l1, l2], with the run constants computed
+    once. With out, the derivative is written into out, which is returned;
+    without it, into a new vector."""
     masses = vs.masses
     lam = vs.lam
     n_dim = vs.dimension
@@ -111,7 +101,7 @@ def model_rhs(vs: ValidatedScenario):
         # the smallest radius, or the first NaN; r[argmin] costs less than
         # r.min() on a few dozen shells
         if not r[r.argmin()] > r_unmasked:
-            # a shell at or near the center: the masked arithmetic of radial_rhs
+            # a shell at or near the center: the masked arithmetic
             phi_r = _phi_r(constants, r, lam, n_dim)
             return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim),
                                   out=out)

@@ -1,10 +1,13 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dustlab import simulate
+from dustlab import _integrate, geometry1d, radial, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
-                          ZeroVelocity, ball_volume, validate_scenario)
+                          UniformVelocity, ball_volume, validate_scenario)
 
 FAST = NumericalSettings(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -15,7 +18,7 @@ def make_slab(rho0=0.5, lam=0.0, v_sup=None, velocity=None, markers=40,
     lo, hi = density.support
     return Scenario(geometry=Geometry.SLAB1D, dimension=1, lam=lam,
                     v_sup=v_sup if v_sup is not None else hi - lo,
-                    density=density, velocity=velocity or ZeroVelocity(),
+                    density=density, velocity=velocity or UniformVelocity(0.0),
                     marker_count=markers, t_end=t_end, settings=settings)
 
 
@@ -25,8 +28,40 @@ def make_ball(n=3, rho0=0.5, lam=0.0, v_sup=None, velocity=None, markers=40,
     _, radius = density.support
     return Scenario(geometry=Geometry.RADIALND, dimension=n, lam=lam,
                     v_sup=v_sup if v_sup is not None else ball_volume(n, radius),
-                    density=density, velocity=velocity or ZeroVelocity(),
+                    density=density, velocity=velocity or UniformVelocity(0.0),
                     marker_count=markers, t_end=t_end, settings=settings)
+
+
+MARKER_FIELDS = ("positions", "velocities", "densities", "eig_radial",
+                 "eig_tangential", "masses")
+
+
+@functools.lru_cache(maxsize=None)
+def _validated(dimension, lam):
+    sc = make_slab(lam=lam) if dimension == 1 else make_ball(n=dimension, lam=lam)
+    return validate_scenario(sc)
+
+
+def derivatives(state):
+    """The force law at a FieldState, under its own masses, lambda and
+    dimension: model_rhs(vs)(0.0, y) of its geometry on the _integrate.layout
+    vector y of a scenario whose markers are replaced by the state's, split
+    into one array per field, (dx, du, drho, dw) or (dr, du, drho, dl1, dl2)."""
+    vs = replace(_validated(state.dimension, state.lam),
+                 **{name: getattr(state, name) for name in MARKER_FIELDS})
+    y, _, _ = _integrate.layout(vs)
+    module = geometry1d if vs.dimension == 1 else radial
+    return np.split(module.model_rhs(vs)(0.0, y), 4 if vs.dimension == 1 else 5)
+
+
+def masked_shell_rhs(vs, y):
+    """The shell derivatives on the solver vector y by the masked arithmetic
+    of radial._phi_r and radial._derivatives, which the model closure falls
+    back to when a shell is at or near the centre."""
+    n = vs.dimension
+    r, u, rho, l1, l2 = np.split(y, 5)
+    phi_r = radial._phi_r(radial._shell_constants(vs.masses, n), r, vs.lam, n)
+    return np.concatenate(radial._derivatives(r, u, rho, l1, l2, phi_r, vs.lam, n))
 
 
 def collapse_scenarios_1d():
@@ -34,10 +69,10 @@ def collapse_scenarios_1d():
     out = []
     for rho0 in (0.3, 0.5, 0.8, 1.0):
         for lam_frac in (0.0, 0.4):
-            for vel in (ZeroVelocity(), HubbleVelocity(-0.5)):
+            for vel in (UniformVelocity(0.0), HubbleVelocity(-0.5)):
                 out.append(make_slab(rho0=rho0, lam=lam_frac * rho0, velocity=vel))
     for amp in (0.5, 1.0):
-        for vel in (ZeroVelocity(), HubbleVelocity(-0.5)):
+        for vel in (UniformVelocity(0.0), HubbleVelocity(-0.5)):
             out.append(make_slab(density=GaussianDensity(amp, 0.0, 0.5, -1.0, 1.0),
                                  velocity=vel))
     # condition (2): lambda above M/v_sup, strongly contracting start
@@ -50,11 +85,11 @@ def collapse_scenarios_radial():
     out = []
     for n in (2, 3):
         for rho0 in (0.3, 0.5, 0.8, 1.2):
-            for vel in (ZeroVelocity(), HubbleVelocity(-0.5)):
+            for vel in (UniformVelocity(0.0), HubbleVelocity(-0.5)):
                 out.append(make_ball(n=n, rho0=rho0, velocity=vel))
-        out.append(make_ball(n=n, rho0=0.5, lam=0.2, velocity=ZeroVelocity()))
+        out.append(make_ball(n=n, rho0=0.5, lam=0.2, velocity=UniformVelocity(0.0)))
         out.append(make_ball(n=n, density=GaussianDensity(1.0, 0.0, 0.5, 0.0, 1.0),
-                             velocity=ZeroVelocity()))
+                             velocity=UniformVelocity(0.0)))
     return out
 
 

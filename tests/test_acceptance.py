@@ -15,13 +15,11 @@ from dustlab import sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, ball_volume,
                           validate_scenario)
 from dustlab.functional import proof_chain_report, step_row
-from dustlab.geometry1d import slab_rhs
-from dustlab.radial import radial_rhs
 from dustlab.riccati import (Case, RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds, check_blowup_conditions,
                              comparison_exceedance, integrate_comparison_ode)
 
-from conftest import make_ball, make_slab
+from conftest import derivatives, make_ball, make_slab
 
 DRAWS_PER_REGIME = 1000
 
@@ -97,7 +95,7 @@ class TestCriterion2CertificateSoundness:
                 continue
             if traj.event.t_hi > cert.t_bound + 1e-6:
                 failures.append(f"event {traj.event.t_hi:g} after bound {cert.t_bound:g}")
-            bad_support = any(st.support_volume_upper() > vs.v_sup * (1 + 1e-12)
+            bad_support = any(step_row(st).volume_upper > vs.v_sup * (1 + 1e-12)
                               for st in traj.states)
             if bad_support:
                 failures.append(f"support escaped v_sup={vs.v_sup:g} (lam={vs.lam})")
@@ -209,10 +207,9 @@ class TestCriterion7EquilibriumFixture:
         for sc in fixtures:
             traj = simulate(sc, keep_states=True)
             ok = ok and traj.termination == "t_end"
-            rhs = slab_rhs if sc.geometry.value == "slab1d" else radial_rhs
             for st in traj.states:
                 worst_h = max(worst_h, abs(step_row(st).h))
-                worst_force = max(worst_force, float(np.max(np.abs(rhs(st)[1]))))
+                worst_force = max(worst_force, float(np.max(np.abs(derivatives(st)[1]))))
             rep = proof_chain_report(traj)
             worst_ric = max(worst_ric,
                             max(abs(s.riccati_residual) for s in rep.steps))

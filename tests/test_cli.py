@@ -21,6 +21,13 @@ def write_yaml(path, doc):
     return str(path)
 
 
+BALL = {"geometry": "radialnd", "dimension": 3, "v_sup": 5.0, "initial_profile": {
+    "density": {"kind": "uniform", "value": 0.5, "support": [0.0, 1.0]},
+    "velocity": {"kind": "zero"}}}
+
+TOO_LARGE = 10**400  # 401 digits; a double ends near 1.8e308
+
+
 def fast_scenario(tmp_path, **overrides):
     doc = {
         "geometry": "slab1d", "dimension": 1, "lambda": 0.0, "v_sup": 2.0,
@@ -94,6 +101,34 @@ class TestSimulate:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == EXIT_VALIDATION
         assert f"[{field}]" in result.output
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"marker_count": TOO_LARGE}, "marker_count"),
+        ({**BALL, "dimension": TOO_LARGE}, "dimension"),
+        ({"v_sup": TOO_LARGE}, "v_sup"),
+        ({"t_end": TOO_LARGE}, "t_end"),
+        ({"lambda": TOO_LARGE}, "lambda"),
+        ({"tolerances": {"rel_tol": TOO_LARGE}}, "rel_tol"),
+        ({"tolerances": {"max_steps": TOO_LARGE}}, "max_steps"),
+        ({"initial_profile": {
+            "density": {"kind": "uniform", "value": TOO_LARGE, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}}}, "density"),
+        ({"initial_profile": {
+            "density": {"kind": "uniform", "value": 0.5, "support": [-1.0, TOO_LARGE]},
+            "velocity": {"kind": "zero"}}}, "density"),
+    ], ids=["marker_count", "dimension", "v_sup", "t_end", "lambda", "rel_tol",
+            "max_steps", "density.value", "density.support"])
+    def test_integer_too_large_for_a_double_exit_1_naming_the_field(
+            self, runner, tmp_path, overrides, field):
+        # each of these once ended in OverflowError: int too large to convert
+        # to float
+        path = fast_scenario(tmp_path, **overrides)
+        result = runner.invoke(main, ["simulate", "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == EXIT_VALIDATION
+        assert f"[{field}]" in result.output
+        assert "Traceback" not in result.output
 
     def test_escape_scenario_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -214,6 +249,19 @@ class TestCertify:
         # lambda = 0: per-characteristic bounds section present, but a cold
         # start has no contracting characteristics
         assert doc["chae_tadmor"]["applicable_markers"] == 0
+
+    @pytest.mark.parametrize("overrides, reason", [
+        ({}, "1-D: condition automatic"),
+        (BALL, "radial gradient is symmetric"),
+    ], ids=["slab", "ball"])
+    def test_vorticity_keys(self, runner, tmp_path, overrides, reason):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["certify", "--scenario",
+                                      fast_scenario(tmp_path, **overrides), "--out", str(out)])
+        assert result.exit_code == EXIT_OK, result.output
+        doc = yaml.safe_load((out / "certificate.yaml").read_text())
+        assert doc["initial_vorticity_zero"] is True
+        assert doc["vorticity_reason"] == reason
 
     def test_chae_tadmor_bound_for_contracting_start(self, runner, tmp_path):
         path = fast_scenario(tmp_path, initial_profile={

@@ -16,19 +16,29 @@ import pytest
 
 from dustlab import detector, simulate
 from dustlab.cli import _fmt, _write_trajectory_csv
-from dustlab.core import NumericalSettings
-from dustlab.errors import HypothesisViolated
+from dustlab.core import NumericalSettings, support_volume, support_volume_upper
 from dustlab.functional import (NEAR_SINGULAR_FRACTION, RESIDUAL_FLOOR,
                                 ProofChainStep, proof_chain_report)
-from dustlab.geometry1d import slab_rhs
-from dustlab.radial import radial_rhs
 
-from conftest import make_ball, make_slab
+from conftest import derivatives, make_ball, make_slab
 
 
 # ---------------------------------------------------------------------------
 # Reference: per-state loops over traj.states
 # ---------------------------------------------------------------------------
+
+
+class HypothesisViolated(Exception):
+    """Support volume exceeded the assumed bound; the inequality is not asserted."""
+
+
+def loop_volume(state):
+    return float(support_volume(state.positions[0], state.positions[-1], state.dimension))
+
+
+def loop_volume_upper(state):
+    return support_volume_upper(loop_volume(state), state.densities, state.masses,
+                                state.dimension)
 
 
 def loop_total_mass(state):
@@ -48,7 +58,7 @@ def loop_cs_divergence(state):
 
 
 def loop_cs_density(state, v_sup):
-    vol = state.support_volume_upper()
+    vol = loop_volume_upper(state)
     if vol > v_sup * (1 + 1e-12):
         raise HypothesisViolated(f"support volume {vol:g} exceeds v_sup {v_sup:g}")
     mass = loop_total_mass(state)
@@ -57,9 +67,9 @@ def loop_cs_density(state, v_sup):
 
 def loop_div_rate(state):
     if state.eig_tangential is None:
-        _, _, _, dw = slab_rhs(state)
+        _, _, _, dw = derivatives(state)
         return dw
-    _, _, _, dl1, dl2 = radial_rhs(state)
+    _, _, _, dl1, dl2 = derivatives(state)
     return dl1 + (state.dimension - 1) * dl2
 
 
@@ -82,7 +92,7 @@ def loop_transport(traj, step):
 def loop_riccati(traj, step, v_sup):
     a, b = traj.states[step], traj.states[step + 1]
     for st in (a, b):
-        vol = st.support_volume_upper()
+        vol = loop_volume_upper(st)
         if vol > v_sup * (1 + 1e-12):
             raise HypothesisViolated(f"support volume {vol:g} exceeds v_sup {v_sup:g}")
     mass = loop_total_mass(a)
@@ -108,7 +118,7 @@ def loop_diagnostics_row(traj, i):
             riccati = loop_riccati(traj, i - 1, v_sup)
         except HypothesisViolated:
             riccati = math.nan
-    return [st.time, loop_h(st), loop_total_mass(st), st.support_volume(),
+    return [st.time, loop_h(st), loop_total_mass(st), loop_volume(st),
             loop_cs_divergence(st), cs_rho, riccati, float(np.min(st.densities)),
             float(np.max(st.densities)), float(np.max(np.abs(st.div_u())))]
 
@@ -208,8 +218,8 @@ class TestColumnsEqualLoops:
             "m_div2": [float(np.sum(st.masses * st.div_u() * st.div_u()))
                        for st in traj.states],
             "m_rho": [float(np.sum(st.masses * st.densities)) for st in traj.states],
-            "volume": [st.support_volume() for st in traj.states],
-            "volume_upper": [st.support_volume_upper() for st in traj.states],
+            "volume": [loop_volume(st) for st in traj.states],
+            "volume_upper": [loop_volume_upper(st) for st in traj.states],
             "m_div_rate": [float(np.sum(st.masses * loop_div_rate(st)))
                            for st in traj.states],
             "min_gap": [float(np.min(loop_gaps(st))) for st in traj.states],

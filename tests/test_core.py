@@ -8,9 +8,8 @@ from scipy.integrate import quad
 from dustlab.core import (MAX_DIMENSION, GaussianDensity, Geometry,
                           HubbleVelocity, NumericalSettings, Scenario,
                           TabulatedDensity, TabulatedVelocity, UniformDensity,
-                          ZeroVelocity, ball_volume, initial_vorticity_satisfied,
-                          load_scenario, scenario_from_dict, unit_sphere_area,
-                          validate_scenario)
+                          ball_volume, load_scenario, scenario_from_dict,
+                          unit_sphere_area, validate_scenario)
 from dustlab.errors import ValidationError
 
 from conftest import make_ball, make_slab
@@ -95,16 +94,6 @@ class TestDiscretization:
         vs = validate_scenario(make_ball(n=3, velocity=HubbleVelocity(0.3),
                                          v_sup=100.0))
         assert vs.h0 == pytest.approx(3 * 0.3 * vs.total_mass, rel=1e-13)
-
-
-class TestVorticityHypothesis:
-    def test_slab(self):
-        ok, reason = initial_vorticity_satisfied(validate_scenario(make_slab()))
-        assert ok and "1-D" in reason
-
-    def test_radial(self):
-        ok, reason = initial_vorticity_satisfied(validate_scenario(make_ball()))
-        assert ok and "symmetric" in reason
 
 
 class TestScenarioFiles:

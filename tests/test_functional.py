@@ -57,7 +57,7 @@ class TestFunctionalValues:
         assert step_row(st).h == pytest.approx(3 * 0.7 * st.masses.sum(), rel=1e-13)
 
     def test_support_volume_slab(self):
-        assert slab_state([-1.0, 1.0]).support_volume() == pytest.approx(2.0)
+        assert step_row(slab_state([-1.0, 1.0])).volume == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])

@@ -5,10 +5,8 @@ from scipy.integrate import solve_ivp
 from dustlab import sample, simulate
 from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
                           validate_scenario)
-from dustlab.errors import CrossedMarkers, EmptyState
-from dustlab.geometry1d import slab_rhs
 
-from conftest import make_slab
+from conftest import derivatives, make_slab
 
 
 def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5), lam=0.0):
@@ -22,7 +20,7 @@ def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5), lam=0.0):
 class TestSlabForce:
     def test_symmetric_pair_equal_and_opposite(self):
         st = two_marker_state()
-        f0, f1 = slab_rhs(st)[1]
+        f0, f1 = derivatives(st)[1]
         assert f0 == pytest.approx(-f1)
         assert f0 > 0  # left marker pulled right
 
@@ -30,7 +28,7 @@ class TestSlabForce:
         st = FieldState(time=0.0, positions=np.array([0.3]),
                         velocities=np.zeros(1), densities=np.ones(1),
                         eig_radial=np.zeros(1), masses=np.ones(1))
-        assert slab_rhs(st)[1][0] == 0.0
+        assert derivatives(st)[1][0] == 0.0
 
     def test_uniform_slab_continuum_limit(self):
         # continuum force for uniform rho0 on [-1,1] is -rho0 * x
@@ -38,22 +36,10 @@ class TestSlabForce:
         st = FieldState(time=0.0, positions=vs.positions,
                         velocities=vs.velocities, densities=vs.densities,
                         eig_radial=vs.eig_radial, masses=vs.masses)
-        force = slab_rhs(st)[1]
+        force = derivatives(st)[1]
         for j in (10, 500, 990):
             expected = -0.5 * vs.positions[j]
             assert force[j] == pytest.approx(expected, rel=1e-2)
-
-    def test_empty_state(self):
-        st = FieldState(time=0.0, positions=np.array([]),
-                        velocities=np.array([]), densities=np.array([]),
-                        eig_radial=np.array([]), masses=np.array([]))
-        with pytest.raises(EmptyState):
-            slab_rhs(st)
-
-    def test_crossed_markers_rejected(self):
-        st = two_marker_state(x=(0.5, -0.5))
-        with pytest.raises(CrossedMarkers):
-            slab_rhs(st)
 
 
 class TestSlabRhs:
@@ -64,7 +50,7 @@ class TestSlabRhs:
                         velocities=st.velocities,
                         densities=np.full(2, lam),
                         eig_radial=np.zeros(2), masses=st.masses, lam=lam)
-        _, _, drho, dw = slab_rhs(st)
+        _, _, drho, dw = derivatives(st)
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
         np.testing.assert_allclose(drho, 0.0, atol=1e-15)
 
@@ -73,7 +59,7 @@ class TestSlabRhs:
                         velocities=np.zeros(2), densities=np.zeros(2),
                         eig_radial=np.array([2.0, -3.0]),
                         masses=np.array([0.0, 0.0]))
-        _, _, _, dw = slab_rhs(st)
+        _, _, _, dw = derivatives(st)
         np.testing.assert_allclose(dw, [-4.0, -9.0])
 
     def test_uniform_collapse_matches_pointwise_oracle(self):
@@ -127,7 +113,7 @@ class TestSlabInvariants:
         lam = traj.validated.lam
         rel_tol = traj.validated.settings.rel_tol
         for st in traj.states:
-            _, _, _, dw = slab_rhs(st)
+            _, _, _, dw = derivatives(st)
             resid = np.abs(dw + st.eig_radial**2 + st.densities - lam)
             assert np.max(resid) <= 10 * rel_tol * max(
                 1.0, float(np.max(np.abs(dw))))
