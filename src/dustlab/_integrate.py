@@ -6,14 +6,17 @@ only for shells (layout). The geometry modules supply the force law as
 rhs(t, y, out=None) on that vector, which writes the derivative into out
 when given one and into a new vector otherwise; everything else is common.
 
-One loop (steps) steps the Dormand-Prince 5(4) pair (DormandPrince), both
-for the run and for reintegrate, which carries a state from one time to a
-later one by a fresh loop. The run reduces every accepted state once to its
-row of per-step scalars (layout's reduce), scans each accepted step's row
-for detector triggers, and localizes the first trigger by bisection on
-re-integrated sub-steps. sample steps from each requested time to the next
-through reintegrate; nothing is interpolated. Deterministic for fixed
-settings.
+A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
+one (7 x n) stage block: steps drives it to its end time, and reintegrate,
+which carries a state from one time to a later one, restarts it there. The
+run reduces every accepted state once to its row of per-step scalars
+(layout's reduce), scans each accepted step's row for detector triggers,
+and localizes the first trigger by bisection on sub-steps re-integrated by
+the run's own stepper. sample restarts one stepper at each requested time
+and steps it to the next; nothing is interpolated. At its peak a run holds
+about 17 solver vectors on a large slab (the block, its three work vectors,
+the states in hand and the reductions' temporaries); tests/test_integrate.py
+bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one.
@@ -57,19 +60,29 @@ def _rms(x, sqrt_n):
     return np.sqrt(x.dot(x)) / sqrt_n
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n):
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratch):
     """First step size for an error estimate of order 4: Hairer, Norsett &
-    Wanner, Solving ODEs I, Sec. II.4 (one extra RHS evaluation)."""
+    Wanner, Solving ODEs I, Sec. II.4 (one extra RHS evaluation). scratch
+    holds three vectors of y0's size, which it overwrites."""
     interval = abs(t_bound - t0)
     if interval == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale, sqrt_n)
-    d1 = _rms(f0 / scale, sqrt_n)
+    scale, y1, f1 = scratch
+    # atol + |y0| rtol
+    np.abs(y0, out=scale)
+    scale *= rtol
+    scale += atol
+    d0 = _rms(np.divide(y0, scale, out=y1), sqrt_n)
+    d1 = _rms(np.divide(f0, scale, out=y1), sqrt_n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale, sqrt_n) / h0
+    # f1 = fun(t0 + h0, y0 + h0 f0)
+    np.multiply(h0, f0, out=y1)
+    y1 += y0
+    fun(t0 + h0, y1, f1)
+    f1 -= f0
+    f1 /= scale
+    d2 = _rms(f1, sqrt_n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -94,41 +107,56 @@ class DormandPrince:
     Row s of the block holds stage s's derivative: row 0 the derivative at
     the step's start, rows 1-5 the inner stages and row 6 the derivative at
     the new state (first same as last), each written there by fun(t, y,
-    out=row). The one copy per step is row 6 into row 0.
+    out=row). The one copy per step is row 6 into row 0. The block, a
+    stage-sum vector (which ends a step as its error estimate) and the error
+    scale are built once, so a step allocates only its new state.
+    restart(t0, y0, t_bound) starts the stepper again from any state, as a
+    new stepper would start, bit for bit; the constructor builds the block
+    and calls it. It writes the derivative at y0 into row 6 and uses rows
+    1-3 as scratch for the initial step size.
     step() advances t by one accepted step, which ends exactly at t_bound
     when it would pass it, and leaves y (a new array on every step, never
-    written to again) and f (the RHS at y). f is row 6 of the block, valid
-    until the next step() writes the block again; a caller that keeps it
-    longer copies it. step() needs t < t_bound and raises StepUnderflow when
-    the step size falls below 10 ulp of t.
+    written to again, nor is y0) and f (the RHS at y). f is row 6 of the
+    block, valid until the next step() or restart() writes the block again;
+    a caller that keeps it longer copies it. step() needs t < t_bound and
+    raises StepUnderflow when the step size falls below 10 ulp of t.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
-        if t_bound < t0:
-            raise ValueError("the stepper only integrates forward in time")
         self.fun = fun
-        self.t, self.y, self.t_bound = t0, y0, t_bound
         if rtol < _MIN_RTOL:
             warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
                           f"using {_MIN_RTOL:g}", stacklevel=2)
             rtol = _MIN_RTOL
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self._sqrt_n = y0.size ** 0.5
-        self.f = fun(t0, y0)
-        self.h_abs = _initial_step(fun, t0, y0, self.f, t_bound, max_step,
-                                   self.rtol, atol, self._sqrt_n)
-        self._abs_y = np.abs(y0)  # |y| of the current state, from the last step
         self._K = K = np.empty((7, y0.size))
         # each stage's row of K and the transposed views of its sum, built once
         self._stages = tuple((K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6))
         self._K_step = K[:6].T
         self._K_all = K.T
-        self._K_last = K[6]
+        self.f = K[6]
+        self._sum = np.empty(y0.size)  # a stage's argument, then the error estimate
+        self._scale = np.empty(y0.size)
+        self._abs_y = np.empty(y0.size)  # |y| of the current state
+        self.restart(t0, y0, t_bound)
+
+    def restart(self, t0, y0, t_bound):
+        """Start again from (t0, y0) toward t_bound: the RHS at y0, the
+        initial step size and |y0|, into the stepper's own buffers."""
+        if t_bound < t0:
+            raise ValueError("the stepper only integrates forward in time")
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.fun(t0, y0, self.f)
+        self.h_abs = _initial_step(self.fun, t0, y0, self.f, t_bound, self.max_step,
+                                   self.rtol, self.atol, self._sqrt_n, self._K[1:4])
+        np.abs(y0, out=self._abs_y)
 
     def step(self):
         """One accepted step, retrying rejected ones."""
         t, t_bound = self.t, self.t_bound
-        y, fun, K = self.y, self.fun, self._K
+        y, fun, K, f = self.y, self.fun, self._K, self.f
+        w, scale = self._sum, self._scale
         rtol, atol, abs_y, sqrt_n = self.rtol, self.atol, self._abs_y, self._sqrt_n
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
@@ -136,7 +164,7 @@ class DormandPrince:
             h_abs = self.max_step
         elif h_abs < min_step:
             h_abs = min_step
-        K[0] = self.f
+        K[0] = f
         rejected = False
         while True:
             if h_abs < min_step:
@@ -147,20 +175,20 @@ class DormandPrince:
             h = t_new - t
             h_abs = abs(h)
             for stage, k, a, c in self._stages:
-                # y + (K[:s].T a) h, in place
-                dy = k.dot(a)
-                dy *= h
-                dy += y
-                fun(t + c * h, dy, stage)
+                # y + (K[:s].T a) h
+                k.dot(a, out=w)
+                w *= h
+                w += y
+                fun(t + c * h, w, stage)
             y_new = self._K_step.dot(_B)
             y_new *= h
             y_new += y
-            fun(t + h, y_new, self._K_last)
-            abs_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_new)
+            fun(t + h, y_new, f)
+            # max(|y|, |y_new|) rtol + atol
+            np.maximum(abs_y, np.abs(y_new, out=w), out=scale)
             scale *= rtol
             scale += atol
-            err = self._K_all.dot(_E)
+            err = self._K_all.dot(_E, out=w)
             err *= h
             err /= scale
             error_norm = math.sqrt(err.dot(err)) / sqrt_n
@@ -175,24 +203,23 @@ class DormandPrince:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        self.t, self.y, self.f = t_new, y_new, self._K_last
-        self.h_abs, self._abs_y = h_abs, abs_new
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
+        np.abs(y_new, out=abs_y)
 
 
 def layout(vs: ValidatedScenario):
     """The solver vector of the initial markers, y0, and the two maps a run
-    needs: unpack(t, y, copy=True) builds the FieldState of a solver vector,
-    and reduce(t, y, f=None) its functional.StepRow, with the rate column
-    from f, the RHS at y (NaN without it), and no FieldState built."""
+    needs: unpack(t, y) builds the FieldState of a solver vector, as views of
+    it (no solver vector is written after it is published), and reduce(t, y,
+    f=None) its functional.StepRow, with the rate column from f, the RHS at
+    y (NaN without it), and no FieldState built."""
     masses, lam, dim = vs.masses, vs.lam, vs.dimension
     n = masses.size
     fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
     if dim > 1:
         fields.append(vs.eig_tangential)
 
-    def unpack(t, y, copy=True):
-        if copy:
-            y = y.copy()
+    def unpack(t, y):
         return FieldState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
                           densities=y[2 * n:3 * n], eig_radial=y[3 * n:4 * n],
                           eig_tangential=y[4 * n:] if dim > 1 else None,
@@ -208,32 +235,35 @@ def layout(vs: ValidatedScenario):
     return np.concatenate(fields), unpack, reduce
 
 
-def steps(rhs, t0, y0, t_bound, settings):
-    """The DormandPrince stepper on rhs(t, y) from (t0, y0) to t_bound under
-    the settings: yields it as built, then after every accepted step, and
-    stops once stepper.t == t_bound (exact, as the last step is clipped to
-    end there; an empty interval takes no step). Raises MaxStepsExceeded
-    past settings.max_steps steps and StepUnderflow when the step size
-    collapses. stepper.y is a new array on every step and is never written
-    to again, so it may be kept without a copy; stepper.f is overwritten by
-    the next step."""
-    stepper = DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol,
-                            settings.abs_tol, settings.max_step)
-    yield stepper
-    for _ in range(int(settings.max_steps)):
-        if stepper.t == t_bound:
+def start(rhs, t0, y0, t_bound, settings) -> DormandPrince:
+    """The DormandPrince stepper on rhs(t, y, out) from (t0, y0) to t_bound
+    under the settings' tolerances and step cap."""
+    return DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol, settings.abs_tol,
+                         settings.max_step)
+
+
+def steps(stepper, max_steps):
+    """Steps stepper from where it stands to its t_bound, yielding it after
+    every accepted step, and stops once stepper.t == stepper.t_bound (exact,
+    as the last step is clipped to end there; an empty interval takes no
+    step). Raises MaxStepsExceeded past max_steps steps and StepUnderflow
+    when the step size collapses. stepper.y is a new array on every step and
+    is never written to again, so it may be kept without a copy; stepper.f
+    is overwritten by the next step."""
+    for _ in range(int(max_steps)):
+        if stepper.t == stepper.t_bound:
             return
         stepper.step()
         yield stepper
-    if stepper.t != t_bound:
-        raise MaxStepsExceeded(f"exceeded {settings.max_steps} accepted steps")
+    if stepper.t != stepper.t_bound:
+        raise MaxStepsExceeded(f"exceeded {max_steps} accepted steps")
 
 
-def reintegrate(rhs, settings, t0, y0, t1):
-    """The solver vector at t1, stepped from (t0, y0) by a fresh loop."""
-    if t1 <= t0:
-        return np.array(y0, copy=True)
-    for stepper in steps(rhs, t0, y0, t1, settings):
+def reintegrate(stepper, max_steps, t0, y0, t1):
+    """The solver vector at t1 > t0, stepped from (t0, y0) by restarting
+    stepper there."""
+    stepper.restart(t0, y0, t1)
+    for _ in steps(stepper, max_steps):
         pass
     return stepper.y
 
@@ -245,22 +275,22 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     settings = vs.settings
     y0, unpack, reduce = layout(vs)
 
-    loop = steps(rhs, 0.0, y0, vs.t_end, settings)
-    stepper = next(loop)
+    stepper = start(rhs, 0.0, y0, vs.t_end, settings)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
-    rows = [reduce(0.0, stepper.y, stepper.f)]
-    states = [unpack(0.0, stepper.y)]
-    t_last, y_last = 0.0, stepper.y
+    rows = [reduce(0.0, y0, stepper.f)]
+    states = [unpack(0.0, y0)]
+    t_last, y_last = 0.0, y0
     event = None
     edge = False
-    for stepper in loop:
+    for _ in steps(stepper, settings.max_steps):
         row = reduce(stepper.t, stepper.y, stepper.f)
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
-            event, y_lo = detector.bracket_event(partial(reintegrate, rhs, settings),
-                                                 reduce, unpack, t_last, y_last,
-                                                 stepper.t, trigger, settings)
+            # the bracket restarts the run's stepper, which steps no further
+            event, y_lo = detector.bracket_event(
+                partial(reintegrate, stepper, settings.max_steps), reduce, unpack,
+                t_last, y_last, stepper.t, trigger, settings)
             edge = event.t_lo > rows[-1].time
             if edge:
                 # the one state the stepper has no RHS value for
@@ -281,19 +311,23 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     """States at the requested times, each stepped from the one before by
-    reintegrate (time 0 is the initial state), for fixed-step diagnostics
-    such as convergence studies. Every sampled state is kept. No event
-    scanning; the caller is responsible for staying inside the smooth
-    interval."""
+    one stepper, restarted at every requested time (time 0 is the initial
+    state), for fixed-step diagnostics such as convergence studies. Every
+    sampled state is kept. No event scanning; the caller is responsible for
+    staying inside the smooth interval."""
     times = np.asarray(times, dtype=float)
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")
-    y, unpack, reduce = layout(vs)
+    times = times.tolist()
+    y0, unpack, reduce = layout(vs)
+    max_steps = vs.settings.max_steps
+    stepper = start(rhs, 0.0, y0, times[0], vs.settings)
     states, rows = [], []
-    t_prev = 0.0
-    for t in times.tolist():
-        y = reintegrate(rhs, vs.settings, t_prev, y, t)
-        states.append(unpack(t, y))
-        rows.append(reduce(t, y, rhs(t, y)))
-        t_prev = t
+    for t in times:
+        if t > stepper.t_bound:
+            stepper.restart(stepper.t, stepper.y, t)
+        for _ in steps(stepper, max_steps):
+            pass
+        states.append(unpack(t, stepper.y))
+        rows.append(reduce(t, stepper.y, stepper.f))
     return Trajectory.from_rows(vs, rows, states)

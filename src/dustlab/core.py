@@ -179,8 +179,9 @@ class TabulatedVelocity:
 
 # Upper limits of the discretization. sigma = 2 pi^(N/2)/Gamma(N/2) overflows
 # past N = 343 (Gamma(172) > 1e308). Validation samples the density at
-# 4 marker_count + 1 points, and the stepper's stage block holds 7 x 4 (slab)
-# or 7 x 5 (shell) doubles per marker: up to 280 MB at the limit.
+# 4 marker_count + 1 points. A run's traced peak is about 17 solver vectors
+# of 4 (slab) or 5 (shell) doubles per marker, the stepper's stage block 7 of
+# them: about 520 MB (slab) or 670 MB (shells) at the limit.
 MAX_DIMENSION = 100
 MAX_MARKERS = 1_000_000
 
@@ -617,7 +618,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: an integer past Python's digit limit for str -> int
+            raise ValidationError([("BadScenarioFile", "scenario",
+                                    f"cannot read {path}: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ValidationError([("BadScenarioFile", "scenario", "expected a mapping at top level")])
     return scenario_from_dict(doc)

@@ -97,9 +97,10 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     """Bisect the trigger time within one accepted step.
 
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
-    reduce(t, y) -> the StepRow the trigger conditions read; unpack(t, y,
-    copy=True) -> field state. Precondition: the trigger holds at t_next and
-    not at t_prev. Returns the event and the solver vector at its lower edge.
+    reduce(t, y) -> the StepRow the trigger conditions read; unpack(t, y) ->
+    field state, as views of y. Precondition: the trigger holds at t_next
+    and not at t_prev. Returns the event and the solver vector at its lower
+    edge.
     """
     condition = trigger_condition(trigger)
 
@@ -123,7 +124,7 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
             lo, y_lo = mid, y_mid
     state_lo = unpack(lo, y_lo)
     y_hi = reintegrate(lo, y_lo, hi)
-    idx = trigger_marker_index(unpack(hi, y_hi, copy=False), trigger)
+    idx = trigger_marker_index(unpack(hi, y_hi), trigger)
     event = BlowupEvent(time_bracket=(lo, hi), trigger=trigger,
                         marker_index=idx, values_at_t_lo=state_lo)
     return event, y_lo

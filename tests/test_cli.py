@@ -130,6 +130,25 @@ class TestSimulate:
         assert f"[{field}]" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("line, broken", [
+        ("v_sup: 2.0", "v_sup: [2.0"),
+        ("marker_count: 16", "marker_count: " + "9" * 5000),
+    ], ids=["unclosed-list", "5000-digit-integer"])
+    def test_unreadable_file_exit_1_naming_it(self, runner, tmp_path, line, broken):
+        # both once ended in a traceback from inside the YAML parser; the
+        # second in Python's limit on the digits of an integer string
+        path = pathlib.Path(fast_scenario(tmp_path))
+        text = path.read_text()
+        assert line in text
+        path.write_text(text.replace(line, broken))
+        result = runner.invoke(main, ["simulate", "--scenario", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == EXIT_VALIDATION
+        assert "[scenario]" in result.output
+        assert str(path) in result.output
+        assert "Traceback" not in result.output
+
     def test_escape_scenario_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--scenario", str(SCENARIOS / "hubble_escape_1d.yaml"),

@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import islice
 
@@ -25,7 +26,7 @@ from dustlab.core import (HubbleVelocity, NumericalSettings, load_scenario,
                           validate_scenario)
 from dustlab.errors import MaxStepsExceeded, StepUnderflow
 
-from conftest import make_ball, make_slab
+from conftest import FAST, make_ball, make_slab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -85,12 +86,13 @@ def test_sample_rejects_times_out_of_order(times):
 def test_reintegration_equals_solve_ivp(sc):
     vs, rhs = model(sc)
     y0, _, _ = _integrate.layout(vs)
+    stepper = _integrate.start(rhs, 0.0, y0, 0.0, vs.settings)
     rng = np.random.default_rng(20261018)
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
         y = reference(vs, rhs, 0.0, y0, t0).y[:, -1]
-        got = _integrate.reintegrate(rhs, vs.settings, t0, y, t1)
+        got = _integrate.reintegrate(stepper, vs.settings.max_steps, t0, y, t1)
         assert got.tobytes() == reference(vs, rhs, t0, y, t1).y[:, -1].tobytes()
 
 
@@ -153,9 +155,8 @@ def assert_matches_rk45(sc, t_bound):
     own_rhs, own_calls = counting(rhs)
     expected = rk45_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
                                atol=s.abs_tol, max_step=s.max_step))
-    # the loop first yields the stepper as built, before any step
-    loop = _integrate.steps(own_rhs, 0.0, y0, t_bound, s)
-    got = [accepted(stepper) for stepper in islice(loop, 1, None)]
+    loop = _integrate.steps(_integrate.start(own_rhs, 0.0, y0, t_bound, s), s.max_steps)
+    got = [accepted(stepper) for stepper in loop]
     assert len(got) == len(expected)
     for k, (mine, ref) in enumerate(zip(got, expected)):
         assert mine == ref, f"step {k} differs"
@@ -192,8 +193,8 @@ class TestStepperMatchesRK45:
         with pytest.warns(UserWarning) as ref:
             RK45(lambda t, y: -y, 0.0, y0, t_bound=1.0, rtol=1e-16, atol=1e-12)
         with pytest.warns(UserWarning, match="rel_tol 1e-16 is below 100 machine epsilons"):
-            stepper = _integrate.DormandPrince(lambda t, y: -y, 0.0, y0, 1.0, 1e-16,
-                                               1e-12, np.inf)
+            stepper = _integrate.DormandPrince(lambda t, y, out: np.negative(y, out=out),
+                                               0.0, y0, 1.0, 1e-16, 1e-12, np.inf)
         assert len(ref) == 1
         assert stepper.rtol == 100 * np.finfo(float).eps
 
@@ -201,6 +202,94 @@ class TestStepperMatchesRK45:
         # no step, and one RHS call for the initial state's f
         steps, calls = assert_matches_rk45(shipped("uniform_ball_n3"), 0.0)
         assert (steps, calls) == (0, 1)
+
+
+# no step cap, so that every step size comes from the step control
+UNCAPPED = replace(FAST, max_step=1e3)
+
+
+@pytest.mark.parametrize("sc", [
+    make_slab(rho0=0.5, lam=0.2, velocity=HubbleVelocity(-0.4), settings=UNCAPPED),
+    make_ball(n=3, rho0=0.8, velocity=HubbleVelocity(-0.5), settings=UNCAPPED),
+], ids=["slab", "ball"])
+def test_restart_equals_a_new_stepper(sc):
+    """A stepper that has already stepped, restarted at a random state,
+    steps as a stepper built there does: the same time, state and RHS value
+    after every step, bit for bit."""
+    vs, rhs = model(sc)
+    y0, _, _ = _integrate.layout(vs)
+    s = vs.settings
+    stepper = _integrate.start(rhs, 0.0, y0, 1.0, s)
+    for _ in islice(_integrate.steps(stepper, s.max_steps), 3):
+        pass
+    rng = np.random.default_rng(20261018)
+    # each restart but the first is of a stepper that reached its last t1
+    for _ in range(5):
+        t0 = float(rng.uniform(0.0, 1.0))
+        t1 = t0 + float(rng.uniform(0.1, 0.5))
+        y = y0 + 1e-3 * rng.standard_normal(y0.size)
+        new = _integrate.start(rhs, t0, y, t1, s)
+        stepper.restart(t0, y, t1)
+        assert accepted(stepper) == accepted(new)
+        assert stepper.h_abs == new.h_abs
+        got = [accepted(x) for x in _integrate.steps(stepper, s.max_steps)]
+        expected = [accepted(x) for x in _integrate.steps(new, s.max_steps)]
+        assert len(got) > 1
+        assert got == expected
+
+
+def test_one_stepper_per_run(monkeypatch):
+    """simulate, its event bracket included, and sample each build one
+    DormandPrince and restart it."""
+    built, restarts = [], []
+
+    class Counted(_integrate.DormandPrince):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+        def restart(self, *args):
+            restarts.append(args[0])
+            super().restart(*args)
+
+    def run(function, *args):
+        built.clear()
+        restarts.clear()
+        return function(*args)
+
+    monkeypatch.setattr(_integrate, "DormandPrince", Counted)
+    # the event's step is shorter than the bracket's goal: the constructor's
+    # start, then the bracket's one re-integration
+    assert run(simulate, shipped("uniform_collapse_1d")).termination == "event"
+    assert (len(built), len(restarts)) == (1, 2)
+    # a density trigger in a step of full length: a restart per bisection
+    early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
+    assert run(simulate, early).termination == "event"
+    assert len(built) == 1 and len(restarts) > 10
+    run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
+    assert len(built) == 1
+    assert restarts == [0.0, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("name, markers, bound", [
+    ("uniform_collapse_1d", 4096, 22),
+    ("uniform_ball_n3", 2048, 27),
+])
+def test_peak_memory_in_solver_vectors(name, markers, bound):
+    """The traced allocation peak of simulate up to its event, in solver
+    vectors of 8 bytes per field and marker: the stage block and its three
+    work vectors are 10 of them."""
+    sc = shipped(name, marker_count=markers)
+    vs = validate_scenario(sc)
+    vector = 8 * (4 if vs.dimension == 1 else 5) * vs.masses.size
+    tracemalloc.start()
+    try:
+        traj = simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.termination == "event"
+    assert peak <= bound * vector, f"peak {peak / vector:.1f} solver vectors"
 
 
 def test_step_underflow():
@@ -213,7 +302,9 @@ def test_step_underflow():
         return f
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
-        for _ in _integrate.steps(rhs, 0.0, np.ones(3), 1.0, NumericalSettings()):
+        settings = NumericalSettings()
+        stepper = _integrate.start(rhs, 0.0, np.ones(3), 1.0, settings)
+        for _ in _integrate.steps(stepper, settings.max_steps):
             pass
 
 
