@@ -272,10 +272,10 @@ def run_characteristics(vs: ValidatedScenario, rhs,
                         keep_states: bool = False) -> Trajectory:
     """Integrate rhs(t, y), the characteristic system on the solver vector,
     to t_end or the first detector event."""
-    settings = vs.settings
+    settings = vs.scenario.settings
     y0, unpack, reduce = layout(vs)
 
-    stepper = start(rhs, 0.0, y0, vs.t_end, settings)
+    stepper = start(rhs, 0.0, y0, vs.scenario.t_end, settings)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
     rows = [reduce(0.0, y0, stepper.f)]
@@ -305,8 +305,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
         states.append(event.values_at_t_lo)
     elif not keep_states and len(rows) > 1:
         states.append(unpack(t_last, y_last))
-    termination = "event" if event is not None else "t_end"
-    return Trajectory.from_rows(vs, rows, states, event=event, termination=termination)
+    return Trajectory.from_rows(vs, rows, states, event=event)
 
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
@@ -320,13 +319,13 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
         raise ValueError("sample times must be increasing and >= 0")
     times = times.tolist()
     y0, unpack, reduce = layout(vs)
-    max_steps = vs.settings.max_steps
-    stepper = start(rhs, 0.0, y0, times[0], vs.settings)
+    settings = vs.scenario.settings
+    stepper = start(rhs, 0.0, y0, times[0], settings)
     states, rows = [], []
     for t in times:
         if t > stepper.t_bound:
             stepper.restart(stepper.t, stepper.y, t)
-        for _ in steps(stepper, max_steps):
+        for _ in steps(stepper, settings.max_steps):
             pass
         states.append(unpack(t, stepper.y))
         rows.append(reduce(t, stepper.y, stepper.f))

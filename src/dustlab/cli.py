@@ -35,10 +35,17 @@ EXIT_NUMERIC = 3
 EXIT_CONTRADICTION = 4
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.17g}"
+def _fmt(x: float) -> str:
+    return "" if math.isnan(x) else f"{x:.17g}"
+
+
+def _write_csv(path: Path, header, rows):
+    """A CSV file whose float cells go through _fmt; csv writes None as an
+    empty cell and strings and booleans as they are."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _write_manifest(out: Path, command: str, scenario_path: str):
@@ -63,10 +70,8 @@ def _load(scenario_path):
 
 
 def _write_trajectory_csv(out: Path, traj):
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(functional.DIAGNOSTIC_COLUMNS)
-        writer.writerows([_fmt(v) for v in row] for row in functional.diagnostics_rows(traj))
+    _write_csv(out / "trajectory.csv", functional.DIAGNOSTIC_COLUMNS,
+               functional.diagnostics_rows(traj))
 
 
 def _write_marker_dump(out: Path, traj, times):
@@ -88,10 +93,7 @@ def _write_marker_dump(out: Path, traj, times):
         if st.eig_tangential is not None:
             header.insert(4, "eig_tangential")
             columns.insert(4, st.eig_tangential)
-        with open(out / f"markers_t{_fmt(st.time)}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+        _write_csv(out / f"markers_t{_fmt(st.time)}.csv", header, zip(*columns))
 
 
 def _write_event(out: Path, event):
@@ -252,15 +254,7 @@ def verify(scenario_path, out_dir):
     vs = _load(scenario_path)
     traj = _run_or_exit(vs)
     report = functional.proof_chain_report(traj)
-    with open(out / "proof_chain.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "transport_residual", "cs_divergence_margin",
-                         "cs_density_margin", "riccati_residual",
-                         "hypothesis_ok", "informational"])
-        for s in report.steps:
-            writer.writerow([_fmt(s.time), _fmt(s.transport_residual),
-                             _fmt(s.cs_divergence_margin), _fmt(s.cs_density_margin),
-                             _fmt(s.riccati_residual), s.hypothesis_ok, s.informational])
+    _write_csv(out / "proof_chain.csv", functional.ProofChainStep._fields, report.steps)
     (out / "report.txt").write_text(report.summary_text() + "\n")
     click.echo(report.summary_text())
     hypothesis_violations = sum(1 for s in report.steps if not s.hypothesis_ok)
@@ -302,31 +296,21 @@ def sweep(scenario_path, out_dir, lambda_grid, h0_grid):
             # retarget H(0) = h0 through the Hubble rate: H = N * rate * M
             rate = float(value) / (base.dimension * base.total_mass)
             scenario = replace(scenario, velocity=HubbleVelocity(rate=rate))
-        row = {"axis": axis, "value": float(value)}
         try:
             vs = validate_scenario(scenario)
             cert = riccati.check_blowup_conditions(vs.total_mass, vs.v_sup, vs.lam,
                                                    vs.dimension, vs.h0)
             traj = simulate(vs)
             rep = escape_report(traj, vs.v_sup, cert)
-            row.update(case=cert.case.value, t_bound=cert.t_bound,
-                       event_time=(traj.event.t_hi if traj.event else None),
-                       support_volume_max=float(traj.columns.volume.max()),
-                       status=rep.status.value)
+            rows.append((axis, float(value), cert.case.value, cert.t_bound,
+                         traj.event.t_hi if traj.event else None,
+                         float(traj.columns.volume.max()), rep.status.value))
             any_contradiction |= rep.status is EscapeStatus.CONTRADICTION
         except DustLabError as exc:
-            row.update(case="", t_bound=None, event_time=None,
-                       support_volume_max=None, status=f"error: {exc}")
-        rows.append(row)
+            rows.append((axis, float(value), "", None, None, None, f"error: {exc}"))
 
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "case", "t_bound", "event_time",
-                         "support_volume_max", "status"])
-        for row in rows:
-            writer.writerow([row["axis"], _fmt(row["value"]), row["case"],
-                             _fmt(row["t_bound"]), _fmt(row["event_time"]),
-                             _fmt(row["support_volume_max"]), row["status"]])
+    _write_csv(out / "sweep.csv", ("axis", "value", "case", "t_bound", "event_time",
+                                   "support_volume_max", "status"), rows)
     click.echo(f"{len(rows)} rows -> {out / 'sweep.csv'}")
     sys.exit(EXIT_CONTRADICTION if any_contradiction else EXIT_OK)
 

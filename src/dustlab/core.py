@@ -285,10 +285,6 @@ class ValidatedScenario:
     h0: float
 
     @property
-    def geometry(self):
-        return self.scenario.geometry
-
-    @property
     def dimension(self):
         return self.scenario.dimension
 
@@ -299,14 +295,6 @@ class ValidatedScenario:
     @property
     def v_sup(self):
         return self.scenario.v_sup
-
-    @property
-    def t_end(self):
-        return self.scenario.t_end
-
-    @property
-    def settings(self):
-        return self.scenario.settings
 
 
 def _volume_median_radii(edges: np.ndarray, n: int) -> np.ndarray:
@@ -519,7 +507,7 @@ class StepRow(NamedTuple):
 @dataclass
 class Trajectory:
     """One run: a column of per-step scalars for every accepted step, the
-    full marker states that were kept, and the termination record.
+    full marker states that were kept, and the event that ended it, if any.
 
     ``states`` holds the first and the last state, unless the run was made
     with ``keep_states=True``; then it holds every state and ``states[i]``
@@ -530,12 +518,14 @@ class Trajectory:
     columns: StepRow
     states: list
     event: object = None  # detector.BlowupEvent when one fired
-    termination: str = "t_end"
 
     @classmethod
-    def from_rows(cls, validated, rows, states, event=None, termination="t_end"):
-        return cls(validated, StepRow(*map(np.array, zip(*rows))), states, event,
-                   termination)
+    def from_rows(cls, validated, rows, states, event=None):
+        return cls(validated, StepRow(*map(np.array, zip(*rows))), states, event)
+
+    @property
+    def termination(self) -> str:
+        return "t_end" if self.event is None else "event"
 
     @property
     def masses(self):

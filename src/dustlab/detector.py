@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,18 +38,11 @@ class Trigger(Enum):
 
 @dataclass(frozen=True)
 class BlowupEvent:
-    time_bracket: Tuple[float, float]
+    t_lo: float  # the trigger does not hold at t_lo
+    t_hi: float  # and holds at t_hi
     trigger: Trigger
     marker_index: int
     values_at_t_lo: object  # field state at the bracket's lower edge
-
-    @property
-    def t_lo(self):
-        return self.time_bracket[0]
-
-    @property
-    def t_hi(self):
-        return self.time_bracket[1]
 
 
 def _crossing_holds(row: StepRow, settings):
@@ -64,15 +57,12 @@ def _density_holds(row: StepRow, settings):
     return row.max_density > settings.rho_blowup_threshold
 
 
-_CONDITIONS = (
-    (Trigger.SHELL_CROSSING, _crossing_holds),
-    (Trigger.DIVERGENCE_THRESHOLD, _divergence_holds),
-    (Trigger.DENSITY_THRESHOLD, _density_holds),
-)
-
-
-def trigger_condition(trigger: Trigger) -> Callable:
-    return dict(_CONDITIONS)[trigger]
+# each trigger's condition on a StepRow, in priority order
+CONDITIONS = {
+    Trigger.SHELL_CROSSING: _crossing_holds,
+    Trigger.DIVERGENCE_THRESHOLD: _divergence_holds,
+    Trigger.DENSITY_THRESHOLD: _density_holds,
+}
 
 
 def trigger_marker_index(state, trigger: Trigger) -> int:
@@ -86,7 +76,7 @@ def trigger_marker_index(state, trigger: Trigger) -> int:
 def scan_step(prev_row: StepRow, next_row: StepRow,
               settings: NumericalSettings) -> Optional[Trigger]:
     """First trigger (in priority order) holding at next_row but not prev_row."""
-    for trig, holds in _CONDITIONS:
+    for trig, holds in CONDITIONS.items():
         if holds(next_row, settings) and not holds(prev_row, settings):
             return trig
     return None
@@ -102,7 +92,7 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     and not at t_prev. Returns the event and the solver vector at its lower
     edge.
     """
-    condition = trigger_condition(trigger)
+    condition = CONDITIONS[trigger]
 
     def holds(t, y):
         return condition(reduce(t, y), settings)
@@ -112,11 +102,10 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     lo, hi = t_prev, t_next
     y_lo = y_prev
     width_goal = BRACKET_REL_WIDTH * max(1.0, abs(t_next))
-    # the bracket starts at most t_next wide, so 27 halvings reach the goal
+    # the bracket starts at most t_next wide, so 27 halvings reach the goal;
+    # a gap above the goal is far wider than the ulps a midpoint rounds by
     while hi - lo > width_goal:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # floating-point exhaustion; bracket is as tight as possible
         y_mid = reintegrate(lo, y_lo, mid)
         if holds(mid, y_mid):
             hi = mid
@@ -125,7 +114,7 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     state_lo = unpack(lo, y_lo)
     y_hi = reintegrate(lo, y_lo, hi)
     idx = trigger_marker_index(unpack(hi, y_hi), trigger)
-    event = BlowupEvent(time_bracket=(lo, hi), trigger=trigger,
+    event = BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger,
                         marker_index=idx, values_at_t_lo=state_lo)
     return event, y_lo
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,8 +164,10 @@ def diagnostics_rows(trajectory: Trajectory) -> list:
                     c.max_density.tolist(), c.max_abs_div.tolist()))
 
 
-@dataclass(frozen=True)
-class ProofChainStep:
+class ProofChainStep(NamedTuple):
+    """One step a -> b of the proof chain at row b's time; a row of
+    proof_chain.csv, whose header is _fields."""
+
     time: float
     transport_residual: float
     cs_divergence_margin: float

@@ -27,6 +27,7 @@ comparison ODE still blows up there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -141,19 +142,14 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
 
 
 def comparison_solution(params: RiccatiParams, t):
-    """Closed-form y(t); raises BeyondBlowup at or past the pole.
-
-    For b < 0 with h0 above the unstable equilibrium -c the solution is
-    global and converges monotonically to the stable equilibrium +c; that
-    bounded branch is returned for completeness (the certificates only
-    ever use the blowing branch).
-    """
+    """Closed-form y(t) of a comparison ODE that blows up, the only kind the
+    certificates use; raises NoCertificateError for one that does not, and
+    BeyondBlowup at or past the pole."""
     a, b, h0 = params.a, params.b, params.h0
     t = np.asarray(t, dtype=float)
-    if params.blows_up():
-        t_pole = blowup_time_upper_bound(params)
-        if np.any(t >= t_pole):
-            raise BeyondBlowup(f"t >= pole time {t_pole:g}")
+    t_pole = blowup_time_upper_bound(params)
+    if np.any(t >= t_pole):
+        raise BeyondBlowup(f"t >= pole time {t_pole:g}")
     c = params.equilibrium()
     if c is None:
         k = math.sqrt(a * b)
@@ -161,8 +157,6 @@ def comparison_solution(params: RiccatiParams, t):
         out = math.sqrt(b / a) * np.tan(theta0 - k * t)
     elif c == 0:
         out = h0 / (1.0 + a * h0 * t)
-    elif h0 == -c:
-        out = np.full_like(t, -c)
     else:
         z0 = (h0 - c) / (h0 + c)
         z = z0 * np.exp(-2.0 * a * c * t)
@@ -263,6 +257,10 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     # goal, past ten times the scale sqrt(|b|/a) of y (c when b <= 0)
     y_stop = max(POLE_THRESHOLD, 10.0 * (math.sqrt(b / a) if c is None else c))
     neg_stop = -y_stop
+    # the step floor is 1e-15 of t, or of the ODE's time scale 1/rate where
+    # that is below 1; float_info.min keeps it positive if rate overflows
+    rate = math.sqrt(a * abs(b)) + a * abs(h0)
+    t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
     isfinite = math.isfinite
     ck_step = _ck_step
 
@@ -285,7 +283,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
         if err > tol or not isfinite(y_new):
             g = 0.9 * (tol / err) ** 0.2 if err > tol else 0.2
             h *= g if g > 0.2 else 0.2
-            if h < 1e-15 * (t if t > 1.0 else 1.0):
+            if h < 1e-15 * (t if t > t_scale else t_scale):
                 raise NoPoleInHorizon("step underflow before pole threshold",
                                       np.array(times), np.array(values))
             continue
@@ -334,9 +332,9 @@ def comparison_exceedance(trajectory, params: RiccatiParams) -> float:
 
     Nonpositive (within tolerance) whenever H(0) <= y(0) and the support
     volume hypothesis holds: the simulated functional must stay below the
-    comparison solution.
+    comparison solution. Raises NoCertificateError if y does not blow up.
     """
-    t_pole = blowup_time_upper_bound(params) if params.blows_up() else math.inf
+    t_pole = blowup_time_upper_bound(params)
     worst = -math.inf
     for t, h in zip(trajectory.times.tolist(), trajectory.columns.h.tolist()):
         if t >= t_pole:

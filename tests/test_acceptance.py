@@ -158,7 +158,7 @@ class TestCriterion5CharacteristicIdentity:
 
     def test_criterion_5(self, acceptance_runs_1d, capsys):
         worst = 0.0
-        tol = 10.0 * max(vs.settings.rel_tol for vs, _ in acceptance_runs_1d)
+        tol = 10.0 * max(vs.scenario.settings.rel_tol for vs, _ in acceptance_runs_1d)
         for vs, traj in acceptance_runs_1d:
             v0 = 1.0 / vs.densities
             s0 = vs.eig_radial / vs.densities

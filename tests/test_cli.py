@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from dustlab import functional
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
                          EXIT_OK, EXIT_VALIDATION, main)
 
@@ -319,6 +320,19 @@ class TestCertify:
         assert (doc["case"], doc["t_bound"]) == ("NoCertificate", None)
         assert "t_bound: none" in result.output
 
+    def test_bound_far_below_one_is_cross_checked(self, runner, tmp_path):
+        # density 1e100 at rest: CaseOne with t_bound 1.57e-50
+        path = fast_scenario(tmp_path, v_sup=1.0, initial_profile={
+            "density": {"kind": "uniform", "value": 1e100, "support": [-0.5, 0.5]},
+            "velocity": {"kind": "zero"}}, tolerances={"rho_blowup_threshold": 1e200})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
+        assert result.exit_code == EXIT_OK, result.output
+        doc = yaml.safe_load((out / "certificate.yaml").read_text())
+        lo, hi = doc["oracle_cross_check"]["pole_bracket"]
+        assert doc["case"] == "CaseOne" and lo <= doc["t_bound"] <= hi
+        assert doc["oracle_cross_check"]["agrees"] is True
+
     def test_no_certificate_case(self, runner, tmp_path):
         path = fast_scenario(tmp_path, **{"lambda": 2.0, "v_sup": 4.0})
         out = tmp_path / "out"
@@ -351,6 +365,16 @@ class TestVerify:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == EXIT_OK
         assert "HypothesisViolated" in result.output
+
+
+    def test_violated_chain_exit_3(self, runner, tmp_path, monkeypatch):
+        # a negative floor makes every tolerance negative, so the first
+        # asserted step whose margins are not strictly positive violates it
+        monkeypatch.setattr(functional, "RESIDUAL_FLOOR", -1e-6)
+        result = runner.invoke(main, ["verify", "--scenario", fast_scenario(tmp_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_NUMERIC, result.output
+        assert "FIRST VIOLATION" in result.output
 
 
 class TestSweep:
@@ -389,6 +413,23 @@ class TestSweep:
         assert cases[2] == "NoCertificate"  # h0 = -1 exactly (strict)
         assert cases[3] == "NoCertificate"
         assert cases[4] == "NoCertificate"
+
+    def test_h0_grid_rows_that_fail_validation(self, runner, tmp_path):
+        # H(0) = -1e12 and -5e11 give |div u| past div_blowup_threshold at
+        # t = 0: those rows carry the error and leave the number cells empty
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sweep", "--h0-grid", "-1e12:-2:3", "--scenario",
+            str(SCENARIOS / "uniform_collapse_1d.yaml"), "--out", str(out)])
+        assert result.exit_code == EXIT_OK, result.output
+        assert (out / "sweep.csv").read_bytes() == (
+            b"axis,value,case,t_bound,event_time,support_volume_max,status\r\n"
+            b"h0,-1000000000000,,,,,error: TriggerAtStart[velocity]: initial |div u| "
+            b"1e+12 exceeds div_blowup_threshold 1e+08\r\n"
+            b"h0,-500000000001,,,,,error: TriggerAtStart[velocity]: initial |div u| "
+            b"5e+11 exceeds div_blowup_threshold 1e+08\r\n"
+            b"h0,-2,CaseOne,0.48060196634497671,0.47213594517027624,1.96875,"
+            b"certificate honored\r\n")
 
     @pytest.mark.parametrize("option, grid", [("--lambda-grid", "0:1"),
                                               ("--lambda-grid", "0:1:-2"),

@@ -239,7 +239,7 @@ class TestColumnsEqualLoops:
         expected = loop_proof_chain_steps(traj, v_sup)
         assert len(report.steps) == len(expected) == len(traj) - 1
         for got, want in zip(report.steps, expected):
-            for field in ProofChainStep.__dataclass_fields__:
+            for field in ProofChainStep._fields:
                 assert same(getattr(got, field), getattr(want, field)), (field, got, want)
         worst = (report.worst_cs_divergence, report.worst_cs_density,
                  report.worst_riccati, report.first_violation_time)

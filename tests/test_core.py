@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from dustlab.core import (MAX_DIMENSION, GaussianDensity, Geometry,
                           HubbleVelocity, NumericalSettings, Scenario,
                           TabulatedDensity, TabulatedVelocity, UniformDensity,
-                          ball_volume, load_scenario, scenario_from_dict,
+                          UniformVelocity, ball_volume, load_scenario, scenario_from_dict,
                           unit_sphere_area, validate_scenario)
 from dustlab.errors import ValidationError
 
@@ -112,7 +112,7 @@ class TestScenarioFiles:
         })
         vs = validate_scenario(sc)
         assert vs.lam == 0.25
-        assert vs.settings.rel_tol == 1e-8
+        assert vs.scenario.settings.rel_tol == 1e-8
 
     def test_load_example_scenarios(self, tmp_path):
         import pathlib
@@ -145,6 +145,12 @@ def slab_doc(**overrides):
         },
     }
     doc.update(overrides)
+    return doc
+
+
+def with_density(density, **overrides):
+    doc = slab_doc(**overrides)
+    doc["initial_profile"]["density"] = density
     return doc
 
 
@@ -268,3 +274,54 @@ class TestInputHardening:
         assert traj.termination == "t_end"
         assert traj.validated.total_mass == pytest.approx(1.0, rel=1e-2)
         np.testing.assert_allclose(traj.validated.eig_radial, -0.2)
+
+
+def uniform(lo, hi):
+    return {"kind": "uniform", "value": 0.5, "support": [lo, hi]}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("doc,code,field", [
+        (slab_doc(v_sup=0), "BadVolumeBound", "v_sup"),
+        (slab_doc(t_end=-1), "BadHorizon", "t_end"),
+        (slab_doc(tolerances={"rel_tol": 0}), "BadSettings", "rel_tol"),
+        (slab_doc(tolerances={"max_steps": 0}), "BadSettings", "max_steps"),
+        (with_density(uniform(-0.5, 1.0), geometry="radialnd", dimension=3, v_sup=100.0),
+         "BadSupport", "density"),
+        (with_density(uniform(1.0, 1.0)), "BadSupport", "density"),
+        # positive on the last of 4 markers only (x = 0.75)
+        (with_density({"kind": "table", "x": [-1.0, 0.5, 1.0], "values": [0.0, 0.0, 1.0]},
+                      marker_count=4), "NegativeDensity", "density"),
+    ], ids=["v_sup-zero", "t_end-negative", "rel_tol-zero", "max_steps-zero",
+            "radial-lo-negative", "empty-support", "one-positive-marker"])
+    def test_rejected_naming_code_and_field(self, doc, code, field):
+        with pytest.raises(ValidationError) as exc:
+            validate_scenario(scenario_from_dict(doc))
+        assert [v[:2] for v in exc.value.violations] == [(code, field)]
+        assert f"{code}[{field}]" in str(exc.value)
+
+    def test_missing_v_sup_key(self):
+        doc = slab_doc()
+        del doc["v_sup"]
+        with pytest.raises(ValidationError, match=r"BadScenarioFile\[scenario\]: 'v_sup'"):
+            scenario_from_dict(doc)
+
+    def test_unknown_velocity_kind(self):
+        doc = slab_doc()
+        doc["initial_profile"]["velocity"] = {"kind": "swirl"}
+        with pytest.raises(ValidationError,
+                           match=r"BadProfile\[velocity\]: unknown velocity kind 'swirl'"):
+            scenario_from_dict(doc)
+
+    def test_top_level_list(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- geometry: slab1d\n- v_sup: 2.0\n")
+        with pytest.raises(ValidationError,
+                           match=r"BadScenarioFile\[scenario\]: expected a mapping at top level"):
+            load_scenario(path)
+
+    def test_uniform_velocity_loads(self):
+        doc = slab_doc()
+        doc["initial_profile"]["velocity"] = {"kind": "uniform", "value": 0.3}
+        assert scenario_from_dict(doc).velocity == UniformVelocity(0.3)
+

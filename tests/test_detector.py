@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dustlab import simulate
 from dustlab.core import FieldState, HubbleVelocity, NumericalSettings
-from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger,
+from dustlab.detector import (BRACKET_REL_WIDTH, CONDITIONS, EscapeStatus, Trigger,
                               escape_report, scan_step, trigger_marker_index)
 from dustlab.functional import proof_chain_report, step_row
-from dustlab.riccati import check_blowup_conditions
+from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
 from conftest import FAST, make_ball, make_slab
 
@@ -83,8 +85,7 @@ class TestBracketing:
         # the recorded edge state sits at the bracket's lower edge
         assert ev.values_at_t_lo.time == ev.t_lo
         # trigger not yet holding at the edge state
-        from dustlab.detector import trigger_condition
-        assert not trigger_condition(ev.trigger)(step_row(ev.values_at_t_lo), FAST)
+        assert not CONDITIONS[ev.trigger](step_row(ev.values_at_t_lo), FAST)
 
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by
@@ -141,3 +142,35 @@ class TestEscapeReport:
         assert traj.event is None
         rep = escape_report(traj, 2.0, self.certificate_for(traj))
         assert rep.status is EscapeStatus.INCONCLUSIVE
+
+    # a certificate whose bound falls halfway to the collapse's event
+    def early_bound(self, traj):
+        return BlowupCertificate(Case.CASE_ONE, 0.5 * traj.event.t_hi, {}, None)
+
+    def test_contradiction_on_a_late_event(self, uniform_collapse_traj):
+        traj = uniform_collapse_traj
+        rep = escape_report(traj, traj.validated.v_sup, self.early_bound(traj))
+        assert rep.status is EscapeStatus.CONTRADICTION
+        assert rep.message.startswith(f"event at t={traj.event.t_hi:.6g} after bound")
+
+    def test_late_event_after_an_escape(self, uniform_collapse_traj):
+        # v_sup below the initial support: the support has escaped at t = 0
+        traj = uniform_collapse_traj
+        rep = escape_report(traj, 1.0, self.early_bound(traj))
+        assert rep.status is EscapeStatus.HYPOTHESIS_VIOLATED
+        assert rep.message.startswith("support escaped V_sup at t=0 before the bound")
+        assert "late event" in rep.message
+
+    def test_contradiction_without_an_event(self, uniform_collapse_traj):
+        # the same columns with no event: bounded support past the bound
+        traj = uniform_collapse_traj
+        cert = self.early_bound(traj)
+        rep = escape_report(replace(traj, event=None), traj.validated.v_sup, cert)
+        assert rep.status is EscapeStatus.CONTRADICTION
+        assert rep.message.startswith(f"no event by t={traj.times[-1]:.6g} >= bound")
+
+    def test_no_prediction_and_no_event(self, uniform_collapse_traj):
+        traj = replace(uniform_collapse_traj, event=None)
+        rep = escape_report(traj, traj.validated.v_sup, None)
+        assert (rep.status, rep.message) == (EscapeStatus.NO_PREDICTION,
+                                             "no prediction, no event")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from dustlab import sample
 from dustlab.core import FieldState, HubbleVelocity, validate_scenario
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
-                                _inside, proof_chain_report, row, step_row)
+                                _inside, _tolerance, proof_chain_report, row,
+                                step_row)
 from conftest import make_ball, make_slab
 
 
@@ -192,6 +194,22 @@ class TestProofChainReport:
         for s in report.steps:
             assert s.informational == (s.time > cutoff)
         assert any(s.informational for s in report.steps)
+
+    def test_raised_h_is_the_first_violation(self, uniform_collapse_traj):
+        # raising H on one row makes the Riccati residual of the step into it
+        # exceed the tolerance; no earlier step changes
+        traj = uniform_collapse_traj
+        b = int(np.searchsorted(traj.times, 0.5 * traj.event.t_lo))
+        h = traj.columns.h.copy()
+        h[b] += 1e-3
+        report = proof_chain_report(replace(traj, columns=traj.columns._replace(h=h)))
+        step = report.steps[b - 1]
+        assert step.hypothesis_ok and not step.informational
+        assert step.riccati_residual > _tolerance(traj.validated.total_mass, h[b])
+        assert not report.holds
+        assert report.first_violation_time == traj.times[b]
+        assert (f"FIRST VIOLATION at t={traj.times[b]:.9g}"
+                in report.summary_text())
 
     def test_equilibrium_residuals_identically_zero(self):
         lam = 0.5

@@ -111,7 +111,7 @@ class TestSlabInvariants:
         # dw/dt == -(w^2 + rho - lambda) exactly along every marker
         traj = uniform_collapse_traj
         lam = traj.validated.lam
-        rel_tol = traj.validated.settings.rel_tol
+        rel_tol = traj.validated.scenario.settings.rel_tol
         for st in traj.states:
             _, _, _, dw = derivatives(st)
             resid = np.abs(dw + st.eig_radial**2 + st.densities - lam)

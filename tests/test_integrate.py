@@ -39,7 +39,7 @@ def model(sc):
 
 
 def reference(vs, rhs, t0, y0, t1, **kwargs):
-    s = vs.settings
+    s = vs.scenario.settings
     return solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=s.rel_tol,
                      atol=s.abs_tol, max_step=s.max_step, **kwargs)
 
@@ -86,13 +86,13 @@ def test_sample_rejects_times_out_of_order(times):
 def test_reintegration_equals_solve_ivp(sc):
     vs, rhs = model(sc)
     y0, _, _ = _integrate.layout(vs)
-    stepper = _integrate.start(rhs, 0.0, y0, 0.0, vs.settings)
+    stepper = _integrate.start(rhs, 0.0, y0, 0.0, vs.scenario.settings)
     rng = np.random.default_rng(20261018)
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
         y = reference(vs, rhs, 0.0, y0, t0).y[:, -1]
-        got = _integrate.reintegrate(stepper, vs.settings.max_steps, t0, y, t1)
+        got = _integrate.reintegrate(stepper, vs.scenario.settings.max_steps, t0, y, t1)
         assert got.tobytes() == reference(vs, rhs, t0, y, t1).y[:, -1].tobytes()
 
 
@@ -150,7 +150,7 @@ def assert_matches_rk45(sc, t_bound):
     vs = validate_scenario(sc)
     rhs = _model_rhs(vs)
     y0, _, _ = _integrate.layout(vs)
-    s = vs.settings
+    s = vs.scenario.settings
     ref_rhs, ref_calls = counting(rhs)
     own_rhs, own_calls = counting(rhs)
     expected = rk45_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
@@ -218,7 +218,7 @@ def test_restart_equals_a_new_stepper(sc):
     after every step, bit for bit."""
     vs, rhs = model(sc)
     y0, _, _ = _integrate.layout(vs)
-    s = vs.settings
+    s = vs.scenario.settings
     stepper = _integrate.start(rhs, 0.0, y0, 1.0, s)
     for _ in islice(_integrate.steps(stepper, s.max_steps), 3):
         pass

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,8 @@ def loop_comparison_ode(params, until, rejected):
     """
     a, b, h0 = params.a, params.b, params.h0
     y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
+    rate = math.sqrt(a * abs(b)) + a * abs(h0)
+    t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
 
     def f(t, y):
         return -a * y * y - b
@@ -81,7 +84,7 @@ def loop_comparison_ode(params, until, rejected):
         if not math.isfinite(y_new) or err > tol:
             rejected.append(t)
             h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(y_new) else 0.2
-            if h < 1e-15 * max(1.0, t):
+            if h < 1e-15 * max(t_scale, t):
                 raise NoPoleInHorizon("step underflow before pole threshold",
                                       np.array(times), np.array(values))
             continue
@@ -302,9 +305,11 @@ class TestComparisonSolution:
             comparison_solution(p, 0.5)
 
     def test_bounded_branch_approaches_equilibrium(self):
+        # only ODEs that blow up have a closed form here
         p = RiccatiParams(a=1.0, b=-1.0, h0=0.5)
         assert not p.blows_up()
-        assert comparison_solution(p, 50.0) == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(NoCertificateError):
+            comparison_solution(p, 50.0)
 
     def test_vectorized(self):
         p = RiccatiParams(a=1.0, b=0.0, h0=-2.0)
@@ -343,6 +348,14 @@ class TestOracle:
             integrate_comparison_ode(p, until=10.0)
         assert exc.value.times[-1] == pytest.approx(10.0)
         assert abs(exc.value.values[-1] - 1.0) < 1e-6
+
+    def test_bracket_contains_a_bound_far_below_one(self):
+        # a slab of density 1e100 on [-0.5, 0.5] at rest with v_sup = 1: the
+        # pole at 1.57e-50 lies far below an absolute step floor of 1e-15
+        p = RiccatiParams.from_macroscopic(1e100, 1.0, 0.0, 1, 0.0)
+        t_bound = blowup_time_upper_bound(p)
+        lo, hi = integrate_comparison_ode(p, until=10.0 * t_bound + 1.0).pole_bracket
+        assert lo <= t_bound <= hi
 
     def test_no_pole_when_horizon_too_short(self):
         p = RiccatiParams(a=1.0, b=0.5, h0=0.0)  # pole at pi/sqrt(2) ~ 2.22
@@ -436,6 +449,11 @@ class TestOracleMatchesTableauLoop:
         _, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=0.0), 5.0)
         assert rejected
 
+    def test_pole_far_below_one(self):
+        # pole at 1.57e-50: the step floor follows the ODE's own time scale
+        outcome, _ = assert_matches_loop(RiccatiParams(a=1e-100, b=1e200, h0=0.0), 1.0)
+        assert outcome[0] != "no pole"
+
     def test_non_finite_step_underflow(self):
         # y^2 overflows: the step is non-finite and shrinks below the floor
         outcome, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=-1e200),
@@ -448,7 +466,11 @@ class TestOracleMatchesTableauLoop:
                                               # t = 0.55 a rejected step's factor
                                               # 0.9 (tol/err)^0.2 is below the 0.2 floor
                                               (0.556597980540163, -0.45662029844296415,
-                                               69519.43552157843, 10.0)])
+                                               69519.43552157843, 10.0),
+                                              # a |h0| overflows, so the ODE's time
+                                              # scale rounds to 0; the step floor
+                                              # stays positive and the loop ends
+                                              (1e10, 0.5, -1e300, 1.0)])
     def test_no_pole_in_horizon(self, a, b, h0, until):
         outcome, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
         assert outcome[0] == "no pole"
