@@ -1,9 +1,12 @@
 """Lagrangian simulation and analytic blowup certification for
 pressureless self-gravitating dust with a background constant."""
 
+import numpy as np
+
 from . import _integrate, geometry1d, radial
 from .core import (FieldState, Geometry, NumericalSettings, Scenario,
                    Trajectory, ValidatedScenario, load_scenario, validate_scenario)
+from .errors import NumericOverflow
 
 __version__ = "0.1.0"
 
@@ -18,10 +21,15 @@ def simulate(scenario, keep_states: bool = False) -> Trajectory:
 
     The trajectory holds per-step columns for every accepted step; full
     marker states only for the first and last step, or for every step with
-    keep_states=True.
+    keep_states=True. A value that overflows, divides by zero or turns NaN
+    anywhere in the run raises NumericOverflow.
     """
     vs = validate_scenario(scenario)
-    return _integrate.run_characteristics(vs, _model_rhs(vs), keep_states=keep_states)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _integrate.run_characteristics(vs, _model_rhs(vs), keep_states=keep_states)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericOverflow(f"the run left the range of a double: {exc}") from exc
 
 
 def sample(scenario, times) -> Trajectory:

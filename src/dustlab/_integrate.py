@@ -56,8 +56,17 @@ _MIN_RTOL = 100 * np.finfo(float).eps
 
 
 def _rms(x, sqrt_n):
-    """sqrt(x.x)/sqrt(n), as np.linalg.norm(x) / n ** 0.5 evaluates it."""
-    return np.sqrt(x.dot(x)) / sqrt_n
+    """sqrt(x.x)/sqrt(n), as np.linalg.norm(x) / n ** 0.5 evaluates it
+    wherever x.x is finite; where it overflows, x is scaled by its largest
+    magnitude first, so a finite x has a finite norm."""
+    with np.errstate(over="ignore"):
+        squares = x.dot(x)
+    if squares == math.inf:
+        big = np.maximum.reduce(np.abs(x))
+        if big < math.inf:
+            x = x / big
+            return big * np.sqrt(x.dot(x)) / sqrt_n
+    return np.sqrt(squares) / sqrt_n
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratch):
@@ -191,7 +200,10 @@ class DormandPrince:
             err = self._K_all.dot(_E, out=w)
             err *= h
             err /= scale
-            error_norm = math.sqrt(err.dot(err)) / sqrt_n
+            try:
+                error_norm = math.sqrt(err.dot(err)) / sqrt_n
+            except FloatingPointError:  # the squares overflow where errors raise
+                error_norm = math.inf
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -282,7 +294,6 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     states = [unpack(0.0, y0)]
     t_last, y_last = 0.0, y0
     event = None
-    edge = False
     for _ in steps(stepper, settings.max_steps):
         row = reduce(stepper.t, stepper.y, stepper.f)
         trigger = detector.scan_step(rows[-1], row, settings)
@@ -291,19 +302,17 @@ def run_characteristics(vs: ValidatedScenario, rhs,
             event, y_lo = detector.bracket_event(
                 partial(reintegrate, stepper, settings.max_steps), reduce, unpack,
                 t_last, y_last, stepper.t, trigger, settings)
-            edge = event.t_lo > rows[-1].time
-            if edge:
-                # the one state the stepper has no RHS value for
-                rows.append(reduce(event.t_lo, y_lo, rhs(event.t_lo, y_lo)))
+            if event.t_lo > t_last:
+                # the bracket's lower edge: the one state the stepper has no RHS value for
+                t_last, y_last = event.t_lo, y_lo
+                rows.append(reduce(t_last, y_last, rhs(t_last, y_last)))
             break
         rows.append(row)
         t_last, y_last = stepper.t, stepper.y
         if keep_states:
             states.append(unpack(t_last, y_last))
 
-    if edge:
-        states.append(event.values_at_t_lo)
-    elif not keep_states and len(rows) > 1:
+    if len(states) < len(rows):  # the last state, unless every state is kept
         states.append(unpack(t_last, y_last))
     return Trajectory.from_rows(vs, rows, states, event=event)
 

@@ -12,6 +12,7 @@ CONTRADICTION (certificate unsatisfied with bounded support).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import math
@@ -25,8 +26,7 @@ import yaml
 from . import __version__, functional, riccati, simulate
 from .core import divergence, load_scenario, validate_scenario
 from .detector import EscapeStatus, escape_report
-from .errors import (DustLabError, MaxStepsExceeded, NoPoleInHorizon,
-                     StepUnderflow, ValidationError)
+from .errors import DustLabError, NoPoleInHorizon, NumericFailure, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,6 +106,11 @@ def _write_event(out: Path, event):
     (out / "event.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
 
 
+# the closed form of the pole time in each case that certifies a bound
+_FORMULAS = {riccati.Case.CASE_ONE: "arctan", riccati.Case.BOUNDARY: "rational",
+             riccati.Case.CASE_TWO: "arcoth"}
+
+
 def _certificate_doc(vs):
     cert = riccati.check_blowup_conditions(vs.total_mass, vs.v_sup, vs.lam,
                                            vs.dimension, vs.h0)
@@ -125,8 +130,7 @@ def _certificate_doc(vs):
     if cert.t_bound is not None:
         params = riccati.RiccatiParams.from_macroscopic(
             vs.total_mass, vs.v_sup, vs.lam, vs.dimension, vs.h0)
-        doc["formula"] = ("arctan" if params.b > 0
-                          else "rational" if params.b == 0 else "arcoth")
+        doc["formula"] = _FORMULAS[cert.case]
         try:
             path = riccati.integrate_comparison_ode(params, until=10.0 * cert.t_bound + 1.0)
             agree = abs(path.pole_time - cert.t_bound) <= 1e-6 * max(1.0, cert.t_bound)
@@ -173,10 +177,12 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, n)
 
 
-def _run_or_exit(vs, keep_states=False):
+@contextlib.contextmanager
+def _numeric_failure_exits():
+    """A numeric failure of the run or of its proof chain inside exits 3."""
     try:
-        return simulate(vs, keep_states=keep_states)
-    except (StepUnderflow, MaxStepsExceeded) as exc:
+        yield
+    except NumericFailure as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
 
@@ -211,9 +217,10 @@ def simulate_cmd(scenario_path, out_dir, snapshot_times):
     out = Path(out_dir)
     _write_manifest(out, "simulate", scenario_path)
     vs = _load(scenario_path)
-    # marker snapshots need every state; all else reads the per-step columns
-    traj = _run_or_exit(vs, keep_states=bool(times))
-    _write_trajectory_csv(out, traj)
+    with _numeric_failure_exits():
+        # marker snapshots need every state; all else reads the per-step columns
+        traj = simulate(vs, keep_states=bool(times))
+        _write_trajectory_csv(out, traj)
     if times:
         _write_marker_dump(out, traj, times)
     if traj.event is not None:
@@ -252,8 +259,9 @@ def verify(scenario_path, out_dir):
     out = Path(out_dir)
     _write_manifest(out, "verify", scenario_path)
     vs = _load(scenario_path)
-    traj = _run_or_exit(vs)
-    report = functional.proof_chain_report(traj)
+    with _numeric_failure_exits():
+        traj = simulate(vs)
+        report = functional.proof_chain_report(traj)
     _write_csv(out / "proof_chain.csv", functional.ProofChainStep._fields, report.steps)
     (out / "report.txt").write_text(report.summary_text() + "\n")
     click.echo(report.summary_text())

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -252,9 +253,6 @@ class FieldState:
     def div_u(self):
         return divergence(self.eig_radial, self.eig_tangential, self.dimension)
 
-    def gaps(self):
-        return neighbour_gaps(self.positions, self.dimension)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -382,6 +380,9 @@ def validate_scenario(raw) -> ValidatedScenario:
                 violations.append(("BadSupport", "density", "radial support must have lo >= 0"))
             if hi <= lo:
                 violations.append(("BadSupport", "density", "empty support"))
+            elif not _finite(hi - lo):
+                violations.append(("BadSupport", "density",
+                                   f"support [{lo:g}, {hi:g}] is wider than a double holds"))
 
     if violations:
         raise ValidationError(violations)
@@ -397,7 +398,10 @@ def validate_scenario(raw) -> ValidatedScenario:
         violations.append(("NegativeDensity", "density",
                            f"density sample {rho_grid.min():g} < 0 near x={bad:g}"))
 
-    initial_volume = support_volume(lo, hi, s.dimension)
+    try:
+        initial_volume = support_volume(lo, hi, s.dimension)
+    except OverflowError:  # hi ** N past a double exceeds any finite v_sup
+        initial_volume = math.inf
     if initial_volume > s.v_sup * (1 + 1e-12):
         violations.append(("VolumeExceedsBound", "v_sup",
                            f"initial support volume {initial_volume:g} exceeds v_sup {s.v_sup:g}"))
@@ -456,25 +460,18 @@ def _check_triggers_at_start(s: Scenario, pos, rho, div0):
     """Reject initial data on which a blowup trigger already holds.
 
     The detector fires when a trigger goes from not holding to holding, so a
-    run that starts with one held could never report it. The conditions are
-    the detector's: smallest marker gap (origin included for radial),
-    largest |div u| and largest density against their thresholds.
+    run that starts with one held could never report it. Each trigger of
+    TRIGGERS is checked on the extreme of its quantity over the markers.
     """
-    settings = s.settings
-    gaps = neighbour_gaps(pos, s.dimension)
     violations = []
-    if np.min(gaps) < settings.crossing_gap_threshold:
-        violations.append(("TriggerAtStart", "marker_count",
-                           f"initial marker gap {np.min(gaps):g} is below "
-                           f"crossing_gap_threshold {settings.crossing_gap_threshold:g}"))
-    if np.max(np.abs(div0)) > settings.div_blowup_threshold:
-        violations.append(("TriggerAtStart", "velocity",
-                           f"initial |div u| {np.max(np.abs(div0)):g} exceeds "
-                           f"div_blowup_threshold {settings.div_blowup_threshold:g}"))
-    if np.max(rho) > settings.rho_blowup_threshold:
-        violations.append(("TriggerAtStart", "density",
-                           f"initial density {np.max(rho):g} exceeds "
-                           f"rho_blowup_threshold {settings.rho_blowup_threshold:g}"))
+    for rule in TRIGGERS.values():
+        values = rule.quantity(pos, div0, rho, s.dimension)
+        value = np.min(values) if rule.below else np.max(values)
+        limit = getattr(s.settings, rule.threshold)
+        if rule.holds(value, limit):
+            verb = "is below" if rule.below else "exceeds"
+            violations.append(("TriggerAtStart", rule.field,
+                               f"initial {rule.name} {value:g} {verb} {rule.threshold} {limit:g}"))
     if violations:
         raise ValidationError(violations)
 
@@ -502,6 +499,43 @@ class StepRow(NamedTuple):
     max_abs_div: float
     max_density: float
     min_density: float
+
+
+class Trigger(Enum):
+    SHELL_CROSSING = "ShellCrossing"
+    DIVERGENCE_THRESHOLD = "DivergenceThreshold"
+    DENSITY_THRESHOLD = "DensityThreshold"
+
+
+class TriggerRule(NamedTuple):
+    """A blowup trigger: the StepRow column the scan reads, its per-marker quantity
+    from (positions, div u, densities, dimension), the threshold it holds below
+    (operator.lt) or above (operator.gt), and the field and name validation reports."""
+
+    column: str
+    quantity: Callable
+    threshold: str
+    holds: Callable
+    field: str
+    name: str
+
+    @property
+    def below(self) -> bool:
+        return self.holds is operator.lt
+
+
+# in priority order, which decides between triggers that first hold in one step
+TRIGGERS = {
+    Trigger.SHELL_CROSSING: TriggerRule(
+        "min_gap", lambda x, div, rho, n: neighbour_gaps(x, n),
+        "crossing_gap_threshold", operator.lt, "marker_count", "marker gap"),
+    Trigger.DIVERGENCE_THRESHOLD: TriggerRule(
+        "max_abs_div", lambda x, div, rho, n: np.abs(div),
+        "div_blowup_threshold", operator.gt, "velocity", "|div u|"),
+    Trigger.DENSITY_THRESHOLD: TriggerRule(
+        "max_density", lambda x, div, rho, n: rho,
+        "rho_blowup_threshold", operator.gt, "density", "density"),
+}
 
 
 @dataclass
@@ -587,7 +621,25 @@ def _build_velocity(spec: dict):
                             f"unknown velocity kind {kind!r}, expected one of {sorted(_VELOCITY_KINDS)}")])
 
 
+class _Document(dict):
+    """A mapping of a scenario document that knows its dotted path, so that a
+    missing key is a ValidationError naming it (initial_profile.density.value)."""
+
+    def __init__(self, mapping, path=""):
+        super().__init__(mapping)
+        self.path = path
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        return _Document(value, f"{self.path}{key}.") if isinstance(value, dict) else value
+
+    def __missing__(self, key):
+        raise ValidationError([("MissingKey", f"{self.path}{key}", "required key is missing")])
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
+    if isinstance(doc, dict):
+        doc = _Document(doc)
     try:
         geometry = Geometry(str(doc["geometry"]).lower())
         settings = NumericalSettings(**doc.get("tolerances", {}))

@@ -1,18 +1,16 @@
 """Blowup-event detection, bisection bracketing, and escape reporting.
 
 A C^2 breakdown has no single observable; it is detected through three
-redundant triggers, checked in fixed priority order so classification is
-deterministic when several fire within one step:
-
-  1. ShellCrossing      adjacent characteristic gap below crossing_gap_threshold
-                        (a swap shows up as a negative gap);
-  2. DivergenceThreshold |div u| exceeding div_blowup_threshold;
-  3. DensityThreshold   rho exceeding rho_blowup_threshold.
+redundant triggers, a marker gap closing, |div u| or rho passing its
+threshold. Their table, core.TRIGGERS, fixes each one's column, quantity,
+threshold and direction, and a priority order that keeps classification
+deterministic when several fire within one step.
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
 crossing, so the triggers guard each other. Integration stops at the event;
-there is no continuation past the singularity. The scan reads each
-accepted step's row of per-step scalars (core.StepRow), not its markers.
+there is no continuation past the singularity. The scan and the bisection
+read each state's row of per-step scalars (core.StepRow), not its markers;
+only the event's marker is picked from a full state.
 """
 
 from __future__ import annotations
@@ -23,17 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalSettings, StepRow, Trajectory
+from .core import TRIGGERS, NumericalSettings, StepRow, Trajectory, Trigger
 from .errors import DustLabError
 from .functional import _inside
 
 BRACKET_REL_WIDTH = 1e-8
-
-
-class Trigger(Enum):
-    SHELL_CROSSING = "ShellCrossing"
-    DIVERGENCE_THRESHOLD = "DivergenceThreshold"
-    DENSITY_THRESHOLD = "DensityThreshold"
 
 
 @dataclass(frozen=True)
@@ -42,43 +34,27 @@ class BlowupEvent:
     t_hi: float  # and holds at t_hi
     trigger: Trigger
     marker_index: int
-    values_at_t_lo: object  # field state at the bracket's lower edge
-
-
-def _crossing_holds(row: StepRow, settings):
-    return row.min_gap < settings.crossing_gap_threshold
-
-
-def _divergence_holds(row: StepRow, settings):
-    return row.max_abs_div > settings.div_blowup_threshold
-
-
-def _density_holds(row: StepRow, settings):
-    return row.max_density > settings.rho_blowup_threshold
-
-
-# each trigger's condition on a StepRow, in priority order
-CONDITIONS = {
-    Trigger.SHELL_CROSSING: _crossing_holds,
-    Trigger.DIVERGENCE_THRESHOLD: _divergence_holds,
-    Trigger.DENSITY_THRESHOLD: _density_holds,
-}
 
 
 def trigger_marker_index(state, trigger: Trigger) -> int:
-    if trigger is Trigger.SHELL_CROSSING:
-        return int(np.argmin(state.gaps()))
-    if trigger is Trigger.DIVERGENCE_THRESHOLD:
-        return int(np.argmax(np.abs(state.div_u())))
-    return int(np.argmax(state.densities))
+    """The marker at the extreme of the trigger's quantity in state."""
+    rule = TRIGGERS[trigger]
+    values = rule.quantity(state.positions, state.div_u(), state.densities, state.dimension)
+    return int(np.argmin(values) if rule.below else np.argmax(values))
+
+
+# TRIGGERS as plain tuples: the scan of every accepted step unpacks them fastest
+_SCAN = tuple((trigger, rule.column, rule.threshold, rule.holds)
+              for trigger, rule in TRIGGERS.items())
 
 
 def scan_step(prev_row: StepRow, next_row: StepRow,
               settings: NumericalSettings) -> Optional[Trigger]:
     """First trigger (in priority order) holding at next_row but not prev_row."""
-    for trig, holds in CONDITIONS.items():
-        if holds(next_row, settings) and not holds(prev_row, settings):
-            return trig
+    for trigger, column, threshold, holds in _SCAN:
+        limit = getattr(settings, threshold)
+        if holds(getattr(next_row, column), limit) and not holds(getattr(prev_row, column), limit):
+            return trigger
     return None
 
 
@@ -92,10 +68,11 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
     and not at t_prev. Returns the event and the solver vector at its lower
     edge.
     """
-    condition = CONDITIONS[trigger]
+    rule = TRIGGERS[trigger]
+    limit = getattr(settings, rule.threshold)
 
     def holds(t, y):
-        return condition(reduce(t, y), settings)
+        return rule.holds(getattr(reduce(t, y), rule.column), limit)
 
     if holds(t_prev, y_prev):
         raise DustLabError("bracket_event precondition: trigger already holds at t_prev")
@@ -111,12 +88,9 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
             hi = mid
         else:
             lo, y_lo = mid, y_mid
-    state_lo = unpack(lo, y_lo)
     y_hi = reintegrate(lo, y_lo, hi)
     idx = trigger_marker_index(unpack(hi, y_hi), trigger)
-    event = BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger,
-                        marker_index=idx, values_at_t_lo=state_lo)
-    return event, y_lo
+    return BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger, marker_index=idx), y_lo
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,20 @@ class ValidationError(DustLabError):
         super().__init__(lines or "invalid scenario")
 
 
-class StepUnderflow(DustLabError):
+class NumericFailure(DustLabError):
+    """A run that cannot be carried to its end in double precision."""
+
+
+class StepUnderflow(NumericFailure):
     pass
 
 
-class MaxStepsExceeded(DustLabError):
+class MaxStepsExceeded(NumericFailure):
     pass
+
+
+class NumericOverflow(NumericFailure):
+    """A value of the run or of its proof chain left the range of a double."""
 
 
 class NoCertificateError(DustLabError):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (StepRow, Trajectory, neighbour_gaps, support_volume,
                    support_volume_upper)
+from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
 NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
@@ -119,9 +120,22 @@ class _Chain:
 
     The terms are computed on Python floats, not NumPy arrays, because
     float ** 2 (libm pow) and NumPy's square (x * x) can round differently.
+    A term that is not finite where it is asserted raises NumericOverflow.
     """
 
     def __init__(self, trajectory: Trajectory):
+        try:
+            self._terms(trajectory)
+        except OverflowError as exc:  # float ** 2 raises where x * x gives inf
+            raise NumericOverflow("a proof-chain term overflows a double") from exc
+        inside = self.inside
+        terms = (self.cs_div + self.transport
+                 + [v for v, ok in zip(self.cs_rho, inside) if ok]
+                 + [v for v, a, b in zip(self.riccati, inside, inside[1:]) if a and b])
+        if not all(map(math.isfinite, terms)):
+            raise NumericOverflow("a proof-chain term is not finite in double precision")
+
+    def _terms(self, trajectory: Trajectory):
         vs = trajectory.validated
         v_sup = vs.v_sup
         c = trajectory.columns

@@ -39,7 +39,6 @@ from .errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-12
 POLE_THRESHOLD = 1e8
-POLE_BRACKET_WIDTH = 1e-8
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,31 @@ class TestSimulate:
         assert str(path) in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("value", [1e150, 1e160, 1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_dense_slab_exit_3(self, runner, tmp_path, command, value):
+        # density 1e150-1e250 once ended in OverflowError from the proof
+        # chain's H**2, and the initial step's norm overflowed from 1e145
+        path = fast_scenario(tmp_path, initial_profile={
+            "density": {"kind": "uniform", "value": value, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}}, tolerances={"rho_blowup_threshold": 1e305})
+        result = runner.invoke(main, [command, "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == EXIT_NUMERIC
+        assert "numeric failure" in result.output
+
+    def test_missing_key_exit_1_naming_it(self, runner, tmp_path):
+        path = pathlib.Path(fast_scenario(tmp_path))
+        doc = yaml.safe_load(path.read_text())
+        del doc["v_sup"]
+        write_yaml(path, doc)
+        result = runner.invoke(main, ["simulate", "--scenario", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == EXIT_VALIDATION
+        assert "MissingKey[v_sup]" in result.output
+
     def test_escape_scenario_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--scenario", str(SCENARIOS / "hubble_escape_1d.yaml"),

@@ -279,7 +279,10 @@ class TestStoredStates:
         if traj.event is None:
             assert len(traj) == accepted + 1
         else:
-            edge = traj.states[-1] is traj.event.values_at_t_lo
+            # the rule run_characteristics uses: the bisection moved the
+            # lower edge past the last accepted step before the trigger
+            edge = traj.event.t_lo > scans[-1][0].time
+            assert traj.states[-1].time == traj.event.t_lo
             assert len(traj) == accepted + edge
         assert len(full.states) == len(full) == len(traj)
         for a, b in zip(traj.columns, full.columns):

@@ -303,7 +303,14 @@ class TestRejectedInputs:
     def test_missing_v_sup_key(self):
         doc = slab_doc()
         del doc["v_sup"]
-        with pytest.raises(ValidationError, match=r"BadScenarioFile\[scenario\]: 'v_sup'"):
+        with pytest.raises(ValidationError, match=r"^MissingKey\[v_sup\]: required key is missing$"):
+            scenario_from_dict(doc)
+
+    def test_missing_nested_key_names_its_path(self):
+        doc = slab_doc()
+        del doc["initial_profile"]["density"]["value"]
+        with pytest.raises(ValidationError,
+                           match=r"^MissingKey\[initial_profile\.density\.value\]"):
             scenario_from_dict(doc)
 
     def test_unknown_velocity_kind(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dustlab import simulate
-from dustlab.core import FieldState, HubbleVelocity, NumericalSettings
-from dustlab.detector import (BRACKET_REL_WIDTH, CONDITIONS, EscapeStatus, Trigger,
-                              escape_report, scan_step, trigger_marker_index)
+from dustlab.core import TRIGGERS, FieldState, HubbleVelocity, NumericalSettings
+from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, escape_report,
+                              scan_step, trigger_marker_index)
 from dustlab.functional import proof_chain_report, step_row
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
@@ -74,6 +74,26 @@ class TestScanStep:
         assert scan(shell(0.2), shell(1e-14)) is Trigger.SHELL_CROSSING
 
 
+def test_trigger_table_matches_the_row():
+    # each trigger's column is the extreme of its per-marker quantity, and
+    # its threshold a setting
+    shell = FieldState(time=0.0, positions=np.array([0.2, 0.5, 0.6]),
+                       velocities=np.zeros(3), densities=np.array([0.5, 2.0, 1.0]),
+                       eig_radial=np.array([0.1, -3.0, 0.2]),
+                       eig_tangential=np.array([0.0, 0.4, -0.1]),
+                       masses=np.full(3, 1.0 / 3), dimension=3)
+    slab = state([-0.5, 0.1, 0.5], w=[0.3, -4.0, 1.0], rho=[0.5, 0.7, 3.0])
+    for st in (slab, shell):
+        row = step_row(st)
+        for trigger, rule in TRIGGERS.items():
+            values = rule.quantity(st.positions, st.div_u(), st.densities, st.dimension)
+            extreme = values.min() if rule.below else values.max()
+            assert getattr(row, rule.column) == extreme
+            assert values[trigger_marker_index(st, trigger)] == extreme
+            assert hasattr(SETTINGS, rule.threshold)
+    assert list(TRIGGERS) == list(Trigger)
+
+
 class TestBracketing:
     def test_collapse_bracket_width_and_consistency(self):
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=FAST)
@@ -82,10 +102,13 @@ class TestBracketing:
         assert ev is not None
         assert ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * max(1.0, ev.t_hi) * 1.01
         assert ev.t_lo < ev.t_hi
-        # the recorded edge state sits at the bracket's lower edge
-        assert ev.values_at_t_lo.time == ev.t_lo
+        # the run's last state sits at the bracket's lower edge
+        edge = traj.states[-1]
+        assert edge.time == ev.t_lo
         # trigger not yet holding at the edge state
-        assert not CONDITIONS[ev.trigger](step_row(ev.values_at_t_lo), FAST)
+        rule = TRIGGERS[ev.trigger]
+        value = getattr(step_row(edge), rule.column)
+        assert not rule.holds(value, getattr(FAST, rule.threshold))
 
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by
