@@ -4,18 +4,19 @@ The solver vector of a run holds the marker fields one after another,
 [positions, velocities, densities, eig_radial (, eig_tangential)], the last
 only for shells (layout). The geometry modules supply the force law as
 rhs(t, y, out=None) on that vector, which writes the derivative into out
-when given one and into a new vector otherwise; everything else is common.
+(a stage row, one call per pair of neighbouring fields where it can) or a
+new vector; everything else is common.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
 one (7 x n) stage block: steps drives it to its end time, and reintegrate,
 which carries a state from one time to a later one, restarts it there. The
 run reduces every accepted state once to its row of per-step scalars
-(layout's reduce), scans each accepted step's row for detector triggers,
-and localizes the first trigger by bisection on sub-steps re-integrated by
+(functional.reducer, built once per run by layout), scans the row for
+triggers, and localizes the first by bisection on sub-steps re-integrated by
 the run's own stepper. sample restarts one stepper at each requested time
 and steps it to the next; nothing is interpolated. At its peak a run holds
 about 17 solver vectors on a large slab (the block, its three work vectors,
-the states in hand and the reductions' temporaries); tests/test_integrate.py
+the states in hand and the reducer's scratch block); tests/test_integrate.py
 bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
@@ -31,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import detector, functional
-from .core import FieldState, Trajectory, ValidatedScenario, divergence
+from .core import FieldState, Trajectory, ValidatedScenario
 from .errors import MaxStepsExceeded, StepUnderflow
 
 # The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26:
@@ -237,14 +238,7 @@ def layout(vs: ValidatedScenario):
                           eig_tangential=y[4 * n:] if dim > 1 else None,
                           masses=masses, dimension=dim, lam=lam)
 
-    def div(v):
-        return divergence(v[3 * n:4 * n], v[4 * n:], dim)
-
-    def reduce(t, y, f=None):
-        return functional.row(float(t), y[:n], y[2 * n:3 * n], div(y), masses, dim,
-                              None if f is None else div(f))
-
-    return np.concatenate(fields), unpack, reduce
+    return np.concatenate(fields), unpack, functional.reducer(masses, dim)
 
 
 def start(rhs, t0, y0, t_bound, settings) -> DormandPrince:

@@ -78,7 +78,7 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
         raise DustLabError("bracket_event precondition: trigger already holds at t_prev")
     lo, hi = t_prev, t_next
     y_lo = y_prev
-    width_goal = BRACKET_REL_WIDTH * max(1.0, abs(t_next))
+    width_goal = BRACKET_REL_WIDTH * abs(t_next)
     # the bracket starts at most t_next wide, so 27 halvings reach the goal;
     # a gap above the goal is far wider than the ulps a midpoint rounds by
     while hi - lo > width_goal:

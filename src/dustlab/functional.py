@@ -6,9 +6,10 @@ the conserved mass measure. Likewise sum_j m_j rho_j quadratures the
 density square integral (m_j = rho_j dV_j) without any remeshing.
 
 Each accepted state is reduced once, when its step is accepted, to the
-per-step scalars of core.StepRow (row; step_row on a FieldState). The
-inequality checks below are expressions over those columns; they never
-revisit per-marker states.
+per-step scalars of core.StepRow by the run's reducer, which is built once
+per run and reduces a solver vector's rows of one scratch block in three
+calls. The inequality checks below are expressions over those columns;
+they never revisit per-marker states.
 
 All inequality margins are oriented (large side minus small side), so
 nonnegative means "holds". Checks are reported, never enforced: a
@@ -23,8 +24,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (StepRow, Trajectory, neighbour_gaps, support_volume,
-                   support_volume_upper)
+from .core import StepRow, Trajectory, unit_sphere_area
 from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
@@ -36,45 +36,60 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 # ---------------------------------------------------------------------------
 
 
-def step_row(state, div_rate=None) -> StepRow:
-    """The per-step scalars of one state (row).
+def reducer(masses, dimension: int):
+    """reduce(time, y, f=None): the StepRow of the solver vector y, in
+    _integrate.layout's layout, with the rate column from f, the RHS at y
+    (NaN without f). Built once per run: sigma, the boundary cells' half
+    masses and one (5 x n) scratch block. A step sums m rho, m div, m div^2
+    and m rate in rows 0-3 by one np.add.reduce, then takes the minima of
+    the gaps and rho in rows 2-3 (a slab's missing first gap is +inf; a
+    shell's is its radius, r - 0.0) and the maxima of rho and |div u| in
+    rows 3-4. A reduction along axis 1 of a C-contiguous block reduces each
+    row as its 1-D reduction does, so every value equals core's
+    support_volume, support_volume_upper, neighbour_gaps and divergence."""
+    n = masses.size
+    slab = dimension == 1
+    nm1 = np.array(float(dimension - 1))  # 0-d: no Python scalar to resolve per call
+    sigma = unit_sphere_area(dimension)
+    half_first, half_last = 0.5 * masses[0], 0.5 * masses[-1]
+    block = np.empty((5, n))
+    sums = block[:3], block[:4]  # without and with the rate row
+    minima, maxima, gaps = block[2:4], block[3:5], block[2, 1:]
+    m_rho, m_div, m_div2, m_rate, abs_div = block
+    gap_row, rho_row = m_div2, m_rate  # once the sums are taken
 
-    div_rate is D(div u)/Dt per marker, taken from the RHS already evaluated
-    at this state; without it the rate column is NaN.
-    """
-    return row(state.time, state.positions, state.densities, state.div_u(),
-               state.masses, state.dimension, div_rate)
+    def reduce(time, y, f=None):
+        x, rho = y[:n], y[2 * n:3 * n]
+        if slab:
+            div = y[3 * n:]
+        else:  # held in the |div u| row until the sums are taken
+            div = np.add(y[3 * n:4 * n], np.multiply(nm1, y[4 * n:], out=abs_div), out=abs_div)
+        np.multiply(masses, rho, out=m_rho)
+        np.multiply(masses, div, out=m_div)
+        np.multiply(m_div, div, out=m_div2)  # m * d * d, evaluated left to right
+        if f is not None:
+            if slab:
+                np.multiply(masses, f[3 * n:], out=m_rate)
+            else:
+                np.add(f[3 * n:4 * n], np.multiply(nm1, f[4 * n:], out=m_rate), out=m_rate)
+                np.multiply(masses, m_rate, out=m_rate)
+        sum_rho, h, sum_div2, *rate = np.add.reduce(sums[f is not None], axis=1).tolist()
+        np.subtract(x[1:], x[:-1], out=gaps)
+        gap_row[0] = math.inf if slab else x[0]
+        np.copyto(rho_row, rho)
+        np.abs(div, out=abs_div)
+        min_gap, min_rho = np.minimum.reduce(minima, axis=1).tolist()
+        max_rho, max_abs_div = np.maximum.reduce(maxima, axis=1).tolist()
+        hi, rho_lo, rho_hi = x[-1], rho[0], rho[-1]
+        volume = upper = float(hi - x[0] if slab else sigma * hi ** dimension / dimension)
+        if not (rho_hi <= 0.0 or (slab and rho_lo <= 0.0)):
+            if slab:
+                upper += half_first / rho_lo
+            upper = float(upper + half_last / rho_hi)
+        return StepRow(float(time), h, sum_div2, sum_rho, volume, upper,
+                       rate[0] if rate else math.nan, min_gap, max_abs_div, max_rho, min_rho)
 
-
-def row(time, positions, densities, div, masses, dimension, div_rate=None) -> StepRow:
-    """The per-step scalars of the marker fields of one state: positions,
-    densities and div u per marker. The run reduces solver vectors with it
-    directly, without a FieldState. Plain ufunc reductions keep each sum in
-    the same order as np.sum and np.max would; the weighted sums are the
-    rows of one C-contiguous block, reduced along axis 1 in one call, which
-    sums each row as the 1-D reduction of that row does.
-    """
-    block = np.empty((3 if div_rate is None else 4, masses.size))
-    md = np.multiply(masses, div, out=block[0])
-    np.multiply(md, div, out=block[1])  # m * d * d, evaluated left to right
-    np.multiply(masses, densities, out=block[2])
-    if div_rate is not None:
-        np.multiply(masses, div_rate, out=block[3])
-    h, m_div2, m_rho, *rate = np.add.reduce(block, axis=1).tolist()
-    volume = float(support_volume(positions[0], positions[-1], dimension))
-    return StepRow(
-        time=time,
-        h=h,
-        m_div2=m_div2,
-        m_rho=m_rho,
-        volume=volume,
-        volume_upper=support_volume_upper(volume, densities, masses, dimension),
-        m_div_rate=rate[0] if rate else math.nan,
-        min_gap=float(np.minimum.reduce(neighbour_gaps(positions, dimension))),
-        max_abs_div=float(np.maximum.reduce(np.abs(div))),
-        max_density=float(np.maximum.reduce(densities)),
-        min_density=float(np.minimum.reduce(densities)),
-    )
+    return reduce
 
 
 # ---------------------------------------------------------------------------

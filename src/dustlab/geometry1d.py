@@ -59,6 +59,7 @@ def model_rhs(vs: ValidatedScenario):
     into a new vector."""
     masses = vs.masses
     lam = vs.lam
+    lam_0d = np.array(lam)  # NumPy resolves a Python scalar operand anew on every call
     n = masses.size
     constants = _force_constants(masses)
 
@@ -67,13 +68,13 @@ def model_rhs(vs: ValidatedScenario):
         f = np.empty(4 * n) if out is None else out
         f[:n] = u
         _forces(masses, constants, x, lam, f[n:2 * n])
-        # -(a * b) is (-a) * b, bit for bit: negate in place
-        drho = np.multiply(rho, w, out=f[2 * n:3 * n])
-        np.negative(drho, out=drho)
+        np.multiply(rho, w, out=f[2 * n:3 * n])
         dw = np.multiply(w, w, out=f[3 * n:])
-        np.negative(dw, out=dw)
+        # -(a * b) is (-a) * b, bit for bit: drho and dw negated in one call
+        rates = f[2 * n:]
+        np.negative(rates, out=rates)
         dw -= rho
-        dw += lam  # kept at lam = 0: -0.0 + 0.0 is +0.0
+        dw += lam_0d  # kept at lam = 0: -0.0 + 0.0 is +0.0
         return f
 
     return rhs

@@ -88,12 +88,14 @@ def model_rhs(vs: ValidatedScenario):
     once. With out, the derivative is written into out, which is returned;
     without it, into a new vector."""
     masses = vs.masses
-    lam = vs.lam
     n_dim = vs.dimension
     n = masses.size
     constants = _shell_constants(masses, n_dim)
     m_enc, sigma, r_unmasked = constants
     nm1 = n_dim - 1
+    # the scalar operands as 0-d arrays: NumPy resolves a Python scalar
+    # operand anew on every call
+    lam, sigma_0d, nm1_0d = np.array(vs.lam), np.array(sigma), np.array(float(nm1))
 
     def rhs(t, y, out=None):
         r, u, rho, l1, l2 = (y[:n], y[n:2 * n], y[2 * n:3 * n],
@@ -108,23 +110,27 @@ def model_rhs(vs: ValidatedScenario):
         # _phi_r and _derivatives with their floors and masks dropped, which
         # change no value here, and with the lambda terms dropped at lambda =
         # 0, where they are exact no-ops (x - 0.0 = x, and 0.0 r = 0 for the
-        # finite r > 0 of a step that can be accepted)
-        phi_r = m_enc / (sigma * r ** nm1)
-        if lam:
-            phi_r -= lam * r / n_dim
-        phi_r_over_r = phi_r / r
+        # finite r > 0 of a step that can be accepted). Fields next to each
+        # other share one call: l1^2 with l2^2, negations, subtractions.
         f = np.empty(5 * n) if out is None else out
         f[:n] = u
-        np.negative(phi_r, out=f[n:2 * n])
-        # -(a * b) is (-a) * b, bit for bit: negate in place
-        drho = np.multiply(rho, l1 + nm1 * l2, out=f[2 * n:3 * n])
-        np.negative(drho, out=drho)
-        dl1 = np.multiply(l1, l1, out=f[3 * n:4 * n])
-        np.negative(dl1, out=dl1)
-        np.subtract(dl1, ((rho - lam) if lam else rho) - nm1 * phi_r_over_r, out=dl1)
-        dl2 = np.multiply(l2, l2, out=f[4 * n:])
-        np.negative(dl2, out=dl2)
-        np.subtract(dl2, phi_r_over_r, out=dl2)
+        phi_r = np.divide(m_enc, sigma_0d * r ** nm1, out=f[n:2 * n])
+        if lam:
+            phi_r -= lam * r / n_dim
+        # what dl1 and dl2 subtract: (rho - lam) - (N-1) Phi_r/r, then Phi_r/r
+        sub = np.empty(2 * n)
+        sub_l1 = sub[:n]
+        phi_r_over_r = np.divide(phi_r, r, out=sub[n:])
+        np.subtract((rho - lam) if lam else rho,
+                    np.multiply(nm1_0d, phi_r_over_r, out=sub_l1), out=sub_l1)
+        np.multiply(rho, l1 + nm1_0d * l2, out=f[2 * n:3 * n])
+        l12, dl12 = y[3 * n:], f[3 * n:]
+        np.multiply(l12, l12, out=dl12)
+        # -(a * b) is (-a) * b, bit for bit: du = -Phi_r, drho, dl1 and dl2
+        # negated in one call
+        rates = f[n:]
+        np.negative(rates, out=rates)
+        np.subtract(dl12, sub, out=dl12)
         return f
 
     return rhs

@@ -316,7 +316,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
 
 
 # ---------------------------------------------------------------------------
-# Pointwise bound and trajectory comparison
+# Pointwise bound
 # ---------------------------------------------------------------------------
 
 
@@ -324,19 +324,3 @@ def chae_tadmor_bounds(densities, div0, n: int):
     """Per-characteristic blowup bounds -N/div(u0) for lambda = 0 flows, in
     marker order, of the markers that start non-vacuum with div(u0) < 0."""
     return -n / div0[(densities > 0) & (div0 < 0)]
-
-
-def comparison_exceedance(trajectory, params: RiccatiParams) -> float:
-    """max over accepted steps of H(t) - y(t) for t before the pole.
-
-    Nonpositive (within tolerance) whenever H(0) <= y(0) and the support
-    volume hypothesis holds: the simulated functional must stay below the
-    comparison solution. Raises NoCertificateError if y does not blow up.
-    """
-    t_pole = blowup_time_upper_bound(params)
-    worst = -math.inf
-    for t, h in zip(trajectory.times.tolist(), trajectory.columns.h.tolist()):
-        if t >= t_pole:
-            break
-        worst = max(worst, h - comparison_solution(params, t))
-    return worst

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import _integrate, geometry1d, radial, simulate
+from dustlab import _integrate, functional, geometry1d, radial, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
                           UniformVelocity, ball_volume, validate_scenario)
@@ -52,6 +52,16 @@ def derivatives(state):
     y, _, _ = _integrate.layout(vs)
     module = geometry1d if vs.dimension == 1 else radial
     return np.split(module.model_rhs(vs)(0.0, y), 4 if vs.dimension == 1 else 5)
+
+
+def step_row(state):
+    """The StepRow of a FieldState, by the run's reducer on the solver vector
+    of its fields; the rate column is NaN."""
+    fields = [state.positions, state.velocities, state.densities, state.eig_radial]
+    if state.dimension > 1:
+        fields.append(state.eig_tangential)
+    reduce = functional.reducer(state.masses, state.dimension)
+    return reduce(state.time, np.concatenate(fields))
 
 
 def masked_shell_rhs(vs, y):

@@ -14,12 +14,12 @@ import pytest
 from dustlab import sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, ball_volume,
                           validate_scenario)
-from dustlab.functional import proof_chain_report, step_row
+from dustlab.functional import proof_chain_report
 from dustlab.riccati import (Case, RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds, check_blowup_conditions,
-                             comparison_exceedance, integrate_comparison_ode)
+                             comparison_solution, integrate_comparison_ode)
 
-from conftest import derivatives, make_ball, make_slab
+from conftest import derivatives, make_ball, make_slab, step_row
 
 DRAWS_PER_REGIME = 1000
 
@@ -172,6 +172,22 @@ class TestCriterion5CharacteristicIdentity:
                f"1-D characteristic identity via the exact invariant "
                f"(1/rho)'' = lam/rho - 1: worst residual {worst:.3e} "
                f"<= 10*rel_tol = {tol:.1e}, every marker, every step", capsys)
+
+
+def comparison_exceedance(trajectory, params: RiccatiParams) -> float:
+    """max over accepted steps of H(t) - y(t) for t before the pole.
+
+    Nonpositive (within tolerance) whenever H(0) <= y(0) and the support
+    volume hypothesis holds: the simulated functional must stay below the
+    comparison solution. Raises NoCertificateError if y does not blow up.
+    """
+    t_pole = blowup_time_upper_bound(params)
+    worst = -math.inf
+    for t, h in zip(trajectory.times.tolist(), trajectory.columns.h.tolist()):
+        if t >= t_pole:
+            break
+        worst = max(worst, h - comparison_solution(params, t))
+    return worst
 
 
 class TestCriterion6ComparisonProperty:

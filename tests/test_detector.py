@@ -1,16 +1,18 @@
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dustlab import simulate
-from dustlab.core import TRIGGERS, FieldState, HubbleVelocity, NumericalSettings
+from dustlab.core import (TRIGGERS, FieldState, HubbleVelocity, NumericalSettings,
+                          UniformDensity, load_scenario)
 from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, escape_report,
                               scan_step, trigger_marker_index)
-from dustlab.functional import proof_chain_report, step_row
+from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
-from conftest import FAST, make_ball, make_slab
+from conftest import FAST, make_ball, make_slab, step_row
 
 SETTINGS = NumericalSettings()
 
@@ -109,6 +111,18 @@ class TestBracketing:
         rule = TRIGGERS[ev.trigger]
         value = getattr(step_row(edge), rule.column)
         assert not rule.holds(value, getattr(FAST, rule.threshold))
+
+    def test_bracket_is_relative_far_below_one(self):
+        # uniform_collapse_1d at density 1e145: |div u| ~ rho t passes 1e8 at
+        # t ~ 1e-137, where a goal of 1e-8 absolute would leave the bracket
+        # ten times as wide as its lower edge
+        sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios"
+                           / "uniform_collapse_1d.yaml")
+        sc = replace(sc, density=UniformDensity(1e145, -1.0, 1.0),
+                     settings=replace(sc.settings, rho_blowup_threshold=1e305))
+        ev = simulate(sc).event
+        assert ev.trigger is Trigger.DIVERGENCE_THRESHOLD
+        assert 0.0 < ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * ev.t_hi
 
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by

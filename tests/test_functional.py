@@ -7,11 +7,12 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from dustlab import sample
-from dustlab.core import FieldState, HubbleVelocity, validate_scenario
+from dustlab.core import (FieldState, HubbleVelocity, StepRow, divergence,
+                          neighbour_gaps, support_volume, support_volume_upper,
+                          validate_scenario)
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
-                                _inside, _tolerance, proof_chain_report, row,
-                                step_row)
-from conftest import make_ball, make_slab
+                                _inside, _tolerance, proof_chain_report, reducer)
+from conftest import make_ball, make_slab, step_row
 
 
 def slab_state(x, u=None, w=None, m=None, rho=None):
@@ -62,12 +63,94 @@ class TestFunctionalValues:
         assert step_row(slab_state([-1.0, 1.0])).volume == pytest.approx(2.0)
 
 
+def reference_row(time, positions, densities, div, masses, dimension, div_rate=None):
+    """The per-step scalars by core's helpers and one ufunc reduction per
+    column: the formula functional.reducer must equal bit for bit."""
+    block = np.empty((3 if div_rate is None else 4, masses.size))
+    md = np.multiply(masses, div, out=block[0])
+    np.multiply(md, div, out=block[1])
+    np.multiply(masses, densities, out=block[2])
+    if div_rate is not None:
+        np.multiply(masses, div_rate, out=block[3])
+    h, m_div2, m_rho, *rate = np.add.reduce(block, axis=1).tolist()
+    volume = float(support_volume(positions[0], positions[-1], dimension))
+    return StepRow(
+        time=time,
+        h=h,
+        m_div2=m_div2,
+        m_rho=m_rho,
+        volume=volume,
+        volume_upper=support_volume_upper(volume, densities, masses, dimension),
+        m_div_rate=rate[0] if rate else math.nan,
+        min_gap=float(np.minimum.reduce(neighbour_gaps(positions, dimension))),
+        max_abs_div=float(np.maximum.reduce(np.abs(div))),
+        max_density=float(np.maximum.reduce(densities)),
+        min_density=float(np.minimum.reduce(densities)),
+    )
+
+
+def solver_vector(rng, n, dimension):
+    """Seeded marker fields in the solver vector's layout, and a derivative
+    vector f in the same layout."""
+    lo = -1.5 if dimension == 1 else 0.05
+    positions = np.sort(rng.uniform(lo, 1.5, n))
+    fields = 4 if dimension == 1 else 5
+    y = np.concatenate((positions, rng.normal(size=n), rng.uniform(0.1, 2.0, n),
+                        rng.normal(size=(fields - 3) * n)))
+    return y, rng.normal(size=fields * n)
+
+
+def row_of(reduce, y, f=None):
+    return np.array(reduce(0.25, y, f)).tobytes()
+
+
+def expected_row(y, f, masses, dimension):
+    n = masses.size
+    div = divergence(y[3 * n:4 * n], y[4 * n:], dimension)
+    rate = None if f is None else divergence(f[3 * n:4 * n], f[4 * n:], dimension)
+    return np.array(reference_row(0.25, y[:n], y[2 * n:3 * n], div, masses,
+                                  dimension, rate)).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])
+def test_reducer_equals_the_reference_row(dimension, with_rate):
+    """The run's reducer against reference_row, bit for bit, on seeded slab
+    and shell states, calling one reducer on many states as a run does."""
+    rng = np.random.default_rng(20261019 + dimension)
+    for n in (2, 3, 8, 9, 48, 64, 129, 1000):
+        masses = rng.uniform(0.2, 1.0, n)
+        reduce = reducer(masses, dimension)
+        for _ in range(3):
+            y, f = solver_vector(rng, n, dimension)
+            f = f if with_rate else None
+            assert row_of(reduce, y, f) == expected_row(y, f, masses, dimension), n
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("edge", [0, -1])
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_reducer_at_a_boundary_density_at_most_zero(dimension, edge, value):
+    """A boundary density <= 0 leaves the upper support estimate at the
+    marker extent (support_volume_upper's early return); a shell's inner
+    density is not a boundary."""
+    rng = np.random.default_rng(3)
+    n = 16
+    y, f = solver_vector(rng, n, dimension)
+    masses = rng.uniform(0.2, 1.0, n)
+    y[2 * n + (edge % n)] = value
+    reduce = reducer(masses, dimension)
+    assert row_of(reduce, y, f) == expected_row(y, f, masses, dimension)
+    got = reduce(0.25, y, f)
+    assert (got.volume_upper == got.volume) == (dimension == 1 or edge == -1)
+
+
 @pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])
 def test_row_sums_equal_one_dimensional_reductions(with_rate):
-    """row reduces its weighted products as the rows of one block; each sum
-    must equal np.add.reduce of that product alone, bit for bit, across the
-    sizes where the pairwise summation changes shape (8-way unrolling,
-    blocks of 128, buffers of 8192)."""
+    """The reducer reduces its weighted products as the rows of one block;
+    each sum must equal np.add.reduce of that product alone, bit for bit,
+    across the sizes where the pairwise summation changes shape (8-way
+    unrolling, blocks of 128, buffers of 8192)."""
     rng = np.random.default_rng(20261018)
     sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 16384, 40_000]
     sizes += rng.integers(1, 40_001, 6).tolist()
@@ -77,7 +160,9 @@ def test_row_sums_equal_one_dimensional_reductions(with_rate):
         densities = rng.uniform(0.1, 2.0, n)
         div = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         rate = rng.normal(size=n) if with_rate else None
-        got = row(0.0, positions, densities, div, masses, 3, rate)
+        y = np.concatenate((positions, np.zeros(n), densities, div))
+        f = np.concatenate((np.zeros(3 * n), rate)) if with_rate else None
+        got = reducer(masses, 1)(0.0, y, f)
         md = masses * div
         expected = [np.add.reduce(md), np.add.reduce(md * div),
                     np.add.reduce(masses * densities),

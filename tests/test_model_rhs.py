@@ -105,18 +105,26 @@ def test_each_call_returns_a_new_vector(scenario, vector, reference):
 
 @pytest.mark.parametrize("scenario, vector, reference", cases())
 def test_out_receives_the_same_bytes(scenario, vector, reference):
+    """Each row of a (7 x size) stage block, holding stale values, as the
+    stepper passes it: the call returns that row, writes the derivative
+    there and nowhere else (no silent copy takes the writes), and leaves y
+    and the other rows as they were."""
     rng = np.random.default_rng(11)
     _, rhs = model(validate_scenario(scenario), rng)
     with np.errstate(all="raise"):
-        for _ in range(5):
+        for _ in range(2):
             y = vector(rng)
             kept = y.copy()
             expected = rhs(0.0, y)
-            # a row of a block, as the stepper passes it, holding stale values
-            out = np.full((2, y.size), np.nan)[1]
-            assert rhs(0.0, y, out) is out
-            assert out.tobytes() == expected.tobytes()
-            assert y.tobytes() == kept.tobytes()
+            block = rng.normal(size=(7, y.size))
+            for s in range(7):
+                stale = block.copy()
+                out = block[s]
+                assert rhs(0.0, y, out=out) is out
+                assert out.tobytes() == expected.tobytes()
+                others = np.arange(7) != s
+                assert block[others].tobytes() == stale[others].tobytes()
+                assert y.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("lam", [0.37, -1.3])

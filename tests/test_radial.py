@@ -7,9 +7,8 @@ from scipy.integrate import solve_ivp
 from dustlab import _integrate, radial, simulate
 from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
                           ball_volume, unit_sphere_area, validate_scenario)
-from dustlab.functional import step_row
 
-from conftest import derivatives, make_ball, masked_shell_rhs
+from conftest import derivatives, make_ball, masked_shell_rhs, step_row
 
 
 def shell_state(r, m, n=3, lam=0.0, u=None, rho=None):
