@@ -2,10 +2,11 @@
 
 The solver vector of a run holds the marker fields one after another,
 [positions, velocities, densities, eig_radial (, eig_tangential)], the last
-only for shells (layout). The geometry modules supply the force law as
-rhs(t, y, out=None) on that vector, which writes the derivative into out
-(a stage row, one call per pair of neighbouring fields where it can) or a
-new vector; everything else is common.
+only for shells; splitter alone knows this order. Each vector is split into
+its views once, when it is made, and the views are passed along. The
+geometry modules supply the force law as rhs(t, yv, fv), which writes the
+derivative at the views yv into the views fv (of a stage row); everything
+else is common.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
 one (7 x n) stage block: steps drives it to its end time, and reintegrate,
@@ -73,11 +74,13 @@ def _rms(x, sqrt_n):
 def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratch):
     """First step size for an error estimate of order 4: Hairer, Norsett &
     Wanner, Solving ODEs I, Sec. II.4 (one extra RHS evaluation). scratch
-    holds three vectors of y0's size, which it overwrites."""
+    holds a vector of y0's size and the views of two more, which it
+    overwrites."""
     interval = abs(t_bound - t0)
     if interval == 0.0:
         return 0.0
-    scale, y1, f1 = scratch
+    scale, y1v, f1v = scratch
+    y1, f1 = y1v[0], f1v[0]
     # atol + |y0| rtol
     np.abs(y0, out=scale)
     scale *= rtol
@@ -89,7 +92,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratc
     # f1 = fun(t0 + h0, y0 + h0 f0)
     np.multiply(h0, f0, out=y1)
     y1 += y0
-    fun(t0 + h0, y1, f1)
+    fun(t0 + h0, y1v, f1v)
     f1 -= f0
     f1 /= scale
     d2 = _rms(f1, sqrt_n) / h0
@@ -101,7 +104,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratc
 
 
 class DormandPrince:
-    """Explicit Runge-Kutta 5(4) stepper of rhs(t, y, out) from (t0, y0)
+    """Explicit Runge-Kutta 5(4) stepper of rhs(t, yv, fv) from (t0, y0)
     forward to t_bound, with local extrapolation, the error measured by the
     RMS norm of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled
     by 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a
@@ -112,62 +115,70 @@ class DormandPrince:
     against, bit for bit, under the same rtol, atol and max_step:
     the stage sums are the same np.dot calls on views of one (7 x n) stage
     block, and the step control does the same floating-point operations in
-    the same order. An rtol below 100 machine epsilons is raised to that,
-    with a warning, as there.
+    the same order, with the step size and the tolerances as 0-d arrays. An
+    rtol below 100 machine epsilons is raised to that, with a warning, as
+    there.
     Row s of the block holds stage s's derivative: row 0 the derivative at
     the step's start, rows 1-5 the inner stages and row 6 the derivative at
-    the new state (first same as last), each written there by fun(t, y,
-    out=row). The one copy per step is row 6 into row 0. The block, a
-    stage-sum vector (which ends a step as its error estimate) and the error
-    scale are built once, so a step allocates only its new state.
+    the new state (first same as last), each written there by fun(t, yv,
+    fv=the row's views). The one copy per step is row 6 into row 0. The
+    block, a stage-sum vector (which ends a step as its error estimate) and
+    the error scale are built, and the rows and the stage-sum vector split,
+    once, so a step allocates and splits only its new state.
     restart(t0, y0, t_bound) starts the stepper again from any state, as a
     new stepper would start, bit for bit; the constructor builds the block
     and calls it. It writes the derivative at y0 into row 6 and uses rows
     1-3 as scratch for the initial step size.
     step() advances t by one accepted step, which ends exactly at t_bound
     when it would pass it, and leaves y (a new array on every step, never
-    written to again, nor is y0) and f (the RHS at y). f is row 6 of the
-    block, valid until the next step() or restart() writes the block again;
-    a caller that keeps it longer copies it. step() needs t < t_bound and
-    raises StepUnderflow when the step size falls below 10 ulp of t.
+    written to again, nor is y0) and f (the RHS at y), with their views yv
+    and fv. f is row 6 of the block, valid until the next step() or
+    restart() writes the block again; a caller that keeps it longer copies
+    it. step() needs t < t_bound and raises StepUnderflow when the step size
+    falls below 10 ulp of t.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
-        self.fun = fun
+    def __init__(self, fun, split, t0, y0, t_bound, rtol, atol, max_step):
+        self.fun, self.split = fun, split
         if rtol < _MIN_RTOL:
             warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
                           f"using {_MIN_RTOL:g}", stacklevel=2)
             rtol = _MIN_RTOL
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
-        self._sqrt_n = y0.size ** 0.5
-        self._K = K = np.empty((7, y0.size))
-        # each stage's row of K and the transposed views of its sum, built once
-        self._stages = tuple((K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6))
+        self._tol = np.array(rtol), np.array(atol)
+        size = y0[0].size
+        self._sqrt_n = size ** 0.5
+        self._K = K = np.empty((7, size))
+        self._rows = rows = tuple(split(row) for row in K)
+        # each stage's row and the transposed views of its sum, built once
+        self._stages = tuple((rows[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6))
         self._K_step = K[:6].T
         self._K_all = K.T
-        self.f = K[6]
-        self._sum = np.empty(y0.size)  # a stage's argument, then the error estimate
-        self._scale = np.empty(y0.size)
-        self._abs_y = np.empty(y0.size)  # |y| of the current state
+        self.f, self.fv = K[6], rows[6]
+        self._sum = split(np.empty(size))  # a stage's argument, then the error estimate
+        self._scale = np.empty(size)
+        self._abs_y = np.empty(size)  # |y| of the current state
         self.restart(t0, y0, t_bound)
 
     def restart(self, t0, y0, t_bound):
-        """Start again from (t0, y0) toward t_bound: the RHS at y0, the
-        initial step size and |y0|, into the stepper's own buffers."""
+        """Start again from the views (t0, y0) toward t_bound: the RHS at y0,
+        the initial step size and |y0|, into the stepper's own buffers."""
         if t_bound < t0:
             raise ValueError("the stepper only integrates forward in time")
-        self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.fun(t0, y0, self.f)
-        self.h_abs = _initial_step(self.fun, t0, y0, self.f, t_bound, self.max_step,
-                                   self.rtol, self.atol, self._sqrt_n, self._K[1:4])
-        np.abs(y0, out=self._abs_y)
+        self.t, self.y, self.yv, self.t_bound = t0, y0[0], y0, t_bound
+        self.fun(t0, y0, self.fv)
+        self.h_abs = _initial_step(self.fun, t0, self.y, self.f, t_bound, self.max_step,
+                                   *self._tol, self._sqrt_n,
+                                   (self._K[1], *self._rows[2:4]))
+        np.abs(self.y, out=self._abs_y)
 
     def step(self):
         """One accepted step, retrying rejected ones."""
         t, t_bound = self.t, self.t_bound
-        y, fun, K, f = self.y, self.fun, self._K, self.f
-        w, scale = self._sum, self._scale
-        rtol, atol, abs_y, sqrt_n = self.rtol, self.atol, self._abs_y, self._sqrt_n
+        y, fun, split, K, f, fv = self.y, self.fun, self.split, self._K, self.f, self.fv
+        wv, scale = self._sum, self._scale
+        w = wv[0]
+        (rtol, atol), abs_y, sqrt_n = self._tol, self._abs_y, self._sqrt_n
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = self.h_abs
         if h_abs > self.max_step:
@@ -184,22 +195,24 @@ class DormandPrince:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
+            h_array = np.array(h)
             for stage, k, a, c in self._stages:
                 # y + (K[:s].T a) h
                 k.dot(a, out=w)
-                w *= h
+                w *= h_array
                 w += y
-                fun(t + c * h, w, stage)
+                fun(t + c * h, wv, stage)
             y_new = self._K_step.dot(_B)
-            y_new *= h
+            y_new *= h_array
             y_new += y
-            fun(t + h, y_new, f)
+            yv_new = split(y_new)
+            fun(t + h, yv_new, fv)
             # max(|y|, |y_new|) rtol + atol
             np.maximum(abs_y, np.abs(y_new, out=w), out=scale)
             scale *= rtol
             scale += atol
             err = self._K_all.dot(_E, out=w)
-            err *= h
+            err *= h_array
             err /= scale
             try:
                 error_norm = math.sqrt(err.dot(err)) / sqrt_n
@@ -216,35 +229,47 @@ class DormandPrince:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        self.t, self.y, self.h_abs = t_new, y_new, h_abs
+        self.t, self.y, self.yv, self.h_abs = t_new, y_new, yv_new, h_abs
         np.abs(y_new, out=abs_y)
 
 
+def splitter(n, dimension):
+    """split(y): the views of a solver vector of n markers, (y, positions,
+    velocities, densities, eig_radial, eig_tangential (None for the slab),
+    y[n:], y[2n:], y[3n:])."""
+    shells = dimension > 1
+
+    def split(y):
+        return (y, y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n],
+                y[4 * n:] if shells else None, y[n:], y[2 * n:], y[3 * n:])
+
+    return split
+
+
 def layout(vs: ValidatedScenario):
-    """The solver vector of the initial markers, y0, and the two maps a run
-    needs: unpack(t, y) builds the FieldState of a solver vector, as views of
-    it (no solver vector is written after it is published), and reduce(t, y,
-    f=None) its functional.StepRow, with the rate column from f, the RHS at
-    y (NaN without it), and no FieldState built."""
+    """The views y0 of the initial markers' solver vector and the three maps
+    a run needs: split, unpack(t, yv) builds the FieldState of a solver
+    vector from its views (no solver vector is written after it is
+    published), and reduce(t, yv, fv=None) its functional.StepRow, with the
+    rate column from the RHS views fv (NaN without them)."""
     masses, lam, dim = vs.masses, vs.lam, vs.dimension
-    n = masses.size
     fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
     if dim > 1:
         fields.append(vs.eig_tangential)
+    split = splitter(masses.size, dim)
 
-    def unpack(t, y):
-        return FieldState(time=float(t), positions=y[:n], velocities=y[n:2 * n],
-                          densities=y[2 * n:3 * n], eig_radial=y[3 * n:4 * n],
-                          eig_tangential=y[4 * n:] if dim > 1 else None,
+    def unpack(t, yv):
+        return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
+                          densities=yv[3], eig_radial=yv[4], eig_tangential=yv[5],
                           masses=masses, dimension=dim, lam=lam)
 
-    return np.concatenate(fields), unpack, functional.reducer(masses, dim)
+    return split(np.concatenate(fields)), split, unpack, functional.reducer(masses, dim)
 
 
-def start(rhs, t0, y0, t_bound, settings) -> DormandPrince:
-    """The DormandPrince stepper on rhs(t, y, out) from (t0, y0) to t_bound
-    under the settings' tolerances and step cap."""
-    return DormandPrince(rhs, t0, y0, t_bound, settings.rel_tol, settings.abs_tol,
+def start(rhs, split, t0, y0, t_bound, settings) -> DormandPrince:
+    """The DormandPrince stepper on rhs(t, yv, fv) from (t0, y0), y0 views
+    by split, to t_bound under the settings' tolerances and step cap."""
+    return DormandPrince(rhs, split, t0, y0, t_bound, settings.rel_tol, settings.abs_tol,
                          settings.max_step)
 
 
@@ -253,9 +278,9 @@ def steps(stepper, max_steps):
     every accepted step, and stops once stepper.t == stepper.t_bound (exact,
     as the last step is clipped to end there; an empty interval takes no
     step). Raises MaxStepsExceeded past max_steps steps and StepUnderflow
-    when the step size collapses. stepper.y is a new array on every step and
-    is never written to again, so it may be kept without a copy; stepper.f
-    is overwritten by the next step."""
+    when the step size collapses. stepper.y (and its views stepper.yv) is a
+    new array on every step and is never written to again, so it may be
+    kept without a copy; stepper.f is overwritten by the next step."""
     for _ in range(int(max_steps)):
         if stepper.t == stepper.t_bound:
             return
@@ -266,30 +291,30 @@ def steps(stepper, max_steps):
 
 
 def reintegrate(stepper, max_steps, t0, y0, t1):
-    """The solver vector at t1 > t0, stepped from (t0, y0) by restarting
-    stepper there."""
+    """The views of the solver vector at t1 > t0, stepped from the views
+    (t0, y0) by restarting stepper there."""
     stepper.restart(t0, y0, t1)
     for _ in steps(stepper, max_steps):
         pass
-    return stepper.y
+    return stepper.yv
 
 
 def run_characteristics(vs: ValidatedScenario, rhs,
                         keep_states: bool = False) -> Trajectory:
-    """Integrate rhs(t, y), the characteristic system on the solver vector,
-    to t_end or the first detector event."""
+    """Integrate rhs(t, yv, fv), the characteristic system on the views of
+    the solver vector, to t_end or the first detector event."""
     settings = vs.scenario.settings
-    y0, unpack, reduce = layout(vs)
+    y0, split, unpack, reduce = layout(vs)
 
-    stepper = start(rhs, 0.0, y0, vs.scenario.t_end, settings)
+    stepper = start(rhs, split, 0.0, y0, vs.scenario.t_end, settings)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
-    rows = [reduce(0.0, y0, stepper.f)]
+    rows = [reduce(0.0, y0, stepper.fv)]
     states = [unpack(0.0, y0)]
     t_last, y_last = 0.0, y0
     event = None
     for _ in steps(stepper, settings.max_steps):
-        row = reduce(stepper.t, stepper.y, stepper.f)
+        row = reduce(stepper.t, stepper.yv, stepper.fv)
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
             # the bracket restarts the run's stepper, which steps no further
@@ -299,10 +324,12 @@ def run_characteristics(vs: ValidatedScenario, rhs,
             if event.t_lo > t_last:
                 # the bracket's lower edge: the one state the stepper has no RHS value for
                 t_last, y_last = event.t_lo, y_lo
-                rows.append(reduce(t_last, y_last, rhs(t_last, y_last)))
+                f_last = split(np.empty_like(y_lo[0]))
+                rhs(t_last, y_last, f_last)
+                rows.append(reduce(t_last, y_last, f_last))
             break
         rows.append(row)
-        t_last, y_last = stepper.t, stepper.y
+        t_last, y_last = stepper.t, stepper.yv
         if keep_states:
             states.append(unpack(t_last, y_last))
 
@@ -321,15 +348,15 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")
     times = times.tolist()
-    y0, unpack, reduce = layout(vs)
+    y0, split, unpack, reduce = layout(vs)
     settings = vs.scenario.settings
-    stepper = start(rhs, 0.0, y0, times[0], settings)
+    stepper = start(rhs, split, 0.0, y0, times[0], settings)
     states, rows = [], []
     for t in times:
         if t > stepper.t_bound:
-            stepper.restart(stepper.t, stepper.y, t)
+            stepper.restart(stepper.t, stepper.yv, t)
         for _ in steps(stepper, settings.max_steps):
             pass
-        states.append(unpack(t, stepper.y))
-        rows.append(reduce(t, stepper.y, stepper.f))
+        states.append(unpack(t, stepper.yv))
+        rows.append(reduce(t, stepper.yv, stepper.fv))
     return Trajectory.from_rows(vs, rows, states)

@@ -46,20 +46,6 @@ def support_volume(lo, hi, dimension: int):
     return ball_volume(dimension, hi)
 
 
-def support_volume_upper(volume, densities, masses, dimension: int):
-    """The support volume plus half the cell volume (m/rho) of each boundary
-    marker: both ends of the slab, the outer shell of a ball. Exact for
-    uniform density (shells sit at their volume medians), an upper support
-    estimate otherwise."""
-    rho, m = densities, masses
-    slab = dimension == 1
-    if rho[-1] <= 0.0 or (slab and rho[0] <= 0.0):
-        return volume
-    if slab:
-        volume += 0.5 * m[0] / rho[0]
-    return float(volume + 0.5 * m[-1] / rho[-1])
-
-
 def divergence(eig_radial, eig_tangential, dimension: int):
     """div u per marker from the velocity-gradient eigenvalues: u_x for the
     slab, du/dr + (N-1) u/r for shells."""

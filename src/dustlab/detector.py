@@ -62,11 +62,11 @@ def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
                   trigger: Trigger, settings: NumericalSettings):
     """Bisect the trigger time within one accepted step.
 
+    States are the views of solver vectors (_integrate.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
     reduce(t, y) -> the StepRow the trigger conditions read; unpack(t, y) ->
-    field state, as views of y. Precondition: the trigger holds at t_next
-    and not at t_prev. Returns the event and the solver vector at its lower
-    edge.
+    field state. Precondition: the trigger holds at t_next and not at
+    t_prev. Returns the event and the state at its lower edge.
     """
     rule = TRIGGERS[trigger]
     limit = getattr(settings, rule.threshold)

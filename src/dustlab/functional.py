@@ -7,9 +7,10 @@ density square integral (m_j = rho_j dV_j) without any remeshing.
 
 Each accepted state is reduced once, when its step is accepted, to the
 per-step scalars of core.StepRow by the run's reducer, which is built once
-per run and reduces a solver vector's rows of one scratch block in three
-calls. The inequality checks below are expressions over those columns;
-they never revisit per-marker states.
+per run, reads the field views _integrate split each state into, and
+reduces their products in the rows of one scratch block in three calls.
+The inequality checks below are expressions over those columns; they never
+revisit per-marker states.
 
 All inequality margins are oriented (large side minus small side), so
 nonnegative means "holds". Checks are reported, never enforced: a
@@ -37,16 +38,17 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 
 
 def reducer(masses, dimension: int):
-    """reduce(time, y, f=None): the StepRow of the solver vector y, in
-    _integrate.layout's layout, with the rate column from f, the RHS at y
-    (NaN without f). Built once per run: sigma, the boundary cells' half
-    masses and one (5 x n) scratch block. A step sums m rho, m div, m div^2
-    and m rate in rows 0-3 by one np.add.reduce, then takes the minima of
-    the gaps and rho in rows 2-3 (a slab's missing first gap is +inf; a
-    shell's is its radius, r - 0.0) and the maxima of rho and |div u| in
-    rows 3-4. A reduction along axis 1 of a C-contiguous block reduces each
-    row as its 1-D reduction does, so every value equals core's
-    support_volume, support_volume_upper, neighbour_gaps and divergence."""
+    """reduce(time, yv, fv=None): the StepRow of a solver vector from its
+    views yv (_integrate.splitter's), with the rate column from fv, the
+    views of the RHS at it (NaN without fv). Built once per run: sigma, the
+    boundary cells' half masses and one (5 x n) scratch block. A step sums m
+    rho, m div, m div^2 and m rate in rows 0-3 by one np.add.reduce, then
+    takes the minima of the gaps and rho in rows 2-3 (a slab's missing first
+    gap is +inf; a shell's is its radius, r - 0.0) and the maxima of rho and
+    |div u| in rows 3-4. A reduction along axis 1 of a C-contiguous block
+    reduces each row as its 1-D reduction does, so every value equals core's
+    support_volume, neighbour_gaps and divergence and the upper support
+    estimate that tests/conftest.py spells out."""
     n = masses.size
     slab = dimension == 1
     nm1 = np.array(float(dimension - 1))  # 0-d: no Python scalar to resolve per call
@@ -58,22 +60,22 @@ def reducer(masses, dimension: int):
     m_rho, m_div, m_div2, m_rate, abs_div = block
     gap_row, rho_row = m_div2, m_rate  # once the sums are taken
 
-    def reduce(time, y, f=None):
-        x, rho = y[:n], y[2 * n:3 * n]
+    def reduce(time, yv, fv=None):
+        _, x, _, rho, e1, e2, _, _, _ = yv
         if slab:
-            div = y[3 * n:]
+            div = e1
         else:  # held in the |div u| row until the sums are taken
-            div = np.add(y[3 * n:4 * n], np.multiply(nm1, y[4 * n:], out=abs_div), out=abs_div)
+            div = np.add(e1, np.multiply(nm1, e2, out=abs_div), out=abs_div)
         np.multiply(masses, rho, out=m_rho)
         np.multiply(masses, div, out=m_div)
         np.multiply(m_div, div, out=m_div2)  # m * d * d, evaluated left to right
-        if f is not None:
+        if fv is not None:
             if slab:
-                np.multiply(masses, f[3 * n:], out=m_rate)
+                np.multiply(masses, fv[4], out=m_rate)
             else:
-                np.add(f[3 * n:4 * n], np.multiply(nm1, f[4 * n:], out=m_rate), out=m_rate)
+                np.add(fv[4], np.multiply(nm1, fv[5], out=m_rate), out=m_rate)
                 np.multiply(masses, m_rate, out=m_rate)
-        sum_rho, h, sum_div2, *rate = np.add.reduce(sums[f is not None], axis=1).tolist()
+        sum_rho, h, sum_div2, *rate = np.add.reduce(sums[fv is not None], axis=1).tolist()
         np.subtract(x[1:], x[:-1], out=gaps)
         gap_row[0] = math.inf if slab else x[0]
         np.copyto(rho_row, rho)

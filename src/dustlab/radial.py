@@ -20,8 +20,8 @@ The background decomposition Phi = Phi_rho - lambda |x|^2 / (2N) is the
 unique radially symmetric particular solution for the -lambda source.
 
 This module holds the force law only: model_rhs, these derivatives on the
-solver vector [r, u, rho, l1, l2] that _integrate runs, is its one form (du
-is -Phi_r per shell, 0 at the center).
+views of the solver vector [r, u, rho, l1, l2] that _integrate runs, is its
+one form (du is -Phi_r per shell, 0 at the center).
 """
 
 from __future__ import annotations
@@ -83,52 +83,55 @@ def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
 
 
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, y, out=None): the time derivatives (dr, du, drho, dl1, dl2) on
-    the solver vector [r, u, rho, l1, l2], with the run constants computed
-    once. With out, the derivative is written into out, which is returned;
-    without it, into a new vector."""
+    """rhs(t, yv, fv): the time derivatives (dr, du, drho, dl1, dl2) at the
+    views yv of the solver vector [r, u, rho, l1, l2], written into the
+    views fv of an output vector, which is returned as the one array f =
+    fv[0], with the run constants and a scratch block of three shell fields
+    made once."""
     masses = vs.masses
     n_dim = vs.dimension
     n = masses.size
     constants = _shell_constants(masses, n_dim)
     m_enc, sigma, r_unmasked = constants
     nm1 = n_dim - 1
+    background = vs.lam != 0.0
     # the scalar operands as 0-d arrays: NumPy resolves a Python scalar
     # operand anew on every call
-    lam, sigma_0d, nm1_0d = np.array(vs.lam), np.array(sigma), np.array(float(nm1))
+    lam, sigma_0d, nm1_0d, n_dim_0d = (np.array(vs.lam), np.array(sigma),
+                                       np.array(float(nm1)), np.array(float(n_dim)))
+    # what dl1 and dl2 subtract, (rho - lam) - (N-1) Phi_r/r then Phi_r/r,
+    # and one term at a time
+    scratch = np.empty(3 * n)
+    sub, term = scratch[:2 * n], scratch[2 * n:]
+    sub_l1, phi_r_over_r = scratch[:n], scratch[n:2 * n]
 
-    def rhs(t, y, out=None):
-        r, u, rho, l1, l2 = (y[:n], y[n:2 * n], y[2 * n:3 * n],
-                             y[3 * n:4 * n], y[4 * n:])
+    def rhs(t, yv, fv):
+        _, r, u, rho, l1, l2, _, _, l12 = yv
+        f, dr, du, drho, _, _, rates, _, dl12 = fv
         # the smallest radius, or the first NaN; r[argmin] costs less than
         # r.min() on a few dozen shells
         if not r[r.argmin()] > r_unmasked:
             # a shell at or near the center: the masked arithmetic
-            phi_r = _phi_r(constants, r, lam, n_dim)
-            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, lam, n_dim),
-                                  out=out)
+            phi_r = _phi_r(constants, r, vs.lam, n_dim)
+            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, vs.lam, n_dim),
+                                  out=f)
         # _phi_r and _derivatives with their floors and masks dropped, which
         # change no value here, and with the lambda terms dropped at lambda =
         # 0, where they are exact no-ops (x - 0.0 = x, and 0.0 r = 0 for the
         # finite r > 0 of a step that can be accepted). Fields next to each
         # other share one call: l1^2 with l2^2, negations, subtractions.
-        f = np.empty(5 * n) if out is None else out
-        f[:n] = u
-        phi_r = np.divide(m_enc, sigma_0d * r ** nm1, out=f[n:2 * n])
-        if lam:
-            phi_r -= lam * r / n_dim
-        # what dl1 and dl2 subtract: (rho - lam) - (N-1) Phi_r/r, then Phi_r/r
-        sub = np.empty(2 * n)
-        sub_l1 = sub[:n]
-        phi_r_over_r = np.divide(phi_r, r, out=sub[n:])
-        np.subtract((rho - lam) if lam else rho,
+        dr[...] = u
+        # sigma r^(N-1) is held where Phi_r/r goes next
+        phi_r = np.divide(m_enc, np.multiply(sigma_0d, r ** nm1, out=phi_r_over_r), out=du)
+        if background:
+            phi_r -= np.divide(np.multiply(lam, r, out=term), n_dim_0d, out=term)
+        np.divide(phi_r, r, out=phi_r_over_r)
+        np.subtract(np.subtract(rho, lam, out=term) if background else rho,
                     np.multiply(nm1_0d, phi_r_over_r, out=sub_l1), out=sub_l1)
-        np.multiply(rho, l1 + nm1_0d * l2, out=f[2 * n:3 * n])
-        l12, dl12 = y[3 * n:], f[3 * n:]
+        np.multiply(rho, np.add(l1, np.multiply(nm1_0d, l2, out=term), out=term), out=drho)
         np.multiply(l12, l12, out=dl12)
         # -(a * b) is (-a) * b, bit for bit: du = -Phi_r, drho, dl1 and dl2
         # negated in one call
-        rates = f[n:]
         np.negative(rates, out=rates)
         np.subtract(dl12, sub, out=dl12)
         return f

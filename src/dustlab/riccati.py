@@ -1,5 +1,5 @@
-"""Certificate engine: blowup conditions, closed-form comparison solutions,
-and analytic blowup-time upper bounds.
+"""Certificate engine: blowup conditions and analytic blowup-time upper
+bounds from the closed-form comparison solutions.
 
 The aggregate divergence functional obeys dH/dt <= -H^2/(MN) - M^2/V_sup
 + lambda M while the support volume stays within V_sup. Writing the
@@ -18,7 +18,8 @@ b = 0 is the boundary, c = 0. Closed forms:
     b < 0:  Moebius form z = (y-c)/(y+c): z(t) = z0 e^{-2act},
             pole where z = 1, i.e. T = ln(z0)/(2ac) = arcoth(-h0/c)/sqrt(a|b|)
 
-all validated against the brute-force oracle integrate_comparison_ode.
+all validated against the brute-force oracle integrate_comparison_ode
+(tests/conftest.py holds the solutions as comparison_solution).
 Strict inequalities are honored strictly; the equality lambda = M/V_sup
 with h0 < 0 is included as a documented boundary extension because the
 comparison ODE still blows up there.
@@ -34,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
+from .errors import NoCertificateError, NoPoleInHorizon
 
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-12
@@ -138,31 +139,6 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
     z = -h0 / c  # > 1 by the strict threshold
     # arcoth z, without (z + 1)/(z - 1) rounding to 1 for z >> 1
     return 0.5 * math.log1p(2.0 / (z - 1.0)) / math.sqrt(-a * b)
-
-
-def comparison_solution(params: RiccatiParams, t):
-    """Closed-form y(t) of a comparison ODE that blows up, the only kind the
-    certificates use; raises NoCertificateError for one that does not, and
-    BeyondBlowup at or past the pole."""
-    a, b, h0 = params.a, params.b, params.h0
-    t = np.asarray(t, dtype=float)
-    t_pole = blowup_time_upper_bound(params)
-    if np.any(t >= t_pole):
-        raise BeyondBlowup(f"t >= pole time {t_pole:g}")
-    c = params.equilibrium()
-    if c is None:
-        k = math.sqrt(a * b)
-        theta0 = math.atan(h0 * math.sqrt(a / b))
-        out = math.sqrt(b / a) * np.tan(theta0 - k * t)
-    elif c == 0:
-        out = h0 / (1.0 + a * h0 * t)
-    else:
-        z0 = (h0 - c) / (h0 + c)
-        z = z0 * np.exp(-2.0 * a * c * t)
-        out = c * (1.0 + z) / (1.0 - z)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

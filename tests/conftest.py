@@ -1,13 +1,16 @@
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dustlab import _integrate, functional, geometry1d, radial, simulate
+from dustlab import _integrate, _model_rhs, functional, radial, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
                           UniformVelocity, ball_volume, validate_scenario)
+from dustlab.errors import BeyondBlowup
+from dustlab.riccati import RiccatiParams, blowup_time_upper_bound
 
 FAST = NumericalSettings(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -44,24 +47,75 @@ def _validated(dimension, lam):
 
 def derivatives(state):
     """The force law at a FieldState, under its own masses, lambda and
-    dimension: model_rhs(vs)(0.0, y) of its geometry on the _integrate.layout
-    vector y of a scenario whose markers are replaced by the state's, split
+    dimension: model_rhs(vs) of its geometry at the _integrate.layout
+    vector of a scenario whose markers are replaced by the state's, split
     into one array per field, (dx, du, drho, dw) or (dr, du, drho, dl1, dl2)."""
     vs = replace(_validated(state.dimension, state.lam),
                  **{name: getattr(state, name) for name in MARKER_FIELDS})
-    y, _, _ = _integrate.layout(vs)
-    module = geometry1d if vs.dimension == 1 else radial
-    return np.split(module.model_rhs(vs)(0.0, y), 4 if vs.dimension == 1 else 5)
+    y0, split, _, _ = _integrate.layout(vs)
+    rhs = flat(_model_rhs(vs), split)
+    return np.split(rhs(0.0, y0[0]), 4 if vs.dimension == 1 else 5)
+
+
+def flat(rhs, split):
+    """rhs(t, yv, fv) on flat solver vectors, as scipy's RK45 calls a
+    right-hand side: flat_rhs(t, y, out=None) splits y and out (a new vector
+    without it), delegates, and returns out."""
+    def flat_rhs(t, y, out=None):
+        out = np.empty_like(y) if out is None else out
+        return rhs(t, split(y), split(out))
+
+    return flat_rhs
+
+
+def support_volume_upper(volume, densities, masses, dimension: int):
+    """The support volume plus half the cell volume (m/rho) of each boundary
+    marker: both ends of the slab, the outer shell of a ball. Exact for
+    uniform density (shells sit at their volume medians), an upper support
+    estimate otherwise."""
+    rho, m = densities, masses
+    slab = dimension == 1
+    if rho[-1] <= 0.0 or (slab and rho[0] <= 0.0):
+        return volume
+    if slab:
+        volume += 0.5 * m[0] / rho[0]
+    return float(volume + 0.5 * m[-1] / rho[-1])
+
+
+def comparison_solution(params: RiccatiParams, t):
+    """Closed-form y(t) of a comparison ODE that blows up, the only kind the
+    certificates use; raises NoCertificateError for one that does not, and
+    BeyondBlowup at or past the pole."""
+    a, b, h0 = params.a, params.b, params.h0
+    t = np.asarray(t, dtype=float)
+    t_pole = blowup_time_upper_bound(params)
+    if np.any(t >= t_pole):
+        raise BeyondBlowup(f"t >= pole time {t_pole:g}")
+    c = params.equilibrium()
+    if c is None:
+        k = math.sqrt(a * b)
+        theta0 = math.atan(h0 * math.sqrt(a / b))
+        out = math.sqrt(b / a) * np.tan(theta0 - k * t)
+    elif c == 0:
+        out = h0 / (1.0 + a * h0 * t)
+    else:
+        z0 = (h0 - c) / (h0 + c)
+        z = z0 * np.exp(-2.0 * a * c * t)
+        out = c * (1.0 + z) / (1.0 - z)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def step_row(state):
-    """The StepRow of a FieldState, by the run's reducer on the solver vector
-    of its fields; the rate column is NaN."""
+    """The StepRow of a FieldState, by the run's reducer on the views of the
+    solver vector of its fields; the rate column is NaN."""
     fields = [state.positions, state.velocities, state.densities, state.eig_radial]
     if state.dimension > 1:
         fields.append(state.eig_tangential)
+    split = _integrate.splitter(state.masses.size, state.dimension)
     reduce = functional.reducer(state.masses, state.dimension)
-    return reduce(state.time, np.concatenate(fields))
+    return reduce(state.time, split(np.concatenate(fields)))
 
 
 def masked_shell_rhs(vs, y):

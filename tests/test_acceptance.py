@@ -17,9 +17,9 @@ from dustlab.core import (HubbleVelocity, NumericalSettings, ball_volume,
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import (Case, RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds, check_blowup_conditions,
-                             comparison_solution, integrate_comparison_ode)
+                             integrate_comparison_ode)
 
-from conftest import derivatives, make_ball, make_slab, step_row
+from conftest import comparison_solution, derivatives, make_ball, make_slab, step_row
 
 DRAWS_PER_REGIME = 1000
 

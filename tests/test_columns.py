@@ -16,11 +16,11 @@ import pytest
 
 from dustlab import detector, simulate
 from dustlab.cli import _fmt, _write_trajectory_csv
-from dustlab.core import NumericalSettings, support_volume, support_volume_upper
+from dustlab.core import NumericalSettings, support_volume
 from dustlab.functional import (NEAR_SINGULAR_FRACTION, RESIDUAL_FLOOR,
                                 ProofChainStep, proof_chain_report)
 
-from conftest import derivatives, make_ball, make_slab
+from conftest import derivatives, make_ball, make_slab, support_volume_upper
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from dustlab import sample
+from dustlab import _integrate, sample
 from dustlab.core import (FieldState, HubbleVelocity, StepRow, divergence,
-                          neighbour_gaps, support_volume, support_volume_upper,
-                          validate_scenario)
+                          neighbour_gaps, support_volume, validate_scenario)
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
                                 _inside, _tolerance, proof_chain_report, reducer)
-from conftest import make_ball, make_slab, step_row
+from conftest import make_ball, make_slab, step_row, support_volume_upper
 
 
 def slab_state(x, u=None, w=None, m=None, rho=None):
@@ -100,6 +99,14 @@ def solver_vector(rng, n, dimension):
     return y, rng.normal(size=fields * n)
 
 
+def flat_reducer(masses, dimension):
+    """The run's reducer on flat solver vectors y and f, split by the run's
+    split."""
+    reduce = reducer(masses, dimension)
+    split = _integrate.splitter(masses.size, dimension)
+    return lambda time, y, f=None: reduce(time, split(y), None if f is None else split(f))
+
+
 def row_of(reduce, y, f=None):
     return np.array(reduce(0.25, y, f)).tobytes()
 
@@ -120,7 +127,7 @@ def test_reducer_equals_the_reference_row(dimension, with_rate):
     rng = np.random.default_rng(20261019 + dimension)
     for n in (2, 3, 8, 9, 48, 64, 129, 1000):
         masses = rng.uniform(0.2, 1.0, n)
-        reduce = reducer(masses, dimension)
+        reduce = flat_reducer(masses, dimension)
         for _ in range(3):
             y, f = solver_vector(rng, n, dimension)
             f = f if with_rate else None
@@ -139,7 +146,7 @@ def test_reducer_at_a_boundary_density_at_most_zero(dimension, edge, value):
     y, f = solver_vector(rng, n, dimension)
     masses = rng.uniform(0.2, 1.0, n)
     y[2 * n + (edge % n)] = value
-    reduce = reducer(masses, dimension)
+    reduce = flat_reducer(masses, dimension)
     assert row_of(reduce, y, f) == expected_row(y, f, masses, dimension)
     got = reduce(0.25, y, f)
     assert (got.volume_upper == got.volume) == (dimension == 1 or edge == -1)
@@ -162,7 +169,7 @@ def test_row_sums_equal_one_dimensional_reductions(with_rate):
         rate = rng.normal(size=n) if with_rate else None
         y = np.concatenate((positions, np.zeros(n), densities, div))
         f = np.concatenate((np.zeros(3 * n), rate)) if with_rate else None
-        got = reducer(masses, 1)(0.0, y, f)
+        got = flat_reducer(masses, 1)(0.0, y, f)
         md = masses * div
         expected = [np.add.reduce(md), np.add.reduce(md * div),
                     np.add.reduce(masses * densities),

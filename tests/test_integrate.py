@@ -26,7 +26,7 @@ from dustlab.core import (HubbleVelocity, NumericalSettings, load_scenario,
                           validate_scenario)
 from dustlab.errors import MaxStepsExceeded, StepUnderflow
 
-from conftest import FAST, make_ball, make_slab
+from conftest import FAST, flat, make_ball, make_slab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,13 +34,17 @@ CRITERION_4_GRIDS = (np.arange(0.2, 1.0001, 0.05), np.arange(0.2, 1.0001, 0.025)
 
 
 def model(sc):
+    """The validated scenario, its force law on views, the views of its
+    initial solver vector and the run's split."""
     vs = validate_scenario(sc)
-    return vs, _model_rhs(vs)
+    y0, split, _, _ = _integrate.layout(vs)
+    return vs, _model_rhs(vs), y0, split
 
 
-def reference(vs, rhs, t0, y0, t1, **kwargs):
+def reference(vs, rhs, split, t0, y0, t1, **kwargs):
+    """solve_ivp's RK45 from the flat solver vector y0, on rhs made flat."""
     s = vs.scenario.settings
-    return solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=s.rel_tol,
+    return solve_ivp(flat(rhs, split), (t0, t1), y0, method="RK45", rtol=s.rel_tol,
                      atol=s.abs_tol, max_step=s.max_step, **kwargs)
 
 
@@ -61,14 +65,14 @@ def solver_vector(state):
 def test_sample_equals_solve_ivp_t_eval(sc, times):
     """The state at each sample time is solve_ivp's from the state at the
     time before (the initial state at time 0)."""
-    vs, rhs = model(sc)
-    y, _, _ = _integrate.layout(vs)
+    vs, rhs, y0, split = model(sc)
+    y = y0[0]
     traj = sample(sc, times)
     assert traj.times.tolist() == times.tolist()
     t_prev = 0.0
     for t, state in zip(times.tolist(), traj.states):
         if t > t_prev:
-            y = reference(vs, rhs, t_prev, y, t).y[:, -1]
+            y = reference(vs, rhs, split, t_prev, y, t).y[:, -1]
         assert solver_vector(state).tobytes() == y.tobytes()
         t_prev = t
 
@@ -84,16 +88,15 @@ def test_sample_rejects_times_out_of_order(times):
     make_ball(n=3, rho0=0.8, velocity=HubbleVelocity(-0.5), t_end=1.5),
 ], ids=["slab", "ball"])
 def test_reintegration_equals_solve_ivp(sc):
-    vs, rhs = model(sc)
-    y0, _, _ = _integrate.layout(vs)
-    stepper = _integrate.start(rhs, 0.0, y0, 0.0, vs.scenario.settings)
+    vs, rhs, y0, split = model(sc)
+    stepper = _integrate.start(rhs, split, 0.0, y0, 0.0, vs.scenario.settings)
     rng = np.random.default_rng(20261018)
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
-        y = reference(vs, rhs, 0.0, y0, t0).y[:, -1]
-        got = _integrate.reintegrate(stepper, vs.scenario.settings.max_steps, t0, y, t1)
-        assert got.tobytes() == reference(vs, rhs, t0, y, t1).y[:, -1].tobytes()
+        y = reference(vs, rhs, split, 0.0, y0[0], t0).y[:, -1]
+        got = _integrate.reintegrate(stepper, vs.scenario.settings.max_steps, t0, split(y), t1)
+        assert got[0].tobytes() == reference(vs, rhs, split, t0, y, t1).y[:, -1].tobytes()
 
 
 class TestStepLimit:
@@ -118,14 +121,25 @@ class TestStepLimit:
             simulate(self.limited(steps - 1))
 
 
+def one_field(y):
+    """The split of a system whose solver vector is one field."""
+    return (y,)
+
+
+def negative(t, yv, fv):
+    """y' = -y on one_field's views."""
+    return np.negative(yv[0], out=fv[0])
+
+
 def counting(rhs):
-    """rhs and a one-element list that counts its calls. out is passed on:
-    the stepper writes stage derivatives into its stage block, RK45 does not."""
+    """rhs and a one-element list that counts its calls, whatever their form:
+    views for the stepper, which writes stage derivatives into its stage
+    block, flat vectors for RK45."""
     calls = [0]
 
-    def counted(t, y, out=None):
+    def counted(*args):
         calls[0] += 1
-        return rhs(t, y, out)
+        return rhs(*args)
     return counted, calls
 
 
@@ -147,15 +161,14 @@ def rk45_steps(stepper):
 def assert_matches_rk45(sc, t_bound):
     """Asserts bit-equal steps and equal RHS call counts; returns the number
     of accepted steps and of RHS calls."""
-    vs = validate_scenario(sc)
-    rhs = _model_rhs(vs)
-    y0, _, _ = _integrate.layout(vs)
+    vs, rhs, y0, split = model(sc)
     s = vs.scenario.settings
-    ref_rhs, ref_calls = counting(rhs)
+    ref_rhs, ref_calls = counting(flat(rhs, split))
     own_rhs, own_calls = counting(rhs)
-    expected = rk45_steps(RK45(ref_rhs, 0.0, y0, t_bound=t_bound, rtol=s.rel_tol,
+    expected = rk45_steps(RK45(ref_rhs, 0.0, y0[0], t_bound=t_bound, rtol=s.rel_tol,
                                atol=s.abs_tol, max_step=s.max_step))
-    loop = _integrate.steps(_integrate.start(own_rhs, 0.0, y0, t_bound, s), s.max_steps)
+    loop = _integrate.steps(_integrate.start(own_rhs, split, 0.0, y0, t_bound, s),
+                            s.max_steps)
     got = [accepted(stepper) for stepper in loop]
     assert len(got) == len(expected)
     for k, (mine, ref) in enumerate(zip(got, expected)):
@@ -193,8 +206,8 @@ class TestStepperMatchesRK45:
         with pytest.warns(UserWarning) as ref:
             RK45(lambda t, y: -y, 0.0, y0, t_bound=1.0, rtol=1e-16, atol=1e-12)
         with pytest.warns(UserWarning, match="rel_tol 1e-16 is below 100 machine epsilons"):
-            stepper = _integrate.DormandPrince(lambda t, y, out: np.negative(y, out=out),
-                                               0.0, y0, 1.0, 1e-16, 1e-12, np.inf)
+            stepper = _integrate.DormandPrince(negative, one_field, 0.0, (y0,), 1.0,
+                                               1e-16, 1e-12, np.inf)
         assert len(ref) == 1
         assert stepper.rtol == 100 * np.finfo(float).eps
 
@@ -216,10 +229,10 @@ def test_restart_equals_a_new_stepper(sc):
     """A stepper that has already stepped, restarted at a random state,
     steps as a stepper built there does: the same time, state and RHS value
     after every step, bit for bit."""
-    vs, rhs = model(sc)
-    y0, _, _ = _integrate.layout(vs)
+    vs, rhs, y0v, split = model(sc)
+    y0 = y0v[0]
     s = vs.scenario.settings
-    stepper = _integrate.start(rhs, 0.0, y0, 1.0, s)
+    stepper = _integrate.start(rhs, split, 0.0, y0v, 1.0, s)
     for _ in islice(_integrate.steps(stepper, s.max_steps), 3):
         pass
     rng = np.random.default_rng(20261018)
@@ -228,8 +241,8 @@ def test_restart_equals_a_new_stepper(sc):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(rng.uniform(0.1, 0.5))
         y = y0 + 1e-3 * rng.standard_normal(y0.size)
-        new = _integrate.start(rhs, t0, y, t1, s)
-        stepper.restart(t0, y, t1)
+        new = _integrate.start(rhs, split, t0, split(y), t1, s)
+        stepper.restart(t0, split(y), t1)
         assert accepted(stepper) == accepted(new)
         assert stepper.h_abs == new.h_abs
         got = [accepted(x) for x in _integrate.steps(stepper, s.max_steps)]
@@ -245,7 +258,7 @@ def test_one_stepper_per_run(monkeypatch):
 
     class Counted(_integrate.DormandPrince):
         def __init__(self, *args):
-            built.append(args[1])
+            built.append(args[2])
             super().__init__(*args)
 
         def restart(self, *args):
@@ -269,6 +282,62 @@ def test_one_stepper_per_run(monkeypatch):
     run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
     assert len(built) == 1
     assert restarts == [0.0, 0.0, 0.5]
+
+
+def test_each_vector_is_split_once(monkeypatch):
+    """simulate splits each vector once, when it is made: the initial
+    state, the seven stage rows and the stage-argument vector of its one
+    stepper when it is built, the new state of every trial step, and the
+    RHS vector of the bracket's lower edge. A restart splits nothing, and no
+    vector is split twice."""
+    split_args, built, restarts = [], [], []
+    splitter = _integrate.splitter
+
+    def counting_splitter(n, dimension):
+        split = splitter(n, dimension)
+
+        def counted(y):
+            split_args.append(y)
+            return split(y)
+        return counted
+
+    class Counted(_integrate.DormandPrince):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+        def restart(self, *args):
+            restarts.append(args[0])
+            super().restart(*args)
+
+    monkeypatch.setattr(_integrate, "splitter", counting_splitter)
+    monkeypatch.setattr(_integrate, "DormandPrince", Counted)
+    # a density trigger in a step of full length: a restart per bisection
+    vs = validate_scenario(make_slab(rho0=0.5,
+                                     settings=replace(FAST, rho_blowup_threshold=1.0)))
+    outs = []
+    rhs = _model_rhs(vs)
+
+    def recorded(t, yv, fv):
+        outs.append(fv[0])
+        return rhs(t, yv, fv)
+
+    assert _integrate.run_characteristics(vs, recorded).termination == "event"
+    (stepper,) = built
+    assert len(restarts) > 10
+    # every RHS call of the stepper writes into its block: two per start
+    # (f0 and the initial-step probe) and six per trial step
+    own = sum(out.base is stepper._K for out in outs)
+    trials, rest = divmod(own - 2 * len(restarts), 6)
+    assert rest == 0 and trials >= len(restarts)
+    edge = len(outs) - own
+    assert edge == 1
+    assert len(split_args) == 1 + 8 + trials + edge
+    assert sum(y.base is stepper._K for y in split_args) == 7
+    # every split vector is alive in split_args, so distinct vectors have
+    # distinct addresses
+    addresses = {y.__array_interface__["data"][0] for y in split_args}
+    assert len(addresses) == len(split_args)
 
 
 @pytest.mark.parametrize("name, markers, bound", [
@@ -295,15 +364,15 @@ def test_peak_memory_in_solver_vectors(name, markers, bound):
 def test_step_underflow():
     """An RHS that turns NaN past t = 0.5 rejects every step that reaches
     past it, so the step size collapses there."""
-    def rhs(t, y, out=None):
-        f = np.negative(y, out=out)
+    def rhs(t, yv, fv):
+        f = negative(t, yv, fv)
         if t > 0.5:
             f[:] = np.nan
         return f
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
         settings = NumericalSettings()
-        stepper = _integrate.start(rhs, 0.0, np.ones(3), 1.0, settings)
+        stepper = _integrate.start(rhs, one_field, 0.0, (np.ones(3),), 1.0, settings)
         for _ in _integrate.steps(stepper, settings.max_steps):
             pass
 

@@ -6,12 +6,13 @@ arithmetic of ``radial._phi_r`` and ``radial._derivatives``, which the
 closure falls back to when a shell is at or near the centre and which its
 fast path must equal everywhere else.
 
-The closures compute their run constants once. Called as rhs(t, y, out),
-they write the derivative into out, a row of the stepper's stage block, and
-return it; called as rhs(t, y), as scipy's RK45 and the edge row call them,
-they return a new vector, which the caller may keep. The shell closure drops
-the centre masks when every radius is clear of the floor and of overflow.
-None of that may change a bit.
+The closures compute their run constants (and the shells' scratch) once.
+Called as rhs(t, yv, fv) on the views the run's split makes, they write the
+derivative into the vector fv splits, a row of the stepper's stage block,
+and return it; the flat form scipy's RK45 calls (conftest.flat) splits a
+new vector and returns it, which the caller may keep. The shell closure
+drops the centre masks when every radius is clear of the floor and of
+overflow. None of that may change a bit.
 """
 
 from dataclasses import replace
@@ -19,21 +20,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import geometry1d, radial
+from dustlab import _integrate, _model_rhs, geometry1d
 from dustlab.core import validate_scenario
 
-from conftest import make_ball, make_slab, masked_shell_rhs
+from conftest import flat, make_ball, make_slab, masked_shell_rhs
 
 MARKERS = 24
 LAMBDAS = (0.0, 0.37)
 
 
 def model(vs, rng):
-    """The scenario with seeded unequal masses, and model_rhs of its
-    geometry."""
+    """The scenario with seeded unequal masses, model_rhs of its geometry,
+    and the run's split."""
     vs = replace(vs, masses=rng.uniform(0.2, 1.0, vs.masses.size))
-    module = geometry1d if vs.dimension == 1 else radial
-    return vs, module.model_rhs(vs)
+    return vs, _model_rhs(vs), _integrate.layout(vs)[1]
 
 
 def slab_formula(vs, y):
@@ -82,7 +82,8 @@ def cases():
 @pytest.mark.parametrize("scenario, vector, reference", cases())
 def test_closure_matches_state_function_bit_for_bit(scenario, vector, reference):
     rng = np.random.default_rng(20261018)
-    vs, rhs = model(validate_scenario(scenario), rng)
+    vs, rhs, split = model(validate_scenario(scenario), rng)
+    rhs = flat(rhs, split)
     with np.errstate(all="raise"):
         for _ in range(5):
             y = vector(rng)
@@ -93,7 +94,8 @@ def test_closure_matches_state_function_bit_for_bit(scenario, vector, reference)
 @pytest.mark.parametrize("scenario, vector, reference", cases())
 def test_each_call_returns_a_new_vector(scenario, vector, reference):
     rng = np.random.default_rng(7)
-    _, rhs = model(validate_scenario(scenario), rng)
+    _, rhs, split = model(validate_scenario(scenario), rng)
+    rhs = flat(rhs, split)
     y1, y2 = vector(rng), vector(rng)
     f1 = rhs(0.0, y1)
     kept = f1.copy()
@@ -105,22 +107,27 @@ def test_each_call_returns_a_new_vector(scenario, vector, reference):
 
 @pytest.mark.parametrize("scenario, vector, reference", cases())
 def test_out_receives_the_same_bytes(scenario, vector, reference):
-    """Each row of a (7 x size) stage block, holding stale values, as the
-    stepper passes it: the call returns that row, writes the derivative
-    there and nowhere else (no silent copy takes the writes), and leaves y
-    and the other rows as they were."""
+    """Each row of a (7 x size) stage block, holding stale values and split
+    once into its views, as the stepper passes it: the call on row s's
+    views returns that row, writes the derivative there and nowhere else (no
+    silent copy takes the writes), and leaves y and the other rows as they
+    were. One closure, called on state after state, gives each state the
+    bytes a fresh closure gives it: its scratch carries nothing from one
+    call to the next."""
     rng = np.random.default_rng(11)
-    _, rhs = model(validate_scenario(scenario), rng)
+    vs, rhs, split = model(validate_scenario(scenario), rng)
     with np.errstate(all="raise"):
-        for _ in range(2):
+        for _ in range(3):
             y = vector(rng)
             kept = y.copy()
-            expected = rhs(0.0, y)
+            yv = split(y)
+            expected = flat(_model_rhs(vs), split)(0.0, y)
             block = rng.normal(size=(7, y.size))
+            rows = [split(row) for row in block]
             for s in range(7):
                 stale = block.copy()
-                out = block[s]
-                assert rhs(0.0, y, out=out) is out
+                out = rows[s][0]
+                assert rhs(0.0, yv, rows[s]) is out
                 assert out.tobytes() == expected.tobytes()
                 others = np.arange(7) != s
                 assert block[others].tobytes() == stale[others].tobytes()
@@ -134,9 +141,10 @@ def test_slab_force_equals_its_formula(lam):
     rng = np.random.default_rng(5)
     masses = rng.uniform(0.2, 1.0, MARKERS)
     constants = geometry1d._force_constants(masses)
-    total, phi_x, _ = constants
+    phi_x = constants[2]
+    total = masses.sum()
     for _ in range(5):
         x = np.sort(rng.uniform(-1.5, 1.5, MARKERS))
         expected = -(phi_x - lam * (x - (masses * x).sum() / total))
-        got = geometry1d._forces(masses, constants, x, lam, np.empty(MARKERS))
+        got = geometry1d._forces(constants, x, np.array(lam), np.empty(MARKERS))
         assert got.tobytes() == expected.tobytes()

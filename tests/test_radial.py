@@ -8,7 +8,7 @@ from dustlab import _integrate, radial, simulate
 from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
                           ball_volume, unit_sphere_area, validate_scenario)
 
-from conftest import derivatives, make_ball, masked_shell_rhs, step_row
+from conftest import derivatives, flat, make_ball, masked_shell_rhs, step_row
 
 
 def shell_state(r, m, n=3, lam=0.0, u=None, rho=None):
@@ -109,12 +109,13 @@ class TestCenterShell:
         lam = 0.2
         vs = validate_scenario(make_ball(n=n, lam=lam, markers=8,
                                          velocity=HubbleVelocity(-0.3)))
-        y, unpack, _ = _integrate.layout(vs)
+        yv, split, unpack, _ = _integrate.layout(vs)
+        y = yv[0]
         y[0] = r0
-        state = unpack(0.0, y)
+        state = unpack(0.0, yv)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             expected = masked_shell_rhs(vs, y)
-            got = radial.model_rhs(vs)(0.0, y)
+            got = flat(radial.model_rhs(vs), split)(0.0, y)
         assert np.all(np.isfinite(expected))
         assert got.tobytes() == expected.tobytes()
         _, _, _, dl1, dl2 = np.split(got, 5)

@@ -13,8 +13,9 @@ from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
                              BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds,
-                             check_blowup_conditions, comparison_solution,
-                             integrate_comparison_ode)
+                             check_blowup_conditions, integrate_comparison_ode)
+
+from conftest import comparison_solution
 
 
 # ---------------------------------------------------------------------------
