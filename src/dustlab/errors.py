@@ -34,10 +34,6 @@ class NoCertificateError(DustLabError):
     """A blowup-time bound was requested for parameters that certify nothing."""
 
 
-class BeyondBlowup(DustLabError):
-    """Comparison solution evaluated at or past its pole."""
-
-
 class NoPoleInHorizon(DustLabError):
     """Comparison ODE integration reached the horizon without blowing up."""
 

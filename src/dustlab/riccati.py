@@ -145,47 +145,6 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-# Cash-Karp embedded 5(4) tableau
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 3 / 10, -9 / 10, 6 / 5
-_A51, _A52, _A53, _A54 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
-_A61, _A62, _A63, _A64, _A65 = (1631 / 55296, 175 / 512, 575 / 13824,
-                                44275 / 110592, 253 / 4096)
-_B51, _B52, _B53, _B54, _B55, _B56 = (37 / 378, 0.0, 250 / 621, 125 / 594,
-                                      0.0, 512 / 1771)
-_B41, _B42, _B43, _B44, _B45, _B46 = (2825 / 27648, 0.0, 18575 / 48384,
-                                      13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _ck_step(a, b, y, h):
-    """One Cash-Karp step of y' = -a y^2 - b: returns (y5, error_estimate).
-
-    The tableau is unrolled with a fixed operation order: every stage adds
-    the terms (h*a_ij)*k_j left to right, and both weighted sums run in
-    tableau order with the zero weights kept (0*inf is NaN, which rejects
-    the step). tests/test_riccati.py checks the results bit for bit against
-    a tableau-loop reference.
-    """
-    k1 = -a * y * y - b
-    yi = y + h * _A21 * k1
-    k2 = -a * yi * yi - b
-    yi = y + h * _A31 * k1 + h * _A32 * k2
-    k3 = -a * yi * yi - b
-    yi = y + h * _A41 * k1 + h * _A42 * k2 + h * _A43 * k3
-    k4 = -a * yi * yi - b
-    yi = y + h * _A51 * k1 + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4
-    k5 = -a * yi * yi - b
-    yi = (y + h * _A61 * k1 + h * _A62 * k2 + h * _A63 * k3 + h * _A64 * k4
-          + h * _A65 * k5)
-    k6 = -a * yi * yi - b
-    y5 = y + h * (_B51 * k1 + _B52 * k2 + _B53 * k3 + _B54 * k4 + _B55 * k5
-                  + _B56 * k6)
-    y4 = y + h * (_B41 * k1 + _B42 * k2 + _B43 * k3 + _B44 * k4 + _B45 * k5
-                  + _B46 * k6)
-    return y5, abs(y5 - y4)
-
-
 @dataclass(frozen=True)
 class ComparisonPath:
     times: np.ndarray
@@ -219,10 +178,15 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     threshold up to `until`, and ValueError if `until` is not finite: the
     loop would then never end.
 
-    The step control does the floating-point operations of the plain
-    tableau-loop form in the same order: each `x if x > y else y` picks the
-    operand that max(y, x) picks, NaN included, so brackets, times and
-    values stay bit-identical to that reference (tests/test_riccati.py).
+    One loop body does every trial step of length h from y: the adaptive
+    steps, the bisection's midpoints and the last trial at the crossing's
+    lower end, which gives the crossing state. It does the floating-point
+    operations of the plain tableau-loop form in the same order: every
+    stage adds the terms (h*a_ij)*k_j left to right, both weighted sums run
+    in tableau order with the zero weights kept (0*inf is NaN, which rejects
+    the step), and each `x if x > y else y` picks the operand that max(y, x)
+    picks, NaN included. So brackets, times and values stay bit-identical
+    to that reference (tests/test_riccati.py).
     """
     if not math.isfinite(until):
         raise ValueError(f"until must be finite, got {until!r}")
@@ -237,7 +201,18 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     rate = math.sqrt(a * abs(b)) + a * abs(h0)
     t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
     isfinite = math.isfinite
-    ck_step = _ck_step
+    neg_a = -a  # -a * y * y is (-a) * y * y
+    # Cash-Karp embedded 5(4) tableau: stages a_ij, weights b5_j and b4_j
+    a21 = 1 / 5
+    a31, a32 = 3 / 40, 9 / 40
+    a41, a42, a43 = 3 / 10, -9 / 10, 6 / 5
+    a51, a52, a53, a54 = -11 / 54, 5 / 2, -70 / 27, 35 / 27
+    a61, a62, a63, a64, a65 = (1631 / 55296, 175 / 512, 575 / 13824,
+                               44275 / 110592, 253 / 4096)
+    b51, b52, b53, b54, b55, b56 = (37 / 378, 0.0, 250 / 621, 125 / 594,
+                                    0.0, 512 / 1771)
+    b41, b42, b43, b44, b45, b46 = (2825 / 27648, 0.0, 18575 / 48384,
+                                    13525 / 55296, 277 / 14336, 1 / 4)
 
     t, y = 0.0, h0
     h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
@@ -246,11 +221,43 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     add_time = times.append
     add_value = values.append
     ay = abs(y)
-    while t < until:
-        rest = until - t
-        if rest < h:
-            h = rest
-        y_new, err = ck_step(a, b, y, h)
+    hi_h = None  # the crossing lies in [t + lo_h, t + hi_h] once a step finds it
+    while t < until:  # t stays put while the crossing is bisected
+        if hi_h is None:
+            rest = until - t
+            if rest < h:
+                h = rest
+        else:
+            bisect = hi_h - lo_h > width
+            h = 0.5 * (lo_h + hi_h) if bisect else lo_h
+        k1 = neg_a * y * y - b
+        yi = y + h * a21 * k1
+        k2 = neg_a * yi * yi - b
+        yi = y + h * a31 * k1 + h * a32 * k2
+        k3 = neg_a * yi * yi - b
+        yi = y + h * a41 * k1 + h * a42 * k2 + h * a43 * k3
+        k4 = neg_a * yi * yi - b
+        yi = y + h * a51 * k1 + h * a52 * k2 + h * a53 * k3 + h * a54 * k4
+        k5 = neg_a * yi * yi - b
+        yi = (y + h * a61 * k1 + h * a62 * k2 + h * a63 * k3 + h * a64 * k4
+              + h * a65 * k5)
+        k6 = neg_a * yi * yi - b
+        y_new = y + h * (b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4 + b55 * k5
+                         + b56 * k6)
+        if hi_h is not None:
+            if bisect:
+                if y_new < neg_stop:
+                    hi_h = h
+                else:
+                    lo_h = h
+                continue
+            tail_lo, tail_hi = _tail_bounds(a, b, abs(y_new))
+            bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
+            add_time(t + lo_h)
+            add_value(y_new)
+            return ComparisonPath(np.array(times), np.array(values), bracket)
+        err = abs(y_new - (y + h * (b41 * k1 + b42 * k2 + b43 * k3 + b44 * k4
+                                    + b45 * k5 + b46 * k6)))
         an = abs(y_new)
         tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * (an if an > ay else ay)
         # err > tol only for a finite y_new: an infinite one makes tol
@@ -267,19 +274,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
             lo_h, hi_h = 0.0, h
             t_h = t + h
             width = 1e-13 * (t_h if t_h > 1.0 else 1.0)
-            while hi_h - lo_h > width:
-                mid = 0.5 * (lo_h + hi_h)
-                y_mid, _ = ck_step(a, b, y, mid)
-                if y_mid < neg_stop:
-                    hi_h = mid
-                else:
-                    lo_h = mid
-            y_cross, _ = ck_step(a, b, y, lo_h)
-            tail_lo, tail_hi = _tail_bounds(a, b, abs(y_cross))
-            bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
-            add_time(t + lo_h)
-            add_value(y_cross)
-            return ComparisonPath(np.array(times), np.array(values), bracket)
+            continue
         t += h
         y = y_new
         ay = an

@@ -9,7 +9,6 @@ from dustlab import _integrate, _model_rhs, functional, radial, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
                           UniformVelocity, ball_volume, validate_scenario)
-from dustlab.errors import BeyondBlowup
 from dustlab.riccati import RiccatiParams, blowup_time_upper_bound
 
 FAST = NumericalSettings(rel_tol=1e-9, abs_tol=1e-11)
@@ -80,6 +79,10 @@ def support_volume_upper(volume, densities, masses, dimension: int):
     if slab:
         volume += 0.5 * m[0] / rho[0]
     return float(volume + 0.5 * m[-1] / rho[-1])
+
+
+class BeyondBlowup(Exception):
+    """Comparison solution evaluated at or past its pole."""
 
 
 def comparison_solution(params: RiccatiParams, t):

@@ -333,6 +333,20 @@ class TestCertify:
         assert doc["t_bound"] is None
         assert "oracle_cross_check" not in doc
 
+    def test_horizon_past_the_largest_double_is_capped(self, runner, tmp_path):
+        # Boundary with a Hubble rate of -1e-308: t_bound = -1/(a h0) is about
+        # 1e308, finite, but the oracle's horizon 10 t_bound + 1 overflows;
+        # capped at the largest double, the oracle ends without a pole
+        path = fast_scenario(tmp_path, **{"lambda": 0.5, "initial_profile": {
+            "density": {"kind": "uniform", "value": 0.5, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "hubble", "rate": -1.0e-308}}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
+        assert result.exit_code == EXIT_OK, result.output
+        doc = yaml.safe_load((out / "certificate.yaml").read_text())
+        assert doc["case"] == "Boundary" and 1e307 < doc["t_bound"] < 1e309
+        assert doc["oracle_cross_check"] == {"pole_bracket": None, "agrees": False}
+
     def test_overflowing_coefficient_certifies_nothing(self, runner, tmp_path):
         # M = 2e200 makes b = M(M/v_sup - lambda) overflow to inf
         path = fast_scenario(tmp_path, initial_profile={

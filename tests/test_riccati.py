@@ -8,24 +8,25 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from dustlab.core import divergence
-from dustlab.errors import BeyondBlowup, NoCertificateError, NoPoleInHorizon
+from dustlab.errors import NoCertificateError, NoPoleInHorizon
 from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
                              BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds,
                              check_blowup_conditions, integrate_comparison_ode)
 
-from conftest import comparison_solution
+from conftest import BeyondBlowup, comparison_solution
 
 
 # ---------------------------------------------------------------------------
 # Reference: the oracle with a tableau-loop Cash-Karp step
 # ---------------------------------------------------------------------------
 #
-# integrate_comparison_ode unrolls the tableau. This is the loop form it
-# replaced: the right-hand side through a closure, the stages and weighted
-# sums through zip over the tableau, and the step control through min/max.
-# The unrolled step and the comparisons that replace min/max keep every
+# integrate_comparison_ode writes the Cash-Karp step once, inline in its
+# loop. This is the loop form it replaced: the right-hand side through a
+# closure, the stages and weighted sums through zip over the tableau, the
+# step control through min/max, and the crossing bisection in a loop of its
+# own. The inline step and the comparisons that replace min/max keep every
 # operation in the same order, so brackets, times and values must be equal
 # (==).
 
@@ -61,10 +62,11 @@ def loop_tail_bounds(a, b, y_mag):
     return lo, hi
 
 
-def loop_comparison_ode(params, until, rejected):
+def loop_comparison_ode(params, until, rejected, midpoints):
     """The oracle's step control and pole bracketing around loop_ck_step.
 
-    Appends the time of every rejected step to ``rejected``.
+    Appends the time of every rejected step to ``rejected``, and the number
+    of the crossing bisection's midpoint trials to ``midpoints``.
     """
     a, b, h0 = params.a, params.b, params.h0
     y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
@@ -91,7 +93,9 @@ def loop_comparison_ode(params, until, rejected):
             continue
         if y_new < -y_stop:
             lo_h, hi_h = 0.0, h
+            midpoints.append(0)
             while hi_h - lo_h > 1e-13 * max(1.0, t + h):
+                midpoints[-1] += 1
                 mid = 0.5 * (lo_h + hi_h)
                 y_mid, _ = loop_ck_step(f, t, y, mid)
                 if y_mid < -y_stop:
@@ -388,13 +392,13 @@ def oracle_outcome(oracle, params, until):
 
 
 def assert_matches_loop(params, until):
-    """Asserts bit-equal outcomes; returns the outcome and the reference's
-    rejected-step times."""
-    rejected = []
-    expected = oracle_outcome(lambda p, u: loop_comparison_ode(p, u, rejected),
+    """Asserts bit-equal outcomes; returns the outcome, the reference's
+    rejected-step times and its midpoint-trial count per crossing."""
+    rejected, midpoints = [], []
+    expected = oracle_outcome(lambda p, u: loop_comparison_ode(p, u, rejected, midpoints),
                               params, until)
     assert oracle_outcome(integrate_comparison_ode, params, until) == expected
-    return expected, rejected
+    return expected, rejected, midpoints
 
 
 class TestOracleMatchesTableauLoop:
@@ -411,7 +415,10 @@ class TestOracleMatchesTableauLoop:
                 b = -rng.uniform(0.2, 2.0)
                 h0 = -math.sqrt(-b / a) * (1.0 + rng.uniform(0.05, 2.0))
             p = RiccatiParams(a=a, b=b, h0=h0)
-            assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
+            _, _, midpoints = assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
+            # the bisection's midpoint trials run: the crossing step is wider
+            # than the crossing width
+            assert len(midpoints) == 1 and midpoints[0] >= 1
 
     @pytest.mark.parametrize("case", [Case.CASE_ONE, Case.BOUNDARY, Case.CASE_TWO])
     def test_seeded_atlas_range_draws(self, case):
@@ -433,32 +440,41 @@ class TestOracleMatchesTableauLoop:
                 h0 = -c * rng.uniform(1.05, 4.0)
             cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
             assert cert.case is case
-            assert_matches_loop(RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
-                                10.0 * cert.t_bound + 1.0)
+            _, _, midpoints = assert_matches_loop(
+                RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
+                10.0 * cert.t_bound + 1.0)
+            assert len(midpoints) == 1 and midpoints[0] >= 1
 
     @pytest.mark.parametrize("a,b,h0", [(1.0, 0.0, 0.0),    # y = 0 throughout
                                         (0.25, -1.0, 2.0)])  # h0 = +sqrt(|b|/a)
     def test_zero_error_growth_cap(self, a, b, h0):
         # every stage is exactly 0, so err = 0 and each step grows h by the cap
-        outcome, rejected = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), 100.0)
+        outcome, rejected, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), 100.0)
         assert outcome[0] == "no pole" and not rejected
         assert set(outcome[2]) == {h0}
         steps = np.diff(outcome[1])[:-1]  # the last step is clipped to the horizon
         assert steps.tolist() == pytest.approx((steps[0] * 5.0 ** np.arange(steps.size)).tolist())
 
     def test_rejected_steps(self):
-        _, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=0.0), 5.0)
+        _, rejected, _ = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=0.0), 5.0)
         assert rejected
 
     def test_pole_far_below_one(self):
         # pole at 1.57e-50: the step floor follows the ODE's own time scale
-        outcome, _ = assert_matches_loop(RiccatiParams(a=1e-100, b=1e200, h0=0.0), 1.0)
+        outcome, _, midpoints = assert_matches_loop(RiccatiParams(a=1e-100, b=1e200, h0=0.0),
+                                                    1.0)
         assert outcome[0] != "no pole"
+        # the crossing step is narrower than the crossing width 1e-13, so no
+        # midpoint is tried and the crossing state is the trial at lo_h = 0.0:
+        # the step's start, written a second time
+        times, values = outcome[1], outcome[2]
+        assert midpoints == [0]
+        assert times[-1] == times[-2] and values[-1] == values[-2]
 
     def test_non_finite_step_underflow(self):
         # y^2 overflows: the step is non-finite and shrinks below the floor
-        outcome, rejected = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=-1e200),
-                                                5.0)
+        outcome, rejected, _ = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=-1e200),
+                                                   5.0)
         assert outcome[0] == "no pole" and rejected == [0.0]
 
     @pytest.mark.parametrize("a,b,h0,until", [(1.0, -1.0, 0.5, 10.0),  # bounded branch
@@ -473,7 +489,7 @@ class TestOracleMatchesTableauLoop:
                                               # stays positive and the loop ends
                                               (1e10, 0.5, -1e300, 1.0)])
     def test_no_pole_in_horizon(self, a, b, h0, until):
-        outcome, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
+        outcome, _, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
         assert outcome[0] == "no pole"
 
 
