@@ -9,16 +9,16 @@ derivative at the views yv into the views fv (of a stage row); everything
 else is common.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
-one (7 x n) stage block: steps drives it to its end time, and reintegrate,
-which carries a state from one time to a later one, restarts it there. The
-run reduces every accepted state once to its row of per-step scalars
-(functional.reducer, built once per run by layout), scans the row for
-triggers, and localizes the first by bisection on sub-steps re-integrated by
-the run's own stepper. sample restarts one stepper at each requested time
-and steps it to the next; nothing is interpolated. At its peak a run holds
-about 17 solver vectors on a large slab (the block, its three work vectors,
-the states in hand and the reducer's scratch block); tests/test_integrate.py
-bounds it. Deterministic for fixed settings.
+one (7 x n) stage block, built from the run's settings and started by
+restart; steps() drives it to the end time, and reintegrate carries a state
+from one time to a later one. The run reduces every accepted state once to
+its row of per-step scalars (functional.reducer, built once per run by
+layout), scans the row for triggers, and localizes the first by bisection on
+sub-steps re-integrated by the run's own stepper. sample re-integrates with
+one stepper from each requested time to the next; nothing is interpolated.
+At its peak a run holds about 17 solver vectors on a large slab (the block,
+its three work vectors, the states in hand and the reducer's scratch block);
+tests/test_integrate.py bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 
@@ -104,11 +103,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol, sqrt_n, scratc
 
 
 class DormandPrince:
-    """Explicit Runge-Kutta 5(4) stepper of rhs(t, yv, fv) from (t0, y0)
-    forward to t_bound, with local extrapolation, the error measured by the
-    RMS norm of (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled
-    by 0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a
-    rejection).
+    """Explicit Runge-Kutta 5(4) stepper of fun(t, yv, fv), forward in time,
+    with local extrapolation, the error measured by the RMS norm of
+    (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled by
+    0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
 
     Every accepted time and state and the RHS value equal those of the
     reference RK45 implementation that tests/test_integrate.py compares
@@ -118,17 +116,20 @@ class DormandPrince:
     the same order, with the step size and the tolerances as 0-d arrays. An
     rtol below 100 machine epsilons is raised to that, with a warning, as
     there.
-    Row s of the block holds stage s's derivative: row 0 the derivative at
-    the step's start, rows 1-5 the inner stages and row 6 the derivative at
-    the new state (first same as last), each written there by fun(t, yv,
-    fv=the row's views). The one copy per step is row 6 into row 0. The
-    block, a stage-sum vector (which ends a step as its error estimate) and
-    the error scale are built, and the rows and the stage-sum vector split,
-    once, so a step allocates and splits only its new state.
-    restart(t0, y0, t_bound) starts the stepper again from any state, as a
-    new stepper would start, bit for bit; the constructor builds the block
-    and calls it. It writes the derivative at y0 into row 6 and uses rows
-    1-3 as scratch for the initial step size.
+    DormandPrince(fun, split, size, settings) builds a stepper for solver
+    vectors of size doubles, split by split, under the settings' rel_tol,
+    abs_tol, max_step and max_steps, and does not start it: the block, a
+    stage-sum vector (which ends a step as its error estimate) and the error
+    scale are built, and the rows and the stage-sum vector split, once, so
+    a step allocates and splits only its new state. Row s of the block holds
+    stage s's derivative: row 0 the derivative at the step's start, rows 1-5
+    the inner stages and row 6 the derivative at the new state (first same
+    as last), each written there by fun(t, yv, fv=the row's views). The one
+    copy per step is row 6 into row 0.
+    restart(t0, y0, t_bound) starts it, the first time and every time after,
+    from the views of any state, bit for bit as a new stepper would start.
+    It writes the derivative at y0 into row 6 and uses rows 1-3 as scratch
+    for the initial step size.
     step() advances t by one accepted step, which ends exactly at t_bound
     when it would pass it, and leaves y (a new array on every step, never
     written to again, nor is y0) and f (the RHS at y), with their views yv
@@ -138,15 +139,15 @@ class DormandPrince:
     falls below 10 ulp of t.
     """
 
-    def __init__(self, fun, split, t0, y0, t_bound, rtol, atol, max_step):
+    def __init__(self, fun, split, size, settings):
         self.fun, self.split = fun, split
+        rtol = settings.rel_tol
         if rtol < _MIN_RTOL:
             warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
                           f"using {_MIN_RTOL:g}", stacklevel=2)
             rtol = _MIN_RTOL
-        self.rtol, self.atol, self.max_step = rtol, atol, max_step
-        self._tol = np.array(rtol), np.array(atol)
-        size = y0[0].size
+        self.rtol, self.max_step, self.max_steps = rtol, settings.max_step, settings.max_steps
+        self._tol = np.array(rtol), np.array(settings.abs_tol)
         self._sqrt_n = size ** 0.5
         self._K = K = np.empty((7, size))
         self._rows = rows = tuple(split(row) for row in K)
@@ -158,7 +159,6 @@ class DormandPrince:
         self._sum = split(np.empty(size))  # a stage's argument, then the error estimate
         self._scale = np.empty(size)
         self._abs_y = np.empty(size)  # |y| of the current state
-        self.restart(t0, y0, t_bound)
 
     def restart(self, t0, y0, t_bound):
         """Start again from the views (t0, y0) toward t_bound: the RHS at y0,
@@ -232,6 +232,31 @@ class DormandPrince:
         self.t, self.y, self.yv, self.h_abs = t_new, y_new, yv_new, h_abs
         np.abs(y_new, out=abs_y)
 
+    def steps(self):
+        """Steps from where the stepper stands to its t_bound, yielding it
+        after every accepted step, and stops once t == t_bound (exact, as the
+        last step is clipped to end there; an empty interval takes no step).
+        Raises MaxStepsExceeded past max_steps steps and StepUnderflow when
+        the step size collapses. y (and its views yv) is a new array on every
+        step and is never written to again, so it may be kept without a copy;
+        f is overwritten by the next step."""
+        for _ in range(int(self.max_steps)):
+            if self.t == self.t_bound:
+                return
+            self.step()
+            yield self
+        if self.t != self.t_bound:
+            raise MaxStepsExceeded(f"exceeded {self.max_steps} accepted steps")
+
+    def reintegrate(self, t0, y0, t1):
+        """The views of the solver vector at t1 >= t0, stepped from the views
+        (t0, y0) by restarting the stepper there: y0 itself when t1 == t0.
+        fv is the RHS at the returned state."""
+        self.restart(t0, y0, t1)
+        for _ in self.steps():
+            pass
+        return self.yv
+
 
 def splitter(n, dimension):
     """split(y): the views of a solver vector of n markers, (y, positions,
@@ -252,7 +277,7 @@ def layout(vs: ValidatedScenario):
     vector from its views (no solver vector is written after it is
     published), and reduce(t, yv, fv=None) its functional.StepRow, with the
     rate column from the RHS views fv (NaN without them)."""
-    masses, lam, dim = vs.masses, vs.lam, vs.dimension
+    masses, dim = vs.masses, vs.dimension
     fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
     if dim > 1:
         fields.append(vs.eig_tangential)
@@ -261,42 +286,9 @@ def layout(vs: ValidatedScenario):
     def unpack(t, yv):
         return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
                           densities=yv[3], eig_radial=yv[4], eig_tangential=yv[5],
-                          masses=masses, dimension=dim, lam=lam)
+                          masses=masses, dimension=dim)
 
     return split(np.concatenate(fields)), split, unpack, functional.reducer(masses, dim)
-
-
-def start(rhs, split, t0, y0, t_bound, settings) -> DormandPrince:
-    """The DormandPrince stepper on rhs(t, yv, fv) from (t0, y0), y0 views
-    by split, to t_bound under the settings' tolerances and step cap."""
-    return DormandPrince(rhs, split, t0, y0, t_bound, settings.rel_tol, settings.abs_tol,
-                         settings.max_step)
-
-
-def steps(stepper, max_steps):
-    """Steps stepper from where it stands to its t_bound, yielding it after
-    every accepted step, and stops once stepper.t == stepper.t_bound (exact,
-    as the last step is clipped to end there; an empty interval takes no
-    step). Raises MaxStepsExceeded past max_steps steps and StepUnderflow
-    when the step size collapses. stepper.y (and its views stepper.yv) is a
-    new array on every step and is never written to again, so it may be
-    kept without a copy; stepper.f is overwritten by the next step."""
-    for _ in range(int(max_steps)):
-        if stepper.t == stepper.t_bound:
-            return
-        stepper.step()
-        yield stepper
-    if stepper.t != stepper.t_bound:
-        raise MaxStepsExceeded(f"exceeded {max_steps} accepted steps")
-
-
-def reintegrate(stepper, max_steps, t0, y0, t1):
-    """The views of the solver vector at t1 > t0, stepped from the views
-    (t0, y0) by restarting stepper there."""
-    stepper.restart(t0, y0, t1)
-    for _ in steps(stepper, max_steps):
-        pass
-    return stepper.yv
 
 
 def run_characteristics(vs: ValidatedScenario, rhs,
@@ -306,21 +298,22 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     settings = vs.scenario.settings
     y0, split, unpack, reduce = layout(vs)
 
-    stepper = start(rhs, split, 0.0, y0, vs.scenario.t_end, settings)
+    stepper = DormandPrince(rhs, split, y0[0].size, settings)
+    stepper.restart(0.0, y0, vs.scenario.t_end)
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
     rows = [reduce(0.0, y0, stepper.fv)]
     states = [unpack(0.0, y0)]
     t_last, y_last = 0.0, y0
     event = None
-    for _ in steps(stepper, settings.max_steps):
+    for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
             # the bracket restarts the run's stepper, which steps no further
             event, y_lo = detector.bracket_event(
-                partial(reintegrate, stepper, settings.max_steps), reduce, unpack,
-                t_last, y_last, stepper.t, trigger, settings)
+                stepper.reintegrate, reduce, unpack, t_last, y_last, stepper.t, trigger,
+                settings)
             if event.t_lo > t_last:
                 # the bracket's lower edge: the one state the stepper has no RHS value for
                 t_last, y_last = event.t_lo, y_lo
@@ -339,24 +332,20 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
-    """States at the requested times, each stepped from the one before by
-    one stepper, restarted at every requested time (time 0 is the initial
-    state), for fixed-step diagnostics such as convergence studies. Every
-    sampled state is kept. No event scanning; the caller is responsible for
-    staying inside the smooth interval."""
+    """States at the requested times, each re-integrated from the one
+    before (time 0 is the initial state) by one stepper, for fixed-step
+    diagnostics such as convergence studies. Every sampled state is kept.
+    No event scanning; the caller is responsible for staying inside the
+    smooth interval."""
     times = np.asarray(times, dtype=float)
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")
     times = times.tolist()
-    y0, split, unpack, reduce = layout(vs)
-    settings = vs.scenario.settings
-    stepper = start(rhs, split, 0.0, y0, times[0], settings)
+    y, split, unpack, reduce = layout(vs)
+    stepper = DormandPrince(rhs, split, y[0].size, vs.scenario.settings)
     states, rows = [], []
-    for t in times:
-        if t > stepper.t_bound:
-            stepper.restart(stepper.t, stepper.yv, t)
-        for _ in steps(stepper, settings.max_steps):
-            pass
-        states.append(unpack(t, stepper.yv))
-        rows.append(reduce(t, stepper.yv, stepper.fv))
+    for t_prev, t in zip([0.0, *times], times):
+        y = stepper.reintegrate(t_prev, y, t)
+        states.append(unpack(t, y))
+        rows.append(reduce(t, y, stepper.fv))
     return Trajectory.from_rows(vs, rows, states)

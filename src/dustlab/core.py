@@ -234,7 +234,6 @@ class FieldState:
     masses: np.ndarray
     eig_tangential: Optional[np.ndarray] = None
     dimension: int = 1
-    lam: float = 0.0
 
     def div_u(self):
         return divergence(self.eig_radial, self.eig_tangential, self.dimension)

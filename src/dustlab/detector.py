@@ -134,9 +134,8 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
         return EscapeReport(EscapeStatus.NO_PREDICTION, "no prediction, no event")
 
     t_bound = certificate.t_bound
-    tol = 1e-6
     if event is not None:
-        if event.t_hi <= t_bound + tol:
+        if event.t_hi <= t_bound * (1 + 1e-6):
             return EscapeReport(EscapeStatus.CERTIFICATE_HONORED,
                                f"event at t={event.t_hi:.6g} <= certified bound {t_bound:.6g}")
         if t_escape is not None and t_escape < t_bound:

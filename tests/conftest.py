@@ -44,12 +44,13 @@ def _validated(dimension, lam):
     return validate_scenario(sc)
 
 
-def derivatives(state):
-    """The force law at a FieldState, under its own masses, lambda and
-    dimension: model_rhs(vs) of its geometry at the _integrate.layout
-    vector of a scenario whose markers are replaced by the state's, split
-    into one array per field, (dx, du, drho, dw) or (dr, du, drho, dl1, dl2)."""
-    vs = replace(_validated(state.dimension, state.lam),
+def derivatives(state, lam=0.0):
+    """The force law at a FieldState, under its own masses and dimension and
+    the background constant lam: model_rhs(vs) of its geometry at the
+    _integrate.layout vector of a scenario whose markers are replaced by the
+    state's, split into one array per field, (dx, du, drho, dw) or (dr, du,
+    drho, dl1, dl2)."""
+    vs = replace(_validated(state.dimension, lam),
                  **{name: getattr(state, name) for name in MARKER_FIELDS})
     y0, split, _, _ = _integrate.layout(vs)
     rhs = flat(_model_rhs(vs), split)

@@ -225,7 +225,7 @@ class TestCriterion7EquilibriumFixture:
             ok = ok and traj.termination == "t_end"
             for st in traj.states:
                 worst_h = max(worst_h, abs(step_row(st).h))
-                worst_force = max(worst_force, float(np.max(np.abs(derivatives(st)[1]))))
+                worst_force = max(worst_force, float(np.max(np.abs(derivatives(st, lam)[1]))))
             rep = proof_chain_report(traj)
             worst_ric = max(worst_ric,
                             max(abs(s.riccati_residual) for s in rep.steps))

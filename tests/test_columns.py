@@ -65,11 +65,11 @@ def loop_cs_density(state, v_sup):
     return v_sup * float(np.sum(state.masses * state.densities)) - mass * mass
 
 
-def loop_div_rate(state):
+def loop_div_rate(state, lam):
     if state.eig_tangential is None:
-        _, _, _, dw = derivatives(state)
+        _, _, _, dw = derivatives(state, lam)
         return dw
-    _, _, _, dl1, dl2 = derivatives(state)
+    _, _, _, dl1, dl2 = derivatives(state, lam)
     return dl1 + (state.dimension - 1) * dl2
 
 
@@ -84,8 +84,9 @@ def loop_transport(traj, step):
     a, b = traj.states[step], traj.states[step + 1]
     dt = b.time - a.time
     dh = (loop_h(b) - loop_h(a)) / dt
-    rate = 0.5 * (float(np.sum(a.masses * loop_div_rate(a)))
-                  + float(np.sum(b.masses * loop_div_rate(b))))
+    lam = traj.validated.lam
+    rate = 0.5 * (float(np.sum(a.masses * loop_div_rate(a, lam)))
+                  + float(np.sum(b.masses * loop_div_rate(b, lam))))
     return abs(dh - rate)
 
 
@@ -220,7 +221,7 @@ class TestColumnsEqualLoops:
             "m_rho": [float(np.sum(st.masses * st.densities)) for st in traj.states],
             "volume": [loop_volume(st) for st in traj.states],
             "volume_upper": [loop_volume_upper(st) for st in traj.states],
-            "m_div_rate": [float(np.sum(st.masses * loop_div_rate(st)))
+            "m_div_rate": [float(np.sum(st.masses * loop_div_rate(st, traj.validated.lam)))
                            for st in traj.states],
             "min_gap": [float(np.min(loop_gaps(st))) for st in traj.states],
             "max_abs_div": [float(np.max(np.abs(st.div_u()))) for st in traj.states],

@@ -96,6 +96,15 @@ def test_trigger_table_matches_the_row():
     assert list(TRIGGERS) == list(Trigger)
 
 
+def dense_collapse():
+    """uniform_collapse_1d at density 1e145 (rho_blowup_threshold 1e305):
+    |div u| ~ rho t passes 1e8 at t ~ 1e-137."""
+    sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios"
+                       / "uniform_collapse_1d.yaml")
+    return replace(sc, density=UniformDensity(1e145, -1.0, 1.0),
+                   settings=replace(sc.settings, rho_blowup_threshold=1e305))
+
+
 class TestBracketing:
     def test_collapse_bracket_width_and_consistency(self):
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=FAST)
@@ -113,14 +122,9 @@ class TestBracketing:
         assert not rule.holds(value, getattr(FAST, rule.threshold))
 
     def test_bracket_is_relative_far_below_one(self):
-        # uniform_collapse_1d at density 1e145: |div u| ~ rho t passes 1e8 at
-        # t ~ 1e-137, where a goal of 1e-8 absolute would leave the bracket
-        # ten times as wide as its lower edge
-        sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios"
-                           / "uniform_collapse_1d.yaml")
-        sc = replace(sc, density=UniformDensity(1e145, -1.0, 1.0),
-                     settings=replace(sc.settings, rho_blowup_threshold=1e305))
-        ev = simulate(sc).event
+        # a goal of 1e-8 absolute would leave the bracket ten times as wide as
+        # its lower edge
+        ev = simulate(dense_collapse()).event
         assert ev.trigger is Trigger.DIVERGENCE_THRESHOLD
         assert 0.0 < ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * ev.t_hi
 
@@ -186,6 +190,14 @@ class TestEscapeReport:
 
     def test_contradiction_on_a_late_event(self, uniform_collapse_traj):
         traj = uniform_collapse_traj
+        rep = escape_report(traj, traj.validated.v_sup, self.early_bound(traj))
+        assert rep.status is EscapeStatus.CONTRADICTION
+        assert rep.message.startswith(f"event at t={traj.event.t_hi:.6g} after bound")
+
+    def test_contradiction_on_a_late_event_far_below_one(self):
+        # the event is at t ~ 1e-137: a tolerance of 1e-6 absolute on the
+        # bound would honour any bound there
+        traj = simulate(dense_collapse())
         rep = escape_report(traj, traj.validated.v_sup, self.early_bound(traj))
         assert rep.status is EscapeStatus.CONTRADICTION
         assert rep.message.startswith(f"event at t={traj.event.t_hi:.6g} after bound")

@@ -9,12 +9,12 @@ from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
 from conftest import derivatives, make_slab
 
 
-def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5), lam=0.0):
+def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5)):
     x = np.array(x, dtype=float)
     n = x.size
     return FieldState(time=0.0, positions=x, velocities=np.zeros(n),
                       densities=np.full(n, 0.5), eig_radial=np.zeros(n),
-                      masses=np.array(m, dtype=float), lam=lam)
+                      masses=np.array(m, dtype=float))
 
 
 class TestSlabForce:
@@ -45,12 +45,12 @@ class TestSlabForce:
 class TestSlabRhs:
     def test_equilibrium_marker(self):
         lam = 0.7
-        st = two_marker_state(lam=lam)
+        st = two_marker_state()
         st = FieldState(time=0.0, positions=st.positions,
                         velocities=st.velocities,
                         densities=np.full(2, lam),
-                        eig_radial=np.zeros(2), masses=st.masses, lam=lam)
-        _, _, drho, dw = derivatives(st)
+                        eig_radial=np.zeros(2), masses=st.masses)
+        _, _, drho, dw = derivatives(st, lam)
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
         np.testing.assert_allclose(drho, 0.0, atol=1e-15)
 
@@ -113,7 +113,7 @@ class TestSlabInvariants:
         lam = traj.validated.lam
         rel_tol = traj.validated.scenario.settings.rel_tol
         for st in traj.states:
-            _, _, _, dw = derivatives(st)
+            _, _, _, dw = derivatives(st, lam)
             resid = np.abs(dw + st.eig_radial**2 + st.densities - lam)
             assert np.max(resid) <= 10 * rel_tol * max(
                 1.0, float(np.max(np.abs(dw))))

@@ -1,12 +1,14 @@
-"""The one stepping loop of ``_integrate`` against scipy's ``RK45`` and
-``solve_ivp``, compared with ``==``, and the step limit it owns.
+"""The one stepper object of ``_integrate``, ``DormandPrince``, against
+scipy's ``RK45`` and ``solve_ivp``, compared with ``==``, and the step limit
+it owns.
 
-The Dormand-Prince stepper must equal ``scipy.integrate.RK45`` after every
-accepted step (time, state and RHS value), and the bracket's
-re-integration must equal ``solve_ivp(...).y[:, -1]``, bit for bit: a
-last-bit change moves event brackets and marker indices. ``dustlab.sample``
-must equal ``solve_ivp`` run from each requested time to the next. scipy is
-a test dependency only; the program does not import it.
+A stepper is built from a run's settings and started by ``restart``. Its
+``steps()`` must equal ``scipy.integrate.RK45`` after every accepted step
+(time, state and RHS value), and its ``reintegrate``, which the event bracket
+and ``dustlab.sample`` use, must equal ``solve_ivp(...).y[:, -1]``, bit for
+bit: a last-bit change moves event brackets and marker indices.
+``dustlab.sample`` must equal ``solve_ivp`` run from each requested time to
+the next. scipy is a test dependency only; the program does not import it.
 """
 
 import os
@@ -22,7 +24,7 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 from dustlab import _integrate, _model_rhs, sample, simulate
-from dustlab.core import (HubbleVelocity, NumericalSettings, load_scenario,
+from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, load_scenario,
                           validate_scenario)
 from dustlab.errors import MaxStepsExceeded, StepUnderflow
 
@@ -83,20 +85,50 @@ def test_sample_rejects_times_out_of_order(times):
         sample(make_slab(rho0=0.5, t_end=1.0), times)
 
 
-@pytest.mark.parametrize("sc", [
+# a slab at lambda != 0 and a contracting ball, stepped to t = 1.5
+SLAB_AND_BALL = pytest.mark.parametrize("sc", [
     make_slab(rho0=0.5, lam=0.2, velocity=HubbleVelocity(-0.4), t_end=1.5),
     make_ball(n=3, rho0=0.8, velocity=HubbleVelocity(-0.5), t_end=1.5),
 ], ids=["slab", "ball"])
+
+
+@SLAB_AND_BALL
 def test_reintegration_equals_solve_ivp(sc):
     vs, rhs, y0, split = model(sc)
-    stepper = _integrate.start(rhs, split, 0.0, y0, 0.0, vs.scenario.settings)
+    stepper = _integrate.DormandPrince(rhs, split, y0[0].size, vs.scenario.settings)
     rng = np.random.default_rng(20261018)
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
         y = reference(vs, rhs, split, 0.0, y0[0], t0).y[:, -1]
-        got = _integrate.reintegrate(stepper, vs.scenario.settings.max_steps, t0, split(y), t1)
+        got = stepper.reintegrate(t0, split(y), t1)
         assert got[0].tobytes() == reference(vs, rhs, split, t0, y, t1).y[:, -1].tobytes()
+
+
+@SLAB_AND_BALL
+def test_reintegrate_over_an_empty_interval(sc):
+    """reintegrate(t, y, t) returns the views y themselves and takes no step:
+    its one RHS call leaves fv as the RHS at y, as sample needs for a row at
+    its start time. Checked on a new stepper and on one that has stepped."""
+    vs, rhs, y0, split = model(sc)
+    counted, calls = counting(rhs)
+    stepper = _integrate.DormandPrince(counted, split, y0[0].size, vs.scenario.settings)
+    y = y0
+    for t_prev, t in ((0.0, 0.0), (0.0, 0.5)):
+        y = stepper.reintegrate(t_prev, y, t)
+        calls[0] = 0
+        assert stepper.reintegrate(t, y, t) is y
+        assert (stepper.t, calls[0]) == (t, 1)
+        assert stepper.fv[0].tobytes() == flat(rhs, split)(t, y[0]).tobytes()
+
+
+@SLAB_AND_BALL
+def test_sample_at_time_zero_equals_the_first_row(sc):
+    """Every column of a sample's row at time 0, the rate column m_div_rate
+    included, equals simulate's first row."""
+    got, expected = sample(sc, [0.0, 0.5]).columns, simulate(sc).columns
+    for name, column, first in zip(StepRow._fields, got, expected):
+        assert column[0] == first[0], name
 
 
 class TestStepLimit:
@@ -167,9 +199,9 @@ def assert_matches_rk45(sc, t_bound):
     own_rhs, own_calls = counting(rhs)
     expected = rk45_steps(RK45(ref_rhs, 0.0, y0[0], t_bound=t_bound, rtol=s.rel_tol,
                                atol=s.abs_tol, max_step=s.max_step))
-    loop = _integrate.steps(_integrate.start(own_rhs, split, 0.0, y0, t_bound, s),
-                            s.max_steps)
-    got = [accepted(stepper) for stepper in loop]
+    stepper = _integrate.DormandPrince(own_rhs, split, y0[0].size, s)
+    stepper.restart(0.0, y0, t_bound)
+    got = [accepted(x) for x in stepper.steps()]
     assert len(got) == len(expected)
     for k, (mine, ref) in enumerate(zip(got, expected)):
         assert mine == ref, f"step {k} differs"
@@ -197,7 +229,7 @@ class TestStepperMatchesRK45:
         sc = shipped("uniform_collapse_1d")
         sc = replace(sc, settings=replace(sc.settings, max_step=1e3))
         steps, calls = assert_matches_rk45(sc, 1.9)
-        # two calls to start (f0 and the initial-step probe), six per attempt
+        # two calls to restart (f0 and the initial-step probe), six per attempt
         rejected = (calls - 2) // 6 - steps
         assert (steps, calls, rejected) == (118, 716, 1)
 
@@ -205,9 +237,9 @@ class TestStepperMatchesRK45:
         y0 = np.ones(3)
         with pytest.warns(UserWarning) as ref:
             RK45(lambda t, y: -y, 0.0, y0, t_bound=1.0, rtol=1e-16, atol=1e-12)
+        settings = NumericalSettings(rel_tol=1e-16, abs_tol=1e-12, max_step=np.inf)
         with pytest.warns(UserWarning, match="rel_tol 1e-16 is below 100 machine epsilons"):
-            stepper = _integrate.DormandPrince(negative, one_field, 0.0, (y0,), 1.0,
-                                               1e-16, 1e-12, np.inf)
+            stepper = _integrate.DormandPrince(negative, one_field, y0.size, settings)
         assert len(ref) == 1
         assert stepper.rtol == 100 * np.finfo(float).eps
 
@@ -232,8 +264,9 @@ def test_restart_equals_a_new_stepper(sc):
     vs, rhs, y0v, split = model(sc)
     y0 = y0v[0]
     s = vs.scenario.settings
-    stepper = _integrate.start(rhs, split, 0.0, y0v, 1.0, s)
-    for _ in islice(_integrate.steps(stepper, s.max_steps), 3):
+    stepper = _integrate.DormandPrince(rhs, split, y0.size, s)
+    stepper.restart(0.0, y0v, 1.0)
+    for _ in islice(stepper.steps(), 3):
         pass
     rng = np.random.default_rng(20261018)
     # each restart but the first is of a stepper that reached its last t1
@@ -241,12 +274,13 @@ def test_restart_equals_a_new_stepper(sc):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(rng.uniform(0.1, 0.5))
         y = y0 + 1e-3 * rng.standard_normal(y0.size)
-        new = _integrate.start(rhs, split, t0, split(y), t1, s)
+        new = _integrate.DormandPrince(rhs, split, y0.size, s)
+        new.restart(t0, split(y), t1)
         stepper.restart(t0, split(y), t1)
         assert accepted(stepper) == accepted(new)
         assert stepper.h_abs == new.h_abs
-        got = [accepted(x) for x in _integrate.steps(stepper, s.max_steps)]
-        expected = [accepted(x) for x in _integrate.steps(new, s.max_steps)]
+        got = [accepted(x) for x in stepper.steps()]
+        expected = [accepted(x) for x in new.steps()]
         assert len(got) > 1
         assert got == expected
 
@@ -258,7 +292,7 @@ def test_one_stepper_per_run(monkeypatch):
 
     class Counted(_integrate.DormandPrince):
         def __init__(self, *args):
-            built.append(args[2])
+            built.append(self)
             super().__init__(*args)
 
         def restart(self, *args):
@@ -271,8 +305,8 @@ def test_one_stepper_per_run(monkeypatch):
         return function(*args)
 
     monkeypatch.setattr(_integrate, "DormandPrince", Counted)
-    # the event's step is shorter than the bracket's goal: the constructor's
-    # start, then the bracket's one re-integration
+    # the event's step is shorter than the bracket's goal: the run's start,
+    # then the bracket's one re-integration
     assert run(simulate, shipped("uniform_collapse_1d")).termination == "event"
     assert (len(built), len(restarts)) == (1, 2)
     # a density trigger in a step of full length: a restart per bisection
@@ -371,9 +405,9 @@ def test_step_underflow():
         return f
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
-        settings = NumericalSettings()
-        stepper = _integrate.start(rhs, one_field, 0.0, (np.ones(3),), 1.0, settings)
-        for _ in _integrate.steps(stepper, settings.max_steps):
+        stepper = _integrate.DormandPrince(rhs, one_field, 3, NumericalSettings())
+        stepper.restart(0.0, (np.ones(3),), 1.0)
+        for _ in stepper.steps():
             pass
 
 

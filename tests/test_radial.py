@@ -11,14 +11,14 @@ from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
 from conftest import derivatives, flat, make_ball, masked_shell_rhs, step_row
 
 
-def shell_state(r, m, n=3, lam=0.0, u=None, rho=None):
+def shell_state(r, m, n=3, u=None, rho=None):
     r = np.asarray(r, dtype=float)
     k = r.size
     return FieldState(time=0.0, positions=r,
                       velocities=np.zeros(k) if u is None else np.asarray(u, float),
                       densities=np.full(k, 0.5) if rho is None else np.asarray(rho, float),
                       eig_radial=np.zeros(k), eig_tangential=np.zeros(k),
-                      masses=np.asarray(m, dtype=float), dimension=n, lam=lam)
+                      masses=np.asarray(m, dtype=float), dimension=n)
 
 
 class TestEnclosedMass:
@@ -57,8 +57,8 @@ class TestRadialForce:
         # shell thanks to volume-median marker placement
         lam = 0.5
         vs = validate_scenario(make_ball(n=3, rho0=lam, lam=lam))
-        st = shell_state(vs.positions, vs.masses, n=3, lam=lam)
-        assert np.max(np.abs(derivatives(st)[1])) < 1e-14
+        st = shell_state(vs.positions, vs.masses, n=3)
+        assert np.max(np.abs(derivatives(st, lam)[1])) < 1e-14
 
     def test_center_shell_zero_force(self):
         st = shell_state([0.0, 0.5], [0.1, 0.9])
@@ -75,9 +75,9 @@ class TestRadialRhs:
     def test_uniform_equilibrium_all_rates_zero(self):
         lam = 0.7
         vs = validate_scenario(make_ball(n=2, rho0=lam, lam=lam))
-        st = shell_state(vs.positions, vs.masses, n=2, lam=lam,
+        st = shell_state(vs.positions, vs.masses, n=2,
                          rho=np.full(vs.positions.size, lam))
-        dr, du, drho, dl1, dl2 = derivatives(st)
+        dr, du, drho, dl1, dl2 = derivatives(st, lam)
         np.testing.assert_allclose(du, 0.0, atol=1e-14)
         np.testing.assert_allclose(drho, 0.0, atol=1e-14)
         np.testing.assert_allclose(dl1, 0.0, atol=1e-14)
@@ -90,11 +90,11 @@ class TestCenterShell:
         # Phi_r/r -> 0 and dl2 = dl1 = -l1^2 - (rho - lambda) at r = 0, in
         # every dimension and without a floating-point warning
         lam = 0.2
-        st = replace(shell_state([0.0, 0.5, 0.9], [1.0, 1.0, 1.0], n=n, lam=lam),
+        st = replace(shell_state([0.0, 0.5, 0.9], [1.0, 1.0, 1.0], n=n),
                      eig_radial=np.array([-0.3, -0.2, -0.1]),
                      eig_tangential=np.array([-0.3, -0.2, -0.1]))
         with np.errstate(all="raise"):
-            _, du, _, dl1, dl2 = derivatives(st)
+            _, du, _, dl1, dl2 = derivatives(st, lam)
         assert du[0] == 0.0
         assert dl1[0] == -0.3 * 0.3 - (0.5 - lam)
         assert dl2[0] == dl1[0]
