@@ -16,6 +16,17 @@ def _model_rhs(vs):
     return (geometry1d if vs.dimension == 1 else radial).model_rhs(vs)
 
 
+def _guarded(integrate, scenario, *args) -> Trajectory:
+    """integrate(vs, rhs, *args) on the validated scenario; a value that
+    overflows, divides by zero or turns NaN in it raises NumericOverflow."""
+    vs = validate_scenario(scenario)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return integrate(vs, _model_rhs(vs), *args)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericOverflow(f"the run left the range of a double: {exc}") from exc
+
+
 def simulate(scenario, keep_states: bool = False) -> Trajectory:
     """Integrate a scenario in its own geometry to t_end or the first event.
 
@@ -24,17 +35,12 @@ def simulate(scenario, keep_states: bool = False) -> Trajectory:
     keep_states=True. A value that overflows, divides by zero or turns NaN
     anywhere in the run raises NumericOverflow.
     """
-    vs = validate_scenario(scenario)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _integrate.run_characteristics(vs, _model_rhs(vs), keep_states=keep_states)
-    except (FloatingPointError, OverflowError) as exc:
-        raise NumericOverflow(f"the run left the range of a double: {exc}") from exc
+    return _guarded(_integrate.run_characteristics, scenario, keep_states)
 
 
 def sample(scenario, times) -> Trajectory:
     """States at the requested times, each stepped from the one before,
     every one kept; no event scan, so the times must stay inside the smooth
-    interval."""
-    vs = validate_scenario(scenario)
-    return _integrate.sample_states(vs, _model_rhs(vs), times)
+    interval. A run that leaves the range of a double raises NumericOverflow,
+    as simulate does."""
+    return _guarded(_integrate.sample_states, scenario, times)

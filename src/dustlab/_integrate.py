@@ -240,7 +240,7 @@ class DormandPrince:
         the step size collapses. y (and its views yv) is a new array on every
         step and is never written to again, so it may be kept without a copy;
         f is overwritten by the next step."""
-        for _ in range(int(self.max_steps)):
+        for _ in range(self.max_steps):
             if self.t == self.t_bound:
                 return
             self.step()

@@ -371,7 +371,8 @@ def validate_scenario(raw) -> ValidatedScenario:
 
     if violations:
         raise ValidationError(violations)
-    s = replace(s, dimension=int(s.dimension), marker_count=int(s.marker_count))
+    s = replace(s, dimension=int(s.dimension), marker_count=int(s.marker_count),
+                settings=replace(s.settings, max_steps=int(s.settings.max_steps)))
 
     # Density non-negativity on a fine sample of the support.
     grid = np.linspace(lo, hi, max(4 * s.marker_count + 1, 101))
@@ -541,10 +542,6 @@ class Trajectory:
     @classmethod
     def from_rows(cls, validated, rows, states, event=None):
         return cls(validated, StepRow(*map(np.array, zip(*rows))), states, event)
-
-    @property
-    def termination(self) -> str:
-        return "t_end" if self.event is None else "event"
 
     @property
     def masses(self):

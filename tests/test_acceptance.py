@@ -222,7 +222,7 @@ class TestCriterion7EquilibriumFixture:
         ok = True
         for sc in fixtures:
             traj = simulate(sc, keep_states=True)
-            ok = ok and traj.termination == "t_end"
+            ok = ok and traj.event is None
             for st in traj.states:
                 worst_h = max(worst_h, abs(step_row(st).h))
                 worst_force = max(worst_force, float(np.max(np.abs(derivatives(st, lam)[1]))))

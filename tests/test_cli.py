@@ -182,8 +182,10 @@ class TestSimulate:
         assert result.exit_code == EXIT_HYPOTHESIS
         assert "escaped" in result.output
 
-    def test_step_limit_exit_3(self, runner, tmp_path):
-        path = fast_scenario(tmp_path, tolerances={"max_steps": 5})
+    # 5.0, a whole-number float from YAML, once printed "exceeded 5.0 accepted steps"
+    @pytest.mark.parametrize("max_steps", [5, 5.0])
+    def test_step_limit_exit_3(self, runner, tmp_path, max_steps):
+        path = fast_scenario(tmp_path, tolerances={"max_steps": max_steps})
         result = runner.invoke(main, ["simulate", "--scenario", path,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == EXIT_NUMERIC
@@ -243,7 +245,9 @@ class TestSimulate:
 
 
 # lambda within rounding of M/v_sup: the slab's lambda compares below M/v_sup,
-# the ball's above it; both once ended certify and simulate in a traceback
+# the ball's above it; both once ended certify and simulate in a traceback.
+# The dense slab (density 1e145) collapses at t ~ 1e-137, inside its bound
+# 5e-73: an event and a certificate far below t = 1
 LAMBDA_AT_RATIO = {
     "slab": ("CaseOne", {
         "geometry": "slab1d", "dimension": 1, "lambda": 0.4532365679503687,
@@ -257,6 +261,12 @@ LAMBDA_AT_RATIO = {
         "initial_profile": {
             "density": {"kind": "uniform", "value": 0.667, "support": [0.0, 1.0]},
             "velocity": {"kind": "hubble", "rate": -0.3}}}),
+    "dense-slab": ("CaseOne", {
+        "geometry": "slab1d", "dimension": 1, "lambda": 0.0, "v_sup": 2.0,
+        "marker_count": 64, "t_end": 5.0, "tolerances": {"rho_blowup_threshold": 1e305},
+        "initial_profile": {
+            "density": {"kind": "uniform", "value": 1e145, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}}}),
 }
 
 

@@ -66,7 +66,7 @@ class TestSlabRhs:
         # uniform state: every marker follows rho' = -rho w, w' = -w^2 - rho
         sc = make_slab(rho0=0.5, t_end=1.0, settings=NumericalSettings())
         traj = simulate(sc)
-        assert traj.termination == "t_end"
+        assert traj.event is None
         sol = solve_ivp(lambda t, y: [-y[0] * y[1], -y[1] ** 2 - y[0]],
                         (0.0, 1.0), [0.5, 0.0], method="DOP853",
                         rtol=1e-12, atol=1e-14)
@@ -81,7 +81,7 @@ class TestIntegrateSlab:
         lam = 0.5
         sc = make_slab(rho0=lam, lam=lam, v_sup=2.0, t_end=2.0)
         traj = simulate(sc)
-        assert traj.termination == "t_end"
+        assert traj.event is None
         st = traj.states[-1]
         vs = traj.validated
         np.testing.assert_allclose(st.positions, vs.positions, atol=1e-12)
@@ -92,7 +92,7 @@ class TestIntegrateSlab:
         # homologous collapse at t=2; certified bound pi/2/sqrt(1/2) = 2.2214
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0)
         traj = simulate(sc)
-        assert traj.termination == "event"
+        assert traj.event is not None
         assert traj.event.t_hi == pytest.approx(2.0, abs=1e-4)
         assert traj.event.t_hi < 2.2215
 

@@ -24,9 +24,9 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 from dustlab import _integrate, _model_rhs, sample, simulate
-from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, load_scenario,
-                          validate_scenario)
-from dustlab.errors import MaxStepsExceeded, StepUnderflow
+from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, UniformDensity,
+                          load_scenario, validate_scenario)
+from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
 from conftest import FAST, flat, make_ball, make_slab
 
@@ -83,6 +83,17 @@ def test_sample_equals_solve_ivp_t_eval(sc, times):
 def test_sample_rejects_times_out_of_order(times):
     with pytest.raises(ValueError):
         sample(make_slab(rho0=0.5, t_end=1.0), times)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [simulate, lambda sc: sample(sc, [1e-200, 1.0])],
+                         ids=["simulate", "sample"])
+def test_a_run_past_a_double_raises_numeric_overflow(run):
+    # sample once stepped on through infinities and NaNs to a StepUnderflow
+    sc = shipped("uniform_collapse_1d", density=UniformDensity(1e300, -1.0, 1.0),
+                 settings=NumericalSettings(rho_blowup_threshold=1e306))
+    with pytest.raises(NumericOverflow):
+        run(sc)
 
 
 # a slab at lambda != 0 and a contracting ball, stepped to t = 1.5
@@ -307,11 +318,11 @@ def test_one_stepper_per_run(monkeypatch):
     monkeypatch.setattr(_integrate, "DormandPrince", Counted)
     # the event's step is shorter than the bracket's goal: the run's start,
     # then the bracket's one re-integration
-    assert run(simulate, shipped("uniform_collapse_1d")).termination == "event"
+    assert run(simulate, shipped("uniform_collapse_1d")).event is not None
     assert (len(built), len(restarts)) == (1, 2)
     # a density trigger in a step of full length: a restart per bisection
     early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
-    assert run(simulate, early).termination == "event"
+    assert run(simulate, early).event is not None
     assert len(built) == 1 and len(restarts) > 10
     run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
     assert len(built) == 1
@@ -356,7 +367,7 @@ def test_each_vector_is_split_once(monkeypatch):
         outs.append(fv[0])
         return rhs(t, yv, fv)
 
-    assert _integrate.run_characteristics(vs, recorded).termination == "event"
+    assert _integrate.run_characteristics(vs, recorded).event is not None
     (stepper,) = built
     assert len(restarts) > 10
     # every RHS call of the stepper writes into its block: two per start
@@ -391,7 +402,7 @@ def test_peak_memory_in_solver_vectors(name, markers, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.termination == "event"
+    assert traj.event is not None
     assert peak <= bound * vector, f"peak {peak / vector:.1f} solver vectors"
 
 

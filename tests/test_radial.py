@@ -131,7 +131,7 @@ class TestIntegrateRadial:
         rho0 = 0.5
         sc = make_ball(n=n, rho0=rho0, t_end=1.5, settings=NumericalSettings())
         traj = simulate(sc)
-        assert traj.termination == "t_end"
+        assert traj.event is None
         sol = solve_ivp(
             lambda t, y: [-y[0] ** 2 - y[1] / n, -n * y[1] * y[0]],
             (0.0, 1.5), [0.0, rho0], method="DOP853", rtol=1e-12, atol=1e-14)
@@ -145,7 +145,7 @@ class TestIntegrateRadial:
         n, rho0 = 3, 0.5
         sc = make_ball(n=n, rho0=rho0, t_end=10.0, settings=NumericalSettings())
         traj = simulate(sc)
-        assert traj.termination == "event"
+        assert traj.event is not None
 
         def rhs(t, y):
             return [-y[0] ** 2 - y[1] / n, -n * y[1] * y[0]]
@@ -171,7 +171,7 @@ class TestIntegrateRadial:
         sc = make_ball(n=3, rho0=lam, lam=lam, v_sup=ball_volume(3, 1.0) * 1.5,
                        t_end=2.0)
         traj = simulate(sc)
-        assert traj.termination == "t_end"
+        assert traj.event is None
         st = traj.states[-1]
         np.testing.assert_allclose(st.positions, traj.validated.positions,
                                    atol=1e-11)
