@@ -135,7 +135,7 @@ def _certificate_doc(vs):
         until = min(10.0 * cert.t_bound + 1.0, sys.float_info.max)
         try:
             path = riccati.integrate_comparison_ode(params, until=until)
-            agree = abs(path.pole_time - cert.t_bound) <= 1e-6 * max(1.0, cert.t_bound)
+            agree = abs(path.pole_time - cert.t_bound) <= 1e-6 * cert.t_bound
             doc["oracle_cross_check"] = {
                 "pole_bracket": [float(path.pole_bracket[0]), float(path.pole_bracket[1])],
                 "agrees": bool(agree),

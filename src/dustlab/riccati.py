@@ -18,8 +18,10 @@ b = 0 is the boundary, c = 0. Closed forms:
     b < 0:  Moebius form z = (y-c)/(y+c): z(t) = z0 e^{-2act},
             pole where z = 1, i.e. T = ln(z0)/(2ac) = arcoth(-h0/c)/sqrt(a|b|)
 
-all validated against the brute-force oracle integrate_comparison_ode
-(tests/conftest.py holds the solutions as comparison_solution).
+all validated against the brute-force oracle integrate_comparison_ode, which
+steps y, then w = 1/y (w' = a + b w^2, which crosses 0 at the pole), and
+brackets the pole relative to its own time (tests/conftest.py holds the
+solutions as comparison_solution).
 Strict inequalities are honored strictly; the equality lambda = M/V_sup
 with h0 < 0 is included as a documented boundary extension because the
 comparison ODE still blows up there.
@@ -39,7 +41,6 @@ from .errors import NoCertificateError, NoPoleInHorizon
 
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-12
-POLE_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -156,34 +157,28 @@ class ComparisonPath:
         return 0.5 * (self.pole_bracket[0] + self.pole_bracket[1])
 
 
-def _tail_bounds(a, b, y_mag):
-    """Rigorous bounds on the remaining time to the pole from y = -y_mag.
-
-    a y^2 + b is squeezed between (a - max(-b,0)/y_mag^2) y^2 and
-    (a + max(b,0)/y_mag^2) y^2 for |y| >= y_mag, so integrating 1/(a y^2)
-    variants from y_mag to infinity bounds the tail on both sides.
-    """
-    lo = 1.0 / ((a + max(b, 0.0) / y_mag**2) * y_mag)
-    hi = 1.0 / ((a - max(-b, 0.0) / y_mag**2) * y_mag)
-    return lo, hi
-
-
 def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonPath:
     """Adaptive integration of y' = -a y^2 - b with pole bracketing.
 
-    Steps an embedded Cash-Karp 4(5) pair; once y falls below the pole
-    threshold the crossing is localized by bisection inside the offending
-    step and the pole is bracketed with the analytic tail bounds, giving a
-    bracket of width <= 1e-8. Raises NoPoleInHorizon if y stays above the
-    threshold up to `until`, and ValueError if `until` is not finite: the
-    loop would then never end.
+    Steps an embedded Cash-Karp 4(5) pair on y, with relative tolerance
+    ORACLE_REL_TOL and absolute ORACLE_ABS_TOL, until an accepted step takes
+    y below -2s, s = max(sqrt(|b|/a), |h0|). From there it steps w = 1/y,
+    which obeys w' = a + b w^2 and is regular at the pole, with the absolute
+    tolerance ORACLE_REL_TOL |w| at the switch. For b < 0, |w| <= 1/(2s)
+    keeps w' >= 3a/4 > 0, so w rises through 0 once, at the pole. A step
+    that ends at w >= 0 is bisected down to a relative width of
+    1e-13 (t + h), and its ends are the bracket. Raises NoPoleInHorizon if
+    the pole is not reached by `until` or the step underflows, and
+    ValueError if `until` is not finite: the loop would then never end.
+    `times` and `values` record y at the accepted steps, as 1/w in the
+    second chart.
 
-    One loop body does every trial step of length h from y: the adaptive
-    steps, the bisection's midpoints and the last trial at the crossing's
-    lower end, which gives the crossing state. It does the floating-point
-    operations of the plain tableau-loop form in the same order: every
-    stage adds the terms (h*a_ij)*k_j left to right, both weighted sums run
-    in tableau order with the zero weights kept (0*inf is NaN, which rejects
+    Both charts are the quadratic form q u^2 - r: (q, r) = (-a, b) for y and
+    (b, -a) for w. So one loop body does every trial step of length h: the
+    adaptive steps and the bisection's midpoints. It does the floating-point
+    operations of the plain tableau-loop form in the same order: every stage
+    adds the terms (h*a_ij)*k_j left to right, both weighted sums run in
+    tableau order with the zero weights kept (0*inf is NaN, which rejects
     the step), and each `x if x > y else y` picks the operand that max(y, x)
     picks, NaN included. So brackets, times and values stay bit-identical
     to that reference (tests/test_riccati.py).
@@ -191,17 +186,18 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     if not math.isfinite(until):
         raise ValueError(f"until must be finite, got {until!r}")
     a, b, h0 = params.a, params.b, params.h0
-    c = params.equilibrium()
-    # threshold large enough that the analytic tail is far below the bracket
-    # goal, past ten times the scale sqrt(|b|/a) of y (c when b <= 0)
-    y_stop = max(POLE_THRESHOLD, 10.0 * (math.sqrt(b / a) if c is None else c))
-    neg_stop = -y_stop
+    # the scale of y, computed as equilibrium() computes c so that b/a
+    # cannot overflow; 2s is past it, so the switch leaves |w| <= 1/(2s)
+    s = math.sqrt(abs(b)) / math.sqrt(a)
+    y_switch = -2.0 * max(s, abs(h0))
     # the step floor is 1e-15 of t, or of the ODE's time scale 1/rate where
     # that is below 1; float_info.min keeps it positive if rate overflows
     rate = math.sqrt(a * abs(b)) + a * abs(h0)
     t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
     isfinite = math.isfinite
-    neg_a = -a  # -a * y * y is (-a) * y * y
+    q, r = -a, b  # the chart's right-hand side is q u^2 - r
+    abs_tol, rel_tol = ORACLE_ABS_TOL, ORACLE_REL_TOL
+    w_chart = False
     # Cash-Karp embedded 5(4) tableau: stages a_ij, weights b5_j and b4_j
     a21 = 1 / 5
     a31, a32 = 3 / 40, 9 / 40
@@ -214,74 +210,74 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     b41, b42, b43, b44, b45, b46 = (2825 / 27648, 0.0, 18575 / 48384,
                                     13525 / 55296, 277 / 14336, 1 / 4)
 
-    t, y = 0.0, h0
+    t, u = 0.0, h0  # u is y, then w from the switch on
     h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
     times = [t]
-    values = [y]
+    values = [u]
     add_time = times.append
     add_value = values.append
-    ay = abs(y)
+    au = abs(u)
     hi_h = None  # the crossing lies in [t + lo_h, t + hi_h] once a step finds it
     while t < until:  # t stays put while the crossing is bisected
         if hi_h is None:
             rest = until - t
             if rest < h:
                 h = rest
+        elif hi_h - lo_h > width:
+            h = 0.5 * (lo_h + hi_h)
         else:
-            bisect = hi_h - lo_h > width
-            h = 0.5 * (lo_h + hi_h) if bisect else lo_h
-        k1 = neg_a * y * y - b
-        yi = y + h * a21 * k1
-        k2 = neg_a * yi * yi - b
-        yi = y + h * a31 * k1 + h * a32 * k2
-        k3 = neg_a * yi * yi - b
-        yi = y + h * a41 * k1 + h * a42 * k2 + h * a43 * k3
-        k4 = neg_a * yi * yi - b
-        yi = y + h * a51 * k1 + h * a52 * k2 + h * a53 * k3 + h * a54 * k4
-        k5 = neg_a * yi * yi - b
-        yi = (y + h * a61 * k1 + h * a62 * k2 + h * a63 * k3 + h * a64 * k4
+            return ComparisonPath(np.array(times), np.array(values),
+                                  (t + lo_h, t + hi_h))
+        k1 = q * u * u - r
+        ui = u + h * a21 * k1
+        k2 = q * ui * ui - r
+        ui = u + h * a31 * k1 + h * a32 * k2
+        k3 = q * ui * ui - r
+        ui = u + h * a41 * k1 + h * a42 * k2 + h * a43 * k3
+        k4 = q * ui * ui - r
+        ui = u + h * a51 * k1 + h * a52 * k2 + h * a53 * k3 + h * a54 * k4
+        k5 = q * ui * ui - r
+        ui = (u + h * a61 * k1 + h * a62 * k2 + h * a63 * k3 + h * a64 * k4
               + h * a65 * k5)
-        k6 = neg_a * yi * yi - b
-        y_new = y + h * (b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4 + b55 * k5
+        k6 = q * ui * ui - r
+        u_new = u + h * (b51 * k1 + b52 * k2 + b53 * k3 + b54 * k4 + b55 * k5
                          + b56 * k6)
         if hi_h is not None:
-            if bisect:
-                if y_new < neg_stop:
-                    hi_h = h
-                else:
-                    lo_h = h
-                continue
-            tail_lo, tail_hi = _tail_bounds(a, b, abs(y_new))
-            bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
-            add_time(t + lo_h)
-            add_value(y_new)
-            return ComparisonPath(np.array(times), np.array(values), bracket)
-        err = abs(y_new - (y + h * (b41 * k1 + b42 * k2 + b43 * k3 + b44 * k4
+            if u_new >= 0.0:
+                hi_h = h
+            else:
+                lo_h = h
+            continue
+        err = abs(u_new - (u + h * (b41 * k1 + b42 * k2 + b43 * k3 + b44 * k4
                                     + b45 * k5 + b46 * k6)))
-        an = abs(y_new)
-        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * (an if an > ay else ay)
-        # err > tol only for a finite y_new: an infinite one makes tol
-        # infinite and a NaN one makes err NaN
-        if err > tol or not isfinite(y_new):
+        an = abs(u_new)
+        tol = abs_tol + rel_tol * (an if an > au else au)
+        # err > tol only for a finite u_new: an infinite one makes tol
+        # infinite or NaN and a NaN one makes err NaN
+        if err > tol or not isfinite(u_new):
             g = 0.9 * (tol / err) ** 0.2 if err > tol else 0.2
             h *= g if g > 0.2 else 0.2
             if h < 1e-15 * (t if t > t_scale else t_scale):
-                raise NoPoleInHorizon("step underflow before pole threshold",
+                raise NoPoleInHorizon("step underflow before the pole",
                                       np.array(times), np.array(values))
             continue
-        if y_new < neg_stop:
+        if w_chart and u_new >= 0.0:
             # bisect the crossing time inside this step
             lo_h, hi_h = 0.0, h
-            t_h = t + h
-            width = 1e-13 * (t_h if t_h > 1.0 else 1.0)
+            width = 1e-13 * (t + h)
             continue
         t += h
-        y = y_new
-        ay = an
+        u = u_new
+        au = an
         add_time(t)
-        add_value(y)
+        add_value(1.0 / u if w_chart else u)
         g = 0.9 * (tol / (1e-300 if err < 1e-300 else err)) ** 0.2
         h *= 5.0 if g > 5.0 else (g if g > 0.2 else 0.2)
+        if u < y_switch and not w_chart:
+            u = 1.0 / u
+            q, r = b, -a
+            abs_tol, rel_tol = ORACLE_REL_TOL * abs(u), 0.0
+            w_chart = True
     raise NoPoleInHorizon(f"no pole before t={until:g}",
                           np.array(times), np.array(values))
 

@@ -1,11 +1,12 @@
 import csv
 import pathlib
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from dustlab import functional
+from dustlab import functional, riccati
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
                          EXIT_OK, EXIT_VALIDATION, main)
 
@@ -270,6 +271,31 @@ LAMBDA_AT_RATIO = {
 }
 
 
+def dense_slab_scenario(tmp_path):
+    """A slab of density 1e100 on [-0.5, 0.5] at rest: t_bound 1.57e-50."""
+    return fast_scenario(tmp_path, v_sup=1.0, initial_profile={
+        "density": {"kind": "uniform", "value": 1e100, "support": [-0.5, 0.5]},
+        "velocity": {"kind": "zero"}}, tolerances={"rho_blowup_threshold": 1e200})
+
+
+def certify_doc(runner, tmp_path, path):
+    """The certificate.yaml that `certify` writes for the scenario at path."""
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
+    assert result.exit_code == EXIT_OK, result.output
+    return yaml.safe_load((out / "certificate.yaml").read_text())
+
+
+def assert_pole_agrees(doc):
+    """The oracle's pole is within 1e-6 relative of t_bound, and its bracket
+    at most 1e-8 relative wide."""
+    t_bound = doc["t_bound"]
+    lo, hi = doc["oracle_cross_check"]["pole_bracket"]
+    assert doc["oracle_cross_check"]["agrees"] is True
+    assert abs(0.5 * (lo + hi) - t_bound) <= 1e-6 * t_bound
+    assert hi - lo <= 1e-8 * t_bound
+
+
 class TestLambdaAtRatio:
     @pytest.mark.parametrize("command", ["certify", "simulate"])
     @pytest.mark.parametrize("name", sorted(LAMBDA_AT_RATIO))
@@ -281,6 +307,11 @@ class TestLambdaAtRatio:
         assert result.exit_code == EXIT_OK, result.output
         if command == "certify":
             assert result.output.startswith(f"case: {case}; t_bound: ")
+            if name == "dense-slab":
+                # t_bound 5e-73: the oracle's step floor and crossing width
+                # both follow the pole's own scale
+                assert_pole_agrees(yaml.safe_load(
+                    (tmp_path / "out" / "certificate.yaml").read_text()))
         else:
             assert "certificate honored" in result.output
 
@@ -371,16 +402,22 @@ class TestCertify:
 
     def test_bound_far_below_one_is_cross_checked(self, runner, tmp_path):
         # density 1e100 at rest: CaseOne with t_bound 1.57e-50
-        path = fast_scenario(tmp_path, v_sup=1.0, initial_profile={
-            "density": {"kind": "uniform", "value": 1e100, "support": [-0.5, 0.5]},
-            "velocity": {"kind": "zero"}}, tolerances={"rho_blowup_threshold": 1e200})
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["certify", "--scenario", path, "--out", str(out)])
-        assert result.exit_code == EXIT_OK, result.output
-        doc = yaml.safe_load((out / "certificate.yaml").read_text())
-        lo, hi = doc["oracle_cross_check"]["pole_bracket"]
-        assert doc["case"] == "CaseOne" and lo <= doc["t_bound"] <= hi
-        assert doc["oracle_cross_check"]["agrees"] is True
+        doc = certify_doc(runner, tmp_path, dense_slab_scenario(tmp_path))
+        assert doc["case"] == "CaseOne"
+        assert_pole_agrees(doc)
+
+    @pytest.mark.parametrize("shift, agrees", [(0.0, True), (1e-5, False), (-1e-5, False)])
+    @pytest.mark.parametrize("dense", [True, False], ids=["t_bound-1.57e-50", "t_bound-2.22"])
+    def test_agreement_is_relative(self, runner, tmp_path, monkeypatch, dense, shift, agrees):
+        # an oracle whose pole sits `shift` relative off the closed form
+        def moved_oracle(params, until):
+            pole = riccati.blowup_time_upper_bound(params) * (1.0 + shift)
+            return riccati.ComparisonPath(np.zeros(1), np.zeros(1), (pole, pole))
+
+        monkeypatch.setattr(riccati, "integrate_comparison_ode", moved_oracle)
+        path = dense_slab_scenario(tmp_path) if dense else fast_scenario(tmp_path)
+        doc = certify_doc(runner, tmp_path, path)
+        assert doc["oracle_cross_check"]["agrees"] is agrees
 
     def test_no_certificate_case(self, runner, tmp_path):
         path = fast_scenario(tmp_path, **{"lambda": 2.0, "v_sup": 4.0})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dustlab.core import divergence
 from dustlab.errors import NoCertificateError, NoPoleInHorizon
-from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL, POLE_THRESHOLD,
+from dustlab.riccati import (ORACLE_ABS_TOL, ORACLE_REL_TOL,
                              BlowupCertificate, Case, ComparisonPath,
                              RiccatiParams, blowup_time_upper_bound,
                              chae_tadmor_bounds,
@@ -23,12 +23,13 @@ from conftest import BeyondBlowup, comparison_solution
 # ---------------------------------------------------------------------------
 #
 # integrate_comparison_ode writes the Cash-Karp step once, inline in its
-# loop. This is the loop form it replaced: the right-hand side through a
-# closure, the stages and weighted sums through zip over the tableau, the
-# step control through min/max, and the crossing bisection in a loop of its
-# own. The inline step and the comparisons that replace min/max keep every
-# operation in the same order, so brackets, times and values must be equal
-# (==).
+# loop, for both the y and the w = 1/y chart. This is the loop form it
+# replaced: the right-hand side through one closure per chart, the stages
+# and weighted sums through zip over the tableau, the step control through
+# min/max, and the crossing bisection in a loop of its own. The inline step
+# and the comparisons that replace min/max keep every operation in the same
+# order (b w w - (-a) is b w w + a exactly), so brackets, times and values
+# must be equal (==).
 
 LOOP_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 LOOP_A = (
@@ -56,63 +57,64 @@ def loop_ck_step(f, t, y, h):
     return y5, abs(y5 - y4)
 
 
-def loop_tail_bounds(a, b, y_mag):
-    lo = 1.0 / ((a + max(b, 0.0) / y_mag**2) * y_mag)
-    hi = 1.0 / ((a - max(-b, 0.0) / y_mag**2) * y_mag)
-    return lo, hi
-
-
 def loop_comparison_ode(params, until, rejected, midpoints):
-    """The oracle's step control and pole bracketing around loop_ck_step.
+    """The oracle's step control, chart switch and pole bracketing around
+    loop_ck_step.
 
     Appends the time of every rejected step to ``rejected``, and the number
     of the crossing bisection's midpoint trials to ``midpoints``.
     """
     a, b, h0 = params.a, params.b, params.h0
-    y_stop = max(POLE_THRESHOLD, 10.0 * math.sqrt(abs(b) / a))
+    y_switch = -2.0 * max(math.sqrt(abs(b)) / math.sqrt(a), abs(h0))
     rate = math.sqrt(a * abs(b)) + a * abs(h0)
     t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
 
-    def f(t, y):
+    def f_y(t, y):
         return -a * y * y - b
 
-    t, y = 0.0, h0
+    def f_w(t, w):  # w = 1/y
+        return b * w * w + a
+
+    f, w_tol = f_y, None  # w_tol: the absolute tolerance once in the w chart
+    t, u = 0.0, h0
     h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
     times = [t]
-    values = [y]
+    values = [u]
     while t < until:
         h = min(h, until - t)
-        y_new, err = loop_ck_step(f, t, y, h)
-        tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(y), abs(y_new))
-        if not math.isfinite(y_new) or err > tol:
+        u_new, err = loop_ck_step(f, t, u, h)
+        if w_tol is None:
+            tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(u), abs(u_new))
+        else:
+            tol = w_tol
+        if not math.isfinite(u_new) or err > tol:
             rejected.append(t)
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(y_new) else 0.2
+            h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(u_new) else 0.2
             if h < 1e-15 * max(t_scale, t):
-                raise NoPoleInHorizon("step underflow before pole threshold",
+                raise NoPoleInHorizon("step underflow before the pole",
                                       np.array(times), np.array(values))
             continue
-        if y_new < -y_stop:
+        if w_tol is not None and u_new >= 0.0:
             lo_h, hi_h = 0.0, h
             midpoints.append(0)
-            while hi_h - lo_h > 1e-13 * max(1.0, t + h):
+            while hi_h - lo_h > 1e-13 * (t + h):
                 midpoints[-1] += 1
                 mid = 0.5 * (lo_h + hi_h)
-                y_mid, _ = loop_ck_step(f, t, y, mid)
-                if y_mid < -y_stop:
+                w_mid, _ = loop_ck_step(f, t, u, mid)
+                if w_mid >= 0.0:
                     hi_h = mid
                 else:
                     lo_h = mid
-            y_cross, _ = loop_ck_step(f, t, y, lo_h)
-            tail_lo, tail_hi = loop_tail_bounds(a, b, abs(y_cross))
-            bracket = (t + lo_h + tail_lo, t + hi_h + tail_hi)
-            times.append(t + lo_h)
-            values.append(y_cross)
-            return ComparisonPath(np.array(times), np.array(values), bracket)
+            return ComparisonPath(np.array(times), np.array(values),
+                                  (t + lo_h, t + hi_h))
         t += h
-        y = y_new
+        u = u_new
         times.append(t)
-        values.append(y)
+        values.append(u if w_tol is None else 1.0 / u)
         h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+        if w_tol is None and u < y_switch:
+            u = 1.0 / u
+            f, w_tol = f_w, ORACLE_REL_TOL * abs(u)
     raise NoPoleInHorizon(f"no pole before t={until:g}",
                           np.array(times), np.array(values))
 
@@ -360,7 +362,10 @@ class TestOracle:
         p = RiccatiParams.from_macroscopic(1e100, 1.0, 0.0, 1, 0.0)
         t_bound = blowup_time_upper_bound(p)
         lo, hi = integrate_comparison_ode(p, until=10.0 * t_bound + 1.0).pole_bracket
-        assert lo <= t_bound <= hi
+        # the bracket is the crossing alone, 1e-13 relative wide; it excludes
+        # the integration error, so it need not contain t_bound
+        assert abs(0.5 * (lo + hi) - t_bound) <= 1e-6 * t_bound
+        assert hi - lo <= 1e-8 * t_bound
 
     def test_no_pole_when_horizon_too_short(self):
         p = RiccatiParams(a=1.0, b=0.5, h0=0.0)  # pole at pi/sqrt(2) ~ 2.22
@@ -440,10 +445,13 @@ class TestOracleMatchesTableauLoop:
                 h0 = -c * rng.uniform(1.05, 4.0)
             cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
             assert cert.case is case
-            _, _, midpoints = assert_matches_loop(
+            outcome, _, midpoints = assert_matches_loop(
                 RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
                 10.0 * cert.t_bound + 1.0)
             assert len(midpoints) == 1 and midpoints[0] >= 1
+            # the w = 1/y chart takes the pole in a few dozen steps; stepping
+            # y far into its singular tail took about 450 per call
+            assert len(outcome[1]) - 1 < 250
 
     @pytest.mark.parametrize("a,b,h0", [(1.0, 0.0, 0.0),    # y = 0 throughout
                                         (0.25, -1.0, 2.0)])  # h0 = +sqrt(|b|/a)
@@ -460,16 +468,14 @@ class TestOracleMatchesTableauLoop:
         assert rejected
 
     def test_pole_far_below_one(self):
-        # pole at 1.57e-50: the step floor follows the ODE's own time scale
-        outcome, _, midpoints = assert_matches_loop(RiccatiParams(a=1e-100, b=1e200, h0=0.0),
-                                                    1.0)
+        # pole at 1.57e-50: the step floor follows the ODE's own time scale,
+        # and the crossing width 1e-13 (t + h) follows the pole's
+        p = RiccatiParams(a=1e-100, b=1e200, h0=0.0)
+        outcome, _, midpoints = assert_matches_loop(p, 1.0)
         assert outcome[0] != "no pole"
-        # the crossing step is narrower than the crossing width 1e-13, so no
-        # midpoint is tried and the crossing state is the trial at lo_h = 0.0:
-        # the step's start, written a second time
-        times, values = outcome[1], outcome[2]
-        assert midpoints == [0]
-        assert times[-1] == times[-2] and values[-1] == values[-2]
+        lo, hi = outcome[0]
+        assert midpoints[0] >= 1
+        assert hi - lo <= 1e-8 * blowup_time_upper_bound(p)
 
     def test_non_finite_step_underflow(self):
         # y^2 overflows: the step is non-finite and shrinks below the floor
