@@ -18,10 +18,8 @@ b = 0 is the boundary, c = 0. Closed forms:
     b < 0:  Moebius form z = (y-c)/(y+c): z(t) = z0 e^{-2act},
             pole where z = 1, i.e. T = ln(z0)/(2ac) = arcoth(-h0/c)/sqrt(a|b|)
 
-all validated against the brute-force oracle integrate_comparison_ode, which
-steps y, then w = 1/y (w' = a + b w^2, which crosses 0 at the pole), and
-brackets the pole relative to its own time (tests/conftest.py holds the
-solutions as comparison_solution).
+all validated against the brute-force oracle integrate_comparison_ode
+(tests/conftest.py holds the solutions as comparison_solution).
 Strict inequalities are honored strictly; the equality lambda = M/V_sup
 with h0 < 0 is included as a documented boundary extension because the
 comparison ODE still blows up there.
@@ -160,43 +158,38 @@ class ComparisonPath:
 def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonPath:
     """Adaptive integration of y' = -a y^2 - b with pole bracketing.
 
-    Steps an embedded Cash-Karp 4(5) pair on y, with relative tolerance
-    ORACLE_REL_TOL and absolute ORACLE_ABS_TOL, until an accepted step takes
-    y below -2s, s = max(sqrt(|b|/a), |h0|). From there it steps w = 1/y,
-    which obeys w' = a + b w^2 and is regular at the pole, with the absolute
-    tolerance ORACLE_REL_TOL |w| at the switch. For b < 0, |w| <= 1/(2s)
-    keeps w' >= 3a/4 > 0, so w rises through 0 once, at the pole. A step
-    that ends at w >= 0 is bisected down to a relative width of
-    1e-13 (t + h), and its ends are the bracket. Raises NoPoleInHorizon if
-    the pole is not reached by `until` or the step underflows, and
-    ValueError if `until` is not finite: the loop would then never end.
-    `times` and `values` record y at the accepted steps, as 1/w in the
-    second chart.
+    Steps an embedded Cash-Karp 4(5) pair on y, from h = 0.01 of the ODE's
+    time scale and with the tolerance ORACLE_ABS_TOL s + ORACLE_REL_TOL |y|,
+    until an accepted step takes y below -2s, s = max(sqrt(|b|/a), |h0|).
+    From there it steps w = 1/y, which obeys w' = a + b w^2 and is regular
+    at the pole, with the absolute tolerance ORACLE_REL_TOL |w| at the
+    switch. For b < 0, |w| <= 1/(2s) keeps w' >= 3a/4 > 0, so w rises
+    through 0 once, at the pole. Trials inside the step that ends at w >= 0
+    bracket the crossing to 1e-13 (t + h): Newton on the length, slope w',
+    aimed a quarter of that width past the root to land across it, or the
+    midpoint when Newton leaves the bracket or two trials did not halve it.
+    Raises NoPoleInHorizon if the pole is not reached by `until` or the step
+    underflows, and ValueError if `until` is not finite. `times` and
+    `values` record y at the accepted steps, as 1/w in the second chart.
 
     Both charts are the quadratic form q u^2 - r: (q, r) = (-a, b) for y and
-    (b, -a) for w. So one loop body does every trial step of length h: the
-    adaptive steps and the bisection's midpoints. It does the floating-point
-    operations of the plain tableau-loop form in the same order: every stage
-    adds the terms (h*a_ij)*k_j left to right, both weighted sums run in
-    tableau order with the zero weights kept (0*inf is NaN, which rejects
-    the step), and each `x if x > y else y` picks the operand that max(y, x)
-    picks, NaN included. So brackets, times and values stay bit-identical
-    to that reference (tests/test_riccati.py).
+    (b, -a) for w, so one loop body does every trial step. It does the
+    floating-point operations of the plain tableau-loop reference in
+    tests/test_riccati.py in the same order, so brackets, times and values
+    equal that reference bit for bit.
     """
     if not math.isfinite(until):
         raise ValueError(f"until must be finite, got {until!r}")
     a, b, h0 = params.a, params.b, params.h0
-    # the scale of y, computed as equilibrium() computes c so that b/a
-    # cannot overflow; 2s is past it, so the switch leaves |w| <= 1/(2s)
-    s = math.sqrt(abs(b)) / math.sqrt(a)
-    y_switch = -2.0 * max(s, abs(h0))
-    # the step floor is 1e-15 of t, or of the ODE's time scale 1/rate where
-    # that is below 1; float_info.min keeps it positive if rate overflows
+    # s is computed as equilibrium() computes c, so that b/a cannot overflow.
+    # The ODE's time scale, 1/rate capped at 1, sets the first step (0.01 of
+    # it) and the step floor (1e-15 of it or of t; float_info.min at least)
+    s = max(math.sqrt(abs(b)) / math.sqrt(a), abs(h0))
     rate = math.sqrt(a * abs(b)) + a * abs(h0)
     t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
     isfinite = math.isfinite
     q, r = -a, b  # the chart's right-hand side is q u^2 - r
-    abs_tol, rel_tol = ORACLE_ABS_TOL, ORACLE_REL_TOL
+    abs_tol, rel_tol = ORACLE_ABS_TOL * s, ORACLE_REL_TOL
     w_chart = False
     # Cash-Karp embedded 5(4) tableau: stages a_ij, weights b5_j and b4_j
     a21 = 1 / 5
@@ -211,20 +204,26 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
                                     13525 / 55296, 277 / 14336, 1 / 4)
 
     t, u = 0.0, h0  # u is y, then w from the switch on
-    h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
+    h = 0.01 * t_scale
     times = [t]
     values = [u]
     add_time = times.append
     add_value = values.append
     au = abs(u)
     hi_h = None  # the crossing lies in [t + lo_h, t + hi_h] once a step finds it
-    while t < until:  # t stays put while the crossing is bisected
+    while t < until:  # t stays put while the crossing is searched
         if hi_h is None:
-            rest = until - t
-            if rest < h:
-                h = rest
+            if until - t < h:  # the last step ends at the horizon
+                h = until - t
         elif hi_h - lo_h > width:
-            h = 0.5 * (lo_h + hi_h)
+            # Newton from the last trial (h, u_new), nudged across the root; the
+            # midpoint for a slope <= 0 (NaN), a point outside or a slow bracket
+            slope = q * u_new * u_new - r
+            h = h - u_new / slope if slope > 0.0 else math.nan
+            h += -nudge if u_new >= 0.0 else nudge
+            if not (lo_h < h < hi_h and hi_h - lo_h <= 0.5 * span2):
+                h = 0.5 * (lo_h + hi_h)
+            span2, span1 = span1, hi_h - lo_h
         else:
             return ComparisonPath(np.array(times), np.array(values),
                                   (t + lo_h, t + hi_h))
@@ -262,18 +261,19 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
                                       np.array(times), np.array(values))
             continue
         if w_chart and u_new >= 0.0:
-            # bisect the crossing time inside this step
-            lo_h, hi_h = 0.0, h
+            # search the crossing; span2, span1: the bracket's widths 2 and 1 trials ago
+            lo_h, hi_h, span2, span1 = 0.0, h, math.inf, math.inf
             width = 1e-13 * (t + h)
+            nudge = 0.25 * width
             continue
         t += h
         u = u_new
         au = an
         add_time(t)
         add_value(1.0 / u if w_chart else u)
-        g = 0.9 * (tol / (1e-300 if err < 1e-300 else err)) ** 0.2
+        g = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
         h *= 5.0 if g > 5.0 else (g if g > 0.2 else 0.2)
-        if u < y_switch and not w_chart:
+        if not w_chart and u < -2.0 * s:
             u = 1.0 / u
             q, r = b, -a
             abs_tol, rel_tol = ORACLE_REL_TOL * abs(u), 0.0

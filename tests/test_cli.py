@@ -307,11 +307,11 @@ class TestLambdaAtRatio:
         assert result.exit_code == EXIT_OK, result.output
         if command == "certify":
             assert result.output.startswith(f"case: {case}; t_bound: ")
-            if name == "dense-slab":
-                # t_bound 5e-73: the oracle's step floor and crossing width
-                # both follow the pole's own scale
-                assert_pole_agrees(yaml.safe_load(
-                    (tmp_path / "out" / "certificate.yaml").read_text()))
+            # the slab's t_bound is 2.1e8, the dense slab's 5e-73: the
+            # oracle's tolerance, first step, step floor and crossing width
+            # all follow the ODE's own scale
+            assert_pole_agrees(yaml.safe_load(
+                (tmp_path / "out" / "certificate.yaml").read_text()))
         else:
             assert "certificate honored" in result.output
 
@@ -373,6 +373,17 @@ class TestCertify:
         assert doc["case"] == "NoCertificate"
         assert doc["t_bound"] is None
         assert "oracle_cross_check" not in doc
+
+    def test_long_boundary_bound_agrees(self, runner, tmp_path):
+        # lambda = M/v_sup with a Hubble rate of -1e-7: Boundary, t_bound 1e7.
+        # An absolute tolerance of 1e-12 against |y| ~ 1e-7 put the pole
+        # 1.8e-6 relative past the bound
+        doc = certify_doc(runner, tmp_path, fast_scenario(tmp_path, **{
+            "lambda": 0.5, "initial_profile": {
+                "density": {"kind": "uniform", "value": 0.5, "support": [-1.0, 1.0]},
+                "velocity": {"kind": "hubble", "rate": -1e-7}}}))
+        assert doc["case"] == "Boundary" and doc["t_bound"] == pytest.approx(1e7)
+        assert_pole_agrees(doc)
 
     def test_horizon_past_the_largest_double_is_capped(self, runner, tmp_path):
         # Boundary with a Hubble rate of -1e-308: t_bound = -1/(a h0) is about

@@ -15,6 +15,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
@@ -422,9 +423,25 @@ def test_step_underflow():
             pass
 
 
-def test_runtime_does_not_import_scipy():
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is a test dependency only: no file of the package names it, and
+    # simulate and verify run to exit 0 in a fresh interpreter without it
+    assert not [path for path in (ROOT / "src" / "dustlab").rglob("*")
+                if path.is_file() and b"scipy" in path.read_bytes()]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    code = "import dustlab.cli, sys; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = textwrap.dedent("""
+        import sys
+        from dustlab.cli import main
+        for command in ("simulate", "verify"):
+            try:
+                main([command, "--scenario", sys.argv[1], "--out", sys.argv[2] + command])
+            except SystemExit as stop:
+                assert stop.code == 0, (command, stop.code)
+        assert "scipy" not in sys.modules, "scipy was imported"
+    """)
+    result = subprocess.run([sys.executable, "-c", code,
+                             str(ROOT / "scenarios" / "uniform_ball_n3.yaml"),
+                             str(tmp_path) + os.sep], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

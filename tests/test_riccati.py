@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +27,13 @@ from conftest import BeyondBlowup, comparison_solution
 # loop, for both the y and the w = 1/y chart. This is the loop form it
 # replaced: the right-hand side through one closure per chart, the stages
 # and weighted sums through zip over the tableau, the step control through
-# min/max, and the crossing bisection in a loop of its own. The inline step
-# and the comparisons that replace min/max keep every operation in the same
-# order (b w w - (-a) is b w w + a exactly), so brackets, times and values
-# must be equal (==).
+# min/max, and the crossing search in a loop of its own. The inline step
+# keeps every operation in the same order: each stage adds the terms
+# (h*a_ij)*k_j left to right, both weighted sums run in tableau order with
+# the zero weights kept (0*inf is NaN, which rejects the step), each
+# `x if x > y else y` picks the operand that max(y, x) picks, NaN included,
+# and b w w - (-a) is b w w + a exactly. So brackets, times and values must
+# be equal (==).
 
 LOOP_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 LOOP_A = (
@@ -57,15 +61,29 @@ def loop_ck_step(f, t, y, h):
     return y5, abs(y5 - y4)
 
 
-def loop_comparison_ode(params, until, rejected, midpoints):
+@dataclass
+class Crossing:
+    """The step that carried w across 0, from (t, w) over h, its bracket
+    [t + lo_h, t + hi_h] and the search's trial count."""
+    f: object
+    t: float
+    w: float
+    h: float
+    lo_h: float
+    hi_h: float
+    trials: int
+
+
+def loop_comparison_ode(params, until, rejected, crossings):
     """The oracle's step control, chart switch and pole bracketing around
     loop_ck_step.
 
-    Appends the time of every rejected step to ``rejected``, and the number
-    of the crossing bisection's midpoint trials to ``midpoints``.
+    Appends (t, factor) for every rejected step to ``rejected``, with the
+    shrink factor before its 0.2 floor (NaN for a non-finite step), and the
+    Crossing to ``crossings``.
     """
     a, b, h0 = params.a, params.b, params.h0
-    y_switch = -2.0 * max(math.sqrt(abs(b)) / math.sqrt(a), abs(h0))
+    s = max(math.sqrt(abs(b)) / math.sqrt(a), abs(h0))
     rate = math.sqrt(a * abs(b)) + a * abs(h0)
     t_scale = 1.0 if rate <= 1.0 else max(1.0 / rate, sys.float_info.min)
 
@@ -77,46 +95,77 @@ def loop_comparison_ode(params, until, rejected, midpoints):
 
     f, w_tol = f_y, None  # w_tol: the absolute tolerance once in the w chart
     t, u = 0.0, h0
-    h = 0.01 / (1.0 + a * h0 * h0 + abs(b))
+    h = 0.01 * t_scale
     times = [t]
     values = [u]
     while t < until:
         h = min(h, until - t)
         u_new, err = loop_ck_step(f, t, u, h)
         if w_tol is None:
-            tol = ORACLE_ABS_TOL + ORACLE_REL_TOL * max(abs(u), abs(u_new))
+            tol = ORACLE_ABS_TOL * s + ORACLE_REL_TOL * max(abs(u), abs(u_new))
         else:
             tol = w_tol
         if not math.isfinite(u_new) or err > tol:
-            rejected.append(t)
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2) if math.isfinite(u_new) else 0.2
+            factor = 0.9 * (tol / err) ** 0.2 if math.isfinite(u_new) else math.nan
+            rejected.append((t, factor))
+            h *= max(0.2, factor) if math.isfinite(u_new) else 0.2
             if h < 1e-15 * max(t_scale, t):
                 raise NoPoleInHorizon("step underflow before the pole",
                                       np.array(times), np.array(values))
             continue
         if w_tol is not None and u_new >= 0.0:
+            # Newton on the trial length, aimed a quarter width past the
+            # root; the midpoint where the slope is not positive, the Newton
+            # point is not inside the bracket, or the last two trials did not
+            # halve the bracket
             lo_h, hi_h = 0.0, h
-            midpoints.append(0)
-            while hi_h - lo_h > 1e-13 * (t + h):
-                midpoints[-1] += 1
+            width = 1e-13 * (t + h)
+            spans = [math.inf, math.inf, hi_h - lo_h]
+            trial, w_trial, trials = h, u_new, 0
+            while hi_h - lo_h > width:
+                slope = f(t, w_trial)
                 mid = 0.5 * (lo_h + hi_h)
-                w_mid, _ = loop_ck_step(f, t, u, mid)
-                if w_mid >= 0.0:
-                    hi_h = mid
+                if slope > 0 and spans[-1] <= 0.5 * spans[-3]:
+                    shift = -width / 4 if w_trial >= 0.0 else width / 4
+                    newton = trial - w_trial / slope + shift
+                    trial = newton if lo_h < newton < hi_h else mid
                 else:
-                    lo_h = mid
+                    trial = mid
+                trials += 1
+                w_trial, _ = loop_ck_step(f, t, u, trial)
+                if w_trial >= 0.0:
+                    hi_h = trial
+                else:
+                    lo_h = trial
+                spans.append(hi_h - lo_h)
+            crossings.append(Crossing(f, t, u, h, lo_h, hi_h, trials))
             return ComparisonPath(np.array(times), np.array(values),
                                   (t + lo_h, t + hi_h))
         t += h
         u = u_new
         times.append(t)
         values.append(u if w_tol is None else 1.0 / u)
-        h *= min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-        if w_tol is None and u < y_switch:
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+        if w_tol is None and u < -2.0 * s:
             u = 1.0 / u
             f, w_tol = f_w, ORACLE_REL_TOL * abs(u)
     raise NoPoleInHorizon(f"no pole before t={until:g}",
                           np.array(times), np.array(values))
+
+
+def bisect_crossing(crossing):
+    """The crossing bracketed by bisection alone, from the same step:
+    (lo, hi, trials)."""
+    c = crossing
+    lo_h, hi_h, trials = 0.0, c.h, 0
+    while hi_h - lo_h > 1e-13 * (c.t + c.h):
+        trials += 1
+        mid = 0.5 * (lo_h + hi_h)
+        if loop_ck_step(c.f, c.t, c.w, mid)[0] >= 0.0:
+            hi_h = mid
+        else:
+            lo_h = mid
+    return c.t + lo_h, c.t + hi_h, trials
 
 
 class TestConditions:
@@ -398,12 +447,27 @@ def oracle_outcome(oracle, params, until):
 
 def assert_matches_loop(params, until):
     """Asserts bit-equal outcomes; returns the outcome, the reference's
-    rejected-step times and its midpoint-trial count per crossing."""
-    rejected, midpoints = [], []
-    expected = oracle_outcome(lambda p, u: loop_comparison_ode(p, u, rejected, midpoints),
+    rejected steps and its crossings."""
+    rejected, crossings = [], []
+    expected = oracle_outcome(lambda p, u: loop_comparison_ode(p, u, rejected, crossings),
                               params, until)
     assert oracle_outcome(integrate_comparison_ode, params, until) == expected
-    return expected, rejected, midpoints
+    return expected, rejected, crossings
+
+
+def assert_crossing_searched(crossings):
+    """One crossing, searched in 1 to 6 trials and in no more than bisection
+    takes, whose bracket holds w's sign change under one step from the
+    crossing step's start and overlaps the bracket that bisection alone
+    finds from the same step."""
+    assert len(crossings) == 1
+    c = crossings[0]
+    assert 1 <= c.trials <= 6
+    assert loop_ck_step(c.f, c.t, c.w, c.lo_h)[0] < 0.0
+    assert loop_ck_step(c.f, c.t, c.w, c.hi_h)[0] >= 0.0
+    lo, hi, trials = bisect_crossing(c)
+    assert c.trials <= trials
+    assert max(lo, c.t + c.lo_h) <= min(hi, c.t + c.hi_h)
 
 
 class TestOracleMatchesTableauLoop:
@@ -420,10 +484,8 @@ class TestOracleMatchesTableauLoop:
                 b = -rng.uniform(0.2, 2.0)
                 h0 = -math.sqrt(-b / a) * (1.0 + rng.uniform(0.05, 2.0))
             p = RiccatiParams(a=a, b=b, h0=h0)
-            _, _, midpoints = assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
-            # the bisection's midpoint trials run: the crossing step is wider
-            # than the crossing width
-            assert len(midpoints) == 1 and midpoints[0] >= 1
+            _, _, crossings = assert_matches_loop(p, 10.0 * blowup_time_upper_bound(p) + 1.0)
+            assert_crossing_searched(crossings)
 
     @pytest.mark.parametrize("case", [Case.CASE_ONE, Case.BOUNDARY, Case.CASE_TWO])
     def test_seeded_atlas_range_draws(self, case):
@@ -445,10 +507,10 @@ class TestOracleMatchesTableauLoop:
                 h0 = -c * rng.uniform(1.05, 4.0)
             cert = check_blowup_conditions(mass, v_sup, lam, n, h0)
             assert cert.case is case
-            outcome, _, midpoints = assert_matches_loop(
+            outcome, _, crossings = assert_matches_loop(
                 RiccatiParams.from_macroscopic(mass, v_sup, lam, n, h0),
                 10.0 * cert.t_bound + 1.0)
-            assert len(midpoints) == 1 and midpoints[0] >= 1
+            assert_crossing_searched(crossings)
             # the w = 1/y chart takes the pole in a few dozen steps; stepping
             # y far into its singular tail took about 450 per call
             assert len(outcome[1]) - 1 < 250
@@ -468,28 +530,30 @@ class TestOracleMatchesTableauLoop:
         assert rejected
 
     def test_pole_far_below_one(self):
-        # pole at 1.57e-50: the step floor follows the ODE's own time scale,
-        # and the crossing width 1e-13 (t + h) follows the pole's
+        # pole at 1.57e-50: the first step and the step floor follow the
+        # ODE's own time scale, and the crossing width 1e-13 (t + h) follows
+        # the pole's
         p = RiccatiParams(a=1e-100, b=1e200, h0=0.0)
-        outcome, _, midpoints = assert_matches_loop(p, 1.0)
+        outcome, _, crossings = assert_matches_loop(p, 1.0)
         assert outcome[0] != "no pole"
         lo, hi = outcome[0]
-        assert midpoints[0] >= 1
+        assert_crossing_searched(crossings)
         assert hi - lo <= 1e-8 * blowup_time_upper_bound(p)
+        # a first step of 0.01 / (1 + |b|) took 270 steps, most of them
+        # growing h by the 5x cap
+        assert len(outcome[1]) - 1 < 100
 
     def test_non_finite_step_underflow(self):
-        # y^2 overflows: the step is non-finite and shrinks below the floor
+        # y^2 overflows: every trial from t = 0 is non-finite, and h shrinks
+        # by 0.2 from 0.01 t_scale to below the floor 1e-15 t_scale
         outcome, rejected, _ = assert_matches_loop(RiccatiParams(a=1.0, b=0.5, h0=-1e200),
                                                    5.0)
-        assert outcome[0] == "no pole" and rejected == [0.0]
+        assert outcome[0] == "no pole" and outcome[1] == [0.0]
+        assert len(rejected) == 19 and all(t == 0.0 and math.isnan(factor)
+                                           for t, factor in rejected)
 
     @pytest.mark.parametrize("a,b,h0,until", [(1.0, -1.0, 0.5, 10.0),  # bounded branch
                                               (1.0, 0.5, 0.0, 1.0),  # horizon too short
-                                              # bounded branch from a large start: near
-                                              # t = 0.55 a rejected step's factor
-                                              # 0.9 (tol/err)^0.2 is below the 0.2 floor
-                                              (0.556597980540163, -0.45662029844296415,
-                                               69519.43552157843, 10.0),
                                               # a |h0| overflows, so the ODE's time
                                               # scale rounds to 0; the step floor
                                               # stays positive and the loop ends
@@ -497,6 +561,14 @@ class TestOracleMatchesTableauLoop:
     def test_no_pole_in_horizon(self, a, b, h0, until):
         outcome, _, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), until)
         assert outcome[0] == "no pole"
+
+    def test_shrink_factor_below_floor(self):
+        # bounded branch from above: near t = 0.36 a rejected step's factor
+        # 0.9 (tol/err)^0.2 is below the 0.2 floor
+        outcome, rejected, _ = assert_matches_loop(RiccatiParams(a=0.12, b=-0.07, h0=3.0),
+                                                   10.0)
+        assert outcome[0] == "no pole"
+        assert any(factor < 0.2 for _, factor in rejected)
 
 
 def bounds(density, div0, n=1):
