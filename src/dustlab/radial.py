@@ -21,7 +21,7 @@ unique radially symmetric particular solution for the -lambda source.
 
 This module holds the force law only: model_rhs, these derivatives on the
 views of the solver vector [r, u, rho, l1, l2] that _integrate runs, is its
-one form (du is -Phi_r per shell, 0 at the center).
+one form; _centre_rates patches the few shells at or near the center.
 """
 
 from __future__ import annotations
@@ -35,35 +35,12 @@ from .core import ValidatedScenario, unit_sphere_area
 _R_FLOOR = 1e-300
 
 
-def _shell_constants(masses, n):
-    """Run constants of the shell force law, which depend on the masses and
-    N alone: the enclosed mass of every shell (half-self convention), sigma,
-    and the radius above which no floor or mask of _phi_r and _derivatives
-    acts."""
-    m_enc = np.cumsum(masses) - 0.5 * masses
-    sigma = unit_sphere_area(n)
-    # twice the larger of two radii, so that no rounding above it reaches a
-    # limit: the (N-1)-th root of the floor of r^(N-1), and the radius where
-    # the largest m_enc/(sigma r^N), the size of Phi_r/r, reaches 1e300
-    r_unmasked = 2.0 * max(_R_FLOOR ** (1.0 / (n - 1)),
-                           (float(m_enc[-1]) * _R_FLOOR / sigma) ** (1.0 / n))
-    return m_enc, sigma, r_unmasked
-
-
-def _phi_r(constants, radii, lam, n):
-    """Radial potential gradient at every shell, half-self-mass convention.
-
-    Odd in r (field of the enclosed mass mirrored through the origin) so
-    trial integrator stages that momentarily cross r=0 stay finite-valued;
-    zero at r=0 in every dimension, where r^(N-1) is floored.
-    """
-    m_enc, sigma, _ = constants
-    r_pow = np.maximum(np.abs(radii) ** (n - 1), _R_FLOOR)
-    grad = np.sign(radii) * m_enc / (sigma * r_pow)
-    return grad - lam * radii / n
-
-
-def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
+def _centre_rates(r, rho, l1, l2, m_enc, sigma, lam, n):
+    """du, dl1 and dl2 of shells at or near the center, with the floor and
+    limits model_rhs's law leaves out: Phi_r is odd in r, so trial stages
+    that cross r=0 stay finite, and 0 at r=0, where r^(N-1) is floored."""
+    r_pow = np.maximum(np.abs(r) ** (n - 1), _R_FLOOR)
+    phi_r = np.sign(r) * m_enc / (sigma * r_pow) - lam * r / n
     center = np.abs(r) <= _R_FLOOR
     du = np.where(center, 0.0, -phi_r)
     with np.errstate(over="ignore"):
@@ -74,12 +51,9 @@ def _derivatives(r, u, rho, l1, l2, phi_r, lam, n):
     # into the radial one there (removable singularity), l2 continued by l1
     tiny = np.isinf(tangential)
     phi_r_over_r[tiny] = tangential[tiny] = 0.0
-    center |= tiny
     dl1 = -l1 * l1 - ((rho - lam) - tangential)
-    dl2 = -l2 * l2 - phi_r_over_r
-    dl2 = np.where(center, dl1, dl2)
-    drho = -rho * (l1 + (n - 1) * l2)
-    return u, du, drho, dl1, dl2
+    dl2 = np.where(center | tiny, dl1, -l2 * l2 - phi_r_over_r)
+    return du, dl1, dl2
 
 
 def model_rhs(vs: ValidatedScenario):
@@ -91,9 +65,15 @@ def model_rhs(vs: ValidatedScenario):
     masses = vs.masses
     n_dim = vs.dimension
     n = masses.size
-    constants = _shell_constants(masses, n_dim)
-    m_enc, sigma, r_unmasked = constants
     nm1 = n_dim - 1
+    # the enclosed mass of every shell (half-self convention)
+    m_enc = np.cumsum(masses) - 0.5 * masses
+    sigma = unit_sphere_area(n_dim)
+    # twice the larger of two radii, so that no rounding above it reaches a
+    # limit: the (N-1)-th root of the floor of r^(N-1), and the radius where
+    # the largest m_enc/(sigma r^N), the size of Phi_r/r, reaches 1e300
+    r_unmasked = 2.0 * max(_R_FLOOR ** (1.0 / nm1),
+                           (float(m_enc[-1]) * _R_FLOOR / sigma) ** (1.0 / n_dim))
     background = vs.lam != 0.0
     # the scalar operands as 0-d arrays: NumPy resolves a Python scalar
     # operand anew on every call
@@ -107,16 +87,18 @@ def model_rhs(vs: ValidatedScenario):
 
     def rhs(t, yv, fv):
         _, r, u, rho, l1, l2, _, _, l12 = yv
-        f, dr, du, drho, _, _, rates, _, dl12 = fv
+        f, dr, du, drho, dl1, dl2, rates, _, dl12 = fv
+        near = None
         # the smallest radius, or the first NaN; r[argmin] costs less than
         # r.min() on a few dozen shells
         if not r[r.argmin()] > r_unmasked:
-            # a shell at or near the center: the masked arithmetic
-            phi_r = _phi_r(constants, r, vs.lam, n_dim)
-            return np.concatenate(_derivatives(r, u, rho, l1, l2, phi_r, vs.lam, n_dim),
-                                  out=f)
-        # _phi_r and _derivatives with their floors and masks dropped, which
-        # change no value here, and with the lambda terms dropped at lambda =
+            # shells at or below r_unmasked, NaN too, run the law below at
+            # r = 1 on a copy; _centre_rates then overwrites du, dl1 and dl2
+            near = np.flatnonzero(~(r > r_unmasked))
+            r_near, r = r[near], r.copy()
+            r[near] = 1.0
+        # _centre_rates with its floor and limits dropped, which change no
+        # value above r_unmasked, and with the lambda terms dropped at lambda =
         # 0, where they are exact no-ops (x - 0.0 = x, and 0.0 r = 0 for the
         # finite r > 0 of a step that can be accepted). Fields next to each
         # other share one call: l1^2 with l2^2, negations, subtractions.
@@ -134,6 +116,9 @@ def model_rhs(vs: ValidatedScenario):
         # negated in one call
         np.negative(rates, out=rates)
         np.subtract(dl12, sub, out=dl12)
+        if near is not None:
+            du[near], dl1[near], dl2[near] = _centre_rates(
+                r_near, rho[near], l1[near], l2[near], m_enc[near], sigma, vs.lam, n_dim)
         return f
 
     return rhs

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import _integrate, _model_rhs, functional, radial, simulate
+from dustlab import _integrate, _model_rhs, functional, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
-                          UniformVelocity, ball_volume, validate_scenario)
+                          UniformVelocity, ball_volume, unit_sphere_area,
+                          validate_scenario)
 from dustlab.riccati import RiccatiParams, blowup_time_upper_bound
 
 FAST = NumericalSettings(rel_tol=1e-9, abs_tol=1e-11)
@@ -122,14 +123,34 @@ def step_row(state):
     return reduce(state.time, split(np.concatenate(fields)))
 
 
+# the floor of r^(N-1) in the masked shell arithmetic
+R_FLOOR = 1e-300
+
+
 def masked_shell_rhs(vs, y):
     """The shell derivatives on the solver vector y by the masked arithmetic
-    of radial._phi_r and radial._derivatives, which the model closure falls
-    back to when a shell is at or near the centre."""
-    n = vs.dimension
+    of the shell force law, every field of every shell at once: Phi_r odd in
+    r with r^(N-1) floored, du = 0 at |r| <= R_FLOOR, and Phi_r/r -> 0 with
+    dl2 = dl1 where r = 0 or (N-1) Phi_r/r overflows. The model closure must
+    give its bytes on every vector."""
+    n, lam = vs.dimension, vs.lam
     r, u, rho, l1, l2 = np.split(y, 5)
-    phi_r = radial._phi_r(radial._shell_constants(vs.masses, n), r, vs.lam, n)
-    return np.concatenate(radial._derivatives(r, u, rho, l1, l2, phi_r, vs.lam, n))
+    m_enc = np.cumsum(vs.masses) - 0.5 * vs.masses
+    r_pow = np.maximum(np.abs(r) ** (n - 1), R_FLOOR)
+    phi_r = np.sign(r) * m_enc / (unit_sphere_area(n) * r_pow) - lam * r / n
+    center = np.abs(r) <= R_FLOOR
+    du = np.where(center, 0.0, -phi_r)
+    with np.errstate(over="ignore"):
+        phi_r_over_r = phi_r / np.where(r == 0.0, R_FLOOR, r)
+        tangential = (n - 1) * phi_r_over_r
+    tiny = np.isinf(tangential)
+    phi_r_over_r[tiny] = tangential[tiny] = 0.0
+    center |= tiny
+    dl1 = -l1 * l1 - ((rho - lam) - tangential)
+    dl2 = -l2 * l2 - phi_r_over_r
+    dl2 = np.where(center, dl1, dl2)
+    drho = -rho * (l1 + (n - 1) * l2)
+    return np.concatenate((u, du, drho, dl1, dl2))
 
 
 def collapse_scenarios_1d():

@@ -1,18 +1,20 @@
 """The model RHS each geometry hands the integrator (the ``rhs`` closure of
 ``model_rhs``, the one form of its force law) against a reference state
 function, compared bit for bit on seeded random states. The slab's reference
-is its formula evaluated with temporaries. The shells' is the masked
-arithmetic of ``radial._phi_r`` and ``radial._derivatives``, which the
-closure falls back to when a shell is at or near the centre and which its
-fast path must equal everywhere else.
+is its formula evaluated with temporaries. The shells' is
+``conftest.masked_shell_rhs``, the masked arithmetic of every field of every
+shell at once, on radii clear of the origin, with a shell at the centre, and
+with radii on both sides of it, as trial stages that cross r = 0 have them.
 
 The closures compute their run constants (and the shells' scratch) once.
 Called as rhs(t, yv, fv) on the views the run's split makes, they write the
 derivative into the vector fv splits, a row of the stepper's stage block,
 and return it; the flat form scipy's RK45 calls (conftest.flat) splits a
-new vector and returns it, which the caller may keep. The shell closure
-drops the centre masks when every radius is clear of the floor and of
-overflow. None of that may change a bit.
+new vector and returns it, which the caller may keep. The shell closure runs
+one law without the reference's floor and masks on every shell, then
+overwrites du, dl1 and dl2 of the few shells at or below the radius where
+those could act. None of that may change a bit, nor which floating-point
+errors a call raises.
 """
 
 from dataclasses import replace
@@ -21,12 +23,17 @@ import numpy as np
 import pytest
 
 from dustlab import _integrate, _model_rhs, geometry1d
-from dustlab.core import validate_scenario
+from dustlab.core import MAX_DIMENSION, validate_scenario
 
 from conftest import flat, make_ball, make_slab, masked_shell_rhs
 
 MARKERS = 24
 LAMBDAS = (0.0, 0.37)
+# radii at or next to r = 0: zeros of both signs, a subnormal, and radii at
+# which (N-1) Phi_r/r overflows in some dimension
+NEAR_ORIGIN = (0.0, -0.0, 1e-310, -1e-310, 1e-160, -1e-200, 1e-90, -1e-90)
+# every floating-point error, then those a run raises on (dustlab.simulate)
+GUARDS = (dict(all="raise"), dict(over="raise", divide="raise", invalid="raise"))
 
 
 def model(vs, rng):
@@ -53,8 +60,8 @@ def slab_vector(rng):
                            rng.uniform(0.1, 2.0, MARKERS), rng.normal(size=MARKERS)))
 
 
-def shell_vector(rng, inner=None):
-    r = np.sort(rng.uniform(0.05, 1.5, MARKERS))
+def shell_vector(rng, inner=None, low=0.05):
+    r = np.sort(rng.uniform(low, 1.5, MARKERS))
     if inner is not None:
         r[0] = inner
     return np.concatenate((r, rng.normal(size=MARKERS),
@@ -67,16 +74,42 @@ def centred_shell_vector(rng):
     return shell_vector(rng, inner=0.0)
 
 
+def crossing_shell_vector(rng):
+    # radii on both sides of the origin, where Phi_r is continued oddly, and
+    # up to three shells at or next to it
+    y = shell_vector(rng, low=-0.3)
+    k = rng.integers(4)
+    y[rng.choice(MARKERS, k, replace=False)] = rng.choice(NEAR_ORIGIN, k)
+    return y
+
+
 def cases():
     for lam in LAMBDAS:
         yield pytest.param(make_slab(lam=lam, markers=MARKERS), slab_vector,
                            slab_formula, id=f"slab-lam{lam}")
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, MAX_DIMENSION):
             ball = make_ball(n=n, lam=lam, markers=MARKERS)
             yield pytest.param(ball, shell_vector, masked_shell_rhs,
                                id=f"ball{n}-lam{lam}")
             yield pytest.param(ball, centred_shell_vector, masked_shell_rhs,
                                id=f"ball{n}-lam{lam}-centre")
+            yield pytest.param(ball, crossing_shell_vector, masked_shell_rhs,
+                               id=f"ball{n}-lam{lam}-crossing")
+
+
+def outcome(fn, *args):
+    """Whether fn(*args) raises a FloatingPointError under each of GUARDS,
+    and the bytes it returns with every floating-point error ignored."""
+    raised = []
+    for guard in GUARDS:
+        try:
+            with np.errstate(**guard):
+                fn(*args)
+            raised.append(False)
+        except FloatingPointError:
+            raised.append(True)
+    with np.errstate(all="ignore"):
+        return raised, fn(*args).tobytes()
 
 
 @pytest.mark.parametrize("scenario, vector, reference", cases())
@@ -84,11 +117,9 @@ def test_closure_matches_state_function_bit_for_bit(scenario, vector, reference)
     rng = np.random.default_rng(20261018)
     vs, rhs, split = model(validate_scenario(scenario), rng)
     rhs = flat(rhs, split)
-    with np.errstate(all="raise"):
-        for _ in range(5):
-            y = vector(rng)
-            expected = reference(vs, y)
-            assert rhs(0.0, y).tobytes() == expected.tobytes()
+    for _ in range(5):
+        y = vector(rng)
+        assert outcome(rhs, 0.0, y) == outcome(reference, vs, y)
 
 
 @pytest.mark.parametrize("scenario, vector, reference", cases())
@@ -97,9 +128,11 @@ def test_each_call_returns_a_new_vector(scenario, vector, reference):
     _, rhs, split = model(validate_scenario(scenario), rng)
     rhs = flat(rhs, split)
     y1, y2 = vector(rng), vector(rng)
-    f1 = rhs(0.0, y1)
-    kept = f1.copy()
-    f2 = rhs(0.0, y2)
+    # which errors a call raises is the first test's concern
+    with np.errstate(all="ignore"):
+        f1 = rhs(0.0, y1)
+        kept = f1.copy()
+        f2 = rhs(0.0, y2)
     assert not np.shares_memory(f1, f2)
     assert not np.shares_memory(f1, y1) and not np.shares_memory(f2, y2)
     assert f1.tobytes() == kept.tobytes()
@@ -113,10 +146,11 @@ def test_out_receives_the_same_bytes(scenario, vector, reference):
     silent copy takes the writes), and leaves y and the other rows as they
     were. One closure, called on state after state, gives each state the
     bytes a fresh closure gives it: its scratch carries nothing from one
-    call to the next."""
+    call to the next. Which errors a call raises is the first test's
+    concern."""
     rng = np.random.default_rng(11)
     vs, rhs, split = model(validate_scenario(scenario), rng)
-    with np.errstate(all="raise"):
+    with np.errstate(all="ignore"):
         for _ in range(3):
             y = vector(rng)
             kept = y.copy()
@@ -132,6 +166,19 @@ def test_out_receives_the_same_bytes(scenario, vector, reference):
                 others = np.arange(7) != s
                 assert block[others].tobytes() == stale[others].tobytes()
                 assert y.tobytes() == kept.tobytes()
+
+
+def test_guard_sees_every_shell_beside_the_centre():
+    """A shell at the centre does not hide a floating-point error elsewhere:
+    with shell 0 at r = 0, shell 5's drho = -rho (l1 + (N-1) l2) overflows,
+    and the closure raises under a run's guard, as the reference does."""
+    vs = validate_scenario(make_ball(n=3, lam=0.2, markers=8))
+    yv, split, _, _ = _integrate.layout(vs)
+    _, r, _, rho, l1, _, _, _, _ = yv
+    r[0], rho[5], l1[5] = 0.0, 1e300, 1e10
+    for rhs in (flat(_model_rhs(vs), split), lambda t, y: masked_shell_rhs(vs, y)):
+        with pytest.raises(FloatingPointError), np.errstate(**GUARDS[1]):
+            rhs(0.0, yv[0])
 
 
 @pytest.mark.parametrize("lam", [0.37, -1.3])

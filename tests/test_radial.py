@@ -105,7 +105,7 @@ class TestCenterShell:
     def test_tiny_radius_takes_the_center_limit(self, n, r0):
         # (N-1) Phi_r/r ~ m/(sigma r^N) overflows at these radii; the shell's
         # eigenvalue rates take the center limit instead of +-inf, in the
-        # model closure as in the masked arithmetic it falls back to there
+        # model closure, which patches the shell, as in the masked reference
         lam = 0.2
         vs = validate_scenario(make_ball(n=n, lam=lam, markers=8,
                                          velocity=HubbleVelocity(-0.3)))
