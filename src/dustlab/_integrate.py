@@ -21,7 +21,8 @@ its three work vectors, the states in hand and the reducer's scratch block);
 tests/test_integrate.py bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
-keep_states=True asks for every one.
+keep_states=True asks for every one. The first is vs.initial itself, and
+every later one is unpacked from its solver vector.
 """
 
 from __future__ import annotations
@@ -272,15 +273,16 @@ def splitter(n, dimension):
 
 
 def layout(vs: ValidatedScenario):
-    """The views y0 of the initial markers' solver vector and the three maps
-    a run needs: split, unpack(t, yv) builds the FieldState of a solver
+    """The views y0 of the solver vector of vs.initial's fields and the three
+    maps a run needs: split, unpack(t, yv) builds the FieldState of a solver
     vector from its views (no solver vector is written after it is
     published), and reduce(t, yv, fv=None) its functional.StepRow, with the
     rate column from the RHS views fv (NaN without them)."""
-    masses, dim = vs.masses, vs.dimension
-    fields = [vs.positions, vs.velocities, vs.densities, vs.eig_radial]
+    init = vs.initial
+    masses, dim = init.masses, init.dimension
+    fields = [init.positions, init.velocities, init.densities, init.eig_radial]
     if dim > 1:
-        fields.append(vs.eig_tangential)
+        fields.append(init.eig_tangential)
     split = splitter(masses.size, dim)
 
     def unpack(t, yv):
@@ -303,7 +305,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
     # column costs no extra RHS evaluation
     rows = [reduce(0.0, y0, stepper.fv)]
-    states = [unpack(0.0, y0)]
+    states = [vs.initial]
     t_last, y_last = 0.0, y0
     event = None
     for _ in stepper.steps():

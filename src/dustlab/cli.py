@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__, functional, riccati, simulate
-from .core import divergence, load_scenario, validate_scenario
+from .core import load_scenario, validate_scenario
 from .detector import EscapeStatus, escape_report
 from .errors import DustLabError, NoPoleInHorizon, NumericFailure, ValidationError
 
@@ -143,9 +143,8 @@ def _certificate_doc(vs):
         except NoPoleInHorizon:
             doc["oracle_cross_check"] = {"pole_bracket": None, "agrees": False}
     if vs.lam == 0.0:
-        bounds = riccati.chae_tadmor_bounds(
-            vs.densities, divergence(vs.eig_radial, vs.eig_tangential, vs.dimension),
-            vs.dimension)
+        bounds = riccati.chae_tadmor_bounds(vs.initial.densities, vs.initial.div_u(),
+                                            vs.dimension)
         doc["chae_tadmor"] = {
             "applicable_markers": int(bounds.size),
             "min_bound": float(bounds.min()) if bounds.size else None,

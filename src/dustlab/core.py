@@ -254,16 +254,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidatedScenario:
-    """Normalized scenario plus its initial marker discretization."""
+    """Normalized scenario plus its initial marker discretization: initial is
+    the FieldState at t = 0, whose masses every later state shares, and it
+    is the run's first state (Trajectory.states[0] is this object)."""
 
     scenario: Scenario
-    positions: np.ndarray
-    velocities: np.ndarray
-    densities: np.ndarray
-    eig_radial: np.ndarray
-    eig_tangential: Optional[np.ndarray]
-    masses: np.ndarray
-    initial_volume: float
+    initial: FieldState
     total_mass: float
     h0: float
 
@@ -422,27 +418,17 @@ def validate_scenario(raw) -> ValidatedScenario:
     eig2 = None
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
-    div0 = divergence(eig1, eig2, s.dimension)
+    initial = FieldState(time=0.0, positions=pos, velocities=vel, densities=rho,
+                         eig_radial=eig1, masses=masses, eig_tangential=eig2,
+                         dimension=s.dimension)
 
-    _check_triggers_at_start(s, pos, rho, div0)
+    _check_triggers_at_start(s, initial)
 
-    total_mass = float(masses.sum())
-    h0 = float(np.sum(masses * div0))
-    return ValidatedScenario(
-        scenario=s,
-        positions=pos,
-        velocities=vel,
-        densities=rho,
-        eig_radial=eig1,
-        eig_tangential=eig2,
-        masses=masses,
-        initial_volume=initial_volume,
-        total_mass=total_mass,
-        h0=h0,
-    )
+    return ValidatedScenario(scenario=s, initial=initial, total_mass=float(masses.sum()),
+                             h0=float(np.sum(masses * initial.div_u())))
 
 
-def _check_triggers_at_start(s: Scenario, pos, rho, div0):
+def _check_triggers_at_start(s: Scenario, initial: FieldState):
     """Reject initial data on which a blowup trigger already holds.
 
     The detector fires when a trigger goes from not holding to holding, so a
@@ -451,7 +437,7 @@ def _check_triggers_at_start(s: Scenario, pos, rho, div0):
     """
     violations = []
     for rule in TRIGGERS.values():
-        values = rule.quantity(pos, div0, rho, s.dimension)
+        values = rule.quantity(initial)
         value = np.min(values) if rule.below else np.max(values)
         limit = getattr(s.settings, rule.threshold)
         if rule.holds(value, limit):
@@ -495,8 +481,8 @@ class Trigger(Enum):
 
 class TriggerRule(NamedTuple):
     """A blowup trigger: the StepRow column the scan reads, its per-marker quantity
-    from (positions, div u, densities, dimension), the threshold it holds below
-    (operator.lt) or above (operator.gt), and the field and name validation reports."""
+    of a FieldState, the threshold it holds below (operator.lt) or above
+    (operator.gt), and the field and name validation reports."""
 
     column: str
     quantity: Callable
@@ -513,13 +499,13 @@ class TriggerRule(NamedTuple):
 # in priority order, which decides between triggers that first hold in one step
 TRIGGERS = {
     Trigger.SHELL_CROSSING: TriggerRule(
-        "min_gap", lambda x, div, rho, n: neighbour_gaps(x, n),
+        "min_gap", lambda st: neighbour_gaps(st.positions, st.dimension),
         "crossing_gap_threshold", operator.lt, "marker_count", "marker gap"),
     Trigger.DIVERGENCE_THRESHOLD: TriggerRule(
-        "max_abs_div", lambda x, div, rho, n: np.abs(div),
+        "max_abs_div", lambda st: np.abs(st.div_u()),
         "div_blowup_threshold", operator.gt, "velocity", "|div u|"),
     Trigger.DENSITY_THRESHOLD: TriggerRule(
-        "max_density", lambda x, div, rho, n: rho,
+        "max_density", lambda st: st.densities,
         "rho_blowup_threshold", operator.gt, "density", "density"),
 }
 
@@ -545,7 +531,7 @@ class Trajectory:
 
     @property
     def masses(self):
-        return self.validated.masses
+        return self.validated.initial.masses
 
     @property
     def times(self):

@@ -39,7 +39,7 @@ class BlowupEvent:
 def trigger_marker_index(state, trigger: Trigger) -> int:
     """The marker at the extreme of the trigger's quantity in state."""
     rule = TRIGGERS[trigger]
-    values = rule.quantity(state.positions, state.div_u(), state.densities, state.dimension)
+    values = rule.quantity(state)
     return int(np.argmin(values) if rule.below else np.argmax(values))
 
 

@@ -55,7 +55,7 @@ def model_rhs(vs: ValidatedScenario):
     yv of the solver vector [x, u, rho, w], written into the views fv of an
     output vector, which is returned as the one array f = fv[0], with the
     run constants computed once."""
-    constants = _force_constants(vs.masses)
+    constants = _force_constants(vs.initial.masses)
     force = -constants[2]  # -Phi_x, the force at lambda = 0
     background = vs.lam != 0.0
     lam = np.array(vs.lam)  # NumPy resolves a Python scalar operand anew on every call

@@ -30,17 +30,18 @@ import numpy as np
 
 from .core import ValidatedScenario, unit_sphere_area
 
-# floor of r^(N-1), and the |r| up to which a shell counts as at the center;
-# keeps trial RK stages finite if a radius touches zero
+# floor of sigma r^(N-1) (of the product: sigma is 2.4e-38 at N = 100), and
+# the |r| up to which a shell counts as at the center; keeps trial RK stages
+# finite if a radius touches zero
 _R_FLOOR = 1e-300
 
 
 def _centre_rates(r, rho, l1, l2, m_enc, sigma, lam, n):
     """du, dl1 and dl2 of shells at or near the center, with the floor and
     limits model_rhs's law leaves out: Phi_r is odd in r, so trial stages
-    that cross r=0 stay finite, and 0 at r=0, where r^(N-1) is floored."""
-    r_pow = np.maximum(np.abs(r) ** (n - 1), _R_FLOOR)
-    phi_r = np.sign(r) * m_enc / (sigma * r_pow) - lam * r / n
+    that cross r=0 stay finite, and 0 at r=0, where sigma r^(N-1) is floored."""
+    area = np.maximum(sigma * np.abs(r) ** (n - 1), _R_FLOOR)
+    phi_r = np.sign(r) * m_enc / area - lam * r / n
     center = np.abs(r) <= _R_FLOOR
     du = np.where(center, 0.0, -phi_r)
     with np.errstate(over="ignore"):
@@ -62,7 +63,7 @@ def model_rhs(vs: ValidatedScenario):
     views fv of an output vector, which is returned as the one array f =
     fv[0], with the run constants and a scratch block of three shell fields
     made once."""
-    masses = vs.masses
+    masses = vs.initial.masses
     n_dim = vs.dimension
     n = masses.size
     nm1 = n_dim - 1
@@ -70,9 +71,9 @@ def model_rhs(vs: ValidatedScenario):
     m_enc = np.cumsum(masses) - 0.5 * masses
     sigma = unit_sphere_area(n_dim)
     # twice the larger of two radii, so that no rounding above it reaches a
-    # limit: the (N-1)-th root of the floor of r^(N-1), and the radius where
-    # the largest m_enc/(sigma r^N), the size of Phi_r/r, reaches 1e300
-    r_unmasked = 2.0 * max(_R_FLOOR ** (1.0 / nm1),
+    # limit: the radius where sigma r^(N-1) reaches its floor, and the one
+    # where the largest m_enc/(sigma r^N), the size of Phi_r/r, reaches 1e300
+    r_unmasked = 2.0 * max((_R_FLOOR / sigma) ** (1.0 / nm1),
                            (float(m_enc[-1]) * _R_FLOOR / sigma) ** (1.0 / n_dim))
     background = vs.lam != 0.0
     # the scalar operands as 0-d arrays: NumPy resolves a Python scalar

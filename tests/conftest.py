@@ -35,10 +35,6 @@ def make_ball(n=3, rho0=0.5, lam=0.0, v_sup=None, velocity=None, markers=40,
                     marker_count=markers, t_end=t_end, settings=settings)
 
 
-MARKER_FIELDS = ("positions", "velocities", "densities", "eig_radial",
-                 "eig_tangential", "masses")
-
-
 @functools.lru_cache(maxsize=None)
 def _validated(dimension, lam):
     sc = make_slab(lam=lam) if dimension == 1 else make_ball(n=dimension, lam=lam)
@@ -51,8 +47,7 @@ def derivatives(state, lam=0.0):
     _integrate.layout vector of a scenario whose markers are replaced by the
     state's, split into one array per field, (dx, du, drho, dw) or (dr, du,
     drho, dl1, dl2)."""
-    vs = replace(_validated(state.dimension, lam),
-                 **{name: getattr(state, name) for name in MARKER_FIELDS})
+    vs = replace(_validated(state.dimension, lam), initial=state)
     y0, split, _, _ = _integrate.layout(vs)
     rhs = flat(_model_rhs(vs), split)
     return np.split(rhs(0.0, y0[0]), 4 if vs.dimension == 1 else 5)
@@ -123,21 +118,22 @@ def step_row(state):
     return reduce(state.time, split(np.concatenate(fields)))
 
 
-# the floor of r^(N-1) in the masked shell arithmetic
+# the floor of sigma r^(N-1) in the masked shell arithmetic
 R_FLOOR = 1e-300
 
 
 def masked_shell_rhs(vs, y):
     """The shell derivatives on the solver vector y by the masked arithmetic
     of the shell force law, every field of every shell at once: Phi_r odd in
-    r with r^(N-1) floored, du = 0 at |r| <= R_FLOOR, and Phi_r/r -> 0 with
+    r with sigma r^(N-1) floored, du = 0 at |r| <= R_FLOOR, and Phi_r/r -> 0 with
     dl2 = dl1 where r = 0 or (N-1) Phi_r/r overflows. The model closure must
     give its bytes on every vector."""
     n, lam = vs.dimension, vs.lam
     r, u, rho, l1, l2 = np.split(y, 5)
-    m_enc = np.cumsum(vs.masses) - 0.5 * vs.masses
-    r_pow = np.maximum(np.abs(r) ** (n - 1), R_FLOOR)
-    phi_r = np.sign(r) * m_enc / (unit_sphere_area(n) * r_pow) - lam * r / n
+    masses = vs.initial.masses
+    m_enc = np.cumsum(masses) - 0.5 * masses
+    area = np.maximum(unit_sphere_area(n) * np.abs(r) ** (n - 1), R_FLOOR)
+    phi_r = np.sign(r) * m_enc / area - lam * r / n
     center = np.abs(r) <= R_FLOOR
     du = np.where(center, 0.0, -phi_r)
     with np.errstate(over="ignore"):

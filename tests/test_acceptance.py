@@ -160,8 +160,8 @@ class TestCriterion5CharacteristicIdentity:
         worst = 0.0
         tol = 10.0 * max(vs.scenario.settings.rel_tol for vs, _ in acceptance_runs_1d)
         for vs, traj in acceptance_runs_1d:
-            v0 = 1.0 / vs.densities
-            s0 = vs.eig_radial / vs.densities
+            v0 = 1.0 / vs.initial.densities
+            s0 = vs.initial.eig_radial / vs.initial.densities
             for st in traj.states:
                 v_ref = self._v_closed_form(st.time, vs.lam, v0, s0)
                 err = np.max(np.abs(1.0 / st.densities - v_ref)
@@ -260,9 +260,9 @@ class TestCriterion9PointwiseBound:
         sc = make_slab(rho0=0.5, velocity=HubbleVelocity(-1.0), t_end=2.0,
                        settings=NumericalSettings())
         vs = validate_scenario(sc)
-        bounds = chae_tadmor_bounds(vs.densities, vs.eig_radial, 1)
+        bounds = chae_tadmor_bounds(vs.initial.densities, vs.initial.eig_radial, 1)
         traj = simulate(vs)
-        ok = (bounds.size == vs.masses.size
+        ok = (bounds.size == vs.initial.masses.size
               and all(b == pytest.approx(1.0) for b in bounds)
               and traj.event is not None
               and traj.event.t_hi <= 1.0 + 1e-6)

@@ -7,6 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from dustlab import functional, riccati
+from dustlab.core import load_scenario, validate_scenario
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
                          EXIT_OK, EXIT_VALIDATION, main)
 
@@ -232,6 +233,24 @@ class TestSimulate:
             step_times = {row["time"] for row in csv.DictReader(fh)}
         for name in names:
             assert name.removeprefix("markers_t").removesuffix(".csv") in step_times
+
+    def test_snapshot_at_zero_is_the_validated_initial_state(self, runner, tmp_path):
+        # a ball's dump has the tangential eigenvalue column, which the slab's
+        # lacks; each column is the validated state's, bit for bit through %.17g
+        path = SCENARIOS / "uniform_ball_n3.yaml"
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--scenario", str(path),
+                                      "--out", str(out), "--snapshot-times", "0"])
+        assert result.exit_code == EXIT_OK, result.output
+        with open(out / "markers_t0.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["position", "velocity", "density", "eig_radial",
+                          "eig_tangential", "mass_weight"]
+        initial = validate_scenario(load_scenario(path)).initial
+        fields = (initial.positions, initial.velocities, initial.densities,
+                  initial.eig_radial, initial.eig_tangential, initial.masses)
+        for column, field in zip(np.array(rows, dtype=float).T, fields, strict=True):
+            assert column.tobytes() == field.tobytes()
 
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import simulate
+from dustlab import _integrate, simulate
 from dustlab.core import (TRIGGERS, FieldState, HubbleVelocity, NumericalSettings,
-                          UniformDensity, load_scenario)
-from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, escape_report,
-                              scan_step, trigger_marker_index)
+                          UniformDensity, load_scenario, validate_scenario)
+from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, bracket_event,
+                              escape_report, scan_step, trigger_marker_index)
+from dustlab.errors import DustLabError
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
@@ -88,7 +89,7 @@ def test_trigger_table_matches_the_row():
     for st in (slab, shell):
         row = step_row(st)
         for trigger, rule in TRIGGERS.items():
-            values = rule.quantity(st.positions, st.div_u(), st.densities, st.dimension)
+            values = rule.quantity(st)
             extreme = values.min() if rule.below else values.max()
             assert getattr(row, rule.column) == extreme
             assert values[trigger_marker_index(st, trigger)] == extreme
@@ -138,6 +139,19 @@ class TestBracketing:
         assert ev.trigger is Trigger.DIVERGENCE_THRESHOLD
         assert 0.0 < ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * ev.t_hi
 
+    def test_trigger_holding_at_the_lower_edge_is_refused(self):
+        # the precondition is checked before any re-integration
+        vs = validate_scenario(make_slab(rho0=0.5, t_end=1.0))
+        y0, _, unpack, reduce = _integrate.layout(vs)
+        settings = replace(vs.scenario.settings, rho_blowup_threshold=0.1)
+
+        def reintegrate(*args):
+            pytest.fail("the bracket re-integrated past a failed precondition")
+
+        with pytest.raises(DustLabError, match="precondition: trigger already holds"):
+            bracket_event(reintegrate, reduce, unpack, 0.0, y0, 1.0,
+                          Trigger.DENSITY_THRESHOLD, settings)
+
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by
         # less than 1e-4: the detected time is insensitive to the cutoff
@@ -186,6 +200,12 @@ class TestEscapeReport:
         assert cert.t_bound is None
         rep = escape_report(traj, traj.validated.v_sup, cert)
         assert rep.status is EscapeStatus.NO_PREDICTION
+
+    def test_no_prediction_with_an_event(self, uniform_collapse_traj):
+        traj = uniform_collapse_traj
+        rep = escape_report(traj, traj.validated.v_sup, None)
+        message = f"no prediction; event observed at t={traj.event.t_hi:.6g}"
+        assert (rep.status, rep.message) == (EscapeStatus.NO_PREDICTION, message)
 
     def test_inconclusive_when_horizon_short(self):
         sc = make_slab(rho0=0.5, v_sup=2.0, t_end=1.0)

@@ -11,6 +11,7 @@ from dustlab.core import (FieldState, HubbleVelocity, StepRow, divergence,
                           neighbour_gaps, support_volume, validate_scenario)
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
                                 _inside, _tolerance, proof_chain_report, reducer)
+from dustlab.errors import NumericOverflow
 from conftest import make_ball, make_slab, step_row, support_volume_upper
 
 
@@ -44,18 +45,13 @@ class TestFunctionalValues:
     def test_h_hubble_slab_is_rate_times_mass(self):
         vs = validate_scenario(make_slab(rho0=0.5, velocity=HubbleVelocity(0.7),
                                          v_sup=10.0))
-        st = slab_state(vs.positions, u=vs.velocities, w=vs.eig_radial,
-                        m=vs.masses, rho=vs.densities)
+        st = vs.initial
         assert step_row(st).h == pytest.approx(0.7 * st.masses.sum(), rel=1e-13)
 
     def test_h_hubble_ball_is_n_rate_times_mass(self):
         vs = validate_scenario(make_ball(n=3, velocity=HubbleVelocity(0.7),
                                          v_sup=100.0))
-        st = FieldState(time=0.0, positions=vs.positions,
-                        velocities=vs.velocities, densities=vs.densities,
-                        eig_radial=vs.eig_radial,
-                        eig_tangential=vs.eig_tangential, masses=vs.masses,
-                        dimension=3)
+        st = vs.initial
         assert step_row(st).h == pytest.approx(3 * 0.7 * st.masses.sum(), rel=1e-13)
 
     def test_support_volume_slab(self):
@@ -193,12 +189,12 @@ class TestCauchySchwarz:
     def test_density_margin_uniform_saturates(self):
         # uniform rho on full support with v_sup = volume: equality
         vs = validate_scenario(make_slab(rho0=0.5, v_sup=2.0))
-        st = slab_state(vs.positions, m=vs.masses, rho=vs.densities)
+        st = vs.initial
         assert cs_density(st, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_density_margin_slack_for_larger_bound(self):
         vs = validate_scenario(make_slab(rho0=0.5, v_sup=4.0))
-        st = slab_state(vs.positions, m=vs.masses, rho=vs.densities)
+        st = vs.initial
         # v_sup * int rho^2 - M^2 = 4*0.5 - 1 = 1
         assert cs_density(st, 4.0) == pytest.approx(1.0)
 
@@ -302,6 +298,15 @@ class TestProofChainReport:
         assert report.first_violation_time == traj.times[b]
         assert (f"FIRST VIOLATION at t={traj.times[b]:.9g}"
                 in report.summary_text())
+
+    def test_infinite_term_raises_numeric_overflow(self, uniform_collapse_traj):
+        # an infinite column value makes M sum m div^2 - H^2 infinite without
+        # the OverflowError that float ** 2 raises on a large finite value
+        traj = uniform_collapse_traj
+        m_div2 = traj.columns.m_div2.copy()
+        m_div2[3] = np.inf
+        with pytest.raises(NumericOverflow, match="not finite in double precision"):
+            proof_chain_report(replace(traj, columns=traj.columns._replace(m_div2=m_div2)))
 
     def test_equilibrium_residuals_identically_zero(self):
         lam = 0.5

@@ -33,12 +33,9 @@ class TestSlabForce:
     def test_uniform_slab_continuum_limit(self):
         # continuum force for uniform rho0 on [-1,1] is -rho0 * x
         vs = validate_scenario(make_slab(rho0=0.5, markers=1000))
-        st = FieldState(time=0.0, positions=vs.positions,
-                        velocities=vs.velocities, densities=vs.densities,
-                        eig_radial=vs.eig_radial, masses=vs.masses)
-        force = derivatives(st)[1]
+        force = derivatives(vs.initial)[1]
         for j in (10, 500, 990):
-            expected = -0.5 * vs.positions[j]
+            expected = -0.5 * vs.initial.positions[j]
             assert force[j] == pytest.approx(expected, rel=1e-2)
 
 
@@ -84,8 +81,8 @@ class TestIntegrateSlab:
         assert traj.event is None
         st = traj.states[-1]
         vs = traj.validated
-        np.testing.assert_allclose(st.positions, vs.positions, atol=1e-12)
-        np.testing.assert_allclose(st.densities, vs.densities, atol=1e-12)
+        np.testing.assert_allclose(st.positions, vs.initial.positions, atol=1e-12)
+        np.testing.assert_allclose(st.densities, vs.initial.densities, atol=1e-12)
         np.testing.assert_allclose(st.velocities, 0.0, atol=1e-12)
 
     def test_uniform_collapse_blows_up_before_bound(self):

@@ -11,6 +11,7 @@ bit: a last-bit change moves event brackets and marker indices.
 the next. scipy is a test dependency only; the program does not import it.
 """
 
+import math
 import os
 import pathlib
 import subprocess
@@ -396,7 +397,7 @@ def test_peak_memory_in_solver_vectors(name, markers, bound):
     work vectors are 10 of them."""
     sc = shipped(name, marker_count=markers)
     vs = validate_scenario(sc)
-    vector = 8 * (4 if vs.dimension == 1 else 5) * vs.masses.size
+    vector = 8 * (4 if vs.dimension == 1 else 5) * vs.initial.masses.size
     tracemalloc.start()
     try:
         traj = simulate(sc)
@@ -421,6 +422,70 @@ def test_step_underflow():
         stepper.restart(0.0, (np.ones(3),), 1.0)
         for _ in stepper.steps():
             pass
+
+
+def test_restart_backward_in_time_raises():
+    stepper = _integrate.DormandPrince(negative, one_field, 3, NumericalSettings())
+    with pytest.raises(ValueError, match="only integrates forward in time"):
+        stepper.restart(1.0, (np.ones(3),), 0.5)
+
+
+def test_interval_shorter_than_the_smallest_step_is_stepped():
+    """An interval of 4 ulp at t = 1 is below the smallest step, 10 ulp of t:
+    the step is raised to that and clipped to t_bound, not refused with a
+    StepUnderflow."""
+    t_bound = 1.0
+    for _ in range(4):
+        t_bound = math.nextafter(t_bound, 2.0)
+    stepper = _integrate.DormandPrince(negative, one_field, 3, NumericalSettings())
+    stepper.restart(1.0, (np.ones(3),), t_bound)
+    assert [s.t for s in stepper.steps()] == [t_bound]
+
+
+def test_an_error_norm_whose_squares_overflow_is_rejected():
+    """y' = 0, except a one-off 1e300 in the derivative at the first trial's
+    new state (row 6, which only the error estimate weighs): the scaled
+    error stays finite, but its squares overflow, which raises under the
+    run's guard. The trial must be rejected as one of infinite error, and
+    the step shrunk by the smallest factor, 0.2, is accepted."""
+    spike = [1e300]
+
+    def rhs(t, yv, fv):
+        fv[0][...] = 0.0
+        if t > 0.0 and fv is stepper.fv and spike:
+            fv[0][...] = spike.pop()
+        return fv[0]
+
+    stepper = _integrate.DormandPrince(rhs, one_field, 4, FAST)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        stepper.restart(0.0, (np.ones(4),), 1.0)
+        h_first = stepper.h_abs
+        stepper.step()
+    assert not spike
+    assert stepper.t == h_first * 0.2
+    assert stepper.y.tolist() == [1.0] * 4
+
+
+@SLAB_AND_BALL
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_first_state_is_the_validated_initial_state(sc, keep_states):
+    """The run's first state is vs.initial itself, not a second copy, and
+    its masses are the ones every state of the run shares."""
+    vs = validate_scenario(sc)
+    traj = simulate(vs, keep_states=keep_states)
+    assert traj.states[0] is vs.initial
+    assert all(state.masses is vs.initial.masses for state in traj.states)
+    assert traj.masses is vs.initial.masses
+
+
+@SLAB_AND_BALL
+def test_layout_concatenates_the_initial_fields(sc):
+    """y0 is a new vector of vs.initial's fields in the solver's order, so
+    that no step writes the validated state."""
+    vs = validate_scenario(sc)
+    y0 = _integrate.layout(vs)[0]
+    assert y0[0].tobytes() == solver_vector(vs.initial).tobytes()
+    assert not np.shares_memory(y0[0], vs.initial.positions)
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -17,6 +17,7 @@ those could act. None of that may change a bit, nor which floating-point
 errors a call raises.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -39,14 +40,15 @@ GUARDS = (dict(all="raise"), dict(over="raise", divide="raise", invalid="raise")
 def model(vs, rng):
     """The scenario with seeded unequal masses, model_rhs of its geometry,
     and the run's split."""
-    vs = replace(vs, masses=rng.uniform(0.2, 1.0, vs.masses.size))
+    masses = rng.uniform(0.2, 1.0, vs.initial.masses.size)
+    vs = replace(vs, initial=replace(vs.initial, masses=masses))
     return vs, _model_rhs(vs), _integrate.layout(vs)[1]
 
 
 def slab_formula(vs, y):
     """The slab derivatives, -Phi_x = -(Phi_x - lam (x - x_cm)) among them,
     evaluated with temporaries."""
-    masses, lam = vs.masses, vs.lam
+    masses, lam = vs.initial.masses, vs.lam
     x, u, rho, w = np.split(y, 4)
     total = masses.sum()
     phi_x = np.cumsum(masses) - 0.5 * masses - 0.5 * total
@@ -179,6 +181,47 @@ def test_guard_sees_every_shell_beside_the_centre():
     for rhs in (flat(_model_rhs(vs), split), lambda t, y: masked_shell_rhs(vs, y)):
         with pytest.raises(FloatingPointError), np.errstate(**GUARDS[1]):
             rhs(0.0, yv[0])
+
+
+def high_dimension_centre_cases():
+    """The N = 100 cases with shells at or across the centre, and a shell at
+    r = 0 or at 1e-160 in N = 76, the first N where sigma 1e-300 underflows."""
+    for param in cases():
+        if param.id.startswith("ball100-") and param.id.endswith(("-centre", "-crossing")):
+            yield param
+    for lam in LAMBDAS:
+        for inner in (0.0, 1e-160):
+            yield pytest.param(make_ball(n=76, lam=lam, markers=MARKERS),
+                               functools.partial(shell_vector, inner=inner),
+                               masked_shell_rhs, id=f"ball76-lam{lam}-inner{inner:g}")
+
+
+@pytest.mark.parametrize("scenario, vector, reference", high_dimension_centre_cases())
+def test_high_dimension_centre_rates_are_finite(scenario, vector, reference):
+    """sigma r^(N-1) is floored as a product, so where sigma is tiny a
+    shell at or next to the centre still gets finite rates under a run's
+    guard, in the closure and in the reference."""
+    rng = np.random.default_rng(20261018)
+    vs, rhs, split = model(validate_scenario(scenario), rng)
+    for _ in range(5):
+        y = vector(rng)
+        for fn in (flat(rhs, split), lambda t, y: reference(vs, y)):
+            with np.errstate(**GUARDS[1]):
+                assert np.all(np.isfinite(fn(0.0, y)))
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_floor_radius_bounds_the_law_at_tiny_mass(lam):
+    """A uniform N = 100 ball has a total mass near 1e-40, so the radius
+    where sigma r^(N-1) reaches its floor, 2.2e-3, bounds where the law
+    runs unpatched (the one where Phi_r/r reaches 1e300 rounds to 0, and
+    1e-300^(1/(N-1)) is 9.3e-4): a shell at r = 2e-3 needs the floor, and
+    gets the reference's bytes."""
+    vs = validate_scenario(make_ball(n=MAX_DIMENSION, lam=lam, markers=MARKERS))
+    yv, split, _, _ = _integrate.layout(vs)
+    yv[1][0] = 2e-3
+    y = yv[0]
+    assert outcome(flat(_model_rhs(vs), split), 0.0, y) == outcome(masked_shell_rhs, vs, y)
 
 
 @pytest.mark.parametrize("lam", [0.37, -1.3])

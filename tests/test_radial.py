@@ -47,9 +47,9 @@ class TestRadialForce:
     def test_uniform_ball_continuum_limit(self):
         # uniform rho0 in N=3: Phi_r = rho0 r / 3, force = -rho0 r / 3
         vs = validate_scenario(make_ball(n=3, rho0=0.6, markers=2000))
-        force = derivatives(shell_state(vs.positions, vs.masses, n=3))[1]
+        force = derivatives(shell_state(vs.initial.positions, vs.initial.masses, n=3))[1]
         for j in (50, 1000, 1990):
-            expected = -0.6 * vs.positions[j] / 3.0
+            expected = -0.6 * vs.initial.positions[j] / 3.0
             assert force[j] == pytest.approx(expected, rel=1e-3)
 
     def test_uniform_equilibrium_force_exactly_zero(self):
@@ -57,7 +57,7 @@ class TestRadialForce:
         # shell thanks to volume-median marker placement
         lam = 0.5
         vs = validate_scenario(make_ball(n=3, rho0=lam, lam=lam))
-        st = shell_state(vs.positions, vs.masses, n=3)
+        st = shell_state(vs.initial.positions, vs.initial.masses, n=3)
         assert np.max(np.abs(derivatives(st, lam)[1])) < 1e-14
 
     def test_center_shell_zero_force(self):
@@ -69,14 +69,14 @@ class TestRadialRhs:
     def test_tangential_eigenvalue_is_velocity_over_radius(self):
         vs = validate_scenario(make_ball(n=2, velocity=HubbleVelocity(-0.4),
                                          v_sup=100.0))
-        np.testing.assert_allclose(vs.eig_tangential,
-                                   vs.velocities / vs.positions, rtol=1e-13)
+        np.testing.assert_allclose(vs.initial.eig_tangential,
+                                   vs.initial.velocities / vs.initial.positions, rtol=1e-13)
 
     def test_uniform_equilibrium_all_rates_zero(self):
         lam = 0.7
         vs = validate_scenario(make_ball(n=2, rho0=lam, lam=lam))
-        st = shell_state(vs.positions, vs.masses, n=2,
-                         rho=np.full(vs.positions.size, lam))
+        st = shell_state(vs.initial.positions, vs.initial.masses, n=2,
+                         rho=np.full(vs.initial.positions.size, lam))
         dr, du, drho, dl1, dl2 = derivatives(st, lam)
         np.testing.assert_allclose(du, 0.0, atol=1e-14)
         np.testing.assert_allclose(drho, 0.0, atol=1e-14)
@@ -173,7 +173,7 @@ class TestIntegrateRadial:
         traj = simulate(sc)
         assert traj.event is None
         st = traj.states[-1]
-        np.testing.assert_allclose(st.positions, traj.validated.positions,
+        np.testing.assert_allclose(st.positions, traj.validated.initial.positions,
                                    atol=1e-11)
         np.testing.assert_allclose(st.velocities, 0.0, atol=1e-11)
 

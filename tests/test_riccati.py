@@ -261,6 +261,18 @@ class TestConditions:
         assert cert.case is Case.NO_CERTIFICATE and cert.t_bound is None
         assert cert.threshold_case2 == pytest.approx(1e-180, rel=1e-15)
 
+    def test_underflowing_a_times_b_certifies_nothing(self):
+        # b = 1/v_sup - lambda is the smallest subnormal and a = 1/8, so a b
+        # underflows to 0 and the bound divides by sqrt(a b) = 0
+        v_sup = 1e308
+        lam = math.nextafter(1.0 / v_sup, 0.0)
+        params = RiccatiParams.from_macroscopic(1.0, v_sup, lam, 8, -1.0)
+        assert params.b > 0 and params.a * params.b == 0.0
+        with pytest.raises(ZeroDivisionError):
+            blowup_time_upper_bound(params)
+        cert = check_blowup_conditions(1.0, v_sup, lam, 8, -1.0)
+        assert cert.case is Case.NO_CERTIFICATE and cert.t_bound is None
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             check_blowup_conditions(0.0, 1.0, 0.0, 1, 0.0)
