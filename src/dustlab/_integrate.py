@@ -276,8 +276,8 @@ def layout(vs: ValidatedScenario):
     """The views y0 of the solver vector of vs.initial's fields and the three
     maps a run needs: split, unpack(t, yv) builds the FieldState of a solver
     vector from its views (no solver vector is written after it is
-    published), and reduce(t, yv, fv=None) its functional.StepRow, with the
-    rate column from the RHS views fv (NaN without them)."""
+    published), and reduce(t, yv, fv) its functional.StepRow, with the rate
+    column from fv, the views of the RHS at yv."""
     init = vs.initial
     masses, dim = init.masses, init.dimension
     fields = [init.positions, init.velocities, init.densities, init.eig_radial]
@@ -302,34 +302,30 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
     stepper = DormandPrince(rhs, split, y0[0].size, settings)
     stepper.restart(0.0, y0, vs.scenario.t_end)
-    # stepper.f is the RHS at stepper.y (first-same-as-last), so the rate
-    # column costs no extra RHS evaluation
+    # every row's rate is the RHS the stepper left in stepper.fv: no extra call
     rows = [reduce(0.0, y0, stepper.fv)]
     states = [vs.initial]
-    t_last, y_last = 0.0, y0
+    y_last = y0
     event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
         trigger = detector.scan_step(rows[-1], row, settings)
         if trigger is not None:
             # the bracket restarts the run's stepper, which steps no further
-            event, y_lo = detector.bracket_event(
-                stepper.reintegrate, reduce, unpack, t_last, y_last, stepper.t, trigger,
-                settings)
-            if event.t_lo > t_last:
-                # the bracket's lower edge: the one state the stepper has no RHS value for
-                t_last, y_last = event.t_lo, y_lo
-                f_last = split(np.empty_like(y_lo[0]))
-                rhs(t_last, y_last, f_last)
-                rows.append(reduce(t_last, y_last, f_last))
+            event, row_lo, y_lo = detector.bracket_event(
+                stepper.reintegrate, lambda t, y: reduce(t, y, stepper.fv), unpack,
+                rows[-1], y_last, stepper.t, trigger, settings)
+            if row_lo is not rows[-1]:  # the bisection moved the lower edge
+                rows.append(row_lo)
+                y_last = y_lo
             break
         rows.append(row)
-        t_last, y_last = stepper.t, stepper.yv
+        y_last = stepper.yv
         if keep_states:
-            states.append(unpack(t_last, y_last))
+            states.append(unpack(stepper.t, y_last))
 
     if len(states) < len(rows):  # the last state, unless every state is kept
-        states.append(unpack(t_last, y_last))
+        states.append(unpack(rows[-1].time, y_last))
     return Trajectory.from_rows(vs, rows, states, event=event)
 
 
@@ -348,6 +344,6 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     states, rows = [], []
     for t_prev, t in zip([0.0, *times], times):
         y = stepper.reintegrate(t_prev, y, t)
-        states.append(unpack(t, y))
+        states.append(unpack(t, y) if t else vs.initial)
         rows.append(reduce(t, y, stepper.fv))
     return Trajectory.from_rows(vs, rows, states)

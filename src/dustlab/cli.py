@@ -17,6 +17,7 @@ import csv
 import datetime
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -24,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__, functional, riccati, simulate
-from .core import load_scenario, validate_scenario
+from .core import HubbleVelocity, load_scenario, validate_scenario
 from .detector import EscapeStatus, escape_report
 from .errors import DustLabError, NoPoleInHorizon, NumericFailure, ValidationError
 
@@ -149,7 +150,7 @@ def _certificate_doc(vs):
             "applicable_markers": int(bounds.size),
             "min_bound": float(bounds.min()) if bounds.size else None,
         }
-    return cert, doc
+    return doc
 
 
 def _parse_option(option, parse, text):
@@ -245,7 +246,7 @@ def certify(scenario_path, out_dir):
     out = Path(out_dir)
     _write_manifest(out, "certify", scenario_path)
     vs = _load(scenario_path)
-    _, doc = _certificate_doc(vs)
+    doc = _certificate_doc(vs)
     (out / "certificate.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
     click.echo(f"case: {doc['case']}; t_bound: "
                + (_fmt(doc["t_bound"]) if doc["t_bound"] is not None else "none"))
@@ -280,10 +281,6 @@ def verify(scenario_path, out_dir):
 @click.option("--h0-grid", "h0_grid", default=None, help="a:b:n grid over H(0)")
 def sweep(scenario_path, out_dir, lambda_grid, h0_grid):
     """One certify+simulate row per grid point along lambda or H(0)."""
-    from dataclasses import replace
-
-    from .core import HubbleVelocity
-
     if (lambda_grid is None) == (h0_grid is None):
         click.echo("provide exactly one of --lambda-grid / --h0-grid", err=True)
         sys.exit(EXIT_VALIDATION)

@@ -466,7 +466,7 @@ class StepRow(NamedTuple):
     m_rho: float  # sum m rho
     volume: float  # support volume of the marker extent
     volume_upper: float  # upper support estimate (adds the boundary half-cells)
-    m_div_rate: float  # sum m D(div u)/Dt; NaN where no RHS was evaluated
+    m_div_rate: float  # sum m D(div u)/Dt, from the stepper's own RHS at the state
     min_gap: float  # smallest gap between neighbours (origin included for radial)
     max_abs_div: float
     max_density: float

@@ -58,39 +58,41 @@ def scan_step(prev_row: StepRow, next_row: StepRow,
     return None
 
 
-def bracket_event(reintegrate, reduce, unpack, t_prev, y_prev, t_next,
+def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev, t_next,
                   trigger: Trigger, settings: NumericalSettings):
     """Bisect the trigger time within one accepted step.
 
     States are the views of solver vectors (_integrate.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
-    reduce(t, y) -> the StepRow the trigger conditions read; unpack(t, y) ->
-    field state. Precondition: the trigger holds at t_next and not at
-    t_prev. Returns the event and the state at its lower edge.
+    reduce(t, y1) -> y1's StepRow, with the rate from the RHS reintegrate
+    left; unpack(t, y) -> field state. Precondition: the trigger holds at
+    t_next and not at row_prev, y_prev's StepRow. Returns the event and the
+    row and state at its lower edge, row_prev and y_prev if none moved it.
     """
     rule = TRIGGERS[trigger]
     limit = getattr(settings, rule.threshold)
 
-    def holds(t, y):
-        return rule.holds(getattr(reduce(t, y), rule.column), limit)
+    def holds(row):
+        return rule.holds(getattr(row, rule.column), limit)
 
-    if holds(t_prev, y_prev):
-        raise DustLabError("bracket_event precondition: trigger already holds at t_prev")
-    lo, hi = t_prev, t_next
-    y_lo = y_prev
+    if holds(row_prev):
+        raise DustLabError("bracket_event precondition: trigger already holds at row_prev")
+    lo, hi = row_prev.time, t_next
+    row_lo, y_lo = row_prev, y_prev
     width_goal = BRACKET_REL_WIDTH * abs(t_next)
     # the bracket starts at most t_next wide, so 27 halvings reach the goal;
     # a gap above the goal is far wider than the ulps a midpoint rounds by
     while hi - lo > width_goal:
         mid = 0.5 * (lo + hi)
         y_mid = reintegrate(lo, y_lo, mid)
-        if holds(mid, y_mid):
+        row_mid = reduce(mid, y_mid)
+        if holds(row_mid):
             hi = mid
         else:
-            lo, y_lo = mid, y_mid
+            lo, row_lo, y_lo = mid, row_mid, y_mid
     y_hi = reintegrate(lo, y_lo, hi)
     idx = trigger_marker_index(unpack(hi, y_hi), trigger)
-    return BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger, marker_index=idx), y_lo
+    return BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger, marker_index=idx), row_lo, y_lo
 
 
 # ---------------------------------------------------------------------------

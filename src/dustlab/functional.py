@@ -7,8 +7,8 @@ density square integral (m_j = rho_j dV_j) without any remeshing.
 
 Each accepted state is reduced once, when its step is accepted, to the
 per-step scalars of core.StepRow by the run's reducer, which is built once
-per run, reads the field views _integrate split each state into, and
-reduces their products in the rows of one scratch block in three calls.
+per run, reads the views of each state and of the stepper's own RHS at it,
+and reduces their products in the rows of one scratch block in three calls.
 The inequality checks below are expressions over those columns; they never
 revisit per-marker states.
 
@@ -38,15 +38,15 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 
 
 def reducer(masses, dimension: int):
-    """reduce(time, yv, fv=None): the StepRow of a solver vector from its
-    views yv (_integrate.splitter's), with the rate column from fv, the
-    views of the RHS at it (NaN without fv). Built once per run: sigma, the
-    boundary cells' half masses and one (5 x n) scratch block. A step sums m
-    rho, m div, m div^2 and m rate in rows 0-3 by one np.add.reduce, then
-    takes the minima of the gaps and rho in rows 2-3 (a slab's missing first
-    gap is +inf; a shell's is its radius, r - 0.0) and the maxima of rho and
-    |div u| in rows 3-4. A reduction along axis 1 of a C-contiguous block
-    reduces each row as its 1-D reduction does, so every value equals core's
+    """reduce(time, yv, fv): the StepRow of a solver vector from its views
+    yv (_integrate.splitter's), with the rate column from fv, the views of
+    the RHS at it. Built once per run: sigma, the boundary cells' half
+    masses and one (5 x n) scratch block. A step sums m rho, m div, m div^2
+    and m rate in rows 0-3 by one np.add.reduce, then takes the minima of
+    the gaps and rho in rows 2-3 (a slab's missing first gap is +inf; a
+    shell's is its radius, r - 0.0) and the maxima of rho and |div u| in
+    rows 3-4. A reduction along axis 1 of a C-contiguous block reduces each
+    row as its 1-D reduction does, so every value equals core's
     support_volume, neighbour_gaps and divergence and the upper support
     estimate that tests/conftest.py spells out."""
     n = masses.size
@@ -55,12 +55,11 @@ def reducer(masses, dimension: int):
     sigma = unit_sphere_area(dimension)
     half_first, half_last = 0.5 * masses[0], 0.5 * masses[-1]
     block = np.empty((5, n))
-    sums = block[:3], block[:4]  # without and with the rate row
-    minima, maxima, gaps = block[2:4], block[3:5], block[2, 1:]
+    sums, minima, maxima, gaps = block[:4], block[2:4], block[3:5], block[2, 1:]
     m_rho, m_div, m_div2, m_rate, abs_div = block
     gap_row, rho_row = m_div2, m_rate  # once the sums are taken
 
-    def reduce(time, yv, fv=None):
+    def reduce(time, yv, fv):
         _, x, _, rho, e1, e2, _, _, _ = yv
         if slab:
             div = e1
@@ -69,13 +68,12 @@ def reducer(masses, dimension: int):
         np.multiply(masses, rho, out=m_rho)
         np.multiply(masses, div, out=m_div)
         np.multiply(m_div, div, out=m_div2)  # m * d * d, evaluated left to right
-        if fv is not None:
-            if slab:
-                np.multiply(masses, fv[4], out=m_rate)
-            else:
-                np.add(fv[4], np.multiply(nm1, fv[5], out=m_rate), out=m_rate)
-                np.multiply(masses, m_rate, out=m_rate)
-        sum_rho, h, sum_div2, *rate = np.add.reduce(sums[fv is not None], axis=1).tolist()
+        if slab:
+            np.multiply(masses, fv[4], out=m_rate)
+        else:
+            np.add(fv[4], np.multiply(nm1, fv[5], out=m_rate), out=m_rate)
+            np.multiply(masses, m_rate, out=m_rate)
+        sum_rho, h, sum_div2, rate = np.add.reduce(sums, axis=1).tolist()
         np.subtract(x[1:], x[:-1], out=gaps)
         gap_row[0] = math.inf if slab else x[0]
         np.copyto(rho_row, rho)
@@ -89,7 +87,7 @@ def reducer(masses, dimension: int):
                 upper += half_first / rho_lo
             upper = float(upper + half_last / rho_hi)
         return StepRow(float(time), h, sum_div2, sum_rho, volume, upper,
-                       rate[0] if rate else math.nan, min_gap, max_abs_div, max_rho, min_rho)
+                       rate, min_gap, max_abs_div, max_rho, min_rho)
 
     return reduce
 

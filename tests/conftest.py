@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import _integrate, _model_rhs, functional, simulate
+from dustlab import _integrate, _model_rhs, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
                           UniformVelocity, ball_volume, unit_sphere_area,
@@ -107,15 +107,16 @@ def comparison_solution(params: RiccatiParams, t):
     return out
 
 
-def step_row(state):
+def step_row(state, lam=0.0):
     """The StepRow of a FieldState, by the run's reducer on the views of the
-    solver vector of its fields; the rate column is NaN."""
-    fields = [state.positions, state.velocities, state.densities, state.eig_radial]
-    if state.dimension > 1:
-        fields.append(state.eig_tangential)
-    split = _integrate.splitter(state.masses.size, state.dimension)
-    reduce = functional.reducer(state.masses, state.dimension)
-    return reduce(state.time, split(np.concatenate(fields)))
+    solver vector of its fields, with the rate column from the RHS there:
+    _model_rhs under the state's masses and dimension and the background
+    constant lam, written into a new vector."""
+    vs = replace(_validated(state.dimension, lam), initial=state)
+    y, split, _, reduce = _integrate.layout(vs)
+    f = split(np.empty_like(y[0]))
+    _model_rhs(vs)(state.time, y, f)
+    return reduce(state.time, y, f)
 
 
 # the floor of sigma r^(N-1) in the masked shell arithmetic

@@ -140,16 +140,17 @@ class TestBracketing:
         assert 0.0 < ev.t_hi - ev.t_lo <= BRACKET_REL_WIDTH * ev.t_hi
 
     def test_trigger_holding_at_the_lower_edge_is_refused(self):
-        # the precondition is checked before any re-integration
+        # the precondition is checked on the given row, before any
+        # re-integration or reduction
         vs = validate_scenario(make_slab(rho0=0.5, t_end=1.0))
-        y0, _, unpack, reduce = _integrate.layout(vs)
+        y0, _, unpack, _ = _integrate.layout(vs)
         settings = replace(vs.scenario.settings, rho_blowup_threshold=0.1)
 
-        def reintegrate(*args):
-            pytest.fail("the bracket re-integrated past a failed precondition")
+        def refused(*args):
+            pytest.fail("the bracket re-integrated or reduced past a failed precondition")
 
         with pytest.raises(DustLabError, match="precondition: trigger already holds"):
-            bracket_event(reintegrate, reduce, unpack, 0.0, y0, 1.0,
+            bracket_event(refused, refused, unpack, step_row(vs.initial), y0, 1.0,
                           Trigger.DENSITY_THRESHOLD, settings)
 
     def test_threshold_robustness(self):

@@ -58,16 +58,15 @@ class TestFunctionalValues:
         assert step_row(slab_state([-1.0, 1.0])).volume == pytest.approx(2.0)
 
 
-def reference_row(time, positions, densities, div, masses, dimension, div_rate=None):
+def reference_row(time, positions, densities, div, masses, dimension, div_rate):
     """The per-step scalars by core's helpers and one ufunc reduction per
     column: the formula functional.reducer must equal bit for bit."""
-    block = np.empty((3 if div_rate is None else 4, masses.size))
+    block = np.empty((4, masses.size))
     md = np.multiply(masses, div, out=block[0])
     np.multiply(md, div, out=block[1])
     np.multiply(masses, densities, out=block[2])
-    if div_rate is not None:
-        np.multiply(masses, div_rate, out=block[3])
-    h, m_div2, m_rho, *rate = np.add.reduce(block, axis=1).tolist()
+    np.multiply(masses, div_rate, out=block[3])
+    h, m_div2, m_rho, rate = np.add.reduce(block, axis=1).tolist()
     volume = float(support_volume(positions[0], positions[-1], dimension))
     return StepRow(
         time=time,
@@ -76,7 +75,7 @@ def reference_row(time, positions, densities, div, masses, dimension, div_rate=N
         m_rho=m_rho,
         volume=volume,
         volume_upper=support_volume_upper(volume, densities, masses, dimension),
-        m_div_rate=rate[0] if rate else math.nan,
+        m_div_rate=rate,
         min_gap=float(np.minimum.reduce(neighbour_gaps(positions, dimension))),
         max_abs_div=float(np.maximum.reduce(np.abs(div))),
         max_density=float(np.maximum.reduce(densities)),
@@ -100,24 +99,29 @@ def flat_reducer(masses, dimension):
     split."""
     reduce = reducer(masses, dimension)
     split = _integrate.splitter(masses.size, dimension)
-    return lambda time, y, f=None: reduce(time, split(y), None if f is None else split(f))
+    return lambda time, y, f: reduce(time, split(y), split(f))
 
 
-def row_of(reduce, y, f=None):
+def row_of(reduce, y, f):
     return np.array(reduce(0.25, y, f)).tobytes()
 
 
 def expected_row(y, f, masses, dimension):
     n = masses.size
     div = divergence(y[3 * n:4 * n], y[4 * n:], dimension)
-    rate = None if f is None else divergence(f[3 * n:4 * n], f[4 * n:], dimension)
+    rate = divergence(f[3 * n:4 * n], f[4 * n:], dimension)
     return np.array(reference_row(0.25, y[:n], y[2 * n:3 * n], div, masses,
                                   dimension, rate)).tobytes()
 
 
+# a seeded RHS vector, and the zero RHS, whose rate column must read 0
+# however the scratch row that holds the rate was last written
+RATE_SCALES = pytest.mark.parametrize("rate_scale", [1.0, 0.0], ids=["rate", "zero-rate"])
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
-@pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])
-def test_reducer_equals_the_reference_row(dimension, with_rate):
+@RATE_SCALES
+def test_reducer_equals_the_reference_row(dimension, rate_scale):
     """The run's reducer against reference_row, bit for bit, on seeded slab
     and shell states, calling one reducer on many states as a run does."""
     rng = np.random.default_rng(20261019 + dimension)
@@ -126,7 +130,7 @@ def test_reducer_equals_the_reference_row(dimension, with_rate):
         reduce = flat_reducer(masses, dimension)
         for _ in range(3):
             y, f = solver_vector(rng, n, dimension)
-            f = f if with_rate else None
+            f *= rate_scale
             assert row_of(reduce, y, f) == expected_row(y, f, masses, dimension), n
 
 
@@ -148,8 +152,8 @@ def test_reducer_at_a_boundary_density_at_most_zero(dimension, edge, value):
     assert (got.volume_upper == got.volume) == (dimension == 1 or edge == -1)
 
 
-@pytest.mark.parametrize("with_rate", [False, True], ids=["no-rate", "rate"])
-def test_row_sums_equal_one_dimensional_reductions(with_rate):
+@RATE_SCALES
+def test_row_sums_equal_one_dimensional_reductions(rate_scale):
     """The reducer reduces its weighted products as the rows of one block;
     each sum must equal np.add.reduce of that product alone, bit for bit,
     across the sizes where the pairwise summation changes shape (8-way
@@ -162,14 +166,14 @@ def test_row_sums_equal_one_dimensional_reductions(with_rate):
         positions = np.sort(rng.uniform(0.1, 2.0, n))
         densities = rng.uniform(0.1, 2.0, n)
         div = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-        rate = rng.normal(size=n) if with_rate else None
+        rate = rng.normal(size=n) * rate_scale
         y = np.concatenate((positions, np.zeros(n), densities, div))
-        f = np.concatenate((np.zeros(3 * n), rate)) if with_rate else None
+        f = np.concatenate((np.zeros(3 * n), rate))
         got = flat_reducer(masses, 1)(0.0, y, f)
         md = masses * div
         expected = [np.add.reduce(md), np.add.reduce(md * div),
                     np.add.reduce(masses * densities),
-                    np.add.reduce(masses * rate) if with_rate else math.nan]
+                    np.add.reduce(masses * rate)]
         assert (np.array([got.h, got.m_div2, got.m_rho, got.m_div_rate]).tobytes()
                 == np.array(expected).tobytes()), n
 

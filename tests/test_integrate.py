@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 
-from dustlab import _integrate, _model_rhs, sample, simulate
+from dustlab import _integrate, _model_rhs, detector, sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, UniformDensity,
                           load_scenario, validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
@@ -334,9 +334,10 @@ def test_one_stepper_per_run(monkeypatch):
 def test_each_vector_is_split_once(monkeypatch):
     """simulate splits each vector once, when it is made: the initial
     state, the seven stage rows and the stage-argument vector of its one
-    stepper when it is built, the new state of every trial step, and the
-    RHS vector of the bracket's lower edge. A restart splits nothing, and no
-    vector is split twice."""
+    stepper when it is built, and the new state of every trial step. A
+    restart splits nothing, no vector is split twice, and every RHS value,
+    the bracket's lower edge included, is written into a row of the
+    stepper's block."""
     split_args, built, restarts = [], [], []
     splitter = _integrate.splitter
 
@@ -374,17 +375,45 @@ def test_each_vector_is_split_once(monkeypatch):
     assert len(restarts) > 10
     # every RHS call of the stepper writes into its block: two per start
     # (f0 and the initial-step probe) and six per trial step
-    own = sum(out.base is stepper._K for out in outs)
-    trials, rest = divmod(own - 2 * len(restarts), 6)
+    assert all(out.base is stepper._K for out in outs)
+    trials, rest = divmod(len(outs) - 2 * len(restarts), 6)
     assert rest == 0 and trials >= len(restarts)
-    edge = len(outs) - own
-    assert edge == 1
-    assert len(split_args) == 1 + 8 + trials + edge
+    assert len(split_args) == 1 + 8 + trials
     assert sum(y.base is stepper._K for y in split_args) == 7
     # every split vector is alive in split_args, so distinct vectors have
     # distinct addresses
     addresses = {y.__array_interface__["data"][0] for y in split_args}
     assert len(addresses) == len(split_args)
+
+
+@pytest.mark.parametrize("name", ["uniform_collapse_1d", "uniform_ball_n3"])
+def test_bisected_edge_row_equals_a_reduction_with_a_new_rhs(monkeypatch, name):
+    """A density trigger inside a step of full length makes the bracket move
+    the lower edge. The run's last row, whose rate is the RHS the bracket's
+    re-integration left in the stepper, equals bit for bit the row reduced
+    at the edge state with an explicit RHS call into a new vector."""
+    moved = []
+    bracket = detector.bracket_event
+
+    def recorded(reintegrate, reduce, unpack, row_prev, *args):
+        event, row_lo, y_lo = bracket(reintegrate, reduce, unpack, row_prev, *args)
+        moved.append(row_lo is not row_prev)
+        return event, row_lo, y_lo
+
+    monkeypatch.setattr(detector, "bracket_event", recorded)
+    sc = shipped(name)
+    vs = validate_scenario(replace(sc, settings=replace(sc.settings,
+                                                        rho_blowup_threshold=1.0)))
+    traj = simulate(vs)
+    assert moved == [True]
+    edge = traj.states[-1]
+    assert edge.time == traj.event.t_lo
+    _, split, _, reduce = _integrate.layout(vs)
+    y = split(solver_vector(edge))
+    f = split(np.empty_like(y[0]))
+    _model_rhs(vs)(edge.time, y, f)
+    last = np.array([column[-1] for column in traj.columns])
+    assert np.array(reduce(edge.time, y, f)).tobytes() == last.tobytes()
 
 
 @pytest.mark.parametrize("name, markers, bound", [
@@ -469,13 +498,17 @@ def test_an_error_norm_whose_squares_overflow_is_rejected():
 @SLAB_AND_BALL
 @pytest.mark.parametrize("keep_states", [False, True])
 def test_first_state_is_the_validated_initial_state(sc, keep_states):
-    """The run's first state is vs.initial itself, not a second copy, and
-    its masses are the ones every state of the run shares."""
+    """The first state of simulate, and of sample from time 0, is
+    vs.initial itself, not a second copy, and its masses are the ones every
+    state of the run shares."""
     vs = validate_scenario(sc)
     traj = simulate(vs, keep_states=keep_states)
     assert traj.states[0] is vs.initial
     assert all(state.masses is vs.initial.masses for state in traj.states)
     assert traj.masses is vs.initial.masses
+    sampled = sample(vs, [0.0, 0.5])
+    assert sampled.states[0] is vs.initial
+    assert all(state.masses is vs.initial.masses for state in sampled.states)
 
 
 @SLAB_AND_BALL
