@@ -1,24 +1,22 @@
 """Shared adaptive Runge-Kutta driver for both geometries.
 
-The solver vector of a run holds the marker fields one after another,
-[positions, velocities, densities, eig_radial (, eig_tangential)], the last
-only for shells; splitter alone knows this order. Each vector is split into
-its views once, when it is made, and the views are passed along. The
-geometry modules supply the force law as rhs(t, yv, fv), which writes the
-derivative at the views yv into the views fv (of a stage row); everything
-else is common.
+The solver vector of a run holds the marker fields one after another, [x,
+u, v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells); splitter
+alone knows this order. Each vector is split into its views once, when it
+is made. The geometry modules supply the force law as rhs(t, yv, fv), which
+writes the derivative at the views yv into the views fv (of a stage row).
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
-one (7 x n) stage block, built from the run's settings and started by
-restart; steps() drives it to the end time, and reintegrate carries a state
-from one time to a later one. The run reduces every accepted state once to
-its row of per-step scalars (functional.reducer, built once per run by
-layout), scans the row for triggers, and localizes the first by bisection on
-sub-steps re-integrated by the run's own stepper. sample re-integrates with
-one stepper from each requested time to the next; nothing is interpolated.
-At its peak a run holds about 17 solver vectors on a large slab (the block,
-its three work vectors, the states in hand and the reducer's scratch block);
-tests/test_integrate.py bounds it. Deterministic for fixed settings.
+(7 x n) stage block; steps() drives it to the end time, and reintegrate
+carries a state from one time to a later one. The run reduces every
+accepted state once to its row of per-step scalars (functional.reducer),
+scans the row for triggers, and localizes the earliest by bisection on
+sub-steps re-integrated by the same stepper; a slab step may end past a
+marker's singularity, v <= 0. sample re-integrates from each requested time
+to the next; nothing is interpolated. At its peak a run holds about 18
+solver vectors on a large slab (the block, its three work vectors, the
+states in hand and the reducer's scratch block); tests/test_integrate.py
+bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one. The first is vs.initial itself, and
@@ -55,6 +53,8 @@ _E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525
 _ERROR_EXPONENT = -1 / 5  # -1/(q+1) for the fourth-order error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _MIN_RTOL = 100 * np.finfo(float).eps
+# slab steps stay below _DIV_STEP / |div u| until t |div u| > _WINDOW (see max_step)
+_DIV_STEP, _WINDOW = 0.05, 1 / functional.NEAR_SINGULAR_FRACTION - 1
 
 
 def _rms(x, sqrt_n):
@@ -260,9 +260,9 @@ class DormandPrince:
 
 
 def splitter(n, dimension):
-    """split(y): the views of a solver vector of n markers, (y, positions,
-    velocities, densities, eig_radial, eig_tangential (None for the slab),
-    y[n:], y[2n:], y[3n:])."""
+    """split(y): the views of a solver vector of n markers, (y, and its
+    fields x, u, v, q, None for the slab or r, u, rho, l1, l2 for shells,
+    then y[n:], y[2n:], y[3n:])."""
     shells = dimension > 1
 
     def split(y):
@@ -274,20 +274,28 @@ def splitter(n, dimension):
 
 def layout(vs: ValidatedScenario):
     """The views y0 of the solver vector of vs.initial's fields and the three
-    maps a run needs: split, unpack(t, yv) builds the FieldState of a solver
-    vector from its views (no solver vector is written after it is
-    published), and reduce(t, yv, fv) its functional.StepRow, with the rate
-    column from fv, the views of the RHS at yv."""
+    maps a run needs: split, unpack(t, yv), the FieldState of a solver
+    vector's views (no solver vector is written after it is published; a
+    slab marker past its singularity, v <= 0, has rho = +inf and w = -inf),
+    and reduce(t, yv, fv), its functional.StepRow with the RHS views fv."""
     init = vs.initial
     masses, dim = init.masses, init.dimension
     fields = [init.positions, init.velocities, init.densities, init.eig_radial]
     if dim > 1:
         fields.append(init.eig_tangential)
+    else:
+        fields[2] = v0 = 1.0 / init.densities
+        fields[3] = init.eig_radial * v0
     split = splitter(masses.size, dim)
 
     def unpack(t, yv):
+        rho, w = yv[3], yv[4]
+        if dim == 1:  # rho and w hold v and q until here
+            live = rho > 0.0
+            w = np.divide(w, rho, out=np.full(rho.shape, -math.inf), where=live)
+            rho = np.divide(1.0, rho, out=np.full(rho.shape, math.inf), where=live)
         return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
-                          densities=yv[3], eig_radial=yv[4], eig_tangential=yv[5],
+                          densities=rho, eig_radial=w, eig_tangential=yv[5],
                           masses=masses, dimension=dim)
 
     return split(np.concatenate(fields)), split, unpack, functional.reducer(masses, dim)
@@ -299,28 +307,30 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     the solver vector, to t_end or the first detector event."""
     settings = vs.scenario.settings
     y0, split, unpack, reduce = layout(vs)
-
+    slab = vs.initial.dimension == 1
     stepper = DormandPrince(rhs, split, y0[0].size, settings)
     stepper.restart(0.0, y0, vs.scenario.t_end)
-    # every row's rate is the RHS the stepper left in stepper.fv: no extra call
-    rows = [reduce(0.0, y0, stepper.fv)]
+    rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
     states = [vs.initial]
     y_last = y0
     event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
-        trigger = detector.scan_step(rows[-1], row, settings)
-        if trigger is not None:
+        if detector.scan_step(rows[-1], row, settings) is not None:
             # the bracket restarts the run's stepper, which steps no further
             event, row_lo, y_lo = detector.bracket_event(
                 stepper.reintegrate, lambda t, y: reduce(t, y, stepper.fv), unpack,
-                rows[-1], y_last, stepper.t, trigger, settings)
+                rows[-1], y_last, row, settings)
             if row_lo is not rows[-1]:  # the bisection moved the lower edge
                 rows.append(row_lo)
                 y_last = y_lo
             break
         rows.append(row)
         y_last = stepper.yv
+        if slab:
+            d = row.max_abs_div
+            capped = settings.max_step * d > _DIV_STEP and row.time * d <= _WINDOW
+            stepper.max_step = _DIV_STEP / d if capped else settings.max_step
         if keep_states:
             states.append(unpack(stepper.t, y_last))
 
@@ -346,4 +356,6 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
         y = stepper.reintegrate(t_prev, y, t)
         states.append(unpack(t, y) if t else vs.initial)
         rows.append(reduce(t, y, stepper.fv))
+        if rows[-1].max_density == math.inf:  # a marker passed its singularity
+            raise FloatingPointError(f"infinite density at t={t:g}")
     return Trajectory.from_rows(vs, rows, states)

@@ -166,9 +166,9 @@ class TabulatedVelocity:
 
 # Upper limits of the discretization. sigma = 2 pi^(N/2)/Gamma(N/2) overflows
 # past N = 343 (Gamma(172) > 1e308). Validation samples the density at
-# 4 marker_count + 1 points. A run's traced peak is about 17 solver vectors
+# 4 marker_count + 1 points. A run's traced peak is about 18 solver vectors
 # of 4 (slab) or 5 (shell) doubles per marker, the stepper's stage block 7 of
-# them: about 520 MB (slab) or 670 MB (shells) at the limit.
+# them: about 570 MB (slab) or 670 MB (shells) at the limit.
 MAX_DIMENSION = 100
 MAX_MARKERS = 1_000_000
 
@@ -202,7 +202,9 @@ class NumericalSettings:
     crossing_gap_threshold: float = 1e-12
     max_steps: int = 500_000
     # Step cap keeps the midpoint finite differences used by the proof-chain
-    # residuals second-order-accurate below the 1e-6 reporting floor.
+    # residuals second-order-accurate below the 1e-6 reporting floor. It sets
+    # nearly every slab step, as the slab's chart needs no shorter steps near
+    # a collapse; _integrate._DIV_STEP holds them below H's time scale there.
     max_step: float = 4e-3
 
     def check(self):
@@ -418,6 +420,11 @@ def validate_scenario(raw) -> ValidatedScenario:
     eig2 = None
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
+    else:  # the run steps v = 1/rho and q = u_x v (geometry1d, _integrate.layout)
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(v0 := 1.0 / rho).all() and np.isfinite(eig1 * v0).all()):
+                raise ValidationError([("NotFinite", "density", "1/density or u_x/density "
+                                        "overflows a double at a marker")])
     initial = FieldState(time=0.0, positions=pos, velocities=vel, densities=rho,
                          eig_radial=eig1, masses=masses, eig_tangential=eig2,
                          dimension=s.dimension)

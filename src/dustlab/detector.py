@@ -7,10 +7,10 @@ threshold and direction, and a priority order that keeps classification
 deterministic when several fire within one step.
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
-crossing, so the triggers guard each other. Integration stops at the event;
-there is no continuation past the singularity. The scan and the bisection
-read each state's row of per-step scalars (core.StepRow), not its markers;
-only the event's marker is picked from a full state.
+crossing, so the triggers guard each other; a step that ends past a slab
+marker's singularity holds all three. The scan and the bisection read each
+state's row of per-step scalars (core.StepRow), not its markers; only the
+event's marker is picked from a full state.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ BRACKET_REL_WIDTH = 1e-8
 
 @dataclass(frozen=True)
 class BlowupEvent:
-    t_lo: float  # the trigger does not hold at t_lo
+    t_lo: float  # no trigger holds at t_lo
     t_hi: float  # and holds at t_hi
     trigger: Trigger
     marker_index: int
@@ -48,51 +48,50 @@ _SCAN = tuple((trigger, rule.column, rule.threshold, rule.holds)
               for trigger, rule in TRIGGERS.items())
 
 
+def _held(row: StepRow, settings: NumericalSettings) -> list:
+    """The triggers holding at row, in priority order."""
+    return [trigger for trigger, column, threshold, holds in _SCAN
+            if holds(getattr(row, column), getattr(settings, threshold))]
+
+
 def scan_step(prev_row: StepRow, next_row: StepRow,
               settings: NumericalSettings) -> Optional[Trigger]:
     """First trigger (in priority order) holding at next_row but not prev_row."""
-    for trigger, column, threshold, holds in _SCAN:
-        limit = getattr(settings, threshold)
-        if holds(getattr(next_row, column), limit) and not holds(getattr(prev_row, column), limit):
-            return trigger
-    return None
+    return next((t for t in _held(next_row, settings) if t not in _held(prev_row, settings)),
+                None)
 
 
-def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev, t_next,
-                  trigger: Trigger, settings: NumericalSettings):
-    """Bisect the trigger time within one accepted step.
+def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
+                  row_next: StepRow, settings: NumericalSettings):
+    """Bisect the earliest trigger time within one accepted step.
 
     States are the views of solver vectors (_integrate.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
     reduce(t, y1) -> y1's StepRow, with the rate from the RHS reintegrate
-    left; unpack(t, y) -> field state. Precondition: the trigger holds at
-    t_next and not at row_prev, y_prev's StepRow. Returns the event and the
-    row and state at its lower edge, row_prev and y_prev if none moved it.
+    left; unpack(t, y) -> field state. Precondition: no trigger holds at
+    row_prev, y_prev's StepRow, and some at row_next. Bisection goes on
+    until the bracket is narrower than BRACKET_REL_WIDTH t_hi and one
+    trigger alone holds at t_hi, or the midpoint no longer splits it, where
+    priority order decides. Returns the event and the row and state at its
+    lower edge, row_prev and y_prev if none moved it.
     """
-    rule = TRIGGERS[trigger]
-    limit = getattr(settings, rule.threshold)
-
-    def holds(row):
-        return rule.holds(getattr(row, rule.column), limit)
-
-    if holds(row_prev):
+    if _held(row_prev, settings):
         raise DustLabError("bracket_event precondition: trigger already holds at row_prev")
-    lo, hi = row_prev.time, t_next
+    lo, hi, held = row_prev.time, row_next.time, _held(row_next, settings)
     row_lo, y_lo = row_prev, y_prev
-    width_goal = BRACKET_REL_WIDTH * abs(t_next)
-    # the bracket starts at most t_next wide, so 27 halvings reach the goal;
-    # a gap above the goal is far wider than the ulps a midpoint rounds by
-    while hi - lo > width_goal:
+    while hi - lo > BRACKET_REL_WIDTH * abs(hi) or len(held) > 1:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         y_mid = reintegrate(lo, y_lo, mid)
         row_mid = reduce(mid, y_mid)
-        if holds(row_mid):
-            hi = mid
+        if held_mid := _held(row_mid, settings):
+            hi, held = mid, held_mid
         else:
             lo, row_lo, y_lo = mid, row_mid, y_mid
     y_hi = reintegrate(lo, y_lo, hi)
-    idx = trigger_marker_index(unpack(hi, y_hi), trigger)
-    return BlowupEvent(t_lo=lo, t_hi=hi, trigger=trigger, marker_index=idx), row_lo, y_lo
+    idx = trigger_marker_index(unpack(hi, y_hi), held[0])
+    return BlowupEvent(t_lo=lo, t_hi=hi, trigger=held[0], marker_index=idx), row_lo, y_lo
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +127,7 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     upper = trajectory.columns.volume_upper.tolist()
     t_escape = next((t for t, u in zip(times.tolist(), upper) if not _inside(u, v_sup)), None)
 
-    certified = certificate is not None and certificate.t_bound is not None
-    if not certified:
+    if certificate is None or certificate.t_bound is None:
         if event is not None:
             return EscapeReport(EscapeStatus.NO_PREDICTION,
                                f"no prediction; event observed at t={event.t_hi:.6g}")

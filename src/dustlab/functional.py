@@ -5,12 +5,9 @@ mass-measure-weighted total divergence, because the fixed weights m_j are
 the conserved mass measure. Likewise sum_j m_j rho_j quadratures the
 density square integral (m_j = rho_j dV_j) without any remeshing.
 
-Each accepted state is reduced once, when its step is accepted, to the
-per-step scalars of core.StepRow by the run's reducer, which is built once
-per run, reads the views of each state and of the stepper's own RHS at it,
-and reduces their products in the rows of one scratch block in three calls.
-The inequality checks below are expressions over those columns; they never
-revisit per-marker states.
+Each accepted state is reduced once, by the run's reducer, to the per-step
+scalars of core.StepRow. The inequality checks below are expressions over
+those columns; they never revisit per-marker states.
 
 All inequality margins are oriented (large side minus small side), so
 nonnegative means "holds". Checks are reported, never enforced: a
@@ -38,41 +35,45 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 
 
 def reducer(masses, dimension: int):
-    """reduce(time, yv, fv): the StepRow of a solver vector from its views
-    yv (_integrate.splitter's), with the rate column from fv, the views of
-    the RHS at it. Built once per run: sigma, the boundary cells' half
-    masses and one (5 x n) scratch block. A step sums m rho, m div, m div^2
-    and m rate in rows 0-3 by one np.add.reduce, then takes the minima of
-    the gaps and rho in rows 2-3 (a slab's missing first gap is +inf; a
-    shell's is its radius, r - 0.0) and the maxima of rho and |div u| in
-    rows 3-4. A reduction along axis 1 of a C-contiguous block reduces each
-    row as its 1-D reduction does, so every value equals core's
-    support_volume, neighbour_gaps and divergence and the upper support
-    estimate that tests/conftest.py spells out."""
+    """reduce(time, yv, fv): the StepRow of a solver vector from its views yv
+    (_integrate.splitter's) and those of its RHS, fv; a slab's rho = 1/v,
+    div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho and |div u|
+    and NaN sums once a marker is past its singularity (v <= 0). Built once
+    per run with one (5 x n) scratch block: one np.add.reduce sums m rho, m
+    div, m div^2 and m rate in rows 0-3, then rows 2-3 hold the gaps and rho
+    for their minima (a slab's missing first gap is +inf; a shell's is r -
+    0.0) and rows 3-4 rho and |div u| for their maxima. Each row of a
+    C-contiguous block reduces as its 1-D reduction does, so every value
+    equals core's support_volume, neighbour_gaps and divergence and the
+    upper support estimate that tests/conftest.py spells out."""
     n = masses.size
     slab = dimension == 1
     nm1 = np.array(float(dimension - 1))  # 0-d: no Python scalar to resolve per call
     sigma = unit_sphere_area(dimension)
     half_first, half_last = 0.5 * masses[0], 0.5 * masses[-1]
-    block = np.empty((5, n))
+    block, slab_rho = np.empty((5, n)), np.empty(n)
     sums, minima, maxima, gaps = block[:4], block[2:4], block[3:5], block[2, 1:]
     m_rho, m_div, m_div2, m_rate, abs_div = block
     gap_row, rho_row = m_div2, m_rate  # once the sums are taken
 
     def reduce(time, yv, fv):
         _, x, _, rho, e1, e2, _, _, _ = yv
-        if slab:
-            div = e1
+        if slab:  # rho and e1 hold v and q
+            if not rho[rho.argmin()] > 0.0:  # v <= 0 (or NaN) at some marker
+                min_gap = float(np.minimum.reduce(x[1:] - x[:-1]))
+                return StepRow(float(time), *[math.nan] * 6, min_gap, math.inf, math.inf, math.nan)
+            div = np.divide(e1, rho, out=abs_div)  # until the sums are taken
+            np.multiply(div, fv[3], out=m_rate)
+            np.subtract(fv[4], m_rate, out=m_rate)
+            rho = np.divide(1.0, rho, out=slab_rho)
+            np.multiply(m_rate, rho, out=m_rate)
         else:  # held in the |div u| row until the sums are taken
             div = np.add(e1, np.multiply(nm1, e2, out=abs_div), out=abs_div)
+            np.add(fv[4], np.multiply(nm1, fv[5], out=m_rate), out=m_rate)
         np.multiply(masses, rho, out=m_rho)
         np.multiply(masses, div, out=m_div)
         np.multiply(m_div, div, out=m_div2)  # m * d * d, evaluated left to right
-        if slab:
-            np.multiply(masses, fv[4], out=m_rate)
-        else:
-            np.add(fv[4], np.multiply(nm1, fv[5], out=m_rate), out=m_rate)
-            np.multiply(masses, m_rate, out=m_rate)
+        np.multiply(masses, m_rate, out=m_rate)
         sum_rho, h, sum_div2, rate = np.add.reduce(sums, axis=1).tolist()
         np.subtract(x[1:], x[:-1], out=gaps)
         gap_row[0] = math.inf if slab else x[0]
@@ -80,12 +81,12 @@ def reducer(masses, dimension: int):
         np.abs(div, out=abs_div)
         min_gap, min_rho = np.minimum.reduce(minima, axis=1).tolist()
         max_rho, max_abs_div = np.maximum.reduce(maxima, axis=1).tolist()
-        hi, rho_lo, rho_hi = x[-1], rho[0], rho[-1]
+        hi = x[-1]
         volume = upper = float(hi - x[0] if slab else sigma * hi ** dimension / dimension)
-        if not (rho_hi <= 0.0 or (slab and rho_lo <= 0.0)):
-            if slab:
-                upper += half_first / rho_lo
-            upper = float(upper + half_last / rho_hi)
+        if slab:  # rho > 0 (v > 0)
+            upper = float(upper + half_first / rho[0] + half_last / rho[-1])
+        elif not rho[-1] <= 0.0:
+            upper = float(upper + half_last / rho[-1])
         return StepRow(float(time), h, sum_div2, sum_rho, volume, upper,
                        rate, min_gap, max_abs_div, max_rho, min_rho)
 
@@ -162,14 +163,11 @@ class _Chain:
         self.cs_div = [_cs_divergence(mass, hi, s2) for hi, s2 in zip(h, c.m_div2.tolist())]
         self.cs_rho = [_cs_density(v_sup, mass, r) if ok else math.nan
                        for r, ok in zip(c.m_rho.tolist(), self.inside)]
-        self.transport = []
-        self.riccati = []
-        for a in range(len(t) - 1):
-            b = a + 1
-            self.transport.append(_transport(t[a], t[b], h[a], h[b], rate[a], rate[b]))
-            self.riccati.append(
-                _riccati(t[a], t[b], h[a], h[b], mass, vs.dimension, vs.lam, v_sup)
-                if self.inside[a] and self.inside[b] else math.nan)
+        steps = [(a, a + 1) for a in range(len(t) - 1)]
+        self.transport = [_transport(t[a], t[b], h[a], h[b], rate[a], rate[b])
+                          for a, b in steps]
+        self.riccati = [_riccati(t[a], t[b], h[a], h[b], mass, vs.dimension, vs.lam, v_sup)
+                        if self.inside[a] and self.inside[b] else math.nan for a, b in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +238,12 @@ def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
     the finite-difference dH/dt degrades near the singularity and is not
     asserted there.
     """
-    cutoff = math.inf
-    if trajectory.event is not None:
-        cutoff = (1.0 - NEAR_SINGULAR_FRACTION) * trajectory.event.t_lo
+    event = trajectory.event
+    cutoff = math.inf if event is None else (1.0 - NEAR_SINGULAR_FRACTION) * event.t_lo
 
     chain = _Chain(trajectory)
     steps: List[ProofChainStep] = []
-    worst_div = math.inf
-    worst_rho = math.inf
+    worst_div = worst_rho = math.inf
     worst_ric = -math.inf
     first_violation = None
     for a in range(len(chain.time) - 1):
@@ -258,12 +254,8 @@ def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
         cs_div = chain.cs_div[b]
         cs_rho = chain.cs_rho[b] if hypothesis_ok else math.nan
         ric = chain.riccati[a]
-        steps.append(ProofChainStep(time=time, transport_residual=chain.transport[a],
-                                    cs_divergence_margin=cs_div,
-                                    cs_density_margin=cs_rho,
-                                    riccati_residual=ric,
-                                    hypothesis_ok=hypothesis_ok,
-                                    informational=info))
+        steps.append(ProofChainStep(time, chain.transport[a], cs_div, cs_rho, ric,
+                                    hypothesis_ok, info))
         if info:
             continue
         tol = _tolerance(chain.mass, chain.h[b])
@@ -275,8 +267,4 @@ def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
             violated = violated or cs_rho < -tol or ric > tol
         if violated and first_violation is None:
             first_violation = time
-    return ProofChainReport(steps=steps,
-                            worst_cs_divergence=worst_div,
-                            worst_cs_density=worst_rho,
-                            worst_riccati=worst_ric,
-                            first_violation_time=first_violation)
+    return ProofChainReport(steps, worst_div, worst_rho, worst_ric, first_violation)

@@ -1,11 +1,10 @@
 """Force law of 1-D slab dust, exact along Lagrangian characteristics.
 
-Along every characteristic the 1-D system closes exactly:
+Along every characteristic rho' = -rho w and w' = -w^2 - rho + lambda (w =
+u_x; equality, not inequality). In the deformation v = 1/rho and its rate
+q = v' = w/rho the system is linear, and a collapse is a regular zero of v:
 
-    dx/dt   = u
-    du/dt   = -Phi_x(x)
-    drho/dt = -rho w
-    dw/dt   = -w^2 - rho + lambda          (w = u_x; equality, not inequality)
+    dx/dt = u,   du/dt = -Phi_x(x),   dv/dt = q,   dq/dt = lambda v - 1
 
 The 1-D Poisson gauge: Phi has a harmonic (linear) freedom, fixed by the
 symmetric kernel |x - y|/2 and by anchoring the background term at the
@@ -14,7 +13,7 @@ marker's own mass splits half-left/half-right (zero self-force), the
 continuum limit of the sgn kernel.
 
 This module holds the force law only: model_rhs, these derivatives on the
-views of the solver vector [x, u, rho, w] that _integrate runs, is its one
+views of the solver vector [x, u, v, q] that _integrate runs, is its one
 form. In 1-D the zero-initial-vorticity hypothesis is automatic: the
 velocity gradient is a scalar and has no antisymmetric part.
 """
@@ -51,29 +50,25 @@ def _forces(constants, positions, lam, out):
 
 
 def model_rhs(vs: ValidatedScenario):
-    """rhs(t, yv, fv): the time derivatives (dx, du, drho, dw) at the views
-    yv of the solver vector [x, u, rho, w], written into the views fv of an
+    """rhs(t, yv, fv): the time derivatives (dx, du, dv, dq) at the views
+    yv of the solver vector [x, u, v, q], written into the views fv of an
     output vector, which is returned as the one array f = fv[0], with the
     run constants computed once."""
     constants = _force_constants(vs.initial.masses)
     force = -constants[2]  # -Phi_x, the force at lambda = 0
     background = vs.lam != 0.0
-    lam = np.array(vs.lam)  # NumPy resolves a Python scalar operand anew on every call
+    lam, one = np.array(vs.lam), np.array(1.0)  # 0-d: no Python scalar to resolve per call
 
     def rhs(t, yv, fv):
-        _, x, u, rho, w, _, _, _, _ = yv
-        f, dx, du, drho, dw, _, _, rates, _ = fv
+        _, x, u, v, q, _, _, _, _ = yv
+        f, dx, du, dv, dq, _, _, _, _ = fv
         dx[...] = u
         if background:
             _forces(constants, x, lam, du)
         else:
             du[...] = force
-        np.multiply(rho, w, out=drho)
-        np.multiply(w, w, out=dw)
-        # -(a * b) is (-a) * b, bit for bit: drho and dw negated in one call
-        np.negative(rates, out=rates)
-        dw -= rho
-        dw += lam  # kept at lam = 0: -0.0 + 0.0 is +0.0
+        dv[...] = q
+        np.subtract(np.multiply(lam, v, out=dq), one, out=dq)
         return f
 
     return rhs

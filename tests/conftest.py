@@ -41,16 +41,36 @@ def _validated(dimension, lam):
     return validate_scenario(sc)
 
 
+def solver_state(state, lam=0.0):
+    """The scenario of a FieldState (its markers in place of _validated's),
+    the views of its solver vector and the run's split and reducer. A state
+    that a run unpacked holds its positions as a view of the run's solver
+    vector, which is returned: the slab's chart holds v = 1/rho and q = w v,
+    and the state's rho and w give v and q back only to within an ulp. Any
+    other state gets _integrate.layout's vector of its fields."""
+    vs = replace(_validated(state.dimension, lam), initial=state)
+    y0, split, _, reduce = _integrate.layout(vs)
+    base = state.positions.base
+    if base is not None and base.size == y0[0].size:
+        y0 = split(base)
+    return vs, y0, split, reduce
+
+
 def derivatives(state, lam=0.0):
     """The force law at a FieldState, under its own masses and dimension and
-    the background constant lam: model_rhs(vs) of its geometry at the
-    _integrate.layout vector of a scenario whose markers are replaced by the
-    state's, split into one array per field, (dx, du, drho, dw) or (dr, du,
-    drho, dl1, dl2)."""
-    vs = replace(_validated(state.dimension, lam), initial=state)
-    y0, split, _, _ = _integrate.layout(vs)
+    the background constant lam: model_rhs(vs) of its geometry at its
+    solver vector (solver_state's), split into one array per field, (dx,
+    du, dv, dq) or (dr, du, drho, dl1, dl2)."""
+    vs, y0, split, _ = solver_state(state, lam)
     rhs = flat(_model_rhs(vs), split)
     return np.split(rhs(0.0, y0[0]), 4 if vs.dimension == 1 else 5)
+
+
+def slab_div_rate(state, lam=0.0):
+    """D(div u)/Dt = D(q/v)/Dt = rho (dq - w dv) of a slab state, from the
+    force law in the chart [x, u, v, q]."""
+    _, _, dv, dq = derivatives(state, lam)
+    return (dq - state.eig_radial * dv) * state.densities
 
 
 def flat(rhs, split):
@@ -76,6 +96,38 @@ def support_volume_upper(volume, densities, masses, dimension: int):
     if slab:
         volume += 0.5 * m[0] / rho[0]
     return float(volume + 0.5 * m[-1] / rho[-1])
+
+
+def uniform_slab_chart(rho0, w0, lam, t):
+    """v = 1/rho and q = v' at time t along every characteristic of a
+    uniform slab, in closed form: v'' = lam v - 1 from v0 = 1/rho0 and q0 =
+    w0 v0, so v = 1/lam + (v0 - 1/lam) cosh(s t) + (q0/s) sinh(s t) with s =
+    sqrt(lam) for lam > 0, and v = v0 + q0 t - t^2/2 at lam = 0."""
+    v0 = 1.0 / rho0
+    q0 = w0 * v0
+    if lam == 0.0:
+        return v0 + q0 * t - 0.5 * t * t, q0 - t
+    s = math.sqrt(lam)
+    c, sh = math.cosh(s * t), math.sinh(s * t)
+    return 1.0 / lam + (v0 - 1.0 / lam) * c + q0 / s * sh, (v0 - 1.0 / lam) * s * sh + q0 * c
+
+
+def uniform_slab_div_crossing(rho0, w0, lam, threshold, t_end):
+    """The first time at which |div u| = |q/v| of a uniform slab passes
+    threshold (or v reaches 0), by bisection of the closed form down to
+    adjacent doubles; None if it does not by t_end. |q/v| grows monotonically
+    toward the collapse, so the first double at which it holds is returned."""
+    def holds(t):
+        v, q = uniform_slab_chart(rho0, w0, lam, t)
+        return v <= 0.0 or abs(q) > threshold * v
+
+    if not holds(t_end):
+        return None
+    lo, hi = 0.0, t_end
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 class BeyondBlowup(Exception):
@@ -108,12 +160,11 @@ def comparison_solution(params: RiccatiParams, t):
 
 
 def step_row(state, lam=0.0):
-    """The StepRow of a FieldState, by the run's reducer on the views of the
-    solver vector of its fields, with the rate column from the RHS there:
+    """The StepRow of a FieldState, by the run's reducer on the views of its
+    solver vector (solver_state's), with the rate column from the RHS there:
     _model_rhs under the state's masses and dimension and the background
     constant lam, written into a new vector."""
-    vs = replace(_validated(state.dimension, lam), initial=state)
-    y, split, _, reduce = _integrate.layout(vs)
+    vs, y, split, reduce = solver_state(state, lam)
     f = split(np.empty_like(y[0]))
     _model_rhs(vs)(state.time, y, f)
     return reduce(state.time, y, f)

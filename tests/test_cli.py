@@ -1,4 +1,5 @@
 import csv
+import math
 import pathlib
 
 import numpy as np
@@ -8,8 +9,11 @@ from click.testing import CliRunner
 
 from dustlab import functional, riccati
 from dustlab.core import load_scenario, validate_scenario
+from dustlab.detector import BRACKET_REL_WIDTH
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
                          EXIT_OK, EXIT_VALIDATION, main)
+
+from conftest import uniform_slab_div_crossing
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -218,12 +222,24 @@ class TestSimulate:
         assert result.stderr.rstrip().endswith(": 5, 7")
         assert "past the last" not in result.stdout
 
+    def test_subnormal_slab_density_exit_1(self, runner, tmp_path):
+        # the slab's chart steps v = 1/rho, which a subnormal density overflows
+        path = fast_scenario(tmp_path, initial_profile={
+            "density": {"kind": "uniform", "value": 1e-310, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "zero"}})
+        result = runner.invoke(main, ["simulate", "--scenario", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert "NotFinite[density]" in result.output
+
     def test_snapshot_steps_a_microsecond_apart_get_two_files(self, runner, tmp_path):
-        # both steps once rounded to markers_t2.000000.csv, and one dump was lost
+        # both steps once rounded to markers_t2.720698.csv, and one dump was
+        # lost; the ball's steps near its collapse are ~1e-10 apart (the
+        # slab's chart steps over its collapse)
         out = tmp_path / "out"
         result = runner.invoke(main, [
-            "simulate", "--scenario", str(SCENARIOS / "uniform_collapse_1d.yaml"),
-            "--out", str(out), "--snapshot-times", "1.9999996,1.9999999"])
+            "simulate", "--scenario", str(SCENARIOS / "uniform_ball_n3.yaml"),
+            "--out", str(out), "--snapshot-times", "2.7206978,2.7206981"])
         assert result.exit_code == EXIT_OK, result.output
         names = sorted(p.name for p in out.glob("markers_t*.csv"))
         assert len(names) == 2
@@ -544,8 +560,15 @@ class TestSweep:
             b"1e+12 exceeds div_blowup_threshold 1e+08\r\n"
             b"h0,-500000000001,,,,,error: TriggerAtStart[velocity]: initial |div u| "
             b"5e+11 exceeds div_blowup_threshold 1e+08\r\n"
-            b"h0,-2,CaseOne,0.48060196634497671,0.47213594517027624,1.96875,"
+            b"h0,-2,CaseOne,0.48060196634497671,0.47213594635936779,1.96875,"
             b"certificate honored\r\n")
+        # H(0) = -2 is the Hubble rate -2 (M = 1): v = 2 - 4t - t^2/2, whose
+        # root is sqrt(20) - 4; the event's t_hi lies within the bracket width
+        # after the exact time |div u| passes 1e8, just before that root
+        event_time = float((out / "sweep.csv").read_bytes().split(b"\r\n")[3].split(b",")[4])
+        exact = uniform_slab_div_crossing(0.5, -2.0, 0.0, 1e8, 5.0)
+        assert exact <= event_time <= exact + BRACKET_REL_WIDTH * event_time
+        assert event_time < math.sqrt(20.0) - 4.0
 
     @pytest.mark.parametrize("option, grid", [("--lambda-grid", "0:1"),
                                               ("--lambda-grid", "0:1:-2"),

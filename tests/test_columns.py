@@ -20,7 +20,8 @@ from dustlab.core import NumericalSettings, support_volume
 from dustlab.functional import (NEAR_SINGULAR_FRACTION, RESIDUAL_FLOOR,
                                 ProofChainStep, proof_chain_report)
 
-from conftest import derivatives, make_ball, make_slab, support_volume_upper
+from conftest import (derivatives, make_ball, make_slab, slab_div_rate,
+                      support_volume_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +68,7 @@ def loop_cs_density(state, v_sup):
 
 def loop_div_rate(state, lam):
     if state.eig_tangential is None:
-        _, _, _, dw = derivatives(state, lam)
-        return dw
+        return slab_div_rate(state, lam)
     _, _, _, dl1, dl2 = derivatives(state, lam)
     return dl1 + (state.dimension - 1) * dl2
 

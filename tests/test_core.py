@@ -293,8 +293,16 @@ class TestRejectedInputs:
         # positive on the last of 4 markers only (x = 0.75)
         (with_density({"kind": "table", "x": [-1.0, 0.5, 1.0], "values": [0.0, 0.0, 1.0]},
                       marker_count=4), "NegativeDensity", "density"),
+        # a positive mass at a subnormal density, whose v0 = 1/rho0 in the
+        # slab's chart overflows; and a normal one whose q0 = u_x v0 does
+        (with_density({"kind": "uniform", "value": 1e-310, "support": [-1.0, 1.0]}),
+         "NotFinite", "density"),
+        (slab_doc(tolerances={"div_blowup_threshold": 1e9}, initial_profile={
+            "density": {"kind": "uniform", "value": 1e-305, "support": [-1.0, 1.0]},
+            "velocity": {"kind": "hubble", "rate": -1e7}}), "NotFinite", "density"),
     ], ids=["v_sup-zero", "t_end-negative", "rel_tol-zero", "max_steps-zero",
-            "radial-lo-negative", "empty-support", "one-positive-marker"])
+            "radial-lo-negative", "empty-support", "one-positive-marker",
+            "slab-subnormal-density", "slab-chart-rate-overflows"])
     def test_rejected_naming_code_and_field(self, doc, code, field):
         with pytest.raises(ValidationError) as exc:
             validate_scenario(scenario_from_dict(doc))

@@ -149,9 +149,37 @@ class TestBracketing:
         def refused(*args):
             pytest.fail("the bracket re-integrated or reduced past a failed precondition")
 
+        row = step_row(vs.initial)
         with pytest.raises(DustLabError, match="precondition: trigger already holds"):
-            bracket_event(refused, refused, unpack, step_row(vs.initial), y0, 1.0,
-                          Trigger.DENSITY_THRESHOLD, settings)
+            bracket_event(refused, refused, unpack, row, y0, row._replace(time=1.0), settings)
+
+    @pytest.mark.parametrize("gap_time, trigger", [
+        (0.62, Trigger.DIVERGENCE_THRESHOLD),  # the earliest, 2e-9 before the gap
+        (0.62 - 2e-9, Trigger.SHELL_CROSSING),  # tied: priority decides
+    ], ids=["earliest", "tie"])
+    def test_every_trigger_at_the_step_end_brackets_the_earliest(self, gap_time, trigger):
+        """A step that ends past a slab's collapse holds all three triggers;
+        the bisection goes on past the width goal until one alone holds at
+        t_hi, or until the midpoint no longer splits the bracket."""
+        first = {"min_gap": gap_time, "max_abs_div": 0.62 - 2e-9, "max_density": 0.625}
+        values = {"min_gap": (1.0, 0.0), "max_abs_div": (0.0, np.inf),
+                  "max_density": (0.5, np.inf)}
+
+        def reduce(t, y):
+            row = step_row(state([-0.5, 0.5]))._replace(time=t)
+            return row._replace(**{column: values[column][t >= first[column]]
+                                   for column in first})
+
+        def unpack(t, y):
+            return state([-0.5, 0.5], w=[0.0, -2e8], rho=[0.5, 2e12], t=t)
+
+        event, row_lo, _ = bracket_event(lambda t0, y0, t1: t1, reduce, unpack,
+                                         reduce(0.0, None), None, reduce(0.7, None),
+                                         SETTINGS)
+        assert event.trigger is trigger
+        assert event.t_lo < 0.62 - 2e-9 <= event.t_hi
+        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
+        assert row_lo.time == event.t_lo
 
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by

@@ -106,11 +106,23 @@ def row_of(reduce, y, f):
     return np.array(reduce(0.25, y, f)).tobytes()
 
 
+def chart_fields(y, f, n):
+    """rho, div u and D(div u)/Dt of the slab's chart [x, u, v, q] and of
+    its RHS f: 1/v, q/v and rho (dq - div dv)."""
+    v, q, dv, dq = y[2 * n:3 * n], y[3 * n:], f[2 * n:3 * n], f[3 * n:]
+    rho, div = 1.0 / v, q / v
+    return rho, div, (dq - div * dv) * rho
+
+
 def expected_row(y, f, masses, dimension):
     n = masses.size
-    div = divergence(y[3 * n:4 * n], y[4 * n:], dimension)
-    rate = divergence(f[3 * n:4 * n], f[4 * n:], dimension)
-    return np.array(reference_row(0.25, y[:n], y[2 * n:3 * n], div, masses,
+    if dimension == 1:
+        rho, div, rate = chart_fields(y, f, n)
+    else:
+        rho = y[2 * n:3 * n]
+        div = divergence(y[3 * n:4 * n], y[4 * n:], dimension)
+        rate = divergence(f[3 * n:4 * n], f[4 * n:], dimension)
+    return np.array(reference_row(0.25, y[:n], rho, div, masses,
                                   dimension, rate)).tobytes()
 
 
@@ -140,16 +152,27 @@ def test_reducer_equals_the_reference_row(dimension, rate_scale):
 def test_reducer_at_a_boundary_density_at_most_zero(dimension, edge, value):
     """A boundary density <= 0 leaves the upper support estimate at the
     marker extent (support_volume_upper's early return); a shell's inner
-    density is not a boundary."""
+    density is not a boundary. In the slab's chart the field is v = 1/rho,
+    and v <= 0 is a marker at or past its singularity: its row holds +inf
+    rho and |div u|, NaN sums and the gap, with no division by that v under
+    a run's guard."""
     rng = np.random.default_rng(3)
     n = 16
     y, f = solver_vector(rng, n, dimension)
     masses = rng.uniform(0.2, 1.0, n)
     y[2 * n + (edge % n)] = value
     reduce = flat_reducer(masses, dimension)
+    if dimension == 1:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = reduce(0.25, y, f)
+        assert (got.max_density, got.max_abs_div) == (math.inf, math.inf)
+        assert got.min_gap == np.min(np.diff(y[:n]))
+        assert all(map(math.isnan, (got.h, got.m_div2, got.m_rho, got.volume,
+                                    got.volume_upper, got.m_div_rate, got.min_density)))
+        return
     assert row_of(reduce, y, f) == expected_row(y, f, masses, dimension)
     got = reduce(0.25, y, f)
-    assert (got.volume_upper == got.volume) == (dimension == 1 or edge == -1)
+    assert (got.volume_upper == got.volume) == (edge == -1)
 
 
 @RATE_SCALES
@@ -164,12 +187,12 @@ def test_row_sums_equal_one_dimensional_reductions(rate_scale):
     for n in sizes:
         masses = rng.uniform(0.1, 2.0, n)
         positions = np.sort(rng.uniform(0.1, 2.0, n))
-        densities = rng.uniform(0.1, 2.0, n)
-        div = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-        rate = rng.normal(size=n) * rate_scale
-        y = np.concatenate((positions, np.zeros(n), densities, div))
-        f = np.concatenate((np.zeros(3 * n), rate))
+        v = rng.uniform(0.5, 10.0, n)
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n) * v
+        y = np.concatenate((positions, np.zeros(n), v, q))
+        f = np.concatenate((np.zeros(2 * n), rng.normal(size=2 * n) * rate_scale))
         got = flat_reducer(masses, 1)(0.0, y, f)
+        densities, div, rate = chart_fields(y, f, n)
         md = masses * div
         expected = [np.add.reduce(md), np.add.reduce(md * div),
                     np.add.reduce(masses * densities),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from dustlab import sample, simulate
-from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
+from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings, Trigger,
                           validate_scenario)
+from dustlab.detector import BRACKET_REL_WIDTH
 
-from conftest import derivatives, make_slab
+from conftest import (derivatives, make_slab, slab_div_rate, uniform_slab_chart,
+                      uniform_slab_div_crossing)
 
 
 def two_marker_state(x=(-0.5, 0.5), m=(0.5, 0.5)):
@@ -41,36 +42,37 @@ class TestSlabForce:
 
 class TestSlabRhs:
     def test_equilibrium_marker(self):
+        # rho = lambda, w = 0: dv = q = 0 and dq = lambda v - 1 = 0
         lam = 0.7
         st = two_marker_state()
         st = FieldState(time=0.0, positions=st.positions,
                         velocities=st.velocities,
                         densities=np.full(2, lam),
                         eig_radial=np.zeros(2), masses=st.masses)
-        _, _, drho, dw = derivatives(st, lam)
-        np.testing.assert_allclose(dw, 0.0, atol=1e-15)
-        np.testing.assert_allclose(drho, 0.0, atol=1e-15)
+        _, _, dv, dq = derivatives(st, lam)
+        np.testing.assert_allclose(dq, 0.0, atol=1e-15)
+        np.testing.assert_allclose(dv, 0.0, atol=1e-15)
+        np.testing.assert_allclose(slab_div_rate(st, lam), 0.0, atol=1e-15)
 
     def test_vacuum_characteristic_burgers_decay(self):
+        # the chart holds v = 1/rho, so the vacuum is its limit rho -> 0:
+        # at rho = 1e-300, D(div u)/Dt = rho (dq - w dv) is -w^2
         st = FieldState(time=0.0, positions=np.array([-0.5, 0.5]),
-                        velocities=np.zeros(2), densities=np.zeros(2),
+                        velocities=np.zeros(2), densities=np.full(2, 1e-300),
                         eig_radial=np.array([2.0, -3.0]),
                         masses=np.array([0.0, 0.0]))
-        _, _, _, dw = derivatives(st)
-        np.testing.assert_allclose(dw, [-4.0, -9.0])
+        np.testing.assert_allclose(slab_div_rate(st), [-4.0, -9.0])
 
     def test_uniform_collapse_matches_pointwise_oracle(self):
-        # uniform state: every marker follows rho' = -rho w, w' = -w^2 - rho
+        # uniform state: every marker's v = 1/rho follows v'' = -1, so at
+        # t = 1 it is v0 - 1/2 and w = q/v = -1/v (uniform_slab_chart)
         sc = make_slab(rho0=0.5, t_end=1.0, settings=NumericalSettings())
         traj = simulate(sc)
         assert traj.event is None
-        sol = solve_ivp(lambda t, y: [-y[0] * y[1], -y[1] ** 2 - y[0]],
-                        (0.0, 1.0), [0.5, 0.0], method="DOP853",
-                        rtol=1e-12, atol=1e-14)
-        rho_ref, w_ref = sol.y[0, -1], sol.y[1, -1]
+        v, q = uniform_slab_chart(0.5, 0.0, 0.0, 1.0)
         st = traj.states[-1]
-        np.testing.assert_allclose(st.densities, rho_ref, rtol=1e-8)
-        np.testing.assert_allclose(st.eig_radial, w_ref, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(st.densities, 1.0 / v, rtol=1e-13)
+        np.testing.assert_allclose(st.eig_radial, q / v, rtol=1e-13)
 
 
 class TestIntegrateSlab:
@@ -86,12 +88,25 @@ class TestIntegrateSlab:
         np.testing.assert_allclose(st.velocities, 0.0, atol=1e-12)
 
     def test_uniform_collapse_blows_up_before_bound(self):
-        # homologous collapse at t=2; certified bound pi/2/sqrt(1/2) = 2.2214
-        sc = make_slab(rho0=0.5, v_sup=2.0, t_end=5.0)
-        traj = simulate(sc)
-        assert traj.event is not None
-        assert traj.event.t_hi == pytest.approx(2.0, abs=1e-4)
-        assert traj.event.t_hi < 2.2215
+        # over the 11-point lambda grid of the sweep, 0 to 0.6: the exact
+        # first time |div u| passes its threshold lies in the event's
+        # bracket, on the same trigger and marker, and lambda >= 0.48 does
+        # not collapse by t_end; at lambda = 0 the collapse is at t = 2, below
+        # the certified bound pi/2/sqrt(1/2) = 2.2214
+        for k in range(11):
+            lam = 0.06 * k
+            sc = make_slab(rho0=0.5, lam=lam, v_sup=2.0, t_end=5.0)
+            event = simulate(sc).event
+            exact = uniform_slab_div_crossing(0.5, 0.0, lam, sc.settings.div_blowup_threshold,
+                                              sc.t_end)
+            if exact is None:
+                assert event is None, lam
+                continue
+            assert (event.trigger, event.marker_index) == (Trigger.DIVERGENCE_THRESHOLD, 0), lam
+            assert event.t_lo < exact <= event.t_hi, lam
+            assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi, lam
+            if lam == 0.0:
+                assert event.t_hi < 2.2215
 
     def test_hubble_expansion_no_event_density_decays(self):
         sc = make_slab(rho0=0.5, v_sup=100.0, velocity=HubbleVelocity(2.0),
@@ -110,7 +125,7 @@ class TestSlabInvariants:
         lam = traj.validated.lam
         rel_tol = traj.validated.scenario.settings.rel_tol
         for st in traj.states:
-            _, _, _, dw = derivatives(st, lam)
+            dw = slab_div_rate(st, lam)
             resid = np.abs(dw + st.eig_radial**2 + st.densities - lam)
             assert np.max(resid) <= 10 * rel_tol * max(
                 1.0, float(np.max(np.abs(dw))))

@@ -30,7 +30,7 @@ from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, UniformDen
                           load_scenario, validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
-from conftest import FAST, flat, make_ball, make_slab
+from conftest import FAST, flat, make_ball, make_slab, solver_state
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -53,10 +53,13 @@ def reference(vs, rhs, split, t0, y0, t1, **kwargs):
 
 
 def solver_vector(state):
-    fields = [state.positions, state.velocities, state.densities, state.eig_radial]
-    if state.eig_tangential is not None:
-        fields.append(state.eig_tangential)
-    return np.concatenate(fields)
+    """The solver vector of a state's fields: [x, u, v, q] in the slab's
+    chart, v = 1/rho and q = w v, and [r, u, rho, l1, l2] for shells."""
+    if state.dimension == 1:
+        v = 1.0 / state.densities
+        return np.concatenate([state.positions, state.velocities, v, state.eig_radial * v])
+    return np.concatenate([state.positions, state.velocities, state.densities,
+                           state.eig_radial, state.eig_tangential])
 
 
 @pytest.mark.parametrize("sc, times", [
@@ -77,7 +80,7 @@ def test_sample_equals_solve_ivp_t_eval(sc, times):
     for t, state in zip(times.tolist(), traj.states):
         if t > t_prev:
             y = reference(vs, rhs, split, t_prev, y, t).y[:, -1]
-        assert solver_vector(state).tobytes() == y.tobytes()
+        assert solver_state(state)[1][0].tobytes() == y.tobytes()
         t_prev = t
 
 
@@ -96,6 +99,13 @@ def test_a_run_past_a_double_raises_numeric_overflow(run):
                  settings=NumericalSettings(rho_blowup_threshold=1e306))
     with pytest.raises(NumericOverflow):
         run(sc)
+
+
+def test_a_sample_past_a_slab_collapse_raises_numeric_overflow():
+    # the slab's chart steps on through v = 0 at t = 2, where rho = 1/v is
+    # +inf; sample scans no triggers, so it refuses the state
+    with pytest.raises(NumericOverflow, match="infinite density at t=3"):
+        sample(make_slab(rho0=0.5, t_end=5.0), [1.0, 3.0])
 
 
 # a slab at lambda != 0 and a contracting ball, stepped to t = 1.5
@@ -238,13 +248,16 @@ class TestStepperMatchesRK45:
         assert steps > 400
 
     def test_rejected_step(self):
-        # without the 4e-3 step cap the first steps grow until one is rejected
-        sc = shipped("uniform_collapse_1d")
+        # without the 4e-3 step cap the steps grow until one is rejected; at
+        # lambda = 0 the slab's chart is a polynomial in t, which every step
+        # solves exactly, so lambda = 0.37 (v = 1/lambda + a cosh(t sqrt(lambda)))
+        # is stepped through its collapse near t = 3.33 to 4.5
+        sc = shipped("uniform_collapse_1d", lam=0.37)
         sc = replace(sc, settings=replace(sc.settings, max_step=1e3))
-        steps, calls = assert_matches_rk45(sc, 1.9)
+        steps, calls = assert_matches_rk45(sc, 4.5)
         # two calls to restart (f0 and the initial-step probe), six per attempt
         rejected = (calls - 2) // 6 - steps
-        assert (steps, calls, rejected) == (118, 716, 1)
+        assert (steps, calls, rejected) == (86, 524, 1)
 
     def test_tiny_rel_tol_is_raised_with_a_warning(self):
         y0 = np.ones(3)
@@ -318,10 +331,14 @@ def test_one_stepper_per_run(monkeypatch):
         return function(*args)
 
     monkeypatch.setattr(_integrate, "DormandPrince", Counted)
-    # the event's step is shorter than the bracket's goal: the run's start,
-    # then the bracket's one re-integration
-    assert run(simulate, shipped("uniform_collapse_1d")).event is not None
+    # the ball's event step is shorter than the bracket's goal: the run's
+    # start, then the bracket's one re-integration
+    assert run(simulate, shipped("uniform_ball_n3")).event is not None
     assert (len(built), len(restarts)) == (1, 2)
+    # the slab's chart steps over its collapse in a step of full length,
+    # which the bracket bisects
+    assert run(simulate, shipped("uniform_collapse_1d")).event is not None
+    assert len(built) == 1 and len(restarts) > 10
     # a density trigger in a step of full length: a restart per bisection
     early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
     assert run(simulate, early).event is not None
@@ -408,8 +425,7 @@ def test_bisected_edge_row_equals_a_reduction_with_a_new_rhs(monkeypatch, name):
     assert moved == [True]
     edge = traj.states[-1]
     assert edge.time == traj.event.t_lo
-    _, split, _, reduce = _integrate.layout(vs)
-    y = split(solver_vector(edge))
+    _, y, split, reduce = solver_state(edge)
     f = split(np.empty_like(y[0]))
     _model_rhs(vs)(edge.time, y, f)
     last = np.array([column[-1] for column in traj.columns])

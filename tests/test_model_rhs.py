@@ -46,20 +46,22 @@ def model(vs, rng):
 
 
 def slab_formula(vs, y):
-    """The slab derivatives, -Phi_x = -(Phi_x - lam (x - x_cm)) among them,
-    evaluated with temporaries."""
+    """The slab derivatives in the chart [x, u, v, q], -Phi_x = -(Phi_x -
+    lam (x - x_cm)) and dq = lam v - 1 among them, evaluated with
+    temporaries."""
     masses, lam = vs.initial.masses, vs.lam
-    x, u, rho, w = np.split(y, 4)
+    x, u, v, q = np.split(y, 4)
     total = masses.sum()
     phi_x = np.cumsum(masses) - 0.5 * masses - 0.5 * total
     force = -(phi_x - lam * (x - (masses * x).sum() / total))
-    return np.concatenate((u, force, -rho * w, -w * w - rho + lam))
+    return np.concatenate((u, force, q, lam * v - 1.0))
 
 
 def slab_vector(rng):
+    # v = 1/rho of either sign: a step may end past a marker's collapse
     x = np.sort(rng.uniform(-1.5, 1.5, MARKERS))
     return np.concatenate((x, rng.normal(size=MARKERS),
-                           rng.uniform(0.1, 2.0, MARKERS), rng.normal(size=MARKERS)))
+                           rng.uniform(-0.5, 10.0, MARKERS), rng.normal(size=MARKERS)))
 
 
 def shell_vector(rng, inner=None, low=0.05):
