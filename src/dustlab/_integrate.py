@@ -110,13 +110,13 @@ class DormandPrince:
     0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
 
     Every accepted time and state and the RHS value equal those of the
-    reference RK45 implementation that tests/test_integrate.py compares
-    against, bit for bit, under the same rtol, atol and max_step:
-    the stage sums are the same np.dot calls on views of one (7 x n) stage
-    block, and the step control does the same floating-point operations in
-    the same order, with the step size and the tolerances as 0-d arrays. An
-    rtol below 100 machine epsilons is raised to that, with a warning, as
-    there.
+    tests' reference, the plain loop tests/conftest.py::dormand_prince,
+    bit for bit, under the same rtol, atol and max_step, with as many RHS
+    calls: the stage sums are the same np.dot calls on views of one (7 x n)
+    stage block, and the step control does the same floating-point
+    operations in the same order (the step size and the tolerances held as
+    0-d arrays, which round as floats do). An rtol below 100 machine
+    epsilons is raised to that, with a warning, as there.
     DormandPrince(fun, split, size, settings) builds a stepper for solver
     vectors of size doubles, split by split, under the settings' rel_tol,
     abs_tol, max_step and max_steps, and does not start it: the block, a
@@ -312,7 +312,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     stepper.restart(0.0, y0, vs.scenario.t_end)
     rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
     states = [vs.initial]
-    y_last = y0
+    y_last, y0 = y0, None  # y0 is freed once the run steps past it
     event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)

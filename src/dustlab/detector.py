@@ -123,9 +123,14 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     """
     event = trajectory.event
     times = trajectory.times
-    # the proof chain's support-volume rule, on the upper support estimate
+    # the proof chain's support-volume rule, on the upper support estimate;
+    # the escape lies between the last row inside and the first outside (the
+    # first row twice if the support starts outside)
     upper = trajectory.columns.volume_upper.tolist()
-    t_escape = next((t for t, u in zip(times.tolist(), upper) if not _inside(u, v_sup)), None)
+    out = next((k for k, u in enumerate(upper) if not _inside(u, v_sup)), None)
+    t_escape = None if out is None else float(times[out])
+    escaped = "" if out is None else (
+        f"support escaped V_sup at t in [{times[max(out - 1, 0)]:.6g}, {t_escape:.6g}]")
 
     if certificate is None or certificate.t_bound is None:
         if event is not None:
@@ -140,16 +145,16 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
                                f"event at t={event.t_hi:.6g} <= certified bound {t_bound:.6g}")
         if t_escape is not None and t_escape < t_bound:
             return EscapeReport(EscapeStatus.HYPOTHESIS_VIOLATED,
-                               f"support escaped V_sup at t={t_escape:.6g} before the bound "
-                               f"{t_bound:.6g}; late event is consistent with the escape corollary")
+                               f"{escaped} before the bound {t_bound:.6g}; late event is "
+                               "consistent with the escape corollary")
         return EscapeReport(EscapeStatus.CONTRADICTION,
                             f"event at t={event.t_hi:.6g} after bound {t_bound:.6g} "
                             "with support bounded throughout")
     # no event
     if t_escape is not None and t_escape < t_bound:
         return EscapeReport(EscapeStatus.HYPOTHESIS_VIOLATED,
-                           f"support escaped V_sup at t={t_escape:.6g} before the bound "
-                           f"{t_bound:.6g} -- consistent with the escape corollary")
+                           f"{escaped} before the bound {t_bound:.6g} -- consistent with "
+                           "the escape corollary")
     if times[-1] < t_bound:
         return EscapeReport(EscapeStatus.INCONCLUSIVE,
                            f"run ended at t={times[-1]:.6g} before the bound {t_bound:.6g}")

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,14 +75,103 @@ def slab_div_rate(state, lam=0.0):
 
 
 def flat(rhs, split):
-    """rhs(t, yv, fv) on flat solver vectors, as scipy's RK45 calls a
-    right-hand side: flat_rhs(t, y, out=None) splits y and out (a new vector
-    without it), delegates, and returns out."""
+    """rhs(t, yv, fv) on flat solver vectors, as the reference loop
+    dormand_prince calls a right-hand side: flat_rhs(t, y, out=None) splits
+    y and out (a new vector without it), delegates, and returns out."""
     def flat_rhs(t, y, out=None):
         out = np.empty_like(y) if out is None else out
         return rhs(t, split(y), split(out))
 
     return flat_rhs
+
+
+# The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26:
+# stage nodes, stage coefficients, fifth-order weights, and the error weights
+# (fifth minus fourth order, the seventh on the derivative at the new state)
+DP_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+DP_STAGES = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+DP_WEIGHTS = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+DP_ERROR = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+                     1 / 40])
+
+
+def rms(x):
+    """The RMS norm, sqrt(x.x) / sqrt(n)."""
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
+    """The explicit Runge-Kutta 5(4) method of Dormand & Prince with local
+    extrapolation, written out as one loop: the reference that
+    tests/test_integrate.py holds _integrate.DormandPrince to, bit for bit.
+
+    fun(t, y) returns the derivative at the flat vector y as a new array.
+    An rtol below 100 machine epsilons is raised to that, with a warning.
+    The first step is Hairer, Norsett & Wanner's (Solving ODEs I, Sec.
+    II.4). A step is accepted when the RMS norm of its error estimate over
+    atol + max(|y|, |y_new|) rtol is below 1. The next step is the last one
+    times 0.9 err^(-1/5), clipped to [0.2, 10], and to at most 1 right after
+    a rejection. A step is capped at max_step, raised to 10 ulp of t, and
+    clipped to end exactly at t_bound. The stage sums are np.dot on the
+    transposed rows of one (7 x n) stage block. Returns [(t, y, f)] after
+    every accepted step, f being fun's value at y; [] when t0 == t_bound.
+    """
+    eps100 = 100 * np.finfo(float).eps
+    if rtol < eps100:
+        warnings.warn(f"rtol {rtol:g} is below 100 machine epsilons", UserWarning)
+        rtol = eps100
+    t, y, f = t0, y0, fun(t0, y0)
+    interval = t_bound - t0
+    if interval == 0.0:
+        return []
+    # Hairer's first step, from one explicit Euler probe
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval, max_step)
+
+    K = np.empty((7, y0.size))
+    accepted = []
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"step size below 10 ulp at t={t:g}")
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, (c, a) in enumerate(zip(DP_NODES[1:], DP_STAGES), start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:6].T, DP_WEIGHTS)
+            f_new = K[6] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = rms(np.dot(K.T, DP_ERROR) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** (-1 / 5))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** (-1 / 5))
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        accepted.append((t, y, f))
+    return accepted
 
 
 def support_volume_upper(volume, densities, masses, dimension: int):
@@ -128,6 +218,38 @@ def uniform_slab_div_crossing(rho0, w0, lam, threshold, t_end):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi
+
+
+def cold_ball_fall_time(n, rho0, radius):
+    """The time at which every shell of a cold uniform N-ball of density
+    rho0 has fallen to the fraction radius of its start, in closed form.
+    Each shell keeps its enclosed mass, rho0 |B_1| r0^N, so r = r0 R with
+    R'' = -(rho0/N) R^(1-N), R(0) = 1 and R'(0) = 0: at N = 2 t =
+    sqrt(pi/rho0) erf(sqrt(ln(1/R))); at N = 3, with R = cos^2 eta, t = (eta
+    + sin eta cos eta) / sqrt(2 rho0/3); at N = 4 t = (2/sqrt(rho0)) sqrt(1
+    - R^2)."""
+    if n == 2:
+        return math.sqrt(math.pi / rho0) * math.erf(math.sqrt(math.log(1.0 / radius)))
+    if n == 3:
+        eta = math.acos(math.sqrt(radius))
+        return (eta + math.sqrt(radius * (1.0 - radius))) / math.sqrt(2.0 * rho0 / 3.0)
+    if n == 4:
+        return 2.0 / math.sqrt(rho0) * math.sqrt(1.0 - radius * radius)
+    raise ValueError(f"no closed form at N = {n}")
+
+
+def cold_ball_free_fall(n, rho0, t):
+    """R and R' at time t of cold_ball_fall_time's free fall, before the
+    collapse: R by bisection of the fall time down to adjacent doubles, R'
+    from the energy R'^2/2 = (rho0/N) (R^(2-N) - 1)/(N - 2), the limit
+    (rho0/2) ln(1/R) at N = 2. Along every shell l1 = l2 = R'/R and rho =
+    rho0/R^N."""
+    lo, hi = 0.0, 1.0  # the fall time decreases with R
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cold_ball_fall_time(n, rho0, mid) > t else (lo, mid)
+    potential = math.log(1.0 / hi) if n == 2 else (hi ** (2 - n) - 1.0) / (n - 2)
+    return hi, -math.sqrt(2.0 * rho0 / n * potential)
 
 
 class BeyondBlowup(Exception):

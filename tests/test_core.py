@@ -1,9 +1,9 @@
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dustlab.core import (MAX_DIMENSION, GaussianDensity, Geometry,
                           HubbleVelocity, NumericalSettings, Scenario,
@@ -65,15 +65,21 @@ class TestDiscretization:
     def test_mass_weights_match_quadrature_gaussian(self):
         density = GaussianDensity(1.0, 0.0, 0.5, -1.0, 1.0)
         vs = validate_scenario(make_slab(density=density, markers=400))
-        exact, _ = quad(lambda x: density(x), -1.0, 1.0)
+        # the integral of A exp(-x^2/(2 w^2)) over [-1, 1]
+        amp, width = density.amplitude, density.width
+        exact = amp * width * math.sqrt(2 * math.pi) * math.erf(1.0 / (width * math.sqrt(2)))
         assert vs.total_mass == pytest.approx(exact, rel=1e-5)
 
     def test_radial_mass_weights_match_quadrature(self):
         density = GaussianDensity(1.0, 0.0, 0.5, 0.0, 1.0)
         vs = validate_scenario(make_ball(n=3, density=density, markers=400))
         sigma = unit_sphere_area(3)
-        exact, _ = quad(lambda r: density(r) * sigma * r**2, 0.0, 1.0)
-        assert vs.total_mass == pytest.approx(exact, rel=1e-4)
+        # the integral of A exp(-r^2/(2 w^2)) sigma r^2 over [0, 1]
+        amp, width = density.amplitude, density.width
+        z = 1.0 / (width * math.sqrt(2))
+        exact = amp * sigma * (width**3 * math.sqrt(math.pi / 2) * math.erf(z)
+                               - width**2 * math.exp(-z * z))
+        assert vs.total_mass == pytest.approx(exact, rel=1e-5)
 
     def test_uniform_ball_mass_exact(self):
         vs = validate_scenario(make_ball(n=3, rho0=0.5))

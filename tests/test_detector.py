@@ -218,9 +218,12 @@ class TestEscapeReport:
         traj = simulate(sc)
         rep = escape_report(traj, 2.0, self.certificate_for(traj))
         assert rep.status is EscapeStatus.HYPOTHESIS_VIOLATED
-        # the escape is the first step the proof chain leaves unasserted
+        # the escape lies in the first step the proof chain leaves unasserted,
+        # between the row before it, still inside, and its own
         t_out = next(s.time for s in proof_chain_report(traj).steps if not s.hypothesis_ok)
-        assert f"escaped V_sup at t={t_out:.6g} " in rep.message
+        times = traj.times.tolist()
+        bracket = f"[{times[times.index(t_out) - 1]:.6g}, {t_out:.6g}]"
+        assert rep.message.startswith(f"support escaped V_sup at t in {bracket} before the bound")
 
     def test_no_prediction_without_certificate(self):
         sc = make_ball(n=3, rho0=0.5, lam=2.0, t_end=0.5)
@@ -266,7 +269,7 @@ class TestEscapeReport:
         traj = uniform_collapse_traj
         rep = escape_report(traj, 1.0, self.early_bound(traj))
         assert rep.status is EscapeStatus.HYPOTHESIS_VIOLATED
-        assert rep.message.startswith("support escaped V_sup at t=0 before the bound")
+        assert rep.message.startswith("support escaped V_sup at t in [0, 0] before the bound")
         assert "late event" in rep.message
 
     def test_contradiction_without_an_event(self, uniform_collapse_traj):

@@ -1,14 +1,16 @@
-"""The one stepper object of ``_integrate``, ``DormandPrince``, against
-scipy's ``RK45`` and ``solve_ivp``, compared with ``==``, and the step limit
-it owns.
+"""The one stepper object of ``_integrate``, ``DormandPrince``, against the
+reference loop ``conftest.dormand_prince``, compared with ``==``, and the
+step limit it owns.
 
 A stepper is built from a run's settings and started by ``restart``. Its
-``steps()`` must equal ``scipy.integrate.RK45`` after every accepted step
-(time, state and RHS value), and its ``reintegrate``, which the event bracket
-and ``dustlab.sample`` use, must equal ``solve_ivp(...).y[:, -1]``, bit for
-bit: a last-bit change moves event brackets and marker indices.
-``dustlab.sample`` must equal ``solve_ivp`` run from each requested time to
-the next. scipy is a test dependency only; the program does not import it.
+``steps()`` must equal the reference loop after every accepted step (time,
+state and RHS value), with as many RHS calls, and its ``reintegrate``, which
+the event bracket and ``dustlab.sample`` use, must equal the loop's last
+state, bit for bit: a last-bit change moves event brackets and marker
+indices. ``dustlab.sample`` must equal the loop run from each requested time
+to the next. The reference is the RK45 method that ``scipy.integrate``'s
+``RK45`` and ``solve_ivp`` run, written out; the tests that held the stepper
+to those keep their names. The program imports no scipy.
 """
 
 import math
@@ -23,14 +25,13 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
 
 from dustlab import _integrate, _model_rhs, detector, sample, simulate
 from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, UniformDensity,
                           load_scenario, validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
-from conftest import FAST, flat, make_ball, make_slab, solver_state
+from conftest import FAST, dormand_prince, flat, make_ball, make_slab, solver_state
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,11 +46,12 @@ def model(sc):
     return vs, _model_rhs(vs), y0, split
 
 
-def reference(vs, rhs, split, t0, y0, t1, **kwargs):
-    """solve_ivp's RK45 from the flat solver vector y0, on rhs made flat."""
+def reference(vs, rhs, split, t0, y0, t1):
+    """The state at t1 > t0 of the reference loop from the flat solver vector
+    y0 at t0, on rhs made flat, under the scenario's settings."""
     s = vs.scenario.settings
-    return solve_ivp(flat(rhs, split), (t0, t1), y0, method="RK45", rtol=s.rel_tol,
-                     atol=s.abs_tol, max_step=s.max_step, **kwargs)
+    steps = dormand_prince(flat(rhs, split), t0, y0, t1, s.rel_tol, s.abs_tol, s.max_step)
+    return steps[-1][1]
 
 
 def solver_vector(state):
@@ -70,8 +72,8 @@ def solver_vector(state):
     (make_ball(n=3, rho0=0.5, velocity=HubbleVelocity(-0.3)), np.linspace(0.0, 0.2, 201)),
 ], ids=["slab-coarse", "slab-fine", "ball", "ball-dense"])
 def test_sample_equals_solve_ivp_t_eval(sc, times):
-    """The state at each sample time is solve_ivp's from the state at the
-    time before (the initial state at time 0)."""
+    """The state at each sample time is the reference loop's from the state
+    at the time before (the initial state at time 0)."""
     vs, rhs, y0, split = model(sc)
     y = y0[0]
     traj = sample(sc, times)
@@ -79,7 +81,7 @@ def test_sample_equals_solve_ivp_t_eval(sc, times):
     t_prev = 0.0
     for t, state in zip(times.tolist(), traj.states):
         if t > t_prev:
-            y = reference(vs, rhs, split, t_prev, y, t).y[:, -1]
+            y = reference(vs, rhs, split, t_prev, y, t)
         assert solver_state(state)[1][0].tobytes() == y.tobytes()
         t_prev = t
 
@@ -123,9 +125,9 @@ def test_reintegration_equals_solve_ivp(sc):
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
-        y = reference(vs, rhs, split, 0.0, y0[0], t0).y[:, -1]
+        y = reference(vs, rhs, split, 0.0, y0[0], t0)
         got = stepper.reintegrate(t0, split(y), t1)
-        assert got[0].tobytes() == reference(vs, rhs, split, t0, y, t1).y[:, -1].tobytes()
+        assert got[0].tobytes() == reference(vs, rhs, split, t0, y, t1).tobytes()
 
 
 @SLAB_AND_BALL
@@ -189,7 +191,7 @@ def negative(t, yv, fv):
 def counting(rhs):
     """rhs and a one-element list that counts its calls, whatever their form:
     views for the stepper, which writes stage derivatives into its stage
-    block, flat vectors for RK45."""
+    block, flat vectors for the reference loop."""
     calls = [0]
 
     def counted(*args):
@@ -203,25 +205,21 @@ def accepted(stepper):
     return float(stepper.t), stepper.y.tobytes(), stepper.f.tobytes()
 
 
-def rk45_steps(stepper):
-    """accepted() after every step of scipy's RK45 until it reaches t_bound."""
-    out = []
-    while stepper.t < stepper.t_bound:
-        stepper.step()
-        assert stepper.status != "failed"
-        out.append(accepted(stepper))
-    return out
+def loop_steps(fun, *args):
+    """accepted()'s tuple after every step of the reference loop
+    dormand_prince(fun, *args)."""
+    return [(t, y.tobytes(), f.tobytes()) for t, y, f in dormand_prince(fun, *args)]
 
 
 def assert_matches_rk45(sc, t_bound):
-    """Asserts bit-equal steps and equal RHS call counts; returns the number
-    of accepted steps and of RHS calls."""
+    """Asserts bit-equal steps of the stepper and the reference loop, and
+    equal RHS call counts; returns the number of accepted steps and of RHS
+    calls."""
     vs, rhs, y0, split = model(sc)
     s = vs.scenario.settings
     ref_rhs, ref_calls = counting(flat(rhs, split))
     own_rhs, own_calls = counting(rhs)
-    expected = rk45_steps(RK45(ref_rhs, 0.0, y0[0], t_bound=t_bound, rtol=s.rel_tol,
-                               atol=s.abs_tol, max_step=s.max_step))
+    expected = loop_steps(ref_rhs, 0.0, y0[0], t_bound, s.rel_tol, s.abs_tol, s.max_step)
     stepper = _integrate.DormandPrince(own_rhs, split, y0[0].size, s)
     stepper.restart(0.0, y0, t_bound)
     got = [accepted(x) for x in stepper.steps()]
@@ -260,14 +258,17 @@ class TestStepperMatchesRK45:
         assert (steps, calls, rejected) == (86, 524, 1)
 
     def test_tiny_rel_tol_is_raised_with_a_warning(self):
+        # both raise rel_tol 1e-16 to 100 machine epsilons and step alike
         y0 = np.ones(3)
         with pytest.warns(UserWarning) as ref:
-            RK45(lambda t, y: -y, 0.0, y0, t_bound=1.0, rtol=1e-16, atol=1e-12)
+            expected = loop_steps(lambda t, y: -y, 0.0, y0, 1.0, 1e-16, 1e-12)
         settings = NumericalSettings(rel_tol=1e-16, abs_tol=1e-12, max_step=np.inf)
         with pytest.warns(UserWarning, match="rel_tol 1e-16 is below 100 machine epsilons"):
             stepper = _integrate.DormandPrince(negative, one_field, y0.size, settings)
         assert len(ref) == 1
         assert stepper.rtol == 100 * np.finfo(float).eps
+        stepper.restart(0.0, (y0,), 1.0)
+        assert [accepted(x) for x in stepper.steps()] == expected
 
     def test_empty_interval(self):
         # no step, and one RHS call for the initial state's f
@@ -433,9 +434,9 @@ def test_bisected_edge_row_equals_a_reduction_with_a_new_rhs(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, markers, bound", [
-    ("uniform_collapse_1d", 4096, 22),
-    ("uniform_ball_n3", 2048, 27),
-])
+    ("uniform_collapse_1d", 4096, 21),
+    ("uniform_ball_n3", 2048, 26),
+], ids=["uniform_collapse_1d-4096", "uniform_ball_n3-2048"])  # a new bound keeps the id
 def test_peak_memory_in_solver_vectors(name, markers, bound):
     """The traced allocation peak of simulate up to its event, in solver
     vectors of 8 bytes per field and marker: the stage block and its three
@@ -538,8 +539,8 @@ def test_layout_concatenates_the_initial_fields(sc):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # scipy is a test dependency only: no file of the package names it, and
-    # simulate and verify run to exit 0 in a fresh interpreter without it
+    # no file of the package names scipy, and simulate and verify run to
+    # exit 0 in a fresh interpreter without importing it
     assert not [path for path in (ROOT / "src" / "dustlab").rglob("*")
                 if path.is_file() and b"scipy" in path.read_bytes()]
     env = dict(os.environ)

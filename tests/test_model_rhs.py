@@ -9,7 +9,7 @@ with radii on both sides of it, as trial stages that cross r = 0 have them.
 The closures compute their run constants (and the shells' scratch) once.
 Called as rhs(t, yv, fv) on the views the run's split makes, they write the
 derivative into the vector fv splits, a row of the stepper's stage block,
-and return it; the flat form scipy's RK45 calls (conftest.flat) splits a
+and return it; the flat form the reference loop calls (conftest.flat) splits a
 new vector and returns it, which the caller may keep. The shell closure runs
 one law without the reference's floor and masks on every shell, then
 overwrites du, dl1 and dl2 of the few shells at or below the radius where

@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from dustlab import _integrate, radial, simulate
-from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings,
+from dustlab.core import (FieldState, HubbleVelocity, NumericalSettings, Trigger,
                           ball_volume, unit_sphere_area, validate_scenario)
 
-from conftest import derivatives, flat, make_ball, masked_shell_rhs, step_row
+from conftest import (cold_ball_fall_time, cold_ball_free_fall, derivatives, flat, make_ball,
+                      masked_shell_rhs, step_row)
 
 
 def shell_state(r, m, n=3, u=None, rho=None):
@@ -125,38 +125,34 @@ class TestCenterShell:
 
 
 class TestIntegrateRadial:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_homologous_collapse_matches_scale_factor_oracle(self, n):
-        # uniform cold collapse stays uniform: a' = -a^2 - rho/N, rho' = -N rho a
+        # uniform cold collapse stays uniform: every shell follows the closed-
+        # form free fall r = r0 R(t), with l1 = l2 = R'/R and rho = rho0/R^N
         rho0 = 0.5
         sc = make_ball(n=n, rho0=rho0, t_end=1.5, settings=NumericalSettings())
         traj = simulate(sc)
         assert traj.event is None
-        sol = solve_ivp(
-            lambda t, y: [-y[0] ** 2 - y[1] / n, -n * y[1] * y[0]],
-            (0.0, 1.5), [0.0, rho0], method="DOP853", rtol=1e-12, atol=1e-14)
-        a_ref, rho_ref = sol.y[0, -1], sol.y[1, -1]
+        radius, speed = cold_ball_free_fall(n, rho0, 1.5)
         st = traj.states[-1]
-        np.testing.assert_allclose(st.densities, rho_ref, rtol=1e-7)
-        np.testing.assert_allclose(st.eig_radial, a_ref, rtol=1e-7)
-        np.testing.assert_allclose(st.eig_tangential, a_ref, rtol=1e-7)
+        np.testing.assert_allclose(st.densities, rho0 / radius ** n, rtol=1e-11)
+        np.testing.assert_allclose(st.eig_radial, speed / radius, rtol=1e-11)
+        np.testing.assert_allclose(st.eig_tangential, speed / radius, rtol=1e-11)
+        np.testing.assert_allclose(st.positions, radius * traj.validated.initial.positions,
+                                   rtol=1e-11)
 
-    def test_uniform_collapse_event_matches_oracle_pole(self):
-        n, rho0 = 3, 0.5
-        sc = make_ball(n=n, rho0=rho0, t_end=10.0, settings=NumericalSettings())
-        traj = simulate(sc)
-        assert traj.event is not None
-
-        def rhs(t, y):
-            return [-y[0] ** 2 - y[1] / n, -n * y[1] * y[0]]
-
-        blow = lambda t, y: y[0] + 1e8  # noqa: E731
-        blow.terminal = True
-        blow.direction = -1
-        sol = solve_ivp(rhs, (0.0, 10.0), [0.0, rho0], method="DOP853",
-                        rtol=1e-12, atol=1e-14, events=blow)
-        t_ref = sol.t_events[0][0]
-        assert traj.event.t_hi == pytest.approx(t_ref, abs=2e-4)
+    @pytest.mark.parametrize("n, rho0", [(n, rho0) for n in (2, 3, 4) for rho0 in (0.5, 0.8)])
+    def test_density_trigger_brackets_the_free_fall_time(self, n, rho0):
+        # rho = rho0/R^N passes the threshold at R_thr = (rho0/threshold)^(1/N),
+        # at the closed-form fall time, which must lie in the event's bracket
+        # widened by 10 rel_tol t_hi
+        settings = NumericalSettings()
+        traj = simulate(make_ball(n=n, rho0=rho0, t_end=10.0, settings=settings))
+        event = traj.event
+        assert event.trigger is Trigger.DENSITY_THRESHOLD
+        exact = cold_ball_fall_time(n, rho0, (rho0 / settings.rho_blowup_threshold) ** (1 / n))
+        slack = 10 * settings.rel_tol * event.t_hi
+        assert event.t_lo - slack <= exact <= event.t_hi + slack
 
     def test_isotropy_preserved_from_uniform_hubble_start(self):
         sc = make_ball(n=3, rho0=0.4, velocity=HubbleVelocity(-0.3), t_end=1.0)
