@@ -34,6 +34,9 @@ EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NUMERIC = 3
 EXIT_CONTRADICTION = 4
+# a sweep runs each grid point in full, so n past this is a typo; _parse_grid
+# rejects it before np.linspace allocates n doubles (1e11 asks for 745 GiB)
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -174,8 +177,8 @@ def _parse_grid(spec: str):
     if len(parts) != 3:
         raise ValueError("expected a:b:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
-        raise ValueError("a and b must be finite and n at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 1 <= n <= MAX_GRID_POINTS):
+        raise ValueError(f"a and b must be finite and n from 1 to {MAX_GRID_POINTS}")
     return np.linspace(lo, hi, n)
 
 

@@ -54,15 +54,24 @@ def divergence(eig_radial, eig_tangential, dimension: int):
     return eig_radial + (dimension - 1) * eig_tangential
 
 
-_ORIGIN = np.zeros(1)
+def trigger_rows(out, dimension: int):
+    """rows(positions, rho, div) writes each marker's gap, rho and |div u|,
+    the rows the triggers read (TriggerRule.row), into the (3 x n) block out
+    and returns it; the views of out are taken once. A slab marker's gap is
+    to the next (+inf for the last), a shell's to the one inside it (the
+    origin for the first); a swap shows up as a negative gap."""
+    gap, rho_row, abs_div = out
+    slab = dimension == 1
+    inner, edge = (gap[:-1], -1) if slab else (gap[1:], 0)
 
+    def rows(positions, rho, div):
+        np.subtract(positions[1:], positions[:-1], out=inner)  # np.diff without its call overhead
+        gap[edge] = math.inf if slab else positions[0]
+        np.copyto(rho_row, rho)
+        np.abs(div, out=abs_div)
+        return out
 
-def neighbour_gaps(positions, dimension: int):
-    """Gaps between neighbouring markers; shells include the gap to the
-    origin. A swap shows up as a negative gap."""
-    if dimension > 1:
-        positions = np.concatenate((_ORIGIN, positions))
-    return positions[1:] - positions[:-1]  # np.diff's arithmetic without its call overhead
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -420,32 +429,34 @@ def validate_scenario(raw) -> ValidatedScenario:
     eig2 = None
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
+        seen = rho, divergence(eig1, eig2, s.dimension)
     else:  # the run steps v = 1/rho and q = u_x v (geometry1d, _integrate.layout)
         with np.errstate(over="ignore"):
-            if not (np.isfinite(v0 := 1.0 / rho).all() and np.isfinite(eig1 * v0).all()):
+            if not (np.isfinite(v0 := 1.0 / rho).all() and np.isfinite(q0 := eig1 * v0).all()):
                 raise ValidationError([("NotFinite", "density", "1/density or u_x/density "
                                         "overflows a double at a marker")])
+            seen = 1.0 / v0, q0 / v0  # rho and u_x as the run's first row reads them back
     initial = FieldState(time=0.0, positions=pos, velocities=vel, densities=rho,
                          eig_radial=eig1, masses=masses, eig_tangential=eig2,
                          dimension=s.dimension)
 
-    _check_triggers_at_start(s, initial)
+    _check_triggers_at_start(s, pos, *seen)
 
     return ValidatedScenario(scenario=s, initial=initial, total_mass=float(masses.sum()),
                              h0=float(np.sum(masses * initial.div_u())))
 
 
-def _check_triggers_at_start(s: Scenario, initial: FieldState):
+def _check_triggers_at_start(s: Scenario, positions, rho, div):
     """Reject initial data on which a blowup trigger already holds.
 
-    The detector fires when a trigger goes from not holding to holding, so a
-    run that starts with one held could never report it. Each trigger of
-    TRIGGERS is checked on the extreme of its quantity over the markers.
+    The detector fires when a trigger starts to hold, so a run that starts
+    with one held could never report it. Each is checked as the run's first
+    row checks it: on its row of trigger_rows, from the rho and div u it reads.
     """
+    rows = trigger_rows(np.empty((3, positions.size)), s.dimension)(positions, rho, div)
     violations = []
     for rule in TRIGGERS.values():
-        values = rule.quantity(initial)
-        value = np.min(values) if rule.below else np.max(values)
+        value = rows[rule.row].min() if rule.below else rows[rule.row].max()
         limit = getattr(s.settings, rule.threshold)
         if rule.holds(value, limit):
             verb = "is below" if rule.below else "exceeds"
@@ -487,12 +498,12 @@ class Trigger(Enum):
 
 
 class TriggerRule(NamedTuple):
-    """A blowup trigger: the StepRow column the scan reads, its per-marker quantity
-    of a FieldState, the threshold it holds below (operator.lt) or above
+    """A blowup trigger: the StepRow column the scan reads, its row of
+    trigger_rows, the threshold it holds below (operator.lt) or above
     (operator.gt), and the field and name validation reports."""
 
     column: str
-    quantity: Callable
+    row: int
     threshold: str
     holds: Callable
     field: str
@@ -506,14 +517,11 @@ class TriggerRule(NamedTuple):
 # in priority order, which decides between triggers that first hold in one step
 TRIGGERS = {
     Trigger.SHELL_CROSSING: TriggerRule(
-        "min_gap", lambda st: neighbour_gaps(st.positions, st.dimension),
-        "crossing_gap_threshold", operator.lt, "marker_count", "marker gap"),
+        "min_gap", 0, "crossing_gap_threshold", operator.lt, "marker_count", "marker gap"),
     Trigger.DIVERGENCE_THRESHOLD: TriggerRule(
-        "max_abs_div", lambda st: np.abs(st.div_u()),
-        "div_blowup_threshold", operator.gt, "velocity", "|div u|"),
+        "max_abs_div", 2, "div_blowup_threshold", operator.gt, "velocity", "|div u|"),
     Trigger.DENSITY_THRESHOLD: TriggerRule(
-        "max_density", lambda st: st.densities,
-        "rho_blowup_threshold", operator.gt, "density", "density"),
+        "max_density", 1, "rho_blowup_threshold", operator.gt, "density", "density"),
 }
 
 

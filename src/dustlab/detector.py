@@ -2,9 +2,9 @@
 
 A C^2 breakdown has no single observable; it is detected through three
 redundant triggers, a marker gap closing, |div u| or rho passing its
-threshold. Their table, core.TRIGGERS, fixes each one's column, quantity,
-threshold and direction, and a priority order that keeps classification
-deterministic when several fire within one step.
+threshold. Their table, core.TRIGGERS, fixes each one's column, its row of
+core.trigger_rows, threshold and direction, and a priority order that keeps
+classification deterministic when several fire within one step.
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
 crossing, so the triggers guard each other; a step that ends past a slab
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TRIGGERS, NumericalSettings, StepRow, Trajectory, Trigger
+from .core import TRIGGERS, NumericalSettings, StepRow, Trajectory, Trigger, trigger_rows
 from .errors import DustLabError
 from .functional import _inside
 
@@ -37,9 +37,10 @@ class BlowupEvent:
 
 
 def trigger_marker_index(state, trigger: Trigger) -> int:
-    """The marker at the extreme of the trigger's quantity in state."""
+    """The marker at the extreme of the trigger's row of trigger_rows in state."""
     rule = TRIGGERS[trigger]
-    values = rule.quantity(state)
+    rows = trigger_rows(np.empty((3, state.positions.size)), state.dimension)
+    values = rows(state.positions, state.densities, state.div_u())[rule.row]
     return int(np.argmin(values) if rule.below else np.argmax(values))
 
 
@@ -129,35 +130,27 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     upper = trajectory.columns.volume_upper.tolist()
     out = next((k for k, u in enumerate(upper) if not _inside(u, v_sup)), None)
     t_escape = None if out is None else float(times[out])
-    escaped = "" if out is None else (
-        f"support escaped V_sup at t in [{times[max(out - 1, 0)]:.6g}, {t_escape:.6g}]")
 
     if certificate is None or certificate.t_bound is None:
-        if event is not None:
-            return EscapeReport(EscapeStatus.NO_PREDICTION,
-                               f"no prediction; event observed at t={event.t_hi:.6g}")
-        return EscapeReport(EscapeStatus.NO_PREDICTION, "no prediction, no event")
+        observed = "no event" if event is None else f"event observed at t={event.t_hi:.6g}"
+        return EscapeReport(EscapeStatus.NO_PREDICTION, observed)
 
     t_bound = certificate.t_bound
+    if event is not None and event.t_hi <= t_bound * (1 + 1e-6):
+        return EscapeReport(EscapeStatus.CERTIFICATE_HONORED,
+                            f"event at t={event.t_hi:.6g} <= certified bound {t_bound:.6g}")
+    if t_escape is not None and t_escape < t_bound:
+        late = " --" if event is None else "; late event is"
+        return EscapeReport(EscapeStatus.HYPOTHESIS_VIOLATED,
+                            f"at t in [{times[max(out - 1, 0)]:.6g}, {t_escape:.6g}] before the "
+                            f"bound {t_bound:.6g}{late} consistent with the escape corollary")
     if event is not None:
-        if event.t_hi <= t_bound * (1 + 1e-6):
-            return EscapeReport(EscapeStatus.CERTIFICATE_HONORED,
-                               f"event at t={event.t_hi:.6g} <= certified bound {t_bound:.6g}")
-        if t_escape is not None and t_escape < t_bound:
-            return EscapeReport(EscapeStatus.HYPOTHESIS_VIOLATED,
-                               f"{escaped} before the bound {t_bound:.6g}; late event is "
-                               "consistent with the escape corollary")
         return EscapeReport(EscapeStatus.CONTRADICTION,
                             f"event at t={event.t_hi:.6g} after bound {t_bound:.6g} "
                             "with support bounded throughout")
-    # no event
-    if t_escape is not None and t_escape < t_bound:
-        return EscapeReport(EscapeStatus.HYPOTHESIS_VIOLATED,
-                           f"{escaped} before the bound {t_bound:.6g} -- consistent with "
-                           "the escape corollary")
     if times[-1] < t_bound:
         return EscapeReport(EscapeStatus.INCONCLUSIVE,
-                           f"run ended at t={times[-1]:.6g} before the bound {t_bound:.6g}")
+                            f"run ended at t={times[-1]:.6g} < bound {t_bound:.6g}")
     return EscapeReport(EscapeStatus.CONTRADICTION,
                         f"no event by t={times[-1]:.6g} >= bound {t_bound:.6g} "
                         "with support bounded throughout")

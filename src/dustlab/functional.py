@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import StepRow, Trajectory, unit_sphere_area
+from .core import StepRow, Trajectory, trigger_rows, unit_sphere_area
 from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
@@ -40,27 +40,26 @@ def reducer(masses, dimension: int):
     div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho and |div u|
     and NaN sums once a marker is past its singularity (v <= 0). Built once
     per run with one (5 x n) scratch block: one np.add.reduce sums m rho, m
-    div, m div^2 and m rate in rows 0-3, then rows 2-3 hold the gaps and rho
-    for their minima (a slab's missing first gap is +inf; a shell's is r -
-    0.0) and rows 3-4 rho and |div u| for their maxima. Each row of a
-    C-contiguous block reduces as its 1-D reduction does, so every value
-    equals core's support_volume, neighbour_gaps and divergence and the
-    upper support estimate that tests/conftest.py spells out."""
+    div, m div^2 and m rate in rows 0-3, then core.trigger_rows fills rows
+    2-4, whose minima (rows 2-3) and maxima (rows 3-4) are the trigger and
+    density columns. Each row of a C-contiguous block reduces as its 1-D
+    reduction does, so every value equals core's support_volume and
+    divergence and the upper support estimate tests/conftest.py spells out."""
     n = masses.size
     slab = dimension == 1
     nm1 = np.array(float(dimension - 1))  # 0-d: no Python scalar to resolve per call
     sigma = unit_sphere_area(dimension)
     half_first, half_last = 0.5 * masses[0], 0.5 * masses[-1]
     block, slab_rho = np.empty((5, n)), np.empty(n)
-    sums, minima, maxima, gaps = block[:4], block[2:4], block[3:5], block[2, 1:]
+    sums, minima, maxima = block[:4], block[2:4], block[3:5]
     m_rho, m_div, m_div2, m_rate, abs_div = block
-    gap_row, rho_row = m_div2, m_rate  # once the sums are taken
+    triggers = trigger_rows(block[2:], dimension)  # once the sums are taken
 
     def reduce(time, yv, fv):
         _, x, _, rho, e1, e2, _, _, _ = yv
         if slab:  # rho and e1 hold v and q
-            if not rho[rho.argmin()] > 0.0:  # v <= 0 (or NaN) at some marker
-                min_gap = float(np.minimum.reduce(x[1:] - x[:-1]))
+            if not rho[rho.argmin()] > 0.0:  # v <= 0 (or NaN): only the gap row is read
+                min_gap = float(np.minimum.reduce(triggers(x, rho, e1)[0]))
                 return StepRow(float(time), *[math.nan] * 6, min_gap, math.inf, math.inf, math.nan)
             div = np.divide(e1, rho, out=abs_div)  # until the sums are taken
             np.multiply(div, fv[3], out=m_rate)
@@ -75,10 +74,7 @@ def reducer(masses, dimension: int):
         np.multiply(m_div, div, out=m_div2)  # m * d * d, evaluated left to right
         np.multiply(masses, m_rate, out=m_rate)
         sum_rho, h, sum_div2, rate = np.add.reduce(sums, axis=1).tolist()
-        np.subtract(x[1:], x[:-1], out=gaps)
-        gap_row[0] = math.inf if slab else x[0]
-        np.copyto(rho_row, rho)
-        np.abs(div, out=abs_div)
+        triggers(x, rho, div)
         min_gap, min_rho = np.minimum.reduce(minima, axis=1).tolist()
         max_rho, max_abs_div = np.maximum.reduce(maxima, axis=1).tolist()
         hi = x[-1]

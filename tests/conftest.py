@@ -174,6 +174,46 @@ def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
     return accepted
 
 
+def collapse_doc(density, velocity=None, **tolerances):
+    """The document of scenarios/uniform_collapse_1d.yaml at another uniform
+    density and velocity profile, with the given tolerances."""
+    return {"geometry": "slab1d", "dimension": 1, "lambda": 0.0, "v_sup": 2.0,
+            "marker_count": 64, "t_end": 5.0, "tolerances": tolerances,
+            "initial_profile": {
+                "density": {"kind": "uniform", "value": density, "support": [-1.0, 1.0]},
+                "velocity": velocity or {"kind": "zero"}}}
+
+
+# Slabs with a threshold at the profile's own rho or |u_x|, which the run's
+# first row reads back from its chart v0 = 1/rho, q0 = u_x v0 one ulp above
+# it: validation must reject them, naming the field. At DENSITY_BELOW_EDGE
+# the row reads one ulp below the profile's rho and exactly the threshold,
+# so no trigger holds there and the scenario is valid.
+TRIGGER_EDGES = {
+    "density": collapse_doc(0.7966215562922652, rho_blowup_threshold=0.7966215562922652),
+    "velocity": collapse_doc(0.7, {"kind": "hubble", "rate": -1.71556773836097},
+                             div_blowup_threshold=1.71556773836097),
+}
+DENSITY_BELOW_EDGE = collapse_doc(0.45696728054958985,
+                                  rho_blowup_threshold=0.4569672805495898)
+
+
+def first_row(vs):
+    """The run's first row: the run's reducer on the solver vector of
+    vs.initial (the trigger columns do not read the RHS, left at zero)."""
+    y0, split, _, reduce = _integrate.layout(vs)
+    return reduce(0.0, y0, split(np.zeros_like(y0[0])))
+
+
+def neighbour_gaps(positions, dimension: int):
+    """Gaps between neighbouring markers, a shell's first one to the origin:
+    the reference of core.trigger_rows' gap row, which pads the slab's with
+    +inf for its last marker."""
+    if dimension > 1:
+        positions = np.concatenate(([0.0], positions))
+    return np.diff(positions)
+
+
 def support_volume_upper(volume, densities, masses, dimension: int):
     """The support volume plus half the cell volume (m/rho) of each boundary
     marker: both ends of the slab, the outer shell of a ball. Exact for

@@ -11,9 +11,9 @@ from dustlab import functional, riccati
 from dustlab.core import load_scenario, validate_scenario
 from dustlab.detector import BRACKET_REL_WIDTH
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
-                         EXIT_OK, EXIT_VALIDATION, main)
+                         EXIT_OK, EXIT_VALIDATION, MAX_GRID_POINTS, main)
 
-from conftest import uniform_slab_div_crossing
+from conftest import TRIGGER_EDGES, uniform_slab_div_crossing
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,7 +61,8 @@ class TestSimulate:
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--scenario", path, "--out", str(out)])
         assert result.exit_code == EXIT_OK, result.output
-        assert "no event" in result.output
+        # the status line names its status once
+        assert result.output.splitlines()[-1] == "no prediction: no event"
         assert (out / "manifest.yaml").exists()
         assert (out / "trajectory.csv").exists()
         assert not (out / "event.yaml").exists()
@@ -186,7 +187,21 @@ class TestSimulate:
             "simulate", "--scenario", str(SCENARIOS / "hubble_escape_1d.yaml"),
             "--out", str(tmp_path / "out")])
         assert result.exit_code == EXIT_HYPOTHESIS
-        assert "escaped" in result.output
+        status = result.output.splitlines()[-1]
+        assert status.startswith("hypothesis violated: support escaped V_sup: at t in [0, ")
+        assert status.count("escaped") == 1
+
+    @pytest.mark.parametrize("command", ["certify", "simulate", "verify"])
+    @pytest.mark.parametrize("field", sorted(TRIGGER_EDGES))
+    def test_trigger_at_the_first_row_exit_1(self, runner, tmp_path, command, field):
+        """A threshold that the profile meets but the run's first row passes
+        is a validation failure of every command, not a traceback."""
+        path = write_yaml(tmp_path / "edge.yaml", TRIGGER_EDGES[field])
+        result = runner.invoke(main, [command, "--scenario", path, "--out", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == EXIT_VALIDATION
+        assert f"TriggerAtStart[{field}]" in result.output
+        assert "Traceback" not in result.output
 
     # 5.0, a whole-number float from YAML, once printed "exceeded 5.0 accepted steps"
     @pytest.mark.parametrize("max_steps", [5, 5.0])
@@ -580,6 +595,20 @@ class TestSweep:
         assert result.exit_code == EXIT_VALIDATION
         assert option in result.output
         assert not out.exists()  # parsed before the run and any file write
+
+    def test_grid_past_the_point_limit_exit_1(self, runner, tmp_path, monkeypatch):
+        # rejected before np.linspace would allocate 8e11 bytes for it
+        def linspace(*args):
+            pytest.fail("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--scenario", fast_scenario(tmp_path),
+                                      "--out", str(out), "--lambda-grid", "0:1:100000000000"])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "--lambda-grid" in result.output
+        assert f"n from 1 to {MAX_GRID_POINTS}" in result.output
+        assert not out.exists()
 
     def test_requires_exactly_one_grid(self, runner, tmp_path):
         path = fast_scenario(tmp_path)

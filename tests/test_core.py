@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -5,14 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab.core import (MAX_DIMENSION, GaussianDensity, Geometry,
+from dustlab import simulate
+from dustlab.core import (MAX_DIMENSION, TRIGGERS, GaussianDensity, Geometry,
                           HubbleVelocity, NumericalSettings, Scenario,
-                          TabulatedDensity, TabulatedVelocity, UniformDensity,
+                          TabulatedDensity, TabulatedVelocity, Trigger, UniformDensity,
                           UniformVelocity, ball_volume, load_scenario, scenario_from_dict,
                           support_volume, unit_sphere_area, validate_scenario)
+from dustlab.detector import _held
 from dustlab.errors import ValidationError
 
-from conftest import make_ball, make_slab
+from conftest import (DENSITY_BELOW_EDGE, TRIGGER_EDGES, first_row, make_ball, make_slab,
+                      neighbour_gaps)
 
 
 def codes(excinfo):
@@ -347,3 +351,82 @@ class TestRejectedInputs:
         doc["initial_profile"]["velocity"] = {"kind": "uniform", "value": 0.3}
         assert scenario_from_dict(doc).velocity == UniformVelocity(0.3)
 
+
+
+def random_doc(rng, geometry):
+    """A seeded slab or shell document: a uniform or tabulated density of
+    0.01 to 1000 and a Hubble or tabulated velocity, on 2 to 64 markers."""
+    shells = geometry == "radialnd"
+    lo, hi = 0.0 if shells else -float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))
+    xs = np.linspace(lo, hi, 5).tolist()
+    if rng.random() < 0.5:
+        density = {"kind": "uniform", "value": float(10 ** rng.uniform(-2, 3)),
+                   "support": [lo, hi]}
+    else:
+        density = {"kind": "table", "x": xs, "values": (10 ** rng.uniform(-2, 3, 5)).tolist()}
+    if rng.random() < 0.5:
+        velocity = {"kind": "hubble", "rate": float(rng.normal() * 10 ** rng.uniform(-2, 2))}
+    else:
+        velocity = {"kind": "table", "x": xs, "values": rng.normal(size=5).tolist()}
+    return {"geometry": geometry, "dimension": int(rng.integers(2, 6)) if shells else 1,
+            "lambda": 0.0, "v_sup": 1e300, "marker_count": int(rng.integers(2, 65)),
+            "t_end": 1.0, "initial_profile": {"density": density, "velocity": velocity}}
+
+
+class TestTriggersAtTheFirstRow:
+    """Validation checks each trigger on the values the run's first row
+    reads (a slab's rho and u_x back from its chart v0 = 1/rho, q0 = u_x
+    v0), so it rejects an input exactly when that row holds a trigger."""
+
+    @pytest.mark.parametrize("field", sorted(TRIGGER_EDGES))
+    def test_threshold_at_the_profile_value_rejected(self, field):
+        doc = copy.deepcopy(TRIGGER_EDGES[field])
+        rule = next(rule for rule in TRIGGERS.values() if rule.field == field)
+        threshold = doc["tolerances"][rule.threshold]
+        # the profile's extreme is the threshold, the first row's above it
+        vs = validate_scenario(scenario_from_dict(dict(doc, tolerances={})))
+        profile = vs.initial.densities if field == "density" else np.abs(vs.initial.div_u())
+        assert profile.max() == threshold < getattr(first_row(vs), rule.column)
+        with pytest.raises(ValidationError) as exc:
+            validate_scenario(scenario_from_dict(doc))
+        assert [v[:2] for v in exc.value.violations] == [("TriggerAtStart", field)]
+
+    def test_threshold_below_the_profile_value_accepted_and_runs(self):
+        sc = scenario_from_dict(copy.deepcopy(DENSITY_BELOW_EDGE))
+        threshold = sc.settings.rho_blowup_threshold
+        assert sc.density.value > threshold
+        traj = simulate(sc)
+        assert traj.columns.max_density[0] == threshold
+        assert traj.event.trigger is Trigger.DENSITY_THRESHOLD
+
+    @pytest.mark.parametrize("geometry", ["slab1d", "radialnd"])
+    def test_rejected_exactly_when_the_first_row_holds_a_trigger(self, geometry):
+        """Each threshold at the extreme of the profile's quantity, at the
+        first row's and one ulp to either side of the row's, on seeded
+        inputs; the slab's draws include some whose row reads another
+        extreme than the profile."""
+        rng = np.random.default_rng(20261020)
+        seams = 0
+        for _ in range(25):
+            vs = validate_scenario(scenario_from_dict(random_doc(rng, geometry)))
+            init, row = vs.initial, first_row(vs)
+            profile = {"min_gap": neighbour_gaps(init.positions, init.dimension).min(),
+                       "max_abs_div": np.abs(init.div_u()).max(),
+                       "max_density": init.densities.max()}
+            for rule in TRIGGERS.values():
+                edge = getattr(row, rule.column)
+                seams += profile[rule.column] != edge
+                for threshold in {profile[rule.column], edge, np.nextafter(edge, -np.inf),
+                                  np.nextafter(edge, np.inf)}:
+                    if not threshold > 0:  # a zero |div u|
+                        continue
+                    settings = replace(vs.scenario.settings,
+                                       **{rule.threshold: float(threshold)})
+                    held = [("TriggerAtStart", TRIGGERS[t].field) for t in _held(row, settings)]
+                    try:
+                        validate_scenario(replace(vs.scenario, settings=settings))
+                        rejected = []
+                    except ValidationError as exc:
+                        rejected = [v[:2] for v in exc.violations]
+                    assert rejected == held, (geometry, rule.column, threshold, edge)
+        assert seams or geometry == "radialnd"

@@ -6,14 +6,14 @@ import pytest
 
 from dustlab import _integrate, simulate
 from dustlab.core import (TRIGGERS, FieldState, HubbleVelocity, NumericalSettings,
-                          UniformDensity, load_scenario, validate_scenario)
+                          UniformDensity, load_scenario, trigger_rows, validate_scenario)
 from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, bracket_event,
                               escape_report, scan_step, trigger_marker_index)
 from dustlab.errors import DustLabError
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
-from conftest import FAST, make_ball, make_slab, step_row
+from conftest import FAST, make_ball, make_slab, neighbour_gaps, step_row
 
 SETTINGS = NumericalSettings()
 
@@ -78,18 +78,24 @@ class TestScanStep:
 
 
 def test_trigger_table_matches_the_row():
-    # each trigger's column is the extreme of its per-marker quantity, and
-    # its threshold a setting
+    # trigger_rows holds each marker's gap (the tests' reference, +inf for
+    # the slab's last marker), rho and |div u|; each trigger's column is the
+    # extreme of its row, found at the event's marker, and its threshold a
+    # setting
     shell = FieldState(time=0.0, positions=np.array([0.2, 0.5, 0.6]),
                        velocities=np.zeros(3), densities=np.array([0.5, 2.0, 1.0]),
                        eig_radial=np.array([0.1, -3.0, 0.2]),
                        eig_tangential=np.array([0.0, 0.4, -0.1]),
                        masses=np.full(3, 1.0 / 3), dimension=3)
     slab = state([-0.5, 0.1, 0.5], w=[0.3, -4.0, 1.0], rho=[0.5, 0.7, 3.0])
-    for st in (slab, shell):
+    for st, pad in ((slab, [np.inf]), (shell, [])):
+        rows = trigger_rows(np.empty((3, 3)), st.dimension)(st.positions, st.densities,
+                                                            st.div_u())
+        gaps = np.concatenate((neighbour_gaps(st.positions, st.dimension), pad))
+        assert rows.tobytes() == np.array([gaps, st.densities, abs(st.div_u())]).tobytes()
         row = step_row(st)
         for trigger, rule in TRIGGERS.items():
-            values = rule.quantity(st)
+            values = rows[rule.row]
             extreme = values.min() if rule.below else values.max()
             assert getattr(row, rule.column) == extreme
             assert values[trigger_marker_index(st, trigger)] == extreme
@@ -223,7 +229,7 @@ class TestEscapeReport:
         t_out = next(s.time for s in proof_chain_report(traj).steps if not s.hypothesis_ok)
         times = traj.times.tolist()
         bracket = f"[{times[times.index(t_out) - 1]:.6g}, {t_out:.6g}]"
-        assert rep.message.startswith(f"support escaped V_sup at t in {bracket} before the bound")
+        assert rep.message.startswith(f"at t in {bracket} before the bound")
 
     def test_no_prediction_without_certificate(self):
         sc = make_ball(n=3, rho0=0.5, lam=2.0, t_end=0.5)
@@ -236,7 +242,7 @@ class TestEscapeReport:
     def test_no_prediction_with_an_event(self, uniform_collapse_traj):
         traj = uniform_collapse_traj
         rep = escape_report(traj, traj.validated.v_sup, None)
-        message = f"no prediction; event observed at t={traj.event.t_hi:.6g}"
+        message = f"event observed at t={traj.event.t_hi:.6g}"
         assert (rep.status, rep.message) == (EscapeStatus.NO_PREDICTION, message)
 
     def test_inconclusive_when_horizon_short(self):
@@ -269,7 +275,7 @@ class TestEscapeReport:
         traj = uniform_collapse_traj
         rep = escape_report(traj, 1.0, self.early_bound(traj))
         assert rep.status is EscapeStatus.HYPOTHESIS_VIOLATED
-        assert rep.message.startswith("support escaped V_sup at t in [0, 0] before the bound")
+        assert rep.message.startswith("at t in [0, 0] before the bound")
         assert "late event" in rep.message
 
     def test_contradiction_without_an_event(self, uniform_collapse_traj):
@@ -283,5 +289,4 @@ class TestEscapeReport:
     def test_no_prediction_and_no_event(self, uniform_collapse_traj):
         traj = replace(uniform_collapse_traj, event=None)
         rep = escape_report(traj, traj.validated.v_sup, None)
-        assert (rep.status, rep.message) == (EscapeStatus.NO_PREDICTION,
-                                             "no prediction, no event")
+        assert (rep.status, rep.message) == (EscapeStatus.NO_PREDICTION, "no event")

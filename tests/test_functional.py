@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from dustlab import _integrate, sample
 from dustlab.core import (FieldState, HubbleVelocity, StepRow, divergence,
-                          neighbour_gaps, support_volume, validate_scenario)
+                          support_volume, validate_scenario)
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
                                 _inside, _tolerance, proof_chain_report, reducer)
 from dustlab.errors import NumericOverflow
-from conftest import make_ball, make_slab, step_row, support_volume_upper
+from conftest import (make_ball, make_slab, neighbour_gaps, step_row,
+                      support_volume_upper)
 
 
 def slab_state(x, u=None, w=None, m=None, rho=None):
@@ -59,8 +60,9 @@ class TestFunctionalValues:
 
 
 def reference_row(time, positions, densities, div, masses, dimension, div_rate):
-    """The per-step scalars by core's helpers and one ufunc reduction per
-    column: the formula functional.reducer must equal bit for bit."""
+    """The per-step scalars by core's helpers, the tests' neighbour_gaps and
+    one ufunc reduction per column: the formula functional.reducer must
+    equal bit for bit."""
     block = np.empty((4, masses.size))
     md = np.multiply(masses, div, out=block[0])
     np.multiply(md, div, out=block[1])

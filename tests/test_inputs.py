@@ -19,6 +19,8 @@ from dustlab.errors import NumericFailure, ValidationError
 from dustlab.functional import diagnostics_rows, proof_chain_report
 from dustlab.riccati import check_blowup_conditions
 
+from conftest import TRIGGER_EDGES
+
 # the slab whose proof chain overflowed a double: density 1e150 on [-1, 1]
 DENSE_SLAB = {
     "geometry": "slab1d", "dimension": 1, "lambda": 0.0, "v_sup": 2.0,
@@ -46,6 +48,7 @@ PATHS = [["geometry"], ["dimension"], ["lambda"], ["v_sup"], ["marker_count"], [
 def documents(draw):
     radial = draw(st.booleans())
     extent = draw(st.sampled_from([1.0, 1.0, 1.0e3, 1.0e10, 1.0e308]))
+    density = 10.0 ** draw(st.integers(-3, 300))
     doc = {
         "geometry": "radialnd" if radial else "slab1d",
         "dimension": draw(st.sampled_from([2, 3, 5, 100])) if radial else 1,
@@ -54,7 +57,7 @@ def documents(draw):
         "marker_count": draw(st.integers(2, 12)),
         "t_end": draw(st.sampled_from([0.05, 0.5])),
         "initial_profile": {
-            "density": {"kind": "uniform", "value": 10.0 ** draw(st.integers(-3, 300)),
+            "density": {"kind": "uniform", "value": density,
                         "support": [0.0 if radial else -extent, extent]},
             "velocity": draw(st.sampled_from([{"kind": "zero"},
                                               {"kind": "hubble", "rate": -1.0},
@@ -64,6 +67,9 @@ def documents(draw):
         "tolerances": {"rho_blowup_threshold": 10.0 ** draw(st.integers(12, 308)),
                        "div_blowup_threshold": 10.0 ** draw(st.integers(8, 200))},
     }
+    # at times the density itself, a boundary that powers of ten never reach
+    if draw(st.booleans()):
+        doc["tolerances"]["rho_blowup_threshold"] = density
     # extreme counts and dimensions, most of them rejected
     if draw(st.booleans()):
         doc["marker_count"] = draw(st.sampled_from([0, 1, -3, 2.5, 1_000_001, 2**60, 10**400]))
@@ -105,6 +111,7 @@ def exit_codes(doc):
 @hyp_settings(max_examples=40, deadline=None, derandomize=True)
 @given(documents())
 @example(DENSE_SLAB)
+@example(TRIGGER_EDGES["density"])
 def test_any_document_ends_cleanly(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
