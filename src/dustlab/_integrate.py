@@ -2,9 +2,9 @@
 
 The solver vector of a run holds the marker fields one after another, [x,
 u, v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells); splitter
-alone knows this order. Each vector is split into its views once, when it
-is made. The geometry modules supply the force law as rhs(t, yv, fv), which
-writes the derivative at the views yv into the views fv (of a stage row).
+alone knows this order. Each vector is split into its eight views once,
+when it is made. The geometry modules supply the force law as rhs(t, yv,
+fv), which writes the derivative at the views yv into the views fv.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
 (7 x n) stage block; steps() drives it to the end time, and reintegrate
@@ -260,14 +260,14 @@ class DormandPrince:
 
 
 def splitter(n, dimension):
-    """split(y): the views of a solver vector of n markers, (y, and its
-    fields x, u, v, q, None for the slab or r, u, rho, l1, l2 for shells,
-    then y[n:], y[2n:], y[3n:])."""
+    """split(y): the eight views of a solver vector of n markers: y, its
+    fields (x, u, v, q, None for the slab; r, u, rho, l1, l2 for shells),
+    and y[n:] and y[3n:], which the shell force law writes in one call each."""
     shells = dimension > 1
 
     def split(y):
         return (y, y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n],
-                y[4 * n:] if shells else None, y[n:], y[2 * n:], y[3 * n:])
+                y[4 * n:] if shells else None, y[n:], y[3 * n:])
 
     return split
 

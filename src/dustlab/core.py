@@ -14,7 +14,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -185,14 +185,6 @@ MAX_MARKERS = 1_000_000
 def _finite(value) -> bool:
     # compared, not converted: an integer too large for a double is not finite
     return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-
-
-def _float(value) -> float:
-    """float(value), except that an integer too large for a double becomes
-    +-inf, as a literal such as 1e400 does, and fails validation by name."""
-    if isinstance(value, numbers.Integral) and not _finite(value):
-        return math.inf if value > 0 else -math.inf
-    return float(value)
 
 
 def _whole(value) -> bool:
@@ -461,7 +453,8 @@ def _check_triggers_at_start(s: Scenario, positions, rho, div):
         if rule.holds(value, limit):
             verb = "is below" if rule.below else "exceeds"
             violations.append(("TriggerAtStart", rule.field,
-                               f"initial {rule.name} {value:g} {verb} {rule.threshold} {limit:g}"))
+                               f"initial {rule.name} {float(value)!r} {verb} "
+                               f"{rule.threshold} {float(limit)!r}"))
     if violations:
         raise ValidationError(violations)
 
@@ -560,57 +553,45 @@ class Trajectory:
 # Scenario file ingestion (YAML; one document per scenario)
 # ---------------------------------------------------------------------------
 
-_DENSITY_KINDS = {"uniform", "gaussian", "table"}
-_VELOCITY_KINDS = {"zero", "uniform", "hubble", "table"}
+# each kind of each profile: the keys it reads besides kind, and the profile
+# it builds from their values in that order
+_PROFILES = {
+    "density": {
+        "uniform": (("value", "support"), lambda value, support: UniformDensity(value, *support)),
+        "gaussian": (("amplitude", "center", "width", "support"),
+                     lambda a, c, w, support: GaussianDensity(a, c, w, *support)),
+        "table": (("x", "values"), TabulatedDensity)},
+    "velocity": {"zero": ((), lambda: UniformVelocity(0.0)),
+                 "uniform": (("value",), UniformVelocity),
+                 "hubble": (("rate",), HubbleVelocity),
+                 "table": (("x", "values"), TabulatedVelocity)},
+}
+# the keys of every other mapping of a scenario document, by its dotted path
+_KEYS = {"": ("geometry", "dimension", "lambda", "v_sup", "marker_count", "t_end",
+              "initial_profile", "tolerances"),
+         "initial_profile.": ("density", "velocity"),
+         "tolerances.": tuple(f.name for f in fields(NumericalSettings))}
 
 
-def _profile_kind(name: str, spec):
-    """The kind of a profile mapping; any other value names the profile."""
-    if not isinstance(spec, dict):
-        raise ValidationError([("BadProfile", name,
-                                f"must be a mapping with a kind, got {spec!r}")])
-    return spec.get("kind")
-
-
-def _build_density(spec: dict):
-    kind = _profile_kind("density", spec)
-    if kind == "uniform":
-        lo, hi = spec["support"]
-        return UniformDensity(value=_float(spec["value"]), lo=_float(lo), hi=_float(hi))
-    if kind == "gaussian":
-        lo, hi = spec["support"]
-        return GaussianDensity(amplitude=_float(spec["amplitude"]),
-                               center=_float(spec.get("center", 0.0)),
-                               width=_float(spec["width"]), lo=_float(lo), hi=_float(hi))
-    if kind == "table":
-        return TabulatedDensity(xs=tuple(_float(v) for v in spec["x"]),
-                                values=tuple(_float(v) for v in spec["values"]))
-    raise ValidationError([("BadProfile", "density",
-                            f"unknown density kind {kind!r}, expected one of {sorted(_DENSITY_KINDS)}")])
-
-
-def _build_velocity(spec: dict):
-    kind = _profile_kind("velocity", spec)
-    if kind == "zero":
-        return UniformVelocity(0.0)
-    if kind == "uniform":
-        return UniformVelocity(value=_float(spec["value"]))
-    if kind == "hubble":
-        return HubbleVelocity(rate=_float(spec["rate"]))
-    if kind == "table":
-        return TabulatedVelocity(xs=tuple(_float(v) for v in spec["x"]),
-                                 values=tuple(_float(v) for v in spec["values"]))
-    raise ValidationError([("BadProfile", "velocity",
-                            f"unknown velocity kind {kind!r}, expected one of {sorted(_VELOCITY_KINDS)}")])
+def _number(value, path: str) -> float:
+    """value, a number but not a boolean (else NotANumber naming path), as a
+    float; an integer too large for a double is +-inf, as the literal 1e400 is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError([("NotANumber", path, f"must be a number, got {value!r}")])
+    if isinstance(value, numbers.Integral) and not _finite(value):
+        return math.inf if value > 0 else -math.inf
+    return float(value)
 
 
 class _Document(dict):
     """A mapping of a scenario document that knows its dotted path, so that a
-    missing key is a ValidationError naming it (initial_profile.density.value)."""
+    missing key (initial_profile.density.value), a key the loader does not
+    read and a value that is not a number are ValidationErrors naming it."""
 
     def __init__(self, mapping, path=""):
         super().__init__(mapping)
         self.path = path
+        self.reads(*_KEYS.get(path, self))  # a profile's keys are read with its kind
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
@@ -619,23 +600,54 @@ class _Document(dict):
     def __missing__(self, key):
         raise ValidationError([("MissingKey", f"{self.path}{key}", "required key is missing")])
 
+    def reads(self, *keys):
+        """Raise UnknownKey unless every key of self is one of keys."""
+        unknown = [("UnknownKey", f"{self.path}{key}", f"expected one of {list(keys)}")
+                   for key in self if key not in keys]
+        if unknown:
+            raise ValidationError(unknown)
+
+    def number(self, key, default=None):
+        """self[key] (default, if not None, when key is absent) as _number reads
+        it; a support, x or values as a tuple of such numbers."""
+        value = self[key] if default is None or key in self else default
+        if key in ("support", "x", "values"):
+            return tuple(_number(v, f"{self.path}{key}") for v in value)
+        return _number(value, f"{self.path}{key}")
+
+
+def _profile(name: str, spec):
+    """The profile that spec, a mapping with a kind, builds (see _PROFILES)."""
+    kinds = _PROFILES[name]
+    if not isinstance(spec, dict):
+        raise ValidationError([("BadProfile", name,
+                                f"must be a mapping with a kind, got {spec!r}")])
+    kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValidationError([("BadProfile", name, f"unknown {name} kind {kind!r}, "
+                                f"expected one of {sorted(kinds)}")])
+    keys, build = kinds[kind]
+    spec.reads("kind", *keys)
+    return build(*(spec.number(key, 0.0 if key == "center" else None) for key in keys))
+
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if isinstance(doc, dict):
-        doc = _Document(doc)
     try:
-        geometry = Geometry(str(doc["geometry"]).lower())
-        settings = NumericalSettings(**doc.get("tolerances", {}))
+        doc = _Document(doc)
+        tolerances = doc["tolerances"] if "tolerances" in doc else {}
         return Scenario(
-            geometry=geometry,
+            geometry=Geometry(str(doc["geometry"]).lower()),
             dimension=doc.get("dimension", 1),
-            lam=_float(doc.get("lambda", 0.0)),
-            v_sup=_float(doc["v_sup"]),
-            density=_build_density(doc["initial_profile"]["density"]),
-            velocity=_build_velocity(doc["initial_profile"]["velocity"]),
+            lam=doc.number("lambda", 0.0),
+            v_sup=doc.number("v_sup"),
+            density=_profile("density", doc["initial_profile"]["density"]),
+            velocity=_profile("velocity", doc["initial_profile"]["velocity"]),
             marker_count=doc["marker_count"],
-            t_end=_float(doc["t_end"]),
-            settings=settings,
+            t_end=doc.number("t_end"),
+            # ** fails on a value that is not a mapping
+            settings=NumericalSettings(**{key: value if key == "max_steps" else
+                                          tolerances.number(key)
+                                          for key, value in dict(**tolerances).items()}),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError([("BadScenarioFile", "scenario", str(exc))]) from exc

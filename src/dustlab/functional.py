@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import StepRow, Trajectory, trigger_rows, unit_sphere_area
+from .core import StepRow, Trajectory, support_volume, trigger_rows
 from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
@@ -35,20 +35,19 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
 
 
 def reducer(masses, dimension: int):
-    """reduce(time, yv, fv): the StepRow of a solver vector from its views yv
-    (_integrate.splitter's) and those of its RHS, fv; a slab's rho = 1/v,
-    div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho and |div u|
-    and NaN sums once a marker is past its singularity (v <= 0). Built once
-    per run with one (5 x n) scratch block: one np.add.reduce sums m rho, m
-    div, m div^2 and m rate in rows 0-3, then core.trigger_rows fills rows
-    2-4, whose minima (rows 2-3) and maxima (rows 3-4) are the trigger and
-    density columns. Each row of a C-contiguous block reduces as its 1-D
-    reduction does, so every value equals core's support_volume and
-    divergence and the upper support estimate tests/conftest.py spells out."""
+    """reduce(time, yv, fv): the StepRow of a solver vector from its eight
+    views yv (_integrate.splitter's) and those of its RHS, fv; a slab's
+    rho = 1/v, div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho
+    and |div u| and NaN sums once a marker is past its singularity (v <= 0).
+    Built once per run with one (5 x n) scratch block: one np.add.reduce
+    sums m rho, m div, m div^2 and m rate in rows 0-3, then core.trigger_rows
+    fills rows 2-4, whose minima (rows 2-3) and maxima (rows 3-4) are the
+    trigger and density columns. The volume is core.support_volume's; each
+    row of a C-contiguous block reduces as its 1-D reduction does, so the
+    sums and the upper support estimate equal tests/conftest.py's reference."""
     n = masses.size
     slab = dimension == 1
     nm1 = np.array(float(dimension - 1))  # 0-d: no Python scalar to resolve per call
-    sigma = unit_sphere_area(dimension)
     half_first, half_last = 0.5 * masses[0], 0.5 * masses[-1]
     block, slab_rho = np.empty((5, n)), np.empty(n)
     sums, minima, maxima = block[:4], block[2:4], block[3:5]
@@ -56,7 +55,7 @@ def reducer(masses, dimension: int):
     triggers = trigger_rows(block[2:], dimension)  # once the sums are taken
 
     def reduce(time, yv, fv):
-        _, x, _, rho, e1, e2, _, _, _ = yv
+        _, x, _, rho, e1, e2, _, _ = yv
         if slab:  # rho and e1 hold v and q
             if not rho[rho.argmin()] > 0.0:  # v <= 0 (or NaN): only the gap row is read
                 min_gap = float(np.minimum.reduce(triggers(x, rho, e1)[0]))
@@ -77,8 +76,7 @@ def reducer(masses, dimension: int):
         triggers(x, rho, div)
         min_gap, min_rho = np.minimum.reduce(minima, axis=1).tolist()
         max_rho, max_abs_div = np.maximum.reduce(maxima, axis=1).tolist()
-        hi = x[-1]
-        volume = upper = float(hi - x[0] if slab else sigma * hi ** dimension / dimension)
+        volume = upper = float(support_volume(x[0], x[-1], dimension))
         if slab:  # rho > 0 (v > 0)
             upper = float(upper + half_first / rho[0] + half_last / rho[-1])
         elif not rho[-1] <= 0.0:

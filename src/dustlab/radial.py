@@ -87,8 +87,8 @@ def model_rhs(vs: ValidatedScenario):
     sub_l1, phi_r_over_r = scratch[:n], scratch[n:2 * n]
 
     def rhs(t, yv, fv):
-        _, r, u, rho, l1, l2, _, _, l12 = yv
-        f, dr, du, drho, dl1, dl2, rates, _, dl12 = fv
+        _, r, u, rho, l1, l2, _, l12 = yv
+        f, dr, du, drho, dl1, dl2, rates, dl12 = fv
         near = None
         # the smallest radius, or the first NaN; r[argmin] costs less than
         # r.min() on a few dozen shells

@@ -33,6 +33,14 @@ BALL = {"geometry": "radialnd", "dimension": 3, "v_sup": 5.0, "initial_profile":
     "velocity": {"kind": "zero"}}}
 
 TOO_LARGE = 10**400  # 401 digits; a double ends near 1.8e308
+# what validation prints for each TRIGGER_EDGES input: the row's value an
+# ulp past the threshold, each as the shortest repr that reads back the same
+EDGE_MESSAGES = {
+    "density": "initial density 0.7966215562922653 exceeds rho_blowup_threshold "
+               "0.7966215562922652",
+    "velocity": "initial |div u| 1.7155677383609702 exceeds div_blowup_threshold "
+                "1.71556773836097",
+}
 
 
 def fast_scenario(tmp_path, **overrides):
@@ -182,6 +190,52 @@ class TestSimulate:
         assert result.exit_code == EXIT_VALIDATION
         assert "MissingKey[v_sup]" in result.output
 
+    @pytest.mark.parametrize("line, written, field", [
+        ("lambda: 0.0", "lambda: yes", "lambda"),
+        ("v_sup: 2.0", 'v_sup: "2.0"', "v_sup"),
+        ("t_end: 5.0", "t_end: 5.0 s", "t_end"),
+        ("  rel_tol: 1.0e-08", "  rel_tol: true", "tolerances.rel_tol"),
+        ("  abs_tol: 1.0e-10", "  abs_tol: 1e-10", "tolerances.abs_tol"),
+        ("    value: 0.5", "    value: null", "initial_profile.density.value"),
+        ("    - 1.0", "    - no", "initial_profile.density.support"),
+    ], ids=["lambda-yes", "v_sup-string", "t_end-unit", "rel_tol-true",
+            "abs_tol-without-a-dot", "density.value-null", "density.support-no"])
+    def test_boolean_or_string_for_a_number_exit_1_naming_the_field(
+            self, runner, tmp_path, line, written, field):
+        # lambda: yes was read as 1.0, rel_tol: true ran at rtol True and
+        # v_sup: "2.0" was read as 2.0; YAML reads 1e-10 (no dot) as a string
+        path = pathlib.Path(fast_scenario(tmp_path))
+        text = path.read_text()
+        assert line + "\n" in text
+        path.write_text(text.replace(line + "\n", written + "\n"))
+        for command in ("certify", "simulate"):
+            result = runner.invoke(main, [command, "--scenario", str(path),
+                                          "--out", str(tmp_path / command)])
+            assert isinstance(result.exception, SystemExit)
+            assert result.exit_code == EXIT_VALIDATION
+            assert f"NotANumber[{field}]: must be a number" in result.output
+            assert "Traceback" not in result.output
+
+    def test_misspelt_gaussian_slab_is_not_certified(self, runner, tmp_path):
+        # spelt right, lambda 0.7 and a bump centred at 0.4 certify nothing;
+        # misspelt, the loader once read lambda 0 and center 0 and certified
+        # CaseOne with t_bound 2.03
+        doc = yaml.safe_load(pathlib.Path(fast_scenario(tmp_path)).read_text())
+        density = {"kind": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.5,
+                   "support": [-1.0, 1.0]}
+        doc["lambda"], doc["initial_profile"]["density"] = 0.7, density
+        path = write_yaml(tmp_path / "right.yaml", doc)
+        result = runner.invoke(main, ["certify", "--scenario", path,
+                                      "--out", str(tmp_path / "right")])
+        assert result.exit_code == EXIT_OK, result.output
+        assert result.output.startswith("case: NoCertificate; t_bound: none")
+        doc["lamda"], density["centre"] = doc.pop("lambda"), density.pop("center")
+        path = write_yaml(tmp_path / "misspelt.yaml", doc)
+        result = runner.invoke(main, ["certify", "--scenario", path,
+                                      "--out", str(tmp_path / "misspelt")])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "UnknownKey[lamda]" in result.output
+
     def test_escape_scenario_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--scenario", str(SCENARIOS / "hubble_escape_1d.yaml"),
@@ -195,12 +249,13 @@ class TestSimulate:
     @pytest.mark.parametrize("field", sorted(TRIGGER_EDGES))
     def test_trigger_at_the_first_row_exit_1(self, runner, tmp_path, command, field):
         """A threshold that the profile meets but the run's first row passes
-        is a validation failure of every command, not a traceback."""
+        is a validation failure of every command, not a traceback; its
+        message prints both values in full, so it shows why."""
         path = write_yaml(tmp_path / "edge.yaml", TRIGGER_EDGES[field])
         result = runner.invoke(main, [command, "--scenario", path, "--out", str(tmp_path / "out")])
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == EXIT_VALIDATION
-        assert f"TriggerAtStart[{field}]" in result.output
+        assert f"TriggerAtStart[{field}]: {EDGE_MESSAGES[field]}" in result.output
         assert "Traceback" not in result.output
 
     # 5.0, a whole-number float from YAML, once printed "exceeded 5.0 accepted steps"
@@ -572,9 +627,9 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == (
             b"axis,value,case,t_bound,event_time,support_volume_max,status\r\n"
             b"h0,-1000000000000,,,,,error: TriggerAtStart[velocity]: initial |div u| "
-            b"1e+12 exceeds div_blowup_threshold 1e+08\r\n"
+            b"1000000000000.0 exceeds div_blowup_threshold 100000000.0\r\n"
             b"h0,-500000000001,,,,,error: TriggerAtStart[velocity]: initial |div u| "
-            b"5e+11 exceeds div_blowup_threshold 1e+08\r\n"
+            b"500000000001.0 exceeds div_blowup_threshold 100000000.0\r\n"
             b"h0,-2,CaseOne,0.48060196634497671,0.47213594635936779,1.96875,"
             b"certificate honored\r\n")
         # H(0) = -2 is the Hubble rate -2 (M = 1): v = 2 - 4t - t^2/2, whose

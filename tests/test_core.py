@@ -1,10 +1,13 @@
 import copy
 import math
+import pathlib
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from dustlab import simulate
 from dustlab.core import (MAX_DIMENSION, TRIGGERS, GaussianDensity, Geometry,
@@ -17,6 +20,9 @@ from dustlab.errors import ValidationError
 
 from conftest import (DENSITY_BELOW_EDGE, TRIGGER_EDGES, first_row, make_ball, make_slab,
                       neighbour_gaps)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def codes(excinfo):
@@ -131,6 +137,24 @@ class TestScenarioFiles:
         for name in ("uniform_collapse_1d.yaml", "equilibrium_slab.yaml",
                      "uniform_ball_n3.yaml", "hubble_escape_1d.yaml"):
             validate_scenario(load_scenario(root / name))
+
+    def test_readme_example_loads(self):
+        """The scenario document README.md shows under "Scenario files"
+        loads and validates, and so does each profile its comments offer in
+        place of the one it uses: the loader reads every key it shows."""
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("## Scenario files\n\n```yaml\n")[1].split("```")[0]
+        doc = yaml.safe_load(example)
+        validate_scenario(scenario_from_dict(doc))
+        offered = dict(zip(("density", "velocity"), example.split("\n  velocity:")))
+        kinds = set()
+        for name, text in offered.items():
+            for profile in re.findall(r"\{kind: [^}]*\}", text):
+                alternative = copy.deepcopy(doc)
+                alternative["initial_profile"][name] = yaml.safe_load(profile)
+                validate_scenario(scenario_from_dict(alternative))
+                kinds.add((name, alternative["initial_profile"][name]["kind"]))
+        assert len(kinds) == 7  # every kind of both profiles
 
     def test_unknown_profile_kind(self):
         with pytest.raises(ValidationError):
@@ -310,9 +334,27 @@ class TestRejectedInputs:
         (slab_doc(tolerances={"div_blowup_threshold": 1e9}, initial_profile={
             "density": {"kind": "uniform", "value": 1e-305, "support": [-1.0, 1.0]},
             "velocity": {"kind": "hubble", "rate": -1e7}}), "NotFinite", "density"),
+        # a boolean or a string where a number is read, named by its path
+        (with_density({"kind": "gaussian", "amplitude": "1", "width": 0.5,
+                       "support": [-1.0, 1.0]}),
+         "NotANumber", "initial_profile.density.amplitude"),
+        (with_density({"kind": "table", "x": [-1.0, 1.0], "values": [0.5, False]}),
+         "NotANumber", "initial_profile.density.values"),
+        # a key the loader does not read, named by its path
+        (slab_doc(lamda=0.7), "UnknownKey", "lamda"),
+        (slab_doc(tolerances={"reltol": 1e-8}), "UnknownKey", "tolerances.reltol"),
+        (with_density({"kind": "gaussian", "amplitude": 1.0, "centre": 0.4, "width": 0.5,
+                       "support": [-1.0, 1.0]}), "UnknownKey", "initial_profile.density.centre"),
+        (slab_doc(initial_profile={"density": uniform(-1.0, 1.0), "velocity": {"kind": "zero"},
+                                   "velocities": {"kind": "zero"}}),
+         "UnknownKey", "initial_profile.velocities"),
+        (slab_doc(initial_profile={"density": uniform(-1.0, 1.0),
+                                   "velocity": {"kind": "zero", "rate": -1.0}}),
+         "UnknownKey", "initial_profile.velocity.rate"),
     ], ids=["v_sup-zero", "t_end-negative", "rel_tol-zero", "max_steps-zero",
             "radial-lo-negative", "empty-support", "one-positive-marker",
-            "slab-subnormal-density", "slab-chart-rate-overflows"])
+            "slab-subnormal-density", "slab-chart-rate-overflows", "gaussian-amplitude-string",
+            "table-value-false", "lamda", "reltol", "centre", "velocities", "rate-of-zero"])
     def test_rejected_naming_code_and_field(self, doc, code, field):
         with pytest.raises(ValidationError) as exc:
             validate_scenario(scenario_from_dict(doc))

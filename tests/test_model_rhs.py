@@ -178,7 +178,7 @@ def test_guard_sees_every_shell_beside_the_centre():
     and the closure raises under a run's guard, as the reference does."""
     vs = validate_scenario(make_ball(n=3, lam=0.2, markers=8))
     yv, split, _, _ = _integrate.layout(vs)
-    _, r, _, rho, l1, _, _, _, _ = yv
+    _, r, _, rho, l1, _, _, _ = yv
     r[0], rho[5], l1[5] = 0.0, 1e300, 1e10
     for rhs in (flat(_model_rhs(vs), split), lambda t, y: masked_shell_rhs(vs, y)):
         with pytest.raises(FloatingPointError), np.errstate(**GUARDS[1]):
@@ -228,15 +228,19 @@ def test_floor_radius_bounds_the_law_at_tiny_mass(lam):
 
 @pytest.mark.parametrize("lam", [0.37, -1.3])
 def test_slab_force_equals_its_formula(lam):
-    """_forces builds -Phi_x in place; it must equal -(Phi_x - lam (x - x_cm))
-    evaluated with temporaries, bit for bit."""
+    """model_rhs builds -Phi_x in place, in the du view of its output; it
+    must equal -(Phi_x - lam (x - x_cm)) evaluated with temporaries, bit for
+    bit."""
     rng = np.random.default_rng(5)
-    masses = rng.uniform(0.2, 1.0, MARKERS)
-    constants = geometry1d._force_constants(masses)
-    phi_x = constants[2]
+    vs, rhs, split = model(validate_scenario(make_slab(lam=lam, markers=MARKERS)), rng)
+    masses = vs.initial.masses
     total = masses.sum()
+    phi_x = np.cumsum(masses) - 0.5 * masses - 0.5 * total
     for _ in range(5):
-        x = np.sort(rng.uniform(-1.5, 1.5, MARKERS))
+        y = slab_vector(rng)
+        x = y[:MARKERS]
         expected = -(phi_x - lam * (x - (masses * x).sum() / total))
-        got = geometry1d._forces(constants, x, np.array(lam), np.empty(MARKERS))
-        assert got.tobytes() == expected.tobytes()
+        fv = split(np.empty_like(y))
+        rhs(0.0, split(y), fv)
+        _, _, du, _, _, _, _, _ = fv
+        assert du.tobytes() == expected.tobytes()
