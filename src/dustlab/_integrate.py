@@ -7,15 +7,16 @@ when it is made. The geometry modules supply the force law as rhs(t, yv,
 fv), which writes the derivative at the views yv into the views fv.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
-(7 x n) stage block; steps() drives it to the end time, and reintegrate
-carries a state from one time to a later one. The run reduces every
-accepted state once to its row of per-step scalars (functional.reducer),
-scans the row for triggers, and localizes the earliest by bisection on
-sub-steps re-integrated by the same stepper; a slab step may end past a
-marker's singularity, v <= 0. sample re-integrates from each requested time
-to the next; nothing is interpolated. At its peak a run holds about 18
-solver vectors on a large slab (the block, its three work vectors, the
-states in hand and the reducer's scratch block); tests/test_integrate.py
+(7 x n) stage block, capped by the settings' max_step alone (a slab's is its
+t_end, no cap: its chart is smooth through a collapse); steps() drives it to
+the end time, and reintegrate carries a state from one time to a later one.
+The run reduces every accepted state once to its row of per-step scalars
+(functional.reducer), scans the row for triggers, and localizes the earliest
+by bisection on sub-steps re-integrated by the same stepper; a slab step may
+end past a marker's singularity, v <= 0. sample re-integrates from each
+requested time to the next; nothing is interpolated. At its peak a run holds
+about 16 solver vectors on a large slab (the block, its three work vectors,
+the states in hand and the reducer's scratch block); tests/test_integrate.py
 bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
@@ -53,8 +54,6 @@ _E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525
 _ERROR_EXPONENT = -1 / 5  # -1/(q+1) for the fourth-order error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _MIN_RTOL = 100 * np.finfo(float).eps
-# slab steps stay below _DIV_STEP / |div u| until t |div u| > _WINDOW (see max_step)
-_DIV_STEP, _WINDOW = 0.05, 1 / functional.NEAR_SINGULAR_FRACTION - 1
 
 
 def _rms(x, sqrt_n):
@@ -119,14 +118,14 @@ class DormandPrince:
     epsilons is raised to that, with a warning, as there.
     DormandPrince(fun, split, size, settings) builds a stepper for solver
     vectors of size doubles, split by split, under the settings' rel_tol,
-    abs_tol, max_step and max_steps, and does not start it: the block, a
-    stage-sum vector (which ends a step as its error estimate) and the error
-    scale are built, and the rows and the stage-sum vector split, once, so
-    a step allocates and splits only its new state. Row s of the block holds
-    stage s's derivative: row 0 the derivative at the step's start, rows 1-5
-    the inner stages and row 6 the derivative at the new state (first same
-    as last), each written there by fun(t, yv, fv=the row's views). The one
-    copy per step is row 6 into row 0.
+    abs_tol, max_step (a number, as validation sets it) and max_steps, and
+    does not start it: the block, a stage-sum vector (which ends a step as
+    its error estimate) and the error scale are built, and the rows and the
+    stage-sum vector split, once, so a step allocates and splits only its
+    new state. Row s of the block holds stage s's derivative: row 0 the
+    derivative at the step's start, rows 1-5 the inner stages and row 6 the
+    derivative at the new state (first same as last), each written there by
+    fun(t, yv, fv=the row's views). The one copy per step is row 6 into row 0.
     restart(t0, y0, t_bound) starts it, the first time and every time after,
     from the views of any state, bit for bit as a new stepper would start.
     It writes the derivative at y0 into row 6 and uses rows 1-3 as scratch
@@ -307,7 +306,6 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     the solver vector, to t_end or the first detector event."""
     settings = vs.scenario.settings
     y0, split, unpack, reduce = layout(vs)
-    slab = vs.initial.dimension == 1
     stepper = DormandPrince(rhs, split, y0[0].size, settings)
     stepper.restart(0.0, y0, vs.scenario.t_end)
     rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
@@ -327,10 +325,6 @@ def run_characteristics(vs: ValidatedScenario, rhs,
             break
         rows.append(row)
         y_last = stepper.yv
-        if slab:
-            d = row.max_abs_div
-            capped = settings.max_step * d > _DIV_STEP and row.time * d <= _WINDOW
-            stepper.max_step = _DIV_STEP / d if capped else settings.max_step
         if keep_states:
             states.append(unpack(stepper.t, y_last))
 

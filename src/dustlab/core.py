@@ -10,6 +10,7 @@ initial cell, so the total mass is conserved by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -29,6 +30,7 @@ class Geometry(Enum):
     RADIALND = "radialnd"
 
 
+@functools.cache  # once per dimension: the reducer reads it on every shell row
 def unit_sphere_area(n: int) -> float:
     """Surface measure of the unit (n-1)-sphere, sigma = 2 pi^(n/2) / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -180,18 +182,19 @@ class TabulatedVelocity:
 # them: about 570 MB (slab) or 670 MB (shells) at the limit.
 MAX_DIMENSION = 100
 MAX_MARKERS = 1_000_000
+SHELL_MAX_STEP = 4e-3  # the step cap of shells when the settings give none
 
 
 def _finite(value) -> bool:
-    # compared, not converted: an integer too large for a double is not finite
-    return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    # compared, not converted (an integer past a double is not finite); a bool is no number
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _whole(value) -> bool:
     """An integer, or a float with an integer value (YAML may give 16.0)."""
-    if isinstance(value, bool) or not _finite(value):
-        return False
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
+    return _finite(value) and (isinstance(value, numbers.Integral)
+                               or float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -202,16 +205,14 @@ class NumericalSettings:
     rho_blowup_threshold: float = 1e12
     crossing_gap_threshold: float = 1e-12
     max_steps: int = 500_000
-    # Step cap keeps the midpoint finite differences used by the proof-chain
-    # residuals second-order-accurate below the 1e-6 reporting floor. It sets
-    # nearly every slab step, as the slab's chart needs no shorter steps near
-    # a collapse; _integrate._DIV_STEP holds them below H's time scale there.
-    max_step: float = 4e-3
+    # Step cap; if None, validate_scenario sets no cap (t_end) for a slab and
+    # SHELL_MAX_STEP for shells, whose event marker moves with the step sequence.
+    max_step: Optional[float] = None
 
     def check(self):
         bad = []
-        for name in ("rel_tol", "abs_tol", "div_blowup_threshold",
-                     "rho_blowup_threshold", "crossing_gap_threshold", "max_step"):
+        for name in ("rel_tol", "abs_tol", "div_blowup_threshold", "rho_blowup_threshold",
+                     "crossing_gap_threshold") + ("max_step",) * (self.max_step is not None):
             if not _finite(getattr(self, name)):
                 bad.append(("NotFinite", name, "must be a finite number"))
             elif getattr(self, name) <= 0:
@@ -370,8 +371,11 @@ def validate_scenario(raw) -> ValidatedScenario:
 
     if violations:
         raise ValidationError(violations)
+    # a max_step left None gets its geometry's default; a given one is checked > 0
+    default_cap = float(s.t_end) if s.geometry is Geometry.SLAB1D else SHELL_MAX_STEP
     s = replace(s, dimension=int(s.dimension), marker_count=int(s.marker_count),
-                settings=replace(s.settings, max_steps=int(s.settings.max_steps)))
+                settings=replace(s.settings, max_steps=int(s.settings.max_steps),
+                                 max_step=s.settings.max_step or default_cap))
 
     # Density non-negativity on a fine sample of the support.
     grid = np.linspace(lo, hi, max(4 * s.marker_count + 1, 101))
@@ -586,7 +590,7 @@ def _number(value, path: str) -> float:
 class _Document(dict):
     """A mapping of a scenario document that knows its dotted path, so that a
     missing key (initial_profile.density.value), a key the loader does not
-    read and a value that is not a number are ValidationErrors naming it."""
+    read and a value not of the shape read there are ValidationErrors naming it."""
 
     def __init__(self, mapping, path=""):
         super().__init__(mapping)
@@ -594,8 +598,10 @@ class _Document(dict):
         self.reads(*_KEYS.get(path, self))  # a profile's keys are read with its kind
 
     def __getitem__(self, key):
-        value = super().__getitem__(key)
-        return _Document(value, f"{self.path}{key}.") if isinstance(value, dict) else value
+        value, path = super().__getitem__(key), f"{self.path}{key}"
+        if path + "." in _KEYS and not isinstance(value, dict):
+            raise ValidationError([("NotAMapping", path, f"must be a mapping, got {value!r}")])
+        return _Document(value, path + ".") if isinstance(value, dict) else value
 
     def __missing__(self, key):
         raise ValidationError([("MissingKey", f"{self.path}{key}", "required key is missing")])
@@ -610,10 +616,13 @@ class _Document(dict):
     def number(self, key, default=None):
         """self[key] (default, if not None, when key is absent) as _number reads
         it; a support, x or values as a tuple of such numbers."""
-        value = self[key] if default is None or key in self else default
+        value, path = self[key] if default is None or key in self else default, self.path + key
         if key in ("support", "x", "values"):
-            return tuple(_number(v, f"{self.path}{key}") for v in value)
-        return _number(value, f"{self.path}{key}")
+            if not isinstance(value, (list, tuple)) or key == "support" and len(value) != 2:
+                raise ValidationError([("BadProfile", path, "must be a list of numbers"
+                                        f"{' [lo, hi]' * (key == 'support')}, got {value!r}")])
+            return tuple(_number(v, path) for v in value)
+        return _number(value, path)
 
 
 def _profile(name: str, spec):

@@ -86,8 +86,8 @@ def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
             break
         y_mid = reintegrate(lo, y_lo, mid)
         row_mid = reduce(mid, y_mid)
-        if held_mid := _held(row_mid, settings):
-            hi, held = mid, held_mid
+        if held_mid := _held(row_mid, settings):  # free y_mid before the next re-integration
+            hi, held, y_mid = mid, held_mid, None
         else:
             lo, row_lo, y_lo = mid, row_mid, y_mid
     y_hi = reintegrate(lo, y_lo, hi)

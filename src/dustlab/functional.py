@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import StepRow, Trajectory, support_volume, trigger_rows
 from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
-NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: informational only
+NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: the margins are not asserted
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +115,14 @@ def _tolerance(mass, h):
     return RESIDUAL_FLOOR * max(1.0, h * h, mass * mass)
 
 
-def _transport(t_a, t_b, h_a, h_b, rate_a, rate_b):
-    dh = (h_b - h_a) / (t_b - t_a)
-    return abs(dh - 0.5 * (rate_a + rate_b))
-
-
-def _riccati(t_a, t_b, h_a, h_b, mass, n, lam, v_sup):
-    h_mid = 0.5 * (h_a + h_b)
-    return (h_b - h_a) / (t_b - t_a) + h_mid**2 / (mass * n) + mass**2 / v_sup - lam * mass
+def _riccati(dh, h, mass, n, lam, v_sup):
+    """dH/dt + H^2/(M N) + M^2/v_sup - lam M, <= 0 where the inequality holds."""
+    return dh + h**2 / (mass * n) + mass**2 / v_sup - lam * mass
 
 
 class _Chain:
-    """Every inequality term of a trajectory, as lists of Python floats:
-    per row (margins, hypothesis flag) and per step i -> i+1 (residuals).
+    """Every inequality term of a trajectory, as lists of Python floats: per
+    row (margins, pointwise residual, hypothesis flag) and per step i -> i+1.
 
     The terms are computed on Python floats, not NumPy arrays, because
     float ** 2 (libm pow) and NumPy's square (x * x) can round differently.
@@ -138,12 +134,6 @@ class _Chain:
             self._terms(trajectory)
         except OverflowError as exc:  # float ** 2 raises where x * x gives inf
             raise NumericOverflow("a proof-chain term overflows a double") from exc
-        inside = self.inside
-        terms = (self.cs_div + self.transport
-                 + [v for v, ok in zip(self.cs_rho, inside) if ok]
-                 + [v for v, a, b in zip(self.riccati, inside, inside[1:]) if a and b])
-        if not all(map(math.isfinite, terms)):
-            raise NumericOverflow("a proof-chain term is not finite in double precision")
 
     def _terms(self, trajectory: Trajectory):
         vs = trajectory.validated
@@ -153,15 +143,22 @@ class _Chain:
         self.time = t = c.time.tolist()
         self.h = h = c.h.tolist()
         rate = c.m_div_rate.tolist()
-        self.inside = [_inside(u, v_sup) for u in c.volume_upper.tolist()]
+        self.inside = inside = [_inside(u, v_sup) for u in c.volume_upper.tolist()]
+        both = [a and b for a, b in zip(inside, inside[1:])]  # at both ends of a step
         self.cs_div = [_cs_divergence(mass, hi, s2) for hi, s2 in zip(h, c.m_div2.tolist())]
         self.cs_rho = [_cs_density(v_sup, mass, r) if ok else math.nan
-                       for r, ok in zip(c.m_rho.tolist(), self.inside)]
-        steps = [(a, a + 1) for a in range(len(t) - 1)]
-        self.transport = [_transport(t[a], t[b], h[a], h[b], rate[a], rate[b])
-                          for a, b in steps]
-        self.riccati = [_riccati(t[a], t[b], h[a], h[b], mass, vs.dimension, vs.lam, v_sup)
-                        if self.inside[a] and self.inside[b] else math.nan for a, b in steps]
+                       for r, ok in zip(c.m_rho.tolist(), inside)]
+        law = (mass, vs.dimension, vs.lam, v_sup)
+        self.pointwise = [_riccati(r, hi, *law) if ok else math.nan
+                          for r, hi, ok in zip(rate, h, inside)]
+        dh = [(h_b - h_a) / (t_b - t_a) for h_a, h_b, t_a, t_b in zip(h, h[1:], t, t[1:])]
+        self.transport = [abs(d - 0.5 * (r_a + r_b)) for d, r_a, r_b in zip(dh, rate, rate[1:])]
+        self.riccati = [_riccati(d, 0.5 * (h_a + h_b), *law) if ok else math.nan
+                        for d, h_a, h_b, ok in zip(dh, h, h[1:], both)]
+        terms = chain(self.cs_div, self.transport, compress(self.cs_rho, inside),
+                      compress(self.pointwise, inside), compress(self.riccati, both))
+        if not all(map(math.isfinite, terms)):
+            raise NumericOverflow("a proof-chain term is not finite in double precision")
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +190,10 @@ class ProofChainStep(NamedTuple):
     transport_residual: float
     cs_divergence_margin: float
     cs_density_margin: float
-    riccati_residual: float
+    riccati_residual: float  # from the finite difference across the step
+    riccati_pointwise: float  # at row b, from its rate column
     hypothesis_ok: bool
-    informational: bool  # inside the near-singular window; not asserted
+    informational: bool  # inside the near-singular window: only riccati_pointwise asserted
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ class ProofChainReport:
             f"informational steps:  {sum(1 for s in self.steps if s.informational)}",
             f"worst cs divergence margin: {self.worst_cs_divergence:.6e}",
             f"worst cs density margin:    {self.worst_cs_density:.6e}",
-            f"worst riccati residual:     {self.worst_riccati:.6e}",
+            f"worst riccati pointwise:    {self.worst_riccati:.6e}",
         ]
         if self.first_violation_time is None:
             lines.append("proof chain: all inequalities hold within tolerance")
@@ -228,9 +226,10 @@ class ProofChainReport:
 def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
     """Verify the full inequality chain on every accepted step of a run.
 
-    The last 1% of the time horizon before an event is marked informational:
-    the finite-difference dH/dt degrades near the singularity and is not
-    asserted there.
+    The Riccati inequality is asserted on row b's exact dH/dt, m_div_rate,
+    wherever the support hypothesis holds at b; the finite differences are
+    only reported. The Cauchy-Schwarz margins are not asserted in the last 1%
+    before an event, marked informational.
     """
     event = trajectory.event
     cutoff = math.inf if event is None else (1.0 - NEAR_SINGULAR_FRACTION) * event.t_lo
@@ -247,18 +246,16 @@ def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
         hypothesis_ok = chain.inside[a] and chain.inside[b]
         cs_div = chain.cs_div[b]
         cs_rho = chain.cs_rho[b] if hypothesis_ok else math.nan
-        ric = chain.riccati[a]
-        steps.append(ProofChainStep(time, chain.transport[a], cs_div, cs_rho, ric,
-                                    hypothesis_ok, info))
-        if info:
-            continue
+        ric = chain.pointwise[b]
+        steps.append(ProofChainStep(time, chain.transport[a], cs_div, cs_rho,
+                                    chain.riccati[a], ric, hypothesis_ok, info))
         tol = _tolerance(chain.mass, chain.h[b])
-        worst_div = min(worst_div, cs_div)
-        violated = cs_div < -tol
-        if hypothesis_ok:
-            worst_rho = min(worst_rho, cs_rho)
-            worst_ric = max(worst_ric, ric)
-            violated = violated or cs_rho < -tol or ric > tol
+        violated = ric > tol  # ric and cs_rho are NaN, never past tol, where not asserted
+        worst_ric = max(worst_ric, ric) if chain.inside[b] else worst_ric
+        if not info:
+            worst_div = min(worst_div, cs_div)
+            worst_rho = min(worst_rho, cs_rho) if hypothesis_ok else worst_rho
+            violated = violated or cs_div < -tol or cs_rho < -tol
         if violated and first_violation is None:
             first_violation = time
     return ProofChainReport(steps, worst_div, worst_rho, worst_ric, first_violation)

@@ -105,6 +105,19 @@ def loop_riccati(traj, step, v_sup):
     return (h_b - h_a) / dt + h_mid**2 / (mass * n) + mass**2 / v_sup - lam * mass
 
 
+def loop_riccati_pointwise(traj, i, v_sup):
+    """The Riccati residual of state i from its own rate sum, sum m D(div u)/Dt."""
+    st = traj.states[i]
+    vol = loop_volume_upper(st)
+    if vol > v_sup * (1 + 1e-12):
+        raise HypothesisViolated(f"support volume {vol:g} exceeds v_sup {v_sup:g}")
+    mass = loop_total_mass(st)
+    lam = traj.validated.lam
+    rate = float(np.sum(st.masses * loop_div_rate(st, lam)))
+    return (rate + loop_h(st)**2 / (mass * traj.validated.dimension) + mass**2 / v_sup
+            - lam * mass)
+
+
 def loop_diagnostics_row(traj, i):
     st = traj.states[i]
     v_sup = traj.validated.v_sup
@@ -140,29 +153,37 @@ def loop_proof_chain_steps(traj, v_sup):
             hypothesis_ok = False
             cs_rho = math.nan
             ric = math.nan
+        try:
+            pointwise = loop_riccati_pointwise(traj, i + 1, v_sup)
+        except HypothesisViolated:
+            pointwise = math.nan
         steps.append(ProofChainStep(time=b.time, transport_residual=loop_transport(traj, i),
                                     cs_divergence_margin=cs_div, cs_density_margin=cs_rho,
-                                    riccati_residual=ric, hypothesis_ok=hypothesis_ok,
+                                    riccati_residual=ric, riccati_pointwise=pointwise,
+                                    hypothesis_ok=hypothesis_ok,
                                     informational=b.time > cutoff))
     return steps
 
 
 def loop_worst(traj, v_sup):
-    """The report's worst margins and first violation, from loop_ steps."""
+    """The report's worst margins and first violation, from loop_ steps: the
+    pointwise Riccati residual on every step whose end state is inside v_sup,
+    the margins off the near-singular window."""
     worst_div, worst_rho, worst_ric, first = math.inf, math.inf, -math.inf, None
     for s, st in zip(loop_proof_chain_steps(traj, v_sup), traj.states[1:]):
-        if s.informational:
-            continue
         h = loop_h(st)
         mass = loop_total_mass(st)
         tol = RESIDUAL_FLOOR * max(1.0, h * h, mass * mass)
-        worst_div = min(worst_div, s.cs_divergence_margin)
-        violated = s.cs_divergence_margin < -tol
-        if s.hypothesis_ok:
-            worst_rho = min(worst_rho, s.cs_density_margin)
-            worst_ric = max(worst_ric, s.riccati_residual)
-            violated = (violated or s.cs_density_margin < -tol
-                        or s.riccati_residual > tol)
+        violated = False
+        if not math.isnan(s.riccati_pointwise):
+            worst_ric = max(worst_ric, s.riccati_pointwise)
+            violated = s.riccati_pointwise > tol
+        if not s.informational:
+            worst_div = min(worst_div, s.cs_divergence_margin)
+            violated = violated or s.cs_divergence_margin < -tol
+            if s.hypothesis_ok:
+                worst_rho = min(worst_rho, s.cs_density_margin)
+                violated = violated or s.cs_density_margin < -tol
         if violated and first is None:
             first = s.time
     return worst_div, worst_rho, worst_ric, first

@@ -351,15 +351,39 @@ class TestRejectedInputs:
         (slab_doc(initial_profile={"density": uniform(-1.0, 1.0),
                                    "velocity": {"kind": "zero", "rate": -1.0}}),
          "UnknownKey", "initial_profile.velocity.rate"),
+        # a value not of the shape read there, named by its path
+        (with_density({"kind": "uniform", "value": 0.5, "support": [-1.0, 0.0, 1.0]}),
+         "BadProfile", "initial_profile.density.support"),
+        (with_density({"kind": "table", "x": 1.0, "values": [0.5]}),
+         "BadProfile", "initial_profile.density.x"),
+        (slab_doc(initial_profile="x"), "NotAMapping", "initial_profile"),
+        (slab_doc(tolerances=[]), "NotAMapping", "tolerances"),
     ], ids=["v_sup-zero", "t_end-negative", "rel_tol-zero", "max_steps-zero",
             "radial-lo-negative", "empty-support", "one-positive-marker",
             "slab-subnormal-density", "slab-chart-rate-overflows", "gaussian-amplitude-string",
-            "table-value-false", "lamda", "reltol", "centre", "velocities", "rate-of-zero"])
+            "table-value-false", "lamda", "reltol", "centre", "velocities", "rate-of-zero",
+            "support-of-three", "table-x-number", "initial-profile-string", "tolerances-list"])
     def test_rejected_naming_code_and_field(self, doc, code, field):
         with pytest.raises(ValidationError) as exc:
             validate_scenario(scenario_from_dict(doc))
         assert [v[:2] for v in exc.value.violations] == [(code, field)]
         assert f"{code}[{field}]" in str(exc.value)
+
+    @pytest.mark.parametrize("changes, fields", [
+        ({"lam": True, "settings": NumericalSettings(rel_tol=True)}, ["lambda", "rel_tol"]),
+        ({"v_sup": True}, ["v_sup"]),
+        ({"t_end": False}, ["t_end"]),
+        ({"settings": NumericalSettings(max_step=True)}, ["max_step"]),
+        ({"marker_count": True}, ["marker_count"]),
+        ({"density": UniformDensity(0.5, -1.0, True)}, ["density"]),
+    ], ids=["lambda-and-rel_tol", "v_sup", "t_end", "max_step", "marker_count", "support"])
+    def test_library_boolean_for_a_number_names_the_field(self, changes, fields):
+        """A library-made scenario is checked as a loaded one: a boolean is
+        not a number, though Python counts it as one."""
+        sc = replace(scenario_from_dict(slab_doc()), **changes)
+        with pytest.raises(ValidationError) as exc:
+            validate_scenario(sc)
+        assert [v[1] for v in exc.value.violations] == fields
 
     def test_missing_v_sup_key(self):
         doc = slab_doc()

@@ -313,20 +313,43 @@ class TestProofChainReport:
         assert any(s.informational for s in report.steps)
 
     def test_raised_h_is_the_first_violation(self, uniform_collapse_traj):
-        # raising H on one row makes the Riccati residual of the step into it
-        # exceed the tolerance; no earlier step changes
+        # raising |H| on one row (H < 0 in a collapse) makes its Cauchy-Schwarz
+        # divergence margin, M sum m div^2 - H^2, fall below the tolerance
+        # off the near-singular window; no earlier step changes
         traj = uniform_collapse_traj
-        b = int(np.searchsorted(traj.times, 0.5 * traj.event.t_lo))
+        b = len(traj) // 2
         h = traj.columns.h.copy()
-        h[b] += 1e-3
+        assert h[b] < 0
+        h[b] -= 1e-3
         report = proof_chain_report(replace(traj, columns=traj.columns._replace(h=h)))
         step = report.steps[b - 1]
         assert step.hypothesis_ok and not step.informational
-        assert step.riccati_residual > _tolerance(traj.validated.total_mass, h[b])
+        assert step.cs_divergence_margin < -_tolerance(traj.validated.total_mass, h[b])
         assert not report.holds
         assert report.first_violation_time == traj.times[b]
         assert (f"FIRST VIOLATION at t={traj.times[b]:.9g}"
                 in report.summary_text())
+
+    @pytest.mark.parametrize("inside_window", [False, True])
+    def test_raised_rate_is_the_first_violation(self, uniform_collapse_traj, inside_window):
+        # raising m_div_rate on one row to twice the tolerance past the
+        # Riccati bound is a violation at that row, in the near-singular
+        # window too, where the finite-difference columns are not asserted
+        traj = uniform_collapse_traj
+        b = len(traj) - 1 if inside_window else len(traj) // 2
+        mass, h = traj.validated.total_mass, traj.columns.h[b]
+        tol = _tolerance(mass, h)
+        before = proof_chain_report(traj)
+        assert before.holds
+        rate = traj.columns.m_div_rate.copy()
+        rate[b] += 2 * tol - before.steps[b - 1].riccati_pointwise
+        report = proof_chain_report(replace(traj, columns=traj.columns._replace(m_div_rate=rate)))
+        step = report.steps[b - 1]
+        assert step.informational == inside_window
+        assert step.riccati_pointwise > tol
+        assert report.steps[:b - 1] == before.steps[:b - 1]
+        assert report.worst_riccati == step.riccati_pointwise
+        assert report.first_violation_time == traj.times[b]
 
     def test_infinite_term_raises_numeric_overflow(self, uniform_collapse_traj):
         # an infinite column value makes M sum m div^2 - H^2 infinite without

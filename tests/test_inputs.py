@@ -31,8 +31,8 @@ DENSE_SLAB = {
     "tolerances": {"rho_blowup_threshold": 1.0e305},
 }
 
-WRONG = st.sampled_from([None, "x", "", [], [1.0], {}, {"kind": "uniform"}, True, -1, 0,
-                         0.5, float("nan"), float("inf"), -float("inf"), 10**400])
+WRONG = st.sampled_from([None, "x", "", [], [1.0], [-1.0, 0.0, 1.0], {}, {"kind": "uniform"},
+                         True, -1, 0, 0.5, float("nan"), float("inf"), -float("inf"), 10**400])
 
 # paths into a document, each a list of keys
 PATHS = [["geometry"], ["dimension"], ["lambda"], ["v_sup"], ["marker_count"], ["t_end"],

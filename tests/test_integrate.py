@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from dustlab import _integrate, _model_rhs, detector, sample, simulate
-from dustlab.core import (HubbleVelocity, NumericalSettings, StepRow, UniformDensity,
-                          load_scenario, validate_scenario)
+from dustlab.core import (SHELL_MAX_STEP, HubbleVelocity, NumericalSettings, StepRow,
+                          UniformDensity, load_scenario, validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
 from conftest import FAST, dormand_prince, flat, make_ball, make_slab, solver_state
@@ -159,8 +159,9 @@ def test_sample_at_time_zero_equals_the_first_row(sc):
 class TestStepLimit:
     @staticmethod
     def limited(max_steps):
+        # capped, as an uncapped slab reaches t_end in a few steps
         return make_slab(rho0=0.5, t_end=1.0,
-                         settings=NumericalSettings(max_steps=max_steps))
+                         settings=NumericalSettings(max_steps=max_steps, max_step=SHELL_MAX_STEP))
 
     def test_simulate_raises(self):
         with pytest.raises(MaxStepsExceeded, match="exceeded 5 accepted steps"):
@@ -176,6 +177,36 @@ class TestStepLimit:
         assert len(simulate(self.limited(steps))) == steps + 1
         with pytest.raises(MaxStepsExceeded):
             simulate(self.limited(steps - 1))
+
+
+class TestStepCap:
+    """validate_scenario sets the step cap the settings leave open: none
+    (t_end) for a slab, SHELL_MAX_STEP for shells; a cap the settings give
+    holds for both."""
+
+    def test_shipped_slab_is_not_capped(self):
+        vs = validate_scenario(shipped("uniform_collapse_1d"))
+        assert vs.scenario.settings.max_step == vs.scenario.t_end
+        assert type(vs.scenario.settings.max_step) is float
+        traj = simulate(vs)
+        assert traj.event is not None and len(traj) <= 10
+
+    def test_explicit_cap_holds_for_a_slab(self):
+        sc = shipped("uniform_collapse_1d")
+        vs = validate_scenario(replace(sc, settings=replace(sc.settings, max_step=0.01)))
+        assert vs.scenario.settings.max_step == 0.01
+        steps = np.diff(simulate(vs).times)
+        assert steps.max() <= 0.01 * (1 + 1e-12)
+        assert steps.size > 190
+
+    def test_shipped_ball_keeps_the_shell_cap(self):
+        vs = validate_scenario(shipped("uniform_ball_n3"))
+        assert vs.scenario.settings.max_step == SHELL_MAX_STEP == 4e-3
+        assert len(simulate(vs)) == 1333
+
+
+# a stepper takes its settings as validation leaves them, with a number for max_step
+RESOLVED = NumericalSettings(max_step=SHELL_MAX_STEP)
 
 
 def one_field(y):
@@ -242,7 +273,10 @@ class TestStepperMatchesRK45:
         ("uniform_ball_n3", 0.2, 2.0),
     ])
     def test_shipped_runs(self, name, lam, t_bound):
-        steps, _ = assert_matches_rk45(shipped(name, lam=lam), t_bound)
+        # capped, so that the slab takes as many steps as the ball
+        sc = shipped(name, lam=lam)
+        sc = replace(sc, settings=replace(sc.settings, max_step=SHELL_MAX_STEP))
+        steps, _ = assert_matches_rk45(sc, t_bound)
         assert steps > 400
 
     def test_rejected_step(self):
@@ -464,7 +498,7 @@ def test_step_underflow():
         return f
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
-        stepper = _integrate.DormandPrince(rhs, one_field, 3, NumericalSettings())
+        stepper = _integrate.DormandPrince(rhs, one_field, 3, RESOLVED)
         stepper.restart(0.0, (np.ones(3),), 1.0)
         for _ in stepper.steps():
             pass
@@ -483,7 +517,7 @@ def test_interval_shorter_than_the_smallest_step_is_stepped():
     t_bound = 1.0
     for _ in range(4):
         t_bound = math.nextafter(t_bound, 2.0)
-    stepper = _integrate.DormandPrince(negative, one_field, 3, NumericalSettings())
+    stepper = _integrate.DormandPrince(negative, one_field, 3, RESOLVED)
     stepper.restart(1.0, (np.ones(3),), t_bound)
     assert [s.t for s in stepper.steps()] == [t_bound]
 
@@ -502,7 +536,7 @@ def test_an_error_norm_whose_squares_overflow_is_rejected():
             fv[0][...] = spike.pop()
         return fv[0]
 
-    stepper = _integrate.DormandPrince(rhs, one_field, 4, FAST)
+    stepper = _integrate.DormandPrince(rhs, one_field, 4, replace(FAST, max_step=SHELL_MAX_STEP))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         stepper.restart(0.0, (np.ones(4),), 1.0)
         h_first = stepper.h_abs

@@ -58,8 +58,8 @@ def time_scaled(lam, s):
     st = sc.settings
     return replace(sc, lam=lam * s * s, t_end=sc.t_end / s,
                    density=replace(sc.density, value=sc.density.value * s * s),
-                   settings=replace(st, max_step=st.max_step / s,
-                                    rho_blowup_threshold=st.rho_blowup_threshold * s * s,
+                   # the slab's step cap is t_end, so it scales with it
+                   settings=replace(st, rho_blowup_threshold=st.rho_blowup_threshold * s * s,
                                     div_blowup_threshold=st.div_blowup_threshold * s))
 
 
