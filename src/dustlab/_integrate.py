@@ -1,27 +1,28 @@
 """Shared adaptive Runge-Kutta driver for both geometries.
 
 The solver vector of a run holds the marker fields one after another, [x,
-u, v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells); splitter
-alone knows this order. Each vector is split into its eight views once,
-when it is made. The geometry modules supply the force law as rhs(t, yv,
+u, v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells); only
+core.splitter and core.unpacker know this order, and validation packs the
+one at t = 0, vs.y0. Each vector is split into its eight views once, when
+it is made. The geometry modules supply the force law as rhs(t, yv,
 fv), which writes the derivative at the views yv into the views fv.
 
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
-(7 x n) stage block, capped by the settings' max_step alone (a slab's is its
-t_end, no cap: its chart is smooth through a collapse); steps() drives it to
+(7 x n) stage block, capped by the settings' max_step alone (a slab's is
+None, no cap: its chart is smooth through a collapse); steps() drives it to
 the end time, and reintegrate carries a state from one time to a later one.
 The run reduces every accepted state once to its row of per-step scalars
 (functional.reducer), scans the row for triggers, and localizes the earliest
 by bisection on sub-steps re-integrated by the same stepper; a slab step may
 end past a marker's singularity, v <= 0. sample re-integrates from each
 requested time to the next; nothing is interpolated. At its peak a run holds
-about 16 solver vectors on a large slab (the block, its three work vectors,
-the states in hand and the reducer's scratch block); tests/test_integrate.py
-bounds it. Deterministic for fixed settings.
+about 18 solver vectors on a large slab (vs.y0 and vs.initial, the block,
+its three work vectors, the states in hand and the reducer's scratch
+block); tests/test_integrate.py bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
-keep_states=True asks for every one. The first is vs.initial itself, and
-every later one is unpacked from its solver vector.
+keep_states=True asks for every one. The first is vs.initial, validation's
+unpack of vs.y0, and every later one is unpacked from its solver vector.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import warnings
 import numpy as np
 
 from . import detector, functional
-from .core import FieldState, Trajectory, ValidatedScenario
+from .core import Trajectory, ValidatedScenario, splitter, unpacker
 from .errors import MaxStepsExceeded, StepUnderflow
 
 # The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26:
@@ -118,7 +119,7 @@ class DormandPrince:
     epsilons is raised to that, with a warning, as there.
     DormandPrince(fun, split, size, settings) builds a stepper for solver
     vectors of size doubles, split by split, under the settings' rel_tol,
-    abs_tol, max_step (a number, as validation sets it) and max_steps, and
+    abs_tol, max_step (None for no cap) and max_steps, and
     does not start it: the block, a stage-sum vector (which ends a step as
     its error estimate) and the error scale are built, and the rows and the
     stage-sum vector split, once, so a step allocates and splits only its
@@ -146,7 +147,8 @@ class DormandPrince:
             warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
                           f"using {_MIN_RTOL:g}", stacklevel=2)
             rtol = _MIN_RTOL
-        self.rtol, self.max_step, self.max_steps = rtol, settings.max_step, settings.max_steps
+        self.rtol, self.max_steps = rtol, settings.max_steps
+        self.max_step = math.inf if settings.max_step is None else settings.max_step
         self._tol = np.array(rtol), np.array(settings.abs_tol)
         self._sqrt_n = size ** 0.5
         self._K = K = np.empty((7, size))
@@ -258,46 +260,14 @@ class DormandPrince:
         return self.yv
 
 
-def splitter(n, dimension):
-    """split(y): the eight views of a solver vector of n markers: y, its
-    fields (x, u, v, q, None for the slab; r, u, rho, l1, l2 for shells),
-    and y[n:] and y[3n:], which the shell force law writes in one call each."""
-    shells = dimension > 1
-
-    def split(y):
-        return (y, y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n],
-                y[4 * n:] if shells else None, y[n:], y[3 * n:])
-
-    return split
-
-
 def layout(vs: ValidatedScenario):
-    """The views y0 of the solver vector of vs.initial's fields and the three
-    maps a run needs: split, unpack(t, yv), the FieldState of a solver
-    vector's views (no solver vector is written after it is published; a
-    slab marker past its singularity, v <= 0, has rho = +inf and w = -inf),
-    and reduce(t, yv, fv), its functional.StepRow with the RHS views fv."""
-    init = vs.initial
-    masses, dim = init.masses, init.dimension
-    fields = [init.positions, init.velocities, init.densities, init.eig_radial]
-    if dim > 1:
-        fields.append(init.eig_tangential)
-    else:
-        fields[2] = v0 = 1.0 / init.densities
-        fields[3] = init.eig_radial * v0
+    """The views of vs.y0, the run's solver vector at t = 0, and the three
+    maps a run needs: split (core.splitter's), unpack(t, yv), the FieldState
+    of a solver vector's views (core.unpacker's), and reduce(t, yv, fv), its
+    functional.StepRow with the RHS views fv."""
+    masses, dim = vs.initial.masses, vs.dimension
     split = splitter(masses.size, dim)
-
-    def unpack(t, yv):
-        rho, w = yv[3], yv[4]
-        if dim == 1:  # rho and w hold v and q until here
-            live = rho > 0.0
-            w = np.divide(w, rho, out=np.full(rho.shape, -math.inf), where=live)
-            rho = np.divide(1.0, rho, out=np.full(rho.shape, math.inf), where=live)
-        return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
-                          densities=rho, eig_radial=w, eig_tangential=yv[5],
-                          masses=masses, dimension=dim)
-
-    return split(np.concatenate(fields)), split, unpack, functional.reducer(masses, dim)
+    return split(vs.y0), split, unpacker(masses, dim), functional.reducer(masses, dim)
 
 
 def run_characteristics(vs: ValidatedScenario, rhs,
@@ -310,7 +280,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     stepper.restart(0.0, y0, vs.scenario.t_end)
     rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
     states = [vs.initial]
-    y_last, y0 = y0, None  # y0 is freed once the run steps past it
+    y_last = y0
     event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)

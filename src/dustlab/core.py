@@ -48,14 +48,6 @@ def support_volume(lo, hi, dimension: int):
     return ball_volume(dimension, hi)
 
 
-def divergence(eig_radial, eig_tangential, dimension: int):
-    """div u per marker from the velocity-gradient eigenvalues: u_x for the
-    slab, du/dr + (N-1) u/r for shells."""
-    if dimension == 1:
-        return eig_radial
-    return eig_radial + (dimension - 1) * eig_tangential
-
-
 def trigger_rows(out, dimension: int):
     """rows(positions, rho, div) writes each marker's gap, rho and |div u|,
     the rows the triggers read (TriggerRule.row), into the (3 x n) block out
@@ -205,8 +197,8 @@ class NumericalSettings:
     rho_blowup_threshold: float = 1e12
     crossing_gap_threshold: float = 1e-12
     max_steps: int = 500_000
-    # Step cap; if None, validate_scenario sets no cap (t_end) for a slab and
-    # SHELL_MAX_STEP for shells, whose event marker moves with the step sequence.
+    # Step cap, None for none; if None, validate_scenario keeps it for a slab
+    # and sets SHELL_MAX_STEP for shells, whose event marker moves with the step sequence.
     max_step: Optional[float] = None
 
     def check(self):
@@ -240,7 +232,10 @@ class FieldState:
     dimension: int = 1
 
     def div_u(self):
-        return divergence(self.eig_radial, self.eig_tangential, self.dimension)
+        """div u per marker: u_x for the slab, du/dr + (N-1) u/r for shells."""
+        if self.dimension == 1:
+            return self.eig_radial
+        return self.eig_radial + (self.dimension - 1) * self.eig_tangential
 
 
 @dataclass(frozen=True)
@@ -258,11 +253,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidatedScenario:
-    """Normalized scenario plus its initial marker discretization: initial is
-    the FieldState at t = 0, whose masses every later state shares, and it
-    is the run's first state (Trajectory.states[0] is this object)."""
+    """Normalized scenario plus its initial marker discretization: y0 is the
+    run's solver vector at t = 0 (read-only), and initial its FieldState
+    (unpacker's), whose masses every later state shares. initial is the
+    run's first state (Trajectory.states[0] is this object)."""
 
     scenario: Scenario
+    y0: np.ndarray
     initial: FieldState
     total_mass: float
     h0: float
@@ -278,6 +275,38 @@ class ValidatedScenario:
     @property
     def v_sup(self):
         return self.scenario.v_sup
+
+
+def splitter(n, dimension):
+    """split(y): the eight views of a solver vector of n markers: y, its
+    fields (x, u, v = 1/rho, q = u_x v, None for the slab; r, u, rho, l1, l2
+    for shells), and y[n:] and y[3n:], which the shell force law writes in
+    one call each. This order is known here alone."""
+    shells = dimension > 1
+
+    def split(y):
+        return (y, y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n],
+                y[4 * n:] if shells else None, y[n:], y[3 * n:])
+
+    return split
+
+
+def unpacker(masses, dimension: int):
+    """unpack(t, yv): the FieldState of a solver vector's views yv, which
+    shares their positions, velocities and shell fields (no solver vector
+    is written after it is published); a slab marker past its singularity,
+    v <= 0, has rho = +inf and w = -inf."""
+    def unpack(t, yv):
+        rho, w = yv[3], yv[4]
+        if dimension == 1:  # rho and w hold v and q until here
+            live = rho > 0.0
+            w = np.divide(w, rho, out=np.full(rho.shape, -math.inf), where=live)
+            rho = np.divide(1.0, rho, out=np.full(rho.shape, math.inf), where=live)
+        return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
+                          densities=rho, eig_radial=w, eig_tangential=yv[5],
+                          masses=masses, dimension=dimension)
+
+    return unpack
 
 
 def _volume_median_radii(edges: np.ndarray, n: int) -> np.ndarray:
@@ -371,8 +400,9 @@ def validate_scenario(raw) -> ValidatedScenario:
 
     if violations:
         raise ValidationError(violations)
-    # a max_step left None gets its geometry's default; a given one is checked > 0
-    default_cap = float(s.t_end) if s.geometry is Geometry.SLAB1D else SHELL_MAX_STEP
+    # a max_step left None stays None (no cap) for a slab and gets the shells'
+    # default; a given one is checked > 0
+    default_cap = None if s.geometry is Geometry.SLAB1D else SHELL_MAX_STEP
     s = replace(s, dimension=int(s.dimension), marker_count=int(s.marker_count),
                 settings=replace(s.settings, max_steps=int(s.settings.max_steps),
                                  max_step=s.settings.max_step or default_cap))
@@ -422,34 +452,32 @@ def validate_scenario(raw) -> ValidatedScenario:
     if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(eig1))):
         raise ValidationError([("NotFinite", "velocity",
                                 "velocity or its gradient is not finite at the markers")])
-    eig2 = None
     if s.geometry is Geometry.RADIALND:
         eig2 = np.where(pos > 0, vel / np.where(pos > 0, pos, 1.0), eig1)
-        seen = rho, divergence(eig1, eig2, s.dimension)
-    else:  # the run steps v = 1/rho and q = u_x v (geometry1d, _integrate.layout)
+        fields = pos, vel, rho, eig1, eig2
+    else:  # the run steps the slab's chart v = 1/rho and q = u_x v (geometry1d)
         with np.errstate(over="ignore"):
             if not (np.isfinite(v0 := 1.0 / rho).all() and np.isfinite(q0 := eig1 * v0).all()):
                 raise ValidationError([("NotFinite", "density", "1/density or u_x/density "
                                         "overflows a double at a marker")])
-            seen = 1.0 / v0, q0 / v0  # rho and u_x as the run's first row reads them back
-    initial = FieldState(time=0.0, positions=pos, velocities=vel, densities=rho,
-                         eig_radial=eig1, masses=masses, eig_tangential=eig2,
-                         dimension=s.dimension)
-
-    _check_triggers_at_start(s, pos, *seen)
-
-    return ValidatedScenario(scenario=s, initial=initial, total_mass=float(masses.sum()),
+        fields = pos, vel, v0, q0
+    y0 = np.concatenate(fields)
+    y0.flags.writeable = False
+    initial = unpacker(masses, s.dimension)(0.0, splitter(masses.size, s.dimension)(y0))
+    _check_triggers_at_start(s, initial)
+    return ValidatedScenario(scenario=s, y0=y0, initial=initial, total_mass=float(masses.sum()),
                              h0=float(np.sum(masses * initial.div_u())))
 
 
-def _check_triggers_at_start(s: Scenario, positions, rho, div):
+def _check_triggers_at_start(s: Scenario, initial: FieldState):
     """Reject initial data on which a blowup trigger already holds.
 
     The detector fires when a trigger starts to hold, so a run that starts
     with one held could never report it. Each is checked as the run's first
-    row checks it: on its row of trigger_rows, from the rho and div u it reads.
+    row checks it: on its row of trigger_rows, from the state it unpacks.
     """
-    rows = trigger_rows(np.empty((3, positions.size)), s.dimension)(positions, rho, div)
+    rows = trigger_rows(np.empty((3, initial.masses.size)), s.dimension)(
+        initial.positions, initial.densities, initial.div_u())
     violations = []
     for rule in TRIGGERS.values():
         value = rows[rule.row].min() if rule.below else rows[rule.row].max()

@@ -66,7 +66,7 @@ def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
                   row_next: StepRow, settings: NumericalSettings):
     """Bisect the earliest trigger time within one accepted step.
 
-    States are the views of solver vectors (_integrate.splitter's).
+    States are the views of solver vectors (core.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
     reduce(t, y1) -> y1's StepRow, with the rate from the RHS reintegrate
     left; unpack(t, y) -> field state. Precondition: no trigger holds at

@@ -37,7 +37,7 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: the margins are not as
 
 def reducer(masses, dimension: int):
     """reduce(time, yv, fv): the StepRow of a solver vector from its eight
-    views yv (_integrate.splitter's) and those of its RHS, fv; a slab's
+    views yv (core.splitter's) and those of its RHS, fv; a slab's
     rho = 1/v, div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho
     and |div u| and NaN sums once a marker is past its singularity (v <= 0).
     Built once per run with one (5 x n) scratch block: one np.add.reduce

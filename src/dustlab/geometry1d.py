@@ -27,7 +27,7 @@ from .core import ValidatedScenario
 
 def model_rhs(vs: ValidatedScenario):
     """rhs(t, yv, fv): the time derivatives (dx, du, dv, dq) at the eight
-    views yv of the solver vector [x, u, v, q] (_integrate.splitter's),
+    views yv of the solver vector [x, u, v, q] (core.splitter's),
     written into the views fv of an output vector, which is returned as the
     one array f = fv[0]. The run constants depend on the masses alone and
     are computed once; -Phi_x takes the markers in index (= sorted) order."""

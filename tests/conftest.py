@@ -42,18 +42,29 @@ def _validated(dimension, lam):
     return validate_scenario(sc)
 
 
+def solver_vector(state):
+    """The solver vector of a state's fields: [x, u, v, q] in the slab's
+    chart, v = 1/rho and q = w v, and [r, u, rho, l1, l2] for shells."""
+    if state.dimension == 1:
+        v = 1.0 / state.densities
+        return np.concatenate([state.positions, state.velocities, v, state.eig_radial * v])
+    return np.concatenate([state.positions, state.velocities, state.densities,
+                           state.eig_radial, state.eig_tangential])
+
+
 def solver_state(state, lam=0.0):
-    """The scenario of a FieldState (its markers in place of _validated's),
-    the views of its solver vector and the run's split and reducer. A state
-    that a run unpacked holds its positions as a view of the run's solver
-    vector, which is returned: the slab's chart holds v = 1/rho and q = w v,
-    and the state's rho and w give v and q back only to within an ulp. Any
-    other state gets _integrate.layout's vector of its fields."""
-    vs = replace(_validated(state.dimension, lam), initial=state)
-    y0, split, _, reduce = _integrate.layout(vs)
+    """The scenario of a FieldState (its markers and solver vector in place
+    of _validated's), the views of that solver vector and the run's split
+    and reducer. A state that validation or a run unpacked holds its
+    positions as a view of its solver vector, which is used: the slab's
+    chart holds v = 1/rho and q = w v, and the state's rho and w give v and
+    q back only to within an ulp. Any other state gets solver_vector's."""
+    y = solver_vector(state)
     base = state.positions.base
-    if base is not None and base.size == y0[0].size:
-        y0 = split(base)
+    if base is not None and base.size == y.size:
+        y = base
+    vs = replace(_validated(state.dimension, lam), y0=y, initial=state)
+    y0, split, _, reduce = _integrate.layout(vs)
     return vs, y0, split, reduce
 
 
@@ -197,10 +208,19 @@ TRIGGER_EDGES = {
 DENSITY_BELOW_EDGE = collapse_doc(0.45696728054958985,
                                   rho_blowup_threshold=0.4569672805495898)
 
+# A Gaussian slab with a tabulated velocity, whose rho and u_x read back from
+# the chart v0 = 1/rho, q0 = u_x v0 are an ulp off the profile's at some
+# markers: there |u_x| = 0.4 reads 0.4000000000000001
+GAUSSIAN_TABLE_SLAB = dict(collapse_doc(None), initial_profile={
+    "density": {"kind": "gaussian", "amplitude": 0.37, "center": 0.0, "width": 0.45,
+                "support": [-1.0, 1.0]},
+    "velocity": {"kind": "table", "x": [-1.0, 0.0, 1.0], "values": [0.3, -0.1, 0.2]}})
+
 
 def first_row(vs):
-    """The run's first row: the run's reducer on the solver vector of
-    vs.initial (the trigger columns do not read the RHS, left at zero)."""
+    """The run's first row: the run's reducer on vs.y0, the solver vector
+    vs.initial unpacks (the trigger columns do not read the RHS, left at
+    zero)."""
     y0, split, _, reduce = _integrate.layout(vs)
     return reduce(0.0, y0, split(np.zeros_like(y0[0])))
 

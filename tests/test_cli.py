@@ -13,7 +13,7 @@ from dustlab.detector import BRACKET_REL_WIDTH
 from dustlab.cli import (EXIT_CONTRADICTION, EXIT_HYPOTHESIS, EXIT_NUMERIC,
                          EXIT_OK, EXIT_VALIDATION, MAX_GRID_POINTS, main)
 
-from conftest import TRIGGER_EDGES, uniform_slab_div_crossing
+from conftest import GAUSSIAN_TABLE_SLAB, TRIGGER_EDGES, uniform_slab_div_crossing
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -338,6 +338,23 @@ class TestSimulate:
                   initial.eig_radial, initial.eig_tangential, initial.masses)
         for column, field in zip(np.array(rows, dtype=float).T, fields, strict=True):
             assert column.tobytes() == field.tobytes()
+
+    def test_marker_dump_at_time_zero_is_the_first_row(self, runner, tmp_path):
+        # markers_t0.csv and trajectory.csv's first row read one state, even
+        # where the slab's chart moves the profile's u_x = -0.4 by an ulp
+        path = write_yaml(tmp_path / "slab.yaml", GAUSSIAN_TABLE_SLAB)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--scenario", path,
+                                      "--out", str(out), "--snapshot-times", "0"])
+        assert result.exit_code == EXIT_OK, result.output
+        with open(out / "markers_t0.csv") as fh:
+            markers = {name: np.array(column, dtype=float)
+                       for name, *column in zip(*csv.reader(fh))}
+        with open(out / "trajectory.csv") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["max_density"]) == markers["density"].max()
+        assert float(first["min_density"]) == markers["density"].min()
+        assert float(first["max_abs_div"]) == np.abs(markers["eig_radial"]).max() > 0.4
 
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)

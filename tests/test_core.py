@@ -440,19 +440,21 @@ def random_doc(rng, geometry):
 
 
 class TestTriggersAtTheFirstRow:
-    """Validation checks each trigger on the values the run's first row
-    reads (a slab's rho and u_x back from its chart v0 = 1/rho, q0 = u_x
-    v0), so it rejects an input exactly when that row holds a trigger."""
+    """Validation checks each trigger on vs.initial, the unpack of the
+    solver vector the run's first row reads (a slab's rho and u_x back from
+    its chart v0 = 1/rho, q0 = u_x v0), so it rejects an input exactly when
+    that row holds a trigger."""
 
     @pytest.mark.parametrize("field", sorted(TRIGGER_EDGES))
     def test_threshold_at_the_profile_value_rejected(self, field):
         doc = copy.deepcopy(TRIGGER_EDGES[field])
         rule = next(rule for rule in TRIGGERS.values() if rule.field == field)
         threshold = doc["tolerances"][rule.threshold]
-        # the profile's extreme is the threshold, the first row's above it
+        # the document's rho or |u_x| is the threshold; vs.initial and the
+        # first row read the chart's value, one ulp above it
         vs = validate_scenario(scenario_from_dict(dict(doc, tolerances={})))
-        profile = vs.initial.densities if field == "density" else np.abs(vs.initial.div_u())
-        assert profile.max() == threshold < getattr(first_row(vs), rule.column)
+        state = vs.initial.densities if field == "density" else np.abs(vs.initial.div_u())
+        assert threshold < state.max() == getattr(first_row(vs), rule.column)
         with pytest.raises(ValidationError) as exc:
             validate_scenario(scenario_from_dict(doc))
         assert [v[:2] for v in exc.value.violations] == [("TriggerAtStart", field)]
@@ -467,23 +469,19 @@ class TestTriggersAtTheFirstRow:
 
     @pytest.mark.parametrize("geometry", ["slab1d", "radialnd"])
     def test_rejected_exactly_when_the_first_row_holds_a_trigger(self, geometry):
-        """Each threshold at the extreme of the profile's quantity, at the
-        first row's and one ulp to either side of the row's, on seeded
-        inputs; the slab's draws include some whose row reads another
-        extreme than the profile."""
+        """vs.initial's extreme of each quantity is the first row's; each
+        threshold at it and one ulp to either side, on seeded inputs."""
         rng = np.random.default_rng(20261020)
-        seams = 0
         for _ in range(25):
             vs = validate_scenario(scenario_from_dict(random_doc(rng, geometry)))
             init, row = vs.initial, first_row(vs)
-            profile = {"min_gap": neighbour_gaps(init.positions, init.dimension).min(),
-                       "max_abs_div": np.abs(init.div_u()).max(),
-                       "max_density": init.densities.max()}
+            extremes = {"min_gap": neighbour_gaps(init.positions, init.dimension).min(),
+                        "max_abs_div": np.abs(init.div_u()).max(),
+                        "max_density": init.densities.max()}
             for rule in TRIGGERS.values():
                 edge = getattr(row, rule.column)
-                seams += profile[rule.column] != edge
-                for threshold in {profile[rule.column], edge, np.nextafter(edge, -np.inf),
-                                  np.nextafter(edge, np.inf)}:
+                assert extremes[rule.column] == edge, (geometry, rule.column)
+                for threshold in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
                     if not threshold > 0:  # a zero |div u|
                         continue
                     settings = replace(vs.scenario.settings,
@@ -495,4 +493,3 @@ class TestTriggersAtTheFirstRow:
                     except ValidationError as exc:
                         rejected = [v[:2] for v in exc.violations]
                     assert rejected == held, (geometry, rule.column, threshold, edge)
-        assert seams or geometry == "radialnd"

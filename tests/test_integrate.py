@@ -28,10 +28,12 @@ import pytest
 
 from dustlab import _integrate, _model_rhs, detector, sample, simulate
 from dustlab.core import (SHELL_MAX_STEP, HubbleVelocity, NumericalSettings, StepRow,
-                          UniformDensity, load_scenario, validate_scenario)
+                          UniformDensity, load_scenario, scenario_from_dict,
+                          validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
-from conftest import FAST, dormand_prince, flat, make_ball, make_slab, solver_state
+from conftest import (FAST, GAUSSIAN_TABLE_SLAB, dormand_prince, flat, make_ball, make_slab,
+                      solver_state)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,22 +48,18 @@ def model(sc):
     return vs, _model_rhs(vs), y0, split
 
 
+def step_cap(settings):
+    """The settings' max_step as the reference loop takes it: math.inf for
+    None, which is no cap."""
+    return math.inf if settings.max_step is None else settings.max_step
+
+
 def reference(vs, rhs, split, t0, y0, t1):
     """The state at t1 > t0 of the reference loop from the flat solver vector
     y0 at t0, on rhs made flat, under the scenario's settings."""
     s = vs.scenario.settings
-    steps = dormand_prince(flat(rhs, split), t0, y0, t1, s.rel_tol, s.abs_tol, s.max_step)
+    steps = dormand_prince(flat(rhs, split), t0, y0, t1, s.rel_tol, s.abs_tol, step_cap(s))
     return steps[-1][1]
-
-
-def solver_vector(state):
-    """The solver vector of a state's fields: [x, u, v, q] in the slab's
-    chart, v = 1/rho and q = w v, and [r, u, rho, l1, l2] for shells."""
-    if state.dimension == 1:
-        v = 1.0 / state.densities
-        return np.concatenate([state.positions, state.velocities, v, state.eig_radial * v])
-    return np.concatenate([state.positions, state.velocities, state.densities,
-                           state.eig_radial, state.eig_tangential])
 
 
 @pytest.mark.parametrize("sc, times", [
@@ -181,15 +179,25 @@ class TestStepLimit:
 
 class TestStepCap:
     """validate_scenario sets the step cap the settings leave open: none
-    (t_end) for a slab, SHELL_MAX_STEP for shells; a cap the settings give
+    (None) for a slab, SHELL_MAX_STEP for shells; a cap the settings give
     holds for both."""
 
     def test_shipped_slab_is_not_capped(self):
         vs = validate_scenario(shipped("uniform_collapse_1d"))
-        assert vs.scenario.settings.max_step == vs.scenario.t_end
-        assert type(vs.scenario.settings.max_step) is float
+        assert vs.scenario.settings.max_step is None
         traj = simulate(vs)
         assert traj.event is not None and len(traj) <= 10
+
+    def test_revalidated_at_a_longer_horizon_stays_uncapped(self):
+        """A validated slab re-validated at a longer t_end, as sweep
+        re-validates its base scenario, runs the rows of the file loaded
+        with that t_end: its old horizon is no step cap."""
+        short = validate_scenario(shipped("uniform_collapse_1d", t_end=0.1))
+        vs = validate_scenario(replace(short.scenario, t_end=5.0))
+        assert vs.scenario.settings.max_step is None
+        got, expected = simulate(vs), simulate(shipped("uniform_collapse_1d", t_end=5.0))
+        assert np.array(got.columns).tobytes() == np.array(expected.columns).tobytes()
+        assert got.event == expected.event
 
     def test_explicit_cap_holds_for_a_slab(self):
         sc = shipped("uniform_collapse_1d")
@@ -205,7 +213,7 @@ class TestStepCap:
         assert len(simulate(vs)) == 1333
 
 
-# a stepper takes its settings as validation leaves them, with a number for max_step
+# the settings as validation leaves them for shells, capped at SHELL_MAX_STEP
 RESOLVED = NumericalSettings(max_step=SHELL_MAX_STEP)
 
 
@@ -250,7 +258,7 @@ def assert_matches_rk45(sc, t_bound):
     s = vs.scenario.settings
     ref_rhs, ref_calls = counting(flat(rhs, split))
     own_rhs, own_calls = counting(rhs)
-    expected = loop_steps(ref_rhs, 0.0, y0[0], t_bound, s.rel_tol, s.abs_tol, s.max_step)
+    expected = loop_steps(ref_rhs, 0.0, y0[0], t_bound, s.rel_tol, s.abs_tol, step_cap(s))
     stepper = _integrate.DormandPrince(own_rhs, split, y0[0].size, s)
     stepper.restart(0.0, y0, t_bound)
     got = [accepted(x) for x in stepper.steps()]
@@ -562,14 +570,34 @@ def test_first_state_is_the_validated_initial_state(sc, keep_states):
     assert all(state.masses is vs.initial.masses for state in sampled.states)
 
 
+def test_the_first_row_reads_the_validated_initial_state():
+    """vs.h0, which the certificate starts from, is the first row's h bit
+    for bit, and vs.initial's extremes are the first row's, on a slab whose
+    chart moves rho and u_x by an ulp."""
+    vs = validate_scenario(scenario_from_dict(GAUSSIAN_TABLE_SLAB))
+    init, first = vs.initial, simulate(vs).columns
+    assert vs.h0 == first.h[0]
+    assert init.densities.max() == first.max_density[0]
+    assert init.densities.min() == first.min_density[0]
+    assert np.abs(init.div_u()).max() == first.max_abs_div[0] == np.nextafter(0.4, 1.0)
+
+
 @SLAB_AND_BALL
-def test_layout_concatenates_the_initial_fields(sc):
-    """y0 is a new vector of vs.initial's fields in the solver's order, so
-    that no step writes the validated state."""
-    vs = validate_scenario(sc)
-    y0 = _integrate.layout(vs)[0]
-    assert y0[0].tobytes() == solver_vector(vs.initial).tobytes()
-    assert not np.shares_memory(y0[0], vs.initial.positions)
+def test_the_validated_solver_vector_is_read_only(sc):
+    """vs.y0, the solver vector every run of vs starts from, is read-only,
+    and so is vs.initial, its unpack, in the fields it shares; simulate
+    through a bracketed event, sample, and a re-validation of vs.scenario
+    (sweep's path) leave or build the same bytes."""
+    vs = validate_scenario(replace(sc, t_end=5.0))
+    before = vs.y0.tobytes()
+    assert not vs.y0.flags.writeable
+    assert _integrate.layout(vs)[0][0] is vs.y0
+    with pytest.raises(ValueError):
+        vs.initial.positions[0] = 0.0
+    assert simulate(vs).event is not None
+    sample(vs, [0.0, 0.5])
+    assert vs.y0.tobytes() == before
+    assert validate_scenario(vs.scenario).y0.tobytes() == before
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -109,10 +109,10 @@ class TestCenterShell:
         lam = 0.2
         vs = validate_scenario(make_ball(n=n, lam=lam, markers=8,
                                          velocity=HubbleVelocity(-0.3)))
-        yv, split, unpack, _ = _integrate.layout(vs)
-        y = yv[0]
+        _, split, unpack, _ = _integrate.layout(vs)
+        y = vs.y0.copy()  # vs.y0 is read-only
         y[0] = r0
-        state = unpack(0.0, yv)
+        state = unpack(0.0, split(y))
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             expected = masked_shell_rhs(vs, y)
             got = flat(radial.model_rhs(vs), split)(0.0, y)
