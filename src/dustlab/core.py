@@ -464,6 +464,8 @@ def validate_scenario(raw) -> ValidatedScenario:
     y0 = np.concatenate(fields)
     y0.flags.writeable = False
     initial = unpacker(masses, s.dimension)(0.0, splitter(masses.size, s.dimension)(y0))
+    for array in (masses, initial.densities, initial.eig_radial):  # the rest view y0
+        array.flags.writeable = False
     _check_triggers_at_start(s, initial)
     return ValidatedScenario(scenario=s, y0=y0, initial=initial, total_mass=float(masses.sum()),
                              h0=float(np.sum(masses * initial.div_u())))

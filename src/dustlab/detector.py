@@ -1,4 +1,4 @@
-"""Blowup-event detection, bisection bracketing, and escape reporting.
+"""Blowup-event detection, event bracketing, and escape reporting.
 
 A C^2 breakdown has no single observable; it is detected through three
 redundant triggers, a marker gap closing, |div u| or rho passing its
@@ -8,9 +8,11 @@ classification deterministic when several fire within one step.
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
 crossing, so the triggers guard each other; a step that ends past a slab
-marker's singularity holds all three. The scan and the bisection read each
-state's row of per-step scalars (core.StepRow), not its markers; only the
-event's marker is picked from a full state.
+marker's singularity holds all three. The scan and the bracket judge each
+state by its row of per-step scalars (core.StepRow), not its markers; only
+the event's marker is picked from a full state. A shell event is bisected;
+a slab's bracket aims its trials by Newton on each trigger's margin in the
+slab chart, where the singularity is a regular zero of v = 1/rho.
 """
 
 from __future__ import annotations
@@ -62,35 +64,85 @@ def scan_step(prev_row: StepRow, next_row: StepRow,
                 None)
 
 
+def slab_roots(settings: NumericalSettings):
+    """roots(t, yv, fv): per trigger, the earliest tangent root t - m/m' over
+    the slab markers whose margin m falls (+inf if none), from the views yv
+    of the chart [x, u, v, q] and fv of its RHS. m < 0 where the trigger
+    holds, past a singularity too: gap x[k+1] - x[k] - gap_thr, |div u|
+    v - |q|/div_thr, density v - 1/rho_thr."""
+    gap_thr = settings.crossing_gap_threshold
+    div_thr, rho_thr = settings.div_blowup_threshold, settings.rho_blowup_threshold
+
+    def earliest(t, margin, slope):
+        falling = slope < 0.0
+        if not falling.any():
+            return np.inf
+        with np.errstate(over="ignore"):
+            return t - float(np.max(margin[falling] / slope[falling]))
+
+    def roots(t, yv, fv):
+        _, x, _, v, q, _, _, _ = yv
+        _, dx, _, dv, dq, _, _, _ = fv
+        return (earliest(t, x[1:] - x[:-1] - gap_thr, dx[1:] - dx[:-1]),
+                earliest(t, v - np.abs(q) / div_thr, dv - np.sign(q) * dq / div_thr),
+                earliest(t, v - 1.0 / rho_thr, dv))
+
+    return roots
+
+
+NEWTON_TRIALS = 8  # per bracket, before it only bisects
+_HALF_WIDTH = 0.5 * (1 - 1e-3) * BRACKET_REL_WIDTH  # W/2 relative to r1
+
+
 def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
-                  row_next: StepRow, settings: NumericalSettings):
-    """Bisect the earliest trigger time within one accepted step.
+                  row_next: StepRow, settings: NumericalSettings, roots=None):
+    """Bracket the earliest trigger time within one accepted step.
 
     States are the views of solver vectors (core.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
     reduce(t, y1) -> y1's StepRow, with the rate from the RHS reintegrate
     left; unpack(t, y) -> field state. Precondition: no trigger holds at
-    row_prev, y_prev's StepRow, and some at row_next. Bisection goes on
-    until the bracket is narrower than BRACKET_REL_WIDTH t_hi and one
-    trigger alone holds at t_hi, or the midpoint no longer splits it, where
-    priority order decides. Returns the event and the row and state at its
-    lower edge, row_prev and y_prev if none moved it.
+    row_prev, y_prev's StepRow, and some at row_next. Trials, judged by
+    _held, go on until the bracket is at most BRACKET_REL_WIDTH t_hi wide
+    and one trigger alone holds at t_hi, or the midpoint no longer splits
+    it, where priority order decides. A trial is the midpoint unless
+    roots() (slab_roots' at the state the solver holds at t_hi) gives r1
+    and r2, the two earliest trigger times: then it closes the bracket
+    below at r1 - W/2, W just under the goal width, and puts t_hi at r1 +
+    min(W/2, (r2 - r1)/2). A concave margin's tangent root lies past its
+    root, which so ends inside. The midpoint replaces a trial outside (lo,
+    hi) and all after NEWTON_TRIALS, as in riccati.integrate_comparison_ode.
+    Returns the event and the row and state at its lower edge, row_prev and
+    y_prev if none moved it.
     """
     if _held(row_prev, settings):
         raise DustLabError("bracket_event precondition: trigger already holds at row_prev")
     lo, hi, held = row_prev.time, row_next.time, _held(row_next, settings)
     row_lo, y_lo = row_prev, y_prev
+    trials = 0 if roots is None else NEWTON_TRIALS
+    if trials:
+        r1, r2 = sorted(roots())[:2]
+    y_hi = None
     while hi - lo > BRACKET_REL_WIDTH * abs(hi) or len(held) > 1:
         mid = 0.5 * (lo + hi)
+        if trials:
+            half = _HALF_WIDTH * abs(r1)
+            trial = r1 - half if r1 - half > lo else r1 + min(half, 0.5 * (r2 - r1))
+            if lo < trial < hi:
+                mid, trials = trial, trials - 1
         if not lo < mid < hi:
             break
+        y_hi = None  # free a held trial's state before the next re-integration
         y_mid = reintegrate(lo, y_lo, mid)
         row_mid = reduce(mid, y_mid)
-        if held_mid := _held(row_mid, settings):  # free y_mid before the next re-integration
-            hi, held, y_mid = mid, held_mid, None
+        if held_mid := _held(row_mid, settings):
+            hi, held, y_hi, y_mid = mid, held_mid, y_mid, None
+            if trials:
+                r1, r2 = sorted(roots())[:2]
         else:
             lo, row_lo, y_lo = mid, row_mid, y_mid
-    y_hi = reintegrate(lo, y_lo, hi)
+    if y_hi is None:
+        y_hi = reintegrate(lo, y_lo, hi)
     idx = trigger_marker_index(unpack(hi, y_hi), held[0])
     return BlowupEvent(t_lo=lo, t_hi=hi, trigger=held[0], marker_index=idx), row_lo, y_lo
 

@@ -301,7 +301,7 @@ class TestStoredStates:
         if traj.event is None:
             assert len(traj) == accepted + 1
         else:
-            # the rule run_characteristics uses: the bisection moved the
+            # the rule run_characteristics uses: a bracket trial moved the
             # lower edge past the last accepted step before the trigger
             edge = traj.event.t_lo > scans[-1][0].time
             assert traj.states[-1].time == traj.event.t_lo

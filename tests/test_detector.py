@@ -1,19 +1,23 @@
+import math
 import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dustlab import _integrate, simulate
-from dustlab.core import (TRIGGERS, FieldState, HubbleVelocity, NumericalSettings,
-                          UniformDensity, load_scenario, trigger_rows, validate_scenario)
-from dustlab.detector import (BRACKET_REL_WIDTH, EscapeStatus, Trigger, bracket_event,
-                              escape_report, scan_step, trigger_marker_index)
+from dustlab import _integrate, _model_rhs, simulate
+from dustlab.core import (TRIGGERS, FieldState, GaussianDensity, HubbleVelocity,
+                          NumericalSettings, UniformDensity, load_scenario, trigger_rows,
+                          validate_scenario)
+from dustlab.detector import (BRACKET_REL_WIDTH, NEWTON_TRIALS, EscapeStatus, Trigger,
+                              _held, bracket_event, escape_report, scan_step, slab_roots,
+                              trigger_marker_index)
 from dustlab.errors import DustLabError
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
-from conftest import FAST, make_ball, make_slab, neighbour_gaps, step_row
+from conftest import (FAST, make_ball, make_slab, neighbour_gaps, step_row,
+                      uniform_slab_chart, uniform_slab_div_crossing)
 
 SETTINGS = NumericalSettings()
 
@@ -121,7 +125,7 @@ class TestBracketing:
     @pytest.mark.parametrize("sc", [
         make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=FAST),
         # the density trigger fires inside a step of full length, so the
-        # bracket bisects, re-integrating with the run's stepper
+        # bracket's trials re-integrate with the run's stepper
         shipped_collapse(rho_blowup_threshold=1.0),
     ], ids=["slab", "bisected"])
     def test_collapse_bracket_width_and_consistency(self, sc):
@@ -187,6 +191,79 @@ class TestBracketing:
         assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
         assert row_lo.time == event.t_lo
 
+    # the fake step of 0 to 0.7 below: each trigger first holds at its time
+    COLUMNS = {Trigger.SHELL_CROSSING: "min_gap", Trigger.DIVERGENCE_THRESHOLD: "max_abs_div",
+               Trigger.DENSITY_THRESHOLD: "max_density"}
+    VALUES = {"min_gap": (1.0, 0.0), "max_abs_div": (0.0, np.inf), "max_density": (0.5, np.inf)}
+
+    def fake_bracket(self, first, roots):
+        """bracket_event on a fake step from 0 to 0.7 on which trigger k
+        first holds at first[k], with the proposal roots(trial times so
+        far); returns the event, the triggers held at its t_hi and the
+        trial times, the re-integration to t_hi among them."""
+        trials = []
+
+        def reduce(t, y):
+            row = step_row(state([-0.5, 0.5]))._replace(time=t)
+            return row._replace(**{self.COLUMNS[k]: self.VALUES[self.COLUMNS[k]][t >= time]
+                                   for k, time in first.items()})
+
+        def reintegrate(t0, y0, t1):
+            trials.append(t1)
+            return t1
+
+        def unpack(t, y):
+            return state([-0.5, 0.5], w=[0.0, -2e8], rho=[0.5, 2e12], t=t)
+
+        event, _, _ = bracket_event(reintegrate, reduce, unpack, reduce(0.0, None), None,
+                                    reduce(0.7, None), SETTINGS,
+                                    roots and (lambda: roots(trials)))
+        return event, _held(reduce(event.t_hi, None), SETTINGS), trials
+
+    def assert_valid(self, event, held, root):
+        assert event.t_lo < root <= event.t_hi
+        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
+        assert held == [event.trigger]
+
+    def test_newton_trials_close_a_tangent_root_in_two(self):
+        # an exact proposal: one trial below the root, one above, and the
+        # state at t_hi is the last trial's, not re-integrated
+        first = {Trigger.SHELL_CROSSING: 0.63, Trigger.DIVERGENCE_THRESHOLD: 0.62,
+                 Trigger.DENSITY_THRESHOLD: 0.625}
+        event, held, trials = self.fake_bracket(first, lambda trials: first.values())
+        self.assert_valid(event, held, 0.62)
+        assert event.trigger is Trigger.DIVERGENCE_THRESHOLD
+        assert trials == [event.t_lo, event.t_hi]
+
+    def test_upper_trial_stops_short_of_the_next_trigger(self):
+        # the gap holds 2e-9 after |div u|, under half the goal width: t_hi
+        # is placed halfway between the two estimates, where one holds alone
+        first = {Trigger.SHELL_CROSSING: 0.62 + 2e-9, Trigger.DIVERGENCE_THRESHOLD: 0.62}
+        event, held, trials = self.fake_bracket(first, lambda trials: (*first.values(), 0.7))
+        self.assert_valid(event, held, 0.62)
+        assert event.t_hi == 0.62 + 1e-9 and len(trials) == 2
+
+    @pytest.mark.parametrize("proposal, bisects", [
+        (lambda trials: (math.nan, math.nan, math.nan), True),  # not finite
+        (lambda trials: (-1.0, 5.0, math.inf), True),  # outside the step
+        (lambda trials: (0.3, math.inf, math.inf), False),  # too early: every trial falls short
+        (lambda trials: (0.65, math.inf, math.inf), False),  # too late: every trial holds
+        (lambda trials: (0.61 + 0.01 * len(trials), math.inf, math.inf), False),  # either side
+        (lambda trials: (0.62, 0.62 + 9e-9, 0.7), False),  # the gap estimated 9e-9 late
+    ], ids=["nan", "outside", "early", "late", "drifting", "late-gap"])
+    def test_a_wrong_proposal_still_closes_the_bracket(self, proposal, bisects):
+        """Whatever roots() proposes, the midpoint takes over where a trial
+        falls outside the bracket or the trials run out, and the bracket
+        holds the earliest trigger alone at t_hi within the goal width; a
+        proposal never inside it leaves bisection's bracket."""
+        first = {Trigger.SHELL_CROSSING: 0.62 + 2e-9, Trigger.DIVERGENCE_THRESHOLD: 0.62,
+                 Trigger.DENSITY_THRESHOLD: 0.625}
+        bisected = self.fake_bracket(first, None)
+        event, held, trials = self.fake_bracket(first, proposal)
+        self.assert_valid(event, held, 0.62)
+        assert len(trials) <= NEWTON_TRIALS + len(bisected[2])
+        assert ((event, held, trials) == bisected) is bisects
+
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by
         # less than 1e-4: the detected time is insensitive to the cutoff
@@ -198,6 +275,62 @@ class TestBracketing:
             t_his.append(simulate(sc).event.t_hi)
         assert abs(t_his[1] - t_his[0]) < 1e-4
         assert t_his[0] <= t_his[1]  # lower threshold fires no later
+
+
+class TestSlabRoots:
+    def test_tangent_roots_of_the_uniform_collapse(self):
+        # at lambda = 0, v = 2 - t^2/2 and q = -t, and every marker moves as
+        # x0 v/2: each margin's tangent root from t = 1.9 is the closed
+        # form's, and lies after the trigger's exact time (the margins are
+        # concave), |div u|'s within (t - t*)^2
+        vs = validate_scenario(make_slab(rho0=0.5, t_end=5.0))
+        s = vs.scenario.settings
+        t = 1.9
+        v, q = uniform_slab_chart(0.5, 0.0, 0.0, t)
+        x0 = vs.initial.positions
+        split = _integrate.layout(vs)[1]
+        yv = split(np.concatenate((x0 * v / 2, x0 * q / 2, np.full(x0.size, v),
+                                   np.full(x0.size, q))))
+        fv = split(np.empty(4 * x0.size))
+        _model_rhs(vs)(t, yv, fv)
+        gap, div, density = slab_roots(s)(t, yv, fv)
+        gap0, d = x0[1] - x0[0], s.div_blowup_threshold
+        assert gap == pytest.approx(t - (gap0 * v / 2 - s.crossing_gap_threshold)
+                                    / (gap0 * q / 2), rel=1e-12)
+        assert div == pytest.approx(t - (v - abs(q) / d) / (q - 1 / d), rel=1e-12)
+        assert density == pytest.approx(t - (v - 1 / s.rho_blowup_threshold) / q, rel=1e-12)
+        exact = uniform_slab_div_crossing(0.5, 0.0, 0.0, d, 5.0)
+        assert exact <= div <= exact + (t - exact) ** 2
+
+    def test_earliest_root_over_the_markers(self):
+        # a collapsing Gaussian slab, whose markers' roots all differ,
+        # against a loop over the markers: min(t - m/m') over m' < 0
+        sc = make_slab(density=GaussianDensity(1.0, 0.2, 0.4, -1.0, 1.0),
+                       velocity=HubbleVelocity(-0.5), markers=16)
+        vs = validate_scenario(sc)
+        s = vs.scenario.settings
+        y0, split, _, _ = _integrate.layout(vs)
+        fv = split(np.empty(y0[0].size))
+        _model_rhs(vs)(0.0, y0, fv)
+        (_, x, _, v, q, _, _, _), (_, dx, _, dv, dq, _, _, _) = y0, fv
+        d = s.div_blowup_threshold
+        margins = (
+            [(x[k + 1] - x[k] - s.crossing_gap_threshold, dx[k + 1] - dx[k])
+             for k in range(x.size - 1)],
+            [(v[k] - abs(q[k]) / d, dv[k] - np.sign(q[k]) * dq[k] / d) for k in range(x.size)],
+            [(v[k] - 1.0 / s.rho_blowup_threshold, dv[k]) for k in range(x.size)])
+        expected = tuple(min(0.0 - m / slope for m, slope in rows if slope < 0.0)
+                         for rows in margins)
+        assert slab_roots(s)(0.0, y0, fv) == expected
+        assert len({0.0 - m / slope for m, slope in margins[2]}) == x.size
+
+    def test_no_falling_margin_has_no_root(self):
+        # an expanding slab: every margin rises, so no trigger has a root
+        vs = validate_scenario(make_slab(rho0=0.5, velocity=HubbleVelocity(1.0)))
+        y0, split, _, _ = _integrate.layout(vs)
+        fv = split(np.empty(y0[0].size))
+        _model_rhs(vs)(0.0, y0, fv)
+        assert slab_roots(vs.scenario.settings)(0.0, y0, fv) == (math.inf,) * 3
 
 
 class TestEscapeReport:
