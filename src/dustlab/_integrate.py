@@ -12,15 +12,15 @@ A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
 None, no cap: its chart is smooth through a collapse); steps() drives it to
 the end time, and reintegrate carries a state from one time to a later one.
 The run reduces every accepted state once to its row of per-step scalars
-(functional.reducer), scans the row for triggers, and brackets the earliest
-(detector.bracket_event) on sub-steps re-integrated by the same stepper, a
-slab's trials aimed by Newton on its trigger margins from the state and RHS
-the stepper holds; a slab step may end past a marker's singularity, v <= 0.
-sample re-integrates from each requested time to the next; nothing is
-interpolated. At its peak a run holds about 18 solver vectors on a large
-slab (vs.y0 and vs.initial, the block, its three work vectors, the states
-in hand and the reducer's scratch block); tests/test_integrate.py bounds
-it. Deterministic for fixed settings.
+(functional.reducer), scans the row once for triggers, and brackets the
+earliest (detector.bracket_event) up to the triggering state on sub-steps
+re-integrated by the same stepper, a slab's trials aimed by Newton on its
+trigger margins from the state and RHS the stepper holds; a slab step may
+end past a marker's singularity, v <= 0. sample re-integrates from each
+requested time to the next; nothing is interpolated. At its peak a run holds
+about 19 solver vectors on a large slab (vs.y0 and vs.initial, the block,
+its three work vectors, the states in hand and the reducer's scratch block);
+tests/test_integrate.py bounds it. Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one. The first is vs.initial, validation's
@@ -288,11 +288,11 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
-        if detector.scan_step(rows[-1], row, settings) is not None:
+        if detector.scan_step(row, settings):
             # the bracket restarts the run's stepper, which steps no further
             event, row_lo, y_lo = detector.bracket_event(
                 stepper.reintegrate, lambda t, y: reduce(t, y, stepper.fv), unpack,
-                rows[-1], y_last, row, settings,
+                rows[-1], y_last, row, stepper.yv, settings,
                 roots and (lambda: roots(stepper.t, stepper.yv, stepper.fv)))
             if row_lo is not rows[-1]:  # a trial moved the lower edge
                 rows.append(row_lo)

@@ -8,18 +8,17 @@ classification deterministic when several fire within one step.
 
 Along dust characteristics div u -> -inf and rho -> +inf together at shell
 crossing, so the triggers guard each other; a step that ends past a slab
-marker's singularity holds all three. The scan and the bracket judge each
-state by its row of per-step scalars (core.StepRow), not its markers; only
-the event's marker is picked from a full state. A shell event is bisected;
-a slab's bracket aims its trials by Newton on each trigger's margin in the
-slab chart, where the singularity is a regular zero of v = 1/rho.
+marker's singularity holds all three. The scan judges each accepted state
+once, and the bracket each trial, by its row of per-step scalars
+(core.StepRow); the event's marker is read from the judged state at t_hi.
+A shell bracket bisects; a slab's aims its trials by Newton on each
+trigger's margin in the slab chart, where v = 1/rho has a regular zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -46,22 +45,16 @@ def trigger_marker_index(state, trigger: Trigger) -> int:
     return int(np.argmin(values) if rule.below else np.argmax(values))
 
 
-# TRIGGERS as plain tuples: the scan of every accepted step unpacks them fastest
-_SCAN = tuple((trigger, rule.column, rule.threshold, rule.holds)
-              for trigger, rule in TRIGGERS.items())
-
-
 def _held(row: StepRow, settings: NumericalSettings) -> list:
     """The triggers holding at row, in priority order."""
-    return [trigger for trigger, column, threshold, holds in _SCAN
-            if holds(getattr(row, column), getattr(settings, threshold))]
+    return [trigger for trigger, rule in TRIGGERS.items()
+            if rule.holds(getattr(row, rule.column), getattr(settings, rule.threshold))]
 
 
-def scan_step(prev_row: StepRow, next_row: StepRow,
-              settings: NumericalSettings) -> Optional[Trigger]:
-    """First trigger (in priority order) holding at next_row but not prev_row."""
-    return next((t for t in _held(next_row, settings) if t not in _held(prev_row, settings)),
-                None)
+def scan_step(row: StepRow, settings: NumericalSettings) -> list:
+    """The triggers holding at an accepted step's row, in priority order."""
+    # a name apart from _held, which the bracket's trials call: one call per accepted step
+    return _held(row, settings)
 
 
 def slab_roots(settings: NumericalSettings):
@@ -95,34 +88,33 @@ _HALF_WIDTH = 0.5 * (1 - 1e-3) * BRACKET_REL_WIDTH  # W/2 relative to r1
 
 
 def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
-                  row_next: StepRow, settings: NumericalSettings, roots=None):
+                  row_next: StepRow, y_next, settings: NumericalSettings, roots=None):
     """Bracket the earliest trigger time within one accepted step.
 
     States are the views of solver vectors (core.splitter's).
     reintegrate(t0, y0, t1) -> y1 re-runs the solver over a sub-interval;
     reduce(t, y1) -> y1's StepRow, with the rate from the RHS reintegrate
     left; unpack(t, y) -> field state. Precondition: no trigger holds at
-    row_prev, y_prev's StepRow, and some at row_next. Trials, judged by
-    _held, go on until the bracket is at most BRACKET_REL_WIDTH t_hi wide
-    and one trigger alone holds at t_hi, or the midpoint no longer splits
-    it, where priority order decides. A trial is the midpoint unless
-    roots() (slab_roots' at the state the solver holds at t_hi) gives r1
-    and r2, the two earliest trigger times: then it closes the bracket
-    below at r1 - W/2, W just under the goal width, and puts t_hi at r1 +
-    min(W/2, (r2 - r1)/2). A concave margin's tangent root lies past its
-    root, which so ends inside. The midpoint replaces a trial outside (lo,
-    hi) and all after NEWTON_TRIALS, as in riccati.integrate_comparison_ode.
-    Returns the event and the row and state at its lower edge, row_prev and
-    y_prev if none moved it.
+    row_prev, y_prev's StepRow, and some at row_next, y_next's. Trials,
+    judged by _held, go on until the bracket is at most BRACKET_REL_WIDTH
+    t_hi wide and one trigger alone holds at t_hi, or the midpoint no longer
+    splits it, where priority order decides. A trial is the midpoint unless
+    roots() (slab_roots' at the state the solver holds at t_hi) gives r1 and
+    r2, the two earliest trigger times: then it closes the bracket below at
+    r1 - W/2, W just under the goal width, and puts t_hi at r1 + min(W/2,
+    (r2 - r1)/2). A concave margin's tangent root lies past its root, which
+    so ends inside. The midpoint replaces a trial outside (lo, hi) and all
+    after NEWTON_TRIALS, as in riccati.integrate_comparison_ode. Returns the
+    event, its marker read from the judged state at t_hi, and the row and
+    state at its lower edge, row_prev and y_prev if none moved it.
     """
     if _held(row_prev, settings):
         raise DustLabError("bracket_event precondition: trigger already holds at row_prev")
     lo, hi, held = row_prev.time, row_next.time, _held(row_next, settings)
-    row_lo, y_lo = row_prev, y_prev
+    row_lo, y_lo, y_hi = row_prev, y_prev, y_next
     trials = 0 if roots is None else NEWTON_TRIALS
     if trials:
         r1, r2 = sorted(roots())[:2]
-    y_hi = None
     while hi - lo > BRACKET_REL_WIDTH * abs(hi) or len(held) > 1:
         mid = 0.5 * (lo + hi)
         if trials:
@@ -132,17 +124,14 @@ def bracket_event(reintegrate, reduce, unpack, row_prev: StepRow, y_prev,
                 mid, trials = trial, trials - 1
         if not lo < mid < hi:
             break
-        y_hi = None  # free a held trial's state before the next re-integration
         y_mid = reintegrate(lo, y_lo, mid)
         row_mid = reduce(mid, y_mid)
         if held_mid := _held(row_mid, settings):
-            hi, held, y_hi, y_mid = mid, held_mid, y_mid, None
+            hi, held, y_hi = mid, held_mid, y_mid
             if trials:
                 r1, r2 = sorted(roots())[:2]
         else:
             lo, row_lo, y_lo = mid, row_mid, y_mid
-    if y_hi is None:
-        y_hi = reintegrate(lo, y_lo, hi)
     idx = trigger_marker_index(unpack(hi, y_hi), held[0])
     return BlowupEvent(t_lo=lo, t_hi=hi, trigger=held[0], marker_index=idx), row_lo, y_lo
 

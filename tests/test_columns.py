@@ -303,7 +303,9 @@ class TestStoredStates:
         else:
             # the rule run_characteristics uses: a bracket trial moved the
             # lower edge past the last accepted step before the trigger
-            edge = traj.event.t_lo > scans[-1][0].time
+            # (each scan's row is its step's new row; the first follows t = 0)
+            times = [0.0, *(row.time for row, _ in scans)]
+            edge = traj.event.t_lo > times[-2]
             assert traj.states[-1].time == traj.event.t_lo
             assert len(traj) == accepted + edge
         assert len(full.states) == len(full) == len(traj)

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import _integrate, _model_rhs, simulate
+from dustlab import _integrate, _model_rhs, detector, simulate
 from dustlab.core import (TRIGGERS, FieldState, GaussianDensity, HubbleVelocity,
                           NumericalSettings, UniformDensity, load_scenario, trigger_rows,
                           validate_scenario)
-from dustlab.detector import (BRACKET_REL_WIDTH, NEWTON_TRIALS, EscapeStatus, Trigger,
-                              _held, bracket_event, escape_report, scan_step, slab_roots,
-                              trigger_marker_index)
+from dustlab.detector import (BRACKET_REL_WIDTH, NEWTON_TRIALS, BlowupEvent, EscapeStatus,
+                              Trigger, _held, bracket_event, escape_report, scan_step,
+                              slab_roots, trigger_marker_index)
 from dustlab.errors import DustLabError
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
@@ -20,6 +20,7 @@ from conftest import (FAST, make_ball, make_slab, neighbour_gaps, step_row,
                       uniform_slab_chart, uniform_slab_div_crossing)
 
 SETTINGS = NumericalSettings()
+SCENARIOS = pathlib.Path(__file__).parents[1] / "scenarios"
 
 
 def state(x, w=None, rho=None, t=0.0):
@@ -32,42 +33,70 @@ def state(x, w=None, rho=None, t=0.0):
                       masses=np.full(k, 1.0 / k))
 
 
-def scan(prev, nxt):
-    """scan_step on the per-step rows of two states."""
-    return scan_step(step_row(prev), step_row(nxt), SETTINGS)
+def scan(st):
+    """scan_step on the per-step row of a state."""
+    return scan_step(step_row(st), SETTINGS)
 
 
 class TestScanStep:
     def test_quiescent_step_no_trigger(self):
-        assert scan(state([-0.5, 0.5]), state([-0.4, 0.4], t=0.1)) is None
+        assert scan(state([-0.4, 0.4], t=0.1)) == []
 
     def test_crossing_trigger_and_index(self):
         nxt = state([-0.5, -0.5 + 1e-14, 0.5], t=0.1)
-        trig = scan(state([-0.5, 0.0, 0.5]), nxt)
+        (trig,) = scan(nxt)
         assert trig is Trigger.SHELL_CROSSING
         assert trigger_marker_index(nxt, trig) == 0
 
     def test_divergence_trigger(self):
         nxt = state([-0.5, 0.5], w=[0.0, -2e8], t=0.1)
-        trig = scan(state([-0.5, 0.5]), nxt)
+        (trig,) = scan(nxt)
         assert trig is Trigger.DIVERGENCE_THRESHOLD
         assert trigger_marker_index(nxt, trig) == 1
 
     def test_density_trigger(self):
         nxt = state([-0.5, 0.5], rho=[2e12, 0.5], t=0.1)
-        trig = scan(state([-0.5, 0.5]), nxt)
+        (trig,) = scan(nxt)
         assert trig is Trigger.DENSITY_THRESHOLD
         assert trigger_marker_index(nxt, trig) == 0
 
     def test_priority_order(self):
-        # all three conditions newly hold: crossing wins
+        # all three conditions hold: crossing comes first
         nxt = state([-0.5, -0.5 + 1e-14], w=[-2e8, 0.0], rho=[2e12, 0.5], t=0.1)
-        assert scan(state([-0.5, 0.5]), nxt) is Trigger.SHELL_CROSSING
+        assert scan(nxt) == [Trigger.SHELL_CROSSING, Trigger.DIVERGENCE_THRESHOLD,
+                             Trigger.DENSITY_THRESHOLD]
 
-    def test_already_holding_not_rescanned(self):
-        prev = state([-0.5, 0.5], w=[0.0, -2e8])
-        nxt = state([-0.5, 0.5], w=[0.0, -3e8], t=0.1)
-        assert scan(prev, nxt) is None
+    @pytest.mark.parametrize("name", ["uniform_collapse_1d", "uniform_ball_n3"])
+    def test_each_accepted_row_is_judged_once(self, monkeypatch, name):
+        """The run calls scan_step once per accepted step, on the step's new
+        row, up to the first that holds a trigger; no row before it holds
+        one, so the row before a step needs no second judgement."""
+        steps, scans, bracketed = [], [], []
+        step, scan_step, bracket = (_integrate.DormandPrince.step, detector.scan_step,
+                                    detector.bracket_event)
+
+        def stepped(self):
+            step(self)
+            steps.append(self.t)
+
+        def scanned(row, settings):
+            scans.append((row.time, scan_step(row, settings)))
+            return scans[-1][1]
+
+        def bracketed_event(*args):
+            bracketed.append(len(steps))
+            return bracket(*args)
+
+        monkeypatch.setattr(_integrate.DormandPrince, "step", stepped)
+        monkeypatch.setattr(detector, "scan_step", scanned)
+        monkeypatch.setattr(detector, "bracket_event", bracketed_event)
+        traj = simulate(load_scenario(SCENARIOS / f"{name}.yaml"))
+        assert traj.event is not None
+        (accepted,) = bracketed  # the run's accepted steps, before the bracket's
+        assert [time for time, _ in scans] == steps[:accepted]
+        assert all(held == [] for _, held in scans[:-1])
+        assert scans[-1][1]
+        assert traj.times[1:accepted].tolist() == steps[:accepted - 1]
 
     def test_radial_origin_gap_counts(self):
         k = 2
@@ -78,7 +107,8 @@ class TestScanStep:
                               eig_radial=np.zeros(k), eig_tangential=np.zeros(k),
                               masses=np.full(k, 0.5), dimension=3)
 
-        assert scan(shell(0.2), shell(1e-14)) is Trigger.SHELL_CROSSING
+        assert scan(shell(0.2)) == []
+        assert scan(shell(1e-14)) == [Trigger.SHELL_CROSSING]
 
 
 def test_trigger_table_matches_the_row():
@@ -109,8 +139,7 @@ def test_trigger_table_matches_the_row():
 
 def shipped_collapse(**settings):
     """uniform_collapse_1d with the given settings replaced."""
-    sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios"
-                       / "uniform_collapse_1d.yaml")
+    sc = load_scenario(SCENARIOS / "uniform_collapse_1d.yaml")
     return replace(sc, settings=replace(sc.settings, **settings))
 
 
@@ -161,7 +190,32 @@ class TestBracketing:
 
         row = step_row(vs.initial)
         with pytest.raises(DustLabError, match="precondition: trigger already holds"):
-            bracket_event(refused, refused, unpack, row, y0, row._replace(time=1.0), settings)
+            bracket_event(refused, refused, unpack, row, y0, row._replace(time=1.0), y0,
+                          settings)
+
+    def test_a_step_within_the_goal_re_integrates_nothing(self):
+        # one trigger holds at the end of a step already within the goal
+        # width: the marker is read from the judged state handed in, y_next
+        t_next = 1.0 + 0.5 * BRACKET_REL_WIDTH
+        y_prev, y_next, calls, unpacked = object(), object(), [], []
+
+        def reintegrate(t0, y0, t1):
+            calls.append((t0, t1))
+            return y0
+
+        def unpack(t, y):
+            unpacked.append(y)
+            return state([-0.5, 0.5], w=[0.0, -2e8], t=t)
+
+        row = step_row(state([-0.5, 0.5]))
+        row_prev, row_next = row._replace(time=1.0), row._replace(time=t_next, max_abs_div=2e8)
+        event, row_lo, y_lo = bracket_event(reintegrate, None, unpack, row_prev, y_prev,
+                                            row_next, y_next, SETTINGS)
+        assert calls == []
+        assert len(unpacked) == 1 and unpacked[0] is y_next
+        assert event == BlowupEvent(t_lo=1.0, t_hi=t_next,
+                                    trigger=Trigger.DIVERGENCE_THRESHOLD, marker_index=1)
+        assert row_lo is row_prev and y_lo is y_prev
 
     @pytest.mark.parametrize("gap_time, trigger", [
         (0.62, Trigger.DIVERGENCE_THRESHOLD),  # the earliest, 2e-9 before the gap
@@ -184,7 +238,7 @@ class TestBracketing:
             return state([-0.5, 0.5], w=[0.0, -2e8], rho=[0.5, 2e12], t=t)
 
         event, row_lo, _ = bracket_event(lambda t0, y0, t1: t1, reduce, unpack,
-                                         reduce(0.0, None), None, reduce(0.7, None),
+                                         reduce(0.0, None), 0.0, reduce(0.7, None), 0.7,
                                          SETTINGS)
         assert event.trigger is trigger
         assert event.t_lo < 0.62 - 2e-9 <= event.t_hi
@@ -200,7 +254,7 @@ class TestBracketing:
         """bracket_event on a fake step from 0 to 0.7 on which trigger k
         first holds at first[k], with the proposal roots(trial times so
         far); returns the event, the triggers held at its t_hi and the
-        trial times, the re-integration to t_hi among them."""
+        trial times, one re-integration each."""
         trials = []
 
         def reduce(t, y):
@@ -215,8 +269,8 @@ class TestBracketing:
         def unpack(t, y):
             return state([-0.5, 0.5], w=[0.0, -2e8], rho=[0.5, 2e12], t=t)
 
-        event, _, _ = bracket_event(reintegrate, reduce, unpack, reduce(0.0, None), None,
-                                    reduce(0.7, None), SETTINGS,
+        event, _, _ = bracket_event(reintegrate, reduce, unpack, reduce(0.0, None), 0.0,
+                                    reduce(0.7, None), 0.7, SETTINGS,
                                     roots and (lambda: roots(trials)))
         return event, _held(reduce(event.t_hi, None), SETTINGS), trials
 
