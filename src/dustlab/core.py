@@ -48,6 +48,11 @@ def support_volume(lo, hi, dimension: int):
     return ball_volume(dimension, hi)
 
 
+def inside(volume: float, v_sup: float) -> bool:
+    """The support-volume hypothesis: volume within v_sup, up to 1e-12 relative."""
+    return not volume > v_sup * (1 + 1e-12)
+
+
 def trigger_rows(out, dimension: int):
     """rows(positions, rho, div) writes each marker's gap, rho and |div u|,
     the rows the triggers read (TriggerRule.row), into the (3 x n) block out
@@ -169,9 +174,9 @@ class TabulatedVelocity:
 
 # Upper limits of the discretization. sigma = 2 pi^(N/2)/Gamma(N/2) overflows
 # past N = 343 (Gamma(172) > 1e308). Validation samples the density at
-# 4 marker_count + 1 points. A run's traced peak is about 18 solver vectors
-# of 4 (slab) or 5 (shell) doubles per marker, the stepper's stage block 7 of
-# them: about 570 MB (slab) or 670 MB (shells) at the limit.
+# 4 marker_count + 1 points. A run's traced peak is about 19.0 (slab) or 17.1
+# (shell) solver vectors of 4 or 5 doubles per marker, the stepper's stage
+# block 7 of them: about 610 MB (slab) or 680 MB (shells) at the limit.
 MAX_DIMENSION = 100
 MAX_MARKERS = 1_000_000
 SHELL_MAX_STEP = 4e-3  # the step cap of shells when the settings give none
@@ -309,19 +314,6 @@ def unpacker(masses, dimension: int):
     return unpack
 
 
-def _volume_median_radii(edges: np.ndarray, n: int) -> np.ndarray:
-    """Radius splitting each shell [r_i, r_{i+1}] into equal volumes.
-
-    Placing the marker at the volume median (rather than the arithmetic
-    midpoint) makes the enclosed mass at the marker exact for uniform
-    density, so the uniform self-gravitating equilibrium has exactly zero
-    discrete force.
-    """
-    lo = edges[:-1] ** n
-    hi = edges[1:] ** n
-    return (0.5 * (lo + hi)) ** (1.0 / n)
-
-
 def _profile_violations(name: str, profile) -> list:
     """Shape checks on a profile's own parameters, made before it is sampled.
 
@@ -421,7 +413,7 @@ def validate_scenario(raw) -> ValidatedScenario:
         initial_volume = support_volume(lo, hi, s.dimension)
     except OverflowError:  # hi ** N past a double exceeds any finite v_sup
         initial_volume = math.inf
-    if initial_volume > s.v_sup * (1 + 1e-12):
+    if not inside(initial_volume, s.v_sup):
         violations.append(("VolumeExceedsBound", "v_sup",
                            f"initial support volume {initial_volume:g} exceeds v_sup {s.v_sup:g}"))
 
@@ -434,8 +426,12 @@ def validate_scenario(raw) -> ValidatedScenario:
         cell_vol = np.diff(edges)
     else:
         n = s.dimension
-        pos = _volume_median_radii(edges, n)
-        cell_vol = unit_sphere_area(n) * np.diff(edges**n) / n
+        power = edges**n
+        # markers at the shells' volume medians, not midpoints: the enclosed
+        # mass at a marker is exact for uniform density, so the uniform
+        # self-gravitating equilibrium has exactly zero discrete force
+        pos = (0.5 * (power[:-1] + power[1:])) ** (1.0 / n)
+        cell_vol = unit_sphere_area(n) * np.diff(power) / n
 
     rho = np.asarray(s.density(pos), dtype=float)
     masses = rho * cell_vol

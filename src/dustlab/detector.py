@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TRIGGERS, NumericalSettings, StepRow, Trajectory, Trigger, trigger_rows
+from .core import TRIGGERS, NumericalSettings, StepRow, Trajectory, Trigger, inside, trigger_rows
 from .errors import DustLabError
-from .functional import _inside
 
 BRACKET_REL_WIDTH = 1e-8
 
@@ -169,7 +168,7 @@ def escape_report(trajectory: Trajectory, v_sup: float, certificate) -> EscapeRe
     # the escape lies between the last row inside and the first outside (the
     # first row twice if the support starts outside)
     upper = trajectory.columns.volume_upper.tolist()
-    out = next((k for k, u in enumerate(upper) if not _inside(u, v_sup)), None)
+    out = next((k for k, u in enumerate(upper) if not inside(u, v_sup)), None)
     t_escape = None if out is None else float(times[out])
 
     if certificate is None or certificate.t_bound is None:

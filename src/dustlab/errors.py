@@ -35,9 +35,9 @@ class NoCertificateError(DustLabError):
 
 
 class NoPoleInHorizon(DustLabError):
-    """Comparison ODE integration reached the horizon without blowing up."""
+    """Comparison ODE integration reached the horizon without blowing up;
+    `times` holds the accepted steps' times."""
 
-    def __init__(self, message, times=None, values=None):
+    def __init__(self, message, times=None):
         super().__init__(message)
         self.times = times
-        self.values = values

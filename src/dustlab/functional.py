@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import StepRow, Trajectory, support_volume, trigger_rows
+from .core import StepRow, Trajectory, inside, support_volume, trigger_rows
 from .errors import NumericOverflow
 
 RESIDUAL_FLOOR = 1e-6
@@ -93,16 +93,6 @@ def reducer(masses, dimension: int):
 # ---------------------------------------------------------------------------
 
 
-def _inside(volume_upper: float, v_sup: float) -> bool:
-    """Whether the support-volume hypothesis holds.
-
-    The gate uses the upper support estimate (marker extent plus boundary
-    half-cells): asserting an inequality needs the whole continuum support
-    inside v_sup, and the bare marker extent lags it by the half-cells.
-    """
-    return not volume_upper > v_sup * (1 + 1e-12)
-
-
 def _cs_divergence(mass, h, m_div2):
     return mass * m_div2 - h**2
 
@@ -130,12 +120,6 @@ class _Chain:
     """
 
     def __init__(self, trajectory: Trajectory):
-        try:
-            self._terms(trajectory)
-        except OverflowError as exc:  # float ** 2 raises where x * x gives inf
-            raise NumericOverflow("a proof-chain term overflows a double") from exc
-
-    def _terms(self, trajectory: Trajectory):
         vs = trajectory.validated
         v_sup = vs.v_sup
         c = trajectory.columns
@@ -143,20 +127,25 @@ class _Chain:
         self.time = t = c.time.tolist()
         self.h = h = c.h.tolist()
         rate = c.m_div_rate.tolist()
-        self.inside = inside = [_inside(u, v_sup) for u in c.volume_upper.tolist()]
-        both = [a and b for a, b in zip(inside, inside[1:])]  # at both ends of a step
-        self.cs_div = [_cs_divergence(mass, hi, s2) for hi, s2 in zip(h, c.m_div2.tolist())]
-        self.cs_rho = [_cs_density(v_sup, mass, r) if ok else math.nan
-                       for r, ok in zip(c.m_rho.tolist(), inside)]
-        law = (mass, vs.dimension, vs.lam, v_sup)
-        self.pointwise = [_riccati(r, hi, *law) if ok else math.nan
-                          for r, hi, ok in zip(rate, h, inside)]
+        # judged on the upper support estimate (extent plus boundary half-cells): an
+        # asserted inequality needs the whole continuum support inside v_sup
+        self.inside = within = [inside(u, v_sup) for u in c.volume_upper.tolist()]
+        both = [a and b for a, b in zip(within, within[1:])]  # at both ends of a step
         dh = [(h_b - h_a) / (t_b - t_a) for h_a, h_b, t_a, t_b in zip(h, h[1:], t, t[1:])]
         self.transport = [abs(d - 0.5 * (r_a + r_b)) for d, r_a, r_b in zip(dh, rate, rate[1:])]
-        self.riccati = [_riccati(d, 0.5 * (h_a + h_b), *law) if ok else math.nan
-                        for d, h_a, h_b, ok in zip(dh, h, h[1:], both)]
-        terms = chain(self.cs_div, self.transport, compress(self.cs_rho, inside),
-                      compress(self.pointwise, inside), compress(self.riccati, both))
+        law = (mass, vs.dimension, vs.lam, v_sup)
+        try:
+            self.cs_div = [_cs_divergence(mass, hi, s2) for hi, s2 in zip(h, c.m_div2.tolist())]
+            self.cs_rho = [_cs_density(v_sup, mass, r) if ok else math.nan
+                           for r, ok in zip(c.m_rho.tolist(), within)]
+            self.pointwise = [_riccati(r, hi, *law) if ok else math.nan
+                              for r, hi, ok in zip(rate, h, within)]
+            self.riccati = [_riccati(d, 0.5 * (h_a + h_b), *law) if ok else math.nan
+                            for d, h_a, h_b, ok in zip(dh, h, h[1:], both)]
+        except OverflowError as exc:  # float ** 2 raises where x * x gives inf
+            raise NumericOverflow("a proof-chain term overflows a double") from exc
+        terms = chain(self.cs_div, self.transport, compress(self.cs_rho, within),
+                      compress(self.pointwise, within), compress(self.riccati, both))
         if not all(map(math.isfinite, terms)):
             raise NumericOverflow("a proof-chain term is not finite in double precision")
 

@@ -147,7 +147,6 @@ def blowup_time_upper_bound(params: RiccatiParams) -> float:
 @dataclass(frozen=True)
 class ComparisonPath:
     times: np.ndarray
-    values: np.ndarray
     pole_bracket: Tuple[float, float]
 
     @property
@@ -169,14 +168,14 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     aimed a quarter of that width past the root to land across it, or the
     midpoint when Newton leaves the bracket or two trials did not halve it.
     Raises NoPoleInHorizon if the pole is not reached by `until` or the step
-    underflows, and ValueError if `until` is not finite. `times` and
-    `values` record y at the accepted steps, as 1/w in the second chart.
+    underflows, and ValueError if `until` is not finite. `times` records the
+    accepted steps.
 
     Both charts are the quadratic form q u^2 - r: (q, r) = (-a, b) for y and
     (b, -a) for w, so one loop body does every trial step. It does the
     floating-point operations of the plain tableau-loop reference in
-    tests/test_riccati.py in the same order, so brackets, times and values
-    equal that reference bit for bit.
+    tests/test_riccati.py in the same order, so brackets and times equal
+    that reference bit for bit.
     """
     if not math.isfinite(until):
         raise ValueError(f"until must be finite, got {until!r}")
@@ -206,9 +205,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
     t, u = 0.0, h0  # u is y, then w from the switch on
     h = 0.01 * t_scale
     times = [t]
-    values = [u]
     add_time = times.append
-    add_value = values.append
     au = abs(u)
     hi_h = None  # the crossing lies in [t + lo_h, t + hi_h] once a step finds it
     while t < until:  # t stays put while the crossing is searched
@@ -225,8 +222,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
                 h = 0.5 * (lo_h + hi_h)
             span2, span1 = span1, hi_h - lo_h
         else:
-            return ComparisonPath(np.array(times), np.array(values),
-                                  (t + lo_h, t + hi_h))
+            return ComparisonPath(np.array(times), (t + lo_h, t + hi_h))
         k1 = q * u * u - r
         ui = u + h * a21 * k1
         k2 = q * ui * ui - r
@@ -257,8 +253,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
             g = 0.9 * (tol / err) ** 0.2 if err > tol else 0.2
             h *= g if g > 0.2 else 0.2
             if h < 1e-15 * (t if t > t_scale else t_scale):
-                raise NoPoleInHorizon("step underflow before the pole",
-                                      np.array(times), np.array(values))
+                raise NoPoleInHorizon("step underflow before the pole", np.array(times))
             continue
         if w_chart and u_new >= 0.0:
             # search the crossing; span2, span1: the bracket's widths 2 and 1 trials ago
@@ -270,7 +265,6 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
         u = u_new
         au = an
         add_time(t)
-        add_value(1.0 / u if w_chart else u)
         g = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
         h *= 5.0 if g > 5.0 else (g if g > 0.2 else 0.2)
         if not w_chart and u < -2.0 * s:
@@ -278,8 +272,7 @@ def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonP
             q, r = b, -a
             abs_tol, rel_tol = ORACLE_REL_TOL * abs(u), 0.0
             w_chart = True
-    raise NoPoleInHorizon(f"no pole before t={until:g}",
-                          np.array(times), np.array(values))
+    raise NoPoleInHorizon(f"no pole before t={until:g}", np.array(times))
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,7 @@ class TestCertify:
         # an oracle whose pole sits `shift` relative off the closed form
         def moved_oracle(params, until):
             pole = riccati.blowup_time_upper_bound(params) * (1.0 + shift)
-            return riccati.ComparisonPath(np.zeros(1), np.zeros(1), (pole, pole))
+            return riccati.ComparisonPath(np.zeros(1), (pole, pole))
 
         monkeypatch.setattr(riccati, "integrate_comparison_ode", moved_oracle)
         path = dense_slab_scenario(tmp_path) if dense else fast_scenario(tmp_path)

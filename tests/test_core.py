@@ -53,6 +53,17 @@ class TestValidation:
             validate_scenario(make_slab(v_sup=1.0))
         assert "VolumeExceedsBound" in codes(exc)
 
+    @pytest.mark.parametrize("n, radius", [(2, 1e200), (3, 1e300)])
+    def test_support_volume_past_a_double_rejected(self, n, radius):
+        # radius ** N overflows a double: the volume reads inf, past any finite v_sup
+        sc = make_ball(n=n, v_sup=1.0, density=UniformDensity(0.5, 0.0, radius))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                validate_scenario(sc)
+        assert str(exc.value) == ("VolumeExceedsBound[v_sup]: "
+                                  "initial support volume inf exceeds v_sup 1")
+
     def test_slab_dimension_forced_to_one(self):
         vs = validate_scenario(replace(make_slab(), dimension=3))
         assert vs.dimension == 1

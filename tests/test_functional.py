@@ -7,10 +7,10 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from dustlab import sample
-from dustlab.core import (FieldState, HubbleVelocity, StepRow, splitter,
+from dustlab.core import (FieldState, HubbleVelocity, StepRow, inside, splitter,
                           support_volume, validate_scenario)
 from dustlab.functional import (RESIDUAL_FLOOR, _cs_density, _cs_divergence,
-                                _inside, _tolerance, proof_chain_report, reducer)
+                                _tolerance, proof_chain_report, reducer)
 from dustlab.errors import NumericOverflow
 from conftest import (make_ball, make_slab, neighbour_gaps, step_row,
                       support_volume_upper)
@@ -231,7 +231,7 @@ class TestCauchySchwarz:
     def test_density_check_raises_when_support_escapes(self):
         st = slab_state([-1.0, 1.0])
         # the density margin is asserted only while the support fits in v_sup
-        assert not _inside(step_row(st).volume_upper, 1.5)
+        assert not inside(step_row(st).volume_upper, 1.5)
 
     @given(w=st.lists(st.floats(-5, 5), min_size=2, max_size=8),
            m=st.lists(st.floats(0.01, 2.0), min_size=8, max_size=8))

@@ -31,8 +31,8 @@ from conftest import BeyondBlowup, comparison_solution
 # (h*a_ij)*k_j left to right, both weighted sums run in tableau order with
 # the zero weights kept (0*inf is NaN, which rejects the step), each
 # `x if x > y else y` picks the operand that max(y, x) picks, NaN included,
-# and b w w - (-a) is b w w + a exactly. So brackets, times and values must
-# be equal (==).
+# and b w w - (-a) is b w w + a exactly. So brackets and times must be
+# equal (==).
 
 LOOP_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
 LOOP_A = (
@@ -96,7 +96,6 @@ def loop_comparison_ode(params, until, rejected, crossings):
     t, u = 0.0, h0
     h = 0.01 * t_scale
     times = [t]
-    values = [u]
     while t < until:
         h = min(h, until - t)
         u_new, err = loop_ck_step(f, t, u, h)
@@ -109,8 +108,7 @@ def loop_comparison_ode(params, until, rejected, crossings):
             rejected.append((t, factor))
             h *= max(0.2, factor) if math.isfinite(u_new) else 0.2
             if h < 1e-15 * max(t_scale, t):
-                raise NoPoleInHorizon("step underflow before the pole",
-                                      np.array(times), np.array(values))
+                raise NoPoleInHorizon("step underflow before the pole", np.array(times))
             continue
         if w_tol is not None and u_new >= 0.0:
             # Newton on the trial length, aimed a quarter width past the
@@ -138,18 +136,15 @@ def loop_comparison_ode(params, until, rejected, crossings):
                     lo_h = trial
                 spans.append(hi_h - lo_h)
             crossings.append(Crossing(f, t, u, h, lo_h, hi_h, trials))
-            return ComparisonPath(np.array(times), np.array(values),
-                                  (t + lo_h, t + hi_h))
+            return ComparisonPath(np.array(times), (t + lo_h, t + hi_h))
         t += h
         u = u_new
         times.append(t)
-        values.append(u if w_tol is None else 1.0 / u)
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         if w_tol is None and u < -2.0 * s:
             u = 1.0 / u
             f, w_tol = f_w, ORACLE_REL_TOL * abs(u)
-    raise NoPoleInHorizon(f"no pole before t={until:g}",
-                          np.array(times), np.array(values))
+    raise NoPoleInHorizon(f"no pole before t={until:g}", np.array(times))
 
 
 def bisect_crossing(crossing):
@@ -414,7 +409,6 @@ class TestOracle:
         with pytest.raises(NoPoleInHorizon) as exc:
             integrate_comparison_ode(p, until=10.0)
         assert exc.value.times[-1] == pytest.approx(10.0)
-        assert abs(exc.value.values[-1] - 1.0) < 1e-6
 
     def test_bracket_contains_a_bound_far_below_one(self):
         # a slab of density 1e100 on [-0.5, 0.5] at rest with v_sup = 1: the
@@ -438,22 +432,21 @@ class TestOracle:
         with pytest.raises(ValueError, match="until must be finite"):
             integrate_comparison_ode(RiccatiParams(a=1.0, b=0.0, h0=-1e-320), until)
 
-    def test_path_is_monotone_decreasing_from_cold_start(self):
+    def test_pole_time_is_the_bracket_midpoint(self):
         p = RiccatiParams(a=1.0, b=0.5, h0=0.0)
         path = integrate_comparison_ode(p, until=5.0)
-        assert np.all(np.diff(path.values) < 0)
         assert path.pole_time == pytest.approx(
             0.5 * sum(path.pole_bracket))
 
 
 def oracle_outcome(oracle, params, until):
-    """(pole_bracket, times, values), or ("no pole", times, values) when the
-    oracle raises NoPoleInHorizon."""
+    """(pole_bracket, times), or ("no pole", times) when the oracle raises
+    NoPoleInHorizon."""
     try:
         path = oracle(params, until)
     except NoPoleInHorizon as exc:
-        return "no pole", exc.times.tolist(), exc.values.tolist()
-    return path.pole_bracket, path.times.tolist(), path.values.tolist()
+        return "no pole", exc.times.tolist()
+    return path.pole_bracket, path.times.tolist()
 
 
 def assert_matches_loop(params, until):
@@ -501,9 +494,13 @@ class TestOracleMatchesTableauLoop:
     @pytest.mark.parametrize("case", [Case.CASE_ONE, Case.BOUNDARY, Case.CASE_TWO])
     def test_seeded_atlas_range_draws(self, case):
         # the benchmark atlas's ranges; the first draw takes its corner M = 4,
-        # N = 3, where a = 1/(MN) = 1/12
+        # N = 3, where a = 1/(MN) = 1/12. A reordered product in one stage
+        # (h * (a32 * k2) for h * a32 * k2) moves the accepted times on about
+        # 1 draw in 200 (4 of the atlas pool's 768 certified draws), so each
+        # case takes 256 draws: at this seed it moves draws 28, 206 and 252
+        # of CaseOne and 220 of CaseTwo
         rng = np.random.default_rng(20261019)
-        for i in range(20):
+        for i in range(256):
             n = 3 if i == 0 else int(rng.integers(1, 4))
             mass = 4.0 if i == 0 else rng.uniform(0.5, 4.0)
             v_sup = rng.uniform(0.5, 8.0)
@@ -532,7 +529,6 @@ class TestOracleMatchesTableauLoop:
         # every stage is exactly 0, so err = 0 and each step grows h by the cap
         outcome, rejected, _ = assert_matches_loop(RiccatiParams(a=a, b=b, h0=h0), 100.0)
         assert outcome[0] == "no pole" and not rejected
-        assert set(outcome[2]) == {h0}
         steps = np.diff(outcome[1])[:-1]  # the last step is clipped to the horizon
         assert steps.tolist() == pytest.approx((steps[0] * 5.0 ** np.arange(steps.size)).tolist())
 
