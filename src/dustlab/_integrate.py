@@ -10,17 +10,19 @@ fv), which writes the derivative at the views yv into the views fv.
 A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
 (7 x n) stage block, capped by the settings' max_step alone (a slab's is
 None, no cap: its chart is smooth through a collapse); steps() drives it to
-the end time, and reintegrate carries a state from one time to a later one.
-The run reduces every accepted state once to its row of per-step scalars
-(functional.reducer), scans the row once for triggers, and brackets the
-earliest (detector.bracket_event) up to the triggering state on sub-steps
-re-integrated by the same stepper, a slab's trials aimed by Newton on its
-trigger margins from the state and RHS the stepper holds; a slab step may
-end past a marker's singularity, v <= 0. sample re-integrates from each
-requested time to the next; nothing is interpolated. At its peak a run holds
-about 19 solver vectors on a large slab (vs.y0 and vs.initial, the block,
-its three work vectors, the states in hand and the reducer's scratch block);
-tests/test_integrate.py bounds it. Deterministic for fixed settings.
+the end time, and reintegrate carries a state from one time to a later one
+from the step size the stepper last proposed, which only its first start
+estimates (_initial_step). The run reduces every accepted state once to its
+row of per-step scalars (functional.reducer), scans the row once for
+triggers, and brackets the earliest (detector.bracket_event) up to the
+triggering state on sub-steps re-integrated by the same stepper, a slab's
+trials aimed by Newton on its trigger margins from the state and RHS the
+stepper holds; a slab step may end past a marker's singularity, v <= 0.
+sample re-integrates from each requested time to the next; nothing is
+interpolated. At its peak a run holds about 19 solver vectors on a large
+slab (vs.y0 and vs.initial, the block, its three work vectors, the states in
+hand and the reducer's scratch block); tests/test_integrate.py bounds it.
+Deterministic for fixed settings.
 
 Full marker states are kept for the first and the last row only, unless
 keep_states=True asks for every one. The first is vs.initial, validation's
@@ -112,34 +114,35 @@ class DormandPrince:
     0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
 
     Every accepted time and state and the RHS value equal those of the
-    tests' reference, the plain loop tests/conftest.py::dormand_prince,
-    bit for bit, under the same rtol, atol and max_step, with as many RHS
-    calls: the stage sums are the same np.dot calls on views of one (7 x n)
-    stage block, and the step control does the same floating-point
-    operations in the same order (the step size and the tolerances held as
-    0-d arrays, which round as floats do). An rtol below 100 machine
-    epsilons is raised to that, with a warning, as there.
+    tests' reference, the plain loop tests/conftest.py::dormand_prince, bit
+    for bit, under the same rtol, atol, max_step and first step size, with
+    as many RHS calls: the stage sums are the same np.dot calls on views of
+    one (7 x n) stage block, and the step control does the same
+    floating-point operations in the same order (the step size and the
+    tolerances held as 0-d arrays, which round as floats do). An rtol below
+    100 machine epsilons is raised to that, with a warning, as there.
     DormandPrince(fun, split, size, settings) builds a stepper for solver
     vectors of size doubles, split by split, under the settings' rel_tol,
-    abs_tol, max_step (None for no cap) and max_steps, and
-    does not start it: the block, a stage-sum vector (which ends a step as
-    its error estimate) and the error scale are built, and the rows and the
-    stage-sum vector split, once, so a step allocates and splits only its
-    new state. Row s of the block holds stage s's derivative: row 0 the
-    derivative at the step's start, rows 1-5 the inner stages and row 6 the
-    derivative at the new state (first same as last), each written there by
-    fun(t, yv, fv=the row's views). The one copy per step is row 6 into row 0.
-    restart(t0, y0, t_bound) starts it, the first time and every time after,
-    from the views of any state, bit for bit as a new stepper would start.
-    It writes the derivative at y0 into row 6 and uses rows 1-3 as scratch
-    for the initial step size.
+    abs_tol, max_step (None for no cap) and max_steps, and does not start
+    it: the block, a stage-sum vector (which ends a step as its error
+    estimate) and the error scale are built, and the rows and the stage-sum
+    vector split, once, so a step allocates and splits only its new state.
+    Row s of the block holds stage s's derivative: row 0 the derivative at
+    the step's start, rows 1-5 the inner stages and row 6 the derivative at
+    the new state (first same as last), each written there by fun(t, yv,
+    fv=the row's views). The one copy per step is row 6 into row 0.
+    restart(t0, y0, t_bound) starts it at the views of any state, bit for
+    bit as a new stepper starts, estimating the step size (_initial_step);
+    reintegrate(t0, y0, t1) starts it there too but keeps the step size it
+    last proposed (_seat), and estimates one only if it has none. Both write
+    the derivative at y0 into row 6; the estimate uses rows 1-3 as scratch.
     step() advances t by one accepted step, which ends exactly at t_bound
     when it would pass it, and leaves y (a new array on every step, never
     written to again, nor is y0) and f (the RHS at y), with their views yv
-    and fv. f is row 6 of the block, valid until the next step() or
-    restart() writes the block again; a caller that keeps it longer copies
-    it. step() needs t < t_bound and raises StepUnderflow when the step size
-    falls below 10 ulp of t.
+    and fv. f is row 6 of the block, valid until the stepper next steps or
+    starts; a caller that keeps it longer copies it. step() needs t <
+    t_bound and raises StepUnderflow when the step size falls below 10 ulp
+    of t.
     """
 
     def __init__(self, fun, split, size, settings):
@@ -163,17 +166,25 @@ class DormandPrince:
         self._sum = split(np.empty(size))  # a stage's argument, then the error estimate
         self._scale = np.empty(size)
         self._abs_y = np.empty(size)  # |y| of the current state
+        self.h_abs = 0.0  # the step size the next step tries; 0 until one is estimated
 
     def restart(self, t0, y0, t_bound):
-        """Start again from the views (t0, y0) toward t_bound: the RHS at y0,
-        the initial step size and |y0|, into the stepper's own buffers."""
+        """_seat() with the step size estimated anew, as a new stepper starts."""
+        self.h_abs = 0.0
+        self._seat(t0, y0, t_bound)
+
+    def _seat(self, t0, y0, t_bound):
+        """Stand at the views (t0, y0) toward t_bound: the RHS at y0 and |y0|
+        into the stepper's own buffers. The step size it last proposed is
+        kept; one it has not got (h_abs 0) is estimated from there."""
         if t_bound < t0:
             raise ValueError("the stepper only integrates forward in time")
         self.t, self.y, self.yv, self.t_bound = t0, y0[0], y0, t_bound
         self.fun(t0, y0, self.fv)
-        self.h_abs = _initial_step(self.fun, t0, self.y, self.f, t_bound, self.max_step,
-                                   *self._tol, self._sqrt_n,
-                                   (self._K[1], *self._rows[2:4]))
+        if not self.h_abs:
+            self.h_abs = _initial_step(self.fun, t0, self.y, self.f, t_bound, self.max_step,
+                                       *self._tol, self._sqrt_n,
+                                       (self._K[1], *self._rows[2:4]))
         np.abs(self.y, out=self._abs_y)
 
     def step(self):
@@ -240,10 +251,7 @@ class DormandPrince:
         """Steps from where the stepper stands to its t_bound, yielding it
         after every accepted step, and stops once t == t_bound (exact, as the
         last step is clipped to end there; an empty interval takes no step).
-        Raises MaxStepsExceeded past max_steps steps and StepUnderflow when
-        the step size collapses. y (and its views yv) is a new array on every
-        step and is never written to again, so it may be kept without a copy;
-        f is overwritten by the next step."""
+        Raises MaxStepsExceeded past max_steps steps, and what step() raises."""
         for _ in range(self.max_steps):
             if self.t == self.t_bound:
                 return
@@ -254,9 +262,9 @@ class DormandPrince:
 
     def reintegrate(self, t0, y0, t1):
         """The views of the solver vector at t1 >= t0, stepped from the views
-        (t0, y0) by restarting the stepper there: y0 itself when t1 == t0.
-        fv is the RHS at the returned state."""
-        self.restart(t0, y0, t1)
+        (t0, y0) from the step size last proposed (_seat): y0 itself when t1
+        == t0. fv is the RHS at the returned state."""
+        self._seat(t0, y0, t1)
         for _ in self.steps():
             pass
         return self.yv
@@ -289,7 +297,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
         if detector.scan_step(row, settings):
-            # the bracket restarts the run's stepper, which steps no further
+            # the bracket re-integrates with the run's stepper, which steps no further
             event, row_lo, y_lo = detector.bracket_event(
                 stepper.reintegrate, lambda t, y: reduce(t, y, stepper.fv), unpack,
                 rows[-1], y_last, row, stepper.yv, settings,

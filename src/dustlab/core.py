@@ -159,10 +159,8 @@ class TabulatedVelocity:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
     def gradient(self, x):
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.values)
-        slopes = np.diff(vs) / np.diff(xs)
-        idx = np.clip(np.searchsorted(xs, np.asarray(x, dtype=float), side="right") - 1,
+        slopes = np.diff(self.values) / np.diff(self.xs)
+        idx = np.clip(np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right") - 1,
                       0, len(slopes) - 1)
         return slopes[idx]
 
@@ -462,22 +460,12 @@ def validate_scenario(raw) -> ValidatedScenario:
     initial = unpacker(masses, s.dimension)(0.0, splitter(masses.size, s.dimension)(y0))
     for array in (masses, initial.densities, initial.eig_radial):  # the rest view y0
         array.flags.writeable = False
-    _check_triggers_at_start(s, initial)
-    return ValidatedScenario(scenario=s, y0=y0, initial=initial, total_mass=float(masses.sum()),
-                             h0=float(np.sum(masses * initial.div_u())))
-
-
-def _check_triggers_at_start(s: Scenario, initial: FieldState):
-    """Reject initial data on which a blowup trigger already holds.
-
-    The detector fires when a trigger starts to hold, so a run that starts
-    with one held could never report it. Each is checked as the run's first
-    row checks it: on its row of trigger_rows, from the state it unpacks.
-    """
-    rows = trigger_rows(np.empty((3, initial.masses.size)), s.dimension)(
+    # no trigger may hold at the start: the detector fires when one starts to
+    # hold, so a run could never report it. Each is checked as the run's
+    # first row checks it, on its row of trigger_rows from the unpacked state
+    rows = trigger_rows(np.empty((3, masses.size)), s.dimension)(
         initial.positions, initial.densities, initial.div_u())
-    violations = []
-    for rule in TRIGGERS.values():
+    for rule in TRIGGERS.values():  # violations is empty here
         value = rows[rule.row].min() if rule.below else rows[rule.row].max()
         limit = getattr(s.settings, rule.threshold)
         if rule.holds(value, limit):
@@ -487,6 +475,8 @@ def _check_triggers_at_start(s: Scenario, initial: FieldState):
                                f"{rule.threshold} {float(limit)!r}"))
     if violations:
         raise ValidationError(violations)
+    return ValidatedScenario(scenario=s, y0=y0, initial=initial, total_mass=float(masses.sum()),
+                             h0=float(np.sum(masses * initial.div_u())))
 
 
 # ---------------------------------------------------------------------------

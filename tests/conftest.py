@@ -117,21 +117,23 @@ def rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
+def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf, h_abs=None):
     """The explicit Runge-Kutta 5(4) method of Dormand & Prince with local
     extrapolation, written out as one loop: the reference that
     tests/test_integrate.py holds _integrate.DormandPrince to, bit for bit.
 
     fun(t, y) returns the derivative at the flat vector y as a new array.
     An rtol below 100 machine epsilons is raised to that, with a warning.
-    The first step is Hairer, Norsett & Wanner's (Solving ODEs I, Sec.
-    II.4). A step is accepted when the RMS norm of its error estimate over
-    atol + max(|y|, |y_new|) rtol is below 1. The next step is the last one
-    times 0.9 err^(-1/5), clipped to [0.2, 10], and to at most 1 right after
-    a rejection. A step is capped at max_step, raised to 10 ulp of t, and
-    clipped to end exactly at t_bound. The stage sums are np.dot on the
-    transposed rows of one (7 x n) stage block. Returns [(t, y, f)] after
-    every accepted step, f being fun's value at y; [] when t0 == t_bound.
+    The first step tries h_abs, by default Hairer, Norsett & Wanner's
+    estimate (Solving ODEs I, Sec. II.4). A step is accepted when the RMS
+    norm of its error estimate over atol + max(|y|, |y_new|) rtol is below
+    1. The next step is the last one times 0.9 err^(-1/5), clipped to [0.2,
+    10], and to at most 1 right after a rejection. A step is capped at
+    max_step, raised to 10 ulp of t, and clipped to end exactly at t_bound.
+    The stage sums are np.dot on the transposed rows of one (7 x n) stage
+    block. Returns [(t, y, f, h)] after every accepted step, f being fun's
+    value at y and h the step size proposed for the next step; [] when t0
+    == t_bound.
     """
     eps100 = 100 * np.finfo(float).eps
     if rtol < eps100:
@@ -141,17 +143,18 @@ def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
     interval = t_bound - t0
     if interval == 0.0:
         return []
-    # Hairer's first step, from one explicit Euler probe
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = rms(y / scale), rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    d2 = rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, interval, max_step)
+    if h_abs is None:
+        # Hairer's first step, from one explicit Euler probe
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = rms(y / scale), rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        d2 = rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(100 * h0, h1, interval, max_step)
 
     K = np.empty((7, y0.size))
     accepted = []
@@ -181,7 +184,7 @@ def dormand_prince(fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
             h_abs *= max(0.2, 0.9 * err ** (-1 / 5))
             rejected = True
         t, y, f = t_new, y_new, f_new
-        accepted.append((t, y, f))
+        accepted.append((t, y, f, h_abs))
     return accepted
 
 

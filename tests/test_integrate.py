@@ -6,13 +6,15 @@ A stepper is built from a run's settings and started by ``restart``. Its
 ``steps()`` must equal the reference loop after every accepted step (time,
 state and RHS value), with as many RHS calls, and its ``reintegrate``, which
 the event bracket and ``dustlab.sample`` use, must equal the loop's last
-state, bit for bit: a last-bit change moves event brackets and marker
-indices. ``dustlab.sample`` must equal the loop run from each requested time
-to the next. The reference is the RK45 method that ``scipy.integrate``'s
+state, bit for bit, the loop's first step trying the step size the stepper
+last proposed: a last-bit change moves event brackets and marker indices.
+``dustlab.sample`` must equal the loop run from each requested time to the
+next. The reference is the RK45 method that ``scipy.integrate``'s
 ``RK45`` and ``solve_ivp`` run, written out; the tests that held the stepper
 to those keep their names. The program imports no scipy.
 """
 
+import importlib.util
 import math
 import os
 import pathlib
@@ -25,10 +27,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import yaml
 
 from dustlab import _integrate, _model_rhs, detector, sample, simulate
 from dustlab.core import (SHELL_MAX_STEP, HubbleVelocity, NumericalSettings, StepRow,
-                          UniformDensity, load_scenario, scenario_from_dict,
+                          Trigger, UniformDensity, load_scenario, scenario_from_dict,
                           validate_scenario)
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
@@ -54,12 +57,16 @@ def step_cap(settings):
     return math.inf if settings.max_step is None else settings.max_step
 
 
-def reference(vs, rhs, split, t0, y0, t1):
+def reference(vs, rhs, split, t0, y0, t1, h_abs=None):
     """The state at t1 > t0 of the reference loop from the flat solver vector
-    y0 at t0, on rhs made flat, under the scenario's settings."""
+    y0 at t0, on rhs made flat, under the scenario's settings, and the step
+    size it then proposes; its first step tries h_abs (None: the loop's
+    estimate)."""
     s = vs.scenario.settings
-    steps = dormand_prince(flat(rhs, split), t0, y0, t1, s.rel_tol, s.abs_tol, step_cap(s))
-    return steps[-1][1]
+    steps = dormand_prince(flat(rhs, split), t0, y0, t1, s.rel_tol, s.abs_tol, step_cap(s),
+                           h_abs)
+    _, y, _, h = steps[-1]
+    return y, h
 
 
 @pytest.mark.parametrize("sc, times", [
@@ -71,15 +78,17 @@ def reference(vs, rhs, split, t0, y0, t1):
 ], ids=["slab-coarse", "slab-fine", "ball", "ball-dense"])
 def test_sample_equals_solve_ivp_t_eval(sc, times):
     """The state at each sample time is the reference loop's from the state
-    at the time before (the initial state at time 0)."""
+    at the time before (the initial state at time 0), its first step trying
+    the step size the loop proposed at the end of the interval before (the
+    loop's estimate on the first)."""
     vs, rhs, y0, split = model(sc)
-    y = y0[0]
+    y, h = y0[0], None
     traj = sample(sc, times)
     assert traj.times.tolist() == times.tolist()
     t_prev = 0.0
     for t, state in zip(times.tolist(), traj.states):
         if t > t_prev:
-            y = reference(vs, rhs, split, t_prev, y, t)
+            y, h = reference(vs, rhs, split, t_prev, y, t, h)
         assert solver_state(state)[1][0].tobytes() == y.tobytes()
         t_prev = t
 
@@ -117,15 +126,22 @@ SLAB_AND_BALL = pytest.mark.parametrize("sc", [
 
 @SLAB_AND_BALL
 def test_reintegration_equals_solve_ivp(sc):
+    """Each re-integration of one stepper equals the reference loop whose
+    first step tries the step size the loop proposed at the end of the
+    re-integration before (the loop's estimate on the first), and ends
+    proposing the same step size."""
     vs, rhs, y0, split = model(sc)
     stepper = _integrate.DormandPrince(rhs, split, y0[0].size, vs.scenario.settings)
     rng = np.random.default_rng(20261018)
+    h = None
     for _ in range(10):
         t0 = float(rng.uniform(0.0, 1.0))
         t1 = t0 + float(10.0 ** rng.uniform(-9.0, -1.0))
-        y = reference(vs, rhs, split, 0.0, y0[0], t0)
+        y, _ = reference(vs, rhs, split, 0.0, y0[0], t0)
         got = stepper.reintegrate(t0, split(y), t1)
-        assert got[0].tobytes() == reference(vs, rhs, split, t0, y, t1).tobytes()
+        expected, h = reference(vs, rhs, split, t0, y, t1, h)
+        assert got[0].tobytes() == expected.tobytes()
+        assert stepper.h_abs == h
 
 
 @SLAB_AND_BALL
@@ -247,7 +263,7 @@ def accepted(stepper):
 def loop_steps(fun, *args):
     """accepted()'s tuple after every step of the reference loop
     dormand_prince(fun, *args)."""
-    return [(t, y.tobytes(), f.tobytes()) for t, y, f in dormand_prince(fun, *args)]
+    return [(t, y.tobytes(), f.tobytes()) for t, y, f, _ in dormand_prince(fun, *args)]
 
 
 def assert_matches_rk45(sc, t_bound):
@@ -354,74 +370,90 @@ def test_restart_equals_a_new_stepper(sc):
         assert got == expected
 
 
-def test_one_stepper_per_run(monkeypatch):
-    """simulate, its event bracket included, and sample each build one
-    DormandPrince and restart it."""
-    built, restarts = [], []
-
+@pytest.fixture
+def counted(monkeypatch):
+    """_integrate.DormandPrince replaced by a subclass that records each
+    stepper built, and the start time of each restart, re-integration and
+    initial step size estimate (_integrate._initial_step)."""
     class Counted(_integrate.DormandPrince):
+        built, restarts, reintegrations, estimates = [], [], [], []
+
         def __init__(self, *args):
-            built.append(self)
+            self.built.append(self)
             super().__init__(*args)
 
         def restart(self, *args):
-            restarts.append(args[0])
+            self.restarts.append(args[0])
             super().restart(*args)
 
+        def reintegrate(self, *args):
+            self.reintegrations.append(args[0])
+            return super().reintegrate(*args)
+
+    def initial_step(*args):
+        Counted.estimates.append(args[1])
+        return estimate(*args)
+
+    estimate = _integrate._initial_step
+    monkeypatch.setattr(_integrate, "_initial_step", initial_step)
+    monkeypatch.setattr(_integrate, "DormandPrince", Counted)
+    return Counted
+
+
+def test_one_stepper_per_run(counted):
+    """simulate, its event bracket included, and sample each build one
+    DormandPrince and estimate its step size once, when it first starts: the
+    run by restart, sample over its first interval. Every later
+    re-integration keeps the step size the stepper last proposed."""
     def run(function, *args):
-        built.clear()
-        restarts.clear()
+        for log in (counted.built, counted.restarts, counted.reintegrations,
+                    counted.estimates):
+            log.clear()
         return function(*args)
 
-    monkeypatch.setattr(_integrate, "DormandPrince", Counted)
+    def started_once():
+        return (len(counted.built), counted.restarts, counted.estimates) == (1, [0.0], [0.0])
+
     # the ball's event step is shorter than the bracket's goal: the run's
     # start alone, as the bracket re-integrates nothing
     assert run(simulate, shipped("uniform_ball_n3")).event is not None
-    assert (len(built), len(restarts)) == (1, 1)
+    assert started_once() and counted.reintegrations == []
     # the slab's chart steps over its collapse in a step of full length,
     # which the bracket closes by Newton trials: the run's start, then at
     # most six re-integrations
     assert run(simulate, shipped("uniform_collapse_1d")).event is not None
-    assert len(built) == 1 and len(restarts) <= 1 + 6
-    # a density trigger in a step of full length: a restart per trial
+    assert started_once() and len(counted.reintegrations) <= 6
+    # a density trigger in a step of full length: a re-integration per trial
     early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
     assert run(simulate, early).event is not None
-    assert len(built) == 1 and len(restarts) <= 1 + 6
+    assert started_once() and len(counted.reintegrations) <= 6
+    # the estimate over the empty interval at time 0 is 0, no step size to
+    # keep, so the first interval that is not empty estimates again
     run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
-    assert len(built) == 1
-    assert restarts == [0.0, 0.0, 0.5]
+    assert len(counted.built) == 1 and counted.restarts == []
+    assert counted.reintegrations == [0.0, 0.0, 0.5] and counted.estimates == [0.0, 0.0]
 
 
-def test_each_vector_is_split_once(monkeypatch):
+def test_each_vector_is_split_once(monkeypatch, counted):
     """simulate splits each vector once, when it is made: the initial
     state, the seven stage rows and the stage-argument vector of its one
     stepper when it is built, and the new state of every trial step. A
-    restart splits nothing, no vector is split twice, and every RHS value,
-    the bracket's lower edge included, is written into a row of the
-    stepper's block."""
-    split_args, built, restarts = [], [], []
+    restart or re-integration splits nothing, no vector is split twice, and
+    every RHS value, the bracket's lower edge included, is written into a
+    row of the stepper's block."""
+    split_args = []
     splitter = _integrate.splitter
 
     def counting_splitter(n, dimension):
         split = splitter(n, dimension)
 
-        def counted(y):
+        def recorded(y):
             split_args.append(y)
             return split(y)
-        return counted
-
-    class Counted(_integrate.DormandPrince):
-        def __init__(self, *args):
-            built.append(self)
-            super().__init__(*args)
-
-        def restart(self, *args):
-            restarts.append(args[0])
-            super().restart(*args)
+        return recorded
 
     monkeypatch.setattr(_integrate, "splitter", counting_splitter)
-    monkeypatch.setattr(_integrate, "DormandPrince", Counted)
-    # a density trigger in a step of full length: a restart per trial
+    # a density trigger in a step of full length: a re-integration per trial
     vs = validate_scenario(make_slab(rho0=0.5,
                                      settings=replace(FAST, rho_blowup_threshold=1.0)))
     outs = []
@@ -432,19 +464,65 @@ def test_each_vector_is_split_once(monkeypatch):
         return rhs(t, yv, fv)
 
     assert _integrate.run_characteristics(vs, recorded).event is not None
-    (stepper,) = built
-    assert len(restarts) <= 1 + 6
-    # every RHS call of the stepper writes into its block: two per start
-    # (f0 and the initial-step probe) and six per trial step
+    (stepper,) = counted.built
+    reintegrations = len(counted.reintegrations)
+    assert counted.restarts == [0.0] and reintegrations <= 6
+    # every RHS call of the stepper writes into its block: two for the start
+    # (f0 and the initial-step probe), one per re-integration (f0) and six
+    # per trial step
     assert all(out.base is stepper._K for out in outs)
-    trials, rest = divmod(len(outs) - 2 * len(restarts), 6)
-    assert rest == 0 and trials >= len(restarts)
+    trials, rest = divmod(len(outs) - 2 - reintegrations, 6)
+    assert rest == 0 and trials >= reintegrations
     assert len(split_args) == 1 + 8 + trials
     assert sum(y.base is stepper._K for y in split_args) == 7
     # every split vector is alive in split_args, so distinct vectors have
     # distinct addresses
     addresses = {y.__array_interface__["data"][0] for y in split_args}
     assert len(addresses) == len(split_args)
+
+
+def slab_16k():
+    """The benchmark's 16384-marker slab, dustbench/inputs.py's
+    SLAB_16K_YAML: uniform_collapse_1d at t_end 2.5."""
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "dustbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return scenario_from_dict(yaml.safe_load(inputs.SLAB_16K_YAML))
+
+
+@pytest.mark.parametrize("sc", [shipped("uniform_collapse_1d"), slab_16k()],
+                         ids=["uniform_collapse_1d", "slab_16k"])
+def test_each_newton_trial_on_a_cold_slab_takes_one_step(monkeypatch, counted, sc):
+    """A cold uniform slab's chart is a polynomial in t (v = v0 - t^2/2,
+    q = -t), which a step solves to rounding, so a re-integration that
+    keeps the step size the run reached ends each Newton trial of the
+    bracket in one accepted step and no rejected one: one RHS call to seat
+    the stepper and six for the step. The run and its bracket take at most
+    seven steps in all, and the initial step size is estimated once."""
+    log = []
+
+    class Logged(counted):
+        def __init__(self, fun, *args):
+            def logged(*rhs_args):
+                log.append("rhs")
+                return fun(*rhs_args)
+            super().__init__(logged, *args)
+
+        def reintegrate(self, *args):
+            log.append("trial")
+            return super().reintegrate(*args)
+
+        def step(self):
+            super().step()
+            log.append("step")
+
+    monkeypatch.setattr(_integrate, "DormandPrince", Logged)
+    event = simulate(sc).event
+    assert event.trigger is Trigger.DIVERGENCE_THRESHOLD
+    _, *trials = " ".join(log).split("trial")  # the run, then each trial
+    assert trials and all(trial.split() == ["rhs"] * 7 + ["step"] for trial in trials)
+    assert log.count("step") <= 7
+    assert counted.estimates == [0.0]
 
 
 @pytest.mark.parametrize("name", ["uniform_collapse_1d", "uniform_ball_n3"])
