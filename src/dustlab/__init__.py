@@ -28,13 +28,10 @@ def _guarded(integrate, scenario, *args) -> Trajectory:
 
 
 def simulate(scenario, keep_states: bool = False) -> Trajectory:
-    """Integrate a scenario in its own geometry to t_end or the first event.
-
-    The trajectory holds per-step columns for every accepted step; full
-    marker states only for the first and last step, or for every step with
-    keep_states=True. A value that overflows, divides by zero or turns NaN
-    anywhere in the run raises NumericOverflow.
-    """
+    """Integrate a scenario in its own geometry to t_end or the first event:
+    per-step columns for every accepted step, full marker states for the
+    first and last (every one with keep_states=True). A value that
+    overflows, divides by zero or turns NaN raises NumericOverflow."""
     return _guarded(_integrate.run_characteristics, scenario, keep_states)
 
 

@@ -1,32 +1,21 @@
 """Shared adaptive Runge-Kutta driver for both geometries.
 
-The solver vector of a run holds the marker fields one after another, [x,
-u, v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells); only
+A run's solver vector holds the marker fields one after another, [x, u,
+v = 1/rho, q = w/rho] (slab) or [r, u, rho, l1, l2] (shells): only
 core.splitter and core.unpacker know this order, and validation packs the
-one at t = 0, vs.y0. Each vector is split into its eight views once, when
-it is made. The geometry modules supply the force law as rhs(t, yv,
-fv), which writes the derivative at the views yv into the views fv.
+one at t = 0, vs.y0. Each vector is split into its eight views once, when it
+is made; the force law rhs(t, yv, fv) writes the derivative at yv into fv.
 
-A run steps through one Dormand-Prince 5(4) stepper (DormandPrince) and its
-(7 x n) stage block, capped by the settings' max_step alone (a slab's is
-None, no cap: its chart is smooth through a collapse); steps() drives it to
-the end time, and reintegrate carries a state from one time to a later one
-from the step size the stepper last proposed, which only its first start
-estimates (_initial_step). The run reduces every accepted state once to its
-row of per-step scalars (functional.reducer), scans the row once for
-triggers, and brackets the earliest (detector.bracket_event) up to the
-triggering state on sub-steps re-integrated by the same stepper, a slab's
-trials aimed by Newton on its trigger margins from the state and RHS the
-stepper holds; a slab step may end past a marker's singularity, v <= 0.
-sample re-integrates from each requested time to the next; nothing is
-interpolated. At its peak a run holds about 19 solver vectors on a large
-slab (vs.y0 and vs.initial, the block, its three work vectors, the states in
-hand and the reducer's scratch block); tests/test_integrate.py bounds it.
-Deterministic for fixed settings.
-
-Full marker states are kept for the first and the last row only, unless
-keep_states=True asks for every one. The first is vs.initial, validation's
-unpack of vs.y0, and every later one is unpacked from its solver vector.
+A run steps one Dormand-Prince 5(4) stepper (DormandPrince), capped by
+max_step alone (a slab's is None), reduces each accepted state once to its
+row (functional.reducer) and scans the row once for triggers. A slab's event
+is in closed form (detector.slab_event): the run steps to its t_lo, and a
+row that holds a trigger raises ClosedFormMismatch. A shell run bisects its
+first trigger (detector.bracket_event) with the same stepper. sample steps
+from each requested time to the next; nothing is interpolated. A run holds
+at most about 19 solver vectors on a large slab (tests/test_integrate.py
+bounds it), keeps full marker states for its first row (vs.initial) and last
+row only unless keep_states=True, and is deterministic for fixed settings.
 """
 
 from __future__ import annotations
@@ -38,7 +27,7 @@ import numpy as np
 
 from . import detector, functional
 from .core import Trajectory, ValidatedScenario, splitter, unpacker
-from .errors import MaxStepsExceeded, StepUnderflow
+from .errors import ClosedFormMismatch, MaxStepsExceeded, StepUnderflow
 
 # The 5(4) pair of Dormand & Prince (1980), J. Comput. Appl. Math. 6:19-26:
 # nodes C, stage coefficients A, fifth-order weights B and error weights E
@@ -113,36 +102,21 @@ class DormandPrince:
     (err / (atol + max(|y|, |y_new|) rtol)), and the step scaled by
     0.9 err^(-1/5) clipped to [0.2, 10] (at most 1 right after a rejection).
 
-    Every accepted time and state and the RHS value equal those of the
-    tests' reference, the plain loop tests/conftest.py::dormand_prince, bit
-    for bit, under the same rtol, atol, max_step and first step size, with
-    as many RHS calls: the stage sums are the same np.dot calls on views of
-    one (7 x n) stage block, and the step control does the same
-    floating-point operations in the same order (the step size and the
-    tolerances held as 0-d arrays, which round as floats do). An rtol below
-    100 machine epsilons is raised to that, with a warning, as there.
-    DormandPrince(fun, split, size, settings) builds a stepper for solver
-    vectors of size doubles, split by split, under the settings' rel_tol,
-    abs_tol, max_step (None for no cap) and max_steps, and does not start
-    it: the block, a stage-sum vector (which ends a step as its error
-    estimate) and the error scale are built, and the rows and the stage-sum
-    vector split, once, so a step allocates and splits only its new state.
-    Row s of the block holds stage s's derivative: row 0 the derivative at
-    the step's start, rows 1-5 the inner stages and row 6 the derivative at
-    the new state (first same as last), each written there by fun(t, yv,
-    fv=the row's views). The one copy per step is row 6 into row 0.
-    restart(t0, y0, t_bound) starts it at the views of any state, bit for
-    bit as a new stepper starts, estimating the step size (_initial_step);
-    reintegrate(t0, y0, t1) starts it there too but keeps the step size it
-    last proposed (_seat), and estimates one only if it has none. Both write
-    the derivative at y0 into row 6; the estimate uses rows 1-3 as scratch.
-    step() advances t by one accepted step, which ends exactly at t_bound
-    when it would pass it, and leaves y (a new array on every step, never
-    written to again, nor is y0) and f (the RHS at y), with their views yv
-    and fv. f is row 6 of the block, valid until the stepper next steps or
-    starts; a caller that keeps it longer copies it. step() needs t <
-    t_bound and raises StepUnderflow when the step size falls below 10 ulp
-    of t.
+    Every accepted time, state and RHS value equals bit for bit, with as many
+    RHS calls, the tests' reference loop tests/conftest.py::dormand_prince's
+    under the same rtol, atol, max_step and first step: the same np.dot stage
+    sums on views of one (7 x n) stage block, the same step control in the
+    same order. An rtol below 100 machine epsilons is raised, with a warning.
+    The constructor builds, and does not start, a stepper for solver vectors
+    of size doubles: the block (row 6 the derivative at the new state, copied
+    to row 0 for the next step), a stage-sum vector that ends a step as its
+    error estimate, and the error scale, all split once. restart(t0, y0,
+    t_bound) starts it at any state's views, estimating the step size
+    (_initial_step); reintegrate(t0, y0, t1) keeps the one last proposed.
+    step() advances t by one accepted step, clipped to end at t_bound, and
+    leaves y (a new array, never written to again, nor is y0) and f (the RHS
+    at y, row 6, valid until the stepper next steps or starts), with their
+    views yv and fv; it raises StepUnderflow below 10 ulp of t.
     """
 
     def __init__(self, fun, split, size, settings):
@@ -174,9 +148,8 @@ class DormandPrince:
         self._seat(t0, y0, t_bound)
 
     def _seat(self, t0, y0, t_bound):
-        """Stand at the views (t0, y0) toward t_bound: the RHS at y0 and |y0|
-        into the stepper's own buffers. The step size it last proposed is
-        kept; one it has not got (h_abs 0) is estimated from there."""
+        """Stand at the views (t0, y0) toward t_bound, the RHS at y0 and |y0|
+        in the stepper's buffers, keeping the step size (estimated if 0)."""
         if t_bound < t0:
             raise ValueError("the stepper only integrates forward in time")
         self.t, self.y, self.yv, self.t_bound = t0, y0[0], y0, t_bound
@@ -248,9 +221,8 @@ class DormandPrince:
         np.abs(y_new, out=abs_y)
 
     def steps(self):
-        """Steps from where the stepper stands to its t_bound, yielding it
-        after every accepted step, and stops once t == t_bound (exact, as the
-        last step is clipped to end there; an empty interval takes no step).
+        """Steps to t_bound, yielding the stepper after each accepted one; stops
+        once t == t_bound (exact: the last step is clipped to end there).
         Raises MaxStepsExceeded past max_steps steps, and what step() raises."""
         for _ in range(self.max_steps):
             if self.t == self.t_bound:
@@ -262,8 +234,7 @@ class DormandPrince:
 
     def reintegrate(self, t0, y0, t1):
         """The views of the solver vector at t1 >= t0, stepped from the views
-        (t0, y0) from the step size last proposed (_seat): y0 itself when t1
-        == t0. fv is the RHS at the returned state."""
+        (t0, y0) (_seat): y0 itself when t1 == t0. fv is the RHS there."""
         self._seat(t0, y0, t1)
         for _ in self.steps():
             pass
@@ -271,10 +242,9 @@ class DormandPrince:
 
 
 def layout(vs: ValidatedScenario):
-    """The views of vs.y0, the run's solver vector at t = 0, and the three
-    maps a run needs: split (core.splitter's), unpack(t, yv), the FieldState
-    of a solver vector's views (core.unpacker's), and reduce(t, yv, fv), its
-    functional.StepRow with the RHS views fv."""
+    """The views of vs.y0 and the three maps a run needs: split
+    (core.splitter's), unpack(t, yv) -> FieldState (core.unpacker's) and
+    reduce(t, yv, fv) -> functional.StepRow with the RHS views fv."""
     masses, dim = vs.initial.masses, vs.dimension
     split = splitter(masses.size, dim)
     return split(vs.y0), split, unpacker(masses, dim), functional.reducer(masses, dim)
@@ -283,25 +253,27 @@ def layout(vs: ValidatedScenario):
 def run_characteristics(vs: ValidatedScenario, rhs,
                         keep_states: bool = False) -> Trajectory:
     """Integrate rhs(t, yv, fv), the characteristic system on the views of
-    the solver vector, to t_end or the first detector event."""
+    the solver vector, to t_end or the first detector event: a shell's
+    bracketed in the step that holds it, a slab's in closed form, stepped
+    to its t_lo."""
     settings = vs.scenario.settings
     y0, split, unpack, reduce = layout(vs)
+    event = detector.slab_event(vs) if vs.dimension == 1 else None
     stepper = DormandPrince(rhs, split, y0[0].size, settings)
-    stepper.restart(0.0, y0, vs.scenario.t_end)
+    stepper.restart(0.0, y0, event.t_lo if event else vs.scenario.t_end)
     rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
-    # a slab's bracket aims by Newton at the state and RHS the stepper holds
-    roots = detector.slab_roots(settings) if vs.dimension == 1 else None
     states = [vs.initial]
     y_last = y0
-    event = None
     for _ in stepper.steps():
         row = reduce(stepper.t, stepper.yv, stepper.fv)
-        if detector.scan_step(row, settings):
+        if held := detector.scan_step(row, settings):
+            if vs.dimension == 1:
+                raise ClosedFormMismatch(f"{held[0].value} holds on the run's row at "
+                                         f"t={row.time!r}, before the closed form's event")
             # the bracket re-integrates with the run's stepper, which steps no further
             event, row_lo, y_lo = detector.bracket_event(
                 stepper.reintegrate, lambda t, y: reduce(t, y, stepper.fv), unpack,
-                rows[-1], y_last, row, stepper.yv, settings,
-                roots and (lambda: roots(stepper.t, stepper.yv, stepper.fv)))
+                rows[-1], y_last, row, stepper.yv, settings)
             if row_lo is not rows[-1]:  # a trial moved the lower edge
                 rows.append(row_lo)
                 y_last = y_lo
@@ -318,10 +290,8 @@ def run_characteristics(vs: ValidatedScenario, rhs,
 
 def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     """States at the requested times, each re-integrated from the one
-    before (time 0 is the initial state) by one stepper, for fixed-step
-    diagnostics such as convergence studies. Every sampled state is kept.
-    No event scanning; the caller is responsible for staying inside the
-    smooth interval."""
+    before (time 0 is the initial state) by one stepper, every one kept, for
+    convergence studies. No event scan: the caller stays in the smooth part."""
     times = np.asarray(times, dtype=float)
     if not (times.size and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("sample times must be increasing and >= 0")

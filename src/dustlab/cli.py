@@ -1,10 +1,8 @@
 """Command-line front door: simulate, certify, verify, and sweep.
 
-All runs are seed-free and deterministic: re-running a manifest reproduces
-every output file byte-for-byte (timestamps are isolated in the manifest
-echo). Time series are CSV with 17-significant-digit floats; certificates
-and reports are YAML/plain-text documents.
-
+Runs are seed-free and deterministic: a rerun reproduces every output file
+byte for byte (timestamps only in the manifest). Time series are CSV with
+17-significant-digit floats; certificates and reports YAML or plain text.
 Exit codes: 0 success; 1 validation; 2 hypothesis violation (support
 escaped V_sup); 3 numeric failure or proof-chain violation; 4
 CONTRADICTION (certificate unsatisfied with bounded support).

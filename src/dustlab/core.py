@@ -170,11 +170,9 @@ class TabulatedVelocity:
 # ---------------------------------------------------------------------------
 
 
-# Upper limits of the discretization. sigma = 2 pi^(N/2)/Gamma(N/2) overflows
-# past N = 343 (Gamma(172) > 1e308). Validation samples the density at
-# 4 marker_count + 1 points. A run's traced peak is about 19.0 (slab) or 17.1
-# (shell) solver vectors of 4 or 5 doubles per marker, the stepper's stage
-# block 7 of them: about 610 MB (slab) or 680 MB (shells) at the limit.
+# Upper limits of the discretization: sigma = 2 pi^(N/2)/Gamma(N/2) overflows
+# past N = 343, and a run's peak of about 19 (slab) or 17 (shell) solver
+# vectors is about 610 MB (slab) or 680 MB (shells) at the marker limit.
 MAX_DIMENSION = 100
 MAX_MARKERS = 1_000_000
 SHELL_MAX_STEP = 4e-3  # the step cap of shells when the settings give none
@@ -283,8 +281,8 @@ class ValidatedScenario:
 def splitter(n, dimension):
     """split(y): the eight views of a solver vector of n markers: y, its
     fields (x, u, v = 1/rho, q = u_x v, None for the slab; r, u, rho, l1, l2
-    for shells), and y[n:] and y[3n:], which the shell force law writes in
-    one call each. This order is known here alone."""
+    for shells), and y[n:] and y[3n:] (the shell force law's). This order is
+    known here alone."""
     shells = dimension > 1
 
     def split(y):
@@ -313,12 +311,9 @@ def unpacker(masses, dimension: int):
 
 
 def _profile_violations(name: str, profile) -> list:
-    """Shape checks on a profile's own parameters, made before it is sampled.
-
-    A Gaussian needs a finite width > 0 (width 0 divides by zero); a table
-    needs at least two strictly increasing x, which np.interp assumes, and
-    one value per x.
-    """
+    """Shape checks on a profile's own parameters, before it is sampled: a
+    Gaussian's finite width > 0, a table's two or more strictly increasing x
+    (as np.interp assumes) with one value each."""
     if isinstance(profile, GaussianDensity):
         if not (_finite(profile.width) and profile.width > 0):
             return [("BadProfile", f"{name}.width",
@@ -541,12 +536,8 @@ TRIGGERS = {
 @dataclass
 class Trajectory:
     """One run: a column of per-step scalars for every accepted step, the
-    full marker states that were kept, and the event that ended it, if any.
-
-    ``states`` holds the first and the last state, unless the run was made
-    with ``keep_states=True``; then it holds every state and ``states[i]``
-    belongs to row i of ``columns``.
-    """
+    kept marker states (the first and the last, or with keep_states=True
+    every one, states[i] of row i) and the event that ended it, if any."""
 
     validated: ValidatedScenario
     columns: StepRow

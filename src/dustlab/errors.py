@@ -30,6 +30,10 @@ class NumericOverflow(NumericFailure):
     """A value of the run or of its proof chain left the range of a double."""
 
 
+class ClosedFormMismatch(NumericFailure):
+    """A slab run's stepper and its closed-form event disagree."""
+
+
 class NoCertificateError(DustLabError):
     """A blowup-time bound was requested for parameters that certify nothing."""
 

@@ -1,17 +1,11 @@
 """Weighted divergence functional H(t) and the integral-inequality checks.
 
-H = sum_j m_j div(u)_j is the exact Lagrangian quadrature of the
-mass-measure-weighted total divergence, because the fixed weights m_j are
-the conserved mass measure. Likewise sum_j m_j rho_j quadratures the
-density square integral (m_j = rho_j dV_j) without any remeshing.
-
-Each accepted state is reduced once, by the run's reducer, to the per-step
-scalars of core.StepRow. The inequality checks below are expressions over
-those columns; they never revisit per-marker states.
-
-All inequality margins are oriented (large side minus small side), so
-nonnegative means "holds". Checks are reported, never enforced: a
-violation is a flagged report line or a test failure, not a runtime abort.
+H = sum_j m_j div(u)_j is the exact Lagrangian quadrature of the total
+divergence, the fixed weights m_j being the conserved mass measure; sum_j
+m_j rho_j likewise quadratures the density square integral. Each accepted
+state is reduced once, by the run's reducer, to core.StepRow; the checks
+are expressions over those columns. Margins are oriented (large side minus
+small side: nonnegative holds), and reported, never enforced.
 """
 
 from __future__ import annotations
@@ -111,13 +105,10 @@ def _riccati(dh, h, mass, n, lam, v_sup):
 
 
 class _Chain:
-    """Every inequality term of a trajectory, as lists of Python floats: per
-    row (margins, pointwise residual, hypothesis flag) and per step i -> i+1.
-
-    The terms are computed on Python floats, not NumPy arrays, because
-    float ** 2 (libm pow) and NumPy's square (x * x) can round differently.
-    A term that is not finite where it is asserted raises NumericOverflow.
-    """
+    """Every inequality term of a trajectory as lists of Python floats (libm
+    pow and NumPy's x * x can round differently): per row (margins, pointwise
+    residual, hypothesis flag) and per step i -> i+1. A term that is not
+    finite where it is asserted raises NumericOverflow."""
 
     def __init__(self, trajectory: Trajectory):
         vs = trajectory.validated
@@ -213,13 +204,10 @@ class ProofChainReport:
 
 
 def proof_chain_report(trajectory: Trajectory) -> ProofChainReport:
-    """Verify the full inequality chain on every accepted step of a run.
-
-    The Riccati inequality is asserted on row b's exact dH/dt, m_div_rate,
-    wherever the support hypothesis holds at b; the finite differences are
-    only reported. The Cauchy-Schwarz margins are not asserted in the last 1%
-    before an event, marked informational.
-    """
+    """Verify the full inequality chain on every accepted step of a run: the
+    Riccati inequality on row b's exact dH/dt, m_div_rate, wherever the
+    support hypothesis holds at b (finite differences only reported); the
+    Cauchy-Schwarz margins except in the last 1% before an event."""
     event = trajectory.event
     cutoff = math.inf if event is None else (1.0 - NEAR_SINGULAR_FRACTION) * event.t_lo
 

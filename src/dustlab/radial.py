@@ -1,8 +1,7 @@
 """Lagrangian shell solver for radially symmetric dust in N >= 2 dimensions.
 
-Under radial symmetry the velocity gradient has eigenvalue du/dr (radial,
-simple) and u/r (tangential, multiplicity N-1), and their evolution along a
-shell is exact:
+The velocity gradient has eigenvalues du/dr (simple) and u/r (multiplicity
+N-1), exactly evolved along a shell:
 
     dr/dt       = u
     du/dt       = -Phi_r
@@ -16,12 +15,9 @@ Delta Phi = rho - lambda, sigma the unit-sphere surface measure)
     Phi_r(r)  = m_enc(r) / (sigma r^(N-1)) - lambda r / N
     Phi_rr    = (rho - lambda) - (N-1) Phi_r / r.
 
-The background decomposition Phi = Phi_rho - lambda |x|^2 / (2N) is the
-unique radially symmetric particular solution for the -lambda source.
-
-This module holds the force law only: model_rhs, these derivatives on the
-views of the solver vector [r, u, rho, l1, l2] that _integrate runs, is its
-one form; _centre_rates patches the few shells at or near the center.
+(Phi = Phi_rho - lambda |x|^2 / (2N): the radial particular solution for
+the -lambda source.) model_rhs writes these derivatives on the views of the
+solver vector [r, u, rho, l1, l2]; _centre_rates patches shells near r = 0.
 """
 
 from __future__ import annotations

@@ -18,11 +18,8 @@ b = 0 is the boundary, c = 0. Closed forms:
     b < 0:  Moebius form z = (y-c)/(y+c): z(t) = z0 e^{-2act},
             pole where z = 1, i.e. T = ln(z0)/(2ac) = arcoth(-h0/c)/sqrt(a|b|)
 
-all validated against the brute-force oracle integrate_comparison_ode
-(tests/conftest.py holds the solutions as comparison_solution).
-Strict inequalities are honored strictly; the equality lambda = M/V_sup
-with h0 < 0 is included as a documented boundary extension because the
-comparison ODE still blows up there.
+checked against the oracle integrate_comparison_ode. The equality lambda =
+M/V_sup with h0 < 0 is a boundary extension: the comparison ODE still blows up.
 """
 
 from __future__ import annotations
@@ -157,25 +154,19 @@ class ComparisonPath:
 def integrate_comparison_ode(params: RiccatiParams, until: float) -> ComparisonPath:
     """Adaptive integration of y' = -a y^2 - b with pole bracketing.
 
-    Steps an embedded Cash-Karp 4(5) pair on y, from h = 0.01 of the ODE's
-    time scale and with the tolerance ORACLE_ABS_TOL s + ORACLE_REL_TOL |y|,
-    until an accepted step takes y below -2s, s = max(sqrt(|b|/a), |h0|).
-    From there it steps w = 1/y, which obeys w' = a + b w^2 and is regular
-    at the pole, with the absolute tolerance ORACLE_REL_TOL |w| at the
-    switch. For b < 0, |w| <= 1/(2s) keeps w' >= 3a/4 > 0, so w rises
-    through 0 once, at the pole. Trials inside the step that ends at w >= 0
-    bracket the crossing to 1e-13 (t + h): Newton on the length, slope w',
-    aimed a quarter of that width past the root to land across it, or the
-    midpoint when Newton leaves the bracket or two trials did not halve it.
-    Raises NoPoleInHorizon if the pole is not reached by `until` or the step
-    underflows, and ValueError if `until` is not finite. `times` records the
-    accepted steps.
-
-    Both charts are the quadratic form q u^2 - r: (q, r) = (-a, b) for y and
-    (b, -a) for w, so one loop body does every trial step. It does the
-    floating-point operations of the plain tableau-loop reference in
-    tests/test_riccati.py in the same order, so brackets and times equal
-    that reference bit for bit.
+    Steps a Cash-Karp 4(5) pair on y from h = 0.01 of the time scale, at the
+    tolerance ORACLE_ABS_TOL s + ORACLE_REL_TOL |y|, until y < -2s, s =
+    max(sqrt(|b|/a), |h0|); then w = 1/y (w' = a + b w^2, regular at the
+    pole) at the absolute tolerance ORACLE_REL_TOL |w| at the switch; for b
+    < 0, |w| <= 1/(2s) keeps w' >= 3a/4, so w rises through 0 once. Trials in
+    the step that ends at w >= 0 bracket the crossing to 1e-13 (t + h):
+    Newton on the length, aimed a quarter of that width past the root, or
+    the midpoint when Newton leaves the bracket or two trials did not halve
+    it. Raises NoPoleInHorizon if the pole is not reached by `until` or the
+    step underflows, ValueError if `until` is not finite; `times` records
+    the accepted steps. Both charts are q u^2 - r, (q, r) = (-a, b) for y and
+    (b, -a) for w, in one loop body whose floating-point operations are those
+    of tests/test_riccati.py's tableau loop, in order: bit for bit equal.
     """
     if not math.isfinite(until):
         raise ValueError(f"until must be finite, got {until!r}")

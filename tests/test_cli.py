@@ -657,7 +657,7 @@ class TestSweep:
             b"1000000000000.0 exceeds div_blowup_threshold 100000000.0\r\n"
             b"h0,-500000000001,,,,,error: TriggerAtStart[velocity]: initial |div u| "
             b"500000000001.0 exceeds div_blowup_threshold 100000000.0\r\n"
-            b"h0,-2,CaseOne,0.48060196634497671,0.4721359473578986,1.96875,"
+            b"h0,-2,CaseOne,0.48060196634497671,0.47213594499957973,1.96875,"
             b"certificate honored\r\n")
         # H(0) = -2 is the Hubble rate -2 (M = 1): v = 2 - 4t - t^2/2, whose
         # root is sqrt(20) - 4; the event's t_hi lies within the bracket width

@@ -5,19 +5,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dustlab import _integrate, _model_rhs, detector, simulate
-from dustlab.core import (TRIGGERS, FieldState, GaussianDensity, HubbleVelocity,
-                          NumericalSettings, UniformDensity, load_scenario, trigger_rows,
+from click.testing import CliRunner
+
+from dustlab import _integrate, _model_rhs, detector, geometry1d, simulate
+from dustlab.cli import main
+from dustlab.core import (TRIGGERS, FieldState, HubbleVelocity, NumericalSettings,
+                          UniformDensity, load_scenario, scenario_from_dict, trigger_rows,
                           validate_scenario)
-from dustlab.detector import (BRACKET_REL_WIDTH, NEWTON_TRIALS, BlowupEvent, EscapeStatus,
-                              Trigger, _held, bracket_event, escape_report, scan_step,
-                              slab_roots, trigger_marker_index)
-from dustlab.errors import DustLabError
+from dustlab.detector import (BRACKET_REL_WIDTH, BlowupEvent, EscapeStatus, Trigger,
+                              bracket_event, escape_report, first_zeros, scan_step,
+                              slab_event, earliest_roots, trigger_marker_index)
+from dustlab.errors import ClosedFormMismatch, DustLabError
 from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
-from conftest import (FAST, make_ball, make_slab, neighbour_gaps, step_row,
-                      uniform_slab_chart, uniform_slab_div_crossing)
+from conftest import (FAST, GAUSSIAN_TABLE_SLAB, dormand_prince, flat, make_ball, make_slab,
+                      neighbour_gaps, step_row, uniform_slab_div_crossing)
 
 SETTINGS = NumericalSettings()
 SCENARIOS = pathlib.Path(__file__).parents[1] / "scenarios"
@@ -70,7 +73,8 @@ class TestScanStep:
     def test_each_accepted_row_is_judged_once(self, monkeypatch, name):
         """The run calls scan_step once per accepted step, on the step's new
         row, up to the first that holds a trigger; no row before it holds
-        one, so the row before a step needs no second judgement."""
+        one, so the row before a step needs no second judgement. A slab's
+        event is in closed form: it brackets nothing, and no row holds."""
         steps, scans, bracketed = [], [], []
         step, scan_step, bracket = (_integrate.DormandPrince.step, detector.scan_step,
                                     detector.bracket_event)
@@ -92,6 +96,11 @@ class TestScanStep:
         monkeypatch.setattr(detector, "bracket_event", bracketed_event)
         traj = simulate(load_scenario(SCENARIOS / f"{name}.yaml"))
         assert traj.event is not None
+        if name == "uniform_collapse_1d":
+            assert bracketed == [] and [time for time, _ in scans] == steps
+            assert all(held == [] for _, held in scans)
+            assert traj.times[1:].tolist() == steps and steps[-1] == traj.event.t_lo
+            return
         (accepted,) = bracketed  # the run's accepted steps, before the bracket's
         assert [time for time, _ in scans] == steps[:accepted]
         assert all(held == [] for _, held in scans[:-1])
@@ -153,8 +162,7 @@ def dense_collapse():
 class TestBracketing:
     @pytest.mark.parametrize("sc", [
         make_slab(rho0=0.5, v_sup=2.0, t_end=5.0, settings=FAST),
-        # the density trigger fires inside a step of full length, so the
-        # bracket's trials re-integrate with the run's stepper
+        # the density trigger, long before the collapse
         shipped_collapse(rho_blowup_threshold=1.0),
     ], ids=["slab", "bisected"])
     def test_collapse_bracket_width_and_consistency(self, sc):
@@ -245,79 +253,6 @@ class TestBracketing:
         assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
         assert row_lo.time == event.t_lo
 
-    # the fake step of 0 to 0.7 below: each trigger first holds at its time
-    COLUMNS = {Trigger.SHELL_CROSSING: "min_gap", Trigger.DIVERGENCE_THRESHOLD: "max_abs_div",
-               Trigger.DENSITY_THRESHOLD: "max_density"}
-    VALUES = {"min_gap": (1.0, 0.0), "max_abs_div": (0.0, np.inf), "max_density": (0.5, np.inf)}
-
-    def fake_bracket(self, first, roots):
-        """bracket_event on a fake step from 0 to 0.7 on which trigger k
-        first holds at first[k], with the proposal roots(trial times so
-        far); returns the event, the triggers held at its t_hi and the
-        trial times, one re-integration each."""
-        trials = []
-
-        def reduce(t, y):
-            row = step_row(state([-0.5, 0.5]))._replace(time=t)
-            return row._replace(**{self.COLUMNS[k]: self.VALUES[self.COLUMNS[k]][t >= time]
-                                   for k, time in first.items()})
-
-        def reintegrate(t0, y0, t1):
-            trials.append(t1)
-            return t1
-
-        def unpack(t, y):
-            return state([-0.5, 0.5], w=[0.0, -2e8], rho=[0.5, 2e12], t=t)
-
-        event, _, _ = bracket_event(reintegrate, reduce, unpack, reduce(0.0, None), 0.0,
-                                    reduce(0.7, None), 0.7, SETTINGS,
-                                    roots and (lambda: roots(trials)))
-        return event, _held(reduce(event.t_hi, None), SETTINGS), trials
-
-    def assert_valid(self, event, held, root):
-        assert event.t_lo < root <= event.t_hi
-        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
-        assert held == [event.trigger]
-
-    def test_newton_trials_close_a_tangent_root_in_two(self):
-        # an exact proposal: one trial below the root, one above, and the
-        # state at t_hi is the last trial's, not re-integrated
-        first = {Trigger.SHELL_CROSSING: 0.63, Trigger.DIVERGENCE_THRESHOLD: 0.62,
-                 Trigger.DENSITY_THRESHOLD: 0.625}
-        event, held, trials = self.fake_bracket(first, lambda trials: first.values())
-        self.assert_valid(event, held, 0.62)
-        assert event.trigger is Trigger.DIVERGENCE_THRESHOLD
-        assert trials == [event.t_lo, event.t_hi]
-
-    def test_upper_trial_stops_short_of_the_next_trigger(self):
-        # the gap holds 2e-9 after |div u|, under half the goal width: t_hi
-        # is placed halfway between the two estimates, where one holds alone
-        first = {Trigger.SHELL_CROSSING: 0.62 + 2e-9, Trigger.DIVERGENCE_THRESHOLD: 0.62}
-        event, held, trials = self.fake_bracket(first, lambda trials: (*first.values(), 0.7))
-        self.assert_valid(event, held, 0.62)
-        assert event.t_hi == 0.62 + 1e-9 and len(trials) == 2
-
-    @pytest.mark.parametrize("proposal, bisects", [
-        (lambda trials: (math.nan, math.nan, math.nan), True),  # not finite
-        (lambda trials: (-1.0, 5.0, math.inf), True),  # outside the step
-        (lambda trials: (0.3, math.inf, math.inf), False),  # too early: every trial falls short
-        (lambda trials: (0.65, math.inf, math.inf), False),  # too late: every trial holds
-        (lambda trials: (0.61 + 0.01 * len(trials), math.inf, math.inf), False),  # either side
-        (lambda trials: (0.62, 0.62 + 9e-9, 0.7), False),  # the gap estimated 9e-9 late
-    ], ids=["nan", "outside", "early", "late", "drifting", "late-gap"])
-    def test_a_wrong_proposal_still_closes_the_bracket(self, proposal, bisects):
-        """Whatever roots() proposes, the midpoint takes over where a trial
-        falls outside the bracket or the trials run out, and the bracket
-        holds the earliest trigger alone at t_hi within the goal width; a
-        proposal never inside it leaves bisection's bracket."""
-        first = {Trigger.SHELL_CROSSING: 0.62 + 2e-9, Trigger.DIVERGENCE_THRESHOLD: 0.62,
-                 Trigger.DENSITY_THRESHOLD: 0.625}
-        bisected = self.fake_bracket(first, None)
-        event, held, trials = self.fake_bracket(first, proposal)
-        self.assert_valid(event, held, 0.62)
-        assert len(trials) <= NEWTON_TRIALS + len(bisected[2])
-        assert ((event, held, trials) == bisected) is bisects
-
     def test_threshold_robustness(self):
         # raising the divergence threshold 1e6 -> 1e8 moves the bracket by
         # less than 1e-4: the detected time is insensitive to the cutoff
@@ -331,60 +266,246 @@ class TestBracketing:
         assert t_his[0] <= t_his[1]  # lower threshold fires no later
 
 
+def gaussian_slab(lam, **tolerances):
+    """GAUSSIAN_TABLE_SLAB at lambda lam and the given tolerances, validated."""
+    return validate_scenario(scenario_from_dict(dict(GAUSSIAN_TABLE_SLAB, **{"lambda": lam},
+                                                     tolerances=tolerances)))
+
+
+def zero_times(margin, lam):
+    """The time of every marker's first zero of one trigger's margins
+    (first_zeros', mapped back from sigma by numpy)."""
+    sigma = first_zeros(*margin, lam)
+    sigma = sigma.min(axis=0) if sigma.ndim > 1 else sigma
+    r, x = math.sqrt(abs(lam)), 0.5 * math.sqrt(abs(lam)) * sigma
+    with np.errstate(invalid="ignore", divide="ignore"):  # x >= 1 or inf: no zero
+        if lam > 0:
+            return np.where(x < 1.0, 2.0 / r * np.arctanh(x), np.inf)
+        return np.where(np.isfinite(x), 2.0 / r * np.arctan(x), np.inf) if lam < 0 else sigma
+
+
+def bisected_event(vs):
+    """The first trigger of a slab by the tests' reference loop alone: it
+    steps to t_end at rtol 1e-12 and bisects the first step that ends with
+    a trigger held, each trial stepped from the lower edge, down to
+    BRACKET_REL_WIDTH and until one trigger alone holds at hi, as
+    bracket_event does. Returns lo, hi and {trigger: marker} of the triggers
+    held at hi, in priority order."""
+    s = vs.scenario.settings
+    fun = flat(_model_rhs(vs), _integrate.layout(vs)[1])
+
+    def held(y):
+        x, _, v, q = np.split(y, 4)
+        live = v > 0.0
+        rows = (np.append(np.diff(x), np.inf),
+                np.divide(1.0, v, out=np.full(v.shape, np.inf), where=live),
+                np.abs(np.divide(q, v, out=np.full(v.shape, np.inf), where=live)))
+        found = {}
+        for trigger, rule in TRIGGERS.items():
+            row = rows[rule.row]
+            j = int(np.argmin(row) if rule.below else np.argmax(row))
+            if rule.holds(row[j], getattr(s, rule.threshold)):
+                found[trigger] = j
+        return found
+
+    def solve(t0, y0, t1):
+        return dormand_prince(fun, t0, y0, t1, 1e-12, 1e-14)
+
+    lo, y_lo = 0.0, np.array(vs.y0)
+    for t, y, _, _ in solve(lo, y_lo, vs.scenario.t_end):
+        if found := held(y):
+            hi = t
+            break
+        lo, y_lo = t, y
+    while (hi - lo > BRACKET_REL_WIDTH * hi or len(found) > 1) and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        y = solve(lo, y_lo, mid)[-1][1]
+        if now := held(y):
+            hi, found = mid, now
+        else:
+            lo, y_lo = mid, y
+    return lo, hi, found
+
+
 class TestSlabRoots:
     def test_tangent_roots_of_the_uniform_collapse(self):
-        # at lambda = 0, v = 2 - t^2/2 and q = -t, and every marker moves as
-        # x0 v/2: each margin's tangent root from t = 1.9 is the closed
-        # form's, and lies after the trigger's exact time (the margins are
-        # concave), |div u|'s within (t - t*)^2
+        # at lambda = 0, v = 2 - t^2/2 and q = -t, and every gap is gap0 v/2:
+        # each trigger's root is the closed form's at every marker, and the
+        # earliest one's lowest index is reported (every v is the same, the
+        # gaps differ in the last bits); the tangent rule: a margin that
+        # only touches 0 has no zero, one that falls from 0 has it at 0
         vs = validate_scenario(make_slab(rho0=0.5, t_end=5.0))
-        s = vs.scenario.settings
-        t = 1.9
-        v, q = uniform_slab_chart(0.5, 0.0, 0.0, t)
-        x0 = vs.initial.positions
-        split = _integrate.layout(vs)[1]
-        yv = split(np.concatenate((x0 * v / 2, x0 * q / 2, np.full(x0.size, v),
-                                   np.full(x0.size, q))))
-        fv = split(np.empty(4 * x0.size))
-        _model_rhs(vs)(t, yv, fv)
-        gap, div, density = slab_roots(s)(t, yv, fv)
-        gap0, d = x0[1] - x0[0], s.div_blowup_threshold
-        assert gap == pytest.approx(t - (gap0 * v / 2 - s.crossing_gap_threshold)
-                                    / (gap0 * q / 2), rel=1e-12)
-        assert div == pytest.approx(t - (v - abs(q) / d) / (q - 1 / d), rel=1e-12)
-        assert density == pytest.approx(t - (v - 1 / s.rho_blowup_threshold) / q, rel=1e-12)
-        exact = uniform_slab_div_crossing(0.5, 0.0, 0.0, d, 5.0)
-        assert exact <= div <= exact + (t - exact) ** 2
+        s, gap = vs.scenario.settings, Trigger.SHELL_CROSSING
+        gap0, d, rho = 2.0 / 40, s.div_blowup_threshold, s.rho_blowup_threshold
+        exact = (2.0 * math.sqrt(1.0 - s.crossing_gap_threshold / gap0),
+                 -1.0 / d + math.sqrt(1.0 / d ** 2 + 4.0), math.sqrt(4.0 - 2.0 / rho))
+        roots = earliest_roots(geometry1d.trigger_margins(vs), 0.0)
+        for (root, trigger, marker), expected, margin in zip(
+                roots, exact, geometry1d.trigger_margins(vs)):
+            times = zero_times(margin, 0.0)
+            assert marker == int(np.argmin(times)) == (marker if trigger is gap else 0)
+            assert root == times.min() == pytest.approx(expected, rel=4e-16)
+            assert times == pytest.approx(np.full(times.size, expected), rel=1e-14)
+        assert [trigger for _, trigger, _ in roots] == list(TRIGGERS)
+        # 1 - t + t^2/4 touches 0 at t = 2; -t^2/2 falls from 0, and so does
+        # it from 1e-300 below 0, which counts as 0; 1 + t^2 never reaches 0
+        zeros = first_zeros(np.array([1.0, 0.0, -1e-300, 1.0]), np.array([-1.0, 0.0, 0.0, 0.0]),
+                            np.array([0.5, -1.0, -1.0, 2.0]), 0.0)
+        assert zeros.tolist() == [math.inf, 0.0, 0.0, math.inf]
 
     def test_earliest_root_over_the_markers(self):
-        # a collapsing Gaussian slab, whose markers' roots all differ,
-        # against a loop over the markers: min(t - m/m') over m' < 0
-        sc = make_slab(density=GaussianDensity(1.0, 0.2, 0.4, -1.0, 1.0),
-                       velocity=HubbleVelocity(-0.5), markers=16)
-        vs = validate_scenario(sc)
-        s = vs.scenario.settings
-        y0, split, _, _ = _integrate.layout(vs)
-        fv = split(np.empty(y0[0].size))
-        _model_rhs(vs)(0.0, y0, fv)
-        (_, x, _, v, q, _, _, _), (_, dx, _, dv, dq, _, _, _) = y0, fv
-        d = s.div_blowup_threshold
-        margins = (
-            [(x[k + 1] - x[k] - s.crossing_gap_threshold, dx[k + 1] - dx[k])
-             for k in range(x.size - 1)],
-            [(v[k] - abs(q[k]) / d, dv[k] - np.sign(q[k]) * dq[k] / d) for k in range(x.size)],
-            [(v[k] - 1.0 / s.rho_blowup_threshold, dv[k]) for k in range(x.size)])
-        expected = tuple(min(0.0 - m / slope for m, slope in rows if slope < 0.0)
-                         for rows in margins)
-        assert slab_roots(s)(0.0, y0, fv) == expected
-        assert len({0.0 - m / slope for m, slope in margins[2]}) == x.size
+        # a Gaussian slab with a velocity table, whose markers' roots all
+        # differ, at lambda 0, 0.2 and -0.3, against the smallest root of each
+        # marker's own margin found by numpy's polynomial roots in sigma
+        for lam in (0.0, 0.2, -0.3):
+            self.check_earliest_roots(lam)
+
+    def check_earliest_roots(self, lam):
+        margins = geometry1d.trigger_margins(gaussian_slab(lam))
+        for (root, trigger, marker), margin in zip(earliest_roots(margins, lam), margins):
+            zeros = first_zeros(*margin, lam)
+            expected = []
+            for c, b, k in zip(*(np.broadcast_to(m, zeros.shape).ravel() for m in margin)):
+                quadratic = np.roots([0.5 * k + 0.25 * lam * c, b, c])
+                real = [z.real for z in quadratic if abs(z.imag) <= 1e-12 * abs(z) and z.real >= 0]
+                expected.append(min(real, default=np.inf))
+            np.testing.assert_allclose(zeros.ravel(), expected, rtol=1e-9)
+            times = zero_times(margin, lam)
+            assert marker == int(np.argmin(times)) and root == pytest.approx(times.min(), rel=1e-15)
+            assert len(set(times.tolist())) > 8
 
     def test_no_falling_margin_has_no_root(self):
-        # an expanding slab: every margin rises, so no trigger has a root
-        vs = validate_scenario(make_slab(rho0=0.5, velocity=HubbleVelocity(1.0)))
-        y0, split, _, _ = _integrate.layout(vs)
-        fv = split(np.empty(y0[0].size))
-        _model_rhs(vs)(0.0, y0, fv)
-        assert slab_roots(vs.scenario.settings)(0.0, y0, fv) == (math.inf,) * 3
+        # an expanding slab whose background outweighs its mass (lambda v >
+        # 1): every margin rises for ever, so no trigger has a root
+        vs = validate_scenario(make_slab(rho0=0.5, lam=1.0, velocity=HubbleVelocity(1.0)))
+        roots = earliest_roots(geometry1d.trigger_margins(vs), vs.lam)
+        assert [root for root, _, _ in roots] == [math.inf] * 3
+        assert slab_event(vs) is None
+
+
+class TestSlabEvent:
+    @pytest.mark.parametrize("threshold", [1e6, 1e8])
+    def test_t_hi_within_4_ulp_of_the_crossing(self, threshold):
+        sc = make_slab(rho0=0.5, t_end=5.0,
+                       settings=replace(NumericalSettings(), div_blowup_threshold=threshold))
+        event = simulate(sc).event
+        exact = uniform_slab_div_crossing(0.5, 0.0, 0.0, threshold, 5.0)
+        assert event.trigger is Trigger.DIVERGENCE_THRESHOLD and event.marker_index == 0
+        assert event.t_lo < exact and abs(event.t_hi - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("vs", [
+        gaussian_slab(0.0),
+        validate_scenario(make_slab(rho0=0.5, lam=0.37, settings=NumericalSettings())),
+        gaussian_slab(0.2),
+        gaussian_slab(-0.3),
+        # near-tangent: rho starts 1e-6 below its threshold with u_x = 0 and
+        # lambda < 0; the margin falls from its peak, just above 0, at t = 0
+        validate_scenario(make_slab(rho0=0.5, lam=-0.3, settings=replace(
+            NumericalSettings(), rho_blowup_threshold=0.5 * (1 + 1e-6)))),
+    ], ids=["gaussian_table", "uniform-lam0.37", "gaussian-lam0.2", "gaussian-lam-0.3",
+            "near_tangent-lam-0.3"])
+    def test_event_against_a_bisection_run(self, vs):
+        """The closed-form event has the trigger a run of the reference loop
+        bisects, and its marker or one whose own root lies in that bracket,
+        which holds the exact root."""
+        event = simulate(vs).event
+        lo, hi, held = bisected_event(vs)
+        trigger, marker = next(iter(held.items()))
+        roots = earliest_roots(geometry1d.trigger_margins(vs), vs.lam)
+        root = next(root for root, found, _ in roots if found is trigger)
+        assert event.trigger is trigger
+        ties = zero_times(geometry1d.trigger_margins(vs)[list(TRIGGERS).index(trigger)], vs.lam)
+        assert event.marker_index == marker or ties[event.marker_index] <= hi
+        assert lo < root <= hi
+        assert event.t_lo < root <= event.t_hi <= root * (1 + BRACKET_REL_WIDTH)
+
+    def test_a_16384_marker_near_tie_keeps_the_divergence_trigger(self):
+        """The benchmark's slab: its gap closes 1.8e-9 after |div u| passes
+        1e8, inside the bracket width; the earliest root decides, and t_hi
+        stays below the gap's root."""
+        sc = replace(make_slab(rho0=0.5, markers=16384, t_end=2.5,
+                               settings=NumericalSettings()))
+        vs = validate_scenario(sc)
+        (gap, *_), (div, *_), _ = earliest_roots(geometry1d.trigger_margins(vs), 0.0)
+        assert 0.0 < gap - div < 0.5 * BRACKET_REL_WIDTH * div
+        event = simulate(vs).event
+        assert (event.trigger, event.marker_index) == (Trigger.DIVERGENCE_THRESHOLD, 0)
+        assert event.t_lo < div <= event.t_hi < gap
+
+    @staticmethod
+    def shifted_roots(monkeypatch, shift):
+        """detector.earliest_roots with every root r replaced by shift(r)."""
+        roots = detector.earliest_roots
+
+        def shifted(*args):
+            return [(shift(root), *rest) for root, *rest in roots(*args)]
+
+        monkeypatch.setattr(detector, "earliest_roots", shifted)
+
+    @pytest.mark.parametrize("shift", [
+        lambda r: math.nan,  # no root: the run steps to t_end
+        lambda r: 10.0 * r,  # past t_end
+        lambda r: 0.9 * r,  # early: the state does not hold by the cap
+        lambda r: 1.1 * r,  # late: the run's rows hold before t_lo
+    ], ids=["nan", "outside", "early", "late"])
+    def test_a_wrong_root_is_refused(self, monkeypatch, shift):
+        """A closed-form root that the run's own rows or the closed-form
+        state contradict raises ClosedFormMismatch, never a wrong event."""
+        self.shifted_roots(monkeypatch, shift)
+        with pytest.raises(ClosedFormMismatch):
+            simulate(shipped_collapse())
+
+    @pytest.mark.parametrize("drift", [-0.2, 0.2], ids=["early", "late"])
+    def test_a_drifting_root_still_brackets_the_crossing(self, monkeypatch, drift):
+        """A root off by a fifth of the goal width either way still gives
+        the trigger and marker, and a bracket within the goal width that
+        holds the exact root: t_lo lies W/2 below the root, and the
+        closed-form state decides t_hi."""
+        sc = shipped_collapse()
+        vs = validate_scenario(sc)
+        _, (exact, *_), _ = earliest_roots(geometry1d.trigger_margins(vs), vs.lam)
+        self.shifted_roots(monkeypatch, lambda r: r * (1 + drift * BRACKET_REL_WIDTH))
+        event = simulate(sc).event
+        assert (event.trigger, event.marker_index) == (Trigger.DIVERGENCE_THRESHOLD, 0)
+        assert event.t_lo < exact <= event.t_hi
+        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
+
+    def test_an_exact_root_closes_the_bracket_with_no_trial(self, monkeypatch):
+        # the closed form places both edges: the stepper re-integrates
+        # nothing, and the run's last row is t_lo
+        def no_trial(*args):
+            raise AssertionError("a slab run re-integrated")
+
+        monkeypatch.setattr(_integrate.DormandPrince, "reintegrate", no_trial)
+        traj = simulate(make_slab(rho0=0.5, t_end=5.0, settings=NumericalSettings()))
+        exact = uniform_slab_div_crossing(0.5, 0.0, 0.0, SETTINGS.div_blowup_threshold, 5.0)
+        event = traj.event
+        assert (event.trigger, event.marker_index) == (Trigger.DIVERGENCE_THRESHOLD, 0)
+        assert event.t_lo < exact <= event.t_hi and traj.times[-1] == event.t_lo
+        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
+
+    def test_a_late_gap_root_moves_nothing(self, monkeypatch):
+        # the 16384-marker near tie's gap root, 9e-9 late: |div u| decides
+        # alone, and the event keeps every bit
+        sc = make_slab(rho0=0.5, markers=16384, t_end=2.5, settings=NumericalSettings())
+        expected = simulate(sc).event
+        roots = detector.earliest_roots
+
+        def late_gap(*args):
+            found = roots(*args)
+            found[0] = (found[0][0] + 9e-9, *found[0][1:])
+            return found
+
+        monkeypatch.setattr(detector, "earliest_roots", late_gap)
+        assert simulate(sc).event == expected
+
+    def test_the_mismatch_exits_3_with_a_message(self, monkeypatch, tmp_path):
+        self.shifted_roots(monkeypatch, lambda r: 1.1 * r)
+        result = CliRunner().invoke(main, ["simulate", "--scenario",
+                                           str(SCENARIOS / "uniform_collapse_1d.yaml"),
+                                           "--out", str(tmp_path)])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("numeric failure: ShellCrossing holds on the run's row")
 
 
 class TestEscapeReport:

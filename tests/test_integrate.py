@@ -418,15 +418,13 @@ def test_one_stepper_per_run(counted):
     # start alone, as the bracket re-integrates nothing
     assert run(simulate, shipped("uniform_ball_n3")).event is not None
     assert started_once() and counted.reintegrations == []
-    # the slab's chart steps over its collapse in a step of full length,
-    # which the bracket closes by Newton trials: the run's start, then at
-    # most six re-integrations
+    # a slab's event is in closed form: the run steps to its lower edge and
+    # re-integrates nothing, for a collapse and for an early density trigger
     assert run(simulate, shipped("uniform_collapse_1d")).event is not None
-    assert started_once() and len(counted.reintegrations) <= 6
-    # a density trigger in a step of full length: a re-integration per trial
+    assert started_once() and counted.reintegrations == []
     early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
     assert run(simulate, early).event is not None
-    assert started_once() and len(counted.reintegrations) <= 6
+    assert started_once() and counted.reintegrations == []
     # the estimate over the empty interval at time 0 is 0, no step size to
     # keep, so the first interval that is not empty estimates again
     run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
@@ -453,7 +451,7 @@ def test_each_vector_is_split_once(monkeypatch, counted):
         return recorded
 
     monkeypatch.setattr(_integrate, "splitter", counting_splitter)
-    # a density trigger in a step of full length: a re-integration per trial
+    # a density trigger long before the collapse; the run re-integrates nothing
     vs = validate_scenario(make_slab(rho0=0.5,
                                      settings=replace(FAST, rho_blowup_threshold=1.0)))
     outs = []
@@ -468,8 +466,8 @@ def test_each_vector_is_split_once(monkeypatch, counted):
     reintegrations = len(counted.reintegrations)
     assert counted.restarts == [0.0] and reintegrations <= 6
     # every RHS call of the stepper writes into its block: two for the start
-    # (f0 and the initial-step probe), one per re-integration (f0) and six
-    # per trial step
+    # (f0 and the initial-step probe), one per re-integration (f0), none
+    # here, and six per trial step
     assert all(out.base is stepper._K for out in outs)
     trials, rest = divmod(len(outs) - 2 - reintegrations, 6)
     assert rest == 0 and trials >= reintegrations
@@ -492,13 +490,12 @@ def slab_16k():
 
 @pytest.mark.parametrize("sc", [shipped("uniform_collapse_1d"), slab_16k()],
                          ids=["uniform_collapse_1d", "slab_16k"])
-def test_each_newton_trial_on_a_cold_slab_takes_one_step(monkeypatch, counted, sc):
+def test_a_cold_slab_steps_straight_to_the_lower_edge(monkeypatch, counted, sc):
     """A cold uniform slab's chart is a polynomial in t (v = v0 - t^2/2,
-    q = -t), which a step solves to rounding, so a re-integration that
-    keeps the step size the run reached ends each Newton trial of the
-    bracket in one accepted step and no rejected one: one RHS call to seat
-    the stepper and six for the step. The run and its bracket take at most
-    seven steps in all, and the initial step size is estimated once."""
+    q = -t), which a step solves to rounding, and its event is in closed
+    form: the run steps toward the event's t_lo as its end and reaches it in
+    four accepted steps, no rejected one (six RHS calls each after the
+    start's two) and no re-integration, the step size estimated once."""
     log = []
 
     class Logged(counted):
@@ -517,20 +514,18 @@ def test_each_newton_trial_on_a_cold_slab_takes_one_step(monkeypatch, counted, s
             log.append("step")
 
     monkeypatch.setattr(_integrate, "DormandPrince", Logged)
-    event = simulate(sc).event
-    assert event.trigger is Trigger.DIVERGENCE_THRESHOLD
-    _, *trials = " ".join(log).split("trial")  # the run, then each trial
-    assert trials and all(trial.split() == ["rhs"] * 7 + ["step"] for trial in trials)
-    assert log.count("step") <= 7
-    assert counted.estimates == [0.0]
+    traj = simulate(sc)
+    assert traj.event.trigger is Trigger.DIVERGENCE_THRESHOLD
+    assert log == ["rhs"] * 2 + (["rhs"] * 6 + ["step"]) * 4
+    assert traj.times[-1] == traj.event.t_lo and counted.estimates == [0.0]
 
 
 @pytest.mark.parametrize("name", ["uniform_collapse_1d", "uniform_ball_n3"])
 def test_bisected_edge_row_equals_a_reduction_with_a_new_rhs(monkeypatch, name):
-    """A density trigger inside a step of full length makes the bracket move
-    the lower edge. The run's last row, whose rate is the RHS the bracket's
-    re-integration left in the stepper, equals bit for bit the row reduced
-    at the edge state with an explicit RHS call into a new vector."""
+    """A density trigger inside a step of full length makes a shell bracket
+    move the lower edge; a slab steps to its closed-form t_lo. The run's last
+    row, whose rate is the RHS the stepper holds, equals bit for bit the row
+    reduced at the edge state with an explicit RHS call into a new vector."""
     moved = []
     bracket = detector.bracket_event
 
@@ -544,7 +539,7 @@ def test_bisected_edge_row_equals_a_reduction_with_a_new_rhs(monkeypatch, name):
     vs = validate_scenario(replace(sc, settings=replace(sc.settings,
                                                         rho_blowup_threshold=1.0)))
     traj = simulate(vs)
-    assert moved == [True]
+    assert moved == ([] if vs.dimension == 1 else [True])
     edge = traj.states[-1]
     assert edge.time == traj.event.t_lo
     _, y, split, reduce = solver_state(edge)
