@@ -6,16 +6,16 @@ core.splitter and core.unpacker know this order, and validation packs the
 one at t = 0, vs.y0. Each vector is split into its eight views once, when it
 is made; the force law rhs(t, yv, fv) writes the derivative at yv into fv.
 
-A run steps one Dormand-Prince 5(4) stepper (DormandPrince), capped by
-max_step alone (a slab's is None), reduces each accepted state once to its
-row (functional.reducer) and scans the row once for triggers. A slab's event
-is in closed form (detector.slab_event): the run steps to its t_lo, and a
-row that holds a trigger raises ClosedFormMismatch. A shell run bisects its
-first trigger (detector.bracket_event) with the same stepper. sample steps
-from each requested time to the next; nothing is interpolated. A run holds
-at most about 19 solver vectors on a large slab (tests/test_integrate.py
-bounds it), keeps full marker states for its first row (vs.initial) and last
-row only unless keep_states=True, and is deterministic for fixed settings.
+A run starts one Dormand-Prince 5(4) stepper (DormandPrince) at t = 0, capped
+by max_step alone (a slab's is None), reduces each accepted state once to its
+row (functional.reducer) and scans the row before it unpacks the state. A
+slab's event is in closed form (detector.slab_event): the run steps to its
+t_lo, and a row that holds a trigger raises ClosedFormMismatch. Shells bisect
+(detector.bracket_event). sample steps to each requested time and unpacks no
+state past a singularity; nothing is interpolated. A run holds at most about
+19 solver vectors on a large slab (tests/test_integrate.py bounds it), keeps
+full marker states for its first row (vs.initial) and last row only unless
+keep_states=True, and is deterministic for fixed settings.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ class DormandPrince:
     The constructor builds, and does not start, a stepper for solver vectors
     of size doubles: the block (row 6 the derivative at the new state, copied
     to row 0 for the next step), a stage-sum vector that ends a step as its
-    error estimate, and the error scale, all split once. restart(t0, y0,
-    t_bound) starts it at any state's views, estimating the step size
-    (_initial_step); reintegrate(t0, y0, t1) keeps the one last proposed.
+    error estimate, and the error scale, all split once. start(t0, y0,
+    t_bound) stands it at any state's views with the step size it last
+    proposed (_initial_step's if none); reintegrate(t0, y0, t1) steps to t1.
     step() advances t by one accepted step, clipped to end at t_bound, and
     leaves y (a new array, never written to again, nor is y0) and f (the RHS
     at y, row 6, valid until the stepper next steps or starts), with their
@@ -142,12 +142,7 @@ class DormandPrince:
         self._abs_y = np.empty(size)  # |y| of the current state
         self.h_abs = 0.0  # the step size the next step tries; 0 until one is estimated
 
-    def restart(self, t0, y0, t_bound):
-        """_seat() with the step size estimated anew, as a new stepper starts."""
-        self.h_abs = 0.0
-        self._seat(t0, y0, t_bound)
-
-    def _seat(self, t0, y0, t_bound):
+    def start(self, t0, y0, t_bound):
         """Stand at the views (t0, y0) toward t_bound, the RHS at y0 and |y0|
         in the stepper's buffers, keeping the step size (estimated if 0)."""
         if t_bound < t0:
@@ -234,8 +229,8 @@ class DormandPrince:
 
     def reintegrate(self, t0, y0, t1):
         """The views of the solver vector at t1 >= t0, stepped from the views
-        (t0, y0) (_seat): y0 itself when t1 == t0. fv is the RHS there."""
-        self._seat(t0, y0, t1)
+        (t0, y0) (start): y0 itself when t1 == t0. fv is the RHS there."""
+        self.start(t0, y0, t1)
         for _ in self.steps():
             pass
         return self.yv
@@ -260,7 +255,7 @@ def run_characteristics(vs: ValidatedScenario, rhs,
     y0, split, unpack, reduce = layout(vs)
     event = detector.slab_event(vs) if vs.dimension == 1 else None
     stepper = DormandPrince(rhs, split, y0[0].size, settings)
-    stepper.restart(0.0, y0, event.t_lo if event else vs.scenario.t_end)
+    stepper.start(0.0, y0, event.t_lo if event else vs.scenario.t_end)
     rows = [reduce(0.0, y0, stepper.fv)]  # every rate is the RHS in stepper.fv
     states = [vs.initial]
     y_last = y0
@@ -301,8 +296,8 @@ def sample_states(vs: ValidatedScenario, rhs, times) -> Trajectory:
     states, rows = [], []
     for t_prev, t in zip([0.0, *times], times):
         y = stepper.reintegrate(t_prev, y, t)
-        states.append(unpack(t, y) if t else vs.initial)
         rows.append(reduce(t, y, stepper.fv))
         if rows[-1].max_density == math.inf:  # a marker passed its singularity
             raise FloatingPointError(f"infinite density at t={t:g}")
+        states.append(unpack(t, y) if t else vs.initial)
     return Trajectory.from_rows(vs, rows, states)

@@ -293,16 +293,13 @@ def splitter(n, dimension):
 
 
 def unpacker(masses, dimension: int):
-    """unpack(t, yv): the FieldState of a solver vector's views yv, which
-    shares their positions, velocities and shell fields (no solver vector
-    is written after it is published); a slab marker past its singularity,
-    v <= 0, has rho = +inf and w = -inf."""
+    """unpack(t, yv): the FieldState of a solver vector's views yv, judged
+    first by their row (a slab's v > 0), sharing their positions, velocities
+    and shell fields; no solver vector is written after it is published."""
     def unpack(t, yv):
         rho, w = yv[3], yv[4]
         if dimension == 1:  # rho and w hold v and q until here
-            live = rho > 0.0
-            w = np.divide(w, rho, out=np.full(rho.shape, -math.inf), where=live)
-            rho = np.divide(1.0, rho, out=np.full(rho.shape, math.inf), where=live)
+            w, rho = w / rho, 1.0 / rho
         return FieldState(time=float(t), positions=yv[1], velocities=yv[2],
                           densities=rho, eig_radial=w, eig_tangential=yv[5],
                           masses=masses, dimension=dimension)

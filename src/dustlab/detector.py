@@ -127,9 +127,9 @@ def slab_event(vs):
     exact tie), r2 is the next one's, W = (1 - 1e-3) BRACKET_REL_WIDTH r1 and
     t_lo = r1 - W/2. t_hi: the first double >= r1 at which the trigger holds
     on the marker's closed-form state (geometry1d.flow, judged as a row), up
-    to r1 + min(W/2, (r2 - r1)/2) ((r1 + r2)/2 at r1 = 0) or t_end, plus the
+    to r1 + min(W/2, (r2 - r1)/2) (min(t_end, r2/2) at r1 = 0), plus the
     closed form's rounding (1.5 eps of its terms over the rate) within that
-    bound. Not holding by a bound before t_end raises ClosedFormMismatch."""
+    cap, which may pass t_end. Not holding by it raises ClosedFormMismatch."""
     lam, s, t_end, n = vs.lam, vs.scenario.settings, vs.scenario.t_end, vs.initial.masses.size
     margins = geometry1d.trigger_margins(vs)
     (r1, trigger, marker), (r2, _, _), _ = sorted(earliest_roots(margins, lam),
@@ -157,12 +157,10 @@ def slab_event(vs):
 
     half = _HALF_WIDTH * r1
     lo = r1
-    hi = cap = min(r1 + min(half or math.inf, 0.5 * (r2 - r1)), t_end)
+    hi = cap = r1 + min(half or t_end, 0.5 * (r2 - r1))
     if holds(lo):
         hi = lo
     elif not holds(hi):
-        if hi == t_end:
-            return None
         raise ClosedFormMismatch(f"{trigger.value}: the closed form's root at t={r1!r} "
                                  f"does not hold by t={cap!r}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -31,9 +31,9 @@ NEAR_SINGULAR_FRACTION = 0.01  # last 1% before an event: the margins are not as
 
 def reducer(masses, dimension: int):
     """reduce(time, yv, fv): the StepRow of a solver vector from its eight
-    views yv (core.splitter's) and those of its RHS, fv; a slab's
-    rho = 1/v, div = q/v and D(div)/Dt = rho (dq - div dv), with +inf rho
-    and |div u| and NaN sums once a marker is past its singularity (v <= 0).
+    views yv (core.splitter's) and those of its RHS, fv; a slab's rho = 1/v,
+    div = q/v and D(div)/Dt = rho (dq - div dv). A slab run at a loose abs_tol
+    can reach a marker at v <= 0: it reads +inf rho and |div u|, NaN sums.
     Built once per run with one (5 x n) scratch block: one np.add.reduce
     sums m rho, m div, m div^2 and m rate in rows 0-3, then core.trigger_rows
     fills rows 2-4, whose minima (rows 2-3) and maxima (rows 3-4) are the

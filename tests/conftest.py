@@ -1,16 +1,19 @@
 import functools
+import importlib.util
 import math
+import pathlib
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from dustlab import _integrate, _model_rhs, simulate
 from dustlab.core import (GaussianDensity, Geometry, HubbleVelocity,
                           NumericalSettings, Scenario, UniformDensity,
-                          UniformVelocity, ball_volume, unit_sphere_area,
-                          validate_scenario)
+                          UniformVelocity, ball_volume, scenario_from_dict,
+                          unit_sphere_area, validate_scenario)
 from dustlab.riccati import RiccatiParams, blowup_time_upper_bound
 
 FAST = NumericalSettings(rel_tol=1e-9, abs_tol=1e-11)
@@ -220,6 +223,16 @@ GAUSSIAN_TABLE_SLAB = dict(collapse_doc(None), initial_profile={
     "velocity": {"kind": "table", "x": [-1.0, 0.0, 1.0], "values": [0.3, -0.1, 0.2]}})
 
 
+def slab_16k():
+    """The benchmark's 16384-marker slab, dustbench/inputs.py's
+    SLAB_16K_YAML: uniform_collapse_1d at t_end 2.5."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "dustbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return scenario_from_dict(yaml.safe_load(inputs.SLAB_16K_YAML))
+
+
 def first_row(vs):
     """The run's first row: the run's reducer on vs.y0, the solver vector
     vs.initial unpacks (the trigger columns do not read the RHS, left at
@@ -254,15 +267,18 @@ def support_volume_upper(volume, densities, masses, dimension: int):
 def uniform_slab_chart(rho0, w0, lam, t):
     """v = 1/rho and q = v' at time t along every characteristic of a
     uniform slab, in closed form: v'' = lam v - 1 from v0 = 1/rho0 and q0 =
-    w0 v0, so v = 1/lam + (v0 - 1/lam) cosh(s t) + (q0/s) sinh(s t) with s =
-    sqrt(lam) for lam > 0, and v = v0 + q0 t - t^2/2 at lam = 0."""
+    w0 v0, so v = v0 + q0 S + (lam v0 - 1) P and q = q0 cosh(s t) + (lam v0 -
+    1) S with S = sinh(s t)/s, P = 2 sinh(s t/2)^2/lam and s = sqrt(lam) for
+    lam > 0: no terms of size 1/lam or cosh(s t) cancel as v nears 0 (at
+    rho0 = 0.5 at rest, v is within 7 eps of a 50-digit value near its zero
+    for lam in [0.001, 0.42]). v = v0 + q0 t - t^2/2 at lam = 0."""
     v0 = 1.0 / rho0
     q0 = w0 * v0
     if lam == 0.0:
         return v0 + q0 * t - 0.5 * t * t, q0 - t
     s = math.sqrt(lam)
-    c, sh = math.cosh(s * t), math.sinh(s * t)
-    return 1.0 / lam + (v0 - 1.0 / lam) * c + q0 / s * sh, (v0 - 1.0 / lam) * s * sh + q0 * c
+    sh, p = math.sinh(s * t) / s, 2.0 * math.sinh(0.5 * s * t) ** 2 / lam
+    return v0 + q0 * sh + (lam * v0 - 1.0) * p, q0 * math.cosh(s * t) + (lam * v0 - 1.0) * sh
 
 
 def uniform_slab_div_crossing(rho0, w0, lam, threshold, t_end):

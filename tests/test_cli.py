@@ -355,6 +355,8 @@ class TestSimulate:
         assert float(first["max_density"]) == markers["density"].max()
         assert float(first["min_density"]) == markers["density"].min()
         assert float(first["max_abs_div"]) == np.abs(markers["eig_radial"]).max() > 0.4
+        # and certify exits 0 on it, its oracle cross-check agreeing
+        assert_pole_agrees(certify_doc(runner, tmp_path / "certify", path))
 
     def test_deterministic_rerun(self, runner, tmp_path):
         path = fast_scenario(tmp_path, t_end=1.0)
@@ -458,6 +460,12 @@ class TestCertify:
         # lambda = 0: per-characteristic bounds section present, but a cold
         # start has no contracting characteristics
         assert doc["chae_tadmor"]["applicable_markers"] == 0
+        # each shipped scenario with a certificate is in case one, and its
+        # oracle cross-check agrees
+        for name in ("uniform_collapse_1d", "uniform_ball_n3", "hubble_escape_1d"):
+            shipped = certify_doc(runner, tmp_path / name, str(SCENARIOS / f"{name}.yaml"))
+            assert shipped["case"] == "CaseOne"
+            assert_pole_agrees(shipped)
 
     @pytest.mark.parametrize("overrides, reason", [
         ({}, "1-D: condition automatic"),

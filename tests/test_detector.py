@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from click.testing import CliRunner
 
@@ -20,7 +21,7 @@ from dustlab.functional import proof_chain_report
 from dustlab.riccati import BlowupCertificate, Case, check_blowup_conditions
 
 from conftest import (FAST, GAUSSIAN_TABLE_SLAB, dormand_prince, flat, make_ball, make_slab,
-                      neighbour_gaps, step_row, uniform_slab_div_crossing)
+                      neighbour_gaps, slab_16k, step_row, uniform_slab_div_crossing)
 
 SETTINGS = NumericalSettings()
 SCENARIOS = pathlib.Path(__file__).parents[1] / "scenarios"
@@ -422,15 +423,22 @@ class TestSlabEvent:
     def test_a_16384_marker_near_tie_keeps_the_divergence_trigger(self):
         """The benchmark's slab: its gap closes 1.8e-9 after |div u| passes
         1e8, inside the bracket width; the earliest root decides, and t_hi
-        stays below the gap's root."""
-        sc = replace(make_slab(rho0=0.5, markers=16384, t_end=2.5,
-                               settings=NumericalSettings()))
-        vs = validate_scenario(sc)
+        stays below the gap's root. The bracket, at most 1e-8 t_hi wide,
+        holds the crossing t* = -1e-8 + sqrt(1e-16 + 4) of v = 2 - t^2/2 and
+        |q/v| = 1e8, bisected independently, and the run's proof chain holds
+        (verify exits 0)."""
+        vs = validate_scenario(slab_16k())
         (gap, *_), (div, *_), _ = earliest_roots(geometry1d.trigger_margins(vs), 0.0)
         assert 0.0 < gap - div < 0.5 * BRACKET_REL_WIDTH * div
-        event = simulate(vs).event
+        traj = simulate(vs)
+        event = traj.event
         assert (event.trigger, event.marker_index) == (Trigger.DIVERGENCE_THRESHOLD, 0)
         assert event.t_lo < div <= event.t_hi < gap
+        exact = uniform_slab_div_crossing(0.5, 0.0, 0.0, 1e8, 2.5)
+        assert exact == pytest.approx(-1e-8 + math.sqrt(1e-16 + 4.0), rel=1e-15)
+        assert event.t_lo < exact <= event.t_hi
+        assert event.t_hi - event.t_lo <= BRACKET_REL_WIDTH * event.t_hi
+        assert proof_chain_report(traj).holds
 
     @staticmethod
     def shifted_roots(monkeypatch, shift):
@@ -506,6 +514,41 @@ class TestSlabEvent:
                                            "--out", str(tmp_path)])
         assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
         assert result.output.startswith("numeric failure: ShellCrossing holds on the run's row")
+
+    @pytest.mark.parametrize("vs", [
+        gaussian_slab(0.0), gaussian_slab(0.2), gaussian_slab(0.1),
+        *(validate_scenario(replace(shipped_collapse(), lam=lam)) for lam in (0.2, -0.3, 0.05)),
+    ], ids=["gaussian_table", "gaussian-lam0.2", "gaussian-lam0.1", "uniform-lam0.2",
+            "uniform-lam-0.3", "uniform-lam0.05"])
+    def test_t_end_at_the_root_keeps_the_event(self, vs):
+        """t_end at the earliest root r1 itself: the event is the one a
+        longer run finds, its t_hi a few ulp past t_end (the first double at
+        which the closed-form state holds the trigger, plus its rounding),
+        and its proof chain holds (verify exits 0). The run stops at t_lo,
+        short of t_end, where its row would hold the trigger."""
+        r1 = min(earliest_roots(geometry1d.trigger_margins(vs), vs.lam))[0]
+        traj = simulate(replace(vs.scenario, t_end=r1))
+        event = traj.event
+        assert event == simulate(vs).event
+        assert event.t_lo < r1 < event.t_hi <= r1 + 8 * math.ulp(r1)
+        assert traj.times[-1] == event.t_lo and proof_chain_report(traj).holds
+
+    def test_a_marker_past_its_collapse_is_refused(self, tmp_path):
+        """At a loose abs_tol the run's row at t_lo reads a marker at v <= 0,
+        which the reducer marks as infinite density and |div u|: the run
+        raises ClosedFormMismatch there, not a row of negative densities,
+        and the CLI exits 3 with the message and no traceback."""
+        doc = dict(GAUSSIAN_TABLE_SLAB, **{"lambda": 0.2}, tolerances={"abs_tol": 1.0e-3})
+        with pytest.raises(ClosedFormMismatch):
+            simulate(scenario_from_dict(doc))
+        path = tmp_path / "slab.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = CliRunner().invoke(main, ["simulate", "--scenario", str(path),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("numeric failure: DivergenceThreshold holds on the "
+                                        "run's row at t=1.6942676938619115")
+        assert "Traceback" not in result.output
 
 
 class TestEscapeReport:

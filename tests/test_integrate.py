@@ -2,7 +2,7 @@
 reference loop ``conftest.dormand_prince``, compared with ``==``, and the
 step limit it owns.
 
-A stepper is built from a run's settings and started by ``restart``. Its
+A stepper is built from a run's settings and started by ``start``. Its
 ``steps()`` must equal the reference loop after every accepted step (time,
 state and RHS value), with as many RHS calls, and its ``reintegrate``, which
 the event bracket and ``dustlab.sample`` use, must equal the loop's last
@@ -14,7 +14,6 @@ next. The reference is the RK45 method that ``scipy.integrate``'s
 to those keep their names. The program imports no scipy.
 """
 
-import importlib.util
 import math
 import os
 import pathlib
@@ -23,11 +22,9 @@ import sys
 import textwrap
 import tracemalloc
 from dataclasses import fields, replace
-from itertools import islice
 
 import numpy as np
 import pytest
-import yaml
 
 from dustlab import _integrate, _model_rhs, detector, sample, simulate
 from dustlab.core import (SHELL_MAX_STEP, HubbleVelocity, NumericalSettings, StepRow,
@@ -36,7 +33,7 @@ from dustlab.core import (SHELL_MAX_STEP, HubbleVelocity, NumericalSettings, Ste
 from dustlab.errors import MaxStepsExceeded, NumericOverflow, StepUnderflow
 
 from conftest import (FAST, GAUSSIAN_TABLE_SLAB, dormand_prince, flat, make_ball, make_slab,
-                      solver_state)
+                      slab_16k, solver_state)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -276,7 +273,7 @@ def assert_matches_rk45(sc, t_bound):
     own_rhs, own_calls = counting(rhs)
     expected = loop_steps(ref_rhs, 0.0, y0[0], t_bound, s.rel_tol, s.abs_tol, step_cap(s))
     stepper = _integrate.DormandPrince(own_rhs, split, y0[0].size, s)
-    stepper.restart(0.0, y0, t_bound)
+    stepper.start(0.0, y0, t_bound)
     got = [accepted(x) for x in stepper.steps()]
     assert len(got) == len(expected)
     for k, (mine, ref) in enumerate(zip(got, expected)):
@@ -311,7 +308,7 @@ class TestStepperMatchesRK45:
         sc = shipped("uniform_collapse_1d", lam=0.37)
         sc = replace(sc, settings=replace(sc.settings, max_step=1e3))
         steps, calls = assert_matches_rk45(sc, 4.5)
-        # two calls to restart (f0 and the initial-step probe), six per attempt
+        # two calls to start (f0 and the initial-step probe), six per attempt
         rejected = (calls - 2) // 6 - steps
         assert (steps, calls, rejected) == (86, 524, 1)
 
@@ -325,7 +322,7 @@ class TestStepperMatchesRK45:
             stepper = _integrate.DormandPrince(negative, one_field, y0.size, settings)
         assert len(ref) == 1
         assert stepper.rtol == 100 * np.finfo(float).eps
-        stepper.restart(0.0, (y0,), 1.0)
+        stepper.start(0.0, (y0,), 1.0)
         assert [accepted(x) for x in stepper.steps()] == expected
 
     def test_empty_interval(self):
@@ -334,57 +331,22 @@ class TestStepperMatchesRK45:
         assert (steps, calls) == (0, 1)
 
 
-# no step cap, so that every step size comes from the step control
-UNCAPPED = replace(FAST, max_step=1e3)
-
-
-@pytest.mark.parametrize("sc", [
-    make_slab(rho0=0.5, lam=0.2, velocity=HubbleVelocity(-0.4), settings=UNCAPPED),
-    make_ball(n=3, rho0=0.8, velocity=HubbleVelocity(-0.5), settings=UNCAPPED),
-], ids=["slab", "ball"])
-def test_restart_equals_a_new_stepper(sc):
-    """A stepper that has already stepped, restarted at a random state,
-    steps as a stepper built there does: the same time, state and RHS value
-    after every step, bit for bit."""
-    vs, rhs, y0v, split = model(sc)
-    y0 = y0v[0]
-    s = vs.scenario.settings
-    stepper = _integrate.DormandPrince(rhs, split, y0.size, s)
-    stepper.restart(0.0, y0v, 1.0)
-    for _ in islice(stepper.steps(), 3):
-        pass
-    rng = np.random.default_rng(20261018)
-    # each restart but the first is of a stepper that reached its last t1
-    for _ in range(5):
-        t0 = float(rng.uniform(0.0, 1.0))
-        t1 = t0 + float(rng.uniform(0.1, 0.5))
-        y = y0 + 1e-3 * rng.standard_normal(y0.size)
-        new = _integrate.DormandPrince(rhs, split, y0.size, s)
-        new.restart(t0, split(y), t1)
-        stepper.restart(t0, split(y), t1)
-        assert accepted(stepper) == accepted(new)
-        assert stepper.h_abs == new.h_abs
-        got = [accepted(x) for x in stepper.steps()]
-        expected = [accepted(x) for x in new.steps()]
-        assert len(got) > 1
-        assert got == expected
-
-
 @pytest.fixture
 def counted(monkeypatch):
     """_integrate.DormandPrince replaced by a subclass that records each
-    stepper built, and the start time of each restart, re-integration and
-    initial step size estimate (_integrate._initial_step)."""
+    stepper built, and the start time of each start (a re-integration's
+    too), re-integration and initial step size estimate
+    (_integrate._initial_step)."""
     class Counted(_integrate.DormandPrince):
-        built, restarts, reintegrations, estimates = [], [], [], []
+        built, starts, reintegrations, estimates = [], [], [], []
 
         def __init__(self, *args):
             self.built.append(self)
             super().__init__(*args)
 
-        def restart(self, *args):
-            self.restarts.append(args[0])
-            super().restart(*args)
+        def start(self, *args):
+            self.starts.append(args[0])
+            super().start(*args)
 
         def reintegrate(self, *args):
             self.reintegrations.append(args[0])
@@ -403,16 +365,16 @@ def counted(monkeypatch):
 def test_one_stepper_per_run(counted):
     """simulate, its event bracket included, and sample each build one
     DormandPrince and estimate its step size once, when it first starts: the
-    run by restart, sample over its first interval. Every later
+    run at t = 0, sample over its first interval. Every later
     re-integration keeps the step size the stepper last proposed."""
     def run(function, *args):
-        for log in (counted.built, counted.restarts, counted.reintegrations,
+        for log in (counted.built, counted.starts, counted.reintegrations,
                     counted.estimates):
             log.clear()
         return function(*args)
 
     def started_once():
-        return (len(counted.built), counted.restarts, counted.estimates) == (1, [0.0], [0.0])
+        return (len(counted.built), counted.starts, counted.estimates) == (1, [0.0], [0.0])
 
     # the ball's event step is shorter than the bracket's goal: the run's
     # start alone, as the bracket re-integrates nothing
@@ -425,18 +387,20 @@ def test_one_stepper_per_run(counted):
     early = make_slab(rho0=0.5, settings=replace(FAST, rho_blowup_threshold=1.0))
     assert run(simulate, early).event is not None
     assert started_once() and counted.reintegrations == []
-    # the estimate over the empty interval at time 0 is 0, no step size to
-    # keep, so the first interval that is not empty estimates again
+    # each re-integration starts the stepper; the estimate over the empty
+    # interval at time 0 is 0, no step size to keep, so the first interval
+    # that is not empty estimates again
     run(sample, shipped("uniform_collapse_1d"), [0.0, 0.5, 1.0])
-    assert len(counted.built) == 1 and counted.restarts == []
-    assert counted.reintegrations == [0.0, 0.0, 0.5] and counted.estimates == [0.0, 0.0]
+    assert len(counted.built) == 1
+    assert counted.starts == counted.reintegrations == [0.0, 0.0, 0.5]
+    assert counted.estimates == [0.0, 0.0]
 
 
 def test_each_vector_is_split_once(monkeypatch, counted):
     """simulate splits each vector once, when it is made: the initial
     state, the seven stage rows and the stage-argument vector of its one
     stepper when it is built, and the new state of every trial step. A
-    restart or re-integration splits nothing, no vector is split twice, and
+    start or re-integration splits nothing, no vector is split twice, and
     every RHS value, the bracket's lower edge included, is written into a
     row of the stepper's block."""
     split_args = []
@@ -464,7 +428,7 @@ def test_each_vector_is_split_once(monkeypatch, counted):
     assert _integrate.run_characteristics(vs, recorded).event is not None
     (stepper,) = counted.built
     reintegrations = len(counted.reintegrations)
-    assert counted.restarts == [0.0] and reintegrations <= 6
+    assert counted.starts == [0.0, *counted.reintegrations] and reintegrations <= 6
     # every RHS call of the stepper writes into its block: two for the start
     # (f0 and the initial-step probe), one per re-integration (f0), none
     # here, and six per trial step
@@ -477,15 +441,6 @@ def test_each_vector_is_split_once(monkeypatch, counted):
     # distinct addresses
     addresses = {y.__array_interface__["data"][0] for y in split_args}
     assert len(addresses) == len(split_args)
-
-
-def slab_16k():
-    """The benchmark's 16384-marker slab, dustbench/inputs.py's
-    SLAB_16K_YAML: uniform_collapse_1d at t_end 2.5."""
-    spec = importlib.util.spec_from_file_location("inputs", ROOT / "dustbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return scenario_from_dict(yaml.safe_load(inputs.SLAB_16K_YAML))
 
 
 @pytest.mark.parametrize("sc", [shipped("uniform_collapse_1d"), slab_16k()],
@@ -581,7 +536,7 @@ def test_step_underflow():
 
     with pytest.raises(StepUnderflow, match=r"^step size collapsed at t=0\.5$"):
         stepper = _integrate.DormandPrince(rhs, one_field, 3, RESOLVED)
-        stepper.restart(0.0, (np.ones(3),), 1.0)
+        stepper.start(0.0, (np.ones(3),), 1.0)
         for _ in stepper.steps():
             pass
 
@@ -589,7 +544,7 @@ def test_step_underflow():
 def test_restart_backward_in_time_raises():
     stepper = _integrate.DormandPrince(negative, one_field, 3, NumericalSettings())
     with pytest.raises(ValueError, match="only integrates forward in time"):
-        stepper.restart(1.0, (np.ones(3),), 0.5)
+        stepper.start(1.0, (np.ones(3),), 0.5)
 
 
 def test_interval_shorter_than_the_smallest_step_is_stepped():
@@ -600,7 +555,7 @@ def test_interval_shorter_than_the_smallest_step_is_stepped():
     for _ in range(4):
         t_bound = math.nextafter(t_bound, 2.0)
     stepper = _integrate.DormandPrince(negative, one_field, 3, RESOLVED)
-    stepper.restart(1.0, (np.ones(3),), t_bound)
+    stepper.start(1.0, (np.ones(3),), t_bound)
     assert [s.t for s in stepper.steps()] == [t_bound]
 
 
@@ -620,7 +575,7 @@ def test_an_error_norm_whose_squares_overflow_is_rejected():
 
     stepper = _integrate.DormandPrince(rhs, one_field, 4, replace(FAST, max_step=SHELL_MAX_STEP))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        stepper.restart(0.0, (np.ones(4),), 1.0)
+        stepper.start(0.0, (np.ones(4),), 1.0)
         h_first = stepper.h_abs
         stepper.step()
     assert not spike

@@ -395,11 +395,16 @@ class TestComparisonSolution:
 
 class TestOracle:
     def test_bracket_contains_closed_form(self):
+        # the last is the benchmark atlas pool's member 645 (CaseTwo, N = 2),
+        # whose first two Newton trials leave the bracket: the midpoint is
+        # taken, as the tableau loop takes it, bit for bit
         for a, b, h0 in ((1.0, 0.5, 0.0), (1.0, 0.0, -2.0), (1.0, -1.0, -2.0),
-                         (0.25, 2.0, 1.5)):
+                         (0.25, 2.0, 1.5),
+                         (0.1382980048736796, -2.557673026212869, -14.765074826023517)):
             p = RiccatiParams(a=a, b=b, h0=h0)
             t_exact = blowup_time_upper_bound(p)
             path = integrate_comparison_ode(p, until=2 * t_exact + 1.0)
+            assert_matches_loop(p, 2 * t_exact + 1.0)
             lo, hi = path.pole_bracket
             assert hi - lo < 1e-8
             assert lo - 1e-9 <= t_exact <= hi + 1e-9
