@@ -1,11 +1,13 @@
 """Command-line front door: simulate, certify, verify, and sweep.
 
 Runs are seed-free and deterministic: a rerun reproduces every output file
-byte for byte (timestamps only in the manifest). Time series are CSV with
-17-significant-digit floats; certificates and reports YAML or plain text.
-Exit codes: 0 success; 1 validation; 2 hypothesis violation (support
-escaped V_sup); 3 numeric failure or proof-chain violation; 4
-CONTRADICTION (certificate unsatisfied with bounded support).
+byte for byte (timestamps only in the manifest). A command removes the outputs
+it owns (marker dumps aside) and creates each afresh: a link at an output path
+is replaced, not written through, and a run without an event leaves no
+event.yaml. Time series are CSV with 17-significant-digit floats; certificates
+and reports YAML or plain text. Exit codes: 0 success; 1 validation; 2
+hypothesis violation (support escaped V_sup); 3 numeric failure or proof-chain
+violation; 4 CONTRADICTION (certificate unsatisfied with bounded support).
 """
 
 from __future__ import annotations
@@ -41,17 +43,25 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else f"{x:.17g}"
 
 
+def _create(path: Path):
+    """path opened as a new file: the old one is unlinked, as truncating it stalls a rewrite."""
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 def _write_csv(path: Path, header, rows):
     """A CSV file whose float cells go through _fmt; csv writes None as an
     empty cell and strings and booleans as they are."""
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _write_manifest(out: Path, command: str, scenario_path: str):
+def _write_manifest(out: Path, command: str, scenario_path: str, *owned: str):
     out.mkdir(parents=True, exist_ok=True)
+    for name in owned:
+        (out / name).unlink(missing_ok=True)
     doc = {
         "command": command,
         "scenario": str(scenario_path),
@@ -60,7 +70,8 @@ def _write_manifest(out: Path, command: str, scenario_path: str):
         "deterministic": True,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    (out / "manifest.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+    with _create(out / "manifest.yaml") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 def _load(scenario_path):
@@ -81,13 +92,12 @@ def _write_marker_dump(out: Path, traj, times):
     accepted step nearest each requested time, each step at most once; needs
     keep_states=True. Times past the last accepted step get that step and
     are named on stderr."""
-    traj_times = traj.times
-    t_last = traj_times[-1]
+    t_last = traj.times[-1]
     late = [t for t in times if t > t_last]
     if late:
         click.echo(f"snapshot times past the last accepted step t={t_last:.9g}, "
                    f"dumped at that step: {', '.join(f'{t:g}' for t in late)}", err=True)
-    steps = dict.fromkeys(int(np.argmin(np.abs(traj_times - t))) for t in times)
+    steps = dict.fromkeys(int(np.argmin(np.abs(traj.times - t))) for t in times)
     for i in steps:
         st = traj.states[i]
         header = ["position", "velocity", "density", "eig_radial", "mass_weight"]
@@ -105,7 +115,8 @@ def _write_event(out: Path, event):
         "t_hi": float(event.t_hi),
         "marker_index": int(event.marker_index),
     }
-    (out / "event.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+    with _create(out / "event.yaml") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 # the closed form of the pole time in each case that certifies a bound
@@ -218,7 +229,7 @@ def simulate_cmd(scenario_path, out_dir, snapshot_times):
     """Run one scenario and write trajectory, diagnostics, and any event."""
     times = _parse_option("--snapshot-times", _parse_times, snapshot_times)
     out = Path(out_dir)
-    _write_manifest(out, "simulate", scenario_path)
+    _write_manifest(out, "simulate", scenario_path, "trajectory.csv", "event.yaml")
     vs = _load(scenario_path)
     with _numeric_failure_exits():
         # marker snapshots need every state; all else reads the per-step columns
@@ -245,10 +256,11 @@ def simulate_cmd(scenario_path, out_dir, snapshot_times):
 def certify(scenario_path, out_dir):
     """Evaluate the blowup conditions and write the certificate document."""
     out = Path(out_dir)
-    _write_manifest(out, "certify", scenario_path)
+    _write_manifest(out, "certify", scenario_path, "certificate.yaml")
     vs = _load(scenario_path)
     doc = _certificate_doc(vs)
-    (out / "certificate.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+    with _create(out / "certificate.yaml") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
     click.echo(f"case: {doc['case']}; t_bound: "
                + (_fmt(doc["t_bound"]) if doc["t_bound"] is not None else "none"))
     sys.exit(EXIT_OK)
@@ -260,13 +272,14 @@ def certify(scenario_path, out_dir):
 def verify(scenario_path, out_dir):
     """Run a scenario and verify the full inequality chain step by step."""
     out = Path(out_dir)
-    _write_manifest(out, "verify", scenario_path)
+    _write_manifest(out, "verify", scenario_path, "proof_chain.csv", "report.txt")
     vs = _load(scenario_path)
     with _numeric_failure_exits():
         traj = simulate(vs)
         report = functional.proof_chain_report(traj)
     _write_csv(out / "proof_chain.csv", functional.ProofChainStep._fields, report.steps)
-    (out / "report.txt").write_text(report.summary_text() + "\n")
+    with _create(out / "report.txt") as fh:
+        fh.write(report.summary_text() + "\n")
     click.echo(report.summary_text())
     hypothesis_violations = sum(1 for s in report.steps if not s.hypothesis_ok)
     if hypothesis_violations:
@@ -285,24 +298,21 @@ def sweep(scenario_path, out_dir, lambda_grid, h0_grid):
     if (lambda_grid is None) == (h0_grid is None):
         click.echo("provide exactly one of --lambda-grid / --h0-grid", err=True)
         sys.exit(EXIT_VALIDATION)
-    if lambda_grid is not None:
-        axis, grid = "lambda", _parse_option("--lambda-grid", _parse_grid, lambda_grid)
-    else:
-        axis, grid = "h0", _parse_option("--h0-grid", _parse_grid, h0_grid)
+    axis, spec = ("lambda", lambda_grid) if lambda_grid is not None else ("h0", h0_grid)
+    grid = _parse_option(f"--{axis}-grid", _parse_grid, spec)
     out = Path(out_dir)
-    _write_manifest(out, "sweep", scenario_path)
+    _write_manifest(out, "sweep", scenario_path, "sweep.csv")
     base = _load(scenario_path)
 
     rows = []
     any_contradiction = False
     for value in grid:
-        scenario = base.scenario
         if axis == "lambda":
-            scenario = replace(scenario, lam=float(value))
+            scenario = replace(base.scenario, lam=float(value))
         else:
             # retarget H(0) = h0 through the Hubble rate: H = N * rate * M
             rate = float(value) / (base.dimension * base.total_mass)
-            scenario = replace(scenario, velocity=HubbleVelocity(rate=rate))
+            scenario = replace(base.scenario, velocity=HubbleVelocity(rate=rate))
         try:
             vs = validate_scenario(scenario)
             cert = riccati.check_blowup_conditions(vs.total_mass, vs.v_sup, vs.lam,

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -705,3 +706,69 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--scenario", path,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == EXIT_VALIDATION
+
+
+def run_command(runner, command, scenario, out):
+    """The exit code of `dustlab command --scenario scenario --out out`."""
+    return runner.invoke(main, [command, "--scenario", str(scenario),
+                                "--out", str(out)]).exit_code
+
+
+class TestOutputFiles:
+    """Each command removes the outputs of its last run and creates its own
+    afresh: an old file at an output path is replaced, never written through."""
+
+    def test_an_old_file_is_replaced_not_written_through(self, runner, tmp_path):
+        scenario, out = SCENARIOS / "uniform_collapse_1d.yaml", tmp_path / "out"
+        assert run_command(runner, "simulate", scenario, out) == EXIT_OK
+        links = {name: tmp_path / f"link_{name}" for name in ("manifest.yaml", "trajectory.csv")}
+        for name, link in links.items():
+            os.link(out / name, link)
+        first = {name: link.read_bytes() for name, link in links.items()}
+        for command in ("certify", "verify"):
+            assert run_command(runner, command, scenario, out) == EXIT_OK
+        # the link keeps simulate's manifest; the output path holds verify's
+        assert links["manifest.yaml"].read_bytes() == first["manifest.yaml"]
+        assert yaml.safe_load(first["manifest.yaml"])["command"] == "simulate"
+        assert yaml.safe_load((out / "manifest.yaml").read_text())["command"] == "verify"
+        # a rerun writes the same trajectory.csv bytes, into a new file
+        assert run_command(runner, "simulate", scenario, out) == EXIT_OK
+        assert (out / "trajectory.csv").read_bytes() == first["trajectory.csv"]
+        assert not os.path.samefile(out / "trajectory.csv", links["trajectory.csv"])
+        assert links["trajectory.csv"].read_bytes() == first["trajectory.csv"]
+
+    def test_a_rerun_leaves_no_outputs_of_the_last_run(self, runner, tmp_path):
+        doc = yaml.safe_load((SCENARIOS / "uniform_collapse_1d.yaml").read_text())
+        out = tmp_path / "out"
+        for command in ("simulate", "verify"):
+            assert run_command(runner, command, SCENARIOS / "uniform_collapse_1d.yaml",
+                               out) == EXIT_OK
+        assert (out / "event.yaml").exists()
+        # the collapse at t = 2 lies past t_end 1: no event, so no event.yaml
+        short = write_yaml(tmp_path / "short.yaml", {**doc, "t_end": 1.0})
+        assert run_command(runner, "simulate", short, out) == EXIT_OK
+        assert not (out / "event.yaml").exists()
+        with open(out / "trajectory.csv") as fh:
+            assert float(list(csv.DictReader(fh))[-1]["time"]) == 1.0
+        # a run that fails leaves none of its command's outputs either
+        failing = fast_scenario(tmp_path, tolerances={"max_steps": 5, "max_step": 4e-3})
+        for command, names in (("simulate", ("trajectory.csv",)),
+                               ("verify", ("proof_chain.csv", "report.txt"))):
+            assert all((out / name).exists() for name in names)
+            assert run_command(runner, command, failing, out) == EXIT_NUMERIC
+            assert not any((out / name).exists() for name in names)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_one_directory_holds_the_bytes_of_three(self, runner, tmp_path, scenario):
+        # simulate, certify and verify into one directory, and each into its own
+        commands = ("simulate", "certify", "verify")
+        for command in commands:
+            assert (run_command(runner, command, scenario, tmp_path / "shared")
+                    == run_command(runner, command, scenario, tmp_path / command))
+
+        def files(*dirs):
+            return {p.name: p.read_bytes() for d in dirs for p in (tmp_path / d).iterdir()
+                    if p.name != "manifest.yaml"}
+
+        assert files("shared") == files(*commands)
+        assert {"trajectory.csv", "certificate.yaml", "proof_chain.csv"} <= files("shared").keys()
